@@ -15,7 +15,7 @@ BENCH_STAMP ?= $(shell date +%F)
 BENCH_DATED := BENCH_$(BENCH_STAMP).json
 BENCH_BLOB := BENCH_$(BENCH_STAMP).blob
 
-.PHONY: build test race bench bench-baseline fmt vet lint
+.PHONY: build test race bench bench-baseline fmt vet lint loc
 
 build:
 	$(GO) build ./...
@@ -59,3 +59,9 @@ vet:
 # also runs as `go vet -vettool`; this direct form is faster for ./...
 lint:
 	$(GO) run ./cmd/bdvet ./...
+
+# loc prints the non-test Go line count outside benchmark/. CI holds it
+# under the one integer in testdata/loc.ceiling, so a change that grows the
+# code raises that number in its own diff, where a reviewer sees it.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l

@@ -31,8 +31,8 @@
 //     from intended starts so coordinated omission cannot hide queueing;
 //   - internal/scenario      the composition layer: registry, declarative
 //     scenario specs, the five-step runner and the reporter contract;
-//   - internal/core          the five-step benchmarking process of Figure 1
-//     and the layered architecture of Figure 2.
+//   - internal/core          the layered architecture of Figure 2 and the
+//     data generation process of Figure 3 as executable artifacts.
 //
 // This package is the public API over those substrates. The registry
 // (Register, RegisterSuite, DefaultRegistry) makes workloads and suites
@@ -60,4 +60,4 @@
 package bdbench
 
 // Version is the release version of the bdbench module.
-const Version = "1.8.0"
+const Version = "1.9.0"

@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/bdbench/bdbench/internal/core"
+	bdbench "github.com/bdbench/bdbench"
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
 	"github.com/bdbench/bdbench/internal/datagen/streamgen"
 	"github.com/bdbench/bdbench/internal/datagen/tablegen"
@@ -61,7 +61,7 @@ func BenchmarkTable1DataGeneration(b *testing.B) {
 func BenchmarkTable2Workloads(b *testing.B) {
 	suite, _ := suites.ByName("GridMix")
 	for i := 0; i < b.N; i++ {
-		results := suites.RunSuite(suite, workloads.Params{Seed: 1, Scale: 1, Workers: 4})
+		results := engine.Run(context.Background(), suite.Tasks(workloads.Params{Seed: 1, Scale: 1, Workers: 4}), engine.Config{})
 		for _, r := range results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -86,7 +86,7 @@ func BenchmarkSuiteEngineParallelism(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results := suites.RunSuiteEngine(context.Background(), suite, p, engine.Config{Workers: mode.workers})
+				results := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: mode.workers})
 				for _, r := range results {
 					if r.Err != nil {
 						b.Fatal(r.Err)
@@ -103,7 +103,9 @@ func BenchmarkSuiteEngineParallelism(b *testing.B) {
 // BenchmarkFigure1Process runs the five-step benchmarking process.
 func BenchmarkFigure1Process(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := core.Run(core.Plan{Object: "bench", Suite: "GridMix", Scale: 1, Workers: 4, Seed: 1})
+		s := bdbench.SuiteScenario("GridMix")
+		s.Scale, s.Workers, s.Seed = 1, 4, 1
+		out, err := bdbench.Run(context.Background(), s, bdbench.WithDataProbes())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,7 +121,7 @@ func BenchmarkFigure1Process(b *testing.B) {
 // documents that the figure is an executable artifact.
 func BenchmarkFigure2Architecture(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(core.FormatArchitecture(core.Architecture())) == 0 {
+		if len(bdbench.FormatArchitecture(bdbench.Architecture())) == 0 {
 			b.Fatal("empty architecture")
 		}
 	}
@@ -131,7 +133,7 @@ func BenchmarkFigure2Architecture(b *testing.B) {
 // for the text data type.
 func BenchmarkFigure3DataGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := core.TextDataGenProcess(1, 300, 4)
+		out, err := bdbench.TextDataGenProcess(1, 300, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,10 +360,39 @@ func (c *mutexCollector) Add(counter string, delta int64) {
 	c.counters[counter] += delta
 }
 
+// labelRecorder is the shape of the two designs that resolve their labels on
+// every call: the mutex baseline and the collector's conveniences.
+type labelRecorder interface {
+	ObserveLatency(op string, d time.Duration)
+	Add(counter string, delta int64)
+}
+
+// byLabel mints recorders that share r and go through its string keys.
+func byLabel(r labelRecorder) func() func(time.Duration) {
+	record := func(d time.Duration) {
+		r.ObserveLatency("op", d)
+		r.Add("records", 1)
+	}
+	return func() func(time.Duration) { return record }
+}
+
+// byHandles mints recorders that each hold a private shard of c and record
+// through handles bound once — the one way to record below the collector.
+func byHandles(c *metrics.Collector) func() func(time.Duration) {
+	return func() func(time.Duration) {
+		s := c.Shard()
+		op, records := s.Op("op"), s.CounterRef("records")
+		return func(d time.Duration) {
+			op.Observe(d)
+			records.Add(1)
+		}
+	}
+}
+
 // benchObservers drives `goroutines` concurrent recorders (one minted per
 // goroutine) through an observe+count loop and reports the aggregate
 // recording rate.
-func benchObservers(b *testing.B, goroutines int, mint func() metrics.Recorder) {
+func benchObservers(b *testing.B, goroutines int, mint func() func(time.Duration)) {
 	per := b.N/goroutines + 1
 	var wg sync.WaitGroup
 	// The record path is zero-allocation once a label exists; the allocs/op
@@ -373,11 +404,9 @@ func benchObservers(b *testing.B, goroutines int, mint func() metrics.Recorder) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec := mint()
-			d := time.Microsecond
+			record := mint()
 			for i := 0; i < per; i++ {
-				rec.ObserveLatency("op", d)
-				rec.Add("records", 1)
+				record(time.Microsecond)
 			}
 		}()
 	}
@@ -395,15 +424,15 @@ func BenchmarkCollectorParallel(b *testing.B) {
 	const goroutines = 8
 	b.Run("global-mutex", func(b *testing.B) {
 		c := newMutexCollector()
-		benchObservers(b, goroutines, func() metrics.Recorder { return c })
+		benchObservers(b, goroutines, byLabel(c))
 	})
 	b.Run("facade-shared-shard", func(b *testing.B) {
 		c := metrics.NewCollector("bench")
-		benchObservers(b, goroutines, func() metrics.Recorder { return c })
+		benchObservers(b, goroutines, byLabel(c))
 	})
 	b.Run("sharded", func(b *testing.B) {
 		c := metrics.NewCollector("bench")
-		benchObservers(b, goroutines, func() metrics.Recorder { return c.Shard() })
+		benchObservers(b, goroutines, byHandles(c))
 		if c.Counter("records") == 0 {
 			b.Fatal("shard writes lost")
 		}
@@ -417,7 +446,7 @@ func BenchmarkCollectorShardScaling(b *testing.B) {
 	for w := 1; w <= maxW; w *= 2 {
 		b.Run(fmt.Sprintf("writers-%d", w), func(b *testing.B) {
 			c := metrics.NewCollector("bench")
-			benchObservers(b, w, func() metrics.Recorder { return c.Shard() })
+			benchObservers(b, w, byHandles(c))
 		})
 	}
 }

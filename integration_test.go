@@ -7,7 +7,6 @@ import (
 	"time"
 
 	bdbench "github.com/bdbench/bdbench"
-	"github.com/bdbench/bdbench/internal/core"
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/suites"
 	"github.com/bdbench/bdbench/internal/testgen"
@@ -24,26 +23,43 @@ func TestVersion(t *testing.T) {
 // describes: plan, generate data, generate tests, execute on simulated
 // stacks, analyze — for a suite that touches multiple stack types.
 func TestEndToEndBenchmarkingProcess(t *testing.T) {
-	out, err := core.Run(core.Plan{
-		Object:  "integration",
-		Suite:   "CloudSuite", // NoSQL + Hadoop + text classification
-		Scale:   1,
-		Workers: 2,
-		Seed:    99,
-		Energy:  metrics.DefaultEnergyModel,
-		Cost:    metrics.DefaultCostModel,
-	})
+	s := bdbench.SuiteScenario("CloudSuite") // NoSQL + Hadoop + text classification
+	s.Scale, s.Workers, s.Seed = 1, 2, 99
+	s.Energy, s.Cost = metrics.DefaultEnergyModel, metrics.DefaultCostModel
+	out, err := bdbench.Run(context.Background(), s, bdbench.WithDataProbes())
 	if err != nil {
 		t.Fatal(err)
+	}
+	wantOrder := []bdbench.Step{bdbench.StepPlanning, bdbench.StepDataGeneration,
+		bdbench.StepTestGeneration, bdbench.StepExecution, bdbench.StepAnalysis}
+	if len(out.Steps) != len(wantOrder) {
+		t.Fatalf("steps %d, want 5 (Figure 1)", len(out.Steps))
+	}
+	for i, st := range out.Steps {
+		if st.Step != wantOrder[i] || st.Detail == "" {
+			t.Fatalf("step %d = %s (detail %q), want %s with a detail", i, st.Step, st.Detail, wantOrder[i])
+		}
 	}
 	if len(out.Results) != 4 {
 		t.Fatalf("results %d, want 4 (CloudSuite inventory)", len(out.Results))
 	}
+	for _, r := range out.Results {
+		if r.Result.EnergyJoules <= 0 || r.Result.CostUSD <= 0 {
+			t.Fatalf("energy/cost missing on %s", r.Workload)
+		}
+	}
 	if len(out.Summary) != 2 {
 		t.Fatalf("summary categories %d, want 2 (online + offline)", len(out.Summary))
 	}
-	if got := out.VeracityLevel(); got != "Partially Considered" {
-		t.Fatalf("CloudSuite veracity %s", got)
+	if len(out.Probes) != 1 || out.Probes[0].Suite != "CloudSuite" {
+		t.Fatalf("probes %+v, want one for CloudSuite", out.Probes)
+	}
+	probe := out.Probes[0]
+	if probe.Veracity != "Partially Considered" {
+		t.Fatalf("CloudSuite veracity %s", probe.Veracity)
+	}
+	if probe.Volume == "" || len(probe.VolumeEvidence) == 0 {
+		t.Fatalf("volume probe evidence missing: %q %v", probe.Volume, probe.VolumeEvidence)
 	}
 }
 
@@ -115,22 +131,20 @@ func TestAllSuitesExecutableSmoke(t *testing.T) {
 // the per-repetition results agree with a sequential single-rep run of the
 // same plan (seeded determinism across scheduling).
 func TestConcurrentEngineEndToEnd(t *testing.T) {
-	plan := core.Plan{
-		Object:   "engine integration",
-		Suite:    "GridMix",
-		Scale:    1,
-		Workers:  2,
-		Seed:     123,
-		Parallel: 8,
-		Reps:     2,
-		Timeout:  2 * time.Minute,
-	}
-	concurrent, err := core.Run(plan)
+	s := bdbench.SuiteScenario("GridMix")
+	s.Scale, s.Workers, s.Seed = 1, 2, 123
+	s.Parallel, s.Reps, s.Timeout = 8, 2, bdbench.Duration(2*time.Minute)
+	concurrent, err := bdbench.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan.Parallel, plan.Reps = 1, 1
-	sequential, err := core.Run(plan)
+	for _, st := range concurrent.Steps {
+		if st.Step == bdbench.StepExecution && !strings.Contains(st.Detail, "reps=2") {
+			t.Fatalf("execution step detail %q does not record the engine settings", st.Detail)
+		}
+	}
+	s.Parallel, s.Reps = 1, 1
+	sequential, err := bdbench.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,8 @@
+// Package core reproduces the paper's figures that are not a run of the
+// scenario runner, as executable artifacts: Figure 2 (the three-layer
+// architecture), Figure 3 (the data generation process) and the §3.3
+// portability demonstration. The five-step process of Figure 1 is
+// internal/scenario.
 package core
 
 import (
@@ -10,10 +15,8 @@ import (
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
 	"github.com/bdbench/bdbench/internal/datagen/veracity"
 	"github.com/bdbench/bdbench/internal/stats"
+	"github.com/bdbench/bdbench/internal/testgen"
 )
-
-// This file reproduces Figure 2 (the layered architecture) and Figure 3
-// (the data generation process) as executable artifacts.
 
 // Layer describes one architecture layer and the packages implementing it.
 type Layer struct {
@@ -202,4 +205,20 @@ func TableDataGenProcess(seed uint64, rows int64, workers int) (*DataGenOutcome,
 	}
 	out.Divergence = rep.Score()
 	return out, nil
+}
+
+// AbstractPortabilityCheck runs one built-in prescription across all stack
+// executors and reports whether the functional view held — the §3.3 system
+// view demonstration.
+func AbstractPortabilityCheck(workers int) (bool, error) {
+	pl := testgen.NewPipeline()
+	p, err := pl.Repository.Get("select-count")
+	if err != nil {
+		return false, err
+	}
+	_, err = testgen.VerifyPortability(p, pl.Registry, testgen.DefaultExecutors(workers))
+	if err != nil {
+		return false, err
+	}
+	return true, nil
 }

@@ -1,86 +1,9 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"strings"
 	"testing"
-	"time"
-
-	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/workloads"
 )
-
-func TestPlanValidate(t *testing.T) {
-	if err := (Plan{}).Validate(); err == nil {
-		t.Fatal("empty plan accepted")
-	}
-	if err := (Plan{Suite: "nope"}).Validate(); err == nil {
-		t.Fatal("unknown suite accepted")
-	}
-	if err := (Plan{Suite: "GridMix", Scale: -1}).Validate(); err == nil {
-		t.Fatal("negative scale accepted")
-	}
-	if err := (Plan{Suite: "GridMix"}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunFiveSteps(t *testing.T) {
-	out, err := Run(Plan{
-		Object:  "demo",
-		Suite:   "GridMix",
-		Scale:   1,
-		Workers: 2,
-		Seed:    5,
-		Energy:  metrics.DefaultEnergyModel,
-		Cost:    metrics.DefaultCostModel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Steps) != 5 {
-		t.Fatalf("steps %d, want 5 (Figure 1)", len(out.Steps))
-	}
-	wantOrder := []Step{StepPlanning, StepDataGeneration, StepTestGeneration, StepExecution, StepAnalysis}
-	for i, s := range out.Steps {
-		if s.Step != wantOrder[i] {
-			t.Fatalf("step %d = %s, want %s", i, s.Step, wantOrder[i])
-		}
-		if s.Detail == "" {
-			t.Fatalf("step %s has no detail", s.Step)
-		}
-	}
-	if len(out.Results) != 2 {
-		t.Fatalf("results %d", len(out.Results))
-	}
-	if out.Summary[workloads.Online] <= 0 {
-		t.Fatalf("summary %+v", out.Summary)
-	}
-	// Energy/cost models applied.
-	for _, r := range out.Results {
-		if r.Result.EnergyJoules <= 0 || r.Result.CostUSD <= 0 {
-			t.Fatalf("energy/cost missing on %s", r.Workload)
-		}
-	}
-}
-
-func TestRunInvalidPlan(t *testing.T) {
-	if _, err := Run(Plan{Suite: "missing"}); err == nil {
-		t.Fatal("invalid plan ran")
-	}
-}
-
-func TestOutcomeVeracityLevel(t *testing.T) {
-	out, err := Run(Plan{Suite: "GridMix", Scale: 1, Workers: 2, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GridMix text generation is veracity-unaware.
-	if got := out.VeracityLevel(); got != "Un-considered" {
-		t.Fatalf("GridMix veracity %s", got)
-	}
-}
 
 func TestAbstractPortabilityCheck(t *testing.T) {
 	ok, err := AbstractPortabilityCheck(2)
@@ -142,71 +65,5 @@ func TestTableDataGenProcess(t *testing.T) {
 	// Full-profile generation: divergence near the floor.
 	if out.Divergence > 0.1 {
 		t.Fatalf("profiled table divergence %v, want small", out.Divergence)
-	}
-}
-
-func TestPlanValidateEngineSettings(t *testing.T) {
-	if err := (Plan{Suite: "GridMix", Reps: -1}).Validate(); err == nil {
-		t.Fatal("negative reps accepted")
-	}
-	if err := (Plan{Suite: "GridMix", Timeout: -time.Second}).Validate(); err == nil {
-		t.Fatal("negative timeout accepted")
-	}
-	if err := (Plan{Suite: "GridMix", Parallel: 8, Reps: 3, Warmup: 1, Timeout: time.Minute}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunThroughEngine drives the Figure 1 process with engine settings:
-// repetitions land in every result, the execution step records them, and
-// the volume probe's evidence is no longer discarded.
-func TestRunThroughEngine(t *testing.T) {
-	out, err := Run(Plan{
-		Object:   "engine demo",
-		Suite:    "GridMix",
-		Scale:    1,
-		Workers:  2,
-		Seed:     5,
-		Parallel: 4,
-		Reps:     2,
-		Warmup:   1,
-		Timeout:  time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range out.Results {
-		if len(r.Reps) != 2 {
-			t.Fatalf("%s: reps %d, want 2", r.Workload, len(r.Reps))
-		}
-		if r.Throughput.Count != 2 {
-			t.Fatalf("%s: throughput summary %+v", r.Workload, r.Throughput)
-		}
-	}
-	if out.Volume == "" || len(out.VolumeEvidence) == 0 {
-		t.Fatalf("volume probe evidence missing: %q %v", out.Volume, out.VolumeEvidence)
-	}
-	var execDetail string
-	for _, s := range out.Steps {
-		if s.Step == StepExecution {
-			execDetail = s.Detail
-		}
-	}
-	if !strings.Contains(execDetail, "reps=2") || !strings.Contains(execDetail, "warmup=1") {
-		t.Fatalf("execution step detail %q does not record engine settings", execDetail)
-	}
-}
-
-// TestRunContextCancelled: a context cancelled up front aborts the process
-// before the data-generation probes, not after them.
-func TestRunContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := RunContext(ctx, Plan{Suite: "GridMix", Scale: 1, Workers: 2, Seed: 5})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want canceled", err)
-	}
-	if out != nil {
-		t.Fatalf("cancelled run produced an outcome with %d steps", len(out.Steps))
 	}
 }

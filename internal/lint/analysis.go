@@ -172,7 +172,7 @@ func (p *Pass) isTestFile(pos token.Pos) bool {
 }
 
 // hasDirective reports whether the comment group contains the given
-// directive comment (e.g. "//bdbench:hotpath" or "//bdvet:setup"),
+// directive comment (e.g. "//bdbench:hotpath" or "//bdvet:deterministic"),
 // optionally followed by prose on the same line.
 func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc == nil {
@@ -180,21 +180,6 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	}
 	for _, c := range doc.List {
 		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// funcDirective reports whether the function declaration enclosing pos
-// (if any) carries the directive.
-func (p *Pass) funcDirective(file *ast.File, pos token.Pos, directive string) bool {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		if fd.Pos() <= pos && pos <= fd.End() && hasDirective(fd.Doc, directive) {
 			return true
 		}
 	}

@@ -6,50 +6,37 @@ import (
 	"strings"
 )
 
-// SetupDirective marks a function as setup/teardown code where
-// string-keyed recording is fine: it runs once per run, not per
-// operation, so the per-call map lookup cannot become measurement
-// overhead.
-const SetupDirective = "//bdvet:setup"
-
-// Oprefed flags string-keyed recording calls — Recorder.ObserveLatency,
-// Recorder.Add, Timed, and the ObserveSince helper — made inside a loop
-// in internal non-test code. A loop body is steady state: per-iteration
-// recording belongs on an interned OpRef/CounterRef resolved once
-// outside the loop (metrics.OpRefOf / CounterRefOf / Shard.Op), which is
-// both allocation-free and lookup-free. One-shot calls outside loops are
-// setup and stay legal, as does anything in _test.go files or functions
-// marked //bdvet:setup.
+// Oprefed flags the collector's one-shot conveniences —
+// Collector.ObserveLatency, Collector.Add and Collector.Timed — called
+// inside a loop in internal non-test code. They resolve their label on
+// every call, which is right for a phase-level measurement and wrong for
+// a loop body: per-iteration recording belongs on an OpRef/CounterRef
+// minted once outside the loop (Collector.Op, Shard.Op), which is both
+// allocation-free and lookup-free. Below the collector there is nothing
+// to police — shards record only through handles. One-shot calls outside
+// loops stay legal, as does anything in _test.go files.
 var Oprefed = &Analyzer{
 	Name: "oprefed",
-	Doc:  "flag string-keyed metrics recording in steady-state loops where an interned OpRef/CounterRef should be pre-resolved",
+	Doc:  "flag Collector.ObserveLatency/Add/Timed in steady-state loops where an OpRef/CounterRef should be minted once",
 	Run:  runOprefed,
 }
 
-// oprefExempt carves out packages where string keys are the point:
-// metrics implements the string-keyed surface, lint analyzes it, tools
-// are offline dev utilities.
+// oprefExempt carves out packages where the conveniences are the point:
+// metrics implements them, lint analyzes them, tools are offline dev
+// utilities.
 var oprefExempt = []string{
 	"internal/metrics",
 	"internal/lint",
 	"internal/tools",
 }
 
-// stringKeyedMethods are the Recorder-surface methods whose first
-// argument is a label resolved per call. The interned handles (OpRef,
-// CounterRef) deliberately share none of these names.
+// stringKeyedMethods are the Collector methods whose first argument is
+// a label resolved per call. The handles (OpRef, CounterRef)
+// deliberately share none of these names.
 var stringKeyedMethods = map[string]bool{
 	"ObserveLatency": true,
 	"Add":            true,
 	"Timed":          true,
-}
-
-// stringKeyedOwners are the metrics types carrying those methods.
-var stringKeyedOwners = map[string]bool{
-	"Collector": true,
-	"Shard":     true,
-	"Recorder":  true,
-	"Sharder":   true,
 }
 
 func runOprefed(pass *Pass) error {
@@ -70,42 +57,28 @@ func runOprefed(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			kind := pass.stringKeyedKind(sel)
-			if kind == "" || !inLoop(stack) {
-				return true
+			if name := pass.collectorConvenience(sel); name != "" && inLoop(stack) {
+				pass.Reportf(call.Pos(), "string-keyed Collector.%s in a steady-state loop resolves its label on every iteration; mint an OpRef/CounterRef once outside the loop (Collector.Op, Shard.Op)", name)
 			}
-			if pass.funcDirective(file, call.Pos(), SetupDirective) {
-				return true
-			}
-			pass.Reportf(call.Pos(), "string-keyed %s in a steady-state loop resolves its label on every iteration; pre-resolve an OpRef/CounterRef outside the loop (metrics.OpRefOf, Shard.Op) or mark the enclosing function %s -- it is setup code", kind, SetupDirective)
 			return true
 		})
 	}
 	return nil
 }
 
-// stringKeyedKind classifies the selector as a string-keyed recording
-// call and returns a human-readable name for it, or "".
-func (p *Pass) stringKeyedKind(sel *ast.SelectorExpr) string {
+// collectorConvenience returns the method name when the selector is one
+// of metrics.Collector's string-keyed conveniences, or "".
+func (p *Pass) collectorConvenience(sel *ast.SelectorExpr) string {
 	obj, pkgPath := p.selectedObj(sel)
-	if obj == nil || !isMetricsPkg(pkgPath) {
-		return ""
-	}
 	fn, ok := obj.(*types.Func)
-	if !ok {
+	if !ok || !isMetricsPkg(pkgPath) || !stringKeyedMethods[fn.Name()] {
 		return ""
 	}
-	sig := fn.Type().(*types.Signature)
-	if recv := sig.Recv(); recv != nil {
-		if !stringKeyedMethods[fn.Name()] || !stringKeyedOwners[namedName(recv.Type())] {
-			return ""
-		}
-		return namedName(recv.Type()) + "." + fn.Name()
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil || namedName(recv.Type()) != "Collector" {
+		return ""
 	}
-	if fn.Name() == "ObserveSince" {
-		return "metrics.ObserveSince"
-	}
-	return ""
+	return fn.Name()
 }
 
 // isMetricsPkg matches the real metrics package and analysistest stubs.

@@ -1,7 +1,7 @@
 // Package opref exercises the oprefed analyzer against the real
-// metrics package surface: string-keyed recording is legal as one-shot
-// setup but not inside steady-state loops, where a pre-resolved
-// OpRef/CounterRef belongs.
+// metrics package surface: the collector's string-keyed conveniences
+// are legal as one-shot setup but not inside steady-state loops, where
+// a handle minted once belongs.
 package opref
 
 import (
@@ -15,13 +15,6 @@ func steadyState(c *metrics.Collector, n int) {
 		t := time.Now()
 		c.ObserveLatency("op", time.Since(t)) // want `oprefed: string-keyed Collector\.ObserveLatency in a steady-state loop`
 		c.Add("ops", 1)                       // want `oprefed: string-keyed Collector\.Add in a steady-state loop`
-	}
-}
-
-func helperInLoop(rec metrics.Recorder, n int) {
-	for i := 0; i < n; i++ {
-		t := metrics.StartTimer(rec)
-		metrics.ObserveSince(rec, "op", t) // want `oprefed: string-keyed metrics\.ObserveSince in a steady-state loop`
 	}
 }
 
@@ -43,15 +36,6 @@ func preResolved(c *metrics.Collector, n int) {
 		t := ref.StartTimer()
 		ref.ObserveSince(t)
 		ops.Add(1) // CounterRef.Add is the interned handle, not a string key
-	}
-}
-
-// markedSetup is load-phase accounting: per-row counters are the point.
-//
-//bdvet:setup
-func markedSetup(c *metrics.Collector, rows []string) {
-	for _, r := range rows {
-		c.Add(r, 1)
 	}
 }
 

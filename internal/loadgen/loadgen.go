@@ -46,7 +46,7 @@ type Options struct {
 	// Rec, when non-nil, receives every observation in the sharded metrics
 	// pipeline: OpRequest, OpService and OpWait, all substrate-level (the
 	// executed operations record their own user-level measurements).
-	Rec metrics.Recorder
+	Rec *metrics.Collector
 
 	// ShardIndex and ShardCount slice the materialized schedule for
 	// distributed load generation: the run dispatches only arrivals whose
@@ -153,12 +153,12 @@ type runState struct {
 // newRunState builds the dispatch machinery for one run. now is the clock
 // (t0 is read from it immediately); rec mirrors observations into the
 // sharded metrics pipeline and may be nil.
-func newRunState(ctx context.Context, op func(context.Context) error, rec metrics.Recorder, now func() time.Time, buffered int) *runState {
+func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, now func() time.Time, buffered int) *runState {
 	r := &runState{ctx: ctx, op: op, now: now}
-	subRec := metrics.SubstrateShardOf(rec)
-	r.reqRef = metrics.OpRefOf(subRec, OpRequest)
-	r.svcRef = metrics.OpRefOf(subRec, OpService)
-	r.waitRef = metrics.OpRefOf(subRec, OpWait)
+	shard := rec.SubstrateShard()
+	r.reqRef = shard.Op(OpRequest)
+	r.svcRef = shard.Op(OpService)
+	r.waitRef = shard.Op(OpWait)
 	r.ready = make(chan time.Duration, buffered)
 	r.t0 = now()
 	return r

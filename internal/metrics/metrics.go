@@ -8,10 +8,15 @@
 // Collection is sharded so measurement never becomes the bottleneck it is
 // meant to observe: a Collector is a set of Shards merged only at Snapshot
 // time, every worker goroutine of a parallel stack can mint a private shard
-// (Collector.Shard, ShardOf), and recording into a shard is lock-free —
-// atomic counter cells and atomic fixed-bucket latency histograms
-// (stats.AtomicLatencyHistogram), with a mutex taken only on the first use
-// of a new label.
+// (Collector.Shard, SubstrateShard), and recording into a shard is lock-free
+// — atomic counter cells and atomic fixed-bucket latency histograms
+// (stats.AtomicLatencyHistogram), with a mutex taken only when a new label's
+// handle is minted.
+//
+// There is one write path: Collector → Shard → OpRef/CounterRef. Code below
+// the collector records only through handles minted once, up front; the
+// collector's own ObserveLatency/Add/Timed are one-shot conveniences over
+// that same path for phase-level measurements.
 package metrics
 
 import (
@@ -63,11 +68,12 @@ const DatagenItems = "datagen_items"
 // Collector accumulates measurements for one workload execution. It is safe
 // for concurrent use by the goroutines of a parallel stack.
 //
-// Internally it is a set of shards merged only at Snapshot time: every
-// recording method delegates to a default shard whose hot path is lock-free,
-// and worker goroutines can mint private shards with Shard so their
-// operation loops never contend with each other at all. The collector's own
-// mutex guards only the measured-interval lifecycle and the shard list.
+// Internally it is a set of shards merged only at Snapshot time: the
+// collector's own recording methods go through handles on a default shard
+// whose hot path is lock-free, and worker goroutines can mint private shards
+// with Shard so their operation loops never contend with each other at all.
+// The collector's own mutex guards only the measured-interval lifecycle and
+// the shard list.
 type Collector struct {
 	name string
 
@@ -78,7 +84,7 @@ type Collector struct {
 	elapsed time.Duration
 	shards  []*Shard
 	def     *Shard
-	dgen    *Shard
+	dgen    *Shard // substrate shard RecordDatagen records into
 	// sampling, when set (EnableSampling), is handed to every shard so raw
 	// latency streams are captured alongside the histograms.
 	sampling *samplingState
@@ -86,8 +92,10 @@ type Collector struct {
 
 // NewCollector returns a collector for the named workload.
 func NewCollector(name string) *Collector {
-	def := NewShard()
-	return &Collector{name: name, def: def, shards: []*Shard{def}}
+	c := &Collector{name: name}
+	c.def = c.Shard()
+	c.dgen = c.SubstrateShard()
+	return c
 }
 
 // Name returns the workload name the collector was created with.
@@ -96,22 +104,23 @@ func (c *Collector) Name() string { return c.name }
 // Shard mints a private recording shard merged into this collector's
 // snapshots. Each worker goroutine of a parallel stack should hold its own
 // shard so hot operation loops record without any shared-lock contention.
-func (c *Collector) Shard() *Shard {
-	s := NewShard()
-	c.mu.Lock()
-	s.sampling = c.sampling
-	c.shards = append(c.shards, s)
-	c.mu.Unlock()
-	return s
-}
+func (c *Collector) Shard() *Shard { return c.newShard(false) }
 
 // SubstrateShard mints a shard for stack-internal measurement: merged into
-// snapshots like any other, but its latency observations do not count
-// toward Throughput (they echo work the workload already measures at its
-// own level). Stacks obtain one through SubstrateShardOf.
+// snapshots like any other, but its latency observations (per-task,
+// per-superstep, per-store-op echoes underneath a workload's own
+// measurements) do not count toward Throughput, which must count each
+// logical workload operation exactly once. A nil collector — an
+// uninstrumented stack — yields a nil shard, whose handles are no-ops.
 func (c *Collector) SubstrateShard() *Shard {
-	s := NewShard()
-	s.substrate = true
+	if c == nil {
+		return nil
+	}
+	return c.newShard(true)
+}
+
+func (c *Collector) newShard(substrate bool) *Shard {
+	s := &Shard{substrate: substrate}
 	c.mu.Lock()
 	s.sampling = c.sampling
 	c.shards = append(c.shards, s)
@@ -147,19 +156,9 @@ func (c *Collector) Stop() {
 // Ops profile and as Result.DataPrep, but never counts toward Throughput
 // (preparing input is not serving an operation). Safe for concurrent use.
 func (c *Collector) RecordDatagen(d time.Duration, items int64) {
-	c.mu.Lock()
-	if c.dgen == nil {
-		s := NewShard()
-		s.substrate = true
-		s.sampling = c.sampling
-		c.dgen = s
-		c.shards = append(c.shards, s)
-	}
-	s := c.dgen
-	c.mu.Unlock()
-	s.ObserveLatency(DatagenOp, d)
+	c.dgen.Op(DatagenOp).Observe(d)
 	if items > 0 {
-		s.Add(DatagenItems, items)
+		c.dgen.CounterRef(DatagenItems).Add(items)
 	}
 }
 
@@ -194,13 +193,13 @@ func (c *Collector) Elapsed() time.Duration {
 // ObserveLatency records one operation latency under the given operation
 // label ("read", "update", ...).
 func (c *Collector) ObserveLatency(op string, d time.Duration) {
-	c.def.ObserveLatency(op, d)
+	c.def.Op(op).Observe(d)
 }
 
 // Add increments the named counter by delta. Counters capture architecture
 // metrics (records processed, bytes shuffled, messages sent, ...).
 func (c *Collector) Add(counter string, delta int64) {
-	c.def.Add(counter, delta)
+	c.def.CounterRef(counter).Add(delta)
 }
 
 // Op mints a pre-resolved latency handle on the collector's default shard;
@@ -225,7 +224,9 @@ func (c *Collector) Counter(name string) int64 {
 
 // Timed runs f and records its duration under op.
 func (c *Collector) Timed(op string, f func()) {
-	c.def.Timed(op, f)
+	t0 := time.Now()
+	f()
+	c.def.Op(op).ObserveSince(t0)
 }
 
 // OpStats summarizes the latency profile of one operation type.
@@ -238,7 +239,7 @@ type OpStats struct {
 	P99   time.Duration
 	Max   time.Duration
 	// Substrate marks labels observed only by stack-internal shards
-	// (SubstrateShardOf): echoes underneath the workload's own
+	// (Collector.SubstrateShard): echoes underneath the workload's own
 	// measurements. Reports should prefer non-substrate ops when picking a
 	// representative latency profile.
 	Substrate bool

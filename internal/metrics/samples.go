@@ -8,9 +8,10 @@ import (
 
 // Raw sample capture: an optional sink alongside the always-on histograms.
 // When a collector enables sampling, every operation cell built from then on
-// carries a preallocated buffer of (offset, value) pairs, filled on the
-// record path with two atomic stores and drained only at Snapshot — the same
-// contract as the histograms, so the zero-alloc record path survives intact.
+// gets, on its first observation, a fixed buffer of (offset, value) pairs,
+// filled on the record path with two atomic stores and drained only at
+// Snapshot — the same contract as the histograms, so the zero-alloc record
+// path survives intact and a handle that is never used costs no buffer.
 // The drained streams become Result.Samples, which internal/scenario
 // persists through internal/runstore as the run's durable evidence.
 
@@ -29,7 +30,7 @@ type samplingState struct {
 	now      func() time.Time
 }
 
-// sampleBuf is one operation cell's preallocated capture buffer. Writers
+// sampleBuf is one observed operation cell's capture buffer. Writers
 // claim a slot with one atomic add and fill it with two atomic stores;
 // overflow keeps counting but stops writing, so the drop count is exact and
 // the record path never blocks, grows, or allocates. Reads (drain) are
@@ -80,10 +81,9 @@ type OpSamples struct {
 
 // EnableSampling turns on raw per-op latency capture for every shard the
 // collector has minted or will mint, with buffers of the given capacity per
-// operation cell (DefaultSampleCapacity if capacity <= 0). Call it before
-// workloads start recording: cells built before sampling was enabled have no
-// buffer and capture nothing. Offsets are measured from the moment of the
-// call.
+// observed operation cell (DefaultSampleCapacity if capacity <= 0). Call it
+// before workloads mint their handles: cells built before sampling was
+// enabled capture nothing. Offsets are measured from the moment of the call.
 func (c *Collector) EnableSampling(capacity int) {
 	c.enableSampling(capacity, time.Now(), time.Now)
 }
@@ -132,10 +132,11 @@ func (s *Shard) drainSamples(dst map[sampleKey]*OpSamples) {
 		return
 	}
 	for op, cell := range *m {
-		b := cell.buf
-		if b == nil {
+		st := cell.state.Load()
+		if st == nil || st.buf == nil {
 			continue
 		}
+		b := st.buf
 		n := b.n.Load()
 		if n == 0 {
 			continue

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -27,12 +28,11 @@ func TestSamplingCapturesAllPaths(t *testing.T) {
 		t.Fatal("SamplingEnabled false after EnableSampling")
 	}
 
-	// Every record path: string-keyed, OpRef, private shard, substrate
-	// shard, datagen.
+	// Every way into the record path: collector convenience, collector
+	// handle, private shard, substrate shard, datagen.
 	c.ObserveLatency("read", time.Millisecond)
 	c.Op("read").Observe(2 * time.Millisecond)
-	sh := c.Shard()
-	sh.ObserveLatency("read", 3*time.Millisecond)
+	c.Shard().Op("read").Observe(3 * time.Millisecond)
 	sub := c.SubstrateShard()
 	sub.Op("echo").Observe(4 * time.Millisecond)
 	c.RecordDatagen(5*time.Millisecond, 10)
@@ -214,5 +214,75 @@ func TestSamplingDefaultCapacity(t *testing.T) {
 	c.SetElapsed(time.Second)
 	if r := c.Snapshot(); len(r.Samples) != 1 || len(r.Samples[0].Values) != 1 {
 		t.Fatalf("default-capacity capture lost the observation: %+v", r.Samples)
+	}
+}
+
+// TestHandlesAreFreeUntilUsed: minting a handle costs a map slot, not a
+// histogram or a capture buffer, so stacks can bind every label they might
+// record up front; a label nobody observed is not an operation and never
+// reaches a Result, and the first observation creates its row and series.
+func TestHandlesAreFreeUntilUsed(t *testing.T) {
+	c := NewCollector("wl")
+	c.EnableSampling(0) // default capacity: 1 MiB of buffer per observed cell
+	var refs [64]OpRef
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := c.SubstrateShard()
+	for i := range refs {
+		refs[i] = s.Op(fmt.Sprintf("op-%02d", i))
+	}
+	runtime.ReadMemStats(&after)
+	const oneBuffer = DefaultSampleCapacity * 16
+	if got := after.TotalAlloc - before.TotalAlloc; got > oneBuffer/4 {
+		t.Fatalf("64 unused handles allocated %d bytes; one capture buffer is %d", got, oneBuffer)
+	}
+	c.SetElapsed(time.Second)
+	if r := c.Snapshot(); len(r.Ops) != 0 || len(r.Samples) != 0 {
+		t.Fatalf("never-observed labels reached the result: ops %+v, %d series", r.Ops, len(r.Samples))
+	}
+
+	refs[7].Observe(3 * time.Millisecond)
+	r := c.Snapshot()
+	if len(r.Ops) != 1 || r.Ops[0].Op != "op-07" || r.Ops[0].Count != 1 {
+		t.Fatalf("ops after the first observation: %+v", r.Ops)
+	}
+	if len(r.Samples) != 1 || r.Samples[0].Op != "op-07" || len(r.Samples[0].Values) != 1 ||
+		r.Samples[0].Values[0] != int64(3*time.Millisecond) {
+		t.Fatalf("series after the first observation: %+v", r.Samples)
+	}
+}
+
+// TestFirstObservationRace: concurrent first observers of one handle must
+// all record into the one state the first of them installs, so no
+// observation and no sample is lost.
+func TestFirstObservationRace(t *testing.T) {
+	const labels, writers = 200, 8
+	c := NewCollector("wl")
+	c.EnableSampling(writers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < labels; i++ {
+		ref := c.Op(fmt.Sprintf("op-%03d", i))
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				ref.Observe(time.Microsecond)
+			}()
+		}
+	}
+	close(start)
+	wg.Wait()
+	c.SetElapsed(time.Second)
+	r := c.Snapshot()
+	if len(r.Ops) != labels || len(r.Samples) != labels {
+		t.Fatalf("%d ops, %d series, want %d each", len(r.Ops), len(r.Samples), labels)
+	}
+	for i, op := range r.Ops {
+		if op.Count != writers || len(r.Samples[i].Values) != writers || r.Samples[i].Dropped != 0 {
+			t.Fatalf("%s: count %d, %d samples, %d dropped, want %d/%d/0",
+				op.Op, op.Count, len(r.Samples[i].Values), r.Samples[i].Dropped, writers, writers)
+		}
 	}
 }

@@ -8,83 +8,20 @@ import (
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
-// Recorder is the write-side surface of the measurement pipeline: the two
-// §3.1 metric families a workload feeds while it runs — per-operation
-// latencies (user-perceivable) and abstract-operation counters
-// (architecture). Both *Collector and *Shard implement it, so stacks and
-// workloads can accept either a whole collector or a private shard.
-type Recorder interface {
-	ObserveLatency(op string, d time.Duration)
-	Add(counter string, delta int64)
-}
-
-// Sharder is implemented by recorders that can mint private shards.
-type Sharder interface {
-	Recorder
-	Shard() *Shard
-}
-
-// ShardOf returns a private shard minted from rec when rec supports
-// sharding, and rec itself otherwise (a *Shard is already a contention-free
-// handle; a nil Recorder stays nil). Worker goroutines call it once at
-// start-up so their hot loops record without touching shared state.
-func ShardOf(rec Recorder) Recorder {
-	if s, ok := rec.(Sharder); ok {
-		return s.Shard()
-	}
-	return rec
-}
-
-// SubstrateShardOf is ShardOf for stack-internal measurement: the minted
-// shard is marked as substrate-level, so its latency observations (per-task,
-// per-superstep, per-store-op echoes underneath a workload's own
-// measurements) appear in Result.Ops but are excluded from the Throughput
-// total, which must count each logical workload operation exactly once.
-func SubstrateShardOf(rec Recorder) Recorder {
-	if s, ok := rec.(interface{ SubstrateShard() *Shard }); ok {
-		return s.SubstrateShard()
-	}
-	return rec
-}
-
-// StartTimer reads the clock only when rec is non-nil — the zero-cost start
-// half of optional instrumentation. Pair with ObserveSince.
-func StartTimer(rec Recorder) (t time.Time) {
-	if rec != nil {
-		t = time.Now()
-	}
-	return t
-}
-
-// ObserveSince records the time elapsed since start under op, and is a
-// no-op when rec is nil. Together with StartTimer it is the one idiom every
-// stack uses for optional substrate measurement.
-func ObserveSince(rec Recorder, op string, start time.Time) {
-	if rec != nil {
-		rec.ObserveLatency(op, time.Since(start))
-	}
-}
-
-// OpRef is a pre-resolved handle for one operation label: the hot-path
-// counterpart of Recorder.ObserveLatency with the per-call map lookup
-// hoisted out. A worker obtains the ref once (Shard.Op, Collector.Op or
-// OpRefOf) and then observes through a single pointer dereference —
-// provably allocation-free, so the record path cannot become the GC
-// pressure it is supposed to measure. The zero OpRef is a no-op, mirroring
-// the nil-Recorder idiom of StartTimer/ObserveSince.
-type OpRef struct {
-	cell *opCell
-	// rec and name are the fallback path for Recorder implementations that
-	// cannot mint direct histogram handles (custom recorders outside this
-	// package); nil for refs minted by Shard/Collector.
-	rec  Recorder
-	name string
-}
+// OpRef is a pre-resolved handle for one operation label: the only way to
+// record a latency below the collector. A worker obtains the ref once
+// (Shard.Op or Collector.Op) and then observes through it with no per-call
+// label lookup — provably allocation-free, so the record path cannot become
+// the GC pressure it is supposed to measure. A ref is free until used: its
+// histogram and sample buffer are allocated by the first observation, and a
+// label that is never observed never reaches a Result. The zero OpRef is a
+// no-op, which is how uninstrumented stacks record nothing.
+type OpRef struct{ cell *opCell }
 
 // StartTimer reads the clock only when the ref records anywhere — the
-// OpRef twin of StartTimer(rec). Pair with OpRef.ObserveSince.
+// zero-cost start half of optional instrumentation. Pair with ObserveSince.
 func (r OpRef) StartTimer() (t time.Time) {
-	if r.Valid() {
+	if r.cell != nil {
 		t = time.Now()
 	}
 	return t
@@ -97,37 +34,24 @@ func (r OpRef) StartTimer() (t time.Time) {
 func (r OpRef) Observe(d time.Duration) {
 	if c := r.cell; c != nil {
 		c.observe(d)
-		return
-	}
-	if r.rec != nil {
-		r.rec.ObserveLatency(r.name, d)
 	}
 }
 
-// ObserveSince records the time elapsed since start — the OpRef twin of
-// ObserveSince(rec, op, start).
+// ObserveSince records the time elapsed since start (see StartTimer).
 //
 //bdbench:hotpath
 func (r OpRef) ObserveSince(start time.Time) {
 	if c := r.cell; c != nil {
 		c.observe(time.Since(start))
-		return
-	}
-	if r.rec != nil {
-		r.rec.ObserveLatency(r.name, time.Since(start))
 	}
 }
 
 // Valid reports whether observations through the ref are recorded anywhere.
-func (r OpRef) Valid() bool { return r.cell != nil || r.rec != nil }
+func (r OpRef) Valid() bool { return r.cell != nil }
 
 // CounterRef is the counter twin of OpRef: a pre-resolved handle to one
 // named counter cell. The zero CounterRef is a no-op.
-type CounterRef struct {
-	c    *atomic.Int64
-	rec  Recorder
-	name string
-}
+type CounterRef struct{ c *atomic.Int64 }
 
 // Add increments the ref's counter by delta. Safe for concurrent use; a
 // no-op on the zero ref.
@@ -136,45 +60,7 @@ type CounterRef struct {
 func (r CounterRef) Add(delta int64) {
 	if r.c != nil {
 		r.c.Add(delta)
-		return
 	}
-	if r.rec != nil {
-		r.rec.Add(r.name, delta)
-	}
-}
-
-// RefMinter is implemented by recorders that can hand out direct OpRef and
-// CounterRef handles (*Shard and *Collector). OpRefOf and CounterRefOf use
-// it, falling back to the string-keyed Recorder path otherwise.
-type RefMinter interface {
-	Op(name string) OpRef
-	CounterRef(name string) CounterRef
-}
-
-// OpRefOf resolves a pre-bound latency handle for op on rec: a direct
-// histogram handle when rec can mint one, a string-keyed fallback wrapper
-// otherwise, and a no-op ref for a nil recorder. Worker hot loops call it
-// once at start-up and observe through the ref thereafter.
-func OpRefOf(rec Recorder, op string) OpRef {
-	if rec == nil {
-		return OpRef{}
-	}
-	if m, ok := rec.(RefMinter); ok {
-		return m.Op(op)
-	}
-	return OpRef{rec: rec, name: op}
-}
-
-// CounterRefOf resolves a pre-bound counter handle for name on rec; see
-// OpRefOf.
-func CounterRefOf(rec Recorder, name string) CounterRef {
-	if rec == nil {
-		return CounterRef{}
-	}
-	if m, ok := rec.(RefMinter); ok {
-		return m.CounterRef(name)
-	}
-	return CounterRef{rec: rec, name: name}
 }
 
 // latMap and ctrMap are the copy-on-write map types behind a shard. A
@@ -186,68 +72,98 @@ type (
 	ctrMap map[string]*atomic.Int64
 )
 
-// opCell is one operation label's recording state: the always-on atomic
-// histogram plus, when sampling is enabled on the shard, a preallocated raw
-// sample buffer. One pointer dereference reaches both, so the OpRef hot path
-// stays a single indirection whether or not capture is on.
+// opCell is one operation label's slot in a shard. Minting a handle costs
+// only this slot: the recording state behind it is installed by the label's
+// first observation.
 type opCell struct {
-	hist stats.AtomicLatencyHistogram
-	buf  *sampleBuf // nil unless sampling was enabled when the cell was built
+	sampling *samplingState // capture config when the cell was built; nil = histogram only
+	state    atomic.Pointer[opState]
+	mu       sync.Mutex // serializes the first observers; never taken again
 }
 
-// observe is the record hot path: a handful of atomic adds, plus two atomic
-// stores into the preallocated sample buffer when capture is on. It must not
-// allocate (TestOpRefSampledZeroAlloc holds it to that; bdvet's hotpath
-// analyzer holds it statically).
+// opState is what a label owns once it has been observed: the always-on
+// atomic histogram plus, when the shard was capturing, a raw sample buffer.
+type opState struct {
+	hist stats.AtomicLatencyHistogram
+	buf  *sampleBuf
+}
+
+// observe is the record hot path: one atomic pointer load and a handful of
+// atomic adds, plus two atomic stores into the sample buffer when capture
+// is on. In steady state it must not allocate (TestOpRefSampledZeroAlloc
+// holds it to that; bdvet's hotpath analyzer holds it statically).
 //
 //bdbench:hotpath
 func (c *opCell) observe(d time.Duration) {
-	c.hist.Observe(d)
-	if b := c.buf; b != nil {
+	st := c.state.Load()
+	if st == nil {
+		st = c.install()
+	}
+	st.hist.Observe(d)
+	if b := st.buf; b != nil {
 		b.record(d)
 	}
 }
 
+// install allocates the cell's recording state on its first observation.
+// This is the one place histograms and sample buffers are allocated.
+// Concurrent first observers queue on the cell's mutex rather than racing a
+// compare-and-swap: zeroing a capture buffer takes far longer than an
+// operation, so a racing design has every loser allocate — and discard — a
+// buffer of its own.
+func (c *opCell) install() *opState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st := c.state.Load(); st != nil {
+		return st
+	}
+	st := &opState{}
+	if c.sampling != nil {
+		st.buf = newSampleBuf(c.sampling)
+	}
+	c.state.Store(st)
+	return st
+}
+
 // Shard is a contention-free recording handle. Each worker goroutine of a
-// parallel stack obtains its own shard (Collector.Shard or ShardOf), so hot
-// operation loops never serialize on a shared lock: recording an observation
-// is a handful of atomic adds on cells private to the shard. Shards are
-// nevertheless safe for concurrent use — a snapshot may race with in-flight
-// observes and writers may share a shard — because every cell is atomic; the
-// per-shard mutex guards only the rare copy-on-write insertion of a new
-// operation or counter label.
+// parallel stack obtains its own shard (Collector.Shard, or SubstrateShard
+// for stack-internal measurement) and mints its OpRef/CounterRef handles
+// there, so hot operation loops never serialize on a shared lock: recording
+// an observation is a handful of atomic adds on cells private to the shard.
+// Shards are nevertheless safe for concurrent use — a snapshot may race with
+// in-flight observes and writers may share a shard — because every cell is
+// atomic; the per-shard mutex guards only the rare copy-on-write insertion
+// of a new operation or counter label. A nil *Shard mints zero (no-op)
+// handles.
 type Shard struct {
 	mu       sync.Mutex // serializes copy-on-write map growth only
 	lat      atomic.Pointer[latMap]
 	counters atomic.Pointer[ctrMap]
 	// substrate marks stack-internal shards whose latency observations are
-	// kept out of the Throughput total (see SubstrateShardOf).
+	// kept out of the Throughput total (see Collector.SubstrateShard).
 	substrate bool
 	// sampling, when non-nil, makes every operation cell built from now on
-	// carry a raw sample buffer (see Collector.EnableSampling). Set before
-	// the shard's first observation; cells built earlier have no buffer.
+	// capture raw samples (see Collector.EnableSampling). Set before the
+	// shard's handles are minted; cells built earlier capture nothing.
 	sampling *samplingState
 }
 
-// NewShard returns a free-standing shard, unattached to any collector.
-// Collector.Shard is the usual way to obtain one.
-func NewShard() *Shard { return &Shard{} }
-
-// ObserveLatency records one operation latency under the given operation
-// label ("read", "update", ...). Lock-free once the label exists.
-func (s *Shard) ObserveLatency(op string, d time.Duration) {
+// Op mints a pre-resolved handle for the operation label, installing its
+// cell if this is the label's first use. Hot loops resolve once, then
+// observe lock-free through the handle with no per-call map lookup.
+func (s *Shard) Op(name string) OpRef {
+	if s == nil {
+		return OpRef{}
+	}
 	if m := s.lat.Load(); m != nil {
-		if c, ok := (*m)[op]; ok {
-			c.observe(d)
-			return
+		if c, ok := (*m)[name]; ok {
+			return OpRef{cell: c}
 		}
 	}
-	s.latSlow(op).observe(d)
+	return OpRef{cell: s.latSlow(name)}
 }
 
-// latSlow installs the cell for a new operation label (copy-on-write). This
-// is the one place sample buffers are allocated, so enabling capture never
-// adds an allocation to the record fast path.
+// latSlow installs the cell for a new operation label (copy-on-write).
 func (s *Shard) latSlow(op string) *opCell {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,49 +179,24 @@ func (s *Shard) latSlow(op string) *opCell {
 			next[k] = v
 		}
 	}
-	c := &opCell{}
-	if s.sampling != nil {
-		c.buf = newSampleBuf(s.sampling)
-	}
+	c := &opCell{sampling: s.sampling}
 	next[op] = c
 	s.lat.Store(&next)
 	return c
 }
 
-// Op mints a pre-resolved handle for the operation label, installing its
-// cell if this is the label's first use. Hot loops resolve once, then
-// observe lock-free through the handle with no per-call map lookup.
-func (s *Shard) Op(name string) OpRef {
-	if m := s.lat.Load(); m != nil {
-		if c, ok := (*m)[name]; ok {
-			return OpRef{cell: c}
-		}
-	}
-	return OpRef{cell: s.latSlow(name)}
-}
-
 // CounterRef mints a pre-resolved handle for the named counter cell,
 // installing it if this is the counter's first use.
 func (s *Shard) CounterRef(name string) CounterRef {
+	if s == nil {
+		return CounterRef{}
+	}
 	if m := s.counters.Load(); m != nil {
 		if c, ok := (*m)[name]; ok {
 			return CounterRef{c: c}
 		}
 	}
 	return CounterRef{c: s.counterSlow(name)}
-}
-
-// Add increments the named counter by delta. Counters capture architecture
-// metrics (records processed, bytes shuffled, messages sent, ...).
-// Lock-free once the label exists.
-func (s *Shard) Add(counter string, delta int64) {
-	if m := s.counters.Load(); m != nil {
-		if c, ok := (*m)[counter]; ok {
-			c.Add(delta)
-			return
-		}
-	}
-	s.counterSlow(counter).Add(delta)
 }
 
 // counterSlow installs the cell for a new counter label (copy-on-write).
@@ -340,22 +231,23 @@ func (s *Shard) Counter(name string) int64 {
 	return 0
 }
 
-// Timed runs f and records its duration under op.
-func (s *Shard) Timed(op string, f func()) {
-	t0 := time.Now()
-	f()
-	s.ObserveLatency(op, time.Since(t0))
-}
-
-// drainLatencies folds the shard's histograms into dst, minting plain
-// histograms on demand.
+// drainLatencies folds the histograms of the shard's observed labels into
+// dst, minting plain histograms on demand. A label that was minted but
+// never observed is skipped: it is not an operation.
 func (s *Shard) drainLatencies(dst map[string]*stats.LatencyHistogram) {
 	m := s.lat.Load()
 	if m == nil {
 		return
 	}
 	for op, c := range *m {
-		snap := c.hist.Snapshot()
+		st := c.state.Load()
+		if st == nil {
+			continue
+		}
+		snap := st.hist.Snapshot()
+		if snap.Count() == 0 {
+			continue // first observation still in flight
+		}
 		if h, ok := dst[op]; ok {
 			h.Merge(snap)
 		} else {
@@ -381,11 +273,3 @@ func lenOf[M ~map[string]V, V any](m *M) int {
 	}
 	return len(*m)
 }
-
-var (
-	_ Recorder  = (*Shard)(nil)
-	_ Recorder  = (*Collector)(nil)
-	_ Sharder   = (*Collector)(nil)
-	_ RefMinter = (*Shard)(nil)
-	_ RefMinter = (*Collector)(nil)
-)

@@ -22,11 +22,13 @@ func TestShardedWritersMatchSequentialBaseline(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			s := sharded.Shard()
+			op, opW := s.Op("op"), s.Op(fmt.Sprintf("op-%d", w%2))
+			records, bytes := s.CounterRef("records"), s.CounterRef("bytes")
 			for i := 0; i < perWorker; i++ {
-				s.ObserveLatency("op", time.Duration(i%100)*time.Microsecond)
-				s.ObserveLatency(fmt.Sprintf("op-%d", w%2), time.Microsecond)
-				s.Add("records", 1)
-				s.Add("bytes", 64)
+				op.Observe(time.Duration(i%100) * time.Microsecond)
+				opW.Observe(time.Microsecond)
+				records.Add(1)
+				bytes.Add(64)
 			}
 		}(w)
 	}
@@ -75,21 +77,22 @@ func TestSnapshotRacesWithObserves(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var rec Recorder = c
+			read, records := c.Op("read"), c.CounterRef("records")
 			if w%2 == 0 {
-				rec = c.Shard()
+				s := c.Shard()
+				read, records = s.Op("read"), s.CounterRef("records")
 			}
 			// At least one observation per writer, even if the snapshot
 			// loop finishes before this goroutine is first scheduled.
-			rec.ObserveLatency("read", time.Microsecond)
-			rec.Add("records", 1)
+			read.Observe(time.Microsecond)
+			records.Add(1)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
-					rec.ObserveLatency("read", time.Duration(i%1000)*time.Microsecond)
-					rec.Add("records", 1)
+					read.Observe(time.Duration(i%1000) * time.Microsecond)
+					records.Add(1)
 				}
 			}
 		}(w)
@@ -118,27 +121,6 @@ func TestSnapshotRacesWithObserves(t *testing.T) {
 	}
 }
 
-// TestShardOf: collectors mint fresh shards, shards pass through, nil stays
-// nil-ish.
-func TestShardOf(t *testing.T) {
-	c := NewCollector("wl")
-	h := ShardOf(c)
-	if _, ok := h.(*Shard); !ok {
-		t.Fatalf("ShardOf(collector) = %T, want *Shard", h)
-	}
-	s := NewShard()
-	if ShardOf(s) != Recorder(s) {
-		t.Fatal("ShardOf(shard) should return the shard itself")
-	}
-	h.ObserveLatency("op", time.Millisecond)
-	h.Add("records", 3)
-	c.SetElapsed(time.Second)
-	r := c.Snapshot()
-	if len(r.Ops) != 1 || r.Ops[0].Count != 1 || r.Counters["records"] != 3 {
-		t.Fatalf("shard writes not merged: %+v", r)
-	}
-}
-
 // TestSubstrateShardsExcludedFromThroughput: substrate-level echoes (stack
 // instrumentation underneath a workload's own measurements) show up in Ops
 // but must not inflate the user-perceivable Throughput.
@@ -147,15 +129,13 @@ func TestSubstrateShardsExcludedFromThroughput(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.ObserveLatency("read", time.Microsecond) // workload level
 	}
-	sub := SubstrateShardOf(c)
-	if s, ok := sub.(*Shard); !ok || !s.substrate {
-		t.Fatalf("SubstrateShardOf(collector) = %T, want substrate *Shard", sub)
-	}
+	sub := c.SubstrateShard()
+	kvRead, read := sub.Op("kv_read"), sub.Op("read")
 	for i := 0; i < 100; i++ {
-		sub.ObserveLatency("kv_read", time.Microsecond) // store-level echo
-		sub.ObserveLatency("read", time.Microsecond)    // same label, substrate side
+		kvRead.Observe(time.Microsecond) // store-level echo
+		read.Observe(time.Microsecond)   // same label, substrate side
 	}
-	sub.Add("bytes", 4096)
+	sub.CounterRef("bytes").Add(4096)
 	c.SetElapsed(time.Second)
 	r := c.Snapshot()
 	if math.Abs(r.Throughput-100) > 1e-9 {
@@ -173,30 +153,29 @@ func TestSubstrateShardsExcludedFromThroughput(t *testing.T) {
 	if r.Counters["bytes"] != 4096 {
 		t.Fatalf("substrate counter lost: %v", r.Counters)
 	}
-	if s := NewShard(); SubstrateShardOf(s) != Recorder(s) {
-		t.Fatal("SubstrateShardOf(shard) should return the shard itself")
-	}
 }
 
-// TestShardCounterAndTimed covers the shard-local helpers.
+// TestShardCounterAndTimed covers the shard-local counter read and the
+// handle's StartTimer/ObserveSince pair.
 func TestShardCounterAndTimed(t *testing.T) {
-	s := NewShard()
-	s.Add("n", 2)
-	s.Add("n", 3)
+	c := NewCollector("wl")
+	s := c.Shard()
+	n := s.CounterRef("n")
+	n.Add(2)
+	n.Add(3)
 	if s.Counter("n") != 5 {
 		t.Fatalf("shard counter %d, want 5", s.Counter("n"))
 	}
 	if s.Counter("absent") != 0 {
 		t.Fatal("absent counter should read zero")
 	}
-	s.Timed("f", func() { time.Sleep(2 * time.Millisecond) })
-	c := NewCollector("wl")
-	c.mu.Lock()
-	c.shards = append(c.shards, s)
-	c.mu.Unlock()
+	f := s.Op("f")
+	t0 := f.StartTimer()
+	time.Sleep(2 * time.Millisecond)
+	f.ObserveSince(t0)
 	c.SetElapsed(time.Second)
 	r := c.Snapshot()
 	if r.Ops[0].Op != "f" || r.Ops[0].Count != 1 || r.Ops[0].Mean < time.Millisecond {
-		t.Fatalf("Timed not recorded: %+v", r.Ops)
+		t.Fatalf("timed observation not recorded: %+v", r.Ops)
 	}
 }

@@ -92,9 +92,9 @@ func TestResultRowsPreferWorkloadOpsOverSubstrate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.ObserveLatency("read", 4*time.Millisecond)
 	}
-	sub := metrics.SubstrateShardOf(c)
+	echo := c.SubstrateShard().Op("db_execute")
 	for i := 0; i < 100; i++ {
-		sub.ObserveLatency("db_execute", 9*time.Second)
+		echo.Observe(9 * time.Second)
 	}
 	c.SetElapsed(time.Second)
 	rows := ResultRows([]metrics.Result{c.Snapshot()})
@@ -104,8 +104,7 @@ func TestResultRowsPreferWorkloadOpsOverSubstrate(t *testing.T) {
 	}
 	// With only substrate ops recorded, fall back to them rather than dashes.
 	onlySub := metrics.NewCollector("subonly")
-	s := metrics.SubstrateShardOf(onlySub)
-	s.ObserveLatency("map_task", 2*time.Millisecond)
+	onlySub.SubstrateShard().Op("map_task").Observe(2 * time.Millisecond)
 	onlySub.SetElapsed(time.Second)
 	rows = ResultRows([]metrics.Result{onlySub.Snapshot()})
 	if _, err := time.ParseDuration(rows[0][3]); err != nil {

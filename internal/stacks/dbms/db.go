@@ -21,7 +21,8 @@ import (
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
-	rec    metrics.Recorder
+	// Executor-level latency handles, zero (no-ops) until Instrument.
+	loadRef, indexRef, executeRef metrics.OpRef
 }
 
 type table struct {
@@ -36,12 +37,15 @@ func Open() *DB {
 	return &DB{tables: make(map[string]*table)}
 }
 
-// Instrument attaches a measurement recorder and returns the database.
+// Instrument attaches a collector (nil detaches) and returns the database.
 // Executor-level wall times ("db_execute", "db_load", "db_index") are
-// recorded into a private shard minted from rec, underneath whatever the
-// calling workload measures itself.
-func (db *DB) Instrument(rec metrics.Recorder) *DB {
-	db.rec = metrics.SubstrateShardOf(rec)
+// recorded into a private substrate shard minted from c, underneath
+// whatever the calling workload measures itself.
+func (db *DB) Instrument(c *metrics.Collector) *DB {
+	shard := c.SubstrateShard()
+	db.loadRef = shard.Op("db_load")
+	db.indexRef = shard.Op("db_index")
+	db.executeRef = shard.Op("db_execute")
 	return db
 }
 
@@ -133,8 +137,8 @@ func (db *DB) Insert(name string, rows ...data.Row) error {
 
 // Load creates the table if necessary and bulk-inserts the data.
 func (db *DB) Load(src *data.Table) error {
-	t0 := metrics.StartTimer(db.rec)
-	defer metrics.ObserveSince(db.rec, "db_load", t0)
+	t0 := db.loadRef.StartTimer()
+	defer db.loadRef.ObserveSince(t0)
 	if _, err := db.table(src.Schema.Name); err != nil {
 		if err := db.CreateTable(src.Schema); err != nil {
 			return err
@@ -146,8 +150,8 @@ func (db *DB) Load(src *data.Table) error {
 // CreateIndex builds a hash index on the column, used by equality
 // predicates.
 func (db *DB) CreateIndex(tableName, col string) error {
-	t0 := metrics.StartTimer(db.rec)
-	defer metrics.ObserveSince(db.rec, "db_index", t0)
+	t0 := db.indexRef.StartTimer()
+	defer db.indexRef.ObserveSince(t0)
 	t, err := db.table(tableName)
 	if err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"github.com/bdbench/bdbench/internal/data"
-	"github.com/bdbench/bdbench/internal/metrics"
 )
 
 // CmpOp is a comparison operator in a predicate.
@@ -75,8 +74,8 @@ type Query struct {
 
 // Execute runs a query and returns a result table.
 func (db *DB) Execute(q Query) (*data.Table, error) {
-	t0 := metrics.StartTimer(db.rec)
-	defer metrics.ObserveSince(db.rec, "db_execute", t0)
+	t0 := db.executeRef.StartTimer()
+	defer db.executeRef.ObserveSince(t0)
 	if len(q.GroupBy) > 0 && len(q.Aggs) == 0 {
 		return nil, fmt.Errorf("dbms: GROUP BY requires at least one aggregate in this SQL subset")
 	}

@@ -73,7 +73,7 @@ type Result struct {
 // Engine executes programs with a fixed worker pool.
 type Engine struct {
 	workers int
-	rec     metrics.Recorder
+	rec     *metrics.Collector
 }
 
 // New returns an engine with the given parallelism (clamped to >= 1).
@@ -84,11 +84,11 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Instrument attaches a measurement recorder and returns the engine. Each
-// BSP worker records its per-superstep compute wall time into a private
+// Instrument attaches a collector (nil detaches) and returns the engine.
+// Each BSP worker records its per-superstep compute wall time into a private
 // shard minted from rec, and the coordinator records whole-superstep wall
 // times, all without shared-lock contention on the compute path.
-func (e *Engine) Instrument(rec metrics.Recorder) *Engine {
+func (e *Engine) Instrument(rec *metrics.Collector) *Engine {
 	e.rec = rec
 	return e
 }
@@ -124,16 +124,11 @@ func (e *Engine) Run(g *graphgen.Graph, prog Program, maxSupersteps int) (Result
 	// One private shard per worker, reused across supersteps: only worker w
 	// touches computeRefs[w] during a superstep, so compute-time recording
 	// never contends. The OpRefs are resolved here, once, so the superstep
-	// loop records through direct histogram handles instead of per-call
-	// label lookups (bdvet:oprefed enforces this).
-	var computeRefs []metrics.OpRef
-	var superstepRef metrics.OpRef
-	if e.rec != nil {
-		superstepRef = metrics.OpRefOf(metrics.SubstrateShardOf(e.rec), "superstep")
-		computeRefs = make([]metrics.OpRef, e.workers)
-		for w := range computeRefs {
-			computeRefs[w] = metrics.OpRefOf(metrics.SubstrateShardOf(e.rec), "compute")
-		}
+	// loop records through direct handles instead of per-call label lookups.
+	superstepRef := e.rec.SubstrateShard().Op("superstep")
+	computeRefs := make([]metrics.OpRef, e.workers)
+	for w := range computeRefs {
+		computeRefs[w] = e.rec.SubstrateShard().Op("compute")
 	}
 
 	res := Result{}
@@ -152,10 +147,7 @@ func (e *Engine) Run(g *graphgen.Graph, prog Program, maxSupersteps int) (Result
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				var computeRef metrics.OpRef
-				if computeRefs != nil {
-					computeRef = computeRefs[w]
-				}
+				computeRef := computeRefs[w]
 				computeStart := computeRef.StartTimer()
 				defer computeRef.ObserveSince(computeStart)
 				lo := n * int64(w) / int64(e.workers)

@@ -74,7 +74,7 @@ type Stats struct {
 // Engine is a simulated cluster with a fixed worker pool.
 type Engine struct {
 	workers int
-	rec     metrics.Recorder
+	rec     *metrics.Collector
 }
 
 // New returns an engine with the given parallelism (clamped to >= 1).
@@ -85,12 +85,12 @@ func New(workers int) *Engine {
 	return &Engine{workers: workers}
 }
 
-// Instrument attaches a measurement recorder and returns the engine. Each
-// run mints one substrate shard per worker slot (when rec can shard) and
-// map/reduce tasks record their per-task wall times into the shard of the
-// slot they run on, so task-level measurement adds no shared-lock
-// contention to the job's hot path.
-func (e *Engine) Instrument(rec metrics.Recorder) *Engine {
+// Instrument attaches a collector (nil detaches) and returns the engine.
+// Each run mints one substrate shard per worker slot and map/reduce tasks
+// record their per-task wall times into the shard of the slot they run on,
+// so task-level measurement adds no shared-lock contention to the job's hot
+// path.
+func (e *Engine) Instrument(rec *metrics.Collector) *Engine {
 	e.rec = rec
 	return e
 }
@@ -144,17 +144,13 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	}
 	// One private shard per worker slot, with the task-latency OpRefs
 	// resolved up front: the per-task goroutines then record through
-	// direct histogram handles, never a per-call label lookup
-	// (bdvet:oprefed enforces this).
-	var mapRefs, reduceRefs []metrics.OpRef
-	if e.rec != nil {
-		mapRefs = make([]metrics.OpRef, e.workers)
-		reduceRefs = make([]metrics.OpRef, e.workers)
-		for i := 0; i < e.workers; i++ {
-			shard := metrics.SubstrateShardOf(e.rec)
-			mapRefs[i] = metrics.OpRefOf(shard, "map_task")
-			reduceRefs[i] = metrics.OpRefOf(shard, "reduce_task")
-		}
+	// direct handles, never a per-call label lookup.
+	mapRefs := make([]metrics.OpRef, e.workers)
+	reduceRefs := make([]metrics.OpRef, e.workers)
+	for i := range mapRefs {
+		shard := e.rec.SubstrateShard()
+		mapRefs[i] = shard.Op("map_task")
+		reduceRefs[i] = shard.Op("reduce_task")
 	}
 
 	// ---- Map phase: each mapper owns a split and emits into
@@ -169,10 +165,7 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 			defer wg.Done()
 			slot := <-slots
 			defer func() { slots <- slot }()
-			var taskRef metrics.OpRef
-			if mapRefs != nil {
-				taskRef = mapRefs[slot]
-			}
+			taskRef := mapRefs[slot]
 			taskStart := taskRef.StartTimer()
 			lo := len(input) * m / numMappers
 			hi := len(input) * (m + 1) / numMappers
@@ -241,10 +234,7 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 			defer wg.Done()
 			slot := <-slots
 			defer func() { slots <- slot }()
-			var taskRef metrics.OpRef
-			if reduceRefs != nil {
-				taskRef = reduceRefs[slot]
-			}
+			taskRef := reduceRefs[slot]
 			taskStart := taskRef.StartTimer()
 			part := partitions[p]
 			var out []KV

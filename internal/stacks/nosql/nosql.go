@@ -37,13 +37,14 @@ var ErrNotFound = errors.New("nosql: key not found")
 // Store is the partitioned KV store.
 type Store struct {
 	parts   []*partition
-	scanRec metrics.Recorder
+	scanRef metrics.OpRef
 }
 
 type partition struct {
 	mu   sync.RWMutex
 	list *skipList
-	rec  metrics.Recorder
+	// Store-level latency handles, zero (no-ops) until Instrument.
+	insertRef, readRef, updateRef, deleteRef, rmwRef metrics.OpRef
 }
 
 // Open creates a store with the given partition count (clamped to >= 1).
@@ -69,16 +70,22 @@ func (s *Store) Type() stacks.Type { return stacks.TypeNoSQL }
 
 var _ stacks.Stack = (*Store)(nil)
 
-// Instrument attaches a measurement recorder and returns the store. Each
-// partition mints a private shard from rec and records its store-level
-// operation latencies ("kv_read", "kv_insert", ...) there, mirroring the
-// store's own contention domains: clients hitting different partitions
-// never share a measurement cell either.
-func (s *Store) Instrument(rec metrics.Recorder) *Store {
+// Instrument attaches a collector (nil detaches) and returns the store.
+// Each partition mints a private substrate shard from c and binds its
+// store-level operation latencies ("kv_read", "kv_insert", ...) there, once,
+// mirroring the store's own contention domains: clients hitting different
+// partitions never share a measurement cell either, and no operation looks
+// a label up.
+func (s *Store) Instrument(c *metrics.Collector) *Store {
 	for _, p := range s.parts {
-		p.rec = metrics.SubstrateShardOf(rec)
+		shard := c.SubstrateShard()
+		p.insertRef = shard.Op("kv_insert")
+		p.readRef = shard.Op("kv_read")
+		p.updateRef = shard.Op("kv_update")
+		p.deleteRef = shard.Op("kv_delete")
+		p.rmwRef = shard.Op("kv_rmw")
 	}
-	s.scanRec = metrics.SubstrateShardOf(rec)
+	s.scanRef = c.SubstrateShard().Op("kv_scan")
 	return s
 }
 
@@ -89,27 +96,27 @@ func (s *Store) part(key string) *partition {
 // Insert stores a full record under key, replacing any existing record.
 func (s *Store) Insert(key string, rec Record) {
 	p := s.part(key)
-	t0 := metrics.StartTimer(p.rec)
+	t0 := p.insertRef.StartTimer()
 	p.mu.Lock()
 	p.list.set(key, rec.clone())
 	p.mu.Unlock()
-	metrics.ObserveSince(p.rec, "kv_insert", t0)
+	p.insertRef.ObserveSince(t0)
 }
 
 // Read returns the record's requested fields (all when fields is nil).
 func (s *Store) Read(key string, fields []string) (Record, error) {
 	p := s.part(key)
-	t0 := metrics.StartTimer(p.rec)
+	t0 := p.readRef.StartTimer()
 	p.mu.RLock()
 	rec, ok := p.list.get(key)
 	if !ok {
 		p.mu.RUnlock()
-		metrics.ObserveSince(p.rec, "kv_read", t0)
+		p.readRef.ObserveSince(t0)
 		return nil, ErrNotFound
 	}
 	out := projectFields(rec, fields)
 	p.mu.RUnlock()
-	metrics.ObserveSince(p.rec, "kv_read", t0)
+	p.readRef.ObserveSince(t0)
 	return out, nil
 }
 
@@ -129,8 +136,8 @@ func projectFields(rec Record, fields []string) Record {
 // Update merges the given fields into an existing record.
 func (s *Store) Update(key string, fields Record) error {
 	p := s.part(key)
-	t0 := metrics.StartTimer(p.rec)
-	defer metrics.ObserveSince(p.rec, "kv_update", t0)
+	t0 := p.updateRef.StartTimer()
+	defer p.updateRef.ObserveSince(t0)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rec, ok := p.list.get(key)
@@ -148,8 +155,8 @@ func (s *Store) Update(key string, fields Record) error {
 // Delete removes a key.
 func (s *Store) Delete(key string) error {
 	p := s.part(key)
-	t0 := metrics.StartTimer(p.rec)
-	defer metrics.ObserveSince(p.rec, "kv_delete", t0)
+	t0 := p.deleteRef.StartTimer()
+	defer p.deleteRef.ObserveSince(t0)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.list.del(key) {
@@ -162,8 +169,8 @@ func (s *Store) Delete(key string) error {
 // result back atomically with respect to the key's partition.
 func (s *Store) ReadModifyWrite(key string, fn func(Record) Record) error {
 	p := s.part(key)
-	t0 := metrics.StartTimer(p.rec)
-	defer metrics.ObserveSince(p.rec, "kv_rmw", t0)
+	t0 := p.rmwRef.StartTimer()
+	defer p.rmwRef.ObserveSince(t0)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rec, ok := p.list.get(key)
@@ -186,8 +193,8 @@ func (s *Store) Scan(start string, limit int) []KV {
 	if limit <= 0 {
 		return nil
 	}
-	t0 := metrics.StartTimer(s.scanRec)
-	defer metrics.ObserveSince(s.scanRec, "kv_scan", t0)
+	t0 := s.scanRef.StartTimer()
+	defer s.scanRef.ObserveSince(t0)
 	var all []KV
 	for _, p := range s.parts {
 		p.mu.RLock()

@@ -201,7 +201,7 @@ func (s SlidingWindow) Run(in <-chan Msg, out chan<- Msg) {
 // Engine wires stages into a pipeline and runs it.
 type Engine struct {
 	buffer int
-	rec    metrics.Recorder
+	rec    *metrics.Collector
 }
 
 // New returns an engine whose inter-stage channels buffer the given number
@@ -213,11 +213,11 @@ func New(buffer int) *Engine {
 	return &Engine{buffer: buffer}
 }
 
-// Instrument attaches a measurement recorder and returns the engine. Each
-// pipeline stage goroutine records its wall time (source open to sink
+// Instrument attaches a collector (nil detaches) and returns the engine.
+// Each pipeline stage goroutine records its wall time (source open to sink
 // close, which includes backpressure stalls) into a private shard minted
 // from rec, keeping measurement off the per-message hot path.
-func (e *Engine) Instrument(rec metrics.Recorder) *Engine {
+func (e *Engine) Instrument(rec *metrics.Collector) *Engine {
 	e.rec = rec
 	return e
 }
@@ -262,8 +262,8 @@ func (e *Engine) Run(events []streamgen.Event, stages ...Stage) Result {
 			defer stageWG.Done()
 			// Resolve the stage's latency ref once, up front: the label is
 			// built per stage (not per message), and the observation below
-			// goes through a direct histogram handle.
-			stageRef := metrics.OpRefOf(metrics.SubstrateShardOf(e.rec), "stage:"+st.Name())
+			// goes through a direct handle.
+			stageRef := e.rec.SubstrateShard().Op("stage:" + st.Name())
 			stageStart := stageRef.StartTimer()
 			st.Run(in, out)
 			stageRef.ObserveSince(stageStart)

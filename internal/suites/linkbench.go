@@ -77,14 +77,14 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 	// The request loop records into a private shard so its per-operation
 	// measurements never touch the collector's shared state, through
 	// OpRefs resolved once here so the loop never pays the per-call label
-	// lookup (bdvet:oprefed enforces this).
-	rec := metrics.ShardOf(c)
-	selectRef := metrics.OpRefOf(rec, "select")
-	rangeRef := metrics.OpRefOf(rec, "assoc_range")
-	countRef := metrics.OpRefOf(rec, "count")
-	updateRef := metrics.OpRefOf(rec, "update")
-	insertRef := metrics.OpRefOf(rec, "insert")
-	deleteRef := metrics.OpRefOf(rec, "delete")
+	// lookup.
+	shard := c.Shard()
+	selectRef := shard.Op("select")
+	rangeRef := shard.Op("assoc_range")
+	countRef := shard.Op("count")
+	updateRef := shard.Op("update")
+	insertRef := shard.Op("insert")
+	deleteRef := shard.Op("delete")
 	for i := int64(0); i < ops; i++ {
 		if i%128 == 0 {
 			if err := ctx.Err(); err != nil {

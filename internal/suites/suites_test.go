@@ -203,9 +203,9 @@ func TestEveryDistinctWorkloadRuns(t *testing.T) {
 	}
 }
 
-func TestRunSuiteCollectsResults(t *testing.T) {
+func TestSuiteTasksCollectResults(t *testing.T) {
 	gridmix, _ := ByName("GridMix")
-	results := RunSuite(gridmix, workloads.Params{Seed: 7, Scale: 1, Workers: 2})
+	results := engine.Run(context.Background(), gridmix.Tasks(workloads.Params{Seed: 7, Scale: 1, Workers: 2}), engine.Config{})
 	if len(results) != 2 {
 		t.Fatalf("results %d", len(results))
 	}
@@ -213,7 +213,7 @@ func TestRunSuiteCollectsResults(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Workload, r.Err)
 		}
-		if r.Result.Elapsed <= 0 {
+		if r.Median.Elapsed <= 0 {
 			t.Fatalf("%s: no elapsed time", r.Workload)
 		}
 	}
@@ -241,14 +241,15 @@ func TestLinkBenchOpsDirect(t *testing.T) {
 
 func newCollector(name string) *metrics.Collector { return metrics.NewCollector(name) }
 
-// TestRunSuiteEngineDeterministicAcrossWorkers is the acceptance check for
-// the execution engine: the same seed yields identical per-workload results
-// (counters, operation counts, order) at workers=1 and workers=8.
-func TestRunSuiteEngineDeterministicAcrossWorkers(t *testing.T) {
+// TestSuiteTasksDeterministicAcrossWorkers is the acceptance check for the
+// execution engine over a suite inventory: the same seed yields identical
+// per-workload results (counters, operation counts, order) at workers=1 and
+// workers=8.
+func TestSuiteTasksDeterministicAcrossWorkers(t *testing.T) {
 	suite, _ := ByName("CloudSuite")
 	p := workloads.Params{Seed: 42, Scale: 1, Workers: 2}
-	sequential := RunSuiteEngine(context.Background(), suite, p, engine.Config{Workers: 1})
-	parallel := RunSuiteEngine(context.Background(), suite, p, engine.Config{Workers: 8})
+	sequential := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 1})
+	parallel := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 8})
 	if len(sequential) != len(parallel) || len(sequential) == 0 {
 		t.Fatalf("result lengths: %d vs %d", len(sequential), len(parallel))
 	}
@@ -260,33 +261,33 @@ func TestRunSuiteEngineDeterministicAcrossWorkers(t *testing.T) {
 		if s.Err != nil || q.Err != nil {
 			t.Fatalf("%s: errors %v / %v", s.Workload, s.Err, q.Err)
 		}
-		if len(s.Result.Counters) == 0 {
+		if len(s.Median.Counters) == 0 {
 			t.Fatalf("%s: no counters recorded", s.Workload)
 		}
-		for k, v := range s.Result.Counters {
-			if q.Result.Counters[k] != v {
+		for k, v := range s.Median.Counters {
+			if q.Median.Counters[k] != v {
 				t.Fatalf("%s: counter %s differs across worker counts: %d vs %d",
-					s.Workload, k, v, q.Result.Counters[k])
+					s.Workload, k, v, q.Median.Counters[k])
 			}
 		}
-		if len(s.Result.Ops) != len(q.Result.Ops) {
+		if len(s.Median.Ops) != len(q.Median.Ops) {
 			t.Fatalf("%s: op sets differ", s.Workload)
 		}
-		for j := range s.Result.Ops {
-			if s.Result.Ops[j].Op != q.Result.Ops[j].Op || s.Result.Ops[j].Count != q.Result.Ops[j].Count {
-				t.Fatalf("%s: op %s count differs across worker counts", s.Workload, s.Result.Ops[j].Op)
+		for j := range s.Median.Ops {
+			if s.Median.Ops[j].Op != q.Median.Ops[j].Op || s.Median.Ops[j].Count != q.Median.Ops[j].Count {
+				t.Fatalf("%s: op %s count differs across worker counts", s.Workload, s.Median.Ops[j].Op)
 			}
 		}
 	}
 }
 
-// TestRunSuiteEngineReps checks the repetition plumbing end to end at the
-// suite layer: every workload reports each measured repetition plus a
-// throughput summary, and the representative result is one of the reps.
-func TestRunSuiteEngineReps(t *testing.T) {
+// TestSuiteTasksReps checks the repetition plumbing end to end at the suite
+// layer: every workload reports each measured repetition plus a throughput
+// summary, and the representative result is one of the reps.
+func TestSuiteTasksReps(t *testing.T) {
 	suite, _ := ByName("GridMix")
 	p := workloads.Params{Seed: 7, Scale: 1, Workers: 2}
-	results := RunSuiteEngine(context.Background(), suite, p, engine.Config{Workers: 2, Reps: 3, Warmup: 1})
+	results := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 2, Reps: 3, Warmup: 1})
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Workload, r.Err)
@@ -299,7 +300,7 @@ func TestRunSuiteEngineReps(t *testing.T) {
 		}
 		found := false
 		for _, rep := range r.Reps {
-			if rep.Throughput == r.Result.Throughput {
+			if rep.Result.Throughput == r.Median.Throughput {
 				found = true
 			}
 		}

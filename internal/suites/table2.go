@@ -1,20 +1,18 @@
 package suites
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"github.com/bdbench/bdbench/internal/engine"
-	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
 // This file derives the paper's Table 2 ("Comparison of benchmarking
 // techniques"): for each suite, the workload categories with example
 // workloads and software stacks — and, unlike a survey table, every row is
-// executable: RunSuite runs the suite's whole inventory on bdbench's
-// substrates.
+// executable: Suite.Tasks hands the suite's whole inventory to the execution
+// engine, which runs it on bdbench's substrates.
 
 // Table2Row is one (suite, category) row.
 type Table2Row struct {
@@ -94,21 +92,6 @@ func CompareTable2ToPaper(rows []Table2Row) []string {
 	return diffs
 }
 
-// SuiteRunResult is the outcome of executing one workload of a suite.
-type SuiteRunResult struct {
-	Workload string
-	Category workloads.Category
-	// Result is the representative measurement: the median-throughput
-	// repetition when the engine ran several.
-	Result metrics.Result
-	// Reps holds every measured repetition in execution order (length 1 for
-	// single-repetition runs).
-	Reps []metrics.Result
-	// Throughput summarizes ops/s across the successful repetitions.
-	Throughput engine.RepSummary
-	Err        error
-}
-
 // Tasks flattens the suite's workload inventory into engine tasks, one per
 // runner, preserving row order.
 func (s Suite) Tasks(p workloads.Params) []engine.Task {
@@ -119,38 +102,6 @@ func (s Suite) Tasks(p workloads.Params) []engine.Task {
 		}
 	}
 	return tasks
-}
-
-// RunSuite executes every workload in the suite's inventory at the given
-// scale and returns per-workload results. Execution stops at nothing: a
-// failing workload is reported in its result's Err. It is a thin wrapper
-// over the execution engine with default settings (one worker per CPU, one
-// repetition, no deadline); use RunSuiteEngine for full control.
-func RunSuite(s Suite, p workloads.Params) []SuiteRunResult {
-	return RunSuiteEngine(context.Background(), s, p, engine.Config{}) //bdvet:allow ctxbg -- public convenience wrapper with no caller context; RunSuiteEngine is the ctx-threading entry point
-}
-
-// RunSuiteEngine executes the suite's inventory on the concurrent execution
-// engine. Results come back in inventory order regardless of scheduling,
-// and identical seeds yield identical per-workload outputs (counters,
-// operation counts, verification outcomes) at any worker count; only
-// wall-clock measurements vary.
-func RunSuiteEngine(ctx context.Context, s Suite, p workloads.Params, cfg engine.Config) []SuiteRunResult {
-	tr := engine.Run(ctx, s.Tasks(p), cfg)
-	out := make([]SuiteRunResult, len(tr))
-	for i, r := range tr {
-		out[i] = SuiteRunResult{
-			Workload:   r.Workload,
-			Category:   r.Category,
-			Result:     r.Median,
-			Throughput: r.Throughput,
-			Err:        r.Err,
-		}
-		for _, rep := range r.Reps {
-			out[i].Reps = append(out[i].Reps, rep.Result)
-		}
-	}
-	return out
 }
 
 // FormatTable2 renders the derived table as aligned text.

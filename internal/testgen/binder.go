@@ -85,8 +85,7 @@ func RunOn(exec Executor, p Prescription, reg *Registry, c *metrics.Collector) (
 
 	// Resolve every step's latency ref and the run counters once, before
 	// the (possibly iterated) step loop: the loop then records through
-	// direct handles instead of per-call label lookups (bdvet:oprefed
-	// enforces this).
+	// direct handles instead of per-call label lookups.
 	stepRefs := make([]metrics.OpRef, len(p.Steps))
 	for i, step := range p.Steps {
 		stepRefs[i] = c.Op(step.Op)

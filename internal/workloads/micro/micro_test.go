@@ -35,6 +35,13 @@ func TestGrep(t *testing.T) {
 	if c.Counter("matches") == 0 {
 		t.Fatal("grep found no matches (pattern 'data' is in the dictionary)")
 	}
+	// grep is map-only: the engine binds a reduce_task handle that no task
+	// ever observes, and a never-observed label is not an operation.
+	for _, op := range c.Snapshot().Ops {
+		if op.Count == 0 {
+			t.Fatalf("op %q reported with zero observations", op.Op)
+		}
+	}
 }
 
 func TestGrepCustomPatternNoMatches(t *testing.T) {

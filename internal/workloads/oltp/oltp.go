@@ -144,17 +144,22 @@ func (w CoreWorkload) Run(ctx context.Context, p workloads.Params, c *metrics.Co
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			// Each client records into its own shard: the operation loop
-			// below is the hottest measurement path in bdbench and must not
-			// serialize clients on a shared collector lock.
+			// Each client records into its own shard, through handles
+			// bound once here: the operation loop below is the hottest
+			// measurement path in bdbench and must neither serialize
+			// clients on a shared collector lock nor look a label up.
 			shard := c.Shard()
+			var refs [numOps]metrics.OpRef
+			for op, name := range opNames {
+				refs[op] = shard.Op(name)
+			}
 			g := stats.NewRNG(p.Seed).Split("client", cl)
 			chooser := w.chooser(&run.insertCursor, recordCount)
 			for op := int64(0); op < perClient; op++ {
 				if op%64 == 0 && ctx.Err() != nil {
 					return
 				}
-				w.doOne(store, g, chooser, run, shard)
+				w.doOne(store, g, chooser, run, &refs)
 			}
 		}(cl)
 	}
@@ -198,21 +203,34 @@ func (w CoreWorkload) chooser(insertCursor *int64, recordCount int64) stats.IntS
 	}
 }
 
+// The operations of the mix, indexing a client's latency handles.
+const (
+	opRead = iota
+	opUpdate
+	opInsert
+	opScan
+	opRMW
+	numOps
+)
+
+// opNames are the operation labels clients record under.
+var opNames = [numOps]string{"read", "update", "insert", "scan", "rmw"}
+
 func (w CoreWorkload) doOne(store *nosql.Store, g *stats.RNG, chooser stats.IntSampler,
-	run *coreRun, rec metrics.Recorder) {
+	run *coreRun, refs *[numOps]metrics.OpRef) {
 	u := g.Float64()
-	var op string
+	var op int
 	switch {
 	case u < w.Mix.Read:
-		op = "read"
+		op = opRead
 	case u < w.Mix.Read+w.Mix.Update:
-		op = "update"
+		op = opUpdate
 	case u < w.Mix.Read+w.Mix.Update+w.Mix.Insert:
-		op = "insert"
+		op = opInsert
 	case u < w.Mix.Read+w.Mix.Update+w.Mix.Insert+w.Mix.Scan:
-		op = "scan"
+		op = opScan
 	default:
-		op = "rmw"
+		op = opRMW
 	}
 	limit := atomic.LoadInt64(&run.insertCursor)
 	id := chooser.Next(g)
@@ -223,26 +241,26 @@ func (w CoreWorkload) doOne(store *nosql.Store, g *stats.RNG, chooser stats.IntS
 	t0 := time.Now()
 	var err error
 	switch op {
-	case "read":
+	case opRead:
 		_, err = store.Read(k, nil)
-	case "update":
+	case opUpdate:
 		err = store.Update(k, nosql.Record{"field0": g.RandomWord(w.FieldLen, w.FieldLen)})
-	case "insert":
+	case opInsert:
 		rec := makeRecord(g, w.FieldCount, w.FieldLen)
 		run.insertMu.Lock()
 		next := atomic.LoadInt64(&run.insertCursor)
 		store.Insert(key(next), rec)
 		atomic.AddInt64(&run.insertCursor, 1)
 		run.insertMu.Unlock()
-	case "scan":
+	case opScan:
 		store.Scan(k, 1+g.IntN(w.MaxScanLen))
-	case "rmw":
+	case opRMW:
 		err = store.ReadModifyWrite(k, func(rec nosql.Record) nosql.Record {
 			rec["field0"] = g.RandomWord(w.FieldLen, w.FieldLen)
 			return rec
 		})
 	}
-	rec.ObserveLatency(op, time.Since(t0))
+	refs[op].ObserveSince(t0)
 	if err != nil {
 		atomic.AddInt64(&run.errCount, 1)
 	}
