@@ -26,7 +26,7 @@ test:
 race:
 	$(GO) test -race ./internal/datagen/... ./internal/engine/ ./internal/loadgen/ \
 		./internal/suites/ ./internal/scenario/ ./internal/metrics/ ./internal/stats/ \
-		./internal/runstore/ ./internal/stacks/... ./internal/cluster/...
+		./internal/runstore/ ./internal/stacks/... ./internal/cluster/... ./cmd/bdbench
 
 # bench runs every benchmark with -benchmem, gates the result against the
 # checked-in baseline (ns/op geomean + exact-zero allocs/op), and writes a

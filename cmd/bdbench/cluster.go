@@ -24,7 +24,7 @@ func cmdAgent(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Fprintf(os.Stderr, "agent: serving shards on %s (bdbench %s); interrupt to stop\n", *listen, bdbench.Version)
+	fmt.Fprintf(stderr, "agent: serving shards on %s (bdbench %s); interrupt to stop\n", *listen, bdbench.Version)
 	return bdbench.ServeAgent(ctx, *listen, bdbench.AgentOptions{Heartbeat: *heartbeat})
 }
 
@@ -33,78 +33,30 @@ func cmdAgent(args []string) error {
 // extra knobs are the fleet and the failure policy.
 func cmdCoordinate(args []string) error {
 	fs := newFlagSet("coordinate")
-	spec := fs.String("spec", "", "scenario spec file (JSON); composes workloads across suites")
-	suiteName := fs.String("suite", "BigDataBench", "suite to run (ignored when -spec is given)")
 	agents := fs.String("agents", "", "comma-separated agent base URLs, e.g. http://host1:9031,http://host2:9031")
 	shards := fs.Int("shards", 0, "shard count (0 = one per agent, clamped to the task count)")
 	retries := fs.Int("retries", 0, "re-dispatches per failed shard (0 = default 2, negative = none)")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-dispatch-attempt deadline (0 = none)")
 	heartbeatTimeout := fs.Duration("heartbeat-timeout", 0, "per-attempt stream silence bound (0 = default 15s)")
 	backoff := fs.Duration("backoff", 0, "wait before a shard's first retry, doubling per attempt (0 = default 100ms)")
-	format := fs.String("format", "text", "output format: "+strings.Join(bdbench.Formats(), "|"))
-	validate := fs.Bool("validate", false, "validate and print the normalized scenario without running it")
-	out := fs.String("out", "", "write the merged run as a columnar artifact (read back with show/compare)")
-	samples := fs.Int("samples", 0, "raw latency samples kept per op cell (0 = default; needs -out to persist)")
-	sf := addScenarioFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var sc bdbench.Scenario
-	if *spec != "" {
-		loaded, err := bdbench.LoadScenario(*spec)
-		if err != nil {
-			return err
+	return runScenario(fs, args, func(sc bdbench.Scenario, ro runOptions) (*bdbench.Outcome, error) {
+		copts := bdbench.CoordinateOptions{
+			Agents:           splitAgents(*agents),
+			Shards:           *shards,
+			Retries:          *retries,
+			ShardTimeout:     *shardTimeout,
+			HeartbeatTimeout: *heartbeatTimeout,
+			Backoff:          *backoff,
+			RunOutput:        ro.out,
+			SampleCapacity:   ro.samples,
 		}
-		sc = loaded
-		sf.applySet(&sc)
-	} else {
-		sc = bdbench.SuiteScenario(*suiteName)
-		sf.apply(&sc)
-	}
-	reporter, err := bdbench.ReporterFor(*format)
-	if err != nil {
-		return err
-	}
-	if *validate {
-		if err := sc.Validate(bdbench.DefaultRegistry()); err != nil {
-			return err
+		if ro.progress {
+			copts.OnEvent = printEvent
 		}
-		raw, err := sc.Normalized().MarshalIndent()
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(raw))
-		return nil
-	}
-	copts := bdbench.CoordinateOptions{
-		Agents:           splitAgents(*agents),
-		Shards:           *shards,
-		Retries:          *retries,
-		ShardTimeout:     *shardTimeout,
-		HeartbeatTimeout: *heartbeatTimeout,
-		Backoff:          *backoff,
-		RunOutput:        *out,
-		SampleCapacity:   *samples,
-	}
-	if *sf.progress {
-		copts.OnEvent = printEvent
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	outcome, runErr := bdbench.Coordinate(ctx, sc, copts)
-	if outcome == nil {
-		return runErr
-	}
-	if err := reporter.Report(os.Stdout, outcome); err != nil {
-		return err
-	}
-	for _, note := range outcome.Degraded {
-		fmt.Fprintf(os.Stderr, "coordinate: degraded: %s\n", note)
-	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "coordinate: artifact written to %s\n", *out)
-	}
-	return runErr
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		return bdbench.Coordinate(ctx, sc, copts)
+	})
 }
 
 // splitAgents parses the -agents list, tolerating blanks and trailing

@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -162,7 +161,7 @@ func (pf *profileFlags) option() ([]bdbench.Option, error) {
 func printEvent(e bdbench.Event) {
 	switch e.Kind {
 	case bdbench.EventTaskStart:
-		fmt.Fprintf(os.Stderr, "engine: %-24s start\n", e.Workload)
+		fmt.Fprintf(stderr, "engine: %-24s start\n", e.Workload)
 	case bdbench.EventRepDone:
 		label := fmt.Sprintf("rep %d", e.Rep+1)
 		if e.Warmup {
@@ -172,10 +171,10 @@ func printEvent(e bdbench.Event) {
 		if e.Err != nil {
 			status = e.Err.Error()
 		}
-		fmt.Fprintf(os.Stderr, "engine: %-24s %-8s %-12v %s\n",
+		fmt.Fprintf(stderr, "engine: %-24s %-8s %-12v %s\n",
 			e.Workload, label, e.Elapsed.Round(time.Millisecond), status)
 	case bdbench.EventTaskDone:
-		fmt.Fprintf(os.Stderr, "engine: %-24s done in %v\n",
+		fmt.Fprintf(stderr, "engine: %-24s done in %v\n",
 			e.Workload, e.Elapsed.Round(time.Millisecond))
 	}
 }
@@ -190,24 +189,24 @@ func cmdTable1(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Table 1 — comparison of data generation techniques (derived from probes)")
-	fmt.Println()
-	fmt.Print(bdbench.FormatTable1(rows))
-	fmt.Println()
+	fmt.Fprintln(stdout, "Table 1 — comparison of data generation techniques (derived from probes)")
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, bdbench.FormatTable1(rows))
+	fmt.Fprintln(stdout)
 	diffs := bdbench.CompareTable1ToPaper(rows)
 	if len(diffs) == 0 {
-		fmt.Println("agreement with the paper: 10/10 surveyed suites match on every axis")
+		fmt.Fprintln(stdout, "agreement with the paper: 10/10 surveyed suites match on every axis")
 	} else {
-		fmt.Printf("disagreements with the paper (%d):\n", len(diffs))
+		fmt.Fprintf(stdout, "disagreements with the paper (%d):\n", len(diffs))
 		for _, d := range diffs {
-			fmt.Println("  -", d)
+			fmt.Fprintln(stdout, "  -", d)
 		}
 	}
-	fmt.Println()
-	fmt.Println("veracity evidence (divergence; floor = resample, base = veracity-unaware):")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "veracity evidence (divergence; floor = resample, base = veracity-unaware):")
 	for _, r := range rows {
 		for _, d := range r.VeracityEvidence {
-			fmt.Printf("  %-30s %-8s score=%.4f floor=%.4f base=%.4f -> %s\n",
+			fmt.Fprintf(stdout, "  %-30s %-8s score=%.4f floor=%.4f base=%.4f -> %s\n",
 				r.Benchmark, d.Source, d.Scores.Score, d.Scores.NoiseFloor, d.Scores.Baseline, d.Scores.Level)
 		}
 	}
@@ -216,16 +215,16 @@ func cmdTable1(args []string) error {
 
 func cmdTable2(args []string) error {
 	rows := bdbench.DeriveTable2()
-	fmt.Println("Table 2 — comparison of benchmarking techniques (derived from inventories)")
-	fmt.Println()
-	fmt.Print(bdbench.FormatTable2(rows))
-	fmt.Println()
+	fmt.Fprintln(stdout, "Table 2 — comparison of benchmarking techniques (derived from inventories)")
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, bdbench.FormatTable2(rows))
+	fmt.Fprintln(stdout)
 	diffs := bdbench.CompareTable2ToPaper(rows)
 	if len(diffs) == 0 {
-		fmt.Println("agreement with the paper: all surveyed suites expose the published workload categories")
+		fmt.Fprintln(stdout, "agreement with the paper: all surveyed suites expose the published workload categories")
 	} else {
 		for _, d := range diffs {
-			fmt.Println("  -", d)
+			fmt.Fprintln(stdout, "  -", d)
 		}
 	}
 	return nil
@@ -238,7 +237,7 @@ func cmdFigure1(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fmt.Println("Figure 1 — benchmarking process for big data systems")
+	fmt.Fprintln(stdout, "Figure 1 — benchmarking process for big data systems")
 	sc := bdbench.SuiteScenario(*suite)
 	sc.Name = "figure1 demonstration"
 	sc.Energy = bdbench.DefaultEnergyModel
@@ -250,20 +249,20 @@ func cmdFigure1(args []string) error {
 		return err
 	}
 	for _, s := range out.Steps {
-		fmt.Printf("  step %-24s %-55s %v\n", s.Step, s.Detail, s.Duration.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  step %-24s %-55s %v\n", s.Step, s.Detail, s.Duration.Round(time.Millisecond))
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	var results []bdbench.Result
 	for _, r := range out.Results {
 		results = append(results, r.Result)
 	}
-	fmt.Print(bdbench.FormatResults(results))
+	fmt.Fprint(stdout, bdbench.FormatResults(results))
 	return err
 }
 
 func cmdFigure2(args []string) error {
-	fmt.Println("Figure 2 — layered architecture of big data benchmarks")
-	fmt.Print(bdbench.FormatArchitecture(bdbench.Architecture()))
+	fmt.Fprintln(stdout, "Figure 2 — layered architecture of big data benchmarks")
+	fmt.Fprint(stdout, bdbench.FormatArchitecture(bdbench.Architecture()))
 	return nil
 }
 
@@ -275,26 +274,26 @@ func cmdFigure3(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fmt.Println("Figure 3 — the big data generation process")
-	fmt.Println()
-	fmt.Println("text data type:")
+	fmt.Fprintln(stdout, "Figure 3 — the big data generation process")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "text data type:")
 	text, err := bdbench.TextDataGenProcess(1, *docs, *workers)
 	if err != nil {
 		return err
 	}
 	for _, s := range text.Steps {
-		fmt.Printf("  step %d %-26s %-45s %v\n", s.Step, s.Name, s.Detail, s.Duration.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  step %d %-26s %-45s %v\n", s.Step, s.Name, s.Detail, s.Duration.Round(time.Millisecond))
 	}
-	fmt.Printf("  veracity: KL(raw||synthetic) = %.4f over the word distribution\n\n", text.Divergence)
-	fmt.Println("table data type:")
+	fmt.Fprintf(stdout, "  veracity: KL(raw||synthetic) = %.4f over the word distribution\n\n", text.Divergence)
+	fmt.Fprintln(stdout, "table data type:")
 	tab, err := bdbench.TableDataGenProcess(2, *rows, *workers)
 	if err != nil {
 		return err
 	}
 	for _, s := range tab.Steps {
-		fmt.Printf("  step %d %-26s %-45s %v\n", s.Step, s.Name, s.Detail, s.Duration.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  step %d %-26s %-45s %v\n", s.Step, s.Name, s.Detail, s.Duration.Round(time.Millisecond))
 	}
-	fmt.Printf("  veracity: mean column divergence = %.4f\n", tab.Divergence)
+	fmt.Fprintf(stdout, "  veracity: mean column divergence = %.4f\n", tab.Divergence)
 	return nil
 }
 
@@ -304,7 +303,7 @@ func cmdFigure4(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fmt.Println("Figure 4 — the benchmark test generation process")
+	fmt.Fprintln(stdout, "Figure 4 — the benchmark test generation process")
 	pl := testgen.NewPipeline()
 	tests, err := pl.Generate(
 		testgen.DataSpec{Source: "words", Size: 2000, Seed: 4},
@@ -316,46 +315,60 @@ func cmdFigure4(args []string) error {
 		return err
 	}
 	for _, s := range pl.Trace {
-		fmt.Printf("  step %d %-26s %-40s %v\n", s.Step, s.Name, s.Detail, s.Duration.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  step %d %-26s %-40s %v\n", s.Step, s.Name, s.Detail, s.Duration.Round(time.Millisecond))
 	}
-	fmt.Println()
-	fmt.Println("prescribed tests (system view — same abstract test per stack):")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "prescribed tests (system view — same abstract test per stack):")
 	p := tests[0].Prescription
 	results, err := testgen.VerifyPortability(p, pl.Registry, testgen.DefaultExecutors(*workers))
 	if err != nil {
 		return err
 	}
 	for name, ds := range results {
-		fmt.Printf("  %-10s -> %d records\n", name, len(ds))
+		fmt.Fprintf(stdout, "  %-10s -> %d records\n", name, len(ds))
 	}
-	fmt.Println("functional view holds: all stacks produced the same outcome")
+	fmt.Fprintln(stdout, "functional view holds: all stacks produced the same outcome")
 	return nil
 }
 
-func cmdRun(args []string) error {
-	fs := newFlagSet("run")
+// runOptions is what the flags `run` and `coordinate` share resolve to
+// besides the scenario itself.
+type runOptions struct {
+	out      string // -out: artifact path ("" = none)
+	samples  int    // -samples: capture bound per op cell (0 = default)
+	progress bool   // -progress: stream engine events to stderr
+}
+
+// runScenario is the one path `run` and `coordinate` take from a command
+// line to a reported outcome. It registers the shared selection, report and
+// artifact flags on fs (the caller has added its own), parses args, builds
+// the scenario — a spec file with only the explicitly set knobs layered on
+// top, or a suite with all of them — handles -validate, runs the scenario
+// through exec and reports: the outcome on stdout, degraded shards and the
+// artifact note on stderr. A run that produced an outcome is reported even
+// when it failed; its error is still returned.
+func runScenario(fs *flag.FlagSet, args []string, exec func(bdbench.Scenario, runOptions) (*bdbench.Outcome, error)) error {
 	spec := fs.String("spec", "", "scenario spec file (JSON); composes workloads across suites")
-	suiteName := fs.String("suite", "BigDataBench", "suite to run (ignored when -spec is given)")
+	suite := fs.String("suite", "BigDataBench", "suite to run (ignored when -spec is given)")
 	format := fs.String("format", "text", "output format: "+strings.Join(bdbench.Formats(), "|"))
 	validate := fs.Bool("validate", false, "validate and print the normalized scenario without running it")
 	out := fs.String("out", "", "write the run as a columnar artifact (read back with show/compare)")
 	samples := fs.Int("samples", 0, "raw latency samples kept per op cell (0 = default; needs -out to persist)")
 	sf := addScenarioFlags(fs)
-	pf := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	var sc bdbench.Scenario
-	if *spec != "" {
+	if *spec == "" {
+		sc = bdbench.SuiteScenario(*suite)
+		sf.apply(&sc)
+	} else {
 		loaded, err := bdbench.LoadScenario(*spec)
 		if err != nil {
 			return err
 		}
 		sc = loaded
 		sf.applySet(&sc)
-	} else {
-		sc = bdbench.SuiteScenario(*suiteName)
-		sf.apply(&sc)
 	}
 	reporter, err := bdbench.ReporterFor(*format)
 	if err != nil {
@@ -369,31 +382,44 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(string(raw))
+		fmt.Fprintln(stdout, string(raw))
 		return nil
 	}
-	popts, err := pf.option()
-	if err != nil {
-		return err
-	}
-	opts := append(sf.options(), popts...)
-	if *out != "" {
-		opts = append(opts, bdbench.WithRunOutput(*out))
-	}
-	if *samples > 0 {
-		opts = append(opts, bdbench.WithSamples(*samples))
-	}
-	outcome, runErr := bdbench.Run(context.Background(), sc, opts...)
+	outcome, runErr := exec(sc, runOptions{out: *out, samples: *samples, progress: *sf.progress})
 	if outcome == nil {
 		return runErr
 	}
-	if err := reporter.Report(os.Stdout, outcome); err != nil {
+	if err := reporter.Report(stdout, outcome); err != nil {
 		return err
 	}
+	for _, note := range outcome.Degraded {
+		fmt.Fprintf(stderr, "%s: degraded: %s\n", fs.Name(), note)
+	}
 	if *out != "" {
-		fmt.Fprintf(os.Stderr, "run: artifact written to %s\n", *out)
+		fmt.Fprintf(stderr, "%s: artifact written to %s\n", fs.Name(), *out)
 	}
 	return runErr
+}
+
+func cmdRun(args []string) error {
+	fs := newFlagSet("run")
+	pf := addProfileFlags(fs)
+	return runScenario(fs, args, func(sc bdbench.Scenario, ro runOptions) (*bdbench.Outcome, error) {
+		opts, err := pf.option()
+		if err != nil {
+			return nil, err
+		}
+		if ro.progress {
+			opts = append(opts, bdbench.WithEvents(printEvent))
+		}
+		if ro.out != "" {
+			opts = append(opts, bdbench.WithRunOutput(ro.out))
+		}
+		if ro.samples > 0 {
+			opts = append(opts, bdbench.WithSamples(ro.samples))
+		}
+		return bdbench.Run(context.Background(), sc, opts...)
+	})
 }
 
 // cmdLoadcurve sweeps a workload across increasing offered rates in
@@ -468,7 +494,7 @@ func cmdLoadcurve(args []string) error {
 		// the curve (the errs column), not a reason to stop the sweep.
 		curve.Points = append(curve.Points, bdbench.LoadPointFrom(res.Results[0].Load))
 		sweeps = append(sweeps, res)
-		fmt.Fprintf(os.Stderr, "loadcurve: %s @ %g/s done (achieved %.0f/s, p99 %v)\n",
+		fmt.Fprintf(stderr, "loadcurve: %s @ %g/s done (achieved %.0f/s, p99 %v)\n",
 			*workload, rate, res.Results[0].Load.Achieved, res.Results[0].Load.Latency.P99)
 	}
 	// The sweep is the measured region; stop (and flush the heap profiles)
@@ -481,7 +507,7 @@ func cmdLoadcurve(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(rendered)
+	fmt.Fprint(stdout, rendered)
 	if *out != "" {
 		run, err := bdbench.LoadCurveArtifact(curve, sweeps)
 		if err != nil {
@@ -490,7 +516,7 @@ func cmdLoadcurve(args []string) error {
 		if err := bdbench.WriteRun(*out, run); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "loadcurve: artifact written to %s\n", *out)
+		fmt.Fprintf(stderr, "loadcurve: artifact written to %s\n", *out)
 	}
 	return nil
 }
@@ -542,7 +568,7 @@ func cmdWorkloads(args []string) error {
 	}
 	if *ops {
 		for _, name := range bdbench.Operations() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
 		return nil
 	}
@@ -583,5 +609,5 @@ func cmdPrescriptions(args []string) error {
 
 // printAligned renders rows under headers with aligned columns.
 func printAligned(headers []string, rows [][]string) {
-	fmt.Print(bdbench.AlignedTable(headers, rows))
+	fmt.Fprint(stdout, bdbench.AlignedTable(headers, rows))
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -22,7 +21,7 @@ func cmdCompare(args []string) error {
 	minSamples := fs.Int("min-samples", 0, "skip quantile judgement for streams with fewer samples (0 = default)")
 	quantiles := fs.String("quantiles", "", "comma-separated quantiles to judge, e.g. 0.5,0.95,0.99 (default p50/p95/p99)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bdbench compare [flags] a.blob b.blob")
+		fmt.Fprintln(stderr, "usage: bdbench compare [flags] a.blob b.blob")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -51,14 +50,14 @@ func cmdCompare(args []string) error {
 	}
 	cmp := bdbench.CompareRuns(a, b, opts)
 	if *format != "json" {
-		fmt.Printf("a: %s   (%s)\n", bdbench.RunInfo(a), fs.Arg(0))
-		fmt.Printf("b: %s   (%s)\n\n", bdbench.RunInfo(b), fs.Arg(1))
+		fmt.Fprintf(stdout, "a: %s   (%s)\n", bdbench.RunInfo(a), fs.Arg(0))
+		fmt.Fprintf(stdout, "b: %s   (%s)\n\n", bdbench.RunInfo(b), fs.Arg(1))
 	}
 	rendered, err := bdbench.FormatComparison(cmp, *format)
 	if err != nil {
 		return err
 	}
-	fmt.Print(rendered)
+	fmt.Fprint(stdout, rendered)
 	return cmp.Err()
 }
 
@@ -69,7 +68,7 @@ func cmdShow(args []string) error {
 	format := fs.String("format", "text", "output format: "+strings.Join(bdbench.Formats(), "|"))
 	meta := fs.Bool("meta", false, "print the artifact's identity line before the report")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bdbench show [flags] run.blob")
+		fmt.Fprintln(stderr, "usage: bdbench show [flags] run.blob")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -84,10 +83,10 @@ func cmdShow(args []string) error {
 		return err
 	}
 	if *meta {
-		fmt.Println(bdbench.RunInfo(run))
-		fmt.Println()
+		fmt.Fprintln(stdout, bdbench.RunInfo(run))
+		fmt.Fprintln(stdout)
 	}
-	return bdbench.RenderRun(os.Stdout, run, *format)
+	return bdbench.RenderRun(stdout, run, *format)
 }
 
 // parseQuantiles parses the -quantiles flag: fractions in (0,1), comma

@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -53,20 +52,20 @@ func cmdDatagen(args []string) error {
 		if err := bdbench.WriteRun(*out, run); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "datagen: artifact written to %s\n", *out)
+		fmt.Fprintf(stderr, "datagen: artifact written to %s\n", *out)
 	}
 	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(stat)
 	}
-	fmt.Printf("generator  %s\n", stat.Generator)
-	fmt.Printf("scale      %d (seed %d)\n", stat.Scale, stat.Seed)
-	fmt.Printf("workers    %d over %d chunks\n", stat.Workers, stat.Chunks)
-	fmt.Printf("items      %d\n", stat.Items)
-	fmt.Printf("bytes      %d\n", stat.Bytes)
-	fmt.Printf("elapsed    %v\n", stat.Elapsed.Round(time.Microsecond))
-	fmt.Printf("rate       %.0f items/s, %.1f MB/s\n", stat.ItemsPerSec(), stat.MBPerSec())
-	fmt.Printf("digest     sha256:%s\n", stat.Digest)
+	fmt.Fprintf(stdout, "generator  %s\n", stat.Generator)
+	fmt.Fprintf(stdout, "scale      %d (seed %d)\n", stat.Scale, stat.Seed)
+	fmt.Fprintf(stdout, "workers    %d over %d chunks\n", stat.Workers, stat.Chunks)
+	fmt.Fprintf(stdout, "items      %d\n", stat.Items)
+	fmt.Fprintf(stdout, "bytes      %d\n", stat.Bytes)
+	fmt.Fprintf(stdout, "elapsed    %v\n", stat.Elapsed.Round(time.Microsecond))
+	fmt.Fprintf(stdout, "rate       %.0f items/s, %.1f MB/s\n", stat.ItemsPerSec(), stat.MBPerSec())
+	fmt.Fprintf(stdout, "digest     sha256:%s\n", stat.Digest)
 	return nil
 }

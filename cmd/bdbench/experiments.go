@@ -47,14 +47,14 @@ func cmdExperiments(args []string) error {
 		if err := f(scale, sf); err != nil {
 			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	return nil
 }
 
 // expVelocityParallel is E7: data generation rate vs parallel generators.
 func expVelocityParallel(scale int, _ *scenarioFlags) error {
-	fmt.Println("E7 — velocity via parallel deployment (rows/s vs workers)")
+	fmt.Fprintln(stdout, "E7 — velocity via parallel deployment (rows/s vs workers)")
 	spec := tablegen.ReferenceSpec(1)
 	spec.ChunkSize = 1024
 	rows := int64(100_000 * scale)
@@ -68,14 +68,14 @@ func expVelocityParallel(scale int, _ *scenarioFlags) error {
 		labels = append(labels, fmt.Sprintf("%d workers", w))
 		rates = append(rates, rate)
 	}
-	fmt.Print(bdbench.BarChart(labels, rates, 40))
+	fmt.Fprint(stdout, bdbench.BarChart(labels, rates, 40))
 	return nil
 }
 
 // expVelocityAlgorithmKnob is E8 (§5.1): generation speed vs the BA
 // generator's memory mode.
 func expVelocityAlgorithmKnob(scale int, _ *scenarioFlags) error {
-	fmt.Println("E8 — velocity via algorithm efficiency (graph gen, §5.1)")
+	fmt.Fprintln(stdout, "E8 — velocity via algorithm efficiency (graph gen, §5.1)")
 	sc := 12 + scale
 	t0 := time.Now()
 	heavy := graphgen.BarabasiAlbert{M: 4, Mode: graphgen.MemoryHeavy}.Generate(datagen.NewRNG(2), sc)
@@ -83,20 +83,20 @@ func expVelocityAlgorithmKnob(scale int, _ *scenarioFlags) error {
 	t1 := time.Now()
 	light := graphgen.BarabasiAlbert{M: 4, Mode: graphgen.MemoryLight}.Generate(datagen.NewRNG(2), sc)
 	lightDur := time.Since(t1)
-	fmt.Print(bdbench.BarChart(
+	fmt.Fprint(stdout, bdbench.BarChart(
 		[]string{"memory-heavy (edges/s)", "memory-light (edges/s)"},
 		[]float64{
 			float64(heavy.NumEdges()) / heavyDur.Seconds(),
 			float64(light.NumEdges()) / lightDur.Seconds(),
 		}, 40))
-	fmt.Printf("speedup from spending memory: %.1fx\n", lightDur.Seconds()/heavyDur.Seconds())
+	fmt.Fprintf(stdout, "speedup from spending memory: %.1fx\n", lightDur.Seconds()/heavyDur.Seconds())
 	return nil
 }
 
 // expVeracityVsSampleSize is E9: divergence of model-based vs unaware
 // generation as sample size grows.
 func expVeracityVsSampleSize(scale int, _ *scenarioFlags) error {
-	fmt.Println("E9 — veracity metric vs sample size (table data)")
+	fmt.Fprintln(stdout, "E9 — veracity metric vs sample size (table data)")
 	raw := tablegen.ReferenceTable(3, int64(4000*scale))
 	full, err := tablegen.BuildSpec(raw, tablegen.VeracityFull, nil, 32, 4)
 	if err != nil {
@@ -124,8 +124,8 @@ func expVeracityVsSampleSize(scale int, _ *scenarioFlags) error {
 		baseline.X = append(baseline.X, float64(n))
 		baseline.Y = append(baseline.Y, rn.Score())
 	}
-	fmt.Print(bdbench.FormatSeries(s))
-	fmt.Print(bdbench.FormatSeries(baseline))
+	fmt.Fprint(stdout, bdbench.FormatSeries(s))
+	fmt.Fprint(stdout, bdbench.FormatSeries(baseline))
 	return nil
 }
 
@@ -133,7 +133,7 @@ func expVeracityVsSampleSize(scale int, _ *scenarioFlags) error {
 // through the public scenario API with one engine worker so workloads are
 // measured without contending with each other.
 func expYCSBProfile(scale int, sf *scenarioFlags) error {
-	fmt.Println("E11 — YCSB core workloads on the NoSQL store")
+	fmt.Fprintln(stdout, "E11 — YCSB core workloads on the NoSQL store")
 	sc := bdbench.SuiteScenario("YCSB")
 	sc.Scale, sc.Seed, sc.Parallel = scale, 6, 1
 	sf.applySet(&sc)
@@ -145,14 +145,14 @@ func expYCSBProfile(scale int, sf *scenarioFlags) error {
 	for _, r := range out.Results {
 		results = append(results, r.Result)
 	}
-	fmt.Print(bdbench.FormatResults(results))
+	fmt.Fprint(stdout, bdbench.FormatResults(results))
 	return nil
 }
 
 // expPavloComparison is E12: DBMS vs MapReduce on the Pavlo task set,
 // selected by workload name from the registry.
 func expPavloComparison(scale int, sf *scenarioFlags) error {
-	fmt.Println("E12 — Pavlo comparison: DBMS vs MapReduce task latencies")
+	fmt.Fprintln(stdout, "E12 — Pavlo comparison: DBMS vs MapReduce task latencies")
 	sc := bdbench.Scenario{
 		Name: "pavlo comparison",
 		Entries: []bdbench.Entry{
@@ -187,7 +187,7 @@ func expPavloComparison(scale int, sf *scenarioFlags) error {
 // expWorkloadCategories is E13: throughput profile per workload category —
 // the scenario outcome's summary is exactly this digest.
 func expWorkloadCategories(scale int, sf *scenarioFlags) error {
-	fmt.Println("E13 — workload category profiles (BigDataBench inventory)")
+	fmt.Fprintln(stdout, "E13 — workload category profiles (BigDataBench inventory)")
 	sc := bdbench.SuiteScenario("BigDataBench")
 	// One engine worker: E13 compares per-workload throughput, so workloads
 	// must not contend with each other for CPU while being measured.
@@ -203,19 +203,19 @@ func expWorkloadCategories(scale int, sf *scenarioFlags) error {
 		labels = append(labels, string(cat))
 		values = append(values, out.Summary[cat])
 	}
-	fmt.Print(bdbench.BarChart(labels, values, 40))
+	fmt.Fprint(stdout, bdbench.BarChart(labels, values, 40))
 	return nil
 }
 
 // expProcessingSpeed measures velocity-as-processing-speed: the streaming
 // engine's sustainable rate vs the generator's arrival rate.
 func expProcessingSpeed(scale int, _ *scenarioFlags) error {
-	fmt.Println("E7b — processing speed vs arrival rate (streaming)")
+	fmt.Fprintln(stdout, "E7b — processing speed vs arrival rate (streaming)")
 	gen := streamgen.Generator{EventsPerSec: 50_000, KeySpace: 100}
 	events := gen.Generate(datagen.NewRNG(9), int64(50_000*scale))
 	probe := datagen.NewRateProbe()
 	rate := streamgen.MeasureProcessingSpeed(events, func(streamgen.Event) { probe.Add(1) })
-	fmt.Printf("arrival rate (virtual): 50000 ev/s; sustained processing: %.0f ev/s (%.1fx)\n",
+	fmt.Fprintf(stdout, "arrival rate (virtual): 50000 ev/s; sustained processing: %.0f ev/s (%.1fx)\n",
 		rate, rate/50_000)
 	return nil
 }

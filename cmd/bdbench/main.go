@@ -30,66 +30,67 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
+// stdout and stderr are where commands write. run points them at its
+// arguments, so a test drives the whole CLI — exit code included — without
+// a subprocess; main passes the process streams.
+var stdout, stderr io.Writer = os.Stdout, os.Stderr
+
 func main() {
-	if len(os.Args) < 2 {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one bdbench command line and returns the process exit code:
+// 0 on success, 1 when the command fails (a failed workload, a regressed
+// comparison, a bad flag), 2 when there is no such command.
+func run(args []string, out, errw io.Writer) int {
+	stdout, stderr = out, errw
+	if len(args) == 0 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "table1":
-		err = cmdTable1(args)
-	case "table2":
-		err = cmdTable2(args)
-	case "figure1":
-		err = cmdFigure1(args)
-	case "figure2":
-		err = cmdFigure2(args)
-	case "figure3":
-		err = cmdFigure3(args)
-	case "figure4":
-		err = cmdFigure4(args)
-	case "run":
-		err = cmdRun(args)
-	case "datagen":
-		err = cmdDatagen(args)
-	case "loadcurve":
-		err = cmdLoadcurve(args)
-	case "agent":
-		err = cmdAgent(args)
-	case "coordinate":
-		err = cmdCoordinate(args)
-	case "compare":
-		err = cmdCompare(args)
-	case "show":
-		err = cmdShow(args)
-	case "suites":
-		err = cmdSuites(args)
-	case "workloads":
-		err = cmdWorkloads(args)
-	case "prescriptions":
-		err = cmdPrescriptions(args)
-	case "experiments":
-		err = cmdExperiments(args)
-	case "help", "-h", "--help":
+	commands := map[string]func([]string) error{
+		"table1":        cmdTable1,
+		"table2":        cmdTable2,
+		"figure1":       cmdFigure1,
+		"figure2":       cmdFigure2,
+		"figure3":       cmdFigure3,
+		"figure4":       cmdFigure4,
+		"run":           cmdRun,
+		"datagen":       cmdDatagen,
+		"loadcurve":     cmdLoadcurve,
+		"agent":         cmdAgent,
+		"coordinate":    cmdCoordinate,
+		"compare":       cmdCompare,
+		"show":          cmdShow,
+		"suites":        cmdSuites,
+		"workloads":     cmdWorkloads,
+		"prescriptions": cmdPrescriptions,
+		"experiments":   cmdExperiments,
+	}
+	cmd := args[0]
+	if cmd == "help" || cmd == "-h" || cmd == "--help" {
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "bdbench: unknown command %q\n\n", cmd)
+		return 0
+	}
+	fn, ok := commands[cmd]
+	if !ok {
+		fmt.Fprintf(stderr, "bdbench: unknown command %q\n\n", cmd)
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bdbench:", err)
-		os.Exit(1)
+	if err := fn(args[1:]); err != nil {
+		fmt.Fprintln(stderr, "bdbench:", err)
+		return 1
 	}
+	return 0
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `bdbench — a reference implementation of "On Big Data Benchmarking"
+	fmt.Fprint(stderr, `bdbench — a reference implementation of "On Big Data Benchmarking"
 
 commands:
   table1          derive Table 1 (data generation techniques) from probes
@@ -173,6 +174,6 @@ seed-deterministic too: same seed and rate, same intended start times.
 
 func newFlagSet(name string) *flag.FlagSet {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
+	fs.SetOutput(stderr)
 	return fs
 }

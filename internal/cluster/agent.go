@@ -164,26 +164,17 @@ func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 		return // an empty shard (more shards than tasks) is complete at accept
 	}
 
-	engTasks := make([]engine.Task, len(tasks))
-	for i, t := range tasks {
-		engTasks[i] = engine.Task{Workload: t.Workload, Category: t.Category, Params: t.Params, Reps: t.Reps, Load: t.Load}
-	}
+	engTasks, cfg := n.EngineInputs(tasks)
+	cfg.SampleCap = assign.SampleCap
+	cfg.Now = a.opts.Now
 	var done atomic.Int64
-	cfg := engine.Config{
-		Workers:   n.Parallel,
-		Reps:      n.Reps,
-		Warmup:    n.Warmup,
-		Timeout:   time.Duration(n.Timeout),
-		SampleCap: assign.SampleCap,
-		Now:       a.opts.Now,
-		OnEvent: func(e engine.Event) {
-			if e.Kind == engine.EventTaskDone {
-				done.Add(1)
-			}
-			// A failed event write means the coordinator is gone; the request
-			// context is about to cancel the engine, so just stop streaming.
-			_ = fw.write(wire.TypeEvent, wire.FromEvent(e))
-		},
+	cfg.OnEvent = func(e engine.Event) {
+		if e.Kind == engine.EventTaskDone {
+			done.Add(1)
+		}
+		// A failed event write means the coordinator is gone; the request
+		// context is about to cancel the engine, so just stop streaming.
+		_ = fw.write(wire.TypeEvent, wire.FromEvent(e))
 	}
 
 	// Heartbeat: periodic progress snapshots on the agent's real clock (the

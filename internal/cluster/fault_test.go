@@ -259,6 +259,9 @@ func TestAgentRejectsBadHandshake(t *testing.T) {
 		want  string
 	}{
 		{"protocol-mismatch", wire.Hello{Protocol: 99, SpecDigest: digest}, "protocol version 99"},
+		// A stale coordinator: protocol 1 shipped median/best copies the
+		// agent no longer sends, so it is refused, not half-understood.
+		{"protocol-1", wire.Hello{Protocol: 1, SpecDigest: digest}, "protocol version 1 unsupported (agent speaks 2)"},
 		{"digest-mismatch", wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: "deadbeef"}, "spec digest mismatch"},
 	}
 	for _, tc := range cases {

@@ -4,9 +4,10 @@
 // unsharded spec digest) and a shard assignment (Assign: the sharded
 // normalized spec plus engine knobs); the agent's response streams Accept,
 // then engine Events interleaved with periodic Snapshot heartbeats, then
-// one Result frame per shard-local task — each rep's captured latency
-// streams already in runstore.Series form, so the coordinator merges
-// per-shard sample series without re-deriving them.
+// one Result frame per shard-local task. A result is its measured
+// repetitions — each sample crosses the wire once — and the coordinator
+// re-derives median, best and throughput from them with the engine's own
+// rule (engine.Summarize), exactly as a local run does.
 //
 // Framing is deliberately defensive: a four-byte big-endian length, capped
 // at MaxFrameSize, prefixes every JSON envelope, and ReadFrame/DecodeFrame
@@ -35,7 +36,7 @@ import (
 // ProtocolVersion is the wire protocol version. A Hello carrying any other
 // value is rejected at handshake — framing or semantics changes bump it, so
 // a stale agent fails loudly instead of mis-executing a shard.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // MaxFrameSize caps one frame's JSON body (64 MiB). A length prefix above
 // it is treated as corruption: the reader fails instead of allocating
@@ -164,50 +165,23 @@ type Rep struct {
 	Err     string            `json:"err,omitempty"`
 }
 
-// Result is one finished shard-local task.
+// Result is one finished shard-local task: its measured repetitions and,
+// for an open-loop task, the window's load statistics. Everything else in
+// an engine.TaskResult is derived from those on arrival.
 type Result struct {
 	// Task is the shard-local task index (position in the agent's resolved
 	// task list); the coordinator maps it back to the global index via
 	// scenario.ShardIndices.
-	Task       int               `json:"task"`
-	Workload   string            `json:"workload"`
-	Category   string            `json:"category"`
-	Reps       []Rep             `json:"reps,omitempty"`
-	Median     Rep               `json:"median"`
-	Best       Rep               `json:"best"`
-	Throughput engine.RepSummary `json:"throughput"`
-	ElapsedSec engine.RepSummary `json:"elapsedSec"`
-	Err        string            `json:"err,omitempty"`
-	Load       *loadgen.Stats    `json:"load,omitempty"`
+	Task     int            `json:"task"`
+	Workload string         `json:"workload"`
+	Category string         `json:"category"`
+	Reps     []Rep          `json:"reps,omitempty"`
+	Load     *loadgen.Stats `json:"load,omitempty"`
 }
 
 // Error is the abort frame's body.
 type Error struct {
 	Message string `json:"message"`
-}
-
-// SeriesOf converts one result's captured latency streams to runstore
-// series — the same shape scenario.AppendOutcome derives when persisting a
-// local run, so merged shard series and local series are indistinguishable.
-func SeriesOf(workload string, samples []metrics.OpSamples) []runstore.Series {
-	if len(samples) == 0 {
-		return nil
-	}
-	out := make([]runstore.Series, 0, len(samples))
-	for _, s := range samples {
-		series := runstore.Series{
-			Workload:  workload,
-			Op:        s.Op,
-			Substrate: s.Substrate,
-			Dropped:   s.Dropped,
-			Samples:   make([]runstore.Sample, len(s.Values)),
-		}
-		for i := range s.Values {
-			series.Samples[i] = runstore.Sample{Offset: s.Offsets[i], Value: s.Values[i]}
-		}
-		out = append(out, series)
-	}
-	return out
 }
 
 // SamplesOf converts wire series back to the metrics form.
@@ -235,7 +209,7 @@ func SamplesOf(series []runstore.Series) []metrics.OpSamples {
 
 // fromRep converts one repetition, splitting the JSON-excluded samples out.
 func fromRep(workload string, r engine.Rep) Rep {
-	w := Rep{Result: r.Result, Samples: SeriesOf(workload, r.Result.Samples)}
+	w := Rep{Result: r.Result, Samples: runstore.SeriesOf(workload, r.Result.Samples)}
 	w.Result.Samples = nil
 	if r.Err != nil {
 		w.Err = r.Err.Error()
@@ -255,44 +229,22 @@ func (r Rep) toRep() engine.Rep {
 // FromTaskResult converts one engine result to its wire form. task is the
 // shard-local index.
 func FromTaskResult(task int, r engine.TaskResult) Result {
-	w := Result{
-		Task:       task,
-		Workload:   r.Workload,
-		Category:   string(r.Category),
-		Median:     fromRep(r.Workload, engine.Rep{Result: r.Median}),
-		Best:       fromRep(r.Workload, engine.Rep{Result: r.Best}),
-		Throughput: r.Throughput,
-		ElapsedSec: r.ElapsedSec,
-		Load:       r.Load,
-	}
+	w := Result{Task: task, Workload: r.Workload, Category: string(r.Category), Load: r.Load}
 	for _, rep := range r.Reps {
 		w.Reps = append(w.Reps, fromRep(r.Workload, rep))
-	}
-	if r.Err != nil {
-		w.Err = r.Err.Error()
 	}
 	return w
 }
 
-// ToTaskResult converts back. Errors arrive as opaque messages: identity
-// (errors.Is) does not survive the wire, messages do.
+// ToTaskResult converts back, re-deriving what the repetitions determine.
+// Errors arrive as opaque messages: identity (errors.Is) does not survive
+// the wire, messages do.
 func (r Result) ToTaskResult() engine.TaskResult {
-	out := engine.TaskResult{
-		Workload:   r.Workload,
-		Category:   workloads.Category(r.Category),
-		Median:     r.Median.toRep().Result,
-		Best:       r.Best.toRep().Result,
-		Throughput: r.Throughput,
-		ElapsedSec: r.ElapsedSec,
-		Load:       r.Load,
-	}
+	var reps []engine.Rep
 	for _, rep := range r.Reps {
-		out.Reps = append(out.Reps, rep.toRep())
+		reps = append(reps, rep.toRep())
 	}
-	if r.Err != "" {
-		out.Err = errors.New(r.Err)
-	}
-	return out
+	return engine.Summarize(r.Workload, workloads.Category(r.Category), reps, r.Load)
 }
 
 // EncodeFrame renders one frame to its length-prefixed bytes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/internal/engine"
+	"github.com/bdbench/bdbench/internal/loadgen"
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/runstore"
 )
@@ -77,47 +79,120 @@ func TestEventRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTaskResultRoundTrip(t *testing.T) {
-	in := engine.TaskResult{
-		Workload: "det-a",
-		Category: "offline analytics",
-		Median: metrics.Result{
-			Name:       "det-a",
-			Elapsed:    time.Second,
-			Throughput: 120.5,
-			Counters:   map[string]int64{"records": 60},
-			Samples: []metrics.OpSamples{{
-				Op:      "read",
-				Offsets: []int64{1, 2},
-				Values:  []int64{10, 20},
-				Dropped: 1,
-			}},
-		},
-		Throughput: engine.RepSummary{Count: 2, Mean: 120, Min: 119, Max: 121},
-		Err:        errors.New("partial"),
+// sampledResult is a metrics.Result with one captured stream whose offsets
+// and values are unique per (seed, i), so a frame can be searched for them.
+func sampledResult(name string, throughput float64, seed int64, n int) metrics.Result {
+	s := metrics.OpSamples{Op: "read", Dropped: 1}
+	for i := int64(0); i < int64(n); i++ {
+		s.Offsets = append(s.Offsets, seed*1_000_000+i)
+		s.Values = append(s.Values, seed*1_000_000+500_000+i)
 	}
-	in.Reps = []engine.Rep{{Result: in.Median}, {Result: in.Median, Err: errors.New("rep 1 failed")}}
+	return metrics.Result{
+		Name:       name,
+		Elapsed:    time.Second,
+		Throughput: throughput,
+		Counters:   map[string]int64{"records": 60},
+		Samples:    []metrics.OpSamples{s},
+	}
+}
 
-	w := FromTaskResult(7, in)
-	if w.Task != 7 {
-		t.Fatalf("shard-local task %d, want 7", w.Task)
+// equalErr compares errors by message: identity does not survive the wire.
+func equalErr(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
 	}
-	// Samples travel as series, not inside the Result JSON.
-	if w.Median.Result.Samples != nil {
-		t.Fatal("wire Result still carries raw samples inline")
+	return a.Error() == b.Error()
+}
+
+// TestTaskResultRoundTrip: a result frame carries only the repetitions (and
+// the load statistics), and the receiving side re-derives median, best,
+// throughput and error with the engine's own fold — so the round trip
+// reproduces what the engine produced, whatever mix of repetitions failed.
+func TestTaskResultRoundTrip(t *testing.T) {
+	load := &loadgen.Stats{
+		Arrival: "poisson", Offered: 200, Window: time.Second, Elapsed: time.Second,
+		Scheduled: 200, Dispatched: 200, Achieved: 200,
+		Latency: loadgen.LatencySummary{Count: 200, Mean: time.Millisecond, P50: time.Millisecond, P95: 2 * time.Millisecond, P99: 3 * time.Millisecond, Max: 4 * time.Millisecond},
 	}
-	out := w.ToTaskResult()
-	if out.Workload != in.Workload || out.Category != in.Category || out.Throughput != in.Throughput {
-		t.Fatalf("round trip %+v, want %+v", out, in)
+	cases := []struct {
+		name string
+		reps []engine.Rep
+		load *loadgen.Stats
+	}{
+		{"closed-loop-one-failed-rep", []engine.Rep{
+			{Result: sampledResult("det-a", 120, 1, 2)},
+			{Result: sampledResult("det-a", 90, 2, 2), Err: errors.New("rep 1 failed")},
+			{Result: sampledResult("det-a", 130, 3, 2)},
+		}, nil},
+		{"closed-loop-all-failed", []engine.Rep{
+			{Result: sampledResult("det-a", 0, 1, 1), Err: errors.New("rep 0 failed")},
+			{Result: sampledResult("det-a", 0, 2, 1), Err: errors.New("rep 1 failed")},
+			{Result: sampledResult("det-a", 0, 3, 1), Err: errors.New("rep 2 failed")},
+		}, nil},
+		{"open-loop-window", []engine.Rep{{Result: sampledResult("det-a", 200, 1, 3)}}, load},
 	}
-	if !reflect.DeepEqual(out.Median.Samples, in.Median.Samples) {
-		t.Fatalf("median samples %+v, want %+v", out.Median.Samples, in.Median.Samples)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := engine.Summarize("det-a", "offline analytics", tc.reps, tc.load)
+			w := FromTaskResult(7, in)
+			if w.Task != 7 {
+				t.Fatalf("shard-local task %d, want 7", w.Task)
+			}
+			// Samples travel as series, not inside the Result JSON.
+			if w.Reps[0].Result.Samples != nil {
+				t.Fatal("wire rep still carries raw samples inline")
+			}
+			frame, err := EncodeFrame(TypeResult, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _, err := DecodeFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Result
+			if err := f.Decode(&back); err != nil {
+				t.Fatal(err)
+			}
+			out := back.ToTaskResult()
+
+			if !equalErr(out.Err, in.Err) {
+				t.Fatalf("err %v, want %v", out.Err, in.Err)
+			}
+			if len(out.Reps) != len(in.Reps) {
+				t.Fatalf("%d reps, want %d", len(out.Reps), len(in.Reps))
+			}
+			for i := range in.Reps {
+				if !equalErr(out.Reps[i].Err, in.Reps[i].Err) {
+					t.Fatalf("rep %d err %v, want %v", i, out.Reps[i].Err, in.Reps[i].Err)
+				}
+				out.Reps[i].Err = in.Reps[i].Err
+			}
+			out.Err = in.Err
+			if !reflect.DeepEqual(out, in) {
+				t.Fatalf("round trip\n got %+v\nwant %+v", out, in)
+			}
+		})
 	}
-	if len(out.Reps) != 2 || out.Reps[1].Err == nil || out.Reps[1].Err.Error() != "rep 1 failed" {
-		t.Fatalf("reps %+v", out.Reps)
+}
+
+// TestResultFrameCarriesEachSampleOnce: a reps=1 result used to cross the
+// wire as reps[0], median and best — three JSON copies of every captured
+// sample, of which the coordinator used one.
+func TestResultFrameCarriesEachSampleOnce(t *testing.T) {
+	const n = 50
+	res := sampledResult("det-a", 100, 7, n)
+	frame, err := EncodeFrame(TypeResult, FromTaskResult(0,
+		engine.Summarize("det-a", "offline analytics", []engine.Rep{{Result: res}}, nil)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Err == nil || out.Err.Error() != "partial" {
-		t.Fatalf("err %v", out.Err)
+	s := res.Samples[0]
+	for i := 0; i < n; i++ {
+		pair := fmt.Sprintf(`{"Offset":%d,"Value":%d}`, s.Offsets[i], s.Values[i])
+		if got := bytes.Count(frame, []byte(pair)); got != 1 {
+			t.Fatalf("sample %s appears %d times in the frame, want once", pair, got)
+		}
 	}
 }
 
@@ -126,17 +201,16 @@ func TestSeriesConversionRoundTrip(t *testing.T) {
 		{Op: "read", Offsets: []int64{5, 6}, Values: []int64{50, 60}},
 		{Op: "shuffle", Substrate: true, Offsets: []int64{7}, Values: []int64{70}, Dropped: 3},
 	}
-	series := SeriesOf("w", in)
+	series := runstore.SeriesOf("w", in)
 	if len(series) != 2 || series[0].Workload != "w" || !series[1].Substrate {
 		t.Fatalf("series %+v", series)
 	}
 	if got := SamplesOf(series); !reflect.DeepEqual(got, in) {
 		t.Fatalf("round trip %+v, want %+v", got, in)
 	}
-	if SeriesOf("w", nil) != nil || SamplesOf(nil) != nil {
+	if runstore.SeriesOf("w", nil) != nil || SamplesOf(nil) != nil {
 		t.Fatal("empty conversions must stay nil")
 	}
-	var _ = []runstore.Series(series) // series are runstore's type, ready to merge
 }
 
 // corruptFrames is the shared corrupt-input table: every entry must fail
@@ -144,7 +218,7 @@ func TestSeriesConversionRoundTrip(t *testing.T) {
 // a lying length.
 func corruptFrames(tb testing.TB) map[string][]byte {
 	tb.Helper()
-	good, err := EncodeFrame(TypeAccept, Accept{Protocol: 1, Tasks: 2})
+	good, err := EncodeFrame(TypeAccept, Accept{Protocol: ProtocolVersion, Tasks: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -243,6 +317,14 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, raw := range corruptFrames(f) {
 		f.Add(raw)
 	}
+	// The protocol-2 result frame: repetitions and their series, no
+	// median/best copies.
+	result, err := EncodeFrame(TypeResult, FromTaskResult(0,
+		engine.Summarize("det-a", "offline analytics", []engine.Rep{{Result: sampledResult("det-a", 100, 1, 2)}}, nil)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(result)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		frame, n, err := DecodeFrame(raw)
 		if err != nil {

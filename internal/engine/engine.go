@@ -141,10 +141,8 @@ type TaskResult struct {
 	Median metrics.Result
 	// Best is the successful repetition with the highest throughput.
 	Best metrics.Result
-	// Throughput and ElapsedSec summarize successful repetitions
-	// (ops/s and wall seconds respectively).
+	// Throughput summarizes the successful repetitions' ops/s.
 	Throughput RepSummary
-	ElapsedSec RepSummary
 	// Err is the first error observed across the measured repetitions; nil
 	// when every repetition succeeded.
 	Err error
@@ -229,68 +227,80 @@ func Run(ctx context.Context, tasks []Task, cfg Config) []TaskResult {
 // runTask executes one task's warmup runs and measured repetitions (or its
 // open-loop window when the task carries a load spec).
 func runTask(ctx context.Context, idx int, t Task, cfg Config, emit func(Event)) TaskResult {
-	res := TaskResult{Workload: t.Workload.Name(), Category: t.Category}
+	name := t.Workload.Name()
 	t0 := cfg.Now()
-	emit(Event{Kind: EventTaskStart, Workload: res.Workload, Task: idx, Rep: -1})
+	emit(Event{Kind: EventTaskStart, Workload: name, Task: idx, Rep: -1})
 
 	for i := 0; i < cfg.Warmup; i++ {
 		rep := runOnce(ctx, t, cfg, false)
-		emit(Event{Kind: EventRepDone, Workload: res.Workload, Task: idx, Rep: -1,
+		emit(Event{Kind: EventRepDone, Workload: name, Task: idx, Rep: -1,
 			Warmup: true, Err: rep.Err, Elapsed: rep.Result.Elapsed})
 		if ctx.Err() != nil {
 			break
 		}
 	}
 
+	var reps []Rep
+	var load *loadgen.Stats
 	if t.Load != nil {
-		return runOpenLoop(ctx, idx, t, cfg, emit, res, t0)
-	}
-
-	reps := cfg.Reps
-	if t.Reps > 0 {
-		reps = t.Reps
-	}
-	res.Reps = make([]Rep, 0, reps)
-	var throughput, elapsed stats.Summary
-	for r := 0; r < reps; r++ {
-		rep := runOnce(ctx, t, cfg, true)
-		res.Reps = append(res.Reps, rep)
-		emit(Event{Kind: EventRepDone, Workload: res.Workload, Task: idx, Rep: r,
+		rep, st := runOpenLoop(ctx, t, cfg)
+		reps, load = []Rep{rep}, &st
+		emit(Event{Kind: EventRepDone, Workload: name, Task: idx, Rep: 0,
 			Err: rep.Err, Elapsed: rep.Result.Elapsed})
+	} else {
+		n := cfg.Reps
+		if t.Reps > 0 {
+			n = t.Reps
+		}
+		reps = make([]Rep, 0, n)
+		for r := 0; r < n; r++ {
+			rep := runOnce(ctx, t, cfg, true)
+			reps = append(reps, rep)
+			emit(Event{Kind: EventRepDone, Workload: name, Task: idx, Rep: r,
+				Err: rep.Err, Elapsed: rep.Result.Elapsed})
+			if ctx.Err() != nil {
+				break
+			}
+		}
+	}
+	res := Summarize(name, t.Category, reps, load)
+	emit(Event{Kind: EventTaskDone, Workload: name, Task: idx, Rep: -1,
+		Err: res.Err, Elapsed: cfg.Now().Sub(t0)})
+	return res
+}
+
+// Summarize folds a task's measured repetitions into its TaskResult — the
+// one place Median, Best, Throughput and Err are derived, for closed-loop
+// tasks, open-loop windows (one repetition, load set) and results arriving
+// from an agent alike. Median and Best rank the successful repetitions by
+// throughput (the first repetition's partial measurements when every one
+// failed); Throughput summarizes the successful ones; Err is the first
+// repetition error.
+func Summarize(workload string, category workloads.Category, reps []Rep, load *loadgen.Stats) TaskResult {
+	res := TaskResult{Workload: workload, Category: category, Reps: reps, Load: load}
+	var throughput stats.Summary
+	var ok []int
+	for i, rep := range reps {
 		if rep.Err != nil {
 			if res.Err == nil {
 				res.Err = rep.Err
 			}
-		} else {
-			throughput.Observe(rep.Result.Throughput)
-			elapsed.Observe(rep.Result.Elapsed.Seconds())
+			continue
 		}
-		if ctx.Err() != nil {
-			break
-		}
+		throughput.Observe(rep.Result.Throughput)
+		ok = append(ok, i)
 	}
 	res.Throughput = snapshotSummary(&throughput)
-	res.ElapsedSec = snapshotSummary(&elapsed)
-
-	// Median and best of the successful repetitions, ranked by throughput.
-	var ok []int
-	for i, rep := range res.Reps {
-		if rep.Err == nil {
-			ok = append(ok, i)
-		}
-	}
 	if len(ok) > 0 {
 		sort.Slice(ok, func(a, b int) bool {
-			return res.Reps[ok[a]].Result.Throughput < res.Reps[ok[b]].Result.Throughput
+			return reps[ok[a]].Result.Throughput < reps[ok[b]].Result.Throughput
 		})
-		res.Median = res.Reps[ok[len(ok)/2]].Result
-		res.Best = res.Reps[ok[len(ok)-1]].Result
-	} else if len(res.Reps) > 0 {
-		res.Median = res.Reps[0].Result
-		res.Best = res.Reps[0].Result
+		res.Median = reps[ok[len(ok)/2]].Result
+		res.Best = reps[ok[len(ok)-1]].Result
+	} else if len(reps) > 0 {
+		res.Median = reps[0].Result
+		res.Best = reps[0].Result
 	}
-	emit(Event{Kind: EventTaskDone, Workload: res.Workload, Task: idx, Rep: -1,
-		Err: res.Err, Elapsed: cfg.Now().Sub(t0)})
 	return res
 }
 
@@ -301,7 +311,7 @@ func runTask(ctx context.Context, idx int, t Task, cfg Config, emit func(Event))
 // snapshot becomes the task's one measured repetition. Config.Timeout
 // bounds each individual operation, exactly as it bounds a closed-loop
 // repetition.
-func runOpenLoop(ctx context.Context, idx int, t Task, cfg Config, emit func(Event), res TaskResult, t0 time.Time) TaskResult {
+func runOpenLoop(ctx context.Context, t Task, cfg Config) (Rep, loadgen.Stats) {
 	c := metrics.NewCollector(t.Workload.Name())
 	if cfg.SampleCap > 0 {
 		c.EnableSamplingClock(cfg.SampleCap, cfg.Now(), cfg.Now)
@@ -325,25 +335,9 @@ func runOpenLoop(ctx context.Context, idx int, t Task, cfg Config, emit func(Eve
 	rep := Rep{Result: c.Snapshot(), Err: runErr}
 	if runErr == nil && st.Dispatched > 0 && st.Errors == st.Dispatched {
 		rep.Err = fmt.Errorf("engine: workload %s: all %d operations failed under load",
-			res.Workload, st.Errors)
+			t.Workload.Name(), st.Errors)
 	}
-	res.Load = &st
-	res.Reps = []Rep{rep}
-	res.Median = rep.Result
-	res.Best = rep.Result
-	res.Err = rep.Err
-	var throughput, elapsed stats.Summary
-	if rep.Err == nil {
-		throughput.Observe(rep.Result.Throughput)
-		elapsed.Observe(rep.Result.Elapsed.Seconds())
-	}
-	res.Throughput = snapshotSummary(&throughput)
-	res.ElapsedSec = snapshotSummary(&elapsed)
-	emit(Event{Kind: EventRepDone, Workload: res.Workload, Task: idx, Rep: 0,
-		Err: rep.Err, Elapsed: rep.Result.Elapsed})
-	emit(Event{Kind: EventTaskDone, Workload: res.Workload, Task: idx, Rep: -1,
-		Err: res.Err, Elapsed: cfg.Now().Sub(t0)})
-	return res
+	return rep, st
 }
 
 // runOnce executes a single run under the configured deadline, isolating

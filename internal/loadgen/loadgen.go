@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/stats"
 )
 
 // The operation labels loadgen records into the metrics pipeline. OpRequest
@@ -19,7 +18,8 @@ import (
 // substrate-level observations: each operation is a whole workload
 // execution that measures its own user-level operations into the same
 // collector, so counting requests at the user level too would double-count
-// Result.Throughput. The per-request digests live in Stats.
+// Result.Throughput. Stats.Latency/Service/Wait digest these same
+// observations.
 const (
 	OpRequest = "request"
 	OpService = "request_service"
@@ -43,19 +43,11 @@ type Options struct {
 	// still counts against OpRequest, because the clock starts at the
 	// intended arrival either way.
 	MaxInflight int
-	// Rec, when non-nil, receives every observation in the sharded metrics
-	// pipeline: OpRequest, OpService and OpWait, all substrate-level (the
-	// executed operations record their own user-level measurements).
+	// Rec receives every observation in the sharded metrics pipeline:
+	// OpRequest, OpService and OpWait, all substrate-level (the executed
+	// operations record their own user-level measurements). Nil records into
+	// a shard private to the run, which only Stats reads.
 	Rec *metrics.Collector
-
-	// ShardIndex and ShardCount slice the materialized schedule for
-	// distributed load generation: the run dispatches only arrivals whose
-	// schedule index j satisfies j % ShardCount == ShardIndex, keeping their
-	// absolute offsets, so N shards driving the same (rate, seed) offer
-	// together exactly the single-process schedule (see ShardSchedule).
-	// ShardCount 0 or 1 keeps the whole schedule.
-	ShardIndex int
-	ShardCount int
 
 	// Now and Sleep are injectable for tests; nil means the real clock.
 	// Sleep receives the run's context and must return early when it is
@@ -74,8 +66,10 @@ type LatencySummary struct {
 	Max   time.Duration `json:"max"`
 }
 
-func summarize(h *stats.AtomicLatencyHistogram) LatencySummary {
-	s := h.Snapshot()
+// summarize digests the latencies observed through ref — the ref's own
+// histogram, so a digest can never disagree with the op row it views.
+func summarize(ref metrics.OpRef) LatencySummary {
+	s := ref.Histogram()
 	if s.Count() == 0 {
 		return LatencySummary{}
 	}
@@ -122,20 +116,19 @@ type Stats struct {
 
 // runState is one open-loop run's dispatch machinery, hoisted out of Run
 // so that every per-operation cost is paid once at construction: the
-// schedule is materialized up front, the histograms are plain fields, the
-// metric handles are pre-resolved OpRefs, and workers are goroutines that
-// range over one shared handoff channel. The steady-state dispatch path —
-// hand an offset to a parked worker, execute, observe — performs zero heap
-// allocations (asserted by TestDispatchSteadyStateZeroAlloc and gated in
-// CI via BenchmarkDispatchSteadyState).
+// schedule is materialized up front, the metric handles are pre-resolved
+// OpRefs, and workers are goroutines that range over one shared handoff
+// channel. The steady-state dispatch path — hand an offset to a parked
+// worker, execute, observe — performs zero heap allocations (asserted by
+// TestDispatchSteadyStateZeroAlloc and gated in CI via
+// BenchmarkDispatchSteadyState).
 type runState struct {
 	ctx context.Context
 	op  func(context.Context) error
 	now func() time.Time
 	t0  time.Time
 
-	latHist, svcHist, waitHist stats.AtomicLatencyHistogram
-	reqRef, svcRef, waitRef    metrics.OpRef
+	reqRef, svcRef, waitRef metrics.OpRef
 
 	dispatched, skipped, errs atomic.Int64
 	endNs                     atomic.Int64 // latest completion, ns offset from t0
@@ -151,11 +144,14 @@ type runState struct {
 }
 
 // newRunState builds the dispatch machinery for one run. now is the clock
-// (t0 is read from it immediately); rec mirrors observations into the
-// sharded metrics pipeline and may be nil.
+// (t0 is read from it immediately); the three latency views are recorded
+// into a substrate shard of rec, or a shard of their own when rec is nil.
 func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, now func() time.Time, buffered int) *runState {
 	r := &runState{ctx: ctx, op: op, now: now}
 	shard := rec.SubstrateShard()
+	if shard == nil {
+		shard = new(metrics.Shard)
+	}
 	r.reqRef = shard.Op(OpRequest)
 	r.svcRef = shard.Op(OpService)
 	r.waitRef = shard.Op(OpWait)
@@ -216,13 +212,8 @@ func (r *runState) execOne(offset time.Duration) {
 	if wait < 0 {
 		wait = 0
 	}
-	lat := end.Sub(intended)
-	svc := end.Sub(actual)
-	r.latHist.Observe(lat)
-	r.svcHist.Observe(svc)
-	r.waitHist.Observe(wait)
-	r.reqRef.Observe(lat)
-	r.svcRef.Observe(svc)
+	r.reqRef.Observe(end.Sub(intended))
+	r.svcRef.Observe(end.Sub(actual))
 	r.waitRef.Observe(wait)
 	if err != nil {
 		r.errs.Add(1)
@@ -261,14 +252,6 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 	}
 
 	sched := Schedule(proc, opts.Rate, opts.Duration, opts.Seed)
-	if opts.ShardCount < 0 || opts.ShardIndex < 0 ||
-		(opts.ShardCount <= 1 && opts.ShardIndex != 0) ||
-		(opts.ShardCount > 1 && opts.ShardIndex >= opts.ShardCount) {
-		return Stats{}, fmt.Errorf("loadgen: shard %d/%d out of range", opts.ShardIndex, opts.ShardCount)
-	}
-	if opts.ShardCount > 1 {
-		sched = ShardSchedule(sched, opts.ShardIndex, opts.ShardCount)
-	}
 	st := Stats{
 		Arrival:   proc.Name(),
 		Offered:   opts.Rate,
@@ -325,32 +308,14 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 	if span := max(st.Elapsed, st.Window); span > 0 {
 		st.Achieved = float64(st.Dispatched-st.Errors) / span.Seconds()
 	}
-	st.Latency = summarize(&r.latHist)
-	st.Service = summarize(&r.svcHist)
-	st.Wait = summarize(&r.waitHist)
+	st.Latency = summarize(r.reqRef)
+	st.Service = summarize(r.svcRef)
+	st.Wait = summarize(r.waitRef)
 	if cancelled {
 		return st, fmt.Errorf("loadgen: cancelled after %d/%d operations: %w",
 			st.Dispatched, st.Scheduled, ctx.Err())
 	}
 	return st, nil
-}
-
-// ShardSchedule returns the sub-schedule shard (index, count) dispatches:
-// every count-th arrival starting at the index-th, with absolute offsets
-// preserved. The shards of a schedule partition it exactly — the union of
-// all count sub-schedules, in offset order, is the full schedule — so
-// distributed load generation offers the same intended start times as one
-// process would, just from several dispatchers. count <= 1 returns the
-// schedule unchanged.
-func ShardSchedule(sched []time.Duration, index, count int) []time.Duration {
-	if count <= 1 {
-		return sched
-	}
-	out := make([]time.Duration, 0, max(0, (len(sched)-index+count-1)/count))
-	for j := index; j < len(sched); j += count {
-		out = append(out, sched[j])
-	}
-	return out
 }
 
 // runIsolated invokes op with panic isolation, so one exploding operation

@@ -84,7 +84,7 @@ func TestCoordinatedOmissionGuard(t *testing.T) {
 	}
 }
 
-// TestRunRecordsIntoCollector verifies the metrics-pipeline mirror: the
+// TestRunRecordsIntoCollector verifies the one observation set: the
 // request/service/wait observations land substrate-marked, so the
 // collector's Throughput still counts only the operations' own user-level
 // measurements — each logical operation exactly once, never inflated by
@@ -109,13 +109,18 @@ func TestRunRecordsIntoCollector(t *testing.T) {
 	for _, op := range res.Ops {
 		byOp[op.Op] = op
 	}
-	for _, name := range []string{OpRequest, OpService, OpWait} {
+	for name, digest := range map[string]LatencySummary{OpRequest: st.Latency, OpService: st.Service, OpWait: st.Wait} {
 		rec, ok := byOp[name]
 		if !ok || !rec.Substrate {
 			t.Fatalf("%s missing or not substrate-marked: %+v", name, byOp[name])
 		}
 		if rec.Count != uint64(st.Dispatched) {
 			t.Fatalf("%s count %d, want %d", name, rec.Count, st.Dispatched)
+		}
+		// The Stats digest is a view of the recorded op, not a second
+		// measurement: every field agrees with the snapshot's row.
+		if row := (LatencySummary{Count: rec.Count, Mean: rec.Mean, P50: rec.P50, P95: rec.P95, P99: rec.P99, Max: rec.Max}); digest != row {
+			t.Fatalf("%s: Stats digest %+v, collector row %+v", name, digest, row)
 		}
 	}
 	if work, ok := byOp["work"]; !ok || work.Substrate {

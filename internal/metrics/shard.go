@@ -49,6 +49,18 @@ func (r OpRef) ObserveSince(start time.Time) {
 // Valid reports whether observations through the ref are recorded anywhere.
 func (r OpRef) Valid() bool { return r.cell != nil }
 
+// Histogram returns a snapshot of the latencies observed through this ref's
+// cell — the same histogram Collector.Snapshot folds into the label's row.
+// It is empty for the zero ref and for a label never observed.
+func (r OpRef) Histogram() *stats.LatencyHistogram {
+	if r.cell != nil {
+		if st := r.cell.state.Load(); st != nil {
+			return st.hist.Snapshot()
+		}
+	}
+	return &stats.LatencyHistogram{}
+}
+
 // CounterRef is the counter twin of OpRef: a pre-resolved handle to one
 // named counter cell. The zero CounterRef is a no-op.
 type CounterRef struct{ c *atomic.Int64 }

@@ -22,6 +22,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"sort"
+
+	"github.com/bdbench/bdbench/internal/metrics"
 )
 
 // Version is the current blob format version. Decode accepts exactly this
@@ -72,6 +74,29 @@ type Series struct {
 	// Dropped counts observations the capture buffer had no room for; the
 	// stream is complete when it is zero.
 	Dropped uint64
+}
+
+// SeriesOf converts one workload's captured latency streams to series: the
+// one conversion behind both the run artifact and a distributed result
+// frame, so merged shard series and local series are indistinguishable.
+func SeriesOf(workload string, samples []metrics.OpSamples) []Series {
+	if len(samples) == 0 {
+		return nil
+	}
+	out := make([]Series, len(samples))
+	for i, s := range samples {
+		out[i] = Series{
+			Workload:  workload,
+			Op:        s.Op,
+			Substrate: s.Substrate,
+			Dropped:   s.Dropped,
+			Samples:   make([]Sample, len(s.Values)),
+		}
+		for j := range s.Values {
+			out[i].Samples[j] = Sample{Offset: s.Offsets[j], Value: s.Values[j]}
+		}
+	}
+	return out
 }
 
 // Environment records where a run executed — the context a comparison
@@ -178,14 +203,15 @@ func (r *Run) canonicalize() {
 	})
 }
 
-// Merge folds one shard's partial run into r — the distributed-run merge
-// entry point. Workload summaries, corpora and degraded markers are
-// appended; series sharing a (workload, op, substrate) key have their
-// sample streams concatenated and drop counts summed, exactly as one
-// collector's shards fold at snapshot time. No new encoding is involved:
-// Encode's canonicalization (series sorted by key, samples by (offset,
-// value)) is what makes the merged blob's bytes independent of the order
-// shards arrive in.
+// Merge folds a partial run into r: workload summaries, corpora and
+// degraded markers are appended; series sharing a (workload, op, substrate)
+// key have their sample streams concatenated and drop counts summed,
+// exactly as one collector's shards fold at snapshot time. No new encoding
+// is involved: Encode's canonicalization (series sorted by key, samples by
+// (offset, value)) is what makes the merged blob's bytes independent of the
+// order the parts arrive in. The distributed coordinator does not use it —
+// it reassembles task results and builds one run from them (see
+// docs/DISTRIBUTED.md); the repo benchmark measures it as runstore.merge_ms.
 func (r *Run) Merge(shard *Run) {
 	r.Meta.Workloads = append(r.Meta.Workloads, shard.Meta.Workloads...)
 	r.Meta.Corpora = append(r.Meta.Corpora, shard.Meta.Corpora...)

@@ -101,19 +101,7 @@ func AppendOutcome(run *runstore.Run, out *Outcome, label func(*Result) string) 
 			wm.Achieved = r.Load.Achieved
 		}
 		run.Meta.Workloads = append(run.Meta.Workloads, wm)
-		for _, s := range r.Result.Samples {
-			series := runstore.Series{
-				Workload:  name,
-				Op:        s.Op,
-				Substrate: s.Substrate,
-				Dropped:   s.Dropped,
-				Samples:   make([]runstore.Sample, len(s.Values)),
-			}
-			for j := range s.Values {
-				series.Samples[j] = runstore.Sample{Offset: s.Offsets[j], Value: s.Values[j]}
-			}
-			run.Series = append(run.Series, series)
-		}
+		run.Series = append(run.Series, runstore.SeriesOf(name, r.Result.Samples)...)
 	}
 }
 

@@ -337,18 +337,9 @@ func run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	// onto a bounded worker pool with the spec's repetition and deadline
 	// settings (plus per-entry repetition overrides).
 	t3 := now()
-	engTasks := make([]engine.Task, len(tasks))
-	for i, t := range tasks {
-		engTasks[i] = engine.Task{Workload: t.Workload, Category: t.Category, Params: t.Params, Reps: t.Reps, Load: t.Load}
-	}
-	cfg := engine.Config{
-		Workers: n.Parallel,
-		Reps:    n.Reps,
-		Warmup:  n.Warmup,
-		Timeout: time.Duration(n.Timeout),
-		OnEvent: opts.OnEvent,
-		Now:     opts.Now,
-	}
+	engTasks, cfg := n.EngineInputs(tasks)
+	cfg.OnEvent = opts.OnEvent
+	cfg.Now = opts.Now
 	if opts.SampleCapacity > 0 {
 		cfg.SampleCap = opts.SampleCapacity
 	} else if opts.RunOutput != "" {

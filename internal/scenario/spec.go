@@ -32,6 +32,7 @@ import (
 
 	"github.com/bdbench/bdbench/internal/datagen"
 	_ "github.com/bdbench/bdbench/internal/datagen/corpora" // traces and patterns resolve builtin corpora by name
+	"github.com/bdbench/bdbench/internal/engine"
 	"github.com/bdbench/bdbench/internal/loadgen"
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/opcompose"
@@ -433,21 +434,33 @@ func (s Spec) Validate(reg *Registry) error {
 	return err
 }
 
-// Task is one resolved workload execution with its provenance.
+// Task is one resolved workload execution — the engine task itself (its
+// per-entry Reps override and, for open-loop entries, the resolved Load) —
+// with its provenance.
 type Task struct {
+	engine.Task
 	// Entry indexes the spec entry that selected this workload.
 	Entry int
 	// Suite is the inventory the workload was selected from ("" for
 	// registry-level selections).
-	Suite    string
-	Workload workloads.Workload
-	Category workloads.Category
-	Params   workloads.Params
-	// Reps, when positive, overrides the scenario-wide repetition count.
-	Reps int
-	// Load, when non-nil, runs this task open-loop at the resolved offered
-	// rate, arrival process and window.
-	Load *loadgen.Options
+	Suite string
+}
+
+// EngineInputs turns a normalized spec and its resolved tasks into what the
+// engine runs: the task list and the configuration the spec determines.
+// Local runs and agents both start from it and add only what belongs to the
+// process (event sink, clock, capture bound).
+func (s Spec) EngineInputs(tasks []Task) ([]engine.Task, engine.Config) {
+	engTasks := make([]engine.Task, len(tasks))
+	for i, t := range tasks {
+		engTasks[i] = t.Task
+	}
+	return engTasks, engine.Config{
+		Workers: s.Parallel,
+		Reps:    s.Reps,
+		Warmup:  s.Warmup,
+		Timeout: time.Duration(s.Timeout),
+	}
 }
 
 // categoryOf validates a category filter string.
@@ -551,13 +564,9 @@ func (s Spec) Tasks(reg *Registry) ([]Task, error) {
 		}
 		for _, c := range resolved {
 			tasks = append(tasks, Task{
-				Entry:    i,
-				Suite:    e.Suite,
-				Workload: c.w,
-				Category: c.cat,
-				Params:   params,
-				Reps:     e.Reps,
-				Load:     load,
+				Task:  engine.Task{Workload: c.w, Category: c.cat, Params: params, Reps: e.Reps, Load: load},
+				Entry: i,
+				Suite: e.Suite,
 			})
 		}
 	}

@@ -103,32 +103,26 @@ func (w KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 	for i, pt := range points {
 		input[i] = mapreduce.KV{Key: strconv.Itoa(i), Value: pt.encode()}
 	}
-	// k-means++ initialization: the first centroid is uniform, each next
-	// one is drawn with probability proportional to squared distance to
-	// its nearest existing centroid — reliable separation on the planted
-	// clusters regardless of seed.
+	// Farthest-point initialization: the first centroid is uniform, each
+	// next one is the point farthest from those already chosen. On the
+	// planted clusters (separated by 20, unit spread) the farthest point is
+	// always in a cluster that has no centroid yet, so every seed starts
+	// with one centroid per cluster — distance-weighted sampling (k-means++)
+	// put two in one cluster on about one seed in forty.
 	centroids := make([]Point, 0, k)
 	centroids = append(centroids, points[g.IntN(len(points))])
-	d2 := make([]float64, len(points))
 	for len(centroids) < k {
-		total := 0.0
+		far, farD := 0, -1.0
 		for i, pt := range points {
-			best := math.Inf(1)
+			near := math.Inf(1)
 			for _, cent := range centroids {
-				if d := dist2(pt, cent); d < best {
-					best = d
-				}
+				near = math.Min(near, dist2(pt, cent))
 			}
-			d2[i] = best
-			total += best
+			if near > farD {
+				far, farD = i, near
+			}
 		}
-		pick := g.Float64() * total
-		idx := 0
-		for acc := d2[0]; pick > acc && idx < len(points)-1; {
-			idx++
-			acc += d2[idx]
-		}
-		centroids = append(centroids, points[idx])
+		centroids = append(centroids, points[far])
 	}
 	eng := mapreduce.New(p.Workers).Instrument(c)
 	t0 := time.Now()

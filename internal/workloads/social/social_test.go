@@ -27,9 +27,10 @@ func TestKMeansCustomK(t *testing.T) {
 }
 
 func TestKMeansRobustAcrossSeeds(t *testing.T) {
-	// k-means++ initialization must recover the planted centers for any
-	// seed, not just lucky ones.
-	for seed := uint64(0); seed < 6; seed++ {
+	// The initialization must recover the planted centers for any seed, not
+	// just lucky ones: distance-weighted sampling failed seeds 12, 66, 110,
+	// 123 and 155 of this sweep.
+	for seed := uint64(0); seed <= 200; seed++ {
 		c := metrics.NewCollector("kmeans")
 		if err := (KMeans{}).Run(context.Background(), workloads.Params{Seed: seed, Scale: 1, Workers: 4}, c); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
