@@ -100,8 +100,8 @@ type RepSummary = engine.RepSummary
 // LoadStats is one open-loop run's latency-under-load digest: offered vs
 // achieved rate, and latency measured from each operation's intended start
 // (queueing included — immune to coordinated omission) alongside the
-// service-time view from its actual start. Produced when a scenario sets a
-// rate or a Run uses WithLoad; found on WorkloadResult.Load.
+// service-time view from its actual start. Produced when a scenario or one
+// of its entries sets a rate; found on WorkloadResult.Load.
 type LoadStats = loadgen.Stats
 
 // LatencySummary is one latency distribution digest (mean, p50/p95/p99,
@@ -109,9 +109,9 @@ type LoadStats = loadgen.Stats
 type LatencySummary = loadgen.LatencySummary
 
 // Arrivals lists the built-in open-loop arrival process names, usable in
-// Scenario.Arrival and WithArrival: "constant", "poisson", "bursty",
+// Scenario.Arrival and Entry.Arrival: "constant", "poisson", "bursty",
 // "ramp", "replay" (schedules materialized from a recorded corpus trace;
-// see WithTrace and Scenario.Trace).
+// see Scenario.Trace).
 func Arrivals() []string { return loadgen.Processes() }
 
 // Pattern declares a composed workload as an operation mix over a named

@@ -42,20 +42,21 @@ func TestCustomWorkloadThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestLoadThroughPublicAPI drives a custom workload open-loop with
-// WithLoad/WithArrival and checks the latency-under-load surfaces: the
-// LoadStats digest on the result, the curve-point conversion and the text
-// reporter's load table.
+// TestLoadThroughPublicAPI drives a custom workload open-loop — the
+// scenario declares the offered load — and checks the latency-under-load
+// surfaces: the LoadStats digest on the result and the text reporter's
+// load table.
 func TestLoadThroughPublicAPI(t *testing.T) {
 	reg := bdbench.NewRegistry()
 	if err := reg.RegisterWorkload(evenCount{}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := bdbench.Run(context.Background(),
-		bdbench.Scenario{Entries: []bdbench.Entry{{Workload: "even-count"}}, Seed: 3},
+		bdbench.Scenario{
+			Entries: []bdbench.Entry{{Workload: "even-count"}}, Seed: 3,
+			Rate: 100, Arrival: "poisson", Duration: bdbench.Duration(200 * time.Millisecond),
+		},
 		bdbench.WithRegistry(reg),
-		bdbench.WithLoad(100, 200*time.Millisecond),
-		bdbench.WithArrival("poisson"),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +70,6 @@ func TestLoadThroughPublicAPI(t *testing.T) {
 	}
 	if st.Dispatched == 0 || st.Latency.Count == 0 {
 		t.Fatalf("no operations measured: %+v", st)
-	}
-	p := bdbench.LoadPointFrom(st)
-	if p.Offered != 100 || p.Dispatched != st.Dispatched {
-		t.Fatalf("curve point conversion lost data: %+v", p)
 	}
 	var buf bytes.Buffer
 	if err := bdbench.NewTextReporter().Report(&buf, out); err != nil {

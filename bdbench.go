@@ -42,10 +42,10 @@
 // validated, JSON-round-trippable spec that composes workloads across any
 // suites with per-entry overrides; Run executes it on the concurrent
 // engine with functional options (WithEvents, WithRegistry,
-// WithDataProbes, and WithLoad/WithArrival for open-loop
-// latency-under-load runs); Reporters export the outcome as text,
-// markdown or JSON, and LoadCurve/FormatLoadCurve render
-// throughput-vs-latency sweeps.
+// WithDataProbes, WithRunOutput) — offered load is part of the Scenario
+// (Rate/Arrival/Duration/Trace, scenario-wide or per entry), so a
+// throughput-vs-latency sweep is a scenario with one entry per rate;
+// Reporters export the outcome as text, markdown or JSON.
 // The datagen/... and stacks/... directories re-export the data
 // generators and simulated stacks for direct use. Corpus generation is
 // chunked and parallel (DataGen, DataGenerators, RegisterDataGenerator):
@@ -60,4 +60,4 @@
 package bdbench
 
 // Version is the release version of the bdbench module.
-const Version = "1.10.0"
+const Version = "1.11.0"

@@ -116,8 +116,7 @@ func (sf *scenarioFlags) options() []bdbench.Option {
 
 // profileFlags is the shared -profile/-profile-dir pair offered by every
 // command that does real work (run, loadcurve, datagen). The profile
-// brackets the whole command: sweep-style commands execute several runs,
-// and per-run profiles would overwrite one another.
+// brackets the whole command.
 type profileFlags struct {
 	spec *string
 	dir  *string
@@ -141,9 +140,8 @@ func (pf *profileFlags) start() (*profiling.Session, error) {
 	return profiling.Start(*pf.dir, modes)
 }
 
-// option translates the flags into the public bdbench.WithProfile option —
-// the path cmdRun uses, so the CLI exercises exactly what an API caller
-// gets. Returns nil options when -profile was not given.
+// option translates the flags into the public bdbench.WithProfile option
+// (see runOptions.local). Returns nil options when -profile was not given.
 func (pf *profileFlags) option() ([]bdbench.Option, error) {
 	modes, err := profiling.Parse(*pf.spec)
 	if err != nil || len(modes) == 0 {
@@ -339,14 +337,51 @@ type runOptions struct {
 	progress bool   // -progress: stream engine events to stderr
 }
 
+// local translates the flags into the options of an in-process bdbench.Run
+// (`run`, `loadcurve`), so the CLI exercises exactly what an API caller gets.
+func (ro runOptions) local(pf *profileFlags) ([]bdbench.Option, error) {
+	opts, err := pf.option()
+	if err != nil {
+		return nil, err
+	}
+	if ro.progress {
+		opts = append(opts, bdbench.WithEvents(printEvent))
+	}
+	if ro.out != "" {
+		opts = append(opts, bdbench.WithRunOutput(ro.out))
+	}
+	if ro.samples > 0 {
+		opts = append(opts, bdbench.WithSamples(ro.samples))
+	}
+	return opts, nil
+}
+
+// report prints a finished run the way every scenario-running command does:
+// the outcome on stdout, degraded shards and the artifact note on stderr. A
+// run that produced an outcome is reported even when it failed; its error
+// is still returned.
+func (ro runOptions) report(cmd string, reporter bdbench.Reporter, outcome *bdbench.Outcome, runErr error) error {
+	if outcome == nil {
+		return runErr
+	}
+	if err := reporter.Report(stdout, outcome); err != nil {
+		return err
+	}
+	for _, note := range outcome.Degraded {
+		fmt.Fprintf(stderr, "%s: degraded: %s\n", cmd, note)
+	}
+	if ro.out != "" {
+		fmt.Fprintf(stderr, "%s: artifact written to %s\n", cmd, ro.out)
+	}
+	return runErr
+}
+
 // runScenario is the one path `run` and `coordinate` take from a command
 // line to a reported outcome. It registers the shared selection, report and
 // artifact flags on fs (the caller has added its own), parses args, builds
 // the scenario — a spec file with only the explicitly set knobs layered on
 // top, or a suite with all of them — handles -validate, runs the scenario
-// through exec and reports: the outcome on stdout, degraded shards and the
-// artifact note on stderr. A run that produced an outcome is reported even
-// when it failed; its error is still returned.
+// through exec and reports it (runOptions.report).
 func runScenario(fs *flag.FlagSet, args []string, exec func(bdbench.Scenario, runOptions) (*bdbench.Outcome, error)) error {
 	spec := fs.String("spec", "", "scenario spec file (JSON); composes workloads across suites")
 	suite := fs.String("suite", "BigDataBench", "suite to run (ignored when -spec is given)")
@@ -385,49 +420,30 @@ func runScenario(fs *flag.FlagSet, args []string, exec func(bdbench.Scenario, ru
 		fmt.Fprintln(stdout, string(raw))
 		return nil
 	}
-	outcome, runErr := exec(sc, runOptions{out: *out, samples: *samples, progress: *sf.progress})
-	if outcome == nil {
-		return runErr
-	}
-	if err := reporter.Report(stdout, outcome); err != nil {
-		return err
-	}
-	for _, note := range outcome.Degraded {
-		fmt.Fprintf(stderr, "%s: degraded: %s\n", fs.Name(), note)
-	}
-	if *out != "" {
-		fmt.Fprintf(stderr, "%s: artifact written to %s\n", fs.Name(), *out)
-	}
-	return runErr
+	ro := runOptions{out: *out, samples: *samples, progress: *sf.progress}
+	outcome, runErr := exec(sc, ro)
+	return ro.report(fs.Name(), reporter, outcome, runErr)
 }
 
 func cmdRun(args []string) error {
 	fs := newFlagSet("run")
 	pf := addProfileFlags(fs)
 	return runScenario(fs, args, func(sc bdbench.Scenario, ro runOptions) (*bdbench.Outcome, error) {
-		opts, err := pf.option()
+		opts, err := ro.local(pf)
 		if err != nil {
 			return nil, err
-		}
-		if ro.progress {
-			opts = append(opts, bdbench.WithEvents(printEvent))
-		}
-		if ro.out != "" {
-			opts = append(opts, bdbench.WithRunOutput(ro.out))
-		}
-		if ro.samples > 0 {
-			opts = append(opts, bdbench.WithSamples(ro.samples))
 		}
 		return bdbench.Run(context.Background(), sc, opts...)
 	})
 }
 
 // cmdLoadcurve sweeps a workload across increasing offered rates in
-// open-loop mode and renders the throughput-vs-latency curve — the
-// latency-under-load headline figure. Each point is an independent run at
-// one offered rate; latency percentiles are measured from intended starts,
-// so saturation shows up as exploding tails, not as a quietly slowed
-// request stream.
+// open-loop mode — the latency-under-load headline figure. The sweep is one
+// scenario: an entry per rate, run one at a time (parallel 1) so points
+// never compete for the machine, reported like any other run. Its "latency
+// under load" table, one row per rate, is the throughput-vs-latency curve;
+// latency percentiles are measured from intended starts, so saturation
+// shows up as exploding tails, not as a quietly slowed request stream.
 func cmdLoadcurve(args []string) error {
 	fs := newFlagSet("loadcurve")
 	workload := fs.String("workload", "wordcount", "registered workload to drive (see: bdbench workloads)")
@@ -451,74 +467,30 @@ func cmdLoadcurve(args []string) error {
 	}
 	// Reject a bad -format before the sweep runs, not after minutes of
 	// benchmarking.
-	curve := bdbench.LoadCurve{Workload: *workload, Arrival: *arrival, Window: *duration}
-	if _, err := bdbench.FormatLoadCurve(curve, *format); err != nil {
-		return err
-	}
-	// One profiling session brackets the whole sweep — per-rate sessions
-	// would overwrite each other's files.
-	prof, err := pf.start()
+	reporter, err := bdbench.ReporterFor(*format)
 	if err != nil {
 		return err
 	}
-	defer prof.Stop()
-	var sweeps []*bdbench.Outcome
+	sc := bdbench.Scenario{
+		Name:     "loadcurve " + *workload,
+		Arrival:  *arrival,
+		Duration: bdbench.Duration(*duration),
+		Scale:    *scale,
+		Workers:  *stackWorkers,
+		Seed:     *seed,
+		Warmup:   *warmup,
+		Parallel: 1,
+	}
 	for _, rate := range swept {
-		sc := bdbench.Scenario{
-			Name:    fmt.Sprintf("loadcurve %s @ %g/s", *workload, rate),
-			Entries: []bdbench.Entry{{Workload: *workload}},
-			Scale:   *scale,
-			Workers: *stackWorkers,
-			Seed:    *seed,
-			Warmup:  *warmup,
-		}
-		opts := []bdbench.Option{
-			bdbench.WithLoad(rate, *duration),
-			bdbench.WithArrival(*arrival),
-		}
-		if *progress {
-			opts = append(opts, bdbench.WithEvents(printEvent))
-		}
-		if *out != "" {
-			// The artifact's series are the raw streams; capture them.
-			opts = append(opts, bdbench.WithSamples(bdbench.DefaultSampleCapacity))
-		}
-		res, runErr := bdbench.Run(context.Background(), sc, opts...)
-		if res == nil {
-			return runErr
-		}
-		if len(res.Results) == 0 || res.Results[0].Load == nil {
-			return fmt.Errorf("loadcurve: run at %g/s produced no load statistics", rate)
-		}
-		// A saturated point may report per-operation errors; that is part of
-		// the curve (the errs column), not a reason to stop the sweep.
-		curve.Points = append(curve.Points, bdbench.LoadPointFrom(res.Results[0].Load))
-		sweeps = append(sweeps, res)
-		fmt.Fprintf(stderr, "loadcurve: %s @ %g/s done (achieved %.0f/s, p99 %v)\n",
-			*workload, rate, res.Results[0].Load.Achieved, res.Results[0].Load.Latency.P99)
+		sc.Entries = append(sc.Entries, bdbench.Entry{Workload: *workload, Rate: rate})
 	}
-	// The sweep is the measured region; stop (and flush the heap profiles)
-	// before rendering. The deferred Stop above only covers error exits and
-	// is a no-op after this.
-	if err := prof.Stop(); err != nil {
-		return err
-	}
-	rendered, err := bdbench.FormatLoadCurve(curve, *format)
+	ro := runOptions{out: *out, progress: *progress}
+	opts, err := ro.local(pf)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(stdout, rendered)
-	if *out != "" {
-		run, err := bdbench.LoadCurveArtifact(curve, sweeps)
-		if err != nil {
-			return err
-		}
-		if err := bdbench.WriteRun(*out, run); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "loadcurve: artifact written to %s\n", *out)
-	}
-	return nil
+	outcome, runErr := bdbench.Run(context.Background(), sc, opts...)
+	return ro.report(fs.Name(), reporter, outcome, runErr)
 }
 
 // parseRates parses the -rates flag: positive ops/s values, comma

@@ -12,7 +12,7 @@
 //	bdbench run -spec F.json    execute a scenario spec composing suites
 //	bdbench run -rate R         execute open-loop at an offered rate
 //	bdbench datagen             run one corpus generator, print timing+digest
-//	bdbench loadcurve           sweep offered rates, print the latency curve
+//	bdbench loadcurve           run one workload at a sweep of offered rates
 //	bdbench run -out run.blob   additionally persist the run as an artifact
 //	bdbench agent               serve scenario shards for a coordinator
 //	bdbench coordinate -agents U  run a scenario distributed across agents
@@ -104,8 +104,10 @@ commands:
                   table|graph|stream|weblog, -scale, -workers, -seed) and
                   print items/bytes/elapsed plus the corpus digest; the
                   digest is identical at any -workers value
-  loadcurve       sweep open-loop offered rates over one workload and print
-                  the throughput-vs-latency curve (p50/p95/p99 per rate)
+  loadcurve       run one workload open-loop at each of -rates, one rate at
+                  a time: a scenario with an entry per rate, reported like
+                  any run — its "latency under load" table, a row per rate,
+                  is the throughput-vs-latency curve
   agent           serve scenario shards over HTTP for a coordinator
                   (-listen addr, -heartbeat period); stateless, stop with
                   an interrupt (in-flight shards get a bounded drain)
@@ -136,7 +138,8 @@ run selection:
   -out F.blob       persist the run as a versioned columnar artifact: full
                     per-op latency streams plus spec digest, seed and
                     environment (see docs/RESULTS.md); read it back with
-                    show, diff it with compare (loadcurve takes -out too)
+                    show, diff it with compare (loadcurve takes -out too and
+                    writes the same kind of artifact)
   -samples N        raw latency samples kept per op cell per repetition
                     (default 65536; extra observations count as dropped)
 

@@ -181,3 +181,65 @@ func TestRunShowCompare(t *testing.T) {
 		t.Fatalf("regression not reported:\nstdout %s\nstderr %s", out.String(), errw.String())
 	}
 }
+
+// TestSampleSpecComparesCleanWithItself: the sample spec runs grep twice —
+// once in GridMix's inventory, once open-loop — and each result needs its
+// own name in the artifact, or compare aligns both with the first stream
+// and a run "regresses" against itself.
+func TestSampleSpecComparesCleanWithItself(t *testing.T) {
+	blob := filepath.Join(t.TempDir(), "x.blob")
+	var out, errw bytes.Buffer
+	if code := run([]string{"run", "-spec", sampleSpec, "-out", blob}, &out, &errw); code != 0 {
+		t.Fatalf("run: exit %d\n%s", code, errw.String())
+	}
+	out.Reset()
+	if code := run([]string{"compare", blob, blob}, &out, &errw); code != 0 {
+		t.Fatalf("self-compare: exit %d\n%s", code, out.String())
+	}
+	for _, stream := range []string{"grep/", "grep#2/request "} {
+		if !strings.Contains(out.String(), stream) {
+			t.Errorf("comparison lacks the %q streams:\n%s", stream, out.String())
+		}
+	}
+}
+
+// TestLoadcurveIsAScenarioRun: a sweep is one scenario run — its artifact
+// is an ordinary scenario blob that show re-renders byte for byte, whose
+// points (grep, grep#2) compare clean against themselves, and whose load
+// table has one row per swept rate, in order.
+func TestLoadcurveIsAScenarioRun(t *testing.T) {
+	blob := filepath.Join(t.TempDir(), "f.blob")
+	var live, errw bytes.Buffer
+	args := []string{"loadcurve", "-workload", "grep", "-rates", "10,20", "-duration", "300ms", "-out", blob}
+	if code := run(args, &live, &errw); code != 0 {
+		t.Fatalf("loadcurve: exit %d\n%s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "loadcurve: artifact written to "+blob) {
+		t.Fatalf("no artifact note on stderr: %q", errw.String())
+	}
+	table := live.String()
+	at := strings.Index(table, "latency under load")
+	first, second := strings.Index(table, "constant  10/s"), strings.Index(table, "constant  20/s")
+	if at < 0 || first < at || second < first {
+		t.Fatalf("load table does not list the swept rates in order:\n%s", table)
+	}
+
+	var shown, meta, cmp bytes.Buffer
+	if code := run([]string{"show", blob}, &shown, &errw); code != 0 || shown.String() != live.String() {
+		t.Fatalf("show (exit %d) differs from the live report:\n--- live\n%s--- show\n%s", code, live.String(), shown.String())
+	}
+	if code := run([]string{"show", "-meta", blob}, &meta, &errw); code != 0 || !strings.HasPrefix(meta.String(), `scenario "loadcurve grep"`) {
+		t.Fatalf("show -meta (exit %d): %s", code, meta.String())
+	}
+	if code := run([]string{"compare", blob, blob}, &cmp, &errw); code != 0 {
+		t.Fatalf("self-compare: exit %d\n%s", code, cmp.String())
+	}
+	if !strings.Contains(cmp.String(), "grep#2/request ") {
+		t.Errorf("second point is not its own stream:\n%s", cmp.String())
+	}
+
+	// Same flags as ever: a bad -format is refused before anything runs.
+	if code := run([]string{"loadcurve", "-rates", "10", "-format", "yaml"}, &cmp, &errw); code != 1 {
+		t.Fatalf("loadcurve -format yaml: exit %d, want 1", code)
+	}
+}

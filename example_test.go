@@ -89,19 +89,18 @@ func ExampleRun() {
 // scenario machinery, but executions are dispatched at a controlled
 // offered rate with Poisson arrivals and latency is measured from each
 // operation's intended start — so queueing under overload is visible in
-// the percentiles instead of being hidden by coordinated omission.
-// Sweeping WithLoad across rates and collecting LoadPointFrom per run
-// yields a LoadCurve (the CLI's `bdbench loadcurve` does exactly this).
+// the percentiles instead of being hidden by coordinated omission. The
+// offered load is part of the scenario, like everything else in the recipe.
 func ExampleRun_underLoad() {
 	scenario := bdbench.Scenario{
-		Name:    "latency under load",
-		Entries: []bdbench.Entry{{Workload: "grep"}},
-		Seed:    7,
+		Name:     "latency under load",
+		Entries:  []bdbench.Entry{{Workload: "grep"}},
+		Seed:     7,
+		Rate:     200,
+		Arrival:  "poisson",
+		Duration: bdbench.Duration(100 * time.Millisecond),
 	}
-	out, err := bdbench.Run(context.Background(), scenario,
-		bdbench.WithLoad(200, 100*time.Millisecond),
-		bdbench.WithArrival("poisson"),
-	)
+	out, err := bdbench.Run(context.Background(), scenario)
 	if err != nil {
 		fmt.Println("run:", err)
 		return
@@ -117,4 +116,36 @@ func ExampleRun_underLoad() {
 	// arrival=poisson offered=200/s window=100ms
 	// all dispatched: true
 	// latencies measured: true
+}
+
+// ExampleRun_sweepRates demonstrates a throughput-vs-latency sweep: one
+// entry per offered rate (the rate is the entry's only override), the
+// window and arrival process scenario-wide, and Parallel 1 so the points
+// run one after another and never compete for the machine. The outcome's
+// results — and the reporters' "latency under load" table — are the curve,
+// one row per rate in entry order; `bdbench loadcurve` builds exactly this.
+func ExampleRun_sweepRates() {
+	scenario := bdbench.Scenario{
+		Name:     "sweep grep",
+		Seed:     7,
+		Duration: bdbench.Duration(100 * time.Millisecond),
+		Parallel: 1,
+	}
+	for _, rate := range []float64{50, 100, 200} {
+		scenario.Entries = append(scenario.Entries, bdbench.Entry{Workload: "grep", Rate: rate})
+	}
+	out, err := bdbench.Run(context.Background(), scenario)
+	if err != nil {
+		fmt.Println("run:", err)
+		return
+	}
+	for _, r := range out.Results {
+		fmt.Printf("%s arrival=%s offered=%g/s measured=%v\n",
+			r.Workload, r.Load.Arrival, r.Load.Offered, r.Load.Latency.Count == uint64(r.Load.Dispatched))
+	}
+
+	// Output:
+	// grep arrival=constant offered=50/s measured=true
+	// grep arrival=constant offered=100/s measured=true
+	// grep arrival=constant offered=200/s measured=true
 }

@@ -7,11 +7,12 @@
 // The design invariant is that distribution changes *where* Step 4 of the
 // five-step process executes, never *what* it computes: the coordinator
 // runs the ordinary scenario pipeline with the Execution step swapped for a
-// distributed executor, each agent resolves the same normalized spec (its
-// shard slice) against the same registry, and per-shard results are
-// reassembled in global task order. For a (spec, seed)-deterministic
-// scenario the merged run artifact is byte-identical to a single-process
-// run — the equivalence tests in this package hold that contract.
+// distributed executor, each agent resolves the same normalized spec
+// against the same registry and keeps the slice its assignment names, and
+// per-shard results are reassembled in global task order. For a (spec,
+// seed)-deterministic scenario the merged run artifact is byte-identical to
+// a single-process run — the equivalence tests in this package hold that
+// contract.
 package cluster
 
 import (
@@ -138,7 +139,7 @@ func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 		fw.fail("agent: assignment spec: %v", err)
 		return
 	}
-	digest, err := scenario.SpecDigest(spec.Unsharded())
+	digest, err := scenario.SpecDigest(spec)
 	if err != nil {
 		fw.fail("agent: digest assignment spec: %v", err)
 		return
@@ -149,6 +150,9 @@ func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 	}
 	n := spec.Normalized()
 	tasks, err := n.Tasks(a.opts.Registry)
+	if err == nil {
+		tasks, err = scenario.Shard(tasks, assign.Shard, assign.Shards)
+	}
 	if err != nil {
 		fw.fail("agent: resolve shard tasks: %v", err)
 		return

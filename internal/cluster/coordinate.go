@@ -124,9 +124,13 @@ type coordinator struct {
 // execute is the distributed Executor: partition, dispatch with retry,
 // reassemble.
 func (c *coordinator) execute(ctx context.Context, n scenario.Spec, tasks []engine.Task, cfg engine.Config) ([]engine.TaskResult, []string, error) {
-	digest, err := scenario.SpecDigest(n.Unsharded())
+	digest, err := scenario.SpecDigest(n)
 	if err != nil {
 		return nil, nil, err
+	}
+	rawSpec, err := json.Marshal(n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: marshal spec: %w", err)
 	}
 	shards := c.opts.Shards
 	if shards <= 0 {
@@ -138,15 +142,27 @@ func (c *coordinator) execute(ctx context.Context, n scenario.Spec, tasks []engi
 	if shards < 1 {
 		shards = 1
 	}
+	// Every shard gets the same handshake and the same spec bytes; only the
+	// shard number differs.
+	hello := wire.Hello{
+		Protocol:    wire.ProtocolVersion,
+		Tool:        "bdbench",
+		ToolVersion: c.opts.ToolVersion,
+		SpecDigest:  digest,
+		Seed:        n.Seed,
+	}
+	assign := wire.Assign{Spec: rawSpec, Shards: shards, SampleCap: cfg.SampleCap}
 	results := make([]engine.TaskResult, len(tasks))
 	notes := make([]string, shards) // slot per shard keeps degraded order deterministic
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		indices := scenario.ShardIndices(len(tasks), s, shards)
+		assign.Shard = s
 		wg.Add(1)
-		go func(s int, indices []int) {
+		go func(assign wire.Assign, indices []int) {
 			defer wg.Done()
-			if err := c.dispatch(ctx, n, cfg, digest, s, shards, indices, results); err != nil {
+			s := assign.Shard
+			if err := c.dispatch(ctx, hello, assign, indices, results); err != nil {
 				attempts := 1 + max(0, c.opts.Retries)
 				notes[s] = fmt.Sprintf("shard %d/%d lost after %d attempt(s): %v", s, shards, attempts, err)
 				for _, gi := range indices {
@@ -157,7 +173,7 @@ func (c *coordinator) execute(ctx context.Context, n scenario.Spec, tasks []engi
 					}
 				}
 			}
-		}(s, indices)
+		}(assign, indices)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -177,7 +193,7 @@ func (c *coordinator) execute(ctx context.Context, n scenario.Spec, tasks []engi
 // results are owned exclusively by this shard, so no locking is needed; a
 // failed attempt's partial writes are overwritten by the attempt that
 // succeeds (or by the lost-shard fabrication).
-func (c *coordinator) dispatch(ctx context.Context, n scenario.Spec, cfg engine.Config, digest string, shard, shards int, indices []int, results []engine.TaskResult) error {
+func (c *coordinator) dispatch(ctx context.Context, hello wire.Hello, assign wire.Assign, indices []int, results []engine.TaskResult) error {
 	attempts := 1 + max(0, c.opts.Retries)
 	backoff := c.opts.Backoff
 	var lastErr error
@@ -192,8 +208,8 @@ func (c *coordinator) dispatch(ctx context.Context, n scenario.Spec, cfg engine.
 			}
 			backoff *= 2
 		}
-		agent := c.opts.Agents[(shard+attempt)%len(c.opts.Agents)]
-		err := c.runShard(ctx, agent, n, cfg, digest, shard, shards, indices, results)
+		agent := c.opts.Agents[(assign.Shard+attempt)%len(c.opts.Agents)]
+		err := c.runShard(ctx, agent, hello, assign, indices, results)
 		if err == nil {
 			return nil
 		}
@@ -208,7 +224,7 @@ func (c *coordinator) dispatch(ctx context.Context, n scenario.Spec, cfg engine.
 // runShard is one dispatch attempt against one agent. Events stream through
 // live (shard-local task indices remapped to global), so a retried shard
 // re-emits its events: distributed progress events are at-least-once.
-func (c *coordinator) runShard(ctx context.Context, agentURL string, n scenario.Spec, cfg engine.Config, digest string, shard, shards int, indices []int, results []engine.TaskResult) error {
+func (c *coordinator) runShard(ctx context.Context, agentURL string, hello wire.Hello, assign wire.Assign, indices []int, results []engine.TaskResult) error {
 	attemptCtx := ctx
 	cancel := context.CancelFunc(func() {})
 	if c.opts.ShardTimeout > 0 {
@@ -222,24 +238,11 @@ func (c *coordinator) runShard(ctx context.Context, agentURL string, n scenario.
 	watchdog := time.AfterFunc(c.opts.HeartbeatTimeout, abandon)
 	defer watchdog.Stop()
 
-	sharded := n
-	sharded.ShardIndex = shard
-	sharded.ShardCount = shards
-	rawSpec, err := json.Marshal(sharded)
-	if err != nil {
-		return fmt.Errorf("marshal shard spec: %w", err)
-	}
 	var body bytes.Buffer
-	if err := wire.WriteFrame(&body, wire.TypeHello, wire.Hello{
-		Protocol:    wire.ProtocolVersion,
-		Tool:        "bdbench",
-		ToolVersion: c.opts.ToolVersion,
-		SpecDigest:  digest,
-		Seed:        n.Seed,
-	}); err != nil {
+	if err := wire.WriteFrame(&body, wire.TypeHello, hello); err != nil {
 		return err
 	}
-	if err := wire.WriteFrame(&body, wire.TypeAssign, wire.Assign{Spec: rawSpec, SampleCap: cfg.SampleCap}); err != nil {
+	if err := wire.WriteFrame(&body, wire.TypeAssign, assign); err != nil {
 		return err
 	}
 	req, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, agentURL+ShardPath, bytes.NewReader(body.Bytes()))

@@ -56,6 +56,9 @@ func acceptAssignment(t *testing.T, reg *scenario.Registry, w http.ResponseWrite
 		return
 	}
 	tasks, err := spec.Tasks(reg)
+	if err == nil {
+		tasks, err = scenario.Shard(tasks, assign.Shard, assign.Shards)
+	}
 	if err != nil {
 		t.Errorf("fake agent: resolve tasks: %v", err)
 		return
@@ -186,11 +189,7 @@ func TestCoordinateLostShardDegrades(t *testing.T) {
 		if err := f.Decode(&assign); err != nil {
 			t.Errorf("selective agent: decode assign: %v", err)
 		}
-		spec, err := scenario.Parse(assign.Spec)
-		if err != nil {
-			t.Errorf("selective agent: parse spec: %v", err)
-		}
-		if spec.ShardIndex == 1 {
+		if assign.Shard == 1 {
 			panic(http.ErrAbortHandler)
 		}
 		r.Body = io.NopCloser(&buf)
@@ -239,8 +238,9 @@ func TestCoordinateLostShardDegrades(t *testing.T) {
 	}
 }
 
-// TestAgentRejectsBadHandshake: protocol and digest mismatches are refused
-// with an error frame before any workload runs.
+// TestAgentRejectsBadHandshake: protocol and digest mismatches, and a
+// placement outside the partition, are refused with an error frame before
+// any workload runs.
 func TestAgentRejectsBadHandshake(t *testing.T) {
 	reg := detRegistry(t)
 	urls := startAgents(t, reg, 1)
@@ -253,16 +253,24 @@ func TestAgentRejectsBadHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: digest}
 	cases := []struct {
-		name  string
-		hello wire.Hello
-		want  string
+		name          string
+		hello         wire.Hello
+		shard, shards int
+		want          string
 	}{
-		{"protocol-mismatch", wire.Hello{Protocol: 99, SpecDigest: digest}, "protocol version 99"},
-		// A stale coordinator: protocol 1 shipped median/best copies the
-		// agent no longer sends, so it is refused, not half-understood.
-		{"protocol-1", wire.Hello{Protocol: 1, SpecDigest: digest}, "protocol version 1 unsupported (agent speaks 2)"},
-		{"digest-mismatch", wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: "deadbeef"}, "spec digest mismatch"},
+		{"protocol-mismatch", wire.Hello{Protocol: 99, SpecDigest: digest}, 0, 1, "protocol version 99"},
+		// Stale coordinators are refused, not half-understood: protocol 1
+		// expected median/best copies in result frames, and protocol 2 stamped
+		// the placement into the spec it sent (which this agent's strict parse
+		// would reject anyway — the version check says why first).
+		{"protocol-1", wire.Hello{Protocol: 1, SpecDigest: digest}, 0, 1, "protocol version 1 unsupported (agent speaks 3)"},
+		{"protocol-2", wire.Hello{Protocol: 2, SpecDigest: digest}, 0, 1, "protocol version 2 unsupported (agent speaks 3)"},
+		{"digest-mismatch", wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: "deadbeef"}, 0, 1, "spec digest mismatch"},
+		{"shard-at-shards", good, 2, 2, "shard 2/2 out of range"},
+		{"negative-shard", good, -1, 2, "shard -1/2 out of range"},
+		{"no-shards", good, 0, 0, "shard 0/0 out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -270,7 +278,7 @@ func TestAgentRejectsBadHandshake(t *testing.T) {
 			if err := wire.WriteFrame(&body, wire.TypeHello, tc.hello); err != nil {
 				t.Fatal(err)
 			}
-			if err := wire.WriteFrame(&body, wire.TypeAssign, wire.Assign{Spec: rawSpec}); err != nil {
+			if err := wire.WriteFrame(&body, wire.TypeAssign, wire.Assign{Spec: rawSpec, Shard: tc.shard, Shards: tc.shards}); err != nil {
 				t.Fatal(err)
 			}
 			resp, err := http.Post(urls[0]+ShardPath, "application/x-bdbench-frames", &body)

@@ -1,8 +1,9 @@
 // Package wire is the coordinator↔agent protocol of bdbench's distributed
 // mode: length-prefixed JSON frames over one streamed HTTP exchange. The
 // coordinator's request body carries a handshake (Hello: protocol version +
-// unsharded spec digest) and a shard assignment (Assign: the sharded
-// normalized spec plus engine knobs); the agent's response streams Accept,
+// spec digest) and a shard assignment (Assign: the normalized spec, which
+// shard of how many to execute, and the engine knobs that live outside the
+// spec); the agent's response streams Accept,
 // then engine Events interleaved with periodic Snapshot heartbeats, then
 // one Result frame per shard-local task. A result is its measured
 // repetitions — each sample crosses the wire once — and the coordinator
@@ -36,7 +37,7 @@ import (
 // ProtocolVersion is the wire protocol version. A Hello carrying any other
 // value is rejected at handshake — framing or semantics changes bump it, so
 // a stale agent fails loudly instead of mis-executing a shard.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // MaxFrameSize caps one frame's JSON body (64 MiB). A length prefix above
 // it is treated as corruption: the reader fails instead of allocating
@@ -70,9 +71,9 @@ type Frame struct {
 }
 
 // Hello is the coordinator's handshake: who speaks, which protocol, and —
-// via the digest of the *unsharded* normalized spec — which run this is.
-// The agent recomputes the digest from the assignment it receives and
-// refuses on mismatch, so a corrupted or mismatched spec can never execute.
+// via the digest of the normalized spec — which run this is. The agent
+// recomputes the digest from the assignment it receives and refuses on
+// mismatch, so a corrupted or mismatched spec can never execute.
 type Hello struct {
 	Protocol    int    `json:"protocol"`
 	Tool        string `json:"tool,omitempty"`
@@ -81,11 +82,16 @@ type Hello struct {
 	Seed        uint64 `json:"seed,omitempty"`
 }
 
-// Assign is the shard assignment: the sharded normalized spec (ShardIndex/
-// ShardCount already stamped) as strict JSON, plus the engine knobs that
-// live outside the spec.
+// Assign is the shard assignment: the normalized spec as strict JSON — the
+// same bytes for every shard of a run — plus what lives outside a spec:
+// the placement and the engine knobs.
 type Assign struct {
 	Spec json.RawMessage `json:"spec"`
+	// Shard of Shards is the slice of the spec's resolved task list this
+	// assignment covers (scenario.Shard); the agent refuses Shards < 1 or a
+	// Shard outside [0, Shards).
+	Shard  int `json:"shard"`
+	Shards int `json:"shards"`
 	// SampleCap is the per-op-cell raw latency capture bound the coordinator
 	// resolved (0 = capture off).
 	SampleCap int `json:"sampleCap,omitempty"`

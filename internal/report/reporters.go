@@ -122,8 +122,9 @@ func outcomeRows(o *scenario.Outcome) [][]string {
 
 // loadHeaders are the columns of the latency-under-load table. Latency
 // percentiles are measured from each operation's intended start, so they
-// include queueing delay behind slow operations. The numeric tail matches
-// loadCurveHeaders — both render through loadCells.
+// include queueing delay behind slow operations. With one entry per rate
+// the table is the throughput-vs-latency curve: the row where achieved
+// stops tracking offered and the tail takes off is the saturation knee.
 var loadHeaders = []string{"workload", "arrival", "offered", "achieved", "p50", "p95", "p99", "max", "errs"}
 
 // LoadRows renders one latency-under-load row per open-loop result; empty
@@ -134,26 +135,18 @@ func LoadRows(o *scenario.Outcome) [][]string {
 		if r.Load == nil {
 			continue
 		}
-		cells := loadCells(r.Load.Offered, r.Load.Achieved,
-			r.Load.Latency.P50, r.Load.Latency.P95, r.Load.Latency.P99, r.Load.Latency.Max,
-			r.Load.Errors)
-		rows = append(rows, append([]string{r.Workload, r.Load.Arrival}, cells...))
+		rows = append(rows, []string{
+			r.Workload, r.Load.Arrival,
+			fmt.Sprintf("%.0f/s", r.Load.Offered),
+			fmt.Sprintf("%.0f/s", r.Load.Achieved),
+			roundLatency(r.Load.Latency.P50),
+			roundLatency(r.Load.Latency.P95),
+			roundLatency(r.Load.Latency.P99),
+			roundLatency(r.Load.Latency.Max),
+			fmt.Sprintf("%d", r.Load.Errors),
+		})
 	}
 	return rows
-}
-
-// loadCells renders the numeric cells shared by the per-outcome load table
-// and the load-curve table, so the two can never drift apart in format.
-func loadCells(offered, achieved float64, p50, p95, p99, max time.Duration, errs int) []string {
-	return []string{
-		fmt.Sprintf("%.0f/s", offered),
-		fmt.Sprintf("%.0f/s", achieved),
-		roundLatency(p50),
-		roundLatency(p95),
-		roundLatency(p99),
-		roundLatency(max),
-		fmt.Sprintf("%d", errs),
-	}
 }
 
 // roundLatency renders a duration at a resolution fit for a table cell.

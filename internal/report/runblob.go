@@ -17,12 +17,13 @@ import (
 // `bdbench compare`.
 
 // RenderRun re-renders a saved run artifact in the named format ("text",
-// "markdown", "json"). The blob's payload carries the writer's full result
-// document verbatim — a scenario Outcome, a LoadCurve, or benchdiff results
-// — so a saved scenario run renders exactly as the live run did.
+// "markdown", "json"). A scenario blob's payload is the full Outcome, so it
+// goes through the reporters and renders exactly as the live run did. Any
+// other kind's payload — benchdiff results, a DataGenStat, a caller-defined
+// document, a loadcurve blob from before sweeps were scenarios — is a
+// self-describing JSON document and renders as-is, whatever the format.
 func RenderRun(w io.Writer, run *runstore.Run, format string) error {
-	switch run.Meta.Kind {
-	case runstore.KindScenario:
+	if run.Meta.Kind == runstore.KindScenario {
 		var o scenario.Outcome
 		if err := json.Unmarshal(run.Meta.Payload, &o); err != nil {
 			return fmt.Errorf("report: run payload: %w", err)
@@ -32,79 +33,17 @@ func RenderRun(w io.Writer, run *runstore.Run, format string) error {
 			return err
 		}
 		return rep.Report(w, &o)
-	case runstore.KindLoadCurve:
-		var c LoadCurve
-		if err := json.Unmarshal(run.Meta.Payload, &c); err != nil {
-			return fmt.Errorf("report: run payload: %w", err)
-		}
-		s, err := c.Render(format)
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(w, s)
-		return err
-	case runstore.KindBench, runstore.KindCorpus:
-		// Bench and corpus payloads are self-describing JSON documents
-		// (benchdiff results, DataGenStat); render them as-is.
-		var doc any
-		if err := json.Unmarshal(run.Meta.Payload, &doc); err != nil {
-			return fmt.Errorf("report: run payload: %w", err)
-		}
-		s, err := JSON(doc)
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(w, s+"\n")
-		return err
-	default:
-		return fmt.Errorf("report: unknown run kind %q", run.Meta.Kind)
 	}
-}
-
-// BuildLoadCurveArtifact converts a finished loadcurve sweep into a run
-// artifact: the rendered curve's JSON as the payload (so RenderRun shows
-// the same table the live sweep printed) and, when the per-rate runs
-// captured raw streams, one series per swept point per op — labelled
-// "workload@rate/s" so CompareRuns judges two sweeps point-for-point.
-// Metadata (spec digest, seed) comes from the first point's outcome; every
-// point of one sweep runs the same scenario apart from the offered rate,
-// which the label carries.
-func BuildLoadCurveArtifact(c LoadCurve, sweeps []*scenario.Outcome, toolVersion string) (*runstore.Run, error) {
-	payload, err := json.Marshal(c)
+	var doc any
+	if err := json.Unmarshal(run.Meta.Payload, &doc); err != nil {
+		return fmt.Errorf("report: run payload: %w", err)
+	}
+	s, err := JSON(doc)
 	if err != nil {
-		return nil, fmt.Errorf("report: marshal load curve: %w", err)
+		return err
 	}
-	run := &runstore.Run{
-		Meta: runstore.Meta{
-			Kind:        runstore.KindLoadCurve,
-			Name:        "loadcurve " + c.Workload,
-			Tool:        "bdbench",
-			ToolVersion: toolVersion,
-			CreatedUnix: time.Now().Unix(),
-			Env:         scenario.CaptureEnv(),
-			Payload:     payload,
-		},
-	}
-	for _, out := range sweeps {
-		if out == nil {
-			continue
-		}
-		if run.Meta.SpecDigest == "" {
-			digest, err := scenario.SpecDigest(out.Spec)
-			if err != nil {
-				return nil, err
-			}
-			run.Meta.SpecDigest = digest
-			run.Meta.Seed = out.Spec.Seed
-		}
-		scenario.AppendOutcome(run, out, func(r *scenario.Result) string {
-			if r.Load == nil {
-				return r.Workload
-			}
-			return fmt.Sprintf("%s@%g/s", r.Workload, r.Load.Offered)
-		})
-	}
-	return run, nil
+	_, err = io.WriteString(w, s+"\n")
+	return err
 }
 
 // ReporterFor returns the reporter for a format name ("text", "markdown",
@@ -206,6 +145,11 @@ func comparisonTables(c *runstore.Comparison, render func([]string, [][]string) 
 			name := s.Workload + "/" + s.Op
 			if s.Substrate {
 				name += " (substrate)"
+			}
+			if s.DroppedA > 0 || s.DroppedB > 0 {
+				// Capture kept the first N observations of this stream in at
+				// least one run; the quantiles describe that prefix only.
+				name += " (truncated)"
 			}
 			if len(s.Quantiles) == 0 {
 				rows = append(rows, []string{name, "-", "-", "-", "-", string(s.Verdict)})

@@ -77,12 +77,17 @@ type QuantileDelta struct {
 }
 
 // SeriesDelta compares one (workload, op) latency stream across runs.
+// DroppedA and DroppedB count the observations each run's capture buffer
+// had no room for: nonzero means the quantiles come from the kept prefix
+// of a longer stream, not from all of it.
 type SeriesDelta struct {
 	Workload  string          `json:"workload"`
 	Op        string          `json:"op"`
 	Substrate bool            `json:"substrate,omitempty"`
 	CountA    int             `json:"countA"`
 	CountB    int             `json:"countB"`
+	DroppedA  uint64          `json:"droppedA,omitempty"`
+	DroppedB  uint64          `json:"droppedB,omitempty"`
 	Quantiles []QuantileDelta `json:"quantiles,omitempty"`
 	Verdict   Verdict         `json:"verdict"`
 }
@@ -245,12 +250,13 @@ func compareSeries(a, b *Run, opts CompareOptions) []SeriesDelta {
 		sa, ok := am[k]
 		if !ok {
 			out = append(out, SeriesDelta{Workload: sb.Workload, Op: sb.Op, Substrate: sb.Substrate,
-				CountB: len(sb.Samples), Verdict: VerdictOnlyB})
+				CountB: len(sb.Samples), DroppedB: sb.Dropped, Verdict: VerdictOnlyB})
 			continue
 		}
 		d := SeriesDelta{
 			Workload: sb.Workload, Op: sb.Op, Substrate: sb.Substrate,
 			CountA: len(sa.Samples), CountB: len(sb.Samples),
+			DroppedA: sa.Dropped, DroppedB: sb.Dropped,
 			Verdict: VerdictOK,
 		}
 		gating := len(sa.Samples) >= opts.MinSamples && len(sb.Samples) >= opts.MinSamples
@@ -285,7 +291,7 @@ func compareSeries(a, b *Run, opts CompareOptions) []SeriesDelta {
 		k := key{sa.Workload, sa.Op}
 		if !seen[k] {
 			out = append(out, SeriesDelta{Workload: sa.Workload, Op: sa.Op, Substrate: sa.Substrate,
-				CountA: len(sa.Samples), Verdict: VerdictOnlyA})
+				CountA: len(sa.Samples), DroppedA: sa.Dropped, Verdict: VerdictOnlyA})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

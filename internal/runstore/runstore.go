@@ -37,11 +37,8 @@ const Version = 1
 const (
 	// KindScenario is a scenario run: Payload holds the full scenario
 	// Outcome JSON, and the series are the workloads' captured per-op
-	// latency streams.
+	// latency streams. A loadcurve sweep is one (an entry per rate).
 	KindScenario = "scenario"
-	// KindLoadCurve is a loadcurve sweep: Payload holds the LoadCurve JSON,
-	// and each rate's request stream is a series under "workload@rate".
-	KindLoadCurve = "loadcurve"
 	// KindBench is a `go test -bench` result set written by benchdiff:
 	// Payload holds the benchdiff results JSON, and each benchmark is a
 	// one-sample series whose value is its ns/op.
@@ -138,7 +135,7 @@ type WorkloadMeta struct {
 // Meta is the run's metadata block, stored as JSON inside the blob.
 type Meta struct {
 	// Kind discriminates how Payload is interpreted (KindScenario,
-	// KindLoadCurve, KindBench, or a caller-defined kind).
+	// KindBench, KindCorpus, or a caller-defined kind).
 	Kind string `json:"kind"`
 	// Name labels the run (the scenario name, the swept workload, ...).
 	Name string `json:"name,omitempty"`
@@ -165,7 +162,7 @@ type Meta struct {
 	// marker is what distinguishes "partial by failure" from "complete".
 	Degraded []string `json:"degraded,omitempty"`
 	// Payload is the kind-specific full result document (scenario Outcome,
-	// LoadCurve, benchdiff Results), preserved verbatim so a saved run
+	// benchdiff Results, DataGenStat), preserved verbatim so a saved run
 	// re-renders exactly as the live one did.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }

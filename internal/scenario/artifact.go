@@ -72,22 +72,29 @@ func BuildArtifactAt(out *Outcome, toolVersion string, createdUnix int64) (*runs
 			Payload:     payload,
 		},
 	}
-	AppendOutcome(run, out, nil)
+	AppendOutcome(run, out)
 	return run, nil
 }
 
 // AppendOutcome appends out's per-workload metadata and captured latency
-// streams to the artifact. label renames each result's workload in the
-// artifact (nil keeps the bare workload name); loadcurve sweeps use it to
-// tag each point with its offered rate so swept points stay distinct
-// streams that compare point-for-point.
-func AppendOutcome(run *runstore.Run, out *Outcome, label func(*Result) string) {
+// streams to the artifact. This is the one place names enter an artifact,
+// so it keeps them unique within the run: a result keeps its bare workload
+// name unless an earlier result already has it, and then becomes name#2,
+// name#3, … in result order — for its WorkloadMeta and all its series
+// alike. Compare aligns two runs by these names, so the same workload at
+// three rates (or in two entries) stays three streams, judged pairwise.
+func AppendOutcome(run *runstore.Run, out *Outcome) {
+	used := map[string]bool{}
+	for _, w := range run.Meta.Workloads {
+		used[w.Workload] = true
+	}
 	for i := range out.Results {
 		r := &out.Results[i]
 		name := r.Workload
-		if label != nil {
-			name = label(r)
+		for k := 2; used[name]; k++ {
+			name = fmt.Sprintf("%s#%d", r.Workload, k)
 		}
+		used[name] = true
 		wm := runstore.WorkloadMeta{
 			Workload:   name,
 			Suite:      r.Suite,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/runstore"
@@ -99,5 +100,48 @@ func TestRunWithoutOutputCapturesNothing(t *testing.T) {
 		if r.Result.Samples != nil {
 			t.Fatal("samples captured without RunOutput/SampleCapacity")
 		}
+	}
+}
+
+// TestAppendOutcomeNamesAreUnique: two results of one workload (two entries,
+// or a sweep's entry per rate) must not share a series key, or Compare
+// would align both with the first. The later result becomes name#2 — in its
+// WorkloadMeta and in every one of its series — and unique names stay bare.
+func TestAppendOutcomeNamesAreUnique(t *testing.T) {
+	spec := Spec{Entries: []Entry{{Workload: "alpha"}, {Workload: "zeta"}, {Workload: "alpha", Scale: 2}}, Seed: 11}
+	out, err := Run(context.Background(), spec, Options{Registry: testRegistry(t), SampleCapacity: 64})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	run, err := BuildArtifactAt(out, "test", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metas []string
+	for _, w := range run.Meta.Workloads {
+		metas = append(metas, w.Workload)
+	}
+	if want := []string{"alpha", "zeta", "alpha#2"}; !reflect.DeepEqual(metas, want) {
+		t.Fatalf("workload metas %v, want %v", metas, want)
+	}
+	type key struct {
+		workload, op string
+		substrate    bool
+	}
+	seen := map[key]bool{}
+	perName := map[string]int{}
+	for _, s := range run.Series {
+		k := key{s.Workload, s.Op, s.Substrate}
+		if seen[k] {
+			t.Fatalf("two series share the key %+v", k)
+		}
+		seen[k] = true
+		perName[s.Workload]++
+	}
+	if perName["alpha"] == 0 || perName["alpha"] != perName["alpha#2"] || perName["zeta"] == 0 {
+		t.Fatalf("series per name %v: want the same ops under alpha and alpha#2, and some under zeta", perName)
+	}
+	if cmp := runstore.Compare(run, run, runstore.CompareOptions{}); cmp.Verdict != runstore.VerdictOK {
+		t.Fatalf("self-compare of a run with a repeated workload: %s (%d regressions)", cmp.Verdict, cmp.Regressions)
 	}
 }

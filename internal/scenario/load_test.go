@@ -154,32 +154,3 @@ func TestRunOpenLoop(t *testing.T) {
 		t.Fatalf("execution step does not mention open-loop: %q", execDetail)
 	}
 }
-
-// TestRunLoadOverride verifies Options.Load (the WithLoad mechanism):
-// it forces a rate onto a closed-loop spec, clears per-entry load
-// overrides, and leaves the caller's spec untouched.
-func TestRunLoadOverride(t *testing.T) {
-	reg := testRegistry(t)
-	s := Spec{
-		Entries: []Entry{{Workload: "alpha", Rate: 999, Arrival: "poisson"}, {Workload: "zeta"}},
-	}
-	out, err := Run(context.Background(), s, Options{
-		Registry: reg,
-		Load:     &LoadOverride{Rate: 50, Arrival: "ramp", Duration: 200 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, r := range out.Results {
-		if r.Load == nil {
-			t.Fatalf("%s: not open-loop under override", r.Workload)
-		}
-		if r.Load.Offered != 50 || r.Load.Arrival != "ramp" {
-			t.Fatalf("%s: override not applied: offered=%g arrival=%q", r.Workload, r.Load.Offered, r.Load.Arrival)
-		}
-	}
-	// The caller's spec must be unchanged (entries share a backing array).
-	if s.Entries[0].Rate != 999 || s.Entries[0].Arrival != "poisson" {
-		t.Fatalf("caller's spec mutated: %+v", s.Entries[0])
-	}
-}

@@ -123,25 +123,10 @@ type Reporter interface {
 	Report(w io.Writer, o *Outcome) error
 }
 
-// LoadOverride forces open-loop load generation onto a run regardless of
-// what the spec declares — the mechanism behind bdbench.WithLoad and the
-// CLI's loadcurve sweep. Zero fields keep the spec's values; a positive
-// Rate also clears every per-entry load override, so one override governs
-// the whole selection (a sweep must offer each workload the same rate).
-// A non-empty Trace selects the replay arrival's source corpus and, when
-// no arrival is forced, sets the arrival to "replay" — the mechanism
-// behind bdbench.WithTrace.
-type LoadOverride struct {
-	Rate     float64
-	Arrival  string
-	Duration time.Duration
-	Trace    string
-}
-
 // Executor runs the Execution step's resolved tasks and returns one
 // TaskResult per task, in task order — the seam a distributed coordinator
-// replaces. n is the normalized spec the tasks were resolved from, so an
-// executor can re-derive shard assignments; cfg is the engine configuration
+// replaces. n is the normalized spec the tasks were resolved from — what a
+// distributed executor sends its agents; cfg is the engine configuration
 // a local run would use. The degraded return lists slices whose results
 // were permanently lost (their TaskResults must still be present, with Err
 // set); a non-nil error aborts the run as a whole — reserved for total
@@ -163,8 +148,6 @@ type Options struct {
 	// probes over every distinct suite in the selection (the full Figure 1
 	// process). Without it the step only records the generators in play.
 	ProbeData bool
-	// Load, when non-nil, overrides the spec's open-loop settings.
-	Load *LoadOverride
 	// Profile lists the profilers to run around the five steps (see
 	// internal/profiling); empty means none. ProfileDir is where the
 	// pprof/trace files land ("." when empty).
@@ -229,33 +212,6 @@ func run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	reg := opts.Registry
 	if reg == nil {
 		reg = Default()
-	}
-	if l := opts.Load; l != nil {
-		if l.Rate > 0 {
-			spec.Rate = l.Rate
-			// Copy before clearing per-entry overrides: the entries slice
-			// shares its backing array with the caller's Scenario.
-			entries := append([]Entry(nil), spec.Entries...)
-			for i := range entries {
-				entries[i].Rate = 0
-				entries[i].Arrival = ""
-				entries[i].Duration = 0
-				entries[i].Trace = ""
-			}
-			spec.Entries = entries
-		}
-		if l.Arrival != "" {
-			spec.Arrival = l.Arrival
-		}
-		if l.Duration > 0 {
-			spec.Duration = Duration(l.Duration)
-		}
-		if l.Trace != "" {
-			spec.Trace = l.Trace
-			if spec.Arrival == "" {
-				spec.Arrival = "replay"
-			}
-		}
 	}
 	n := spec.Normalized()
 	now := opts.Now

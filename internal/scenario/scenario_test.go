@@ -241,6 +241,11 @@ func TestParseRejectsUnknownFieldsAndBadDurations(t *testing.T) {
 	if _, err := Parse([]byte(`{"entries":[],"timeout":"soon"}`)); err == nil {
 		t.Fatal("bad duration accepted")
 	}
+	// Placement is not part of a spec: a file carrying it must fail loudly,
+	// not run a slice of the scenario with nothing marking it partial.
+	if _, err := Parse([]byte(`{"entries":[{"workload":"grep"}],"shardIndex":1,"shardCount":2}`)); err == nil {
+		t.Fatal("spec with shard placement accepted")
+	}
 	s, err := Parse([]byte(`{"entries":[{"suite":"S1"}],"timeout":30000000000}`))
 	if err != nil {
 		t.Fatal(err)

@@ -27,9 +27,10 @@ func taskKeys(tasks []Task) []string {
 }
 
 // TestTasksShardPartition: for every shard count, the shards' task lists
-// interleave back into exactly the unsharded resolution — same workloads,
-// same global order, nothing duplicated or dropped. This is the property
-// that lets a coordinator reassemble per-shard results by index.
+// (what an agent keeps of the full resolution) interleave back into exactly
+// that resolution — same workloads, same global order, nothing duplicated
+// or dropped. This is the property that lets a coordinator reassemble
+// per-shard results by index.
 func TestTasksShardPartition(t *testing.T) {
 	reg := testRegistry(t)
 	spec := shardTestSpec()
@@ -43,10 +44,7 @@ func TestTasksShardPartition(t *testing.T) {
 	for count := 1; count <= len(full)+1; count++ {
 		shards := make([][]Task, count)
 		for index := 0; index < count; index++ {
-			s := spec
-			s.ShardIndex = index
-			s.ShardCount = count
-			tasks, err := s.Tasks(reg)
+			tasks, err := Shard(full, index, count)
 			if err != nil {
 				t.Fatalf("count=%d index=%d: %v", count, index, err)
 			}
@@ -63,7 +61,7 @@ func TestTasksShardPartition(t *testing.T) {
 			t.Fatalf("count=%d: shards interleave to %v, want %v", count, got, want)
 		}
 		// Entry provenance survives sharding (suite attribution, per-entry
-		// overrides) — the shard filter must run after full resolution.
+		// overrides) — the shard filter runs after full resolution.
 		for i, task := range rebuilt {
 			if task.Entry != full[i].Entry || task.Suite != full[i].Suite {
 				t.Fatalf("count=%d task %d: entry/suite %d/%q, want %d/%q",
@@ -73,8 +71,14 @@ func TestTasksShardPartition(t *testing.T) {
 	}
 }
 
+// TestTasksShardValidation: placement arrives from the wire, so Shard
+// checks it — a count below one or an index outside [0, count) is an error,
+// never a silently empty or whole slice.
 func TestTasksShardValidation(t *testing.T) {
-	reg := testRegistry(t)
+	full, err := shardTestSpec().Tasks(testRegistry(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name         string
 		index, count int
@@ -87,10 +91,7 @@ func TestTasksShardValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := shardTestSpec()
-			s.ShardIndex = tc.index
-			s.ShardCount = tc.count
-			if _, err := s.Tasks(reg); err == nil {
+			if _, err := Shard(full, tc.index, tc.count); err == nil {
 				t.Fatalf("shard %d/%d accepted", tc.index, tc.count)
 			}
 		})
@@ -119,35 +120,6 @@ func TestShardIndicesPartition(t *testing.T) {
 					t.Fatalf("total=%d count=%d: index %d owned %d times", total, count, gi, n)
 				}
 			}
-		}
-	}
-}
-
-// TestUnshardedDigest: every shard of a run shares one spec digest — the
-// handshake identity — because Unsharded clears the placement fields.
-func TestUnshardedDigest(t *testing.T) {
-	spec := shardTestSpec()
-	want, err := SpecDigest(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for index := 0; index < 3; index++ {
-		s := spec
-		s.ShardIndex = index
-		s.ShardCount = 3
-		sharded, err := SpecDigest(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sharded == want {
-			t.Fatalf("shard %d digest equals unsharded digest; placement must be part of the spec JSON", index)
-		}
-		got, err := SpecDigest(s.Unsharded())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("shard %d unsharded digest %s, want %s", index, got, want)
 		}
 	}
 }

@@ -224,15 +224,6 @@ type Spec struct {
 	// Arrival, without a Rate anywhere in the spec — is an error.
 	Trace string `json:"trace,omitempty"`
 
-	// ShardIndex and ShardCount place this spec inside a distributed run:
-	// when ShardCount > 1, Tasks resolves the full selection and keeps only
-	// the tasks whose global index i satisfies i % ShardCount == ShardIndex
-	// (see ShardIndices). The coordinator stamps these onto the copy each
-	// agent receives; the union of all shards is exactly the unsharded
-	// selection. Zero values (the default) mean "the whole scenario".
-	ShardIndex int `json:"shardIndex,omitempty"`
-	ShardCount int `json:"shardCount,omitempty"`
-
 	// Parallel bounds how many workloads the engine runs concurrently
 	// (default: one per CPU).
 	Parallel int `json:"parallel,omitempty"`
@@ -368,16 +359,6 @@ func (s Spec) usesV2() bool {
 // sets a rate without a duration.
 const DefaultLoadWindow = 10 * time.Second
 
-// Unsharded returns the spec with its shard placement cleared — the
-// scenario identity shared by every shard of a distributed run. SpecDigest
-// of the unsharded spec is what the coordinator/agent handshake compares,
-// so one digest names the run no matter which slice an agent executes.
-func (s Spec) Unsharded() Spec {
-	s.ShardIndex = 0
-	s.ShardCount = 0
-	return s
-}
-
 // ShardIndices returns the global task indices shard (index, count) owns:
 // every count-th index starting at index. The shards of a run partition
 // [0, total) exactly — no index is owned twice or dropped — which is what
@@ -396,6 +377,23 @@ func ShardIndices(total, index, count int) []int {
 		out = append(out, i)
 	}
 	return out
+}
+
+// Shard returns the tasks of a full resolution that shard (index, count)
+// owns — tasks[g] for each g in ShardIndices — so shard-local task k is
+// always global task ShardIndices(total, index, count)[k], with its Entry
+// and Suite provenance intact. Placement is not part of a spec: it arrives
+// on the wire next to one, so it is checked here, where an agent applies it.
+func Shard(tasks []Task, index, count int) ([]Task, error) {
+	if count < 1 || index < 0 || index >= count {
+		return nil, fmt.Errorf("scenario: shard %d/%d out of range", index, count)
+	}
+	indices := ShardIndices(len(tasks), index, count)
+	kept := make([]Task, len(indices))
+	for k, g := range indices {
+		kept[k] = tasks[g]
+	}
+	return kept, nil
 }
 
 // openLoop reports whether any part of the spec asks for open-loop load
@@ -510,11 +508,6 @@ func (s Spec) Tasks(reg *Registry) ([]Task, error) {
 		return nil, fmt.Errorf("scenario: negative load settings (rate=%g duration=%v) in %s",
 			n.Rate, time.Duration(n.Duration), n)
 	}
-	if n.ShardCount < 0 || n.ShardIndex < 0 ||
-		(n.ShardCount == 0 && n.ShardIndex != 0) ||
-		(n.ShardCount > 0 && n.ShardIndex >= n.ShardCount) {
-		return nil, fmt.Errorf("scenario: shard %d/%d out of range in %s", n.ShardIndex, n.ShardCount, n)
-	}
 	// Load-cluster validation, scenario level. The raw fields are checked —
 	// Normalized legitimately fills arrival/duration/trace defaults when
 	// some rate put the spec in open-loop mode. The entry level runs the
@@ -569,18 +562,6 @@ func (s Spec) Tasks(reg *Registry) ([]Task, error) {
 				Suite: e.Suite,
 			})
 		}
-	}
-	if n.ShardCount > 1 {
-		// Resolve-then-filter keeps the global task order (and Entry
-		// provenance) identical on every shard, so shard-local index k is
-		// always global index ShardIndices(total, index, count)[k].
-		kept := tasks[:0]
-		for i, t := range tasks {
-			if i%n.ShardCount == n.ShardIndex {
-				kept = append(kept, t)
-			}
-		}
-		tasks = kept
 	}
 	return tasks, nil
 }

@@ -354,7 +354,7 @@ func TestComposedRunDeterministicAcrossWorkers(t *testing.T) {
 
 // TestTasksShardPartitionWithPatterns extends the shard-equivalence
 // contract to pattern entries: the union of all shards' tasks is exactly
-// the unsharded selection, in order, with composed workloads included.
+// the full selection, in order, with composed workloads included.
 func TestTasksShardPartitionWithPatterns(t *testing.T) {
 	reg := testRegistry(t)
 	spec := Spec{Entries: []Entry{
@@ -374,14 +374,12 @@ func TestTasksShardPartitionWithPatterns(t *testing.T) {
 		return out
 	}
 	if want := names(full); !contains(want, "mix") {
-		t.Fatalf("unsharded selection misses the composed workload: %v", want)
+		t.Fatalf("full selection misses the composed workload: %v", want)
 	}
 	const shards = 2
 	var merged []Task
 	for idx := 0; idx < shards; idx++ {
-		s := spec
-		s.ShardIndex, s.ShardCount = idx, shards
-		part, err := s.Tasks(reg)
+		part, err := Shard(full, idx, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,21 +70,3 @@ type Series = report.Series
 
 // FormatSeries renders a series as a two-column table.
 func FormatSeries(s Series) string { return report.FormatSeries(s) }
-
-// LoadCurve is a workload's throughput-vs-latency curve: one open-loop run
-// per offered rate. Build it by sweeping Run with WithLoad over increasing
-// rates (or use the CLI's loadcurve command) and render it with
-// FormatLoadCurve.
-type LoadCurve = report.LoadCurve
-
-// LoadPoint is one point of a LoadCurve: offered vs achieved rate plus the
-// latency percentiles measured from intended start at that rate.
-type LoadPoint = report.LoadPoint
-
-// LoadPointFrom digests one open-loop run's statistics (a
-// WorkloadResult.Load) into a curve point.
-func LoadPointFrom(st *LoadStats) LoadPoint { return report.PointFromStats(st) }
-
-// FormatLoadCurve renders a load curve in the named format: "text",
-// "markdown" or "json".
-func FormatLoadCurve(c LoadCurve, format string) (string, error) { return c.Render(format) }

@@ -2,7 +2,6 @@ package bdbench
 
 import (
 	"context"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/profiling"
 	"github.com/bdbench/bdbench/internal/scenario"
@@ -57,43 +56,6 @@ func WithDataProbes() Option {
 	return func(o *scenario.Options) { o.ProbeData = true }
 }
 
-// WithLoad switches every selected workload to open-loop load generation,
-// overriding the scenario's own rate/arrival/duration fields (including
-// per-entry overrides, so one offered rate governs the whole selection —
-// what a load-curve sweep needs). Executions are dispatched at the arrival
-// process's intended start times at rate operations per second over the
-// duration window, independently of completions, and latency is recorded
-// from the intended start: queueing delay behind a slow operation lands in
-// the tail percentiles instead of being hidden by coordinated omission.
-// Each result's latency-under-load digest is in WorkloadResult.Load.
-func WithLoad(rate float64, duration time.Duration) Option {
-	return func(o *scenario.Options) {
-		loadOverride(o).Rate = rate
-		loadOverride(o).Duration = duration
-	}
-}
-
-// WithArrival selects the arrival process for an open-loop run — one of
-// Arrivals(): "constant" (evenly spaced, the default), "poisson"
-// (exponential inter-arrivals), "bursty" (on/off cycles) or "ramp"
-// (linearly increasing rate). It composes with WithLoad or with a
-// scenario-declared rate.
-func WithArrival(name string) Option {
-	return func(o *scenario.Options) { loadOverride(o).Arrival = name }
-}
-
-// WithTrace switches an open-loop run to the "replay" arrival and selects
-// the corpus its schedule is materialized from: the corpus is generated at
-// scale 1 with the run's seed, its timestamps are extracted into a trace,
-// and each task's arrivals reproduce the trace's temporal shape — bursts
-// and silences included — rescaled onto the run's rate and duration with
-// deterministic jitter. An explicit WithArrival wins over the implied
-// "replay". Composes with WithLoad or a scenario-declared rate; corpora
-// are listed by DataGenerators (the weblog corpus is the natural source).
-func WithTrace(corpus string) Option {
-	return func(o *scenario.Options) { loadOverride(o).Trace = corpus }
-}
-
 // WithProfile runs the requested profilers around the whole five-step
 // process and writes standard pprof/trace files into dir (created if
 // missing; "" means the current directory). Modes are any of
@@ -113,15 +75,6 @@ func WithProfile(dir string, modes ...string) Option {
 
 // ProfileModes returns the supported WithProfile mode names.
 func ProfileModes() []string { return profiling.Modes() }
-
-// loadOverride lazily allocates the load override shared by WithLoad and
-// WithArrival.
-func loadOverride(o *scenario.Options) *scenario.LoadOverride {
-	if o.Load == nil {
-		o.Load = &scenario.LoadOverride{}
-	}
-	return o.Load
-}
 
 // Run executes the scenario's five-step benchmarking process on the
 // concurrent execution engine and returns the analyzed outcome.

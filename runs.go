@@ -91,15 +91,6 @@ func RenderRun(w io.Writer, r *RunArtifact, format string) error {
 // count. `bdbench compare` prints it above the delta tables.
 func RunInfo(r *RunArtifact) string { return report.RunInfo(r) }
 
-// LoadCurveArtifact converts a finished loadcurve sweep into a run
-// artifact: the curve JSON as the payload and, when the per-rate runs
-// captured raw streams (WithSamples), one series per swept point per op,
-// labelled "workload@rate/s". Persist it with WriteRun; CompareRuns then
-// judges two sweeps point-for-point on achieved rate and quantile shifts.
-func LoadCurveArtifact(c LoadCurve, sweeps []*Outcome) (*RunArtifact, error) {
-	return report.BuildLoadCurveArtifact(c, sweeps, Version)
-}
-
 // CorpusArtifact converts a standalone corpus generation into a run
 // artifact: the full DataGenStat as the payload and the corpus digest in
 // the metadata (`RunMeta.Corpora`) — a durable provenance record for a

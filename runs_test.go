@@ -129,6 +129,77 @@ func TestCompareRunsThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestCompareMarksTruncatedStreams: capture keeps the first N observations
+// of a stream and counts the rest, and Compare's quantiles come from what
+// was kept — so a comparison says which rows rest on a prefix. Two runs
+// captured with a bound of 8 (the workload records 100 "check" operations)
+// carry the marker and the drop counts; two complete runs carry neither.
+func TestCompareMarksTruncatedStreams(t *testing.T) {
+	reg := bdbench.NewRegistry()
+	if err := reg.RegisterWorkload(evenCount{}); err != nil {
+		t.Fatal(err)
+	}
+	sc := bdbench.Scenario{Name: "cmp", Entries: []bdbench.Entry{{Workload: "even-count"}}, Seed: 7}
+	compared := func(opts ...bdbench.Option) *bdbench.RunComparison {
+		t.Helper()
+		var runs [2]*bdbench.RunArtifact
+		for i := range runs {
+			path := filepath.Join(t.TempDir(), "run.blob")
+			all := append([]bdbench.Option{bdbench.WithRegistry(reg), bdbench.WithRunOutput(path)}, opts...)
+			if _, err := bdbench.Run(context.Background(), sc, all...); err != nil {
+				t.Fatal(err)
+			}
+			run, err := bdbench.ReadRun(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = run
+		}
+		return bdbench.CompareRuns(runs[0], runs[1], bdbench.CompareOptions{LatencyThreshold: 1000, ThroughputThreshold: 0.99})
+	}
+	render := func(cmp *bdbench.RunComparison, format string) string {
+		t.Helper()
+		s, err := bdbench.FormatComparison(cmp, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	truncated := compared(bdbench.WithSamples(8))
+	found := false
+	for _, d := range truncated.Series {
+		if d.Op != "check" {
+			continue
+		}
+		found = true
+		if d.CountA != 8 || d.DroppedA != 92 || d.DroppedB != 92 {
+			t.Fatalf("check stream under an 8-sample bound: %+v", d)
+		}
+	}
+	if !found {
+		t.Fatalf("no check stream compared: %+v", truncated.Series)
+	}
+	if truncated.Verdict != bdbench.VerdictOK {
+		t.Fatalf("truncation changed the verdict: %s", truncated.Verdict)
+	}
+	for _, format := range []string{"text", "markdown"} {
+		if out := render(truncated, format); !strings.Contains(out, "even-count/check (truncated)") {
+			t.Errorf("%s comparison does not mark the truncated stream:\n%s", format, out)
+		}
+	}
+	if out := render(truncated, "json"); !strings.Contains(out, `"droppedA": 92`) || !strings.Contains(out, `"droppedB": 92`) {
+		t.Errorf("json comparison lost the drop counts:\n%s", out)
+	}
+
+	complete := compared()
+	for _, format := range []string{"text", "markdown", "json"} {
+		if out := render(complete, format); strings.Contains(out, "truncated") || strings.Contains(out, "dropped") {
+			t.Errorf("%s comparison of complete runs mentions truncation:\n%s", format, out)
+		}
+	}
+}
+
 // TestReadRunRejectsGarbage: the public reader surfaces decode errors.
 func TestReadRunRejectsGarbage(t *testing.T) {
 	if _, err := bdbench.ReadRun(filepath.Join(t.TempDir(), "missing.blob")); err == nil {
