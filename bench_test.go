@@ -23,6 +23,7 @@ import (
 	"github.com/bdbench/bdbench/internal/datagen/veracity"
 	"github.com/bdbench/bdbench/internal/engine"
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stacks/dbms"
 	"github.com/bdbench/bdbench/internal/stacks/graphengine"
 	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
@@ -396,8 +397,8 @@ func benchObservers(b *testing.B, goroutines int, mint func() func(time.Duration
 	per := b.N/goroutines + 1
 	var wg sync.WaitGroup
 	// The record path is zero-allocation once a label exists; the allocs/op
-	// column proves it (the fixed goroutine-spawn cost amortizes to zero
-	// over b.N) and benchdiff gates it against the baseline.
+	// column shows it (the fixed goroutine-spawn cost amortizes to zero
+	// over b.N) and TestRecorderDesignsZeroAlloc holds it.
 	b.ReportAllocs()
 	b.ResetTimer()
 	for g := 0; g < goroutines; g++ {
@@ -437,6 +438,30 @@ func BenchmarkCollectorParallel(b *testing.B) {
 			b.Fatal("shard writes lost")
 		}
 	})
+}
+
+// TestRecorderDesignsZeroAlloc holds the allocs/op column of
+// BenchmarkCollectorParallel and BenchmarkCollectorShardScaling at 0 for all
+// three designs, through the recorders the benchmarks run: a comparison in
+// which one side pays for garbage the other does not says nothing about the
+// locking. internal/metrics/alloc_test.go covers the collector's own paths
+// in more detail.
+func TestRecorderDesignsZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not asserted under -race")
+	}
+	for name, mint := range map[string]func() func(time.Duration){
+		"global-mutex":        byLabel(newMutexCollector()),
+		"facade-shared-shard": byLabel(metrics.NewCollector("wl")),
+		"sharded":             byHandles(metrics.NewCollector("wl")),
+	} {
+		record := mint()
+		record(time.Microsecond) // first use installs the labels
+		allocs := testing.AllocsPerRun(1000, func() { record(time.Microsecond) })
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op in steady state, want 0", name, allocs)
+		}
+	}
 }
 
 // BenchmarkCollectorShardScaling shows recording throughput scaling with

@@ -33,7 +33,7 @@ func Architecture() []Layer {
 			Name: "User Interface Layer",
 			Role: "specify benchmarking requirements: data, workloads, metrics, volume, velocity",
 			Components: []string{
-				"core.Plan (benchmark configuration)",
+				"bdbench.Scenario (benchmark configuration; internal/scenario)",
 				"cmd/bdbench (CLI)",
 			},
 		},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,15 @@ func TestArchitectureLayers(t *testing.T) {
 	text := FormatArchitecture(layers)
 	if !strings.Contains(text, "Function Layer") || !strings.Contains(text, "testgen") {
 		t.Fatal("formatted architecture incomplete")
+	}
+	// A component written as pkg.Ident names a Go identifier, which free
+	// text cannot keep honest (core.Plan outlived its deletion here). Each
+	// one printed must be on this list, checked by hand against the code.
+	exists := map[string]bool{"bdbench.Scenario": true}
+	for _, id := range regexp.MustCompile(`\b[a-z]\w*\.[A-Z]\w*`).FindAllString(text, -1) {
+		if !exists[id] {
+			t.Errorf("Figure 2 names %s, which is not a known identifier", id)
+		}
 	}
 }
 

@@ -120,8 +120,8 @@ func TestGeneratorParallelVariantsMatchSequentialChunking(t *testing.T) {
 }
 
 // BenchmarkDatagenParallel measures corpus generation throughput at 1, 2
-// and 4 workers — the speedup evidence behind the parallel pipeline (the
-// CI benchdiff gate tracks these numbers).
+// and 4 workers — the speedup evidence behind the parallel pipeline. The
+// repo benchmark's datagen_corpora workload is what judges it.
 func BenchmarkDatagenParallel(b *testing.B) {
 	for _, name := range []string{"text", "table", "graph"} {
 		cg, ok := datagen.Lookup(name)

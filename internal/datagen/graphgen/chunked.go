@@ -73,56 +73,37 @@ func (e ErdosRenyi) GenerateParallel(seed uint64, scale, workers int) *Graph {
 	return &Graph{N: n, Edges: edges}
 }
 
-// GraphCorpus adapts RMAT to the datagen.Chunked corpus contract: a graph
-// of 2^(scale+ScaleOffset) vertices rendered as one "src<TAB>dst" line per
-// edge.
-type GraphCorpus struct {
-	// RMAT shapes the graph (default DefaultRMAT).
-	RMAT *RMAT
-	// ScaleOffset maps the corpus scale knob to the RMAT vertex scale
-	// (default 10: scale 1 is 2^11 vertices).
-	ScaleOffset int
-}
+// corpusScaleOffset maps the corpus scale knob to the RMAT vertex scale:
+// scale 1 is 2^11 vertices.
+const corpusScaleOffset = 10
+
+// GraphCorpus adapts DefaultRMAT to the datagen.Chunked corpus contract: a
+// graph of 2^(scale+corpusScaleOffset) vertices rendered as one
+// "src<TAB>dst" line per edge.
+type GraphCorpus struct{}
 
 // Name implements datagen.Chunked.
-func (gc GraphCorpus) Name() string { return "graph" }
+func (GraphCorpus) Name() string { return "graph" }
 
-func (gc GraphCorpus) rmat() RMAT {
-	if gc.RMAT != nil {
-		return *gc.RMAT
-	}
-	return DefaultRMAT
-}
-
-func (gc GraphCorpus) vertexScale(scale int) int {
+func vertexScale(scale int) int {
 	if scale < 1 {
 		scale = 1
 	}
-	offset := gc.ScaleOffset
-	if offset <= 0 {
-		offset = 10
-	}
-	return scale + offset
+	return scale + corpusScaleOffset
 }
 
 // Plan implements datagen.Chunked.
-func (gc GraphCorpus) Plan(scale int) []datagen.Chunk {
-	r := gc.rmat()
-	ef := r.EdgeFactor
-	if ef <= 0 {
-		ef = 16
-	}
-	n := int64(1) << uint(gc.vertexScale(scale))
-	return datagen.PlanChunks(n*int64(ef), chunkEdges)
+func (GraphCorpus) Plan(scale int) []datagen.Chunk {
+	n := int64(1) << uint(vertexScale(scale))
+	return datagen.PlanChunks(n*int64(DefaultRMAT.EdgeFactor), chunkEdges)
 }
 
 // GenerateChunk implements datagen.Chunked.
-func (gc GraphCorpus) GenerateChunk(g *stats.RNG, scale int, c datagen.Chunk) ([]byte, error) {
-	r := gc.rmat()
-	vs := gc.vertexScale(scale)
+func (GraphCorpus) GenerateChunk(g *stats.RNG, scale int, c datagen.Chunk) ([]byte, error) {
+	vs := vertexScale(scale)
 	var out []byte
 	for i := c.Start; i < c.End; i++ {
-		e := r.edge(g, vs)
+		e := DefaultRMAT.edge(g, vs)
 		out = fmt.Appendf(out, "%d\t%d\n", e.Src, e.Dst)
 	}
 	return out, nil

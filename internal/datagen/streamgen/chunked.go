@@ -44,45 +44,33 @@ func (gen Generator) chunk(g *stats.RNG, c datagen.Chunk) []Event {
 	return part
 }
 
+// corpusEventsPerScale is the "stream" corpus's event count per scale unit.
+const corpusEventsPerScale = 10000
+
+// corpusGen shapes the "stream" corpus: constant arrivals, a 75/20/5
+// insert/update/delete mix.
+var corpusGen = Generator{Mix: Mix{UpdateFraction: 0.2, DeleteFraction: 0.05}}
+
 // StreamCorpus adapts the event-stream generator to the datagen.Chunked
-// corpus contract: scale*EventsPerScale events rendered as one
+// corpus contract: events rendered as one
 // "seq<TAB>offset-ns<TAB>kind<TAB>key<TAB>value" line each.
-type StreamCorpus struct {
-	// Gen shapes the stream (default: constant arrivals, all inserts).
-	Gen *Generator
-	// EventsPerScale is the event count per scale unit (default 10000).
-	EventsPerScale int64
-}
+type StreamCorpus struct{}
 
 // Name implements datagen.Chunked.
-func (sc StreamCorpus) Name() string { return "stream" }
-
-func (sc StreamCorpus) gen() Generator {
-	if sc.Gen != nil {
-		return *sc.Gen
-	}
-	return Generator{Mix: Mix{UpdateFraction: 0.2, DeleteFraction: 0.05}}
-}
-
-func (sc StreamCorpus) eventsPerScale() int64 {
-	if sc.EventsPerScale <= 0 {
-		return 10000
-	}
-	return sc.EventsPerScale
-}
+func (StreamCorpus) Name() string { return "stream" }
 
 // Plan implements datagen.Chunked.
-func (sc StreamCorpus) Plan(scale int) []datagen.Chunk {
+func (StreamCorpus) Plan(scale int) []datagen.Chunk {
 	if scale < 1 {
 		scale = 1
 	}
-	return datagen.PlanChunks(int64(scale)*sc.eventsPerScale(), chunkEvents)
+	return datagen.PlanChunks(int64(scale)*corpusEventsPerScale, chunkEvents)
 }
 
 // GenerateChunk implements datagen.Chunked.
-func (sc StreamCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+func (StreamCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
 	var out []byte
-	for _, ev := range sc.gen().chunk(g, c) {
+	for _, ev := range corpusGen.chunk(g, c) {
 		out = fmt.Appendf(out, "%d\t%d\t%s\t%s\t%s\n", ev.Seq, int64(ev.Offset), ev.Kind, ev.Key, ev.Value)
 	}
 	return out, nil

@@ -17,50 +17,34 @@ func ReferenceTableParallel(seed uint64, rows int64, workers int) *data.Table {
 	return ReferenceSpec(seed).GenerateParallel(rows, workers)
 }
 
-// TableCorpus adapts a TableSpec to the datagen.Chunked corpus contract:
-// scale*RowsPerScale rows rendered as one tab-separated line each. The
-// corpus seed passed to the driver governs chunk RNGs; Spec.Seed is unused
-// on this path.
-type TableCorpus struct {
-	// Spec shapes the rows (default: the reference orders table).
-	Spec *TableSpec
-	// RowsPerScale is the row count per scale unit (default 2000).
-	RowsPerScale int64
-}
+// corpusRowsPerScale is the "table" corpus's row count per scale unit.
+const corpusRowsPerScale = 2000
+
+// TableCorpus adapts the reference orders table to the datagen.Chunked
+// corpus contract: rows rendered as one tab-separated line each. The corpus
+// seed passed to the driver governs chunk RNGs; the spec's own Seed is
+// unused on this path.
+type TableCorpus struct{}
 
 // Name implements datagen.Chunked.
-func (tc TableCorpus) Name() string { return "table" }
+func (TableCorpus) Name() string { return "table" }
 
-// defaultCorpusSpec is built once: GenerateChunk runs per chunk, and
-// rebuilding the column generators there would be redundant allocation on
-// the parallel hot path.
-var defaultCorpusSpec = sync.OnceValue(func() TableSpec { return ReferenceSpec(0) })
-
-func (tc TableCorpus) spec() TableSpec {
-	if tc.Spec != nil {
-		return *tc.Spec
-	}
-	return defaultCorpusSpec()
-}
-
-func (tc TableCorpus) rowsPerScale() int64 {
-	if tc.RowsPerScale <= 0 {
-		return 2000
-	}
-	return tc.RowsPerScale
-}
+// corpusSpec is built once: GenerateChunk runs per chunk, and rebuilding
+// the column generators there would be redundant allocation on the parallel
+// hot path.
+var corpusSpec = sync.OnceValue(func() TableSpec { return ReferenceSpec(0) })
 
 // Plan implements datagen.Chunked.
-func (tc TableCorpus) Plan(scale int) []datagen.Chunk {
+func (TableCorpus) Plan(scale int) []datagen.Chunk {
 	if scale < 1 {
 		scale = 1
 	}
-	return datagen.PlanChunks(int64(scale)*tc.rowsPerScale(), tc.spec().chunkSize())
+	return datagen.PlanChunks(int64(scale)*corpusRowsPerScale, corpusSpec().chunkSize())
 }
 
 // GenerateChunk implements datagen.Chunked.
-func (tc TableCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
-	spec := tc.spec()
+func (TableCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+	spec := corpusSpec()
 	var sb strings.Builder
 	for r := c.Start; r < c.End; r++ {
 		for i, v := range spec.genRow(g, r) {

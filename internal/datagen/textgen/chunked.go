@@ -81,61 +81,40 @@ func ReferenceCorpusParallel(seed uint64, docs, meanLen, workers int) Corpus {
 	return NewReferenceModel().GenerateCorpusParallel(seed, docs, meanLen, workers)
 }
 
+// The "text" corpus is corpusDocsPerScale documents per scale unit of
+// corpusMeanLen mean words each, in dictionary mode over the built-in themed
+// word list.
+const (
+	corpusDocsPerScale = 1000
+	corpusMeanLen      = 12
+)
+
 // CorpusGen adapts dictionary-mode random text to the datagen.Chunked
-// corpus contract: scale*DocsPerScale documents rendered one per line.
-type CorpusGen struct {
-	// Text is the generator (default: dictionary mode over the built-in
-	// themed word list).
-	Text *RandomText
-	// DocsPerScale is the document count per scale unit (default 1000).
-	DocsPerScale int
-	// MeanLen is the mean words per document (default 12).
-	MeanLen int
-}
+// corpus contract: documents rendered one per line.
+type CorpusGen struct{}
 
 // Name implements datagen.Chunked.
-func (cg CorpusGen) Name() string { return "text" }
+func (CorpusGen) Name() string { return "text" }
 
-func (cg CorpusGen) docsPerScale() int {
-	if cg.DocsPerScale <= 0 {
-		return 1000
-	}
-	return cg.DocsPerScale
-}
-
-func (cg CorpusGen) meanLen() int {
-	if cg.MeanLen <= 0 {
-		return 12
-	}
-	return cg.MeanLen
-}
-
-// defaultCorpusText is built once: GenerateChunk runs per chunk, and
-// rebuilding the dictionary there would put a redundant allocation on the
-// parallel hot path.
-var defaultCorpusText = sync.OnceValue(func() RandomText {
+// corpusText is built once: GenerateChunk runs per chunk, and rebuilding
+// the dictionary there would put a redundant allocation on the parallel hot
+// path.
+var corpusText = sync.OnceValue(func() RandomText {
 	return RandomText{Dictionary: DefaultDictionary()}
 })
 
-func (cg CorpusGen) text() RandomText {
-	if cg.Text != nil {
-		return *cg.Text
-	}
-	return defaultCorpusText()
-}
-
 // Plan implements datagen.Chunked.
-func (cg CorpusGen) Plan(scale int) []datagen.Chunk {
+func (CorpusGen) Plan(scale int) []datagen.Chunk {
 	if scale < 1 {
 		scale = 1
 	}
-	return datagen.PlanChunks(int64(scale)*int64(cg.docsPerScale()), chunkDocs)
+	return datagen.PlanChunks(int64(scale)*corpusDocsPerScale, chunkDocs)
 }
 
 // GenerateChunk implements datagen.Chunked.
-func (cg CorpusGen) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+func (CorpusGen) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
 	var sb strings.Builder
-	for _, doc := range cg.text().Generate(g, int(c.Len()), cg.meanLen()) {
+	for _, doc := range corpusText().Generate(g, int(c.Len()), corpusMeanLen) {
 		sb.WriteString(strings.Join(doc, " "))
 		sb.WriteByte('\n')
 	}

@@ -40,47 +40,40 @@ func (gen Generator) chunk(g *stats.RNG, orders *data.Table, custIdx, prodIdx in
 	return gen.sessions(g, orders, custIdx, prodIdx, int(c.Len()), at)
 }
 
-// LogCorpus adapts the web-log generator to the datagen.Chunked corpus
-// contract: scale*RecordsPerScale Apache combined-log lines derived from an
+// corpusRecordsPerScale is the "weblog" corpus's record count per scale unit.
+const corpusRecordsPerScale = 5000
+
+// LogCorpus adapts the web-log generator (at its defaults) to the
+// datagen.Chunked corpus contract: Apache combined-log lines derived from an
 // orders table.
 type LogCorpus struct {
 	// Orders supplies the table sessions derive from; it is called lazily
 	// so registries can defer table construction, and must return the same
 	// table on every call.
 	Orders func() *data.Table
-	// Gen shapes the sessions (zero value: defaults).
-	Gen Generator
-	// RecordsPerScale is the record count per scale unit (default 5000).
-	RecordsPerScale int
 }
 
 // Name implements datagen.Chunked.
-func (lc LogCorpus) Name() string { return "weblog" }
-
-func (lc LogCorpus) recordsPerScale() int {
-	if lc.RecordsPerScale <= 0 {
-		return 5000
-	}
-	return lc.RecordsPerScale
-}
+func (LogCorpus) Name() string { return "weblog" }
 
 // Plan implements datagen.Chunked.
-func (lc LogCorpus) Plan(scale int) []datagen.Chunk {
+func (LogCorpus) Plan(scale int) []datagen.Chunk {
 	if scale < 1 {
 		scale = 1
 	}
-	return datagen.PlanChunks(int64(scale)*int64(lc.recordsPerScale()), chunkRecords)
+	return datagen.PlanChunks(int64(scale)*corpusRecordsPerScale, chunkRecords)
 }
 
 // GenerateChunk implements datagen.Chunked.
 func (lc LogCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+	var gen Generator
 	orders := lc.Orders()
-	custIdx, prodIdx, err := lc.Gen.tableIndexes(orders)
+	custIdx, prodIdx, err := gen.tableIndexes(orders)
 	if err != nil {
 		return nil, err
 	}
 	var sb strings.Builder
-	for _, r := range lc.Gen.chunk(g, orders, custIdx, prodIdx, c) {
+	for _, r := range gen.chunk(g, orders, custIdx, prodIdx, c) {
 		sb.WriteString(r.Format())
 		sb.WriteByte('\n')
 	}

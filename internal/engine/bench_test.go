@@ -21,9 +21,9 @@ func noopTask() Task {
 
 // BenchmarkEngineRepOverhead measures the engine's fixed per-operation
 // cost: one awaitRun round trip with a no-op workload — the path open-loop
-// mode pays for every dispatched operation. The allocs/op column is gated
-// by benchdiff (RepOverhead filter); the done-channel pool keeps it to the
-// goroutine spawn plus the workload closure.
+// mode pays for every dispatched operation. The done-channel pool keeps the
+// allocs/op column to the goroutine spawn plus the workload closure;
+// TestAwaitRunAllocBound holds it there.
 func BenchmarkEngineRepOverhead(b *testing.B) {
 	t := noopTask()
 	c := metrics.NewCollector("bench")

@@ -30,8 +30,8 @@ func BenchmarkSchedule(b *testing.B) {
 // BenchmarkDispatchSteadyState measures the per-operation hot path in
 // isolation — execOne through its three pre-resolved OpRefs, on a
 // fixed clock so time-source cost is excluded. This is the zero-allocation
-// contract's loadgen half: the allocs/op column must stay at 0 (benchdiff
-// gates it against the baseline with exact-zero semantics).
+// contract's loadgen half: the allocs/op column must stay at 0
+// (TestDispatchSteadyStateZeroAlloc holds it there).
 func BenchmarkDispatchSteadyState(b *testing.B) {
 	c := metrics.NewCollector("bench")
 	base := time.Unix(1000, 0)

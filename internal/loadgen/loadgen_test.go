@@ -277,7 +277,8 @@ func TestSleepContextTimerReuse(t *testing.T) {
 // TestDispatchSteadyStateZeroAlloc asserts the per-operation hot path —
 // execOne through the histograms and the pre-resolved OpRefs — allocates
 // nothing once the run state exists. This is the loadgen half of the
-// zero-allocation contract; BenchmarkDispatchSteadyState gates it in CI.
+// zero-allocation contract; BenchmarkDispatchSteadyState prices the same
+// path.
 func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 	c := metrics.NewCollector("wl")
 	op := func(context.Context) error { return nil }

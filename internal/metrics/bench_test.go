@@ -7,7 +7,7 @@ import (
 
 // BenchmarkCollectorRecord measures the bare record path through a
 // pre-resolved OpRef — the baseline the sampled variant is judged against.
-// Gated by benchdiff (the "Collector" filter) with exact-zero allocs/op.
+// TestOpRefZeroAlloc holds its allocs/op at 0.
 func BenchmarkCollectorRecord(b *testing.B) {
 	c := NewCollector("bench")
 	op := c.Op("op")

@@ -2,11 +2,14 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/bdbench/bdbench/internal/stats"
 )
 
 func TestSamplingDisabledByDefault(t *testing.T) {
@@ -283,6 +286,52 @@ func TestFirstObservationRace(t *testing.T) {
 		if op.Count != writers || len(r.Samples[i].Values) != writers || r.Samples[i].Dropped != 0 {
 			t.Fatalf("%s: count %d, %d samples, %d dropped, want %d/%d/0",
 				op.Op, op.Count, len(r.Samples[i].Values), r.Samples[i].Dropped, writers, writers)
+		}
+	}
+}
+
+// TestSampleQuantilesAgreeWithHistogram cross-checks the two quantile
+// sources a run carries. With nothing dropped, the nearest-rank quantile of
+// the captured stream (what `bdbench compare` recomputes) and the same op's
+// OpStats quantile (what the reporters print) pick the same observation, so
+// they differ only by the histogram's rounding down to its bucket start:
+// 1µs below 64µs, at most 1/32 of the value above.
+func TestSampleQuantilesAgreeWithHistogram(t *testing.T) {
+	const n = 20000
+	g := stats.NewRNG(7)
+	for _, stream := range []struct {
+		name string
+		draw func() time.Duration
+	}{
+		{"uniform", func() time.Duration { return time.Duration(g.Int64N(int64(10 * time.Millisecond))) }},
+		{"heavy-tailed", func() time.Duration { return time.Duration(50e3 * math.Exp(2*g.NormFloat64())) }},
+		{"single-value", func() time.Duration { return 1234567 }},
+	} {
+		name := stream.name
+		c := NewCollector("wl")
+		c.EnableSampling(n)
+		op := c.Op(name)
+		for i := 0; i < n; i++ {
+			op.Observe(stream.draw())
+		}
+		c.SetElapsed(time.Second)
+		r := c.Snapshot()
+		if len(r.Samples) != 1 || r.Samples[0].Dropped != 0 || len(r.Samples[0].Values) != n {
+			t.Fatalf("%s: stream not captured whole: %+v", name, r.Samples)
+		}
+		vals := r.Samples[0].Values
+		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+		st := r.Ops[0]
+		for _, q := range []struct {
+			q    float64
+			hist time.Duration
+		}{{0.50, st.P50}, {0.95, st.P95}, {0.99, st.P99}} {
+			raw := time.Duration(vals[int(math.Ceil(q.q*n))-1])
+			bucket := max(time.Microsecond, raw/32)
+			if q.hist > raw || raw-q.hist >= bucket {
+				t.Errorf("%s p%.0f: stream %v, histogram %v, more than one bucket (%v) apart",
+					name, q.q*100, raw, q.hist, bucket)
+			}
 		}
 	}
 }

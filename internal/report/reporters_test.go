@@ -165,12 +165,19 @@ func TestJSONReporterCarriesLoad(t *testing.T) {
 }
 
 // TestRenderRunOtherKindsAreJSONDocuments: only a scenario payload goes
-// through the reporters. Any other kind — here a loadcurve blob written
-// before sweeps became scenarios — renders as the JSON document it is, in
-// every format, instead of failing as an unknown kind.
+// through the reporters. Any other kind — here the two retired ones, a
+// loadcurve blob written before sweeps became scenarios and a bench blob
+// written by the deleted microbenchmark gate — renders as the JSON document
+// it is, in every format, instead of failing as an unknown kind.
 func TestRenderRunOtherKindsAreJSONDocuments(t *testing.T) {
+	for _, kind := range []string{"loadcurve", "bench"} {
+		t.Run(kind, func(t *testing.T) { testRendersAsJSONDocument(t, kind) })
+	}
+}
+
+func testRendersAsJSONDocument(t *testing.T, kind string) {
 	run := &runstore.Run{Meta: runstore.Meta{
-		Kind:    "loadcurve",
+		Kind:    kind,
 		Payload: json.RawMessage(`{"workload":"grep","points":[{"offered":10,"p99":2496000}]}`),
 	}}
 	for _, format := range []string{"text", "markdown", "json"} {

@@ -19,8 +19,8 @@ import (
 // RenderRun re-renders a saved run artifact in the named format ("text",
 // "markdown", "json"). A scenario blob's payload is the full Outcome, so it
 // goes through the reporters and renders exactly as the live run did. Any
-// other kind's payload — benchdiff results, a DataGenStat, a caller-defined
-// document, a loadcurve blob from before sweeps were scenarios — is a
+// other kind's payload — a DataGenStat, a caller-defined document, a bench
+// or loadcurve blob from before those kinds were retired — is a
 // self-describing JSON document and renders as-is, whatever the format.
 func RenderRun(w io.Writer, run *runstore.Run, format string) error {
 	if run.Meta.Kind == runstore.KindScenario {

@@ -13,7 +13,7 @@ func FuzzDecode(f *testing.F) {
 	// fuzzer starts at the interesting boundaries instead of random noise.
 	seeds := []*Run{
 		sampleRun(),
-		{Meta: Meta{Kind: KindBench}},
+		{Meta: Meta{Kind: "bench"}},
 		{Meta: Meta{Kind: KindScenario}, Series: []Series{{Workload: "w", Op: "o",
 			Samples: []Sample{{Offset: -1, Value: -1}, {Offset: 0, Value: 1 << 62}}}}},
 	}

@@ -4,9 +4,8 @@
 // spec digest, seed, corpus digests, achieved load and environment. Where
 // the reporters summarize and discard, a blob keeps the evidence, so the
 // question "did run B regress against run A?" can be answered from files
-// (Compare), any saved run can be re-rendered (internal/report.RenderRun),
-// and the local performance trajectory accumulates re-comparable snapshots
-// instead of one-off printouts.
+// (Compare) and any saved run can be re-rendered
+// (internal/report.RenderRun).
 //
 // The encoding is mebo-style columnar: per-series timestamp and value
 // columns, delta-of-delta varint timestamps, XOR-folded varint values,
@@ -39,10 +38,6 @@ const (
 	// Outcome JSON, and the series are the workloads' captured per-op
 	// latency streams. A loadcurve sweep is one (an entry per rate).
 	KindScenario = "scenario"
-	// KindBench is a `go test -bench` result set written by benchdiff:
-	// Payload holds the benchdiff results JSON, and each benchmark is a
-	// one-sample series whose value is its ns/op.
-	KindBench = "bench"
 	// KindCorpus is a standalone corpus generation (`bdbench datagen -out`):
 	// Payload holds the DataGenStat JSON and Meta.Corpora carries the
 	// corpus digest — the provenance record for a generated dataset.
@@ -135,7 +130,7 @@ type WorkloadMeta struct {
 // Meta is the run's metadata block, stored as JSON inside the blob.
 type Meta struct {
 	// Kind discriminates how Payload is interpreted (KindScenario,
-	// KindBench, KindCorpus, or a caller-defined kind).
+	// KindCorpus, or a caller-defined kind).
 	Kind string `json:"kind"`
 	// Name labels the run (the scenario name, the swept workload, ...).
 	Name string `json:"name,omitempty"`
@@ -162,8 +157,8 @@ type Meta struct {
 	// marker is what distinguishes "partial by failure" from "complete".
 	Degraded []string `json:"degraded,omitempty"`
 	// Payload is the kind-specific full result document (scenario Outcome,
-	// benchdiff Results, DataGenStat), preserved verbatim so a saved run
-	// re-renders exactly as the live one did.
+	// DataGenStat), preserved verbatim so a saved run re-renders exactly as
+	// the live one did.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 

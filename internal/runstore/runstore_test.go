@@ -123,8 +123,8 @@ func TestCanonicalizationDigestStableAcrossShuffles(t *testing.T) {
 
 func TestEmptyAndSingleSeries(t *testing.T) {
 	for _, r := range []*Run{
-		{Meta: Meta{Kind: KindBench}},
-		{Meta: Meta{Kind: KindBench}, Series: []Series{{Workload: "bench", Op: "BenchmarkX", Samples: []Sample{{Value: 123}}}}},
+		{Meta: Meta{Kind: "bench"}},
+		{Meta: Meta{Kind: "bench"}, Series: []Series{{Workload: "bench", Op: "BenchmarkX", Samples: []Sample{{Value: 123}}}}},
 		{Meta: Meta{Kind: KindScenario}, Series: []Series{{Workload: "w", Op: "o"}}}, // zero samples
 	} {
 		raw, err := Encode(r)

@@ -6,10 +6,10 @@
 // five-step benchmarking process over the selection on the concurrent
 // execution engine.
 //
-// The spec subsumes core.Plan: a plan is exactly a one-entry scenario that
-// selects a whole suite. Defaulting happens in one place — Normalized —
-// and Validate rejects everything else (negative sizes, unknown names,
-// empty selections) instead of silently rewriting it.
+// Running a whole suite is a one-entry scenario that selects it. Defaulting
+// happens in one place — Normalized — and Validate rejects everything else
+// (negative sizes, unknown names, empty selections) instead of silently
+// rewriting it.
 //
 // Spec v2 makes the layer compositional: an Entry may, instead of
 // selecting registered workloads, declare an operation Pattern — a
