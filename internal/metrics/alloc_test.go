@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math/bits"
 	"testing"
 	"time"
 
@@ -154,5 +155,58 @@ func TestOpRefSubstrateShard(t *testing.T) {
 	}
 	if r.Throughput != 0 {
 		t.Fatalf("substrate-only observations must not feed throughput: %v", r.Throughput)
+	}
+}
+
+// TestOpRefSampledZeroAllocBetweenGrowthSteps: a capture buffer allocates
+// when a claim lands in a segment that does not exist yet and at no other
+// time. Fill a cell to the start of a segment large enough to take the whole
+// measurement, then record inside it: zero allocations. Then fill a cell to
+// capacity and count what growth cost over its whole life: one segment per
+// doubling, at most ⌈log2(n/firstSegment)⌉+1 of them.
+func TestOpRefSampledZeroAllocBetweenGrowthSteps(t *testing.T) {
+	c := NewCollector("wl")
+	c.EnableSampling(0)
+	op := c.Op("op")
+	const k = 5 // segment 5 holds 2048 slots; AllocsPerRun makes 1001 calls
+	for i := uint64(0); i <= segmentStart(k); i++ {
+		op.Observe(time.Microsecond) // the last one installs segment k
+	}
+	if _, segments := slotsAllocated(bufOf(op)); segments != k+1 {
+		t.Fatalf("%d segments after %d observations, want %d", segments, segmentStart(k)+1, k+1)
+	}
+	assertZeroAllocs(t, "OpRef.Observe (between growth steps)", func() {
+		op.Observe(time.Microsecond)
+	})
+	if _, segments := slotsAllocated(bufOf(op)); segments != k+1 {
+		t.Fatalf("the measured calls crossed into segment %d", segments-1)
+	}
+}
+
+// TestSampleBufGrowthSteps counts the growth steps of a buffer over its whole
+// life, filled to and past capacity: the segments are exactly what the kept
+// samples need — never more than ⌈log2(n/firstSegment)⌉+1 — and a step costs
+// at most a slot array and a slice box.
+func TestSampleBufGrowthSteps(t *testing.T) {
+	st := &samplingState{capacity: DefaultSampleCapacity, start: time.Now(), now: time.Now}
+	for _, n := range []int{1, 64, 65, 1000, 4032, 4033, DefaultSampleCapacity + 7} {
+		var b *sampleBuf
+		allocs := testing.AllocsPerRun(1, func() {
+			b = newSampleBuf(st)
+			for i := 0; i < n; i++ {
+				b.record(time.Microsecond)
+			}
+		})
+		kept := min(n, DefaultSampleCapacity)
+		want := segmentsFor(kept)
+		if log2 := bits.Len(uint((kept-1)/firstSegment)) + 1; want > log2 {
+			t.Fatalf("segmentsFor(%d) = %d exceeds ⌈log2(n/%d)⌉+1 = %d", kept, want, firstSegment, log2)
+		}
+		if slots, segments := slotsAllocated(b); segments != want || slots > DefaultSampleCapacity {
+			t.Errorf("%d observations: %d segments holding %d slots, want %d segments", n, segments, slots, want)
+		}
+		if allocs > float64(2*want) && !raceflag.Enabled {
+			t.Errorf("%d observations: %.0f allocations for %d segments, want at most two each", n, allocs, want)
+		}
 	}
 }

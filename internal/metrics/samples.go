@@ -1,67 +1,128 @@
 package metrics
 
 import (
+	"math/bits"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Raw sample capture: an optional sink alongside the always-on histograms.
 // When a collector enables sampling, every operation cell built from then on
-// gets, on its first observation, a fixed buffer of (offset, value) pairs,
-// filled on the record path with two atomic stores and drained only at
-// Snapshot — the same contract as the histograms, so the zero-alloc record
-// path survives intact and a handle that is never used costs no buffer.
+// gets, on its first observation, a buffer of (offset, value) pairs, filled
+// on the record path with two atomic stores and drained only at Snapshot —
+// the same contract as the histograms, so the zero-alloc record path
+// survives intact and a handle that is never used costs no buffer. The
+// buffer is segmented: it starts at firstSegment slots and doubles as
+// observations arrive, so what a cell costs follows what it observed (at
+// most twice that, plus the first segment) and the configured capacity is
+// only the bound at which it stops growing and starts counting drops.
 // The drained streams become Result.Samples, which internal/scenario
 // persists through internal/runstore as the run's durable evidence.
 
-// DefaultSampleCapacity is the per-operation-cell buffer size used when
-// sampling is enabled without an explicit capacity. At 16 bytes a sample, a
-// full cell is 1 MiB — small next to the corpora the workloads generate.
+// DefaultSampleCapacity is the per-operation-cell bound on kept samples used
+// when sampling is enabled without an explicit capacity. It is a ceiling,
+// not a reservation: a cell holds 16 bytes a slot for at most twice the
+// observations it has seen, so only a cell that fills up reaches 1 MiB.
 const DefaultSampleCapacity = 1 << 16
 
+// Segment geometry. Segment k holds slots [firstSegment·(2^k−1),
+// firstSegment·(2^(k+1)−1)): the first has firstSegment slots and each next
+// one doubles, so locating a slot is one bits.Len64 and a cell that observed
+// n samples holds fewer than 2n+firstSegment slots. maxSegments is where a
+// slot index below 2^63 can land at most, so any int capacity fits the
+// directory.
+const (
+	firstSegmentBits = 6
+	firstSegment     = 1 << firstSegmentBits
+	maxSegments      = 64 - firstSegmentBits
+)
+
 // samplingState is the capture configuration shared by every shard (and so
-// every cell buffer) of one collector: buffer capacity, the run's origin for
-// offsets, and the clock. The clock is injectable so determinism tests can
-// freeze it; production use is time.Now.
+// every cell buffer) of one collector: the per-cell bound on kept samples,
+// the run's origin for offsets, and the clock. The clock is injectable so
+// determinism tests can freeze it; production use is time.Now.
 type samplingState struct {
 	capacity int
 	start    time.Time
 	now      func() time.Time
 }
 
-// sampleBuf is one observed operation cell's capture buffer. Writers
-// claim a slot with one atomic add and fill it with two atomic stores;
-// overflow keeps counting but stops writing, so the drop count is exact and
-// the record path never blocks, grows, or allocates. Reads (drain) are
-// likewise atomic, making concurrent snapshot-while-recording race-clean —
-// a drain that overlaps an in-flight claim may see that slot's zero value,
-// the same soft-read semantics Snapshot already has for histograms.
+// slot is one captured observation: nanoseconds from the sampling origin and
+// the latency in nanoseconds, side by side so both stores hit one cache line.
+type slot struct{ off, val atomic.Int64 }
+
+// sampleBuf is one observed operation cell's capture buffer. Writers claim a
+// slot with one atomic add and fill it with two atomic stores; past capacity
+// the claim counter keeps counting but nothing is written, so the drop count
+// is exact. The record path never blocks or allocates except at a growth
+// step — the first claim to land in a segment that does not exist yet
+// installs it (grow), at most maxSegments times in a cell's life. Reads
+// (drain) are likewise atomic, making concurrent snapshot-while-recording
+// race-clean — a drain that overlaps an in-flight claim may see that slot's
+// zero value, or stop at a segment still being installed: the same soft-read
+// semantics Snapshot already has for histograms.
 type sampleBuf struct {
-	st   *samplingState
-	n    atomic.Uint64
-	offs []atomic.Int64
-	vals []atomic.Int64
+	st    *samplingState
+	n     atomic.Uint64
+	segs  [maxSegments]atomic.Pointer[[]slot]
+	mu    sync.Mutex // serializes growth steps only
+	first []slot     // segment 0, so an observed cell costs one slot array and no box
 }
 
 func newSampleBuf(st *samplingState) *sampleBuf {
-	return &sampleBuf{
-		st:   st,
-		offs: make([]atomic.Int64, st.capacity),
-		vals: make([]atomic.Int64, st.capacity),
-	}
+	b := &sampleBuf{st: st}
+	b.first = make([]slot, b.segmentLen(0))
+	b.segs[0].Store(&b.first)
+	return b
 }
 
-// record captures one observation. Zero allocations, no locks, no growth.
+// segmentStart is the index of segment k's first slot.
+func segmentStart(k int) uint64 { return firstSegment<<k - firstSegment }
+
+// segmentLen is segment k's slot count: double the previous one, cut so the
+// segments together never exceed capacity.
+func (b *sampleBuf) segmentLen(k int) int {
+	return int(min(uint64(firstSegment)<<k, uint64(b.st.capacity)-segmentStart(k)))
+}
+
+// record captures one observation. Between growth steps: zero allocations,
+// no locks — one atomic add, a locate, one atomic pointer load, two atomic
+// stores.
 //
 //bdbench:hotpath
 func (b *sampleBuf) record(d time.Duration) {
 	idx := b.n.Add(1) - 1
-	if idx >= uint64(len(b.vals)) {
+	if idx >= uint64(b.st.capacity) {
 		return // buffer full: counted as dropped at drain time
 	}
-	b.offs[idx].Store(int64(b.st.now().Sub(b.st.start)))
-	b.vals[idx].Store(int64(d))
+	off := int64(b.st.now().Sub(b.st.start))
+	k := bits.Len64(idx>>firstSegmentBits+1) - 1
+	seg := b.segs[k].Load()
+	if seg == nil {
+		seg = b.grow(k)
+	}
+	s := &(*seg)[idx-segmentStart(k)]
+	s.off.Store(off)
+	s.val.Store(int64(d))
+}
+
+// grow installs segment k. Claimants that land in a missing segment queue on
+// the buffer's mutex rather than racing a compare-and-swap, as first
+// observers do in opCell.install: zeroing a segment takes far longer than an
+// operation, so a racing design has every loser allocate — and discard — a
+// segment of its own. The caller computed its duration and its offset before
+// it got here, so time spent growing is never inside a recorded value.
+func (b *sampleBuf) grow(k int) *[]slot {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if seg := b.segs[k].Load(); seg != nil {
+		return seg
+	}
+	seg := make([]slot, b.segmentLen(k))
+	b.segs[k].Store(&seg)
+	return &seg
 }
 
 // OpSamples is one operation's captured raw latency stream, drained from
@@ -141,19 +202,25 @@ func (s *Shard) drainSamples(dst map[sampleKey]*OpSamples) {
 		if n == 0 {
 			continue
 		}
-		filled := n
-		if max := uint64(len(b.vals)); filled > max {
-			filled = max
-		}
+		filled := min(n, uint64(b.st.capacity))
 		k := sampleKey{op: op, substrate: s.substrate}
 		os := dst[k]
 		if os == nil {
 			os = &OpSamples{Op: op, Substrate: s.substrate}
 			dst[k] = os
 		}
-		for i := uint64(0); i < filled; i++ {
-			os.Offsets = append(os.Offsets, b.offs[i].Load())
-			os.Values = append(os.Values, b.vals[i].Load())
+		// Segments in slot order reproduce claim order.
+		for i, left := 0, filled; left > 0; i++ {
+			seg := b.segs[i].Load()
+			if seg == nil {
+				break // claimed, not yet installed: its writers are still in flight
+			}
+			part := (*seg)[:min(left, uint64(len(*seg)))]
+			for j := range part {
+				os.Offsets = append(os.Offsets, part[j].off.Load())
+				os.Values = append(os.Values, part[j].val.Load())
+			}
+			left -= uint64(len(part))
 		}
 		os.Dropped += n - filled
 	}

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -226,7 +228,7 @@ func TestSamplingDefaultCapacity(t *testing.T) {
 // reaches a Result, and the first observation creates its row and series.
 func TestHandlesAreFreeUntilUsed(t *testing.T) {
 	c := NewCollector("wl")
-	c.EnableSampling(0) // default capacity: 1 MiB of buffer per observed cell
+	c.EnableSampling(0)
 	var refs [64]OpRef
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -235,9 +237,13 @@ func TestHandlesAreFreeUntilUsed(t *testing.T) {
 		refs[i] = s.Op(fmt.Sprintf("op-%02d", i))
 	}
 	runtime.ReadMemStats(&after)
-	const oneBuffer = DefaultSampleCapacity * 16
-	if got := after.TotalAlloc - before.TotalAlloc; got > oneBuffer/4 {
-		t.Fatalf("64 unused handles allocated %d bytes; one capture buffer is %d", got, oneBuffer)
+	// What the first observation of one cell allocates: the histogram, the
+	// buffer header and the first segment (16 KiB + 0.5 KiB + 1 KiB). The 64
+	// handles — cells and copy-on-write map growth — must stay well below
+	// what observing all of them would cost.
+	const observedCell = unsafe.Sizeof(opState{}) + unsafe.Sizeof(sampleBuf{}) + firstSegment*unsafe.Sizeof(slot{})
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(len(refs)*int(observedCell)/4) {
+		t.Fatalf("64 unused handles allocated %d bytes; one observed cell is %d", got, observedCell)
 	}
 	c.SetElapsed(time.Second)
 	if r := c.Snapshot(); len(r.Ops) != 0 || len(r.Samples) != 0 {
@@ -332,6 +338,201 @@ func TestSampleQuantilesAgreeWithHistogram(t *testing.T) {
 				t.Errorf("%s p%.0f: stream %v, histogram %v, more than one bucket (%v) apart",
 					name, q.q*100, raw, q.hist, bucket)
 			}
+		}
+	}
+}
+
+// bufOf is the capture buffer of the (observed, capturing) cell behind ref.
+func bufOf(ref OpRef) *sampleBuf { return ref.cell.state.Load().buf }
+
+// slotsAllocated is the number of slots b holds across its installed
+// segments, and how many segments that is.
+func slotsAllocated(b *sampleBuf) (slots, segments int) {
+	for k := range b.segs {
+		if seg := b.segs[k].Load(); seg != nil {
+			slots += len(*seg)
+			segments++
+		}
+	}
+	return slots, segments
+}
+
+// segmentsFor is how many segments n kept samples need: the smallest k with
+// firstSegment·(2^k−1) ≥ n, at least the one a cell is born with. It never
+// exceeds ⌈log2(n/firstSegment)⌉+1.
+func segmentsFor(n int) int {
+	k := 1
+	for firstSegment*(1<<k-1) < n {
+		k++
+	}
+	return k
+}
+
+// TestSampleBufProperty checks the segmented buffer over the space of
+// capacities, observation counts and writer counts rather than at three
+// examples: what is drained is what was recorded (a capacity-sized part of
+// it once the cell is full), every writer's observations keep their order,
+// Dropped is exact, and the slots allocated never exceed capacity nor twice
+// what was kept plus the first segment. A concurrent Snapshot runs
+// throughout, so `make race` watches the claim, grow and drain paths
+// together.
+func TestSampleBufProperty(t *testing.T) {
+	g := stats.NewRNG(16)
+	trials := 60
+	if testing.Short() {
+		trials = 15
+	}
+	for trial := 0; trial < trials; trial++ {
+		var capacity int
+		switch trial % 5 {
+		case 0:
+			capacity = 1
+		case 1:
+			capacity = 2 + g.IntN(firstSegment-2) // below the first segment
+		case 2:
+			capacity = firstSegment<<g.IntN(5) + 1 + g.IntN(firstSegment-2) // never a power of two
+		case 3:
+			capacity = firstSegment * (1<<(1+g.IntN(5)) - 1) // ends exactly on a segment boundary
+		case 4:
+			capacity = DefaultSampleCapacity
+		}
+		var n int
+		switch g.IntN(4) {
+		case 0:
+			n = g.IntN(capacity + 1) // at or under capacity
+		case 1:
+			n = capacity
+		case 2:
+			n = capacity + 1 + g.IntN(capacity+firstSegment)
+		case 3:
+			n = 1 + g.IntN(min(capacity, 4*firstSegment)) // a barely used cell
+		}
+		writers := 1 + g.IntN(8)
+		name := fmt.Sprintf("cap=%d/n=%d/writers=%d", capacity, n, writers)
+
+		c := NewCollector("wl")
+		c.EnableSampling(capacity)
+		ref := c.Op("op")
+		done := make(chan struct{})
+		var snaps sync.WaitGroup
+		snaps.Add(1)
+		go func() {
+			defer snaps.Done()
+			for {
+				for _, s := range c.Snapshot().Samples {
+					if len(s.Values) > capacity || len(s.Values) != len(s.Offsets) {
+						t.Errorf("%s: mid-run snapshot holds %d values, %d offsets", name, len(s.Values), len(s.Offsets))
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+		// Observation i (1-based, so no recorded value is a slot's zero) is
+		// made by writer i mod writers, each in increasing i.
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w + 1; i <= n; i += writers {
+					ref.Observe(time.Duration(i))
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(done)
+		snaps.Wait()
+
+		c.SetElapsed(time.Second)
+		r := c.Snapshot()
+		kept := min(n, capacity)
+		if n == 0 {
+			if len(r.Samples) != 0 {
+				t.Fatalf("%s: series without an observation: %+v", name, r.Samples)
+			}
+			continue
+		}
+		if len(r.Samples) != 1 {
+			t.Fatalf("%s: %d series", name, len(r.Samples))
+		}
+		s := r.Samples[0]
+		if len(s.Values) != kept || len(s.Offsets) != kept || s.Dropped != uint64(n-kept) {
+			t.Fatalf("%s: kept %d values, %d offsets, dropped %d; want %d, %d, %d",
+				name, len(s.Values), len(s.Offsets), s.Dropped, kept, kept, n-kept)
+		}
+		seen := make(map[int64]bool, kept)
+		last := make([]int64, writers)
+		for _, v := range s.Values {
+			if v < 1 || v > int64(n) || seen[v] {
+				t.Fatalf("%s: drained %d, which was not recorded or was drained twice", name, v)
+			}
+			seen[v] = true
+			w := int(v-1) % writers
+			if v < last[w] {
+				t.Fatalf("%s: writer %d's observation %d drained after its %d", name, w, v, last[w])
+			}
+			last[w] = v
+		}
+		slots, segments := slotsAllocated(bufOf(ref))
+		if slots > capacity || slots < kept || slots >= 2*kept+firstSegment {
+			t.Fatalf("%s: %d slots allocated for %d kept samples", name, slots, kept)
+		}
+		if segments != segmentsFor(kept) {
+			t.Fatalf("%s: %d segments installed for %d kept samples, want %d", name, segments, kept, segmentsFor(kept))
+		}
+	}
+}
+
+// TestCaptureCostFollowsObservations: capture memory is a function of what
+// a cell observed, not of the capacity it was allowed. The bounds are
+// relative to the buffer's own geometry so they hold on any Go version's
+// size classes.
+func TestCaptureCostFollowsObservations(t *testing.T) {
+	st := &samplingState{capacity: DefaultSampleCapacity, start: time.Now(), now: time.Now}
+	// What the buffer costs beyond its slots: the header, and a slice box
+	// for every segment after the first.
+	const header = unsafe.Sizeof(sampleBuf{})
+	const box = unsafe.Sizeof([]slot(nil))
+	const slotBytes = unsafe.Sizeof(slot{})
+
+	// The eager buffer this replaced cost three objects (header, offsets,
+	// values) and 2·8·capacity bytes whatever the cell saw.
+	var keep *sampleBuf
+	if objs := testing.AllocsPerRun(100, func() {
+		keep = newSampleBuf(st)
+		keep.record(time.Microsecond)
+	}); objs > 3 && !raceflag.Enabled {
+		t.Errorf("a cell with one observation allocates %.0f objects for capture, want at most 3", objs)
+	}
+
+	for _, n := range []int{1, firstSegment, firstSegment + 1, 1000, 5000, DefaultSampleCapacity / 2, DefaultSampleCapacity, DefaultSampleCapacity + 100} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b := newSampleBuf(st)
+		for i := 0; i < n; i++ {
+			b.record(time.Microsecond)
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(b)
+		if raceflag.Enabled {
+			continue // the detector's own bookkeeping shows up in TotalAlloc
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		kept := min(n, DefaultSampleCapacity)
+		// Size classes round an object up by at most an eighth.
+		limit := uint64(2*slotBytes*uintptr(kept)+firstSegment*slotBytes+header+box*maxSegments) * 9 / 8
+		if got > limit {
+			t.Errorf("%d observations: capture allocated %d bytes, want at most %d", n, got, limit)
+		}
+		if n == 1 && got >= 4000 {
+			t.Errorf("a cell with one observation costs %d bytes of capture, want under 4 kB", got)
+		}
+		if n >= DefaultSampleCapacity && got < uint64(DefaultSampleCapacity*slotBytes) {
+			t.Errorf("a full cell allocated %d bytes, less than its %d slots", got, DefaultSampleCapacity)
 		}
 	}
 }

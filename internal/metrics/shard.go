@@ -13,9 +13,10 @@ import (
 // (Shard.Op or Collector.Op) and then observes through it with no per-call
 // label lookup — provably allocation-free, so the record path cannot become
 // the GC pressure it is supposed to measure. A ref is free until used: its
-// histogram and sample buffer are allocated by the first observation, and a
-// label that is never observed never reaches a Result. The zero OpRef is a
-// no-op, which is how uninstrumented stacks record nothing.
+// histogram and its sample buffer's first segment are allocated by the first
+// observation, and a label that is never observed never reaches a Result.
+// The zero OpRef is a no-op, which is how uninstrumented stacks record
+// nothing.
 type OpRef struct{ cell *opCell }
 
 // StartTimer reads the clock only when the ref records anywhere — the
@@ -101,9 +102,12 @@ type opState struct {
 }
 
 // observe is the record hot path: one atomic pointer load and a handful of
-// atomic adds, plus two atomic stores into the sample buffer when capture
-// is on. In steady state it must not allocate (TestOpRefSampledZeroAlloc
-// holds it to that; bdvet's hotpath analyzer holds it statically).
+// atomic adds, plus a slot claim and two atomic stores into the sample
+// buffer when capture is on. It allocates at the cell's first observation
+// (install) and at each of the buffer's few growth steps (sampleBuf.grow),
+// never between them (TestOpRefSampledZeroAlloc and
+// TestOpRefSampledZeroAllocBetweenGrowthSteps hold it to that; bdvet's
+// hotpath analyzer holds it statically).
 //
 //bdbench:hotpath
 func (c *opCell) observe(d time.Duration) {
@@ -117,12 +121,12 @@ func (c *opCell) observe(d time.Duration) {
 	}
 }
 
-// install allocates the cell's recording state on its first observation.
-// This is the one place histograms and sample buffers are allocated.
-// Concurrent first observers queue on the cell's mutex rather than racing a
-// compare-and-swap: zeroing a capture buffer takes far longer than an
-// operation, so a racing design has every loser allocate — and discard — a
-// buffer of its own.
+// install allocates the cell's recording state on its first observation:
+// the histogram and, when capturing, a sample buffer holding its first
+// segment (later segments are sampleBuf.grow's). Concurrent first observers
+// queue on the cell's mutex rather than racing a compare-and-swap: zeroing
+// a histogram takes far longer than an operation, so a racing design has
+// every loser allocate — and discard — a state of its own.
 func (c *opCell) install() *opState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
