@@ -5,13 +5,12 @@
 //
 // Keys hash onto partitions; each partition is an independent skip list
 // guarded by a mutex, so concurrent clients contend per-partition as they
-// would across nodes. Scans scatter to all partitions and merge, like a
-// range query over region servers.
+// would across nodes. Scans scatter to all partitions and merge the sorted
+// runs, like a range query over region servers.
 package nosql
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/metrics"
@@ -40,6 +39,13 @@ type Store struct {
 	scanRef metrics.OpRef
 }
 
+// partition is one contention domain: an ordered list behind a lock.
+//
+// Invariant: a record map is never mutated once it is in the list. Insert,
+// Update and ReadModifyWrite all install a fresh map (skipList.set swaps the
+// node's reference), and nothing hands a stored map out. That is what lets
+// Scan pick up references under the read lock and clone them after
+// releasing it; TestStoredRecordsAreNeverMutated holds it.
 type partition struct {
 	mu   sync.RWMutex
 	list *skipList
@@ -187,30 +193,48 @@ type KV struct {
 	Rec Record
 }
 
-// Scan returns up to limit records with keys >= start, in global key order,
-// by scatter-gathering the per-partition ordered lists.
+// Scan returns up to limit records with keys >= start, in global key order:
+// a k-way merge over the per-partition ordered lists. Each partition
+// contributes references to its first limit candidates under its own read
+// lock — no copies — and only the limit winners of the merge are cloned.
+// Holding a record reference past the unlock is safe because a stored record
+// is never mutated in place (see partition).
 func (s *Store) Scan(start string, limit int) []KV {
 	if limit <= 0 {
 		return nil
 	}
 	t0 := s.scanRef.StartTimer()
 	defer s.scanRef.ObserveSince(t0)
-	var all []KV
-	for _, p := range s.parts {
+	// Partition i's candidates are refs[runs[i].next:runs[i].end], in key order.
+	type run struct{ next, end int }
+	runs := make([]run, len(s.parts))
+	refs := make([]KV, 0, limit)
+	for i, p := range s.parts {
+		first := len(refs)
 		p.mu.RLock()
-		taken := 0
 		p.list.scanFrom(start, func(key string, rec Record) bool {
-			all = append(all, KV{Key: key, Rec: rec.clone()})
-			taken++
-			return taken < limit // each partition contributes at most limit
+			refs = append(refs, KV{Key: key, Rec: rec})
+			return len(refs)-first < limit
 		})
 		p.mu.RUnlock()
+		runs[i] = run{first, len(refs)}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	if len(all) > limit {
-		all = all[:limit]
+	if len(refs) == 0 {
+		return nil
 	}
-	return all
+	out := make([]KV, min(limit, len(refs)))
+	for o := range out {
+		best := -1 // the run whose head is smallest; a key lives in one partition, so no ties
+		for i, r := range runs {
+			if r.next < r.end && (best < 0 || refs[r.next].Key < refs[runs[best].next].Key) {
+				best = i
+			}
+		}
+		win := refs[runs[best].next]
+		runs[best].next++
+		out[o] = KV{Key: win.Key, Rec: win.Rec.clone()}
+	}
+	return out
 }
 
 // Size returns the total number of records.
