@@ -29,16 +29,16 @@ func textInput(p workloads.Params, wordsPerLine int, c *metrics.Collector) []map
 	input, err := datagen.Generate(p.Seed, datagen.PlanChunks(n, 0), p.DatagenWorkers,
 		func(g *stats.RNG, ch datagen.Chunk) ([]mapreduce.KV, error) {
 			part := make([]mapreduce.KV, 0, ch.Len())
-			var sb strings.Builder
+			var line []byte // reused across the chunk: a line costs its one string, not a buffer regrown from nil
 			for i := ch.Start; i < ch.End; i++ {
-				sb.Reset()
+				line = line[:0]
 				for w := 0; w < wordsPerLine; w++ {
 					if w > 0 {
-						sb.WriteByte(' ')
+						line = append(line, ' ')
 					}
-					sb.WriteString(dict[g.IntN(len(dict))])
+					line = append(line, dict[g.IntN(len(dict))]...)
 				}
-				part = append(part, mapreduce.KV{Key: strconv.FormatInt(i, 10), Value: sb.String()})
+				part = append(part, mapreduce.KV{Key: strconv.FormatInt(i, 10), Value: string(line)})
 			}
 			return part, nil
 		})

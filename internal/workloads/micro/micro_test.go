@@ -2,9 +2,11 @@ package micro
 
 import (
 	"context"
+	"hash/fnv"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
@@ -77,5 +79,29 @@ func TestDescribeAll(t *testing.T) {
 	infos := workloads.DescribeAll([]workloads.Workload{WordCount{}, Sort{}})
 	if len(infos) != 2 || infos[0].Name != "wordcount" {
 		t.Fatalf("DescribeAll %v", infos)
+	}
+}
+
+// TestTextInputCorpusPinned holds the generated text corpus (digest taken
+// before the line buffer was reused: same dictionary draws, same order) and
+// what a line may cost: its key, its value and a share of the chunk's slice,
+// not a builder regrown from nil.
+func TestTextInputCorpusPinned(t *testing.T) {
+	p := workloads.Params{Seed: 2014, Scale: 2, DatagenWorkers: 2}
+	c := metrics.NewCollector("text")
+	in := textInput(p, 10, c)
+	h := fnv.New64a()
+	for _, kv := range in {
+		h.Write([]byte(kv.Key))
+		h.Write([]byte{0})
+		h.Write([]byte(kv.Value))
+		h.Write([]byte{'\n'})
+	}
+	if got := h.Sum64(); len(in) != 2000 || got != 0x7827c807afd32c39 {
+		t.Fatalf("text corpus moved: %d lines, digest %#x", len(in), got)
+	}
+	perLine := testing.AllocsPerRun(5, func() { textInput(p, 10, c) }) / float64(len(in))
+	if perLine > 3 && !raceflag.Enabled {
+		t.Errorf("textInput allocates %.2f objects per line, want at most 3", perLine)
 	}
 }
