@@ -6,11 +6,14 @@ import "github.com/bdbench/bdbench/internal/stats"
 // the memtable structure of the store. It is not safe for concurrent use;
 // each partition guards its list with a mutex.
 type skipList struct {
-	head     *skipNode
-	level    int
-	length   int
-	g        *stats.RNG
-	maxLevel int
+	head   *skipNode
+	level  int
+	length int
+	g      *stats.RNG
+	// path is findPath's scratch, so set and del allocate no search path of
+	// their own: writers are serialized by the partition's lock, readers
+	// (get, scanFrom) never touch it.
+	path [maxLevel]*skipNode
 }
 
 type skipNode struct {
@@ -19,33 +22,33 @@ type skipNode struct {
 	next []*skipNode
 }
 
-const defaultMaxLevel = 24
+const maxLevel = 24
 
 func newSkipList(g *stats.RNG) *skipList {
 	return &skipList{
-		head:     &skipNode{next: make([]*skipNode, defaultMaxLevel)},
-		level:    1,
-		g:        g,
-		maxLevel: defaultMaxLevel,
+		head:  &skipNode{next: make([]*skipNode, maxLevel)},
+		level: 1,
+		g:     g,
 	}
 }
 
 func (s *skipList) randomLevel() int {
 	lvl := 1
-	for lvl < s.maxLevel && s.g.Bool(0.25) {
+	for lvl < maxLevel && s.g.Bool(0.25) {
 		lvl++
 	}
 	return lvl
 }
 
-// findPath fills update with the rightmost node before key at every level.
-func (s *skipList) findPath(key string, update []*skipNode) *skipNode {
+// findPath fills s.path with the rightmost node before key at every level
+// in use and returns the node at or after key.
+func (s *skipList) findPath(key string) *skipNode {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && x.next[i].key < key {
 			x = x.next[i]
 		}
-		update[i] = x
+		s.path[i] = x
 	}
 	return x.next[0]
 }
@@ -66,9 +69,10 @@ func (s *skipList) get(key string) (Record, bool) {
 }
 
 // set inserts or replaces key's record; it reports whether the key was new.
+// Replacing swaps the node's reference to val: the map that was there is
+// left as it was, for any Scan still holding it (see partition).
 func (s *skipList) set(key string, val Record) bool {
-	update := make([]*skipNode, s.maxLevel)
-	found := s.findPath(key, update)
+	found := s.findPath(key)
 	if found != nil && found.key == key {
 		found.val = val
 		return false
@@ -76,14 +80,14 @@ func (s *skipList) set(key string, val Record) bool {
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		for i := s.level; i < lvl; i++ {
-			update[i] = s.head
+			s.path[i] = s.head
 		}
 		s.level = lvl
 	}
 	node := &skipNode{key: key, val: val, next: make([]*skipNode, lvl)}
 	for i := 0; i < lvl; i++ {
-		node.next[i] = update[i].next[i]
-		update[i].next[i] = node
+		node.next[i] = s.path[i].next[i]
+		s.path[i].next[i] = node
 	}
 	s.length++
 	return true
@@ -91,14 +95,13 @@ func (s *skipList) set(key string, val Record) bool {
 
 // del removes key; it reports whether the key existed.
 func (s *skipList) del(key string) bool {
-	update := make([]*skipNode, s.maxLevel)
-	found := s.findPath(key, update)
+	found := s.findPath(key)
 	if found == nil || found.key != key {
 		return false
 	}
 	for i := 0; i < s.level; i++ {
-		if update[i].next[i] == found {
-			update[i].next[i] = found.next[i]
+		if s.path[i].next[i] == found {
+			s.path[i].next[i] = found.next[i]
 		}
 	}
 	for s.level > 1 && s.head.next[s.level-1] == nil {

@@ -181,8 +181,8 @@ func (z Zipf) Next(g *RNG) int64 {
 		s = 1.0001
 	}
 	// rand/v2's Zipf generates values in [0, imax] with P(k) ∝ (v+k)^-s.
-	zs := newZipfState(g, s, 1, uint64(z.Count-1))
-	return int64(zs.Uint64())
+	zs := newZipfState(s, 1, uint64(z.Count-1))
+	return int64(zs.next(g))
 }
 
 // N implements IntSampler.
@@ -278,17 +278,18 @@ func (s *SequentialInt) Name() string { return "sequential" }
 
 // zipfState implements the rejection-inversion zipf sampler (Hörmann &
 // Derflinger), mirroring math/rand's Zipf but driven by our RNG so that
-// samples stay reproducible under Split.
+// samples stay reproducible under Split. It is a plain value: a sampler
+// builds one per draw (Latest's range moves between draws) and it never
+// reaches the heap.
 type zipfState struct {
-	g                       *RNG
 	imax                    float64
 	v, q                    float64
 	oneminusQ, oneminusQinv float64
 	hxm, hx0minusHxm, s     float64
 }
 
-func newZipfState(g *RNG, q, v float64, imax uint64) *zipfState {
-	z := &zipfState{g: g, imax: float64(imax), v: v, q: q}
+func newZipfState(q, v float64, imax uint64) zipfState {
+	z := zipfState{imax: float64(imax), v: v, q: q}
 	z.oneminusQ = 1 - q
 	z.oneminusQinv = 1 / z.oneminusQ
 	z.hxm = z.h(z.imax + 0.5)
@@ -305,10 +306,10 @@ func (z *zipfState) hinv(x float64) float64 {
 	return math.Exp(z.oneminusQinv*math.Log(z.oneminusQ*x)) - z.v
 }
 
-// Uint64 draws one zipf variate in [0, imax].
-func (z *zipfState) Uint64() uint64 {
+// next draws one zipf variate in [0, imax] from g.
+func (z *zipfState) next(g *RNG) uint64 {
 	for {
-		r := z.g.Float64()
+		r := g.Float64()
 		ur := z.hxm + r*z.hx0minusHxm
 		x := z.hinv(ur)
 		k := math.Floor(x + 0.5)

@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"github.com/bdbench/bdbench/internal/raceflag"
 )
 
 // sampleMean draws n variates and returns their mean.
@@ -137,6 +140,44 @@ func TestZipfHandlesSAtOrBelowOne(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if v := z.Next(g); v < 0 || v >= 100 {
 			t.Fatalf("zipf(s=1) sample %d out of range", v)
+		}
+	}
+}
+
+// TestZipfDrawSequencePinned holds the zipf family's draw sequence: YCSB's
+// key choice, and with it every `samples.ycsb-*` fact of the repo benchmark,
+// is a function of it. The values were taken before the sampler stopped
+// heap-allocating its state on every draw.
+func TestZipfDrawSequencePinned(t *testing.T) {
+	g := NewRNG(2014)
+	var got []int64
+	for i := 0; i < 8; i++ {
+		got = append(got, Zipf{Count: 10000, S: 0.99}.Next(g))
+	}
+	for i := 0; i < 4; i++ {
+		got = append(got, ScrambledZipf{Count: 10000, S: 1.2}.Next(g))
+	}
+	max := int64(500)
+	for i := 0; i < 4; i++ {
+		got = append(got, Latest{Max: &max, S: 1.1}.Next(g))
+	}
+	want := []int64{2, 1299, 306, 0, 3379, 1493, 61, 2042, 7535, 9050, 1855, 7535, 498, 130, 451, 402}
+	if !slices.Equal(got, want) {
+		t.Fatalf("zipf draws moved:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestZipfDrawsDoNotAllocate: a key draw is made once per YCSB operation, so
+// the sampler's state lives on the stack.
+func TestZipfDrawsDoNotAllocate(t *testing.T) {
+	g := NewRNG(3)
+	max := int64(1000)
+	for _, s := range []IntSampler{
+		Zipf{Count: 1000, S: 1.1}, ScrambledZipf{Count: 1000, S: 1.1}, Latest{Max: &max, S: 1.1},
+	} {
+		allocs := testing.AllocsPerRun(1000, func() { s.Next(g) })
+		if allocs != 0 && !raceflag.Enabled {
+			t.Errorf("%s: %.1f allocs per draw, want 0", s.Name(), allocs)
 		}
 	}
 }
