@@ -15,7 +15,8 @@ test:
 race:
 	$(GO) test -race ./internal/datagen/... ./internal/engine/ ./internal/loadgen/ \
 		./internal/suites/ ./internal/scenario/ ./internal/metrics/ ./internal/stats/ \
-		./internal/runstore/ ./internal/stacks/... ./internal/cluster/... ./cmd/bdbench
+		./internal/runstore/ ./internal/stacks/... ./internal/workloads/oltp/ \
+		./internal/cluster/... ./cmd/bdbench
 
 # bench runs every microbenchmark with -benchmem, for looking: nothing is
 # gated on it and nothing is written. Performance is judged by the repo

@@ -60,4 +60,4 @@
 package bdbench
 
 // Version is the release version of the bdbench module.
-const Version = "1.12.0"
+const Version = "1.13.0"

@@ -140,8 +140,9 @@ run selection:
                     environment (see docs/RESULTS.md); read it back with
                     show, diff it with compare (loadcurve takes -out too and
                     writes the same kind of artifact)
-  -samples N        raw latency samples kept per op cell per repetition
-                    (default 65536; extra observations count as dropped)
+  -samples N        most raw latency samples kept per op cell per repetition
+                    (default 65536: a ceiling, not memory reserved; extra
+                    observations count as dropped)
 
 engine knobs (run, figure1, experiments — shared):
   -scale N          workload input scale

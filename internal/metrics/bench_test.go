@@ -39,8 +39,10 @@ func BenchmarkCollectorSampledRecord(b *testing.B) {
 }
 
 // BenchmarkCollectorSampledRecordFilling keeps the buffer from overflowing
-// (capacity reset each iteration batch) so the measured path is the one that
-// actually stores samples.
+// (capacity b.N+1) so the measured path is the one that actually stores
+// samples — growth steps included: the buffer's ⌈log2(N/64)⌉ segment
+// allocations happen inside the timed loop, which is why B/op reads 16 (a
+// slot) and allocs/op still rounds to 0.
 func BenchmarkCollectorSampledRecordFilling(b *testing.B) {
 	c := NewCollector("bench")
 	c.EnableSampling(b.N + 1)

@@ -15,24 +15,22 @@ import (
 // the same contract as the histograms, so the zero-alloc record path
 // survives intact and a handle that is never used costs no buffer. The
 // buffer is segmented: it starts at firstSegment slots and doubles as
-// observations arrive, so what a cell costs follows what it observed (at
-// most twice that, plus the first segment) and the configured capacity is
-// only the bound at which it stops growing and starts counting drops.
+// observations arrive, so a cell costs at most twice what it observed plus
+// the first segment, and capacity is only where it stops growing and starts
+// counting drops.
 // The drained streams become Result.Samples, which internal/scenario
 // persists through internal/runstore as the run's durable evidence.
 
 // DefaultSampleCapacity is the per-operation-cell bound on kept samples used
-// when sampling is enabled without an explicit capacity. It is a ceiling,
-// not a reservation: a cell holds 16 bytes a slot for at most twice the
-// observations it has seen, so only a cell that fills up reaches 1 MiB.
+// when sampling is enabled without an explicit capacity: a ceiling, not a
+// reservation. At 16 bytes a slot, only a cell that fills up reaches 1 MiB.
 const DefaultSampleCapacity = 1 << 16
 
 // Segment geometry. Segment k holds slots [firstSegment·(2^k−1),
 // firstSegment·(2^(k+1)−1)): the first has firstSegment slots and each next
 // one doubles, so locating a slot is one bits.Len64 and a cell that observed
-// n samples holds fewer than 2n+firstSegment slots. maxSegments is where a
-// slot index below 2^63 can land at most, so any int capacity fits the
-// directory.
+// n samples holds fewer than 2n+firstSegment slots. maxSegments covers every
+// slot index below 2^63, so any int capacity fits the directory.
 const (
 	firstSegmentBits = 6
 	firstSegment     = 1 << firstSegmentBits
@@ -57,14 +55,14 @@ type slot struct{ off, val atomic.Int64 }
 // slot with one atomic add and fill it with two atomic stores; past capacity
 // the claim counter keeps counting but nothing is written, so the drop count
 // is exact. The record path never blocks or allocates except at a growth
-// step — the first claim to land in a segment that does not exist yet
-// installs it (grow), at most maxSegments times in a cell's life. Reads
-// (drain) are likewise atomic, making concurrent snapshot-while-recording
-// race-clean — a drain that overlaps an in-flight claim may see that slot's
-// zero value, or stop at a segment still being installed: the same soft-read
-// semantics Snapshot already has for histograms.
+// step: the first claim to land in a segment that does not exist yet
+// installs it (grow). Reads (drain) are likewise atomic, making concurrent
+// snapshot-while-recording race-clean — a drain that overlaps an in-flight
+// claim may see that slot's zero value, or stop at a segment still being
+// installed: the soft-read semantics Snapshot already has for histograms.
 type sampleBuf struct {
 	st    *samplingState
+	limit uint64 // st.capacity, beside n so a full buffer's claim reads one line
 	n     atomic.Uint64
 	segs  [maxSegments]atomic.Pointer[[]slot]
 	mu    sync.Mutex // serializes growth steps only
@@ -72,7 +70,7 @@ type sampleBuf struct {
 }
 
 func newSampleBuf(st *samplingState) *sampleBuf {
-	b := &sampleBuf{st: st}
+	b := &sampleBuf{st: st, limit: uint64(st.capacity)}
 	b.first = make([]slot, b.segmentLen(0))
 	b.segs[0].Store(&b.first)
 	return b
@@ -84,17 +82,16 @@ func segmentStart(k int) uint64 { return firstSegment<<k - firstSegment }
 // segmentLen is segment k's slot count: double the previous one, cut so the
 // segments together never exceed capacity.
 func (b *sampleBuf) segmentLen(k int) int {
-	return int(min(uint64(firstSegment)<<k, uint64(b.st.capacity)-segmentStart(k)))
+	return int(min(uint64(firstSegment)<<k, b.limit-segmentStart(k)))
 }
 
-// record captures one observation. Between growth steps: zero allocations,
-// no locks — one atomic add, a locate, one atomic pointer load, two atomic
-// stores.
+// record captures one observation. Between growth steps: no allocation, no
+// lock — one atomic add, a locate, one atomic pointer load, two atomic stores.
 //
 //bdbench:hotpath
 func (b *sampleBuf) record(d time.Duration) {
 	idx := b.n.Add(1) - 1
-	if idx >= uint64(b.st.capacity) {
+	if idx >= b.limit {
 		return // buffer full: counted as dropped at drain time
 	}
 	off := int64(b.st.now().Sub(b.st.start))
@@ -109,11 +106,10 @@ func (b *sampleBuf) record(d time.Duration) {
 }
 
 // grow installs segment k. Claimants that land in a missing segment queue on
-// the buffer's mutex rather than racing a compare-and-swap, as first
-// observers do in opCell.install: zeroing a segment takes far longer than an
-// operation, so a racing design has every loser allocate — and discard — a
-// segment of its own. The caller computed its duration and its offset before
-// it got here, so time spent growing is never inside a recorded value.
+// the buffer's mutex, as first observers do in opCell.install, rather than
+// racing a compare-and-swap that has every loser allocate — and discard — a
+// segment of its own. The caller took its duration and its offset before it
+// got here, so time spent growing is never inside a recorded value.
 func (b *sampleBuf) grow(k int) *[]slot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -202,7 +198,7 @@ func (s *Shard) drainSamples(dst map[sampleKey]*OpSamples) {
 		if n == 0 {
 			continue
 		}
-		filled := min(n, uint64(b.st.capacity))
+		filled := min(n, b.limit)
 		k := sampleKey{op: op, substrate: s.substrate}
 		os := dst[k]
 		if os == nil {

@@ -11,6 +11,7 @@ package nosql
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/metrics"
@@ -196,9 +197,8 @@ type KV struct {
 // Scan returns up to limit records with keys >= start, in global key order:
 // a k-way merge over the per-partition ordered lists. Each partition
 // contributes references to its first limit candidates under its own read
-// lock — no copies — and only the limit winners of the merge are cloned.
-// Holding a record reference past the unlock is safe because a stored record
-// is never mutated in place (see partition).
+// lock — no copies, which the partition invariant makes safe to hold past
+// the unlock — and only the limit winners of the merge are cloned.
 func (s *Store) Scan(start string, limit int) []KV {
 	if limit <= 0 {
 		return nil
@@ -208,10 +208,11 @@ func (s *Store) Scan(start string, limit int) []KV {
 	// Partition i's candidates are refs[runs[i].next:runs[i].end], in key order.
 	type run struct{ next, end int }
 	runs := make([]run, len(s.parts))
-	refs := make([]KV, 0, limit)
+	var refs []KV
 	for i, p := range s.parts {
 		first := len(refs)
 		p.mu.RLock()
+		refs = slices.Grow(refs, min(limit, p.list.len())) // all it can add, however large limit is
 		p.list.scanFrom(start, func(key string, rec Record) bool {
 			refs = append(refs, KV{Key: key, Rec: rec})
 			return len(refs)-first < limit

@@ -3,6 +3,7 @@ package nosql
 import (
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -63,7 +64,7 @@ func TestScanMatchesReference(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			starts = append(starts, fmt.Sprintf("key%04d", g.IntN(keySpace)))
 		}
-		limits := []int{1, 2, size, size + 1, size + 100}
+		limits := []int{1, 2, size, size + 1, size + 100, math.MaxInt}
 		for i := 0; i < 4; i++ {
 			limits = append(limits, 1+g.IntN(size+2))
 		}

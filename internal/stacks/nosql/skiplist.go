@@ -10,9 +10,8 @@ type skipList struct {
 	level  int
 	length int
 	g      *stats.RNG
-	// path is findPath's scratch, so set and del allocate no search path of
-	// their own: writers are serialized by the partition's lock, readers
-	// (get, scanFrom) never touch it.
+	// path is findPath's scratch, so set and del allocate no search path:
+	// the partition's lock serializes writers, and readers never touch it.
 	path [maxLevel]*skipNode
 }
 

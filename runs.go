@@ -59,13 +59,16 @@ func WithRunOutput(path string) Option {
 }
 
 // DefaultSampleCapacity is the per-operation-cell raw-capture bound used
-// when WithRunOutput is given without WithSamples.
+// when WithRunOutput is given without WithSamples. It is a ceiling, not a
+// reservation: capture memory follows what a cell observed.
 const DefaultSampleCapacity = metrics.DefaultSampleCapacity
 
 // WithSamples bounds (or, without WithRunOutput, enables) raw latency
 // capture: at most capacity samples are kept per operation cell per
 // repetition; observations past that are counted as dropped. Zero keeps
-// the default (65536 per cell). The streams surface on each
+// the default (65536 per cell). A cell's buffer grows with its observations
+// up to the bound, so a high bound costs nothing until a cell reaches it.
+// The streams surface on each
 // WorkloadResult's Result.Samples and in the artifact's series.
 func WithSamples(capacity int) Option {
 	return func(o *scenario.Options) { o.SampleCapacity = capacity }
