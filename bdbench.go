@@ -19,7 +19,9 @@
 //     (micro, search, social, e-commerce, OLTP, relational, streaming);
 //   - internal/suites        executable emulations of the ten surveyed
 //     benchmark suites, from which Tables 1 and 2 are re-derived by
-//     measurement;
+//     measurement, whose rows are the built-in workload inventory, plus
+//     the layered architecture of Figure 2 and the data generation
+//     process of Figure 3 as executable artifacts;
 //   - internal/engine        the concurrent execution layer: a bounded
 //     worker pool with warmup/repetition control, per-run deadlines, panic
 //     isolation and streaming progress events — seed-deterministic at any
@@ -30,15 +32,14 @@
 //     start times independently of completions, with latency recorded
 //     from intended starts so coordinated omission cannot hide queueing;
 //   - internal/scenario      the composition layer: registry, declarative
-//     scenario specs, the five-step runner and the reporter contract;
-//   - internal/core          the layered architecture of Figure 2 and the
-//     data generation process of Figure 3 as executable artifacts.
+//     scenario specs, the five-step runner and the reporter contract.
 //
 // This package is the public API over those substrates. The registry
 // (Register, RegisterSuite, DefaultRegistry) makes workloads and suites
-// addressable by name — the built-in inventory self-registers, and custom
-// Workloads (including ones built from abstract-test prescriptions via
-// NewPrescriptionWorkload) join it the same way. A Scenario is a
+// addressable by name — the default registry is seeded from the built-in
+// suites' rows, and custom Workloads (including ones built from
+// abstract-test prescriptions via NewPrescriptionWorkload) join it through
+// Register. A Scenario is a
 // validated, JSON-round-trippable spec that composes workloads across any
 // suites with per-entry overrides; Run executes it on the concurrent
 // engine with functional options (WithEvents, WithRegistry,
@@ -60,4 +61,4 @@
 package bdbench
 
 // Version is the release version of the bdbench module.
-const Version = "1.13.0"
+const Version = "1.14.0"

@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of "On Big Data
-// Benchmarking", plus the quantitative experiments of DESIGN.md and
-// microbenchmarks of the substrates. Run with:
+// Benchmarking", plus the quantitative experiments E7-E13 (see `bdbench
+// experiments`) and microbenchmarks of the substrates. Run with:
 //
 //	go test -bench=. -benchmem
 package bdbench_test
@@ -60,7 +60,7 @@ func BenchmarkTable1DataGeneration(b *testing.B) {
 // BenchmarkTable2Workloads executes one representative suite inventory per
 // iteration (GridMix: the smallest full row of Table 2).
 func BenchmarkTable2Workloads(b *testing.B) {
-	suite, _ := suites.ByName("GridMix")
+	suite, _ := bdbench.DefaultRegistry().Suite("GridMix")
 	for i := 0; i < b.N; i++ {
 		results := engine.Run(context.Background(), suite.Tasks(workloads.Params{Seed: 1, Scale: 1, Workers: 4}), engine.Config{})
 		for _, r := range results {
@@ -76,7 +76,7 @@ func BenchmarkTable2Workloads(b *testing.B) {
 // suite inventory — the speedup the execution layer buys. Results are
 // seed-identical in both modes.
 func BenchmarkSuiteEngineParallelism(b *testing.B) {
-	suite, _ := suites.ByName("CloudSuite")
+	suite, _ := bdbench.DefaultRegistry().Suite("CloudSuite")
 	p := workloads.Params{Seed: 1, Scale: 1, Workers: 2}
 	for _, mode := range []struct {
 		name    string
@@ -150,17 +150,15 @@ func BenchmarkFigure3DataGeneration(b *testing.B) {
 // and the cross-stack portability check.
 func BenchmarkFigure4TestGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pl := testgen.NewPipeline()
-		tests, err := pl.Generate(
+		p, _, _, err := testgen.Generate(
 			testgen.DataSpec{Source: "words", Size: 1000, Seed: 4},
 			[]testgen.Step{{Op: "select", Arg: "data"}, {Op: "count"}},
 			testgen.MultiPattern, "", 0,
-			testgen.DefaultExecutors(4),
 		)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := testgen.VerifyPortability(tests[0].Prescription, pl.Registry, testgen.DefaultExecutors(4)); err != nil {
+		if _, err := testgen.VerifyPortability(context.Background(), p, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,17 +245,15 @@ func BenchmarkVeracityMetrics(b *testing.B) {
 // BenchmarkAbstractTestPortability runs the same prescription on each stack
 // type separately so their costs are directly comparable.
 func BenchmarkAbstractTestPortability(b *testing.B) {
-	reg := testgen.NewRegistry()
-	repo := testgen.NewRepository()
-	p, err := repo.Get("select-count")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for name, factory := range testgen.DefaultExecutors(4) {
-		b.Run(name, func(b *testing.B) {
+	for _, stack := range testgen.Stacks() {
+		w, err := testgen.Bind(testgen.Config{Prescription: "select-count", Stack: stack})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(stack, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := metrics.NewCollector(name)
-				if _, err := testgen.RunOn(factory(), p, reg, c); err != nil {
+				c := metrics.NewCollector(stack)
+				if err := w.Run(context.Background(), workloads.Params{Workers: 4}, c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -269,8 +265,9 @@ func BenchmarkAbstractTestPortability(b *testing.B) {
 
 // BenchmarkYCSBWorkloads runs each core workload A-F.
 func BenchmarkYCSBWorkloads(b *testing.B) {
-	for _, w := range oltp.All() {
-		b.Run(w.Label, func(b *testing.B) {
+	ycsb, _ := bdbench.DefaultRegistry().Suite("YCSB")
+	for _, w := range ycsb.Workloads() {
+		b.Run(w.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := metrics.NewCollector(w.Name())
 				if err := w.Run(context.Background(), workloads.Params{Seed: 6, Scale: 1, Workers: 4}, c); err != nil {
@@ -506,8 +503,8 @@ func BenchmarkYCSBClientScaling(b *testing.B) {
 // ---- Substrate microbenchmarks (ablation-level) ----
 
 // BenchmarkMapReduceWordCount measures the MapReduce engine on the
-// canonical job, with and without the combiner (the ablation DESIGN.md
-// calls out for shuffle volume).
+// canonical job, with and without the combiner (the shuffle-volume
+// ablation; ROADMAP item 2 tracks the open combiner question).
 func BenchmarkMapReduceWordCount(b *testing.B) {
 	g := stats.NewRNG(1)
 	dict := textgen.DefaultDictionary()

@@ -302,28 +302,25 @@ func cmdFigure4(args []string) error {
 		return err
 	}
 	fmt.Fprintln(stdout, "Figure 4 — the benchmark test generation process")
-	pl := testgen.NewPipeline()
-	tests, err := pl.Generate(
+	p, _, trace, err := testgen.Generate(
 		testgen.DataSpec{Source: "words", Size: 2000, Seed: 4},
 		[]testgen.Step{{Op: "select", Arg: "data"}, {Op: "count"}},
 		testgen.MultiPattern, "", 0,
-		testgen.DefaultExecutors(*workers),
 	)
 	if err != nil {
 		return err
 	}
-	for _, s := range pl.Trace {
+	for _, s := range trace {
 		fmt.Fprintf(stdout, "  step %d %-26s %-40s %v\n", s.Step, s.Name, s.Detail, s.Duration.Round(time.Millisecond))
 	}
 	fmt.Fprintln(stdout)
 	fmt.Fprintln(stdout, "prescribed tests (system view — same abstract test per stack):")
-	p := tests[0].Prescription
-	results, err := testgen.VerifyPortability(p, pl.Registry, testgen.DefaultExecutors(*workers))
+	results, err := testgen.VerifyPortability(context.Background(), p, *workers)
 	if err != nil {
 		return err
 	}
-	for name, ds := range results {
-		fmt.Fprintf(stdout, "  %-10s -> %d records\n", name, len(ds))
+	for _, stack := range testgen.Stacks() {
+		fmt.Fprintf(stdout, "  %-10s -> %d records\n", stack, len(results[stack]))
 	}
 	fmt.Fprintln(stdout, "functional view holds: all stacks produced the same outcome")
 	return nil
@@ -559,10 +556,9 @@ func cmdWorkloads(args []string) error {
 }
 
 func cmdPrescriptions(args []string) error {
-	repo := testgen.NewRepository()
 	var rows [][]string
-	for _, name := range repo.Names() {
-		p, err := repo.Get(name)
+	for _, name := range testgen.Names() {
+		p, err := testgen.Find(name)
 		if err != nil {
 			return err
 		}

@@ -14,13 +14,12 @@ import (
 	"github.com/bdbench/bdbench/datagen/veracity"
 )
 
-// cmdExperiments runs the quantitative experiments E7-E13 of DESIGN.md and
-// prints their series; EXPERIMENTS.md records representative output. The
-// workload-running experiments (E11-E13) go through the public scenario
-// API like any external caller would; explicitly set engine knobs layer
-// over each experiment's baseline (seed, parallelism) the same way they
-// layer over a -spec file. The generator experiments (E7-E9) only respond
-// to -scale.
+// cmdExperiments runs the quantitative experiments E7-E13 and prints their
+// series. The workload-running experiments (E11-E13) go through the public
+// scenario API like any external caller would; explicitly set engine knobs
+// layer over each experiment's baseline (seed, parallelism) the same way
+// they layer over a -spec file. The generator experiments (E7-E9) only
+// respond to -scale.
 func cmdExperiments(args []string) error {
 	fs := newFlagSet("experiments")
 	quick := fs.Bool("quick", false, "smaller sizes for a fast pass")

@@ -78,8 +78,7 @@ func TestTable1EndToEnd(t *testing.T) {
 // TestPrescriptionAcrossStacksEndToEnd runs a user-authored prescription
 // (not a built-in) through the Figure 4 pipeline on every stack.
 func TestPrescriptionAcrossStacksEndToEnd(t *testing.T) {
-	pl := testgen.NewPipeline()
-	tests, err := pl.Generate(
+	p, _, _, err := testgen.Generate(
 		testgen.DataSpec{Source: "pairs", Size: 800, Seed: 321, SecondSize: 200},
 		[]testgen.Step{
 			{Op: "join", UseSecond: true},
@@ -87,12 +86,11 @@ func TestPrescriptionAcrossStacksEndToEnd(t *testing.T) {
 			{Op: "count"},
 		},
 		testgen.MultiPattern, "", 0,
-		testgen.DefaultExecutors(2),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := testgen.VerifyPortability(tests[0].Prescription, pl.Registry, testgen.DefaultExecutors(2))
+	results, err := testgen.VerifyPortability(context.Background(), p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

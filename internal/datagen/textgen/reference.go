@@ -10,9 +10,9 @@ import (
 // ship real web crawls, so the reference corpus is produced by a *hidden*
 // ground-truth topic model over a fixed English word list: the generator
 // under test never sees the hidden parameters, only the emitted corpus.
-// That substitution (documented in DESIGN.md) gives veracity experiments a
-// known reference distribution while exercising exactly the learn-then-
-// generate code path the paper describes.
+// That substitution gives veracity experiments a known reference
+// distribution while exercising exactly the learn-then-generate code path
+// the paper describes.
 
 // baseWords is a fixed list of common English words used to build the hidden
 // topic vocabularies. The list is grouped loosely by theme so the hidden

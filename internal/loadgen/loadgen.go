@@ -120,8 +120,7 @@ type Stats struct {
 // OpRefs, and workers are goroutines that range over one shared handoff
 // channel. The steady-state dispatch path — hand an offset to a parked
 // worker, execute, observe — performs zero heap allocations (asserted by
-// TestDispatchSteadyStateZeroAlloc and gated in CI via
-// BenchmarkDispatchSteadyState).
+// TestDispatchSteadyStateZeroAlloc).
 type runState struct {
 	ctx context.Context
 	op  func(context.Context) error

@@ -7,7 +7,6 @@ import (
 
 	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stats"
-	"github.com/bdbench/bdbench/internal/workloads"
 )
 
 var benchSink uint64
@@ -90,11 +89,11 @@ func TestComposedOpsZeroAlloc(t *testing.T) {
 		})
 	}
 	var mix []OpWeight
-	for i, op := range workloads.PrimitiveOps() {
-		if op == workloads.OpJoin {
+	for i, op := range primitives {
+		if op.Name == "join" {
 			continue
 		}
-		ow := OpWeight{Op: string(op), Weight: float64(i + 1)}
+		ow := OpWeight{Op: op.Name, Weight: float64(i + 1)}
 		check(ow.Op, ow)
 		mix = append(mix, ow)
 	}

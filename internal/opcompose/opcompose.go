@@ -33,8 +33,8 @@ const (
 // OpWeight is one operation of a mix with its relative weight. A zero
 // weight normalizes to 1, so a plain list of ops is a uniform mix.
 type OpWeight struct {
-	// Op names a primitive operation (workloads.PrimitiveOps) or an
-	// operation registered through Register.
+	// Op names a primitive operation (see Operations) or an operation
+	// registered through Register.
 	Op string `json:"op"`
 	// Weight is the operation's relative draw weight (default 1).
 	Weight float64 `json:"weight,omitempty"`

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/stats"
-	"github.com/bdbench/bdbench/internal/workloads"
 )
 
 // opWindow is the record-window size of the windowed primitives (scan,
@@ -45,27 +44,39 @@ type Operation struct {
 	Apply func(*OpContext) uint64
 }
 
+// primitives is the pattern vocabulary in canonical presentation order:
+// the BigOP-style abstract operations (arXiv:1401.6628) a pattern mixes
+// over a named corpus instead of enumerating workloads. The set is
+// deliberately small — the paper's argument is that a handful of
+// primitives spans the behavior space of big-data processing.
+var primitives = []Operation{
+	{Name: "filter", Apply: opFilter},       // the window records matching a probe
+	{Name: "aggregate", Apply: opAggregate}, // group a window, fold per-group summaries
+	{Name: "join", Apply: opJoin},           // match the keys of two windows
+	{Name: "scan", Apply: opScan},           // read a window sequentially
+	{Name: "transform", Apply: opTransform}, // map every window record to a derived value
+	{Name: "put", Apply: opPut},             // write one record into the key-value substrate
+	{Name: "get", Apply: opGet},             // read one key from the key-value substrate
+}
+
 var (
 	opsMu    sync.RWMutex
 	opsExtra = map[string]Operation{}
 )
 
-// builtins maps the primitive vocabulary (workloads.PrimitiveOps) to its
-// reference implementations.
-var builtins = map[string]Operation{
-	string(workloads.OpScan):      {Name: string(workloads.OpScan), Apply: opScan},
-	string(workloads.OpFilter):    {Name: string(workloads.OpFilter), Apply: opFilter},
-	string(workloads.OpAggregate): {Name: string(workloads.OpAggregate), Apply: opAggregate},
-	string(workloads.OpJoin):      {Name: string(workloads.OpJoin), Apply: opJoin},
-	string(workloads.OpTransform): {Name: string(workloads.OpTransform), Apply: opTransform},
-	string(workloads.OpPut):       {Name: string(workloads.OpPut), Apply: opPut},
-	string(workloads.OpGet):       {Name: string(workloads.OpGet), Apply: opGet},
+func primitive(name string) (Operation, bool) {
+	for _, op := range primitives {
+		if op.Name == name {
+			return op, true
+		}
+	}
+	return Operation{}, false
 }
 
 // Register adds an operation to the pattern vocabulary under op.Name,
 // replacing any previous registration of that name (mirroring
-// datagen.Register). The builtin primitives cannot be replaced — patterns
-// relying on them must mean the same thing everywhere.
+// datagen.Register). The primitives cannot be replaced — patterns relying
+// on them must mean the same thing everywhere.
 func Register(op Operation) error {
 	if op.Name == "" {
 		return fmt.Errorf("opcompose: Register: operation has no name")
@@ -73,7 +84,7 @@ func Register(op Operation) error {
 	if op.Apply == nil {
 		return fmt.Errorf("opcompose: Register: operation %q has no Apply", op.Name)
 	}
-	if _, ok := builtins[op.Name]; ok {
+	if _, ok := primitive(op.Name); ok {
 		return fmt.Errorf("opcompose: Register: %q is a builtin primitive and cannot be replaced", op.Name)
 	}
 	opsMu.Lock()
@@ -82,10 +93,10 @@ func Register(op Operation) error {
 	return nil
 }
 
-// Lookup resolves an operation by name: builtins first, then registered
+// Lookup resolves an operation by name: primitives first, then registered
 // extensions.
 func Lookup(name string) (Operation, bool) {
-	if op, ok := builtins[name]; ok {
+	if op, ok := primitive(name); ok {
 		return op, true
 	}
 	opsMu.RLock()
@@ -94,13 +105,12 @@ func Lookup(name string) (Operation, bool) {
 	return op, ok
 }
 
-// Operations returns every available operation name: the primitive
-// vocabulary in canonical order, then registered extensions sorted.
+// Operations returns every available operation name: the primitives in
+// canonical order, then registered extensions sorted.
 func Operations() []string {
-	prim := workloads.PrimitiveOps()
-	out := make([]string, 0, len(prim))
-	for _, op := range prim {
-		out = append(out, string(op))
+	out := make([]string, 0, len(primitives))
+	for _, op := range primitives {
+		out = append(out, op.Name)
 	}
 	opsMu.RLock()
 	extra := make([]string, 0, len(opsExtra))

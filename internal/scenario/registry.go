@@ -11,9 +11,9 @@ import (
 
 // Registry resolves the names a scenario spec refers to: workloads and
 // suites, registered by name. The default registry is seeded with bdbench's
-// self-registered inventory (the eight workload packages and the suite
-// emulations); external callers add custom workloads or whole suites to it
-// — or build an isolated registry with NewRegistry.
+// built-in inventory (the suite emulations and every workload their rows
+// name); external callers add custom workloads or whole suites to it — or
+// build an isolated registry with NewRegistry.
 type Registry struct {
 	mu     sync.RWMutex
 	ws     map[string]workloads.Workload
@@ -34,24 +34,39 @@ var (
 	defaultReg  *Registry
 )
 
-// Default returns the shared registry seeded with every self-registered
-// workload and suite. It is built once, on first use; registrations made
-// through it are visible to every later Default caller.
+// Default returns the shared registry seeded from suites.All — the suites'
+// rows are the built-in workload inventory. It is built once, on first use;
+// registrations made through it are visible to every later Default caller.
 func Default() *Registry {
 	defaultOnce.Do(func() {
 		defaultReg = NewRegistry()
-		for _, w := range workloads.Registered() {
-			if err := defaultReg.RegisterWorkload(w); err != nil {
-				panic(err)
-			}
-		}
-		for _, s := range suites.All() {
-			if err := defaultReg.RegisterSuite(s); err != nil {
-				panic(err)
-			}
+		if err := defaultReg.seed(suites.All()); err != nil {
+			panic(err)
 		}
 	})
 	return defaultReg
+}
+
+// seed registers the suites and every workload their rows name. Suites
+// share workloads, so meeting the same workload again is expected; two
+// different workloads under one name are an error — a spec entry naming it
+// would silently mean whichever suite came first.
+func (r *Registry) seed(ss []suites.Suite) error {
+	for _, s := range ss {
+		if err := r.RegisterSuite(s); err != nil {
+			return err
+		}
+		for _, w := range s.Workloads() {
+			if prev, ok := r.Workload(w.Name()); !ok {
+				if err := r.RegisterWorkload(w); err != nil {
+					return err
+				}
+			} else if prev != w {
+				return fmt.Errorf("scenario: suite %q binds a different workload to the name %q", s.Name, w.Name())
+			}
+		}
+	}
+	return nil
 }
 
 // RegisterWorkload adds a workload under its Name; duplicate and empty

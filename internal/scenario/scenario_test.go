@@ -15,6 +15,7 @@ import (
 	"github.com/bdbench/bdbench/internal/profiling"
 	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/suites"
+	"github.com/bdbench/bdbench/internal/testgen"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -126,16 +127,40 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 func TestDefaultRegistrySeeded(t *testing.T) {
 	r := Default()
 	if _, ok := r.Workload("sort"); !ok {
-		t.Fatal("built-in workload 'sort' not self-registered")
+		t.Fatal("built-in workload 'sort' not seeded")
 	}
 	if _, ok := r.Workload("linkbench-ops"); !ok {
-		t.Fatal("linkbench-ops not self-registered")
+		t.Fatal("linkbench-ops not seeded")
 	}
 	if _, ok := r.Suite("BigDataBench"); !ok {
-		t.Fatal("suite BigDataBench not self-registered")
+		t.Fatal("suite BigDataBench not seeded")
 	}
 	if n := len(r.SuiteNames()); n < 11 {
 		t.Fatalf("default registry has %d suites, want >= 11", n)
+	}
+}
+
+// TestSeedRejectsNameClash: suites share workloads, so seeding meets the
+// same workload more than once and registers it once; two different
+// workloads under one name would make a spec entry mean whichever suite
+// came first, and are refused.
+func TestSeedRejectsNameClash(t *testing.T) {
+	suite := func(name string, w workloads.Workload) suites.Suite {
+		return suites.Suite{Name: name, Rows: []suites.WorkloadRow{{Category: workloads.Online, Runners: []workloads.Workload{w}}}}
+	}
+	shared := fakeWorkload{name: "shared", cat: workloads.Online, domain: "d1"}
+	r := NewRegistry()
+	if err := r.seed([]suites.Suite{suite("A", shared), suite("B", shared)}); err != nil {
+		t.Fatalf("the same workload in two suites: %v", err)
+	}
+	if got := r.WorkloadNames(); !reflect.DeepEqual(got, []string{"shared"}) {
+		t.Fatalf("workloads %v, want the shared one once", got)
+	}
+	other := shared
+	other.domain = "d2"
+	err := NewRegistry().seed([]suites.Suite{suite("A", shared), suite("B", other)})
+	if err == nil || !strings.Contains(err.Error(), `"shared"`) {
+		t.Fatalf("two different workloads named alike: err = %v", err)
 	}
 }
 
@@ -415,13 +440,13 @@ func TestRunCancelledBeforeProbes(t *testing.T) {
 }
 
 func TestPrescriptionWorkload(t *testing.T) {
-	if _, err := NewPrescriptionWorkload(PrescriptionConfig{Prescription: "missing"}); err == nil {
+	if _, err := testgen.Bind(testgen.Config{Prescription: "missing"}); err == nil {
 		t.Fatal("unknown prescription accepted")
 	}
-	if _, err := NewPrescriptionWorkload(PrescriptionConfig{Prescription: "select-count", Stack: "quantum"}); err == nil {
+	if _, err := testgen.Bind(testgen.Config{Prescription: "select-count", Stack: "quantum"}); err == nil {
 		t.Fatal("unknown stack accepted")
 	}
-	w, err := NewPrescriptionWorkload(PrescriptionConfig{Prescription: "select-count", Stack: "mapreduce"})
+	w, err := testgen.Bind(testgen.Config{Prescription: "select-count", Stack: "mapreduce"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,7 @@ var ErrLengthMismatch = errors.New("stats: probability vectors have different le
 
 // smoothing is the epsilon mixed into distributions before computing
 // KL-style divergences, so that zero bins do not produce infinities. The
-// value trades a small bias for robustness; it is documented in
-// EXPERIMENTS.md wherever divergences are reported.
+// value trades a small bias for robustness.
 const smoothing = 1e-10
 
 func smooth(p []float64) []float64 {

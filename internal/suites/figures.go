@@ -1,22 +1,23 @@
-// Package core reproduces the paper's figures that are not a run of the
-// scenario runner, as executable artifacts: Figure 2 (the three-layer
-// architecture), Figure 3 (the data generation process) and the §3.3
-// portability demonstration. The five-step process of Figure 1 is
-// internal/scenario.
-package core
+package suites
 
 import (
 	"fmt"
 	"strings"
 	"time"
 
+	"github.com/bdbench/bdbench/internal/datagen"
 	"github.com/bdbench/bdbench/internal/datagen/formats"
 	"github.com/bdbench/bdbench/internal/datagen/tablegen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
 	"github.com/bdbench/bdbench/internal/datagen/veracity"
 	"github.com/bdbench/bdbench/internal/stats"
-	"github.com/bdbench/bdbench/internal/testgen"
 )
+
+// This file reproduces the paper's figures that are not a run of the
+// scenario runner, as executable artifacts beside Tables 1 and 2: Figure 2
+// (the three-layer architecture) and Figure 3 (the data generation
+// process). The five-step process of Figure 1 is internal/scenario;
+// Figure 4 is internal/testgen.
 
 // Layer describes one architecture layer and the packages implementing it.
 type Layer struct {
@@ -126,22 +127,12 @@ func TextDataGenProcess(seed uint64, docs int, workers int) (*DataGenOutcome, er
 	}
 	chunks := workers * 2
 	parts := make([]textgen.Corpus, chunks)
-	base := stats.NewRNG(seed + 2)
-	errs := make(chan error, chunks)
-	sem := make(chan struct{}, workers)
-	for i := 0; i < chunks; i++ {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			part, err := lda.Generate(base.Split("chunk", i), docs/chunks+1, 60)
-			parts[i] = part
-			errs <- err
-		}(i)
-	}
-	for i := 0; i < chunks; i++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
+	err := datagen.Parallel(seed+2, chunks, workers, func(i int, g *stats.RNG) (err error) {
+		parts[i], err = lda.Generate(g, docs/chunks+1, 60)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	var synthetic textgen.Corpus
 	for _, p := range parts {
@@ -205,20 +196,4 @@ func TableDataGenProcess(seed uint64, rows int64, workers int) (*DataGenOutcome,
 	}
 	out.Divergence = rep.Score()
 	return out, nil
-}
-
-// AbstractPortabilityCheck runs one built-in prescription across all stack
-// executors and reports whether the functional view held — the §3.3 system
-// view demonstration.
-func AbstractPortabilityCheck(workers int) (bool, error) {
-	pl := testgen.NewPipeline()
-	p, err := pl.Repository.Get("select-count")
-	if err != nil {
-		return false, err
-	}
-	_, err = testgen.VerifyPortability(p, pl.Registry, testgen.DefaultExecutors(workers))
-	if err != nil {
-		return false, err
-	}
-	return true, nil
 }

@@ -1,17 +1,10 @@
-package core
+package suites
 
 import (
 	"regexp"
 	"strings"
 	"testing"
 )
-
-func TestAbstractPortabilityCheck(t *testing.T) {
-	ok, err := AbstractPortabilityCheck(2)
-	if err != nil || !ok {
-		t.Fatalf("portability check failed: %v", err)
-	}
-}
 
 func TestArchitectureLayers(t *testing.T) {
 	layers := Architecture()

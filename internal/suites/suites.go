@@ -10,8 +10,8 @@
 // workload inventory bound to bdbench's stack substrates. The Table 1 and
 // Table 2 reproductions then *derive* every cell from probes and
 // measurements over these emulations rather than hard-coding the paper's
-// strings; EXPERIMENTS.md records where the derivation agrees with the
-// paper.
+// strings; CompareToPaper and CompareTable2ToPaper report where the
+// derivation disagrees with the paper.
 package suites
 
 import (

@@ -33,17 +33,20 @@ func TestAllSuitesWellFormed(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if _, ok := ByName("YCSB"); !ok {
-		t.Fatal("YCSB missing")
+// mustSuite returns the named built-in suite.
+func mustSuite(t *testing.T, name string) Suite {
+	t.Helper()
+	for _, s := range All() {
+		if s.Name == name {
+			return s
+		}
 	}
-	if _, ok := ByName("nope"); ok {
-		t.Fatal("unknown suite found")
-	}
+	t.Fatalf("no built-in suite %q", name)
+	return Suite{}
 }
 
 func TestProbeVolume(t *testing.T) {
-	hibench, _ := ByName("HiBench")
+	hibench := mustSuite(t, "HiBench")
 	class, ev := ProbeVolume(hibench)
 	if class != VolumePartially {
 		t.Fatalf("HiBench volume %s, want partially scalable (fixed seed corpus)", class)
@@ -57,14 +60,14 @@ func TestProbeVolume(t *testing.T) {
 	if !foundFixed {
 		t.Fatal("no fixed dataset in evidence")
 	}
-	ycsb, _ := ByName("YCSB")
+	ycsb := mustSuite(t, "YCSB")
 	if class, _ := ProbeVolume(ycsb); class != VolumeScalable {
 		t.Fatalf("YCSB volume %s, want scalable", class)
 	}
 }
 
 func TestProbeVelocityClasses(t *testing.T) {
-	hibench, _ := ByName("HiBench")
+	hibench := mustSuite(t, "HiBench")
 	class, _, err := ProbeVelocity(hibench)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +75,7 @@ func TestProbeVelocityClasses(t *testing.T) {
 	if class != VelocityUncontrollable {
 		t.Fatalf("HiBench velocity %s", class)
 	}
-	tpcds, _ := ByName("TPC-DS")
+	tpcds := mustSuite(t, "TPC-DS")
 	class, ev, err := ProbeVelocity(tpcds)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +86,7 @@ func TestProbeVelocityClasses(t *testing.T) {
 	if ev.RateLowAchieved <= 0 || ev.RateHiAchieved <= ev.RateLowAchieved {
 		t.Fatalf("rate evidence not measured: %+v", ev)
 	}
-	ours, _ := ByName("bdbench (this work)")
+	ours := mustSuite(t, "bdbench (this work)")
 	class, ev, err = ProbeVelocity(ours)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +207,7 @@ func TestEveryDistinctWorkloadRuns(t *testing.T) {
 }
 
 func TestSuiteTasksCollectResults(t *testing.T) {
-	gridmix, _ := ByName("GridMix")
+	gridmix := mustSuite(t, "GridMix")
 	results := engine.Run(context.Background(), gridmix.Tasks(workloads.Params{Seed: 7, Scale: 1, Workers: 2}), engine.Config{})
 	if len(results) != 2 {
 		t.Fatalf("results %d", len(results))
@@ -246,7 +249,7 @@ func newCollector(name string) *metrics.Collector { return metrics.NewCollector(
 // per-workload results (counters, operation counts, order) at workers=1 and
 // workers=8.
 func TestSuiteTasksDeterministicAcrossWorkers(t *testing.T) {
-	suite, _ := ByName("CloudSuite")
+	suite := mustSuite(t, "CloudSuite")
 	p := workloads.Params{Seed: 42, Scale: 1, Workers: 2}
 	sequential := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 1})
 	parallel := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 8})
@@ -285,7 +288,7 @@ func TestSuiteTasksDeterministicAcrossWorkers(t *testing.T) {
 // layer: every workload reports each measured repetition plus a throughput
 // summary, and the representative result is one of the reps.
 func TestSuiteTasksReps(t *testing.T) {
-	suite, _ := ByName("GridMix")
+	suite := mustSuite(t, "GridMix")
 	p := workloads.Params{Seed: 7, Scale: 1, Workers: 2}
 	results := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 2, Reps: 3, Warmup: 1})
 	for _, r := range results {

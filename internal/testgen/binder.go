@@ -1,6 +1,7 @@
 package testgen
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -25,7 +26,7 @@ type Executor interface {
 	Name() string
 	StackType() stacks.Type
 	Load(main, second Dataset) error
-	Exec(step Step, reg *Registry) error
+	Exec(step Step) error
 	Result() (Dataset, error)
 }
 
@@ -66,11 +67,16 @@ func GenerateData(spec DataSpec) (Dataset, Dataset, error) {
 	return main, second, nil
 }
 
-// RunOn executes a validated prescription on the executor, recording one
-// latency observation per executed operation plus iteration counters. It
-// returns the final dataset.
-func RunOn(exec Executor, p Prescription, reg *Registry, c *metrics.Collector) (Dataset, error) {
-	if err := p.Validate(reg); err != nil {
+// RunOn validates the prescription and executes it on the executor,
+// recording one latency observation per executed operation plus iteration
+// counters. It returns the final dataset. ctx is checked on entry and
+// before every step, so a cancelled or timed-out run stops within one
+// operation.
+func RunOn(ctx context.Context, exec Executor, p Prescription, c *metrics.Collector) (Dataset, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	main, second, err := GenerateData(p.Data)
@@ -95,8 +101,11 @@ func RunOn(exec Executor, p Prescription, reg *Registry, c *metrics.Collector) (
 
 	runSteps := func() error {
 		for i, step := range p.Steps {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			t := time.Now()
-			if err := exec.Exec(step, reg); err != nil {
+			if err := exec.Exec(step); err != nil {
 				return fmt.Errorf("testgen: step %q on %s: %w", step.Op, exec.Name(), err)
 			}
 			stepRefs[i].ObserveSince(t)
@@ -143,7 +152,7 @@ func RunOn(exec Executor, p Prescription, reg *Registry, c *metrics.Collector) (
 
 // ---- Reference executor (pure functional view) ----
 
-// ReferenceExecutor applies the registry's reference semantics directly;
+// ReferenceExecutor applies the vocabulary's reference semantics directly;
 // it is the functional-view oracle other executors are checked against.
 type ReferenceExecutor struct {
 	cur, second Dataset
@@ -163,8 +172,8 @@ func (e *ReferenceExecutor) Load(main, second Dataset) error {
 }
 
 // Exec implements Executor.
-func (e *ReferenceExecutor) Exec(step Step, reg *Registry) error {
-	op, err := reg.Get(step.Op)
+func (e *ReferenceExecutor) Exec(step Step) error {
+	op, err := Op(step.Op)
 	if err != nil {
 		return err
 	}
@@ -259,7 +268,7 @@ func (e *DBMSExecutor) reload(d Dataset) error {
 }
 
 // Exec implements Executor.
-func (e *DBMSExecutor) Exec(step Step, reg *Registry) error {
+func (e *DBMSExecutor) Exec(step Step) error {
 	switch step.Op {
 	case "get":
 		// Structured plan rather than string SQL: the argument is data,
@@ -346,7 +355,7 @@ func (e *DBMSExecutor) Exec(step Step, reg *Registry) error {
 		if err != nil {
 			return err
 		}
-		op, err := reg.Get(step.Op)
+		op, err := Op(step.Op)
 		if err != nil {
 			return err
 		}
@@ -436,7 +445,7 @@ func (e *NoSQLExecutor) rewrite(d Dataset) {
 }
 
 // Exec implements Executor.
-func (e *NoSQLExecutor) Exec(step Step, reg *Registry) error {
+func (e *NoSQLExecutor) Exec(step Step) error {
 	if e.collapsed == nil {
 		switch step.Op {
 		case "get":
@@ -473,7 +482,7 @@ func (e *NoSQLExecutor) Exec(step Step, reg *Registry) error {
 		}
 	}
 	// Client-side glue.
-	op, err := reg.Get(step.Op)
+	op, err := Op(step.Op)
 	if err != nil {
 		return err
 	}
@@ -525,7 +534,7 @@ func (e *MapReduceExecutor) Load(main, second Dataset) error {
 }
 
 // Exec implements Executor.
-func (e *MapReduceExecutor) Exec(step Step, reg *Registry) error {
+func (e *MapReduceExecutor) Exec(step Step) error {
 	var job mapreduce.Job
 	input := e.cur
 	switch step.Op {
@@ -615,7 +624,7 @@ func (e *MapReduceExecutor) Exec(step Step, reg *Registry) error {
 		if err != nil {
 			return fmt.Errorf("top needs a count")
 		}
-		if err := e.Exec(Step{Op: "sort"}, reg); err != nil {
+		if err := e.Exec(Step{Op: "sort"}); err != nil {
 			return err
 		}
 		if n < len(e.cur) {

@@ -72,12 +72,17 @@ type Operation struct {
 	Apply func(a, b Dataset, arg string) (Dataset, error)
 }
 
-// Registry holds the abstract operation vocabulary.
-type Registry struct {
-	ops map[string]Operation
+// Op returns the named operation of the vocabulary.
+func Op(name string) (Operation, error) {
+	for _, op := range operations {
+		if op.Name == name {
+			return op, nil
+		}
+	}
+	return Operation{}, fmt.Errorf("testgen: unknown operation %q", name)
 }
 
-// NewRegistry returns a registry preloaded with the standard vocabulary:
+// operations is the abstract operation vocabulary:
 //
 //	element:    select, project, enrich
 //	single-set: sort, count, distinct, top
@@ -85,172 +90,140 @@ type Registry struct {
 //
 // plus the basic database operations get, put, delete (element ops over a
 // keyed set).
-func NewRegistry() *Registry {
-	r := &Registry{ops: make(map[string]Operation)}
-	for _, op := range standardOps() {
-		r.Register(op)
-	}
-	return r
-}
-
-// Register adds or replaces an operation.
-func (r *Registry) Register(op Operation) { r.ops[op.Name] = op }
-
-// Get returns the named operation.
-func (r *Registry) Get(name string) (Operation, error) {
-	op, ok := r.ops[name]
-	if !ok {
-		return Operation{}, fmt.Errorf("testgen: unknown operation %q", name)
-	}
-	return op, nil
-}
-
-// Names lists registered operations in sorted order.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.ops))
-	for n := range r.ops {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func standardOps() []Operation {
-	return []Operation{
-		{
-			Name: "select", Arity: ElementOp,
-			Apply: func(a, _ Dataset, arg string) (Dataset, error) {
-				var out Dataset
-				for _, rec := range a {
-					if strings.Contains(rec.Value, arg) {
-						out = append(out, rec)
-					}
+var operations = []Operation{
+	{
+		Name: "select", Arity: ElementOp,
+		Apply: func(a, _ Dataset, arg string) (Dataset, error) {
+			var out Dataset
+			for _, rec := range a {
+				if strings.Contains(rec.Value, arg) {
+					out = append(out, rec)
 				}
-				return out, nil
-			},
+			}
+			return out, nil
 		},
-		{
-			Name: "project", Arity: ElementOp,
-			Apply: func(a, _ Dataset, _ string) (Dataset, error) {
-				out := make(Dataset, len(a))
-				for i, rec := range a {
-					out[i] = Record{Key: rec.Key}
+	},
+	{
+		Name: "project", Arity: ElementOp,
+		Apply: func(a, _ Dataset, _ string) (Dataset, error) {
+			out := make(Dataset, len(a))
+			for i, rec := range a {
+				out[i] = Record{Key: rec.Key}
+			}
+			return out, nil
+		},
+	},
+	{
+		Name: "enrich", Arity: ElementOp,
+		Apply: func(a, _ Dataset, arg string) (Dataset, error) {
+			out := make(Dataset, len(a))
+			for i, rec := range a {
+				out[i] = Record{Key: rec.Key, Value: rec.Value + arg}
+			}
+			return out, nil
+		},
+	},
+	{
+		Name: "put", Arity: ElementOp,
+		Apply: func(a, _ Dataset, arg string) (Dataset, error) {
+			k, v, ok := strings.Cut(arg, "=")
+			if !ok {
+				return nil, fmt.Errorf("testgen: put needs key=value, got %q", arg)
+			}
+			out := append(Dataset(nil), a...)
+			for i := range out {
+				if out[i].Key == k {
+					out[i].Value = v
+					return out, nil
 				}
-				return out, nil
-			},
+			}
+			return append(out, Record{Key: k, Value: v}), nil
 		},
-		{
-			Name: "enrich", Arity: ElementOp,
-			Apply: func(a, _ Dataset, arg string) (Dataset, error) {
-				out := make(Dataset, len(a))
-				for i, rec := range a {
-					out[i] = Record{Key: rec.Key, Value: rec.Value + arg}
+	},
+	{
+		Name: "get", Arity: ElementOp,
+		Apply: func(a, _ Dataset, arg string) (Dataset, error) {
+			for _, rec := range a {
+				if rec.Key == arg {
+					return Dataset{rec}, nil
 				}
-				return out, nil
-			},
+			}
+			return Dataset{}, nil
 		},
-		{
-			Name: "put", Arity: ElementOp,
-			Apply: func(a, _ Dataset, arg string) (Dataset, error) {
-				k, v, ok := strings.Cut(arg, "=")
-				if !ok {
-					return nil, fmt.Errorf("testgen: put needs key=value, got %q", arg)
+	},
+	{
+		Name: "delete", Arity: ElementOp,
+		Apply: func(a, _ Dataset, arg string) (Dataset, error) {
+			var out Dataset
+			for _, rec := range a {
+				if rec.Key != arg {
+					out = append(out, rec)
 				}
-				out := append(Dataset(nil), a...)
-				for i := range out {
-					if out[i].Key == k {
-						out[i].Value = v
-						return out, nil
-					}
+			}
+			return out, nil
+		},
+	},
+	{
+		Name: "sort", Arity: SingleSetOp,
+		Apply: func(a, _ Dataset, _ string) (Dataset, error) {
+			return a.Normalize(), nil
+		},
+	},
+	{
+		Name: "count", Arity: SingleSetOp,
+		Apply: func(a, _ Dataset, _ string) (Dataset, error) {
+			return Dataset{{Key: "count", Value: strconv.Itoa(len(a))}}, nil
+		},
+	},
+	{
+		Name: "distinct", Arity: SingleSetOp,
+		Apply: func(a, _ Dataset, _ string) (Dataset, error) {
+			seen := map[Record]bool{}
+			var out Dataset
+			for _, rec := range a {
+				if !seen[rec] {
+					seen[rec] = true
+					out = append(out, rec)
 				}
-				return append(out, Record{Key: k, Value: v}), nil
-			},
+			}
+			return out, nil
 		},
-		{
-			Name: "get", Arity: ElementOp,
-			Apply: func(a, _ Dataset, arg string) (Dataset, error) {
-				for _, rec := range a {
-					if rec.Key == arg {
-						return Dataset{rec}, nil
-					}
+	},
+	{
+		Name: "top", Arity: SingleSetOp,
+		Apply: func(a, _ Dataset, arg string) (Dataset, error) {
+			n, err := strconv.Atoi(arg)
+			if err != nil || n < 0 {
+				return nil, fmt.Errorf("testgen: top needs a count, got %q", arg)
+			}
+			sorted := a.Normalize()
+			if n > len(sorted) {
+				n = len(sorted)
+			}
+			return sorted[:n], nil
+		},
+	},
+	{
+		Name: "union", Arity: DoubleSetOp,
+		Apply: func(a, b Dataset, _ string) (Dataset, error) {
+			out := append(Dataset(nil), a...)
+			return append(out, b...), nil
+		},
+	},
+	{
+		Name: "join", Arity: DoubleSetOp,
+		Apply: func(a, b Dataset, _ string) (Dataset, error) {
+			byKey := map[string][]string{}
+			for _, rec := range b {
+				byKey[rec.Key] = append(byKey[rec.Key], rec.Value)
+			}
+			var out Dataset
+			for _, rec := range a {
+				for _, v := range byKey[rec.Key] {
+					out = append(out, Record{Key: rec.Key, Value: rec.Value + "|" + v})
 				}
-				return Dataset{}, nil
-			},
+			}
+			return out, nil
 		},
-		{
-			Name: "delete", Arity: ElementOp,
-			Apply: func(a, _ Dataset, arg string) (Dataset, error) {
-				var out Dataset
-				for _, rec := range a {
-					if rec.Key != arg {
-						out = append(out, rec)
-					}
-				}
-				return out, nil
-			},
-		},
-		{
-			Name: "sort", Arity: SingleSetOp,
-			Apply: func(a, _ Dataset, _ string) (Dataset, error) {
-				return a.Normalize(), nil
-			},
-		},
-		{
-			Name: "count", Arity: SingleSetOp,
-			Apply: func(a, _ Dataset, _ string) (Dataset, error) {
-				return Dataset{{Key: "count", Value: strconv.Itoa(len(a))}}, nil
-			},
-		},
-		{
-			Name: "distinct", Arity: SingleSetOp,
-			Apply: func(a, _ Dataset, _ string) (Dataset, error) {
-				seen := map[Record]bool{}
-				var out Dataset
-				for _, rec := range a {
-					if !seen[rec] {
-						seen[rec] = true
-						out = append(out, rec)
-					}
-				}
-				return out, nil
-			},
-		},
-		{
-			Name: "top", Arity: SingleSetOp,
-			Apply: func(a, _ Dataset, arg string) (Dataset, error) {
-				n, err := strconv.Atoi(arg)
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("testgen: top needs a count, got %q", arg)
-				}
-				sorted := a.Normalize()
-				if n > len(sorted) {
-					n = len(sorted)
-				}
-				return sorted[:n], nil
-			},
-		},
-		{
-			Name: "union", Arity: DoubleSetOp,
-			Apply: func(a, b Dataset, _ string) (Dataset, error) {
-				out := append(Dataset(nil), a...)
-				return append(out, b...), nil
-			},
-		},
-		{
-			Name: "join", Arity: DoubleSetOp,
-			Apply: func(a, b Dataset, _ string) (Dataset, error) {
-				byKey := map[string][]string{}
-				for _, rec := range b {
-					byKey[rec.Key] = append(byKey[rec.Key], rec.Value)
-				}
-				var out Dataset
-				for _, rec := range a {
-					for _, v := range byKey[rec.Key] {
-						out = append(out, Record{Key: rec.Key, Value: rec.Value + "|" + v})
-					}
-				}
-				return out, nil
-			},
-		},
-	}
+	},
 }

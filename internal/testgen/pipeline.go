@@ -1,10 +1,13 @@
 package testgen
 
 import (
+	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/workloads"
 )
 
 // This file implements the five-step test generation process of Figure 4:
@@ -20,57 +23,52 @@ type StepTrace struct {
 	Duration time.Duration
 }
 
-// Pipeline drives the Figure 4 process and records a step trace.
-type Pipeline struct {
-	Registry   *Registry
-	Repository *Repository
-	Trace      []StepTrace
+// executors binds each stack name to its executor, including the abstract
+// reference executor; workers is the stack's parallelism where it has one.
+var executors = map[string]func(workers int) Executor{
+	"reference": func(int) Executor { return &ReferenceExecutor{} },
+	"dbms":      func(int) Executor { return NewDBMSExecutor() },
+	"nosql":     func(int) Executor { return NewNoSQLExecutor(4, 1) },
+	"mapreduce": func(workers int) Executor { return NewMapReduceExecutor(workers) },
 }
 
-// NewPipeline returns a pipeline over fresh registry and repository.
-func NewPipeline() *Pipeline {
-	return &Pipeline{Registry: NewRegistry(), Repository: NewRepository()}
+// Stacks lists the stacks a prescription can be bound to, sorted.
+func Stacks() []string {
+	out := make([]string, 0, len(executors))
+	for name := range executors {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
-func (pl *Pipeline) trace(step int, name, detail string, d time.Duration) {
-	pl.Trace = append(pl.Trace, StepTrace{Step: step, Name: name, Detail: detail, Duration: d})
-}
+// Generate performs steps 1-5: it builds a prescription from the selections
+// and binds it to every stack. It returns the prescription, one prescribed
+// test per stack (in Stacks order) as a runnable workload, and the step
+// trace.
+func Generate(data DataSpec, steps []Step, kind PatternKind, stop StopCondition, maxIter int) (Prescription, []workloads.Workload, []StepTrace, error) {
+	var trace []StepTrace
+	record := func(step int, name, detail string, t0 time.Time) {
+		trace = append(trace, StepTrace{Step: step, Name: name, Detail: detail, Duration: time.Since(t0)})
+	}
 
-// PrescribedTest is the output of the pipeline: a prescription bound to an
-// executor factory for one software stack.
-type PrescribedTest struct {
-	Prescription Prescription
-	StackName    string
-	NewExecutor  func() Executor
-}
-
-// Run executes the prescribed test and returns its result dataset.
-func (t PrescribedTest) Run(reg *Registry, c *metrics.Collector) (Dataset, error) {
-	return RunOn(t.NewExecutor(), t.Prescription, reg, c)
-}
-
-// Generate performs steps 1-5: it builds (or fetches) a prescription from
-// the selections and binds it to each requested stack, returning one
-// prescribed test per stack.
-func (pl *Pipeline) Generate(data DataSpec, steps []Step, kind PatternKind, stop StopCondition, maxIter int, stackFactories map[string]func() Executor) ([]PrescribedTest, error) {
 	t0 := time.Now()
 	main, second, err := GenerateData(data)
 	if err != nil {
-		return nil, err
+		return Prescription{}, nil, nil, err
 	}
-	pl.trace(1, "select data set",
-		fmt.Sprintf("source=%s size=%d second=%d", data.Source, len(main), len(second)), time.Since(t0))
+	record(1, "select data set",
+		fmt.Sprintf("source=%s size=%d second=%d", data.Source, len(main), len(second)), t0)
 
 	t1 := time.Now()
 	for _, s := range steps {
-		if _, err := pl.Registry.Get(s.Op); err != nil {
-			return nil, err
+		if _, err := Op(s.Op); err != nil {
+			return Prescription{}, nil, nil, err
 		}
 	}
-	pl.trace(2, "select operations", fmt.Sprintf("%d of %d available", len(steps), len(pl.Registry.Names())), time.Since(t1))
+	record(2, "select operations", fmt.Sprintf("%d of %d available", len(steps), len(operations)), t1)
 
-	t2 := time.Now()
-	pl.trace(3, "select workload pattern", string(kind), time.Since(t2))
+	record(3, "select workload pattern", string(kind), time.Now())
 
 	t3 := time.Now()
 	p := Prescription{
@@ -82,59 +80,41 @@ func (pl *Pipeline) Generate(data DataSpec, steps []Step, kind PatternKind, stop
 		MaxIter: maxIter,
 		Metrics: []string{"duration", "throughput"},
 	}
-	if err := p.Validate(pl.Registry); err != nil {
-		return nil, err
+	if err := p.Validate(); err != nil {
+		return Prescription{}, nil, nil, err
 	}
-	pl.Repository.Add(p)
-	pl.trace(4, "generate prescription", p.Name, time.Since(t3))
+	record(4, "generate prescription", p.Name, t3)
 
 	t4 := time.Now()
-	var tests []PrescribedTest
-	for name, factory := range stackFactories {
-		tests = append(tests, PrescribedTest{Prescription: p, StackName: name, NewExecutor: factory})
-	}
-	pl.trace(5, "create prescribed tests", fmt.Sprintf("%d stacks", len(tests)), time.Since(t4))
-	return tests, nil
-}
-
-// DefaultExecutors returns the standard executor factories keyed by stack
-// name, including the abstract reference executor.
-func DefaultExecutors(workers int) map[string]func() Executor {
-	return map[string]func() Executor{
-		"reference": func() Executor { return &ReferenceExecutor{} },
-		"dbms":      func() Executor { return NewDBMSExecutor() },
-		"nosql":     func() Executor { return NewNoSQLExecutor(4, 1) },
-		"mapreduce": func() Executor { return NewMapReduceExecutor(workers) },
-	}
-}
-
-// VerifyPortability runs the prescription on every executor and checks the
-// functional view: all stacks must produce the same normalized dataset. It
-// returns per-stack results keyed by executor name.
-func VerifyPortability(p Prescription, reg *Registry, execs map[string]func() Executor) (map[string]Dataset, error) {
-	results := make(map[string]Dataset, len(execs))
-	for name, factory := range execs {
-		c := metrics.NewCollector(name)
-		out, err := RunOn(factory(), p, reg, c)
+	var tests []workloads.Workload
+	for _, stack := range Stacks() {
+		w, err := Bind(Config{Recipe: &p, Stack: stack})
 		if err != nil {
-			return nil, fmt.Errorf("testgen: %s: %w", name, err)
+			return Prescription{}, nil, nil, err
 		}
-		results[name] = out
+		tests = append(tests, w)
 	}
-	var refName string
-	var ref Dataset
-	if r, ok := results["reference"]; ok {
-		refName, ref = "reference", r
-	} else {
-		for name, r := range results {
-			refName, ref = name, r
-			break
+	record(5, "create prescribed tests", fmt.Sprintf("%d stacks", len(tests)), t4)
+	return p, tests, trace, nil
+}
+
+// VerifyPortability runs the prescription on every stack and checks the
+// functional view: each must produce the same normalized dataset as the
+// reference executor. It returns the per-stack results keyed by stack name.
+func VerifyPortability(ctx context.Context, p Prescription, workers int) (map[string]Dataset, error) {
+	results := make(map[string]Dataset, len(executors))
+	for _, stack := range Stacks() {
+		out, err := RunOn(ctx, executors[stack](workers), p, metrics.NewCollector(stack))
+		if err != nil {
+			return nil, fmt.Errorf("testgen: %s: %w", stack, err)
 		}
+		results[stack] = out
 	}
-	for name, r := range results {
-		if !r.Equal(ref) {
-			return results, fmt.Errorf("testgen: functional view violated: %s disagrees with %s (%d vs %d records)",
-				name, refName, len(r), len(ref))
+	ref := results["reference"]
+	for _, stack := range Stacks() {
+		if r := results[stack]; !r.Equal(ref) {
+			return results, fmt.Errorf("testgen: functional view violated: %s disagrees with reference (%d vs %d records)",
+				stack, len(r), len(ref))
 		}
 	}
 	return results, nil

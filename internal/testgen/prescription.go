@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // PatternKind is the paper's three-way workload-pattern classification.
@@ -69,8 +70,8 @@ type Prescription struct {
 	Metrics []string `json:"metrics,omitempty"`
 }
 
-// Validate checks structural consistency against a registry.
-func (p Prescription) Validate(reg *Registry) error {
+// Validate checks structural consistency against the operation vocabulary.
+func (p Prescription) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("testgen: prescription needs a name")
 	}
@@ -92,7 +93,7 @@ func (p Prescription) Validate(reg *Registry) error {
 		return fmt.Errorf("testgen: prescription %q needs a positive data size", p.Name)
 	}
 	for _, s := range p.Steps {
-		op, err := reg.Get(s.Op)
+		op, err := Op(s.Op)
 		if err != nil {
 			return err
 		}
@@ -114,94 +115,66 @@ func (p Prescription) Marshal() ([]byte, error) {
 	return json.MarshalIndent(p, "", "  ")
 }
 
-// UnmarshalPrescription parses a JSON prescription.
-func UnmarshalPrescription(raw []byte) (Prescription, error) {
-	var p Prescription
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return Prescription{}, fmt.Errorf("testgen: bad prescription: %w", err)
+// Find fetches a built-in prescription by name.
+func Find(name string) (Prescription, error) {
+	for _, p := range prescriptions {
+		if p.Name == name {
+			return p, nil
+		}
 	}
-	return p, nil
+	return Prescription{}, fmt.Errorf("testgen: no prescription %q (have: %s)", name, strings.Join(Names(), ", "))
 }
 
-// Repository is the §5.2 "repository of reusable prescriptions": a named
-// collection that ships with ready-made recipes for common domains.
-type Repository struct {
-	byName map[string]Prescription
-}
-
-// NewRepository returns a repository preloaded with the built-in
-// prescriptions.
-func NewRepository() *Repository {
-	r := &Repository{byName: make(map[string]Prescription)}
-	for _, p := range BuiltinPrescriptions() {
-		r.byName[p.Name] = p
-	}
-	return r
-}
-
-// Add stores a prescription (replacing any same-named one).
-func (r *Repository) Add(p Prescription) { r.byName[p.Name] = p }
-
-// Get fetches a prescription by name.
-func (r *Repository) Get(name string) (Prescription, error) {
-	p, ok := r.byName[name]
-	if !ok {
-		return Prescription{}, fmt.Errorf("testgen: no prescription %q", name)
-	}
-	return p, nil
-}
-
-// Names lists stored prescriptions in sorted order.
-func (r *Repository) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
+// Names lists the built-in prescriptions in sorted order.
+func Names() []string {
+	out := make([]string, len(prescriptions))
+	for i, p := range prescriptions {
+		out[i] = p.Name
 	}
 	sort.Strings(out)
 	return out
 }
 
-// BuiltinPrescriptions returns the stock recipes: one per pattern kind,
-// covering the paper's examples (a SQL-like select+put sequence, basic
-// database operations, and an iterative reduction).
-func BuiltinPrescriptions() []Prescription {
-	return []Prescription{
-		{
-			Name:    "db-point-ops",
-			Data:    DataSpec{Source: "pairs", Size: 1000, Seed: 1},
-			Kind:    MultiPattern,
-			Steps:   []Step{{Op: "put", Arg: "k42=updated"}, {Op: "get", Arg: "k42"}},
-			Metrics: []string{"duration", "throughput"},
-		},
-		{
-			Name:    "select-count",
-			Data:    DataSpec{Source: "words", Size: 2000, Seed: 2},
-			Kind:    MultiPattern,
-			Steps:   []Step{{Op: "select", Arg: "data"}, {Op: "count"}},
-			Metrics: []string{"duration"},
-		},
-		{
-			Name:    "sort-only",
-			Data:    DataSpec{Source: "words", Size: 2000, Seed: 3},
-			Kind:    SinglePattern,
-			Steps:   []Step{{Op: "sort"}},
-			Metrics: []string{"duration"},
-		},
-		{
-			Name:    "iterative-shrink",
-			Data:    DataSpec{Source: "words", Size: 4000, Seed: 4},
-			Kind:    IterativePattern,
-			Steps:   []Step{{Op: "select", Arg: "a"}},
-			Stop:    StopWhenStable,
-			MaxIter: 50,
-			Metrics: []string{"duration", "iterations"},
-		},
-		{
-			Name:    "join-sets",
-			Data:    DataSpec{Source: "pairs", Size: 1000, Seed: 5, SecondSize: 500},
-			Kind:    MultiPattern,
-			Steps:   []Step{{Op: "join", UseSecond: true}, {Op: "count"}},
-			Metrics: []string{"duration"},
-		},
-	}
+// prescriptions is the §5.2 "repository of reusable prescriptions": the
+// stock recipes, one per pattern kind, covering the paper's examples (a
+// SQL-like select+put sequence, basic database operations, and an
+// iterative reduction).
+var prescriptions = []Prescription{
+	{
+		Name:    "db-point-ops",
+		Data:    DataSpec{Source: "pairs", Size: 1000, Seed: 1},
+		Kind:    MultiPattern,
+		Steps:   []Step{{Op: "put", Arg: "k42=updated"}, {Op: "get", Arg: "k42"}},
+		Metrics: []string{"duration", "throughput"},
+	},
+	{
+		Name:    "select-count",
+		Data:    DataSpec{Source: "words", Size: 2000, Seed: 2},
+		Kind:    MultiPattern,
+		Steps:   []Step{{Op: "select", Arg: "data"}, {Op: "count"}},
+		Metrics: []string{"duration"},
+	},
+	{
+		Name:    "sort-only",
+		Data:    DataSpec{Source: "words", Size: 2000, Seed: 3},
+		Kind:    SinglePattern,
+		Steps:   []Step{{Op: "sort"}},
+		Metrics: []string{"duration"},
+	},
+	{
+		Name:    "iterative-shrink",
+		Data:    DataSpec{Source: "words", Size: 4000, Seed: 4},
+		Kind:    IterativePattern,
+		Steps:   []Step{{Op: "select", Arg: "a"}},
+		Stop:    StopWhenStable,
+		MaxIter: 50,
+		Metrics: []string{"duration", "iterations"},
+	},
+	{
+		Name:    "join-sets",
+		Data:    DataSpec{Source: "pairs", Size: 1000, Seed: 5, SecondSize: 500},
+		Kind:    MultiPattern,
+		Steps:   []Step{{Op: "join", UseSecond: true}, {Op: "count"}},
+		Metrics: []string{"duration"},
+	},
 }

@@ -1,15 +1,23 @@
 package testgen
 
 import (
+	"context"
+	"encoding/json"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/workloads"
 )
 
 func TestRegistryVocabulary(t *testing.T) {
-	reg := NewRegistry()
-	names := reg.Names()
+	var names []string
+	for _, op := range operations {
+		names = append(names, op.Name)
+	}
+	sort.Strings(names)
 	want := []string{"count", "delete", "distinct", "enrich", "get", "join", "project", "put", "select", "sort", "top", "union"}
 	if len(names) != len(want) {
 		t.Fatalf("ops %v", names)
@@ -19,13 +27,12 @@ func TestRegistryVocabulary(t *testing.T) {
 			t.Fatalf("ops[%d] = %s, want %s", i, names[i], want[i])
 		}
 	}
-	if _, err := reg.Get("nope"); err == nil {
+	if _, err := Op("nope"); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
 
 func TestOperationArities(t *testing.T) {
-	reg := NewRegistry()
 	arities := map[string]Arity{
 		"select": ElementOp, "project": ElementOp, "put": ElementOp,
 		"get": ElementOp, "delete": ElementOp, "enrich": ElementOp,
@@ -33,7 +40,7 @@ func TestOperationArities(t *testing.T) {
 		"union": DoubleSetOp, "join": DoubleSetOp,
 	}
 	for name, want := range arities {
-		op, err := reg.Get(name)
+		op, err := Op(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,56 +51,55 @@ func TestOperationArities(t *testing.T) {
 }
 
 func TestReferenceSemantics(t *testing.T) {
-	reg := NewRegistry()
 	d := Dataset{{"k1", "apple pie"}, {"k2", "banana"}, {"k3", "apple tart"}}
 
-	sel, _ := mustOp(t, reg, "select").Apply(d, nil, "apple")
+	sel, _ := mustOp(t, "select").Apply(d, nil, "apple")
 	if len(sel) != 2 {
 		t.Fatalf("select %v", sel)
 	}
-	cnt, _ := mustOp(t, reg, "count").Apply(d, nil, "")
+	cnt, _ := mustOp(t, "count").Apply(d, nil, "")
 	if cnt[0].Value != "3" {
 		t.Fatalf("count %v", cnt)
 	}
-	got, _ := mustOp(t, reg, "get").Apply(d, nil, "k2")
+	got, _ := mustOp(t, "get").Apply(d, nil, "k2")
 	if len(got) != 1 || got[0].Value != "banana" {
 		t.Fatalf("get %v", got)
 	}
-	del, _ := mustOp(t, reg, "delete").Apply(d, nil, "k2")
+	del, _ := mustOp(t, "delete").Apply(d, nil, "k2")
 	if len(del) != 2 {
 		t.Fatalf("delete %v", del)
 	}
-	put, _ := mustOp(t, reg, "put").Apply(d, nil, "k2=cherry")
+	put, _ := mustOp(t, "put").Apply(d, nil, "k2=cherry")
 	if put.Normalize()[1].Value != "cherry" {
 		t.Fatalf("put-update %v", put)
 	}
-	putNew, _ := mustOp(t, reg, "put").Apply(d, nil, "k9=new")
+	putNew, _ := mustOp(t, "put").Apply(d, nil, "k9=new")
 	if len(putNew) != 4 {
 		t.Fatalf("put-insert %v", putNew)
 	}
-	if _, err := mustOp(t, reg, "put").Apply(d, nil, "noequals"); err == nil {
+	if _, err := mustOp(t, "put").Apply(d, nil, "noequals"); err == nil {
 		t.Fatal("bad put arg accepted")
 	}
-	srt, _ := mustOp(t, reg, "sort").Apply(Dataset{{"b", "2"}, {"a", "1"}}, nil, "")
+	srt, _ := mustOp(t, "sort").Apply(Dataset{{"b", "2"}, {"a", "1"}}, nil, "")
 	if srt[0].Key != "a" {
 		t.Fatalf("sort %v", srt)
 	}
-	dis, _ := mustOp(t, reg, "distinct").Apply(Dataset{{"a", "1"}, {"a", "1"}, {"a", "2"}}, nil, "")
+	dis, _ := mustOp(t, "distinct").Apply(Dataset{{"a", "1"}, {"a", "1"}, {"a", "2"}}, nil, "")
 	if len(dis) != 2 {
 		t.Fatalf("distinct %v", dis)
 	}
-	top, _ := mustOp(t, reg, "top").Apply(d, nil, "2")
+	top, _ := mustOp(t, "top").Apply(d, nil, "2")
 	if len(top) != 2 {
 		t.Fatalf("top %v", top)
 	}
-	if _, err := mustOp(t, reg, "top").Apply(d, nil, "x"); err == nil {
+	if _, err := mustOp(t, "top").Apply(d, nil, "x"); err == nil {
 		t.Fatal("bad top arg accepted")
 	}
-	uni, _ := mustOp(t, reg, "union").Apply(d, Dataset{{"z", "9"}}, "")
+	uni, _ := mustOp(t, "union").Apply(d, Dataset{{"z", "9"}}, "")
 	if len(uni) != 4 {
 		t.Fatalf("union %v", uni)
 	}
-	join, _ := mustOp(t, reg, "join").Apply(
+	join, _ := mustOp(t, "join").Apply(
 		Dataset{{"k", "left"}},
 		Dataset{{"k", "right1"}, {"k", "right2"}, {"x", "no"}}, "")
 	if len(join) != 2 || join[0].Value != "left|right1" {
@@ -101,9 +107,9 @@ func TestReferenceSemantics(t *testing.T) {
 	}
 }
 
-func mustOp(t *testing.T, reg *Registry, name string) Operation {
+func mustOp(t *testing.T, name string) Operation {
 	t.Helper()
-	op, err := reg.Get(name)
+	op, err := Op(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +131,8 @@ func TestDatasetEqual(t *testing.T) {
 }
 
 func TestPrescriptionValidate(t *testing.T) {
-	reg := NewRegistry()
-	for _, p := range BuiltinPrescriptions() {
-		if err := p.Validate(reg); err != nil {
+	for _, p := range prescriptions {
+		if err := p.Validate(); err != nil {
 			t.Fatalf("builtin %q invalid: %v", p.Name, err)
 		}
 	}
@@ -152,44 +157,40 @@ func TestPrescriptionValidate(t *testing.T) {
 			Steps: []Step{{Op: "join"}}}, // double-set without use_second
 	}
 	for i, p := range bad {
-		if err := p.Validate(reg); err == nil {
+		if err := p.Validate(); err == nil {
 			t.Fatalf("bad prescription %d accepted", i)
 		}
 	}
 }
 
 func TestPrescriptionJSONRoundTrip(t *testing.T) {
-	p := BuiltinPrescriptions()[0]
-	raw, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalPrescription(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != p.Name || len(got.Steps) != len(p.Steps) || got.Kind != p.Kind {
-		t.Fatalf("round trip %+v", got)
-	}
-	if _, err := UnmarshalPrescription([]byte("{bad")); err == nil {
-		t.Fatal("bad JSON accepted")
+	for _, p := range prescriptions {
+		raw, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Prescription
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("round trip %+v, want %+v", got, p)
+		}
 	}
 }
 
 func TestRepository(t *testing.T) {
-	repo := NewRepository()
-	if len(repo.Names()) != len(BuiltinPrescriptions()) {
-		t.Fatalf("builtin count %d", len(repo.Names()))
+	names := Names()
+	if len(names) != len(prescriptions) || !sort.StringsAreSorted(names) {
+		t.Fatalf("names %v", names)
 	}
-	if _, err := repo.Get("sort-only"); err != nil {
-		t.Fatal(err)
+	for _, name := range names {
+		if p, err := Find(name); err != nil || p.Name != name {
+			t.Fatalf("Find(%q) = %+v, %v", name, p, err)
+		}
 	}
-	if _, err := repo.Get("missing"); err == nil {
+	if _, err := Find("missing"); err == nil {
 		t.Fatal("missing accepted")
-	}
-	repo.Add(Prescription{Name: "custom"})
-	if _, err := repo.Get("custom"); err != nil {
-		t.Fatal("added prescription not found")
 	}
 }
 
@@ -214,24 +215,21 @@ func TestGenerateData(t *testing.T) {
 func TestAllExecutorsAgreeOnBuiltins(t *testing.T) {
 	// The paper's central testgen claim (E10): the same abstract test
 	// produces the same functional outcome on every software stack.
-	reg := NewRegistry()
-	execs := DefaultExecutors(4)
-	for _, p := range BuiltinPrescriptions() {
+	for _, p := range prescriptions {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			results, err := VerifyPortability(p, reg, execs)
+			results, err := VerifyPortability(context.Background(), p, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(results) != len(execs) {
-				t.Fatalf("results from %d stacks, want %d", len(results), len(execs))
+			if len(results) != len(Stacks()) {
+				t.Fatalf("results from %d stacks, want %d", len(results), len(Stacks()))
 			}
 		})
 	}
 }
 
 func TestIterativePatternStops(t *testing.T) {
-	reg := NewRegistry()
 	p := Prescription{
 		Name:    "iter",
 		Data:    DataSpec{Source: "words", Size: 2000, Seed: 9},
@@ -241,7 +239,7 @@ func TestIterativePatternStops(t *testing.T) {
 		MaxIter: 50,
 	}
 	c := metrics.NewCollector("iter")
-	out, err := RunOn(&ReferenceExecutor{}, p, reg, c)
+	out, err := RunOn(context.Background(), &ReferenceExecutor{}, p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +257,6 @@ func TestIterativePatternStops(t *testing.T) {
 }
 
 func TestIterativeBelowSize(t *testing.T) {
-	reg := NewRegistry()
 	p := Prescription{
 		Name:    "shrink",
 		Data:    DataSpec{Source: "words", Size: 1000, Seed: 10},
@@ -270,7 +267,7 @@ func TestIterativeBelowSize(t *testing.T) {
 		MaxIter: 50,
 	}
 	c := metrics.NewCollector("shrink")
-	out, err := RunOn(&ReferenceExecutor{}, p, reg, c)
+	out, err := RunOn(context.Background(), &ReferenceExecutor{}, p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,53 +277,51 @@ func TestIterativeBelowSize(t *testing.T) {
 }
 
 func TestPipelineTrace(t *testing.T) {
-	pl := NewPipeline()
-	tests, err := pl.Generate(
+	p, tests, trace, err := Generate(
 		DataSpec{Source: "pairs", Size: 500, Seed: 1},
 		[]Step{{Op: "select", Arg: "v"}, {Op: "count"}},
 		MultiPattern, "", 0,
-		DefaultExecutors(2),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tests) != 4 {
-		t.Fatalf("tests %d", len(tests))
+	if len(trace) != 5 {
+		t.Fatalf("trace steps %d, want 5 (Figure 4)", len(trace))
 	}
-	if len(pl.Trace) != 5 {
-		t.Fatalf("trace steps %d, want 5 (Figure 4)", len(pl.Trace))
-	}
-	for i, tr := range pl.Trace {
+	for i, tr := range trace {
 		if tr.Step != i+1 || tr.Name == "" {
 			t.Fatalf("trace %d: %+v", i, tr)
 		}
 	}
-	// The generated prescription landed in the repository.
-	if _, err := pl.Repository.Get(tests[0].Prescription.Name); err != nil {
-		t.Fatal(err)
+	// Step 5 bound the prescription to every stack, in Stacks order, and
+	// each prescribed test runs.
+	if len(tests) != len(Stacks()) {
+		t.Fatalf("tests %d", len(tests))
 	}
-	// Run one of the prescribed tests.
-	c := metrics.NewCollector("t")
-	out, err := tests[0].Run(pl.Registry, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Key != "count" {
-		t.Fatalf("result %v", out)
+	for i, stack := range Stacks() {
+		w := tests[i]
+		if w.Name() != p.Name+"@"+stack {
+			t.Fatalf("test %d is %q, want stack %s", i, w.Name(), stack)
+		}
+		c := metrics.NewCollector("t")
+		if err := w.Run(context.Background(), workloads.Params{Workers: 2}, c); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Counter("records"); got != 1 {
+			t.Fatalf("%s: %d records, want the one count row", w.Name(), got)
+		}
 	}
 }
 
 func TestPipelineRejectsUnknownOp(t *testing.T) {
-	pl := NewPipeline()
-	_, err := pl.Generate(DataSpec{Source: "pairs", Size: 10, Seed: 1},
-		[]Step{{Op: "explode"}}, SinglePattern, "", 0, DefaultExecutors(1))
+	_, _, _, err := Generate(DataSpec{Source: "pairs", Size: 10, Seed: 1},
+		[]Step{{Op: "explode"}}, SinglePattern, "", 0)
 	if err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
 
 func TestDBMSExecutorPointOps(t *testing.T) {
-	reg := NewRegistry()
 	e := NewDBMSExecutor()
 	if err := e.Load(Dataset{{"k1", "v1"}, {"k2", "v2"}}, nil); err != nil {
 		t.Fatal(err)
@@ -337,7 +332,7 @@ func TestDBMSExecutorPointOps(t *testing.T) {
 		{Op: "delete", Arg: "k2"},
 	}
 	for _, s := range steps {
-		if err := e.Exec(s, reg); err != nil {
+		if err := e.Exec(s); err != nil {
 			t.Fatalf("%s: %v", s.Op, err)
 		}
 	}
@@ -352,14 +347,13 @@ func TestDBMSExecutorPointOps(t *testing.T) {
 }
 
 func TestNoSQLExecutorCollapsedState(t *testing.T) {
-	reg := NewRegistry()
 	e := NewNoSQLExecutor(4, 1)
 	// Duplicate keys after a join force the collapsed client-side path.
 	if err := e.Load(Dataset{{"k", "a"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.second = Dataset{{"k", "x"}, {"k", "y"}}
-	if err := e.Exec(Step{Op: "join", UseSecond: true}, reg); err != nil {
+	if err := e.Exec(Step{Op: "join", UseSecond: true}); err != nil {
 		t.Fatal(err)
 	}
 	out, _ := e.Result()
@@ -367,7 +361,7 @@ func TestNoSQLExecutorCollapsedState(t *testing.T) {
 		t.Fatalf("join result %v", out)
 	}
 	// Further ops on collapsed state still work.
-	if err := e.Exec(Step{Op: "count"}, reg); err != nil {
+	if err := e.Exec(Step{Op: "count"}); err != nil {
 		t.Fatal(err)
 	}
 	out, _ = e.Result()
@@ -377,14 +371,11 @@ func TestNoSQLExecutorCollapsedState(t *testing.T) {
 }
 
 func TestMapReduceExecutorUnsupportedOp(t *testing.T) {
-	reg := NewRegistry()
-	reg.Register(Operation{Name: "custom", Arity: SingleSetOp,
-		Apply: func(a, _ Dataset, _ string) (Dataset, error) { return a, nil }})
 	e := NewMapReduceExecutor(2)
 	if err := e.Load(Dataset{{"a", "b"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Exec(Step{Op: "custom"}, reg); err == nil {
+	if err := e.Exec(Step{Op: "custom"}); err == nil {
 		t.Fatal("unsupported op accepted")
 	}
 }

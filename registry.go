@@ -14,9 +14,9 @@ type Registry = scenario.Registry
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return scenario.NewRegistry() }
 
-// DefaultRegistry returns the shared registry seeded with every
-// self-registered workload (the eight workload packages) and suite (the
-// ten surveyed emulations plus bdbench's own row).
+// DefaultRegistry returns the shared registry seeded with the built-in
+// suites (the ten surveyed emulations plus bdbench's own row) and every
+// workload their rows name.
 func DefaultRegistry() *Registry { return scenario.Default() }
 
 // Register adds a custom workload to the default registry; scenarios can
@@ -29,7 +29,7 @@ func Register(w Workload) error { return scenario.Default().RegisterWorkload(w) 
 func RegisterSuite(s Suite) error { return scenario.Default().RegisterSuite(s) }
 
 // PrescriptionConfig configures NewPrescriptionWorkload.
-type PrescriptionConfig = scenario.PrescriptionConfig
+type PrescriptionConfig = testgen.Config
 
 // Prescription is a serializable abstract-test recipe (§3.3/§5.2): input
 // data, operation steps and a workload pattern, bindable to any stack.
@@ -40,9 +40,9 @@ type Prescription = testgen.Prescription
 // "mapreduce") — the paper's test-generation layer as an extension point:
 // build, Register, then select it from a Scenario like any other workload.
 func NewPrescriptionWorkload(cfg PrescriptionConfig) (Workload, error) {
-	return scenario.NewPrescriptionWorkload(cfg)
+	return testgen.Bind(cfg)
 }
 
 // Prescriptions lists the names in the built-in prescription repository,
 // usable as PrescriptionConfig.Prescription values.
-func Prescriptions() []string { return testgen.NewRepository().Names() }
+func Prescriptions() []string { return testgen.Names() }

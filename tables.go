@@ -5,16 +5,19 @@ package bdbench
 // — so the CLI and external tooling need no internal imports.
 
 import (
-	"github.com/bdbench/bdbench/internal/core"
+	"context"
+
 	"github.com/bdbench/bdbench/internal/suites"
+	"github.com/bdbench/bdbench/internal/testgen"
 )
 
 // Table1Row is one derived row of the paper's Table 1 (data generation
 // techniques), produced by capability probes over a suite emulation.
 type Table1Row = suites.Table1Row
 
-// DeriveTable1 probes every registered suite's generators (volume scaling,
-// velocity knobs, measured veracity) and derives the Table 1 rows.
+// DeriveTable1 probes every built-in suite's generators (volume scaling,
+// velocity knobs, measured veracity) and derives the Table 1 rows. Suites
+// added through RegisterSuite are not part of the paper's table.
 func DeriveTable1(seed uint64) ([]Table1Row, error) { return suites.DeriveTable1(seed) }
 
 // FormatTable1 renders derived Table 1 rows as aligned text.
@@ -28,7 +31,7 @@ func CompareTable1ToPaper(rows []Table1Row) []string { return suites.CompareToPa
 // techniques): a suite's workload category with examples and stacks.
 type Table2Row = suites.Table2Row
 
-// DeriveTable2 lists every registered suite's workload inventory.
+// DeriveTable2 lists every built-in suite's workload inventory.
 func DeriveTable2() []Table2Row { return suites.DeriveTable2() }
 
 // FormatTable2 renders derived Table 2 rows as aligned text.
@@ -39,29 +42,36 @@ func FormatTable2(rows []Table2Row) string { return suites.FormatTable2(rows) }
 func CompareTable2ToPaper(rows []Table2Row) []string { return suites.CompareTable2ToPaper(rows) }
 
 // ArchitectureLayer is one layer of the Figure 2 reference architecture.
-type ArchitectureLayer = core.Layer
+type ArchitectureLayer = suites.Layer
 
 // Architecture returns the three-layer architecture of Figure 2.
-func Architecture() []ArchitectureLayer { return core.Architecture() }
+func Architecture() []ArchitectureLayer { return suites.Architecture() }
 
 // FormatArchitecture renders the architecture as aligned text.
-func FormatArchitecture(layers []ArchitectureLayer) string { return core.FormatArchitecture(layers) }
+func FormatArchitecture(layers []ArchitectureLayer) string { return suites.FormatArchitecture(layers) }
 
 // DataGenOutcome traces one Figure 3 data-generation process run.
-type DataGenOutcome = core.DataGenOutcome
+type DataGenOutcome = suites.DataGenOutcome
 
 // TextDataGenProcess runs the 4-step Figure 3 process for text data.
 func TextDataGenProcess(seed uint64, docs, workers int) (*DataGenOutcome, error) {
-	return core.TextDataGenProcess(seed, docs, workers)
+	return suites.TextDataGenProcess(seed, docs, workers)
 }
 
 // TableDataGenProcess runs the 4-step Figure 3 process for table data.
 func TableDataGenProcess(seed uint64, rows int64, workers int) (*DataGenOutcome, error) {
-	return core.TableDataGenProcess(seed, rows, workers)
+	return suites.TableDataGenProcess(seed, rows, workers)
 }
 
 // AbstractPortabilityCheck runs one built-in prescription across all stack
 // executors and reports whether the functional view held (§3.3).
 func AbstractPortabilityCheck(workers int) (bool, error) {
-	return core.AbstractPortabilityCheck(workers)
+	p, err := testgen.Find("select-count")
+	if err != nil {
+		return false, err
+	}
+	if _, err := testgen.VerifyPortability(context.TODO(), p, workers); err != nil {
+		return false, err
+	}
+	return true, nil
 }
