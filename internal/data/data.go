@@ -166,9 +166,6 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Equal reports whether Compare(a, b) == 0.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
 // Row is one record: a positional list of values matching a Schema.
 type Row []Value
 

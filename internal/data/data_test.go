@@ -73,7 +73,7 @@ func TestCompareStringsAndBools(t *testing.T) {
 	if Compare(Bool(false), Bool(true)) != -1 {
 		t.Fatal("bool compare broken")
 	}
-	if !Equal(String_("x"), String_("x")) {
+	if Compare(String_("x"), String_("x")) != 0 {
 		t.Fatal("Equal broken")
 	}
 }

@@ -44,7 +44,7 @@ func tablesEqual(t *testing.T, a, b *data.Table) {
 			if x.IsNull() && y.IsNull() {
 				continue
 			}
-			if !data.Equal(x, y) {
+			if data.Compare(x, y) != 0 {
 				t.Fatalf("row %d col %d: %v vs %v", i, j, x, y)
 			}
 		}

@@ -10,20 +10,13 @@ import (
 // chunkEdges is the edge count per generation chunk.
 const chunkEdges = 1 << 16
 
-// ParallelGenerator is implemented by the generator families whose edges
-// are independent samples and can therefore be produced as chunks: RMAT and
-// ErdosRenyi. BarabasiAlbert is inherently sequential — every new edge's
-// distribution depends on all previous edges (preferential attachment) — so
-// it stays on the single-RNG path.
-type ParallelGenerator interface {
-	Generator
-	// GenerateParallel emits a graph with about 2^scale vertices across a
-	// bounded worker pool; the edge list is identical at any worker count.
-	GenerateParallel(seed uint64, scale, workers int) *Graph
-}
-
-// GenerateParallel implements ParallelGenerator: the recursive-matrix draw
-// of every edge is independent, so edges chunk freely.
+// GenerateParallel emits a graph with about 2^scale vertices across a
+// bounded worker pool; the edge list is identical at any worker count. The
+// families whose edges are independent samples offer it — RMAT (every
+// recursive-matrix draw is independent) and ErdosRenyi. BarabasiAlbert is
+// inherently sequential — every new edge's distribution depends on all
+// previous edges (preferential attachment) — so it stays on the single-RNG
+// path.
 func (r RMAT) GenerateParallel(seed uint64, scale, workers int) *Graph {
 	if scale < 1 {
 		scale = 1
@@ -48,8 +41,8 @@ func (r RMAT) GenerateParallel(seed uint64, scale, workers int) *Graph {
 	return &Graph{N: n, Edges: edges}
 }
 
-// GenerateParallel implements ParallelGenerator: G(n, m) edges are uniform
-// independent samples.
+// GenerateParallel is RMAT.GenerateParallel for G(n, m): its edges are
+// uniform independent samples.
 func (e ErdosRenyi) GenerateParallel(seed uint64, scale, workers int) *Graph {
 	if scale < 1 {
 		scale = 1

@@ -52,7 +52,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	b := simpleSpec(7).Generate(500)
 	for i := range a.Rows {
 		for j := range a.Rows[i] {
-			if !data.Equal(a.Rows[i][j], b.Rows[i][j]) {
+			if data.Compare(a.Rows[i][j], b.Rows[i][j]) != 0 {
 				t.Fatalf("row %d col %d differs", i, j)
 			}
 		}
@@ -69,7 +69,7 @@ func TestGenerateParallelMatchesSerial(t *testing.T) {
 	}
 	for i := range serial.Rows {
 		for j := range serial.Rows[i] {
-			if !data.Equal(serial.Rows[i][j], parallel.Rows[i][j]) {
+			if data.Compare(serial.Rows[i][j], parallel.Rows[i][j]) != 0 {
 				t.Fatalf("row %d col %d differs between serial and parallel", i, j)
 			}
 		}

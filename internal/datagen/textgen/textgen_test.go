@@ -47,19 +47,11 @@ func TestBuildVocabularyAndEncode(t *testing.T) {
 
 func TestCorpusTextRoundTrip(t *testing.T) {
 	c := Corpus{{"hello", "world"}, {"foo"}}
-	parsed := ParseCorpus(c.Text())
-	if len(parsed) != 2 || parsed[0][1] != "world" || parsed[1][0] != "foo" {
-		t.Fatalf("round trip failed: %v", parsed)
+	if got := c.Text(); got != "hello world\nfoo" {
+		t.Fatalf("Text() = %q, want one document per line, words space-separated", got)
 	}
 	if c.Words() != 3 {
 		t.Fatalf("Words() = %d, want 3", c.Words())
-	}
-}
-
-func TestParseCorpusSkipsBlankLines(t *testing.T) {
-	parsed := ParseCorpus("a b\n\n\nc\n")
-	if len(parsed) != 2 {
-		t.Fatalf("parsed %d docs, want 2", len(parsed))
 	}
 }
 
@@ -73,14 +65,6 @@ func TestWordDistributionSumsToOne(t *testing.T) {
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("word distribution sum %.6f", sum)
-	}
-}
-
-func TestTopWords(t *testing.T) {
-	c := Corpus{{"x", "x", "x", "y", "y", "z"}}
-	top := TopWords(c, 2)
-	if len(top) != 2 || top[0] != "x" || top[1] != "y" {
-		t.Fatalf("TopWords = %v", top)
 	}
 }
 

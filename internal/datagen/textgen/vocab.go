@@ -12,10 +12,7 @@
 // (partially considered), and LDA (considered, BigDataBench-style).
 package textgen
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Document is an ordered sequence of word tokens.
 type Document []string
@@ -43,20 +40,6 @@ func (c Corpus) Text() string {
 		b.WriteString(strings.Join(d, " "))
 	}
 	return b.String()
-}
-
-// ParseCorpus parses the Text wire format back into a corpus.
-func ParseCorpus(s string) Corpus {
-	lines := strings.Split(s, "\n")
-	out := make(Corpus, 0, len(lines))
-	for _, line := range lines {
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		out = append(out, Document(fields))
-	}
-	return out
 }
 
 // Vocabulary maps words to dense integer ids, the representation LDA
@@ -146,29 +129,4 @@ func WordDistribution(c Corpus, v *Vocabulary) []float64 {
 		}
 	}
 	return counts
-}
-
-// TopWords returns the n most frequent words of the corpus, most frequent
-// first (ties broken lexicographically), for human-readable model dumps.
-func TopWords(c Corpus, n int) []string {
-	counts := make(map[string]int)
-	for _, d := range c {
-		for _, w := range d {
-			counts[w]++
-		}
-	}
-	words := make([]string, 0, len(counts))
-	for w := range counts {
-		words = append(words, w)
-	}
-	sort.Slice(words, func(i, j int) bool {
-		if counts[words[i]] != counts[words[j]] {
-			return counts[words[i]] > counts[words[j]]
-		}
-		return words[i] < words[j]
-	})
-	if n < len(words) {
-		words = words[:n]
-	}
-	return words
 }

@@ -72,11 +72,7 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root, "./...")
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}

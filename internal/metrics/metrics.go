@@ -36,23 +36,6 @@ import (
 // MOPS, keeping the two metric families separate.
 var ArchitectureCounters = []string{"records", "bytes", "shuffle_bytes", "messages", "operations"}
 
-// Kind distinguishes the two metric families of §3.1.
-type Kind string
-
-const (
-	// UserPerceivable metrics are observable by application users:
-	// durations, latencies, throughput.
-	UserPerceivable Kind = "user-perceivable"
-	// Architecture metrics compare workloads from different categories:
-	// abstract operation rates (our stand-in for MIPS/MFLOPS).
-	Architecture Kind = "architecture"
-	// DataGeneration metrics account for the cost of preparing a
-	// workload's input data — the paper's §2/§5.1 point that generation
-	// must scale with the system under test, so its wall time is a
-	// first-class measured quantity, not overhead hidden inside Elapsed.
-	DataGeneration Kind = "data-generation"
-)
-
 // DatagenOp is the operation label under which data-preparation wall time
 // is recorded. It lives in a substrate-style shard, so it never inflates
 // Throughput; Snapshot surfaces its total as Result.DataPrep and the

@@ -238,10 +238,7 @@ func TestStackInterface(t *testing.T) {
 	if e.Workers() != 2 {
 		t.Fatal("workers accessor wrong")
 	}
-	info := stacks.Describe(e)
-	if info.Type != stacks.TypeMapReduce {
-		t.Fatal("Describe wrong")
-	}
+	var _ stacks.Stack = e
 }
 
 func TestWorkerClamp(t *testing.T) {

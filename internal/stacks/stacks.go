@@ -25,12 +25,3 @@ type Stack interface {
 	// Type returns the stack's taxonomy class.
 	Type() Type
 }
-
-// Info describes a stack for reports.
-type Info struct {
-	Name string
-	Type Type
-}
-
-// Describe extracts report info from a stack.
-func Describe(s Stack) Info { return Info{Name: s.Name(), Type: s.Type()} }

@@ -77,14 +77,12 @@ func (s FilterStage) Run(in <-chan Msg, out chan<- Msg) {
 	}
 }
 
-// WindowAgg selects the aggregation a window stage applies per key.
+// WindowAgg selects the aggregation a window stage applies per key; the
+// zero value counts messages.
 type WindowAgg int
 
-// The supported window aggregations.
-const (
-	AggCount WindowAgg = iota
-	AggSum
-)
+// AggSum sums the messages' values instead of counting them.
+const AggSum WindowAgg = 1
 
 // TumblingWindow groups messages into fixed event-time windows and emits
 // one message per (window, key) with the aggregated value when the window

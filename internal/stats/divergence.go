@@ -85,19 +85,6 @@ func TotalVariation(p, q []float64) (float64, error) {
 	return d / 2, nil
 }
 
-// HellingerDistance returns the Hellinger distance between p and q, in [0, 1].
-func HellingerDistance(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, ErrLengthMismatch
-	}
-	s := 0.0
-	for i := range p {
-		d := math.Sqrt(p[i]) - math.Sqrt(q[i])
-		s += d * d
-	}
-	return math.Sqrt(s / 2), nil
-}
-
 // ChiSquare returns Pearson's chi-square statistic of observed counts o
 // against expected counts e (both raw counts, not probabilities). Bins with
 // zero expectation are skipped.

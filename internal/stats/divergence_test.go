@@ -84,17 +84,6 @@ func TestTotalVariation(t *testing.T) {
 	}
 }
 
-func TestHellingerBounds(t *testing.T) {
-	d, _ := HellingerDistance([]float64{1, 0}, []float64{0, 1})
-	if math.Abs(d-1) > 1e-9 {
-		t.Fatalf("Hellinger of disjoint = %g, want 1", d)
-	}
-	d, _ = HellingerDistance([]float64{0.3, 0.7}, []float64{0.3, 0.7})
-	if d > 1e-9 {
-		t.Fatalf("Hellinger of identical = %g, want 0", d)
-	}
-}
-
 func TestChiSquare(t *testing.T) {
 	o := []float64{10, 20, 30}
 	e := []float64{10, 20, 30}

@@ -54,12 +54,6 @@ func (h *Histogram) Observe(v float64) {
 // Total returns the number of observed values, including out-of-range ones.
 func (h *Histogram) Total() uint64 { return h.total }
 
-// Under returns the number of observations below Min.
-func (h *Histogram) Under() uint64 { return h.under }
-
-// Over returns the number of observations at or above Max.
-func (h *Histogram) Over() uint64 { return h.over }
-
 // InRange returns the number of observations inside [Min, Max).
 func (h *Histogram) InRange() uint64 { return h.total - h.under - h.over }
 
@@ -169,12 +163,6 @@ func NewFreqTable() *FreqTable {
 func (f *FreqTable) Observe(key string) {
 	f.Counts[key]++
 	f.total++
-}
-
-// ObserveN records n occurrences of key.
-func (f *FreqTable) ObserveN(key string, n uint64) {
-	f.Counts[key] += n
-	f.total += n
 }
 
 // Total returns the total number of observations.

@@ -31,8 +31,8 @@ func TestHistogramOutOfRange(t *testing.T) {
 	if h.Counts[0] != 0 || h.Counts[4] != 0 {
 		t.Fatalf("out-of-range values leaked into bins: %v", h.Counts)
 	}
-	if h.Under() != 1 || h.Over() != 1 {
-		t.Fatalf("under/over %d/%d, want 1/1", h.Under(), h.Over())
+	if h.under != 1 || h.over != 1 {
+		t.Fatalf("under/over %d/%d, want 1/1", h.under, h.over)
 	}
 	if h.Total() != 2 || h.InRange() != 0 {
 		t.Fatalf("total %d inRange %d, want 2/0", h.Total(), h.InRange())
@@ -88,9 +88,9 @@ func TestHistogramMergePreservesOutOfRange(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Total() != 3 || a.Under() != 1 || a.Over() != 1 || a.InRange() != 1 {
+	if a.Total() != 3 || a.under != 1 || a.over != 1 || a.InRange() != 1 {
 		t.Fatalf("merged total/under/over/inRange = %d/%d/%d/%d",
-			a.Total(), a.Under(), a.Over(), a.InRange())
+			a.Total(), a.under, a.over, a.InRange())
 	}
 }
 
@@ -173,12 +173,18 @@ func TestHistogramConstructorPanics(t *testing.T) {
 	mustPanic("inverted range", func() { NewHistogram(1, 0, 4) })
 }
 
+func observeN(f *FreqTable, key string, n int) {
+	for i := 0; i < n; i++ {
+		f.Observe(key)
+	}
+}
+
 func TestFreqTableBasics(t *testing.T) {
 	f := NewFreqTable()
 	f.Observe("a")
 	f.Observe("a")
 	f.Observe("b")
-	f.ObserveN("c", 5)
+	observeN(f, "c", 5)
 	if f.Total() != 8 {
 		t.Fatalf("total %d, want 8", f.Total())
 	}
@@ -204,10 +210,10 @@ func TestFreqTableTopKTieBreak(t *testing.T) {
 func TestAlignedProbabilities(t *testing.T) {
 	f := NewFreqTable()
 	g := NewFreqTable()
-	f.ObserveN("x", 3)
-	f.ObserveN("y", 1)
-	g.ObserveN("y", 2)
-	g.ObserveN("z", 2)
+	observeN(f, "x", 3)
+	observeN(f, "y", 1)
+	observeN(g, "y", 2)
+	observeN(g, "z", 2)
 	p, q := AlignedProbabilities(f, g)
 	if len(p) != 3 || len(q) != 3 {
 		t.Fatalf("aligned lengths %d/%d, want 3", len(p), len(q))

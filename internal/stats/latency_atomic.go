@@ -33,15 +33,6 @@ func (l *AtomicLatencyHistogram) Observe(d time.Duration) {
 	}
 }
 
-// Count returns the number of recorded durations.
-func (l *AtomicLatencyHistogram) Count() uint64 {
-	var total uint64
-	for i := range l.counts {
-		total += l.counts[i].Load()
-	}
-	return total
-}
-
 // Snapshot folds the atomic cells into a plain LatencyHistogram. It may run
 // concurrently with writers; the result is then a momentary cut (the total
 // is derived from the bucket counts so quantiles stay internally

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -299,34 +298,4 @@ func (NaiveBayes) Run(ctx context.Context, p workloads.Params, c *metrics.Collec
 		return fmt.Errorf("naive-bayes: accuracy %.2f below 0.80", accuracy)
 	}
 	return nil
-}
-
-// TopNRecommend returns the n most similar items to item a given a
-// similarity function — exported for the example application.
-func TopNRecommend(simFn func(a, b int) float64, items, a, n int) []int {
-	type scored struct {
-		item int
-		s    float64
-	}
-	var all []scored
-	for b := 0; b < items; b++ {
-		if b == a {
-			continue
-		}
-		all = append(all, scored{b, simFn(a, b)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].s != all[j].s {
-			return all[i].s > all[j].s
-		}
-		return all[i].item < all[j].item
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].item
-	}
-	return out
 }

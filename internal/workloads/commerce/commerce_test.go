@@ -60,21 +60,6 @@ func TestLabeledDocsAreSingleTopic(t *testing.T) {
 	}
 }
 
-func TestTopNRecommend(t *testing.T) {
-	sim := func(a, b int) float64 {
-		// item 0 is most similar to 1, then 2, ...
-		return -float64(b)
-	}
-	top := TopNRecommend(sim, 5, 0, 3)
-	if len(top) != 3 || top[0] != 1 || top[1] != 2 || top[2] != 3 {
-		t.Fatalf("top %v", top)
-	}
-	all := TopNRecommend(sim, 3, 0, 10)
-	if len(all) != 2 {
-		t.Fatalf("clamp failed: %v", all)
-	}
-}
-
 func TestMetadata(t *testing.T) {
 	for _, w := range []workloads.Workload{CollaborativeFiltering{}, NaiveBayes{}} {
 		if w.Domain() != "e-commerce" || w.Category() != workloads.Offline {

@@ -65,11 +65,6 @@ var (
 	WorkloadF = CoreWorkload{Label: "F", Mix: Mix{Read: 0.5, RMW: 0.5}, Dist: DistZipfian}
 )
 
-// All returns the six standard workloads.
-func All() []CoreWorkload {
-	return []CoreWorkload{WorkloadA, WorkloadB, WorkloadC, WorkloadD, WorkloadE, WorkloadF}
-}
-
 // Name implements workloads.Workload.
 func (w CoreWorkload) Name() string { return "ycsb-" + w.Label }
 
