@@ -36,8 +36,9 @@ vet:
 lint:
 	$(GO) run ./cmd/bdvet ./...
 
-# loc prints the non-test Go line count outside benchmark/. CI holds it
-# under the one integer in testdata/loc.ceiling, so a change that grows the
-# code raises that number in its own diff, where a reviewer sees it.
+# loc prints the non-test Go line count outside benchmark/ and outside
+# testdata/ (analyzer fixtures are test data by Go's own convention). CI
+# holds it under the one integer in testdata/loc.ceiling, so a change that
+# grows the code raises that number in its own diff, where a reviewer sees it.
 loc:
-	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^benchmark/' -e '/testdata/' | xargs cat | wc -l

@@ -3,6 +3,7 @@ package bdbench_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -163,14 +164,42 @@ func TestPrescriptionWorkloadPublic(t *testing.T) {
 	}
 }
 
+// TestDefaultRegistryInventory pins the built-in inventory exactly: the
+// suites' rows are the only list, so a workload dropped from (or added to)
+// a row changes what `bdbench workloads` offers, and shows here.
 func TestDefaultRegistryInventory(t *testing.T) {
 	reg := bdbench.DefaultRegistry()
-	if len(reg.WorkloadNames()) < 20 {
-		t.Fatalf("registry has %d workloads, want the full inventory", len(reg.WorkloadNames()))
+	wantWorkloads := []string{
+		"collaborative-filtering", "connected-components", "grep", "inverted-index",
+		"kmeans", "linkbench-ops", "naive-bayes", "pagerank", "pavlo-dbms",
+		"pavlo-mapreduce", "rolling-aggregate", "sort", "terasort", "url-count",
+		"windowed-count", "wordcount",
+		"ycsb-A", "ycsb-B", "ycsb-C", "ycsb-D", "ycsb-E", "ycsb-F",
 	}
-	for _, s := range []string{"HiBench", "YCSB", "BigDataBench", "bdbench (this work)"} {
-		if _, ok := reg.Suite(s); !ok {
-			t.Fatalf("suite %q missing from default registry", s)
+	wantSuites := []string{
+		"HiBench", "GridMix", "PigMix", "YCSB", "Performance benchmark (Pavlo)",
+		"TPC-DS", "BigBench", "LinkBench", "CloudSuite", "BigDataBench",
+		"bdbench (this work)",
+	}
+	var got []string
+	for _, name := range reg.WorkloadNames() {
+		if name != (evenCount{}).Name() { // ExampleRun registers it on a -count=2 rerun
+			got = append(got, name)
 		}
+	}
+	if !reflect.DeepEqual(got, wantWorkloads) {
+		t.Errorf("built-in workloads %v\nwant %v", got, wantWorkloads)
+	}
+	if got := reg.SuiteNames(); !reflect.DeepEqual(got, wantSuites) {
+		t.Errorf("built-in suites %v\nwant %v (Table 1 order)", got, wantSuites)
+	}
+}
+
+// TestAbstractPortabilityCheck: the §3.3 demonstration behind the public
+// function holds — one built-in prescription, every stack, one outcome.
+func TestAbstractPortabilityCheck(t *testing.T) {
+	ok, err := bdbench.AbstractPortabilityCheck(2)
+	if err != nil || !ok {
+		t.Fatalf("portability check failed: %v", err)
 	}
 }

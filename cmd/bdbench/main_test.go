@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -241,5 +242,34 @@ func TestLoadcurveIsAScenarioRun(t *testing.T) {
 	// Same flags as ever: a bad -format is refused before anything runs.
 	if code := run([]string{"loadcurve", "-rates", "10", "-format", "yaml"}, &cmp, &errw); code != 1 {
 		t.Fatalf("loadcurve -format yaml: exit %d, want 1", code)
+	}
+}
+
+// TestFigure4IsStable: the report is the same bytes on every run once the
+// step durations are masked, and the stacks come out sorted. It used to
+// range over Go maps, so the four stack lines changed order run to run.
+func TestFigure4IsStable(t *testing.T) {
+	durations := regexp.MustCompile(`(?m)^(  step .*\S)\s+\S+$`)
+	var first string
+	for i := 0; i < 5; i++ {
+		var out, errw bytes.Buffer
+		if code := run([]string{"figure4", "-workers", "2"}, &out, &errw); code != 0 {
+			t.Fatalf("figure4: exit %d\n%s", code, errw.String())
+		}
+		got := durations.ReplaceAllString(out.String(), "$1 <d>")
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d printed a different report:\n%s\nfirst run:\n%s", i+1, got, first)
+		}
+	}
+	var stacks []string
+	for _, line := range strings.Split(first, "\n") {
+		if name, _, ok := strings.Cut(strings.TrimSpace(line), " -> "); ok {
+			stacks = append(stacks, strings.TrimSpace(name))
+		}
+	}
+	if want := []string{"dbms", "mapreduce", "nosql", "reference"}; !reflect.DeepEqual(stacks, want) {
+		t.Fatalf("stack lines %v, want %v\n%s", stacks, want, first)
 	}
 }

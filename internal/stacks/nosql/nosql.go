@@ -248,6 +248,3 @@ func (s *Store) Size() int {
 	}
 	return total
 }
-
-// Partitions returns the partition count.
-func (s *Store) Partitions() int { return len(s.parts) }

@@ -143,8 +143,8 @@ func TestScanPastEnd(t *testing.T) {
 
 func TestSizeAndPartitions(t *testing.T) {
 	s := Open(0, 4) // clamps to 1
-	if s.Partitions() != 1 {
-		t.Fatalf("partitions %d", s.Partitions())
+	if len(s.parts) != 1 {
+		t.Fatalf("partitions %d", len(s.parts))
 	}
 	for i := 0; i < 100; i++ {
 		s.Insert(fmt.Sprintf("k%d", i), Record{"v": "x"})

@@ -48,52 +48,41 @@ func Bind(cfg Config) (workloads.Workload, error) {
 			return nil, err
 		}
 	}
-	stack := cfg.Stack
-	if stack == "" {
-		stack = "reference"
+	if cfg.Stack == "" {
+		cfg.Stack = "reference"
 	}
-	newExec, ok := executors[stack]
+	newExec, ok := executors[cfg.Stack]
 	if !ok {
-		return nil, fmt.Errorf("testgen: unknown stack %q (have: %s)", stack, strings.Join(Stacks(), ", "))
+		return nil, fmt.Errorf("testgen: unknown stack %q (have: %s)", cfg.Stack, strings.Join(Stacks(), ", "))
 	}
-	w := &boundTest{
-		name:      cfg.Name,
-		category:  cfg.Category,
-		domain:    cfg.Domain,
-		p:         p,
-		stack:     stack,
-		stackType: newExec(1).StackType(),
+	if cfg.Name == "" {
+		cfg.Name = p.Name + "@" + cfg.Stack
 	}
-	if w.name == "" {
-		w.name = p.Name + "@" + stack
+	if cfg.Category == "" {
+		cfg.Category = workloads.Online
 	}
-	if w.category == "" {
-		w.category = workloads.Online
+	if cfg.Domain == "" {
+		cfg.Domain = "abstract operations"
 	}
-	if w.domain == "" {
-		w.domain = "abstract operations"
-	}
-	return w, nil
+	return &boundTest{cfg: cfg, p: p, stackType: newExec(1).StackType()}, nil
 }
 
 // boundTest is Figure 4's prescribed test: one prescription on one stack.
+// cfg holds the config with its defaults filled in.
 type boundTest struct {
-	name      string
-	category  workloads.Category
-	domain    string
+	cfg       Config
 	p         Prescription
-	stack     string
 	stackType stacks.Type
 }
 
 // Name implements workloads.Workload.
-func (w *boundTest) Name() string { return w.name }
+func (w *boundTest) Name() string { return w.cfg.Name }
 
 // Category implements workloads.Workload.
-func (w *boundTest) Category() workloads.Category { return w.category }
+func (w *boundTest) Category() workloads.Category { return w.cfg.Category }
 
 // Domain implements workloads.Workload.
-func (w *boundTest) Domain() string { return w.domain }
+func (w *boundTest) Domain() string { return w.cfg.Domain }
 
 // StackTypes implements workloads.Workload.
 func (w *boundTest) StackTypes() []stacks.Type { return []stacks.Type{w.stackType} }
@@ -113,9 +102,9 @@ func (w *boundTest) Run(ctx context.Context, params workloads.Params, c *metrics
 		p.Data.Seed = params.Seed
 	}
 	t0 := time.Now()
-	out, err := RunOn(ctx, executors[w.stack](params.Workers), p, c)
+	out, err := RunOn(ctx, executors[w.cfg.Stack](params.Workers), p, c)
 	if err != nil {
-		return fmt.Errorf("testgen: prescription %s on %s: %w", p.Name, w.stack, err)
+		return fmt.Errorf("testgen: prescription %s on %s: %w", p.Name, w.cfg.Stack, err)
 	}
 	c.ObserveLatency("prescription", time.Since(t0))
 	c.Add("records", int64(len(out)))

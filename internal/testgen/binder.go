@@ -171,22 +171,24 @@ func (e *ReferenceExecutor) Load(main, second Dataset) error {
 	return nil
 }
 
-// Exec implements Executor.
-func (e *ReferenceExecutor) Exec(step Step) error {
+// apply computes one step with the vocabulary's reference semantics: the
+// reference executor's whole job, and the client-side glue of the stacks
+// that lack a native equivalent.
+func apply(step Step, cur, second Dataset) (Dataset, error) {
 	op, err := Op(step.Op)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var b Dataset
-	if step.UseSecond {
-		b = e.second
+	if !step.UseSecond {
+		second = nil
 	}
-	out, err := op.Apply(e.cur, b, step.Arg)
-	if err != nil {
-		return err
-	}
-	e.cur = out
-	return nil
+	return op.Apply(cur, second, step.Arg)
+}
+
+// Exec implements Executor.
+func (e *ReferenceExecutor) Exec(step Step) (err error) {
+	e.cur, err = apply(step, e.cur, e.second)
+	return err
 }
 
 // Result implements Executor.
@@ -200,7 +202,6 @@ func (e *ReferenceExecutor) Result() (Dataset, error) { return e.cur, nil }
 type DBMSExecutor struct {
 	db     *dbms.DB
 	second Dataset
-	loaded bool
 }
 
 // NewDBMSExecutor returns a fresh executor.
@@ -241,12 +242,11 @@ func (e *DBMSExecutor) Load(main, second Dataset) error {
 		}
 	}
 	e.second = second
-	e.loaded = true
 	return nil
 }
 
-func (e *DBMSExecutor) snapshot() (Dataset, error) {
-	out, err := e.db.Query("SELECT k, v FROM t")
+// records reads a (k, v) query result back as a dataset.
+func records(out *data.Table, err error) (Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -255,6 +255,19 @@ func (e *DBMSExecutor) snapshot() (Dataset, error) {
 		ds[i] = Record{Key: row[0].Str(), Value: row[1].Str()}
 	}
 	return ds, nil
+}
+
+func (e *DBMSExecutor) snapshot() (Dataset, error) {
+	return records(e.db.Query("SELECT k, v FROM t"))
+}
+
+// replace reloads t with a (k, v) query result.
+func (e *DBMSExecutor) replace(out *data.Table, err error) error {
+	ds, err := records(out, err)
+	if err != nil {
+		return err
+	}
+	return e.reload(ds)
 }
 
 func (e *DBMSExecutor) reload(d Dataset) error {
@@ -273,19 +286,11 @@ func (e *DBMSExecutor) Exec(step Step) error {
 	case "get":
 		// Structured plan rather than string SQL: the argument is data,
 		// not query text.
-		out, err := e.db.Execute(dbms.Query{
+		return e.replace(e.db.Execute(dbms.Query{
 			From:   "t",
 			Where:  []dbms.Pred{{Col: "k", Op: dbms.OpEq, Val: data.String_(step.Arg)}},
 			Select: []string{"k", "v"},
-		})
-		if err != nil {
-			return err
-		}
-		ds := make(Dataset, out.NumRows())
-		for i, row := range out.Rows {
-			ds[i] = Record{Key: row[0].Str(), Value: row[1].Str()}
-		}
-		return e.reload(ds)
+		}))
 	case "put":
 		k, v, ok := strings.Cut(step.Arg, "=")
 		if !ok {
@@ -311,29 +316,13 @@ func (e *DBMSExecutor) Exec(step Step) error {
 		}
 		return e.reload(Dataset{{Key: "count", Value: strconv.FormatInt(out.Rows[0][0].Int(), 10)}})
 	case "sort":
-		out, err := e.db.Query("SELECT k, v FROM t ORDER BY k, v")
-		if err != nil {
-			return err
-		}
-		ds := make(Dataset, out.NumRows())
-		for i, row := range out.Rows {
-			ds[i] = Record{Key: row[0].Str(), Value: row[1].Str()}
-		}
-		return e.reload(ds)
+		return e.replace(e.db.Query("SELECT k, v FROM t ORDER BY k, v"))
 	case "top":
 		n, err := strconv.Atoi(step.Arg)
 		if err != nil {
 			return fmt.Errorf("top needs a count")
 		}
-		out, err := e.db.Query("SELECT k, v FROM t ORDER BY k, v LIMIT " + strconv.Itoa(n))
-		if err != nil {
-			return err
-		}
-		ds := make(Dataset, out.NumRows())
-		for i, row := range out.Rows {
-			ds[i] = Record{Key: row[0].Str(), Value: row[1].Str()}
-		}
-		return e.reload(ds)
+		return e.replace(e.db.Query("SELECT k, v FROM t ORDER BY k, v LIMIT " + strconv.Itoa(n)))
 	case "join":
 		q := dbms.Query{
 			From:   "t",
@@ -355,15 +344,7 @@ func (e *DBMSExecutor) Exec(step Step) error {
 		if err != nil {
 			return err
 		}
-		op, err := Op(step.Op)
-		if err != nil {
-			return err
-		}
-		var b Dataset
-		if step.UseSecond {
-			b = e.second
-		}
-		next, err := op.Apply(cur, b, step.Arg)
+		next, err := apply(step, cur, e.second)
 		if err != nil {
 			return err
 		}
@@ -482,15 +463,7 @@ func (e *NoSQLExecutor) Exec(step Step) error {
 		}
 	}
 	// Client-side glue.
-	op, err := Op(step.Op)
-	if err != nil {
-		return err
-	}
-	var b Dataset
-	if step.UseSecond {
-		b = e.second
-	}
-	next, err := op.Apply(e.snapshot(), b, step.Arg)
+	next, err := apply(step, e.snapshot(), e.second)
 	if err != nil {
 		return err
 	}

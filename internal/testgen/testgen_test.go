@@ -3,10 +3,14 @@ package testgen
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/workloads"
@@ -377,5 +381,84 @@ func TestMapReduceExecutorUnsupportedOp(t *testing.T) {
 	}
 	if err := e.Exec(Step{Op: "custom"}); err == nil {
 		t.Fatal("unsupported op accepted")
+	}
+}
+
+// TestBindFunctionalView: binding is deterministic and the functional view
+// does not depend on the stack — every built-in prescription, bound to
+// every stack and run twice at the same seed and scale, yields one record
+// count.
+func TestBindFunctionalView(t *testing.T) {
+	for _, name := range Names() {
+		want := int64(-1)
+		for _, stack := range Stacks() {
+			for rep := 0; rep < 2; rep++ {
+				w, err := Bind(Config{Prescription: name, Stack: stack})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := metrics.NewCollector(w.Name())
+				if err := w.Run(context.Background(), workloads.Params{Seed: 7, Scale: 2, Workers: 2}, c); err != nil {
+					t.Fatalf("%s: %v", w.Name(), err)
+				}
+				if got := c.Counter("records"); want < 0 {
+					want = got
+				} else if got != want {
+					t.Fatalf("%s run %d: %d records, other stacks and runs produced %d", w.Name(), rep, got, want)
+				}
+			}
+		}
+	}
+}
+
+// cancelAfter reports context.Canceled from its n-th Err call on, so a test
+// can cancel a run at an exact step boundary.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBoundTestStopsWhenCancelled: a prescription workload observes its
+// context before every step. iterative-shrink on dbms (a table reload per
+// step) used to run all its iterations after -timeout had fired, in the
+// goroutine the engine had abandoned.
+func TestBoundTestStopsWhenCancelled(t *testing.T) {
+	w, err := Bind(Config{Prescription: "iterative-shrink", Stack: "dbms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := metrics.NewCollector(w.Name())
+	if err := w.Run(context.Background(), workloads.Params{}, full); err != nil {
+		t.Fatal(err)
+	}
+	if steps := full.Counter("operations"); steps < 2 {
+		t.Fatalf("uncancelled run took %d steps; the test needs a second step to cut", steps)
+	}
+
+	before := runtime.NumGoroutine()
+	// Err answers nil twice — RunOn's entry check and the check before
+	// step 1 — so the cancellation lands between step 1 and step 2.
+	ctx := &cancelAfter{Context: context.Background()}
+	ctx.n.Store(2)
+	c := metrics.NewCollector(w.Name())
+	err = w.Run(ctx, workloads.Params{}, c)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if steps := c.Counter("operations"); steps != 1 {
+		t.Fatalf("%d steps ran after the cancel point, want exactly the one before it", steps)
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines %d, %d before the cancelled run", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
