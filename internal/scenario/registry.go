@@ -48,9 +48,9 @@ func Default() *Registry {
 }
 
 // seed registers the suites and every workload their rows name. Suites
-// share workloads, so meeting the same workload again is expected; two
-// different workloads under one name are an error — a spec entry naming it
-// would silently mean whichever suite came first.
+// share workloads, so meeting the same (==) workload again is expected; two
+// different ones under one name are an error — a spec entry naming it would
+// silently mean whichever suite came first.
 func (r *Registry) seed(ss []suites.Suite) error {
 	for _, s := range ss {
 		if err := r.RegisterSuite(s); err != nil {

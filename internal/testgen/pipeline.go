@@ -102,8 +102,9 @@ func Generate(data DataSpec, steps []Step, kind PatternKind, stop StopCondition,
 // functional view: each must produce the same normalized dataset as the
 // reference executor. It returns the per-stack results keyed by stack name.
 func VerifyPortability(ctx context.Context, p Prescription, workers int) (map[string]Dataset, error) {
-	results := make(map[string]Dataset, len(executors))
-	for _, stack := range Stacks() {
+	stacks := Stacks()
+	results := make(map[string]Dataset, len(stacks))
+	for _, stack := range stacks {
 		out, err := RunOn(ctx, executors[stack](workers), p, metrics.NewCollector(stack))
 		if err != nil {
 			return nil, fmt.Errorf("testgen: %s: %w", stack, err)
@@ -111,7 +112,7 @@ func VerifyPortability(ctx context.Context, p Prescription, workers int) (map[st
 		results[stack] = out
 	}
 	ref := results["reference"]
-	for _, stack := range Stacks() {
+	for _, stack := range stacks {
 		if r := results[stack]; !r.Equal(ref) {
 			return results, fmt.Errorf("testgen: functional view violated: %s disagrees with reference (%d vs %d records)",
 				stack, len(r), len(ref))
