@@ -29,9 +29,6 @@ type Workload = workloads.Workload
 // workload-specific size knob, Workers as the stack parallelism.
 type Params = workloads.Params
 
-// Info is a static workload description (name, category, domain, stacks).
-type Info = workloads.Info
-
 // Category is the paper's three-way user-perspective workload
 // classification.
 type Category = workloads.Category

@@ -50,11 +50,31 @@ func (g *Graph) InDegrees() []int {
 	return deg
 }
 
-// Adjacency returns out-neighbour lists for every vertex.
+// Adjacency returns out-neighbour lists for every vertex, each in edge
+// order. The lists are rows of one array (a CSR build: count, prefix-sum,
+// fill), capped at their length so that appending to one copies it rather
+// than writing into the next.
 func (g *Graph) Adjacency() [][]int64 {
-	adj := make([][]int64, g.N)
+	// next[v] is where v's row starts, advances as the row fills and ends
+	// where the row ends, which is where v+1's starts.
+	next := make([]int, g.N+1)
 	for _, e := range g.Edges {
-		adj[e.Src] = append(adj[e.Src], e.Dst)
+		next[e.Src+1]++
+	}
+	for v := int64(0); v < g.N; v++ {
+		next[v+1] += next[v]
+	}
+	flat := make([]int64, len(g.Edges))
+	for _, e := range g.Edges {
+		flat[next[e.Src]] = e.Dst
+		next[e.Src]++
+	}
+	adj := make([][]int64, g.N)
+	lo := 0
+	for v := range adj {
+		hi := next[v]
+		adj[v] = flat[lo:hi:hi]
+		lo = hi
 	}
 	return adj
 }

@@ -2,6 +2,7 @@ package graphgen
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,10 +200,21 @@ func TestTopDegreeVertices(t *testing.T) {
 }
 
 func TestAdjacency(t *testing.T) {
-	g := &Graph{N: 3, Edges: []Edge{{0, 1}, {0, 2}, {2, 0}}}
+	g := &Graph{N: 4, Edges: []Edge{{2, 0}, {0, 2}, {0, 1}, {3, 3}, {0, 2}}}
 	adj := g.Adjacency()
-	if len(adj[0]) != 2 || len(adj[1]) != 0 || len(adj[2]) != 1 {
+	want := [][]int64{{2, 1, 2}, {}, {0}, {3}}
+	if len(adj) != len(want) {
 		t.Fatalf("adjacency %v", adj)
+	}
+	for v, row := range want {
+		if !slices.Equal(adj[v], row) {
+			t.Fatalf("row %d = %v, want %v (edge order)", v, adj[v], row)
+		}
+	}
+	// Rows share one array: growing one must not write into its neighbour.
+	_ = append(adj[0], 99)
+	if adj[2][0] != 0 {
+		t.Fatalf("append to row 0 overwrote row 2: %v", adj)
 	}
 }
 

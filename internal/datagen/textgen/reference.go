@@ -1,10 +1,6 @@
 package textgen
 
-import (
-	"strings"
-
-	"github.com/bdbench/bdbench/internal/stats"
-)
+import "github.com/bdbench/bdbench/internal/stats"
 
 // This file provides the "real data set" of Figure 3 step 1. bdbench cannot
 // ship real web crawls, so the reference corpus is produced by a *hidden*
@@ -124,13 +120,4 @@ func (m *ReferenceModel) GenerateCorpus(g *stats.RNG, docs, meanLen int) Corpus 
 func ReferenceCorpus(seed uint64, docs, meanLen int) Corpus {
 	m := NewReferenceModel()
 	return m.GenerateCorpus(stats.NewRNG(seed), docs, meanLen)
-}
-
-// Tokenize lowercases and splits raw prose into word tokens, dropping
-// punctuation; used when feeding arbitrary text files into the trainers.
-func Tokenize(raw string) Document {
-	fields := strings.FieldsFunc(strings.ToLower(raw), func(r rune) bool {
-		return !('a' <= r && r <= 'z') && !('0' <= r && r <= '9')
-	})
-	return Document(fields)
 }

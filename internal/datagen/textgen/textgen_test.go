@@ -91,19 +91,6 @@ func TestReferenceCorpusShape(t *testing.T) {
 	}
 }
 
-func TestTokenize(t *testing.T) {
-	doc := Tokenize("Hello, World! 42 foo-bar")
-	want := []string{"hello", "world", "42", "foo", "bar"}
-	if len(doc) != len(want) {
-		t.Fatalf("tokenize = %v", doc)
-	}
-	for i := range want {
-		if doc[i] != want[i] {
-			t.Fatalf("token %d = %q, want %q", i, doc[i], want[i])
-		}
-	}
-}
-
 func TestLDATrainAndGenerate(t *testing.T) {
 	ref := ReferenceCorpus(11, 120, 60)
 	l := NewLDA(4, 0, 0)

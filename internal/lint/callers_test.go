@@ -31,13 +31,6 @@ var callerless = map[string]string{
 	"internal/datagen/formats.WriteKV": "the KV format Figure 2 lists",
 	"internal/datagen/formats.ReadKV":  "the KV format Figure 2 lists",
 	"internal/datagen/formats.Convert": "the conversion Figure 2 lists",
-
-	// Dead, and known to be: each is held up only by its own tests, which
-	// are on the protected test floor, and PR 17 spent its removal quota
-	// on larger deletions. Delete each with the test named.
-	"internal/datagen/textgen.Tokenize": "TestTokenize",
-	"internal/stats.ChiSquare":          "TestChiSquare, TestChiSquareSkipsZeroExpectation",
-	"internal/workloads.DescribeAll":    "micro.TestDescribeAll",
 }
 
 // TestInternalNamesHaveCallers holds the "no names nobody calls" rule: a

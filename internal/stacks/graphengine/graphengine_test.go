@@ -153,7 +153,7 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Values {
-		if math.Abs(a.Values[i]-b.Values[i]) > 1e-9 {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(b.Values[i]) {
 			t.Fatalf("vertex %d differs across worker counts: %v vs %v", i, a.Values[i], b.Values[i])
 		}
 	}

@@ -1,6 +1,7 @@
 package graphengine
 
 import (
+	"maps"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
@@ -10,26 +11,30 @@ import (
 
 // TestInstrumentRecordsSupersteps: an instrumented engine observes one
 // "superstep" latency per executed superstep and workers*supersteps
-// per-worker "compute" latencies.
+// per-worker "compute" latencies — also with more workers than vertices —
+// and nothing for the exchange between them.
 func TestInstrumentRecordsSupersteps(t *testing.T) {
-	g := graphgen.DefaultRMAT.Generate(stats.NewRNG(3), 8)
-	c := metrics.NewCollector("bsp")
-	eng := New(2).Instrument(c)
-	const steps = 5
-	res, err := eng.Run(g, PageRank{}, steps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetElapsed(1)
-	counts := map[string]uint64{}
-	for _, op := range c.Snapshot().Ops {
-		counts[op.Op] = op.Count
-	}
-	if counts["superstep"] != uint64(res.Supersteps) {
-		t.Fatalf("superstep observations %d, want %d", counts["superstep"], res.Supersteps)
-	}
-	if counts["compute"] != uint64(2*res.Supersteps) {
-		t.Fatalf("compute observations %d, want %d", counts["compute"], 2*res.Supersteps)
+	for _, tc := range []struct {
+		g       *graphgen.Graph
+		workers int
+	}{
+		{graphgen.DefaultRMAT.Generate(stats.NewRNG(3), 8), 2},
+		{chain(3), 8},
+	} {
+		c := metrics.NewCollector("bsp")
+		res, err := New(tc.workers).Instrument(c).Run(tc.g, PageRank{}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetElapsed(1)
+		counts := map[string]uint64{}
+		for _, op := range c.Snapshot().Ops {
+			counts[op.Op] = op.Count
+		}
+		want := map[string]uint64{"superstep": uint64(res.Supersteps), "compute": uint64(tc.workers * res.Supersteps)}
+		if !maps.Equal(counts, want) {
+			t.Fatalf("%d workers: observations %v, want %v", tc.workers, counts, want)
+		}
 	}
 }
 

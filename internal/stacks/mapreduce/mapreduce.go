@@ -8,6 +8,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -137,20 +138,32 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	// One substrate shard per worker slot, shared by map and reduce phases:
 	// tasks acquire a slot before running, so a shard never has two
 	// concurrent writers and the shard count is bounded by the worker pool,
-	// not by the task count.
+	// not by the task count. The task-latency OpRefs are resolved up front:
+	// the per-task goroutines then record through direct handles, never a
+	// per-call label lookup.
 	slots := make(chan int, e.workers)
-	for i := 0; i < e.workers; i++ {
-		slots <- i
-	}
-	// One private shard per worker slot, with the task-latency OpRefs
-	// resolved up front: the per-task goroutines then record through
-	// direct handles, never a per-call label lookup.
 	mapRefs := make([]metrics.OpRef, e.workers)
 	reduceRefs := make([]metrics.OpRef, e.workers)
 	for i := range mapRefs {
+		slots <- i
 		shard := e.rec.SubstrateShard()
 		mapRefs[i] = shard.Op("map_task")
 		reduceRefs[i] = shard.Op("reduce_task")
+	}
+	// phase runs task(i, slot) for every i below n, each in a goroutine of
+	// its own that holds a worker slot while it runs, and waits for them all.
+	phase := func(n int, task func(i, slot int)) {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			go func() {
+				defer wg.Done()
+				slot := <-slots
+				defer func() { slots <- slot }()
+				task(i, slot)
+			}()
+		}
+		wg.Wait()
 	}
 
 	// ---- Map phase: each mapper owns a split and emits into
@@ -158,69 +171,60 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	mapStart := time.Now()
 	mapOut := make([][][]KV, numMappers) // mapper -> partition -> records
 	var mapOutCount, combineOutCount int64
-	var wg sync.WaitGroup
-	for m := 0; m < numMappers; m++ {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			slot := <-slots
-			defer func() { slots <- slot }()
-			taskRef := mapRefs[slot]
-			taskStart := taskRef.StartTimer()
-			lo := len(input) * m / numMappers
-			hi := len(input) * (m + 1) / numMappers
-			buckets := make([][]KV, numReducers)
-			emit := func(k, v string) {
-				p := partition(k, numReducers)
-				buckets[p] = append(buckets[p], KV{k, v})
-				atomic.AddInt64(&mapOutCount, 1)
+	phase(numMappers, func(m, slot int) {
+		taskStart := mapRefs[slot].StartTimer()
+		lo := len(input) * m / numMappers
+		hi := len(input) * (m + 1) / numMappers
+		buckets := make([][]KV, numReducers)
+		emit := func(k, v string) {
+			p := partition(k, numReducers)
+			buckets[p] = append(buckets[p], KV{k, v})
+			atomic.AddInt64(&mapOutCount, 1)
+		}
+		for _, rec := range input[lo:hi] {
+			job.Map(rec.Key, rec.Value, emit)
+		}
+		if job.Combine != nil {
+			for p := range buckets {
+				buckets[p] = combine(job.Combine, buckets[p])
+				atomic.AddInt64(&combineOutCount, int64(len(buckets[p])))
 			}
-			for _, rec := range input[lo:hi] {
-				job.Map(rec.Key, rec.Value, emit)
-			}
-			if job.Combine != nil {
-				for p := range buckets {
-					buckets[p] = combine(job.Combine, buckets[p])
-					atomic.AddInt64(&combineOutCount, int64(len(buckets[p])))
-				}
-			}
-			mapOut[m] = buckets
-			taskRef.ObserveSince(taskStart)
-		}(m)
-	}
-	wg.Wait()
+		}
+		mapOut[m] = buckets
+		mapRefs[slot].ObserveSince(taskStart)
+	})
 	st.MapWall = time.Since(mapStart)
 	st.MapOutputRecords = mapOutCount
 	st.CombineOutRecords = combineOutCount
 
 	// Map-only job: concatenate mapper outputs in mapper order.
 	if job.Reduce == nil {
-		var out []KV
-		for _, buckets := range mapOut {
-			for _, b := range buckets {
-				out = append(out, b...)
-			}
-		}
+		out := concat(mapOut...)
 		st.OutputRecords = int64(len(out))
 		return out, st, nil
 	}
 
-	// ---- Shuffle phase: gather each partition from all mappers and sort
-	// by key (the merge-sort the real shuffle performs).
+	// ---- Shuffle phase: every reduce partition gathers its records from
+	// all mappers, in mapper order, and sorts them by key (the merge-sort
+	// the real shuffle performs). Partitions share nothing, so each is a
+	// task of its own; it records no operation.
 	shuffleStart := time.Now()
 	partitions := make([][]KV, numReducers)
 	var shuffleBytes int64
-	for p := 0; p < numReducers; p++ {
-		var part []KV
-		for m := 0; m < numMappers; m++ {
-			part = append(part, mapOut[m][p]...)
+	phase(numReducers, func(p, _ int) {
+		fromMappers := make([][]KV, numMappers)
+		for m := range mapOut {
+			fromMappers[m] = mapOut[m][p]
 		}
+		part := concat(fromMappers)
+		var bytes int64
 		for _, kv := range part {
-			shuffleBytes += int64(len(kv.Key) + len(kv.Value))
+			bytes += int64(len(kv.Key) + len(kv.Value))
 		}
 		sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
 		partitions[p] = part
-	}
+		atomic.AddInt64(&shuffleBytes, bytes)
+	})
 	st.ShuffleBytes = shuffleBytes
 	st.ShuffleWall = time.Since(shuffleStart)
 
@@ -228,44 +232,51 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	reduceStart := time.Now()
 	reduceOut := make([][]KV, numReducers)
 	var groupCount int64
-	for p := 0; p < numReducers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			slot := <-slots
-			defer func() { slots <- slot }()
-			taskRef := reduceRefs[slot]
-			taskStart := taskRef.StartTimer()
-			part := partitions[p]
-			var out []KV
-			emit := func(k, v string) { out = append(out, KV{k, v}) }
-			for i := 0; i < len(part); {
-				j := i
-				for j < len(part) && part[j].Key == part[i].Key {
-					j++
-				}
-				values := make([]string, 0, j-i)
-				for _, kv := range part[i:j] {
-					values = append(values, kv.Value)
-				}
-				job.Reduce(part[i].Key, values, emit)
-				atomic.AddInt64(&groupCount, 1)
-				i = j
+	phase(numReducers, func(p, slot int) {
+		taskStart := reduceRefs[slot].StartTimer()
+		part := partitions[p]
+		var out []KV
+		emit := func(k, v string) { out = append(out, KV{k, v}) }
+		for i := 0; i < len(part); {
+			j := i
+			for j < len(part) && part[j].Key == part[i].Key {
+				j++
 			}
-			reduceOut[p] = out
-			taskRef.ObserveSince(taskStart)
-		}(p)
-	}
-	wg.Wait()
+			values := make([]string, 0, j-i)
+			for _, kv := range part[i:j] {
+				values = append(values, kv.Value)
+			}
+			job.Reduce(part[i].Key, values, emit)
+			atomic.AddInt64(&groupCount, 1)
+			i = j
+		}
+		reduceOut[p] = out
+		reduceRefs[slot].ObserveSince(taskStart)
+	})
 	st.ReduceGroups = groupCount
 	st.ReduceWall = time.Since(reduceStart)
 
-	var out []KV
-	for _, part := range reduceOut {
-		out = append(out, part...)
-	}
+	out := concat(reduceOut)
 	st.OutputRecords = int64(len(out))
 	return out, st, nil
+}
+
+// concat returns the records of every part of every group, in order, in one
+// slice allocated at their total size (nil when there are none).
+func concat(groups ...[][]KV) []KV {
+	size := 0
+	for _, parts := range groups {
+		for _, part := range parts {
+			size += len(part)
+		}
+	}
+	out := slices.Grow([]KV(nil), size)
+	for _, parts := range groups {
+		for _, part := range parts {
+			out = append(out, part...)
+		}
+	}
+	return out
 }
 
 // combine groups a single mapper's partition buffer by key and applies the

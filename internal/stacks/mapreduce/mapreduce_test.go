@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -276,5 +277,84 @@ func TestIterativeChaining(t *testing.T) {
 	// one word with count 3 (x), one with 2 (y), one with 1 (z)
 	if got["3"] != "1" || got["2"] != "1" || got["1"] != "1" {
 		t.Fatalf("histogram wrong: %v", got)
+	}
+}
+
+// serialRun is the job without the engine: one mapper over the whole input, no
+// combiner, each partition stable-sorted and folded in turn.
+func serialRun(job Job, input []KV, numReducers int) []KV {
+	partition := job.Partition
+	if partition == nil {
+		partition = HashPartition
+	}
+	parts := make([][]KV, numReducers)
+	for _, rec := range input {
+		job.Map(rec.Key, rec.Value, func(k, v string) {
+			p := partition(k, numReducers)
+			parts[p] = append(parts[p], KV{k, v})
+		})
+	}
+	var out []KV
+	for _, part := range parts {
+		sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
+		for i := 0; i < len(part); {
+			var values []string
+			j := i
+			for ; j < len(part) && part[j].Key == part[i].Key; j++ {
+				values = append(values, part[j].Value)
+			}
+			job.Reduce(part[i].Key, values, func(k, v string) { out = append(out, KV{k, v}) })
+			i = j
+		}
+	}
+	return out
+}
+
+// TestShuffleMatchesSerial: the shuffle runs one task per reduce partition in
+// parallel. Its records are those of a serial run in the same order (the
+// identity jobs emit every value, so a gather out of mapper order or an
+// unstable sort shows), and every counter is the same at any slot count.
+func TestShuffleMatchesSerial(t *testing.T) {
+	g := stats.NewRNG(4)
+	input := make([]KV, 3000)
+	for i := range input {
+		// Few distinct keys, distinct values: equal keys meet from every mapper.
+		input[i] = KV{g.RandomWord(1, 2), strconv.Itoa(i) + " " + g.RandomWord(2, 5)}
+	}
+	identity := Job{
+		Name: "identity-sort",
+		Map:  func(k, v string, emit func(k, v string)) { emit(k, v) },
+		Reduce: func(k string, vs []string, emit func(k, v string)) {
+			for _, v := range vs {
+				emit(k, v)
+			}
+		},
+	}
+	wordCount := wordCountJob()
+	wordCount.Combine = wordCount.Reduce
+	ranged := identity
+	ranged.Name = "range-sort"
+	ranged.Partition = RangePartitioner(SampleSplits(input, 5, 400, g))
+	ranged.SortOutput = true
+	for _, job := range []Job{identity, wordCount, ranged} {
+		job.NumMappers, job.NumReducers = 6, 5
+		want := serialRun(job, input, job.NumReducers)
+		var wantSt Stats
+		for _, workers := range []int{1, 2, 8} {
+			got, st, err := New(workers).Run(job, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) == 0 || !slices.Equal(got, want) {
+				t.Fatalf("%s at %d workers: %d records, not the serial run's %d in their order", job.Name, workers, len(got), len(want))
+			}
+			st.MapWall, st.ShuffleWall, st.ReduceWall = 0, 0, 0
+			if workers == 1 {
+				wantSt = st
+			}
+			if st != wantSt || st.ShuffleBytes == 0 || st.OutputRecords != int64(len(want)) {
+				t.Fatalf("%s at %d workers: stats %+v, at 1 worker %+v", job.Name, workers, st, wantSt)
+			}
+		}
 	}
 }

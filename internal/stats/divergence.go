@@ -85,24 +85,6 @@ func TotalVariation(p, q []float64) (float64, error) {
 	return d / 2, nil
 }
 
-// ChiSquare returns Pearson's chi-square statistic of observed counts o
-// against expected counts e (both raw counts, not probabilities). Bins with
-// zero expectation are skipped.
-func ChiSquare(o, e []float64) (float64, error) {
-	if len(o) != len(e) {
-		return 0, ErrLengthMismatch
-	}
-	s := 0.0
-	for i := range o {
-		if e[i] <= 0 {
-			continue
-		}
-		d := o[i] - e[i]
-		s += d * d / e[i]
-	}
-	return s, nil
-}
-
 // CosineSimilarity returns the cosine of the angle between p and q, in
 // [0, 1] for non-negative vectors. 1 means identical direction.
 func CosineSimilarity(p, q []float64) (float64, error) {

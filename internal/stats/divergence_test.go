@@ -84,31 +84,6 @@ func TestTotalVariation(t *testing.T) {
 	}
 }
 
-func TestChiSquare(t *testing.T) {
-	o := []float64{10, 20, 30}
-	e := []float64{10, 20, 30}
-	s, _ := ChiSquare(o, e)
-	if s != 0 {
-		t.Fatalf("chi2 identical = %g, want 0", s)
-	}
-	o = []float64{15, 20, 25}
-	s, _ = ChiSquare(o, e)
-	want := 25.0/10 + 0 + 25.0/30
-	if math.Abs(s-want) > 1e-9 {
-		t.Fatalf("chi2 = %g, want %g", s, want)
-	}
-}
-
-func TestChiSquareSkipsZeroExpectation(t *testing.T) {
-	s, err := ChiSquare([]float64{5, 5}, []float64{0, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 0 {
-		t.Fatalf("chi2 with zero expectation bin = %g, want contribution skipped", s)
-	}
-}
-
 func TestCosineSimilarity(t *testing.T) {
 	s, _ := CosineSimilarity([]float64{1, 0}, []float64{1, 0})
 	if math.Abs(s-1) > 1e-12 {

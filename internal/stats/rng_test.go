@@ -3,6 +3,8 @@ package stats
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/bdbench/bdbench/internal/raceflag"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -64,6 +66,31 @@ func TestRandomWordLengths(t *testing.T) {
 		w := g.RandomWord(3, 9)
 		if len(w) < 3 || len(w) > 9 {
 			t.Fatalf("word %q out of requested length range", w)
+		}
+	}
+}
+
+// TestRandomWordSequencePinned: the words and the draws left in the stream
+// after them are what they were when RandomWord built a byte slice and
+// converted it; every corpus digest rests on this sequence. One allocation a
+// word, the string itself.
+func TestRandomWordSequencePinned(t *testing.T) {
+	g := NewRNG(2014)
+	for i, want := range []string{"ducp", "xvnpq", "liocr", "texmzo", "hzyzrnl", "pwpbw"} {
+		if w := g.RandomWord(3, 9); w != want {
+			t.Fatalf("word %d = %q, want %q", i, w, want)
+		}
+	}
+	const long = "yijpsrduaficbpvxwprcqujlerwiaxmyhudmqmeazqgukolyfjcjuzrrapalziquhibmtbucionsgjzjpxgsiyprdurtxgkflyor"
+	if w := g.RandomWord(100, 100); w != long {
+		t.Fatalf("100-letter word = %q", w)
+	}
+	if next := g.IntN(1000000); next != 597682 {
+		t.Fatalf("draw after the words = %d, want 597682", next)
+	}
+	for _, n := range []int{8, 100} {
+		if allocs := testing.AllocsPerRun(200, func() { g.RandomWord(n, n) }); allocs != 1 && !raceflag.Enabled {
+			t.Fatalf("RandomWord(%d, %d) allocates %v times, want 1", n, n, allocs)
 		}
 	}
 }

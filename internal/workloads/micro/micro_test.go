@@ -75,13 +75,6 @@ func TestMetadata(t *testing.T) {
 	}
 }
 
-func TestDescribeAll(t *testing.T) {
-	infos := workloads.DescribeAll([]workloads.Workload{WordCount{}, Sort{}})
-	if len(infos) != 2 || infos[0].Name != "wordcount" {
-		t.Fatalf("DescribeAll %v", infos)
-	}
-}
-
 // TestTextInputCorpusPinned holds the generated text corpus (digest taken
 // before the line buffer was reused: same dictionary draws, same order) and
 // what a line may cost: its key, its value and a share of the chunk's slice,

@@ -2,9 +2,12 @@ package search
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"github.com/bdbench/bdbench/internal/datagen/graphgen"
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/stacks/graphengine"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -25,6 +28,28 @@ func TestPageRank(t *testing.T) {
 	}
 	if c.Counter("messages") == 0 || c.Counter("supersteps") == 0 {
 		t.Fatal("graph counters missing")
+	}
+}
+
+// TestPageRankHubCheck: the verification fails when the vertex with the most
+// in-edges ranks at or below the median, and passes on the engine's answer.
+func TestPageRankHubCheck(t *testing.T) {
+	// A star: 1..4 point at 0, which points nowhere (top in-degree, lowest
+	// out-degree).
+	g := &graphgen.Graph{N: 5}
+	for v := int64(1); v < 5; v++ {
+		g.Edges = append(g.Edges, graphgen.Edge{Src: v, Dst: 0})
+	}
+	res, err := graphengine.New(2).Run(g, graphengine.PageRank{}, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkRanks(g, res.Values); err != nil {
+		t.Fatalf("engine ranks rejected: %v", err)
+	}
+	err = checkRanks(g, []float64{0.2, 1, 1, 1, 1})
+	if err == nil || !strings.Contains(err.Error(), "top in-degree vertex") {
+		t.Fatalf("hub below the median accepted: %v", err)
 	}
 }
 

@@ -74,20 +74,3 @@ type Workload interface {
 	StackTypes() []stacks.Type
 	Run(ctx context.Context, p Params, c *metrics.Collector) error
 }
-
-// Info is a static description used by the Table 2 reproduction.
-type Info struct {
-	Name     string
-	Category Category
-	Domain   string
-	Stacks   []stacks.Type
-}
-
-// DescribeAll extracts Info rows from workloads.
-func DescribeAll(ws []Workload) []Info {
-	out := make([]Info, len(ws))
-	for i, w := range ws {
-		out[i] = Info{Name: w.Name(), Category: w.Category(), Domain: w.Domain(), Stacks: w.StackTypes()}
-	}
-	return out
-}
