@@ -31,8 +31,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs bdvet, the repo's own analyzer suite (determinism, zero-alloc
-# hot paths, metrics hygiene, context threading — see docs/LINT.md). It
-# also runs as `go vet -vettool`; this direct form is faster for ./...
+# hot paths, metrics hygiene, context threading — see docs/LINT.md).
 lint:
 	$(GO) run ./cmd/bdvet ./...
 

@@ -3,15 +3,10 @@
 // metric handles in steady-state loops (oprefed), and threaded task
 // contexts in engine-driven code (ctxbg). See docs/LINT.md.
 //
-// Standalone, over package patterns (exit 1 on findings):
+// It runs over package patterns (exit 1 on findings):
 //
 //	go run ./cmd/bdvet ./...
 //	bdvet -analyzers detnondet,hotpath ./internal/datagen/...
-//
-// Or as a vet tool, speaking cmd/go's unitchecker protocol:
-//
-//	go build -o bin/bdvet ./cmd/bdvet
-//	go vet -vettool=$PWD/bin/bdvet ./...
 package main
 
 import (
@@ -28,28 +23,12 @@ func main() {
 }
 
 func run(args []string) int {
-	// cmd/go probes a vettool with -V=full (for its cache key) and
-	// -flags (for the analyzer flag set) before handing it .cfg files.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			fmt.Printf("bdvet version %s\n", version)
-			return 0
-		case a == "-flags" || a == "--flags":
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runUnitchecker(args[0])
-	}
-
 	fs := flag.NewFlagSet("bdvet", flag.ExitOnError)
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: bdvet [-analyzers a,b] [packages]\n\n")
-		fmt.Fprintf(fs.Output(), "bdvet statically enforces bdbench's determinism, zero-alloc and\nmetrics-hygiene contracts. With a single FILE.cfg argument it speaks\nthe `go vet -vettool` protocol instead.\n\n")
+		fmt.Fprintf(fs.Output(), "bdvet statically enforces bdbench's determinism, zero-alloc and\nmetrics-hygiene contracts.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

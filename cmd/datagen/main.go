@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/bdbench/bdbench/internal/datagen/formats"
@@ -37,21 +38,25 @@ func main() {
 	format := flag.String("format", "csv", "table format: csv|tsv|jsonl")
 	rate := flag.Float64("rate", 0, "stream generation rate in events/s (velocity; 0 = max)")
 	updates := flag.Float64("updates", 0, "stream update fraction (velocity as update frequency)")
-	workers := flag.Int("workers", 4, "parallel generators")
+	workers := flag.Int("workers", 4, "parallel generators; the output does not depend on it (resume has no chunked path and ignores it)")
 	flag.Parse()
 
-	if err := run(*kind, *size, *seed, *model, *format, *rate, *updates, *workers); err != nil {
+	if err := run(os.Stdout, *kind, *size, *seed, *model, *format, *rate, *updates, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kind string, size int64, seed uint64, model, format string, rate, updates float64, workers int) error {
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
+func run(out io.Writer, kind string, size int64, seed uint64, model, format string, rate, updates float64, workers int) (err error) {
+	w := bufio.NewWriter(out)
+	defer func() {
+		if ferr := w.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 	switch kind {
 	case "text":
-		return genText(w, size, seed, model)
+		return genText(w, int(size), seed, model, workers)
 	case "table":
 		spec := tablegen.ReferenceSpec(seed)
 		tab := spec.GenerateParallel(size, workers)
@@ -66,7 +71,7 @@ func run(kind string, size int64, seed uint64, model, format string, rate, updat
 			Mix:          streamgen.Mix{UpdateFraction: updates},
 		}
 		enc := json.NewEncoder(w)
-		for _, ev := range gen.Generate(stats.NewRNG(seed), size) {
+		for _, ev := range gen.GenerateParallel(seed, size, workers) {
 			if err := enc.Encode(ev); err != nil {
 				return err
 			}
@@ -74,7 +79,7 @@ func run(kind string, size int64, seed uint64, model, format string, rate, updat
 		return nil
 	case "weblog":
 		orders := tablegen.ReferenceTable(seed, 2000)
-		recs, err := weblog.Generator{}.FromTable(stats.NewRNG(seed+1), orders, int(size))
+		recs, err := weblog.Generator{}.FromTableParallel(seed+1, orders, int(size), workers)
 		if err != nil {
 			return err
 		}
@@ -93,38 +98,30 @@ func run(kind string, size int64, seed uint64, model, format string, rate, updat
 	}
 }
 
-func genText(w *bufio.Writer, size int64, seed uint64, model string) error {
+func genText(w io.Writer, docs int, seed uint64, model string, workers int) error {
+	var c textgen.Corpus
+	var err error
 	switch model {
 	case "lda":
-		raw := textgen.ReferenceCorpus(seed, 200, 60)
 		lda := textgen.NewLDA(4, 0, 0)
-		if err := lda.Train(raw, 25, stats.NewRNG(seed+1)); err != nil {
+		if err := lda.Train(textgen.ReferenceCorpus(seed, 200, 60), 25, stats.NewRNG(seed+1)); err != nil {
 			return err
 		}
-		c, err := lda.Generate(stats.NewRNG(seed+2), int(size), 60)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintln(w, c.Text())
-		return err
+		c, err = lda.GenerateParallel(seed+2, docs, 60, workers)
 	case "markov":
-		raw := textgen.ReferenceCorpus(seed, 200, 60)
 		m := textgen.NewMarkov(2)
-		if err := m.Train(raw); err != nil {
+		if err := m.Train(textgen.ReferenceCorpus(seed, 200, 60)); err != nil {
 			return err
 		}
-		c, err := m.Generate(stats.NewRNG(seed+2), int(size), 60)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintln(w, c.Text())
-		return err
+		c, err = m.GenerateParallel(seed+2, docs, 60, workers)
 	case "random":
-		c := textgen.RandomText{Dictionary: textgen.DefaultDictionary()}.
-			Generate(stats.NewRNG(seed+2), int(size), 60)
-		_, err := fmt.Fprintln(w, c.Text())
-		return err
+		c = textgen.RandomText{Dictionary: textgen.DefaultDictionary()}.GenerateParallel(seed+2, docs, 60, workers)
 	default:
 		return fmt.Errorf("unknown text model %q", model)
 	}
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(w, c.Text())
+	return err
 }

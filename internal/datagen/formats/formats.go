@@ -2,8 +2,7 @@
 // tools" (Figure 2): serializers and parsers that turn generated data sets
 // into the representation a specific workload consumes — CSV/TSV for
 // relational loads, JSON lines for document stores, plain text for
-// MapReduce text workloads, edge lists for graph engines, and a
-// length-prefixed binary key-value format for cloud-serving stores.
+// MapReduce text workloads, and edge lists for graph engines.
 //
 // All writers are deterministic: the same table serializes to the same
 // bytes, which the round-trip tests rely on.
@@ -11,7 +10,6 @@ package formats
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -60,15 +58,6 @@ func ReadTable(r io.Reader, schema data.Schema, f Format) (*data.Table, error) {
 	default:
 		return nil, fmt.Errorf("formats: unknown table format %q", f)
 	}
-}
-
-// Convert re-serializes between two formats in one pass.
-func Convert(r io.Reader, w io.Writer, schema data.Schema, from, to Format) error {
-	t, err := ReadTable(r, schema, from)
-	if err != nil {
-		return err
-	}
-	return WriteTable(w, t, to)
 }
 
 const nullToken = `\N` // MySQL-style null marker for separated formats
@@ -308,58 +297,4 @@ func ReadEdgeList(r io.Reader) (*graphgen.Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// WriteKV serializes key/value pairs in a length-prefixed binary format
-// (uint32 key length, key bytes, uint32 value length, value bytes).
-func WriteKV(w io.Writer, pairs [][2]string) error {
-	bw := bufio.NewWriter(w)
-	var lenBuf [4]byte
-	for _, p := range pairs {
-		for _, s := range p {
-			binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(s)))
-			if _, err := bw.Write(lenBuf[:]); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(s); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadKV parses the WriteKV format.
-func ReadKV(r io.Reader) ([][2]string, error) {
-	br := bufio.NewReader(r)
-	var out [][2]string
-	var lenBuf [4]byte
-	readOne := func() (string, error) {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return "", err
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > 1<<28 {
-			return "", fmt.Errorf("formats: kv record of %d bytes refused", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	for {
-		k, err := readOne()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		v, err := readOne()
-		if err != nil {
-			return nil, fmt.Errorf("formats: kv value after key %q: %w", k, err)
-		}
-		out = append(out, [2]string{k, v})
-	}
 }

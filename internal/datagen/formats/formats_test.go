@@ -85,22 +85,6 @@ func TestRoundTripGeneratedTable(t *testing.T) {
 	}
 }
 
-func TestConvert(t *testing.T) {
-	tab := sampleTable(t)
-	var csvBuf, jsonBuf bytes.Buffer
-	if err := WriteTable(&csvBuf, tab, CSV); err != nil {
-		t.Fatal(err)
-	}
-	if err := Convert(&csvBuf, &jsonBuf, tab.Schema, CSV, JSONL); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTable(&jsonBuf, tab.Schema, JSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesEqual(t, tab, got)
-}
-
 func TestUnknownFormat(t *testing.T) {
 	tab := sampleTable(t)
 	var buf bytes.Buffer
@@ -177,48 +161,5 @@ func TestEdgeListInfersN(t *testing.T) {
 func TestEdgeListBadLine(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("nonsense\n")); err == nil {
 		t.Fatal("bad edge line accepted")
-	}
-}
-
-func TestKVRoundTrip(t *testing.T) {
-	pairs := [][2]string{
-		{"key1", "value one"},
-		{"", "empty key ok"},
-		{"k3", ""},
-		{"binary\x00key", "binary\x00value"},
-	}
-	var buf bytes.Buffer
-	if err := WriteKV(&buf, pairs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadKV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pairs) {
-		t.Fatalf("pairs %d, want %d", len(got), len(pairs))
-	}
-	for i := range pairs {
-		if got[i] != pairs[i] {
-			t.Fatalf("pair %d: %q vs %q", i, got[i], pairs[i])
-		}
-	}
-}
-
-func TestKVTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteKV(&buf, [][2]string{{"a", "b"}}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	if _, err := ReadKV(bytes.NewReader(raw[:len(raw)-1])); err == nil {
-		t.Fatal("truncated kv stream accepted")
-	}
-}
-
-func TestKVEmpty(t *testing.T) {
-	got, err := ReadKV(bytes.NewReader(nil))
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty stream: %v %v", got, err)
 	}
 }

@@ -163,28 +163,6 @@ func (c FKColumn) Gen(g *stats.RNG, _ int64) data.Value {
 // Describe implements ColumnGen.
 func (c FKColumn) Describe() string { return fmt.Sprintf("fk(%d)", c.Count) }
 
-// Nullable wraps a generator, replacing a fraction P of values with null.
-type Nullable struct {
-	Inner ColumnGen
-	P     float64
-}
-
-// Kind implements ColumnGen.
-func (c Nullable) Kind() data.Kind { return c.Inner.Kind() }
-
-// Gen implements ColumnGen.
-func (c Nullable) Gen(g *stats.RNG, row int64) data.Value {
-	if g.Bool(c.P) {
-		return data.Null()
-	}
-	return c.Inner.Gen(g, row)
-}
-
-// Describe implements ColumnGen.
-func (c Nullable) Describe() string {
-	return fmt.Sprintf("nullable(%.2f,%s)", c.P, c.Inner.Describe())
-}
-
 // Derived computes a value from the row generated so far; it enables
 // correlated columns (e.g. price derived from product id plus noise). The
 // framework guarantees columns generate left to right within a row.

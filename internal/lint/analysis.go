@@ -22,8 +22,7 @@
 // alone: packages load through `go list -export` and type-check from
 // source with imports satisfied from build-cache export data (see
 // load.go), so the module keeps its empty dependency graph. cmd/bdvet is
-// the multichecker front end; it also speaks the `go vet -vettool`
-// unitchecker protocol.
+// the front end.
 //
 // False positives at legitimately exempt sites are silenced with
 //
@@ -61,8 +60,7 @@ func Analyzers() []*Analyzer {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Path is the package import path. Test-binary variants ("pkg
-	// [pkg.test]") are normalized by ScopePath before matching.
+	// Path is the package import path.
 	Path  string
 	Files []*ast.File
 	Pkg   *types.Package
@@ -140,22 +138,12 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	return out, nil
 }
 
-// ScopePath normalizes an import path for scope matching: `go vet` hands
-// unitchecker test-binary variants paths like "pkg [pkg.test]", whose
-// bracketed suffix must not defeat prefix/segment matching.
-func ScopePath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
 // pathInScope reports whether the import path contains one of the scope
 // fragments as a whole "/"-separated run of segments, so both real module
 // paths ("github.com/bdbench/bdbench/internal/datagen/textgen") and bare
 // testdata paths ("internal/datagen/det") match "internal/datagen".
 func pathInScope(path string, scopes []string) bool {
-	p := "/" + ScopePath(path) + "/"
+	p := "/" + path + "/"
 	for _, s := range scopes {
 		if strings.Contains(p, "/"+s+"/") {
 			return true

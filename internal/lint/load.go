@@ -25,7 +25,6 @@ import (
 // extra compile of each package body buys nothing).
 type Package struct {
 	Path  string // import path
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -104,7 +103,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		for _, name := range append(append([]string{}, t.GoFiles...), t.TestGoFiles...) {
 			files = append(files, filepath.Join(t.Dir, name))
 		}
-		pkg, err := CheckUnit(fset, imp, goVersion, t.ImportPath, files)
+		pkg, err := checkUnit(fset, imp, goVersion, t.ImportPath, files)
 		if err != nil {
 			return nil, err
 		}
@@ -120,14 +119,12 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 func CheckFiles(importPath, dir string, filenames []string) (*Package, error) {
 	fset := token.NewFileSet()
 	imp := newCacheImporter(fset, dir, nil)
-	return CheckUnit(fset, imp, "", importPath, filenames)
+	return checkUnit(fset, imp, "", importPath, filenames)
 }
 
-// CheckUnit parses and type-checks one package unit from explicit file
-// paths, with imports satisfied by the given importer. cmd/bdvet's
-// unitchecker mode calls it with the importer built from the vet
-// config's PackageFile map.
-func CheckUnit(fset *token.FileSet, imp types.Importer, goVersion, path string, filenames []string) (*Package, error) {
+// checkUnit parses and type-checks one package unit from explicit file
+// paths, with imports satisfied by the given importer.
+func checkUnit(fset *token.FileSet, imp types.Importer, goVersion, path string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, full := range filenames {
 		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -135,10 +132,6 @@ func CheckUnit(fset *token.FileSet, imp types.Importer, goVersion, path string, 
 			return nil, fmt.Errorf("parsing %s: %w", full, err)
 		}
 		files = append(files, f)
-	}
-	dir := ""
-	if len(filenames) > 0 {
-		dir = filepath.Dir(filenames[0])
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -157,7 +150,7 @@ func CheckUnit(fset *token.FileSet, imp types.Importer, goVersion, path string, 
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("type-checking %s: %w", path, errors.Join(typeErrs...))
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // newCacheImporter returns a gc-export-data importer over the build

@@ -40,7 +40,7 @@ var stringKeyedMethods = map[string]bool{
 }
 
 func runOprefed(pass *Pass) error {
-	path := "/" + ScopePath(pass.Path) + "/"
+	path := "/" + pass.Path + "/"
 	if !strings.Contains(path, "/internal/") || pathInScope(pass.Path, oprefExempt) {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/scenario"
@@ -24,16 +25,7 @@ func (TextReporter) Format() string { return "text" }
 
 // Report implements scenario.Reporter.
 func (TextReporter) Report(w io.Writer, o *scenario.Outcome) error {
-	if _, err := io.WriteString(w, Table(outcomeHeaders, outcomeRows(o))); err != nil {
-		return err
-	}
-	if err := writeLoadTable(w, o, false); err != nil {
-		return err
-	}
-	if err := writePhaseTable(w, o, false); err != nil {
-		return err
-	}
-	return writeSummary(w, o, "")
+	return style{table: Table}.report(w, o)
 }
 
 // MarkdownReporter renders the outcome as GitHub-flavored markdown.
@@ -44,16 +36,38 @@ func (MarkdownReporter) Format() string { return "markdown" }
 
 // Report implements scenario.Reporter.
 func (MarkdownReporter) Report(w io.Writer, o *scenario.Outcome) error {
-	if _, err := io.WriteString(w, Markdown(outcomeHeaders, outcomeRows(o))); err != nil {
+	return style{table: Markdown, em: "**", gap: "\n"}.report(w, o)
+}
+
+// style is all that differs between the text and the markdown rendering
+// of an outcome.
+type style struct {
+	table func(headers []string, rows [][]string) string
+	em    string // wraps emphasized labels: markdown bolding, empty for text
+	gap   string // between a title and its table: markdown needs a blank line
+}
+
+func (s style) report(w io.Writer, o *scenario.Outcome) error {
+	if _, err := io.WriteString(w, s.table(outcomeHeaders, outcomeRows(o))); err != nil {
 		return err
 	}
-	if err := writeLoadTable(w, o, true); err != nil {
+	if err := s.titled(w, "latency under load (from intended start)", loadHeaders, LoadRows(o)); err != nil {
 		return err
 	}
-	if err := writePhaseTable(w, o, true); err != nil {
+	if err := s.titled(w, "operation pattern breakdown (per phase)", phaseHeaders, PhaseRows(o)); err != nil {
 		return err
 	}
-	return writeSummary(w, o, "**")
+	return writeSummary(w, o, s.em)
+}
+
+// titled appends a table under its title; a table with no rows (no result
+// ran open-loop, none came from a composed pattern) is left out whole.
+func (s style) titled(w io.Writer, title string, headers []string, rows [][]string) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	_, err := fmt.Fprintf(w, "\n%s%s%s\n%s%s", s.em, title, s.em, s.gap, s.table(headers, rows))
+	return err
 }
 
 // JSONReporter exports the full outcome — normalized spec, step trace,
@@ -161,26 +175,6 @@ func roundLatency(d time.Duration) string {
 	}
 }
 
-// writeLoadTable appends the latency-under-load table when any result ran
-// open-loop.
-func writeLoadTable(w io.Writer, o *scenario.Outcome, markdown bool) error {
-	rows := LoadRows(o)
-	if len(rows) == 0 {
-		return nil
-	}
-	title := "\nlatency under load (from intended start)\n"
-	render := Table
-	if markdown {
-		title = "\n**latency under load (from intended start)**\n\n"
-		render = Markdown
-	}
-	if _, err := io.WriteString(w, title); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, render(loadHeaders, rows))
-	return err
-}
-
 // phaseHeaders are the columns of the operation-pattern breakdown. Each
 // row is one (phase, operation) cell of a composed workload's stream.
 var phaseHeaders = []string{"workload", "phase", "op", "count", "mean", "p95", "max"}
@@ -199,7 +193,7 @@ func PhaseRows(o *scenario.Outcome) [][]string {
 			continue
 		}
 		for _, op := range r.Result.Ops {
-			phase, name, ok := cutSlash(op.Op)
+			phase, name, ok := strings.Cut(op.Op, "/")
 			if !ok || op.Substrate {
 				continue
 			}
@@ -215,38 +209,7 @@ func PhaseRows(o *scenario.Outcome) [][]string {
 	return rows
 }
 
-// cutSlash splits "phase/op" at the first slash.
-func cutSlash(s string) (phase, op string, ok bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '/' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return "", "", false
-}
-
-// writePhaseTable appends the per-phase operation breakdown when any
-// result came from a composed operation pattern.
-func writePhaseTable(w io.Writer, o *scenario.Outcome, markdown bool) error {
-	rows := PhaseRows(o)
-	if len(rows) == 0 {
-		return nil
-	}
-	title := "\noperation pattern breakdown (per phase)\n"
-	render := Table
-	if markdown {
-		title = "\n**operation pattern breakdown (per phase)**\n\n"
-		render = Markdown
-	}
-	if _, err := io.WriteString(w, title); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, render(phaseHeaders, rows))
-	return err
-}
-
-// writeSummary appends the per-category digest and probe evidence; em
-// wraps emphasized labels (markdown bolding, empty for text).
+// writeSummary appends the per-category digest and probe evidence.
 func writeSummary(w io.Writer, o *scenario.Outcome, em string) error {
 	if len(o.Summary) > 0 {
 		if _, err := fmt.Fprintf(w, "\n%ssummary (mean ops/s by category)%s\n", em, em); err != nil {

@@ -19,8 +19,8 @@ func TestCompareSelfIsClean(t *testing.T) {
 	}
 }
 
-// scaleSamples multiplies every sample value — the synthetic shift used both
-// here and by the blobshift CI tool.
+// scaleSamples multiplies every sample value: a synthetic, perfectly
+// controlled performance shift.
 func scaleSamples(r *Run, factor float64) {
 	for i := range r.Series {
 		for j := range r.Series[i].Samples {

@@ -33,34 +33,6 @@ func (u Uniform) Mean() float64 { return (u.Min + u.Max) / 2 }
 // Name implements Distribution.
 func (u Uniform) Name() string { return fmt.Sprintf("uniform[%g,%g)", u.Min, u.Max) }
 
-// Gaussian is the normal distribution N(Mu, Sigma^2).
-type Gaussian struct {
-	Mu, Sigma float64
-}
-
-// Sample implements Distribution.
-func (n Gaussian) Sample(g *RNG) float64 { return n.Mu + n.Sigma*g.NormFloat64() }
-
-// Mean implements Distribution.
-func (n Gaussian) Mean() float64 { return n.Mu }
-
-// Name implements Distribution.
-func (n Gaussian) Name() string { return fmt.Sprintf("gaussian(%g,%g)", n.Mu, n.Sigma) }
-
-// Exponential is the exponential distribution with the given Rate (lambda).
-type Exponential struct {
-	Rate float64
-}
-
-// Sample implements Distribution.
-func (e Exponential) Sample(g *RNG) float64 { return g.ExpFloat64() / e.Rate }
-
-// Mean implements Distribution.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// Name implements Distribution.
-func (e Exponential) Name() string { return fmt.Sprintf("exp(%g)", e.Rate) }
-
 // Pareto is the Pareto (power-law) distribution with scale Xm and shape Alpha.
 type Pareto struct {
 	Xm, Alpha float64
@@ -122,21 +94,6 @@ func (p Poisson) Mean() float64 { return p.Lambda }
 
 // Name implements Distribution.
 func (p Poisson) Name() string { return fmt.Sprintf("poisson(%g)", p.Lambda) }
-
-// Constant always returns Value; useful as a degenerate arrival process or
-// column generator.
-type Constant struct {
-	Value float64
-}
-
-// Sample implements Distribution.
-func (c Constant) Sample(*RNG) float64 { return c.Value }
-
-// Mean implements Distribution.
-func (c Constant) Mean() float64 { return c.Value }
-
-// Name implements Distribution.
-func (c Constant) Name() string { return fmt.Sprintf("const(%g)", c.Value) }
 
 // IntSampler draws integer variates in [0, N). It is the interface used by
 // key choosers (which item does the next OLTP request touch?) and categorical
@@ -234,47 +191,6 @@ func (l Latest) N() int64 { return atomic.LoadInt64(l.Max) }
 
 // Name implements IntSampler.
 func (l Latest) Name() string { return "latest" }
-
-// HotSpot concentrates HotFraction of the accesses on the first HotSetSize
-// items, uniformly otherwise — YCSB's hotspot distribution.
-type HotSpot struct {
-	Count       int64
-	HotSetSize  int64
-	HotFraction float64
-}
-
-// Next implements IntSampler.
-func (h HotSpot) Next(g *RNG) int64 {
-	if g.Bool(h.HotFraction) && h.HotSetSize > 0 {
-		return g.Int64N(h.HotSetSize)
-	}
-	return g.Int64N(h.Count)
-}
-
-// N implements IntSampler.
-func (h HotSpot) N() int64 { return h.Count }
-
-// Name implements IntSampler.
-func (h HotSpot) Name() string { return fmt.Sprintf("hotspot(%d)", h.Count) }
-
-// SequentialInt returns 0, 1, 2, ... wrapping at Count; used by loaders.
-type SequentialInt struct {
-	Count int64
-	next  int64
-}
-
-// Next implements IntSampler.
-func (s *SequentialInt) Next(*RNG) int64 {
-	v := s.next % s.Count
-	s.next++
-	return v
-}
-
-// N implements IntSampler.
-func (s *SequentialInt) N() int64 { return s.Count }
-
-// Name implements IntSampler.
-func (s *SequentialInt) Name() string { return "sequential" }
 
 // zipfState implements the rejection-inversion zipf sampler (Hörmann &
 // Derflinger), mirroring math/rand's Zipf but driven by our RNG so that

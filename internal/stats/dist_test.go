@@ -27,29 +27,6 @@ func TestUniformMean(t *testing.T) {
 	}
 }
 
-func TestGaussianMoments(t *testing.T) {
-	d := Gaussian{Mu: 5, Sigma: 2}
-	g := NewRNG(2)
-	var s Summary
-	for i := 0; i < 200000; i++ {
-		s.Observe(d.Sample(g))
-	}
-	if math.Abs(s.Mean()-5) > 0.05 {
-		t.Fatalf("gaussian mean %.3f, want ~5", s.Mean())
-	}
-	if math.Abs(s.StdDev()-2) > 0.05 {
-		t.Fatalf("gaussian stddev %.3f, want ~2", s.StdDev())
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	d := Exponential{Rate: 4}
-	m := sampleMean(d, 200000, 3)
-	if math.Abs(m-0.25) > 0.01 {
-		t.Fatalf("exponential mean %.4f, want ~0.25", m)
-	}
-}
-
 func TestParetoSamplesAboveScale(t *testing.T) {
 	d := Pareto{Xm: 3, Alpha: 2.5}
 	g := NewRNG(4)
@@ -97,14 +74,6 @@ func TestPoissonZeroLambda(t *testing.T) {
 	g := NewRNG(9)
 	if v := (Poisson{Lambda: 0}).Sample(g); v != 0 {
 		t.Fatalf("poisson(0) sample %v, want 0", v)
-	}
-}
-
-func TestConstant(t *testing.T) {
-	g := NewRNG(1)
-	c := Constant{Value: 7.5}
-	if c.Sample(g) != 7.5 || c.Mean() != 7.5 {
-		t.Fatal("constant distribution is not constant")
 	}
 }
 
@@ -247,34 +216,6 @@ func TestLatestEmpty(t *testing.T) {
 	}
 }
 
-func TestHotSpotConcentration(t *testing.T) {
-	h := HotSpot{Count: 10000, HotSetSize: 100, HotFraction: 0.9}
-	g := NewRNG(14)
-	hot := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if h.Next(g) < 100 {
-			hot++
-		}
-	}
-	frac := float64(hot) / n
-	if frac < 0.88 || frac > 0.93 {
-		t.Fatalf("hotspot hot fraction %.3f, want ~0.90 (plus uniform bleed)", frac)
-	}
-}
-
-func TestSequentialIntWraps(t *testing.T) {
-	s := &SequentialInt{Count: 3}
-	g := NewRNG(1)
-	got := []int64{s.Next(g), s.Next(g), s.Next(g), s.Next(g)}
-	want := []int64{0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sequential step %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestQuickParetoAboveScale(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := NewRNG(seed)
@@ -304,16 +245,11 @@ func TestDistributionNames(t *testing.T) {
 		d    interface{ Name() string }
 	}{
 		{"uniform", Uniform{0, 1}},
-		{"gaussian", Gaussian{0, 1}},
-		{"exp", Exponential{1}},
 		{"pareto", Pareto{1, 2}},
 		{"poisson", Poisson{1}},
-		{"const", Constant{1}},
 		{"uniformint", UniformInt{5}},
 		{"zipf", Zipf{5, 1.1}},
 		{"scrambledzipf", ScrambledZipf{5, 1.1}},
-		{"hotspot", HotSpot{5, 1, 0.5}},
-		{"sequential", &SequentialInt{Count: 5}},
 		{"categorical", NewCategorical("c", []float64{1, 2})},
 	}
 	for _, c := range cases {

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -97,53 +96,6 @@ func (h *Histogram) ExtendedProbabilities() []float64 {
 	}
 	p[len(p)-1] = float64(h.over) / float64(h.total)
 	return p
-}
-
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1) by linear
-// interpolation within the containing bin. The rank is taken over all
-// observations including out-of-range ones: a quantile falling in the
-// under-range (over-range) mass is reported as Min (Max), the tightest
-// bound the histogram can state for values it has no bins for.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.total)
-	if h.under > 0 && target <= float64(h.under) {
-		return h.Min
-	}
-	cum := float64(h.under)
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.Min + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.Max
-}
-
-// Merge adds other's counts into h. The histograms must have identical
-// bounds and bin counts.
-func (h *Histogram) Merge(other *Histogram) error {
-	if h.Min != other.Min || h.Max != other.Max || len(h.Counts) != len(other.Counts) {
-		return fmt.Errorf("stats: cannot merge histograms with different shape")
-	}
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-	h.total += other.total
-	h.under += other.under
-	h.over += other.over
-	return nil
 }
 
 // FreqTable counts occurrences of discrete string values — e.g. words in a

@@ -62,26 +62,3 @@ func (s *Summary) Max() float64 {
 	}
 	return s.max
 }
-
-// Merge folds other into s as if all of other's values had been observed
-// by s (Chan et al. parallel variance combination).
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n := s.n + other.n
-	delta := other.mean - s.mean
-	mean := s.mean + delta*float64(other.n)/float64(n)
-	m2 := s.m2 + other.m2 + delta*delta*float64(s.n)*float64(other.n)/float64(n)
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummaryBasics(t *testing.T) {
@@ -44,70 +43,5 @@ func TestSummarySingleValue(t *testing.T) {
 	}
 	if s.Min() != 3 || s.Max() != 3 {
 		t.Fatal("single-value min/max wrong")
-	}
-}
-
-func TestSummaryMergeEquivalence(t *testing.T) {
-	g := NewRNG(41)
-	var whole, left, right Summary
-	for i := 0; i < 1000; i++ {
-		v := g.NormFloat64()*3 + 10
-		whole.Observe(v)
-		if i < 400 {
-			left.Observe(v)
-		} else {
-			right.Observe(v)
-		}
-	}
-	left.Merge(&right)
-	if left.Count() != whole.Count() {
-		t.Fatalf("merged count %d, want %d", left.Count(), whole.Count())
-	}
-	if math.Abs(left.Mean()-whole.Mean()) > 1e-9 {
-		t.Fatalf("merged mean %g, want %g", left.Mean(), whole.Mean())
-	}
-	if math.Abs(left.Variance()-whole.Variance()) > 1e-9 {
-		t.Fatalf("merged variance %g, want %g", left.Variance(), whole.Variance())
-	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestSummaryMergeWithEmpty(t *testing.T) {
-	var a, b Summary
-	a.Observe(5)
-	a.Merge(&b) // merging empty is a no-op
-	if a.Count() != 1 || a.Mean() != 5 {
-		t.Fatal("merge with empty changed summary")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.Count() != 1 || b.Mean() != 5 {
-		t.Fatal("merge into empty did not copy")
-	}
-}
-
-func TestQuickSummaryMergeMatchesSequential(t *testing.T) {
-	f := func(seed uint64, split uint8) bool {
-		g := NewRNG(seed)
-		n := 100
-		cut := int(split) % n
-		var whole, a, b Summary
-		for i := 0; i < n; i++ {
-			v := g.Float64() * 100
-			whole.Observe(v)
-			if i < cut {
-				a.Observe(v)
-			} else {
-				b.Observe(v)
-			}
-		}
-		a.Merge(&b)
-		return a.Count() == whole.Count() &&
-			math.Abs(a.Mean()-whole.Mean()) < 1e-9 &&
-			math.Abs(a.Variance()-whole.Variance()) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/bdbench/bdbench/internal/datagen"
 	"github.com/bdbench/bdbench/internal/datagen/formats"
 	"github.com/bdbench/bdbench/internal/datagen/tablegen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
@@ -57,7 +56,7 @@ func Architecture() []Layer {
 			Role: "system configuration, format conversion, result analysis",
 			Components: []string{
 				"stacks/mapreduce, stacks/dbms, stacks/nosql, stacks/streaming, stacks/graphengine",
-				"datagen/formats (CSV/TSV/JSONL/edge-list/KV conversion)",
+				"internal/datagen/formats (CSV/TSV/JSONL table and edge-list writers)",
 				"report (analyzer and reporter)",
 			},
 		},
@@ -99,8 +98,9 @@ type DataGenOutcome struct {
 
 // TextDataGenProcess executes Figure 3 for text data: (1) select the real
 // data set, (2) fit the data model (LDA), (3) generate at the requested
-// volume with parallel chunking, (4) convert the result to the requested
-// wire format. It returns the step trace plus the veracity measurement.
+// volume through the chunked pipeline, so the corpus is the same at any
+// worker count, (4) convert the result to the requested wire format. It
+// returns the step trace plus the veracity measurement.
 func TextDataGenProcess(seed uint64, docs int, workers int) (*DataGenOutcome, error) {
 	out := &DataGenOutcome{}
 	record := func(step int, name, detail string, t0 time.Time) {
@@ -120,29 +120,14 @@ func TextDataGenProcess(seed uint64, docs int, workers int) (*DataGenOutcome, er
 	}
 	record(2, "build data model", fmt.Sprintf("LDA k=%d vocab=%d", lda.K, lda.Vocabulary().Size()), t1)
 
-	// Step 3: control volume (and velocity via parallel chunks).
+	// Step 3: control volume (and velocity via the chunked worker pool).
 	t2 := time.Now()
-	if workers < 1 {
-		workers = 1
-	}
-	chunks := workers * 2
-	parts := make([]textgen.Corpus, chunks)
-	err := datagen.Parallel(seed+2, chunks, workers, func(i int, g *stats.RNG) (err error) {
-		parts[i], err = lda.Generate(g, docs/chunks+1, 60)
-		return err
-	})
+	synthetic, err := lda.GenerateParallel(seed+2, docs, 60, workers)
 	if err != nil {
 		return nil, err
 	}
-	var synthetic textgen.Corpus
-	for _, p := range parts {
-		synthetic = append(synthetic, p...)
-	}
-	if len(synthetic) > docs {
-		synthetic = synthetic[:docs]
-	}
 	out.Records = len(synthetic)
-	record(3, "control volume/velocity", fmt.Sprintf("%d docs via %d parallel chunks", len(synthetic), chunks), t2)
+	record(3, "control volume/velocity", fmt.Sprintf("%d docs via %d workers", len(synthetic), workers), t2)
 
 	// Step 4: format conversion.
 	t3 := time.Now()

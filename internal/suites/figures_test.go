@@ -70,3 +70,28 @@ func TestTableDataGenProcess(t *testing.T) {
 		t.Fatalf("profiled table divergence %v, want small", out.Divergence)
 	}
 }
+
+// Same seed ⇒ same data at any worker count: Figure 3's volume, converted
+// size and veracity score may not move with the pool size.
+func TestFigure3IndependentOfWorkers(t *testing.T) {
+	processes := map[string]func(workers int) (*DataGenOutcome, error){
+		"text":  func(w int) (*DataGenOutcome, error) { return TextDataGenProcess(2014, 500, w) },
+		"table": func(w int) (*DataGenOutcome, error) { return TableDataGenProcess(2014, 5000, w) },
+	}
+	for name, process := range processes {
+		want, err := process(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4} {
+			got, err := process(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Records != want.Records || got.FormatBytes != want.FormatBytes || got.Divergence != want.Divergence {
+				t.Errorf("%s at %d workers: records %d, bytes %d, divergence %v; at 1 worker %d, %d, %v",
+					name, workers, got.Records, got.FormatBytes, got.Divergence, want.Records, want.FormatBytes, want.Divergence)
+			}
+		}
+	}
+}

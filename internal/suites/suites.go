@@ -17,6 +17,7 @@ package suites
 import (
 	"fmt"
 
+	"github.com/bdbench/bdbench/internal/data"
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
 	"github.com/bdbench/bdbench/internal/datagen/tablegen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
@@ -153,6 +154,28 @@ type VeracityScores struct {
 	Level      veracity.Level
 }
 
+// classify scores the resample, the veracity-unaware baseline and the
+// candidate with one divergence from the raw data, and places the
+// candidate between the other two.
+func classify[T any](divergence func(T) (float64, error), resample, baseline, candidate T) (VeracityScores, error) {
+	floor, err := divergence(resample)
+	if err != nil {
+		return VeracityScores{}, err
+	}
+	base, err := divergence(baseline)
+	if err != nil {
+		return VeracityScores{}, err
+	}
+	score, err := divergence(candidate)
+	if err != nil {
+		return VeracityScores{}, err
+	}
+	return VeracityScores{
+		Score: score, NoiseFloor: floor, Baseline: base,
+		Level: veracity.ClassifyLog(score, floor, base),
+	}, nil
+}
+
 // MeasureTextVeracity generates text with the approach and scores it
 // against the reference corpus on the bigram JS divergence (word-order
 // structure), classifying against a resample floor and a uniform-random
@@ -203,22 +226,7 @@ func MeasureTextVeracity(app TextApproach, seed uint64) (VeracityScores, error) 
 		}
 		return 0, fmt.Errorf("suites: js_bigram metric missing")
 	}
-	floor, err := bigramJS(resample)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	base, err := bigramJS(baselineCorpus)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	score, err := bigramJS(candidate)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	return VeracityScores{
-		Score: score, NoiseFloor: floor, Baseline: base,
-		Level: veracity.ClassifyLog(score, floor, base),
-	}, nil
+	return classify(bigramJS, resample, baselineCorpus, candidate)
 }
 
 // MeasureTableVeracity scores the approach's synthetic table against the
@@ -246,30 +254,14 @@ func MeasureTableVeracity(app TableApproach, seed uint64) (VeracityScores, error
 	if err != nil {
 		return VeracityScores{}, err
 	}
-	score := func(syn *tablegen.TableSpec) (float64, error) {
-		r, err := veracity.Table(raw, syn.Generate(rows), 32)
+	divergence := func(t *data.Table) (float64, error) {
+		r, err := veracity.Table(raw, t, 32)
 		if err != nil {
 			return 0, err
 		}
 		return r.Score(), nil
 	}
-	base, err := score(&baseSpec)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	cand, err := score(&candSpec)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	floorRep, err := veracity.Table(raw, resample, 32)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	floor := floorRep.Score()
-	return VeracityScores{
-		Score: cand, NoiseFloor: floor, Baseline: base,
-		Level: veracity.ClassifyLog(cand, floor, base),
-	}, nil
+	return classify(divergence, resample, baseSpec.Generate(rows), candSpec.Generate(rows))
 }
 
 // MeasureGraphVeracity scores the approach's graph against the reference
@@ -302,20 +294,5 @@ func MeasureGraphVeracity(app GraphApproach, seed uint64) (VeracityScores, error
 		}
 		return r.Score(), nil
 	}
-	floor, err := ks(resample)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	base, err := ks(baseline)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	score, err := ks(candidate)
-	if err != nil {
-		return VeracityScores{}, err
-	}
-	return VeracityScores{
-		Score: score, NoiseFloor: floor, Baseline: base,
-		Level: veracity.ClassifyLog(score, floor, base),
-	}, nil
+	return classify(ks, resample, baseline, candidate)
 }
