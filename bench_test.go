@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,7 +24,6 @@ import (
 	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stacks/dbms"
 	"github.com/bdbench/bdbench/internal/stacks/graphengine"
-	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/stacks/nosql"
 	"github.com/bdbench/bdbench/internal/stacks/streaming"
 	"github.com/bdbench/bdbench/internal/stats"
@@ -501,51 +498,6 @@ func BenchmarkYCSBClientScaling(b *testing.B) {
 }
 
 // ---- Substrate microbenchmarks (ablation-level) ----
-
-// BenchmarkMapReduceWordCount measures the MapReduce engine on the
-// canonical job, with and without the combiner (the shuffle-volume
-// ablation; ROADMAP item 2 tracks the open combiner question).
-func BenchmarkMapReduceWordCount(b *testing.B) {
-	g := stats.NewRNG(1)
-	dict := textgen.DefaultDictionary()
-	input := make([]mapreduce.KV, 5000)
-	for i := range input {
-		var sb strings.Builder
-		for w := 0; w < 10; w++ {
-			sb.WriteString(dict[g.IntN(len(dict))])
-			sb.WriteByte(' ')
-		}
-		input[i] = mapreduce.KV{Key: strconv.Itoa(i), Value: sb.String()}
-	}
-	job := mapreduce.Job{
-		Name: "wc",
-		Map: func(_, v string, emit func(k, v string)) {
-			for _, w := range strings.Fields(v) {
-				emit(w, "1")
-			}
-		},
-		Reduce: func(k string, vs []string, emit func(k, v string)) {
-			emit(k, strconv.Itoa(len(vs)))
-		},
-	}
-	eng := mapreduce.New(4)
-	b.Run("no-combiner", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.Run(job, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	withComb := job
-	withComb.Combine = job.Reduce
-	b.Run("with-combiner", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.Run(withComb, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkDBMSQueries measures indexed point lookups, aggregation and
 // joins on the relational substrate.

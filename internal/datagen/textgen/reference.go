@@ -93,6 +93,11 @@ func NewReferenceModel() *ReferenceModel {
 	return m
 }
 
+// TopicWord draws one word from the topic's word distribution.
+func (m *ReferenceModel) TopicWord(g *stats.RNG, topic int) string {
+	return m.Vocab.Word(m.aliases[topic].Sample(g))
+}
+
 // GenerateCorpus emits docs documents whose lengths are drawn from
 // Poisson(meanLen), each from a fresh document-topic mixture.
 func (m *ReferenceModel) GenerateCorpus(g *stats.RNG, docs, meanLen int) Corpus {
@@ -107,8 +112,7 @@ func (m *ReferenceModel) GenerateCorpus(g *stats.RNG, docs, meanLen int) Corpus 
 		}
 		doc := make(Document, n)
 		for i := 0; i < n; i++ {
-			topic := thetaAlias.Sample(g)
-			doc[i] = m.Vocab.Word(m.aliases[topic].Sample(g))
+			doc[i] = m.TopicWord(g, thetaAlias.Sample(g))
 		}
 		out = append(out, doc)
 	}

@@ -3,6 +3,7 @@ package runstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -142,15 +143,23 @@ func refOf(r *Run) RunRef {
 // Quantile returns the q-quantile of the series' sample values in
 // nanoseconds (exact, from the raw stream — not a bucketed estimate).
 // Zero for an empty series.
-func (s *Series) Quantile(q float64) int64 {
-	if len(s.Samples) == 0 {
-		return 0
-	}
+func (s *Series) Quantile(q float64) int64 { return quantileOf(s.sortedValues(), q) }
+
+// sortedValues returns a copy of the series' sample values in ascending order.
+func (s *Series) sortedValues() []int64 {
 	vals := make([]int64, len(s.Samples))
 	for i, smp := range s.Samples {
 		vals[i] = smp.Value
 	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+	slices.Sort(vals)
+	return vals
+}
+
+// quantileOf returns the q-quantile of ascending vals, zero when there are none.
+func quantileOf(vals []int64, q float64) int64 {
+	if len(vals) == 0 {
+		return 0
+	}
 	if q <= 0 {
 		return vals[0]
 	}
@@ -260,8 +269,10 @@ func compareSeries(a, b *Run, opts CompareOptions) []SeriesDelta {
 			Verdict: VerdictOK,
 		}
 		gating := len(sa.Samples) >= opts.MinSamples && len(sb.Samples) >= opts.MinSamples
+		// Each stream is sorted once, not once per quantile.
+		va, vb := sa.sortedValues(), sb.sortedValues()
 		for _, q := range opts.Quantiles {
-			qa, qb := sa.Quantile(q), sb.Quantile(q)
+			qa, qb := quantileOf(va, q), quantileOf(vb, q)
 			qd := QuantileDelta{Q: q, A: qa, B: qb, Verdict: VerdictOK}
 			if qa > 0 {
 				qd.Ratio = float64(qb) / float64(qa)

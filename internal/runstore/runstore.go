@@ -17,9 +17,11 @@
 package runstore
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"sort"
 
 	"github.com/bdbench/bdbench/internal/metrics"
@@ -175,12 +177,11 @@ type Run struct {
 // same logical run encode to the same bytes regardless.
 func (r *Run) canonicalize() {
 	for i := range r.Series {
-		s := r.Series[i].Samples
-		sort.Slice(s, func(a, b int) bool {
-			if s[a].Offset != s[b].Offset {
-				return s[a].Offset < s[b].Offset
+		slices.SortFunc(r.Series[i].Samples, func(a, b Sample) int {
+			if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+				return c
 			}
-			return s[a].Value < s[b].Value
+			return cmp.Compare(a.Value, b.Value)
 		})
 	}
 	ss := r.Series

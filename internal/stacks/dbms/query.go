@@ -2,7 +2,7 @@ package dbms
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/bdbench/bdbench/internal/data"
 )
@@ -460,18 +460,18 @@ func orderBy(schema data.Schema, rows []data.Row, keys []Order) error {
 		}
 		idxs[i] = ci
 	}
-	sort.SliceStable(rows, func(a, b int) bool {
+	slices.SortStableFunc(rows, func(a, b data.Row) int {
 		for i, k := range keys {
-			cmp := data.Compare(rows[a][idxs[i]], rows[b][idxs[i]])
+			cmp := data.Compare(a[idxs[i]], b[idxs[i]])
 			if cmp == 0 {
 				continue
 			}
 			if k.Desc {
-				return cmp > 0
+				return -cmp
 			}
-			return cmp < 0
+			return cmp
 		}
-		return false
+		return 0
 	})
 	return nil
 }

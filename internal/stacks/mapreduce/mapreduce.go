@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
@@ -28,6 +28,7 @@ type KV struct {
 type Mapper func(key, value string, emit func(k, v string))
 
 // Reducer folds all values of one key into zero or more output records.
+// values is valid only during the call: the engine reuses it for the next key.
 type Reducer func(key string, values []string, emit func(k, v string))
 
 // Partitioner routes an intermediate key to one of n reduce partitions.
@@ -53,13 +54,11 @@ type Job struct {
 	// NumMappers and NumReducers default to the engine worker count.
 	NumMappers  int
 	NumReducers int
-	// SortOutput, when true, concatenates reduce partitions in partition
-	// order with each partition's groups key-sorted (needed by sort
-	// workloads with range partitioners).
-	SortOutput bool
 }
 
-// Stats captures the architecture metrics of one job run.
+// Stats captures the architecture metrics of one job run. The shuffle's sort
+// runs inside the map tasks and its merge inside the reduce tasks, so MapWall
+// and ReduceWall hold them; ShuffleWall is the hand-over between the two.
 type Stats struct {
 	MapInputRecords   int64
 	MapOutputRecords  int64
@@ -108,7 +107,10 @@ func (e *Engine) Workers() int { return e.workers }
 var _ stacks.Stack = (*Engine)(nil)
 
 // Run executes the job over the input and returns the output records plus
-// run statistics.
+// run statistics. The output concatenates the reduce partitions in partition
+// order, each partition's groups key-sorted, so with a range partitioner it is
+// globally key-sorted; a map-only job's output is in mapper, then partition,
+// then emission order.
 func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	if job.Map == nil {
 		return nil, Stats{}, fmt.Errorf("mapreduce: job %q has no mapper", job.Name)
@@ -166,141 +168,240 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 		wg.Wait()
 	}
 
-	// ---- Map phase: each mapper owns a split and emits into
-	// per-partition buffers.
+	// ---- Map phase: each mapper owns a split and emits into one run per
+	// partition. When anything downstream groups by key it then sorts every
+	// segment of every run (the map-side sort of the real shuffle) and the
+	// combiner folds the merged segments. A mapper counts what it did in its
+	// own mapOutput; the counts meet at the barrier.
 	mapStart := time.Now()
-	mapOut := make([][][]KV, numMappers) // mapper -> partition -> records
-	var mapOutCount, combineOutCount int64
+	mapOut := make([]mapOutput, numMappers)
 	phase(numMappers, func(m, slot int) {
 		taskStart := mapRefs[slot].StartTimer()
 		lo := len(input) * m / numMappers
 		hi := len(input) * (m + 1) / numMappers
-		buckets := make([][]KV, numReducers)
+		o := mapOutput{runs: make([]run, numReducers)}
 		emit := func(k, v string) {
-			p := partition(k, numReducers)
-			buckets[p] = append(buckets[p], KV{k, v})
-			atomic.AddInt64(&mapOutCount, 1)
+			o.runs[partition(k, numReducers)].add(k, v)
+			o.emitted++
 		}
 		for _, rec := range input[lo:hi] {
 			job.Map(rec.Key, rec.Value, emit)
 		}
-		if job.Combine != nil {
-			for p := range buckets {
-				buckets[p] = combine(job.Combine, buckets[p])
-				atomic.AddInt64(&combineOutCount, int64(len(buckets[p])))
+		if job.Reduce != nil || job.Combine != nil {
+			for _, r := range o.runs {
+				r.sortSegments()
 			}
 		}
-		mapOut[m] = buckets
+		if job.Combine != nil {
+			var mg merger
+			for p, r := range o.runs {
+				var combined run
+				mg.fold(r, job.Combine, combined.add)
+				// In key order already unless the combiner changed keys, and
+				// sorting an ordered segment costs one pass.
+				combined.sortSegments()
+				o.runs[p] = combined
+				o.combined += int64(combined.len())
+			}
+		}
+		mapOut[m] = o
 		mapRefs[slot].ObserveSince(taskStart)
 	})
 	st.MapWall = time.Since(mapStart)
-	st.MapOutputRecords = mapOutCount
-	st.CombineOutRecords = combineOutCount
+	for _, o := range mapOut {
+		st.MapOutputRecords += o.emitted
+		st.CombineOutRecords += o.combined
+	}
 
 	// Map-only job: concatenate mapper outputs in mapper order.
 	if job.Reduce == nil {
-		out := concat(mapOut...)
+		all := make([]run, 0, numMappers*numReducers)
+		for _, o := range mapOut {
+			all = append(all, o.runs...)
+		}
+		out := flatten(all)
 		st.OutputRecords = int64(len(out))
 		return out, st, nil
 	}
 
-	// ---- Shuffle phase: every reduce partition gathers its records from
-	// all mappers, in mapper order, and sorts them by key (the merge-sort
-	// the real shuffle performs). Partitions share nothing, so each is a
-	// task of its own; it records no operation.
+	// ---- Shuffle phase: every reduce partition is handed the sorted
+	// segments the mappers hold for it, in mapper order. No record is copied;
+	// the merge of those segments streams into the reduce tasks.
 	shuffleStart := time.Now()
-	partitions := make([][]KV, numReducers)
-	var shuffleBytes int64
-	phase(numReducers, func(p, _ int) {
-		fromMappers := make([][]KV, numMappers)
-		for m := range mapOut {
-			fromMappers[m] = mapOut[m][p]
+	sources := make([]run, numReducers)
+	for p := range sources {
+		for _, o := range mapOut {
+			sources[p] = append(sources[p], o.runs[p]...)
 		}
-		part := concat(fromMappers)
-		var bytes int64
-		for _, kv := range part {
-			bytes += int64(len(kv.Key) + len(kv.Value))
-		}
-		sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
-		partitions[p] = part
-		atomic.AddInt64(&shuffleBytes, bytes)
-	})
-	st.ShuffleBytes = shuffleBytes
+	}
 	st.ShuffleWall = time.Since(shuffleStart)
 
-	// ---- Reduce phase: group runs of equal keys and fold them.
+	// ---- Reduce phase: k-way merge the partition's segments and fold each
+	// run of equal keys. Equal keys leave the merge in mapper order, then
+	// emission order: the order concatenating the mappers' records and
+	// stable-sorting them would give.
 	reduceStart := time.Now()
-	reduceOut := make([][]KV, numReducers)
-	var groupCount int64
+	reduceOut := make([]run, numReducers)
+	merged := make([]merger, numReducers)
 	phase(numReducers, func(p, slot int) {
 		taskStart := reduceRefs[slot].StartTimer()
-		part := partitions[p]
-		var out []KV
-		emit := func(k, v string) { out = append(out, KV{k, v}) }
-		for i := 0; i < len(part); {
-			j := i
-			for j < len(part) && part[j].Key == part[i].Key {
-				j++
-			}
-			values := make([]string, 0, j-i)
-			for _, kv := range part[i:j] {
-				values = append(values, kv.Value)
-			}
-			job.Reduce(part[i].Key, values, emit)
-			atomic.AddInt64(&groupCount, 1)
-			i = j
-		}
-		reduceOut[p] = out
+		var mg merger
+		var out run
+		mg.fold(sources[p], job.Reduce, out.add)
+		reduceOut[p], merged[p] = out, mg
 		reduceRefs[slot].ObserveSince(taskStart)
 	})
-	st.ReduceGroups = groupCount
+	for _, mg := range merged {
+		st.ReduceGroups += mg.keys
+		st.ShuffleBytes += mg.bytes
+	}
 	st.ReduceWall = time.Since(reduceStart)
 
-	out := concat(reduceOut)
+	out := flatten(reduceOut)
 	st.OutputRecords = int64(len(out))
 	return out, st, nil
 }
 
-// concat returns the records of every part of every group, in order, in one
-// slice allocated at their total size (nil when there are none).
-func concat(groups ...[][]KV) []KV {
-	size := 0
-	for _, parts := range groups {
-		for _, part := range parts {
-			size += len(part)
+// mapOutput is what one map task hands to the barrier: a run per reduce
+// partition and the task's own counts.
+type mapOutput struct {
+	runs              []run
+	emitted, combined int64
+}
+
+// A run grows in segments that are never re-copied, so a task allocates about
+// what it emits however much that is: the first segment holds firstSegment
+// records and each next one twice the last, up to maxSegment.
+const (
+	firstSegment = 32
+	maxSegment   = 4096
+)
+
+// run is an append-only list of records in segments. After sortSegments each
+// segment is key-sorted on its own; the merger treats segments as the sorted
+// sequences they are and breaks ties by segment order.
+type run [][]KV
+
+func (r *run) add(k, v string) {
+	last := len(*r) - 1
+	if last < 0 || len((*r)[last]) == cap((*r)[last]) {
+		size := firstSegment
+		if last >= 0 {
+			size = min(2*cap((*r)[last]), maxSegment)
 		}
+		*r = append(*r, make([]KV, 0, size))
+		last++
+	}
+	(*r)[last] = append((*r)[last], KV{k, v})
+}
+
+func (r run) len() int {
+	n := 0
+	for _, seg := range r {
+		n += len(seg)
+	}
+	return n
+}
+
+// sortSegments stable-sorts each segment by key.
+func (r run) sortSegments() {
+	for _, seg := range r {
+		slices.SortStableFunc(seg, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+	}
+}
+
+// flatten returns the records of the runs, in order, in one slice allocated
+// at their total size (nil when there are none).
+func flatten(runs []run) []KV {
+	size := 0
+	for _, r := range runs {
+		size += r.len()
 	}
 	out := slices.Grow([]KV(nil), size)
-	for _, parts := range groups {
-		for _, part := range parts {
-			out = append(out, part...)
+	for _, r := range runs {
+		for _, seg := range r {
+			out = append(out, seg...)
 		}
 	}
 	return out
 }
 
-// combine groups a single mapper's partition buffer by key and applies the
-// combiner.
-func combine(c Reducer, records []KV) []KV {
-	if len(records) == 0 {
-		return records
+// cursor is the unread, non-empty rest of one sorted segment; src is the
+// segment's place among the merged ones.
+type cursor struct {
+	rest []KV
+	src  int
+}
+
+// merger k-way merges sorted segments through a binary min-heap of cursors
+// ordered by head key, then src. It keeps its heap and the values scratch
+// between folds, so a task allocates them once, and counts the distinct keys
+// and the key and value bytes of the records it has merged.
+type merger struct {
+	heap        []cursor
+	values      []string
+	keys, bytes int64
+}
+
+func (mg *merger) less(i, j int) bool {
+	a, b := &mg.heap[i], &mg.heap[j]
+	if c := strings.Compare(a.rest[0].Key, b.rest[0].Key); c != 0 {
+		return c < 0
 	}
-	sort.SliceStable(records, func(i, j int) bool { return records[i].Key < records[j].Key })
-	var out []KV
-	emit := func(k, v string) { out = append(out, KV{k, v}) }
-	for i := 0; i < len(records); {
-		j := i
-		for j < len(records) && records[j].Key == records[i].Key {
-			j++
+	return a.src < b.src
+}
+
+// down restores the heap below i.
+func (mg *merger) down(i int) {
+	for {
+		least := 2*i + 1
+		if least >= len(mg.heap) {
+			return
 		}
-		values := make([]string, 0, j-i)
-		for _, kv := range records[i:j] {
-			values = append(values, kv.Value)
+		if right := least + 1; right < len(mg.heap) && mg.less(right, least) {
+			least = right
 		}
-		c(records[i].Key, values, emit)
-		i = j
+		if !mg.less(least, i) {
+			return
+		}
+		mg.heap[i], mg.heap[least] = mg.heap[least], mg.heap[i]
+		i = least
 	}
-	return out
+}
+
+// fold merges the sorted segments of r and calls f once per distinct key,
+// smallest first, with the key's values ordered by segment, then position.
+// values is valid only during the call.
+func (mg *merger) fold(r run, f Reducer, emit func(k, v string)) {
+	mg.heap = slices.Grow(mg.heap[:0], len(r))
+	for src, seg := range r { // a run has no empty segment
+		mg.heap = append(mg.heap, cursor{seg, src})
+	}
+	for i := len(mg.heap)/2 - 1; i >= 0; i-- {
+		mg.down(i)
+	}
+	for len(mg.heap) > 0 {
+		key := mg.heap[0].rest[0].Key
+		mg.values = mg.values[:0]
+		// The top cursor holds the key's values that come first; taking them
+		// all costs one heap fix, not one per record.
+		for len(mg.heap) > 0 && mg.heap[0].rest[0].Key == key {
+			rest := mg.heap[0].rest
+			for len(rest) > 0 && rest[0].Key == key {
+				mg.values = append(mg.values, rest[0].Value)
+				mg.bytes += int64(len(key) + len(rest[0].Value))
+				rest = rest[1:]
+			}
+			if mg.heap[0].rest = rest; len(rest) == 0 {
+				last := len(mg.heap) - 1
+				mg.heap[0] = mg.heap[last]
+				mg.heap = mg.heap[:last]
+			}
+			mg.down(0)
+		}
+		f(key, mg.values, emit)
+		mg.keys++
+	}
 }
 
 // RangePartitioner builds a partitioner from sorted split points: keys below

@@ -2,12 +2,15 @@ package mapreduce
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/stats"
 )
@@ -186,7 +189,6 @@ func TestSortWithRangePartitioner(t *testing.T) {
 		Reduce:      func(k string, vs []string, emit func(k, v string)) { emit(k, strconv.Itoa(len(vs))) },
 		Partition:   RangePartitioner(splits),
 		NumReducers: 4,
-		SortOutput:  true,
 	}
 	out, _, err := New(4).Run(job, input)
 	if err != nil {
@@ -280,80 +282,180 @@ func TestIterativeChaining(t *testing.T) {
 	}
 }
 
-// serialRun is the job without the engine: one mapper over the whole input, no
-// combiner, each partition stable-sorted and folded in turn.
-func serialRun(job Job, input []KV, numReducers int) []KV {
+// foldSorted stable-sorts the records by key and folds each run of equal keys.
+func foldSorted(records []KV, f Reducer) (out []KV, groups int64) {
+	sort.SliceStable(records, func(i, j int) bool { return records[i].Key < records[j].Key })
+	for i := 0; i < len(records); groups++ {
+		var values []string
+		j := i
+		for ; j < len(records) && records[j].Key == records[i].Key; j++ {
+			values = append(values, records[j].Value)
+		}
+		f(records[i].Key, values, func(k, v string) { out = append(out, KV{k, v}) })
+		i = j
+	}
+	return out, groups
+}
+
+// serialRun is the job without the engine, its segments or its merge: every
+// mapper's split in turn into one bucket per partition, each bucket
+// stable-sorted and combined, the buckets of a partition concatenated in
+// mapper order, stable-sorted again and folded.
+func serialRun(job Job, input []KV, numMappers, numReducers int) ([]KV, Stats) {
+	if numMappers > len(input) && len(input) > 0 {
+		numMappers = len(input)
+	}
 	partition := job.Partition
 	if partition == nil {
 		partition = HashPartition
 	}
+	st := Stats{MapInputRecords: int64(len(input))}
 	parts := make([][]KV, numReducers)
-	for _, rec := range input {
-		job.Map(rec.Key, rec.Value, func(k, v string) {
-			p := partition(k, numReducers)
-			parts[p] = append(parts[p], KV{k, v})
-		})
+	for m := 0; m < numMappers; m++ {
+		buckets := make([][]KV, numReducers)
+		for _, rec := range input[len(input)*m/numMappers : len(input)*(m+1)/numMappers] {
+			job.Map(rec.Key, rec.Value, func(k, v string) {
+				p := partition(k, numReducers)
+				buckets[p] = append(buckets[p], KV{k, v})
+				st.MapOutputRecords++
+			})
+		}
+		for p, bucket := range buckets {
+			if job.Combine != nil {
+				bucket, _ = foldSorted(bucket, job.Combine)
+				st.CombineOutRecords += int64(len(bucket))
+			}
+			parts[p] = append(parts[p], bucket...)
+		}
 	}
 	var out []KV
 	for _, part := range parts {
-		sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
-		for i := 0; i < len(part); {
-			var values []string
-			j := i
-			for ; j < len(part) && part[j].Key == part[i].Key; j++ {
-				values = append(values, part[j].Value)
-			}
-			job.Reduce(part[i].Key, values, func(k, v string) { out = append(out, KV{k, v}) })
-			i = j
+		for _, kv := range part {
+			st.ShuffleBytes += int64(len(kv.Key) + len(kv.Value))
 		}
+		folded, groups := foldSorted(part, job.Reduce)
+		out = append(out, folded...)
+		st.ReduceGroups += groups
 	}
-	return out
+	st.OutputRecords = int64(len(out))
+	return out, st
 }
 
-// TestShuffleMatchesSerial: the shuffle runs one task per reduce partition in
-// parallel. Its records are those of a serial run in the same order (the
-// identity jobs emit every value, so a gather out of mapper order or an
-// unstable sort shows), and every counter is the same at any slot count.
+// TestShuffleMatchesSerial sweeps the job space from a seed: mappers 1-7 x
+// reducers 1-6, with and without a combiner, hash and range partitioner, one
+// distinct key to all distinct, empty input, partitions no mapper emits to, and
+// runs of several segments up to past the segment cap. The engine's records are
+// those of the serial run in the same order (both reducers are order-sensitive,
+// so a merge out of mapper order or an unstable sort shows), and every counter
+// is the serial run's, at any slot count.
 func TestShuffleMatchesSerial(t *testing.T) {
+	emitAll := func(k string, vs []string, emit func(k, v string)) {
+		for _, v := range vs {
+			emit(k, v)
+		}
+	}
+	// Associative and order-sensitive, so it is a combiner too.
+	join := func(k string, vs []string, emit func(k, v string)) { emit(k, strings.Join(vs, ",")) }
 	g := stats.NewRNG(4)
-	input := make([]KV, 3000)
-	for i := range input {
-		// Few distinct keys, distinct values: equal keys meet from every mapper.
-		input[i] = KV{g.RandomWord(1, 2), strconv.Itoa(i) + " " + g.RandomWord(2, 5)}
-	}
-	identity := Job{
-		Name: "identity-sort",
-		Map:  func(k, v string, emit func(k, v string)) { emit(k, v) },
-		Reduce: func(k string, vs []string, emit func(k, v string)) {
-			for _, v := range vs {
-				emit(k, v)
-			}
-		},
-	}
-	wordCount := wordCountJob()
-	wordCount.Combine = wordCount.Reduce
-	ranged := identity
-	ranged.Name = "range-sort"
-	ranged.Partition = RangePartitioner(SampleSplits(input, 5, 400, g))
-	ranged.SortOutput = true
-	for _, job := range []Job{identity, wordCount, ranged} {
-		job.NumMappers, job.NumReducers = 6, 5
-		want := serialRun(job, input, job.NumReducers)
-		var wantSt Stats
+	pick := func(xs ...int) int { return xs[g.IntN(len(xs))] }
+	emptyPartitions := 0
+	for c := 0; c < 252; c++ {
+		mappers, reducers := 1+c%7, 1+c/7%6
+		n := pick(0, 1, 7, 300, 300, 1500, 1500)
+		if c%42 == 0 {
+			// One mapper, at most two partitions: runs longer than a full-size segment.
+			mappers, n = 1, 3*maxSegment
+		}
+		distinct := max(1, pick(1, 2, 5, 50, n))
+		input := make([]KV, n)
+		for i := range input {
+			input[i] = KV{"k" + strconv.Itoa(g.IntN(distinct)), strconv.Itoa(i)}
+		}
+		job := Job{
+			Name: fmt.Sprintf("case %d: %d records, %d keys, %dx%d", c, n, distinct, mappers, reducers),
+			// Nothing, one record or two per input record.
+			Map: func(k, v string, emit func(k, v string)) {
+				switch v[len(v)-1] {
+				case '7':
+				case '3':
+					emit(k, v)
+					emit("dup-"+k, v)
+				default:
+					emit(k, v)
+				}
+			},
+			Reduce:      []Reducer{emitAll, join}[g.IntN(2)],
+			NumMappers:  mappers,
+			NumReducers: reducers,
+		}
+		if g.IntN(2) == 0 {
+			job.Combine = join
+		}
+		if g.IntN(2) == 0 {
+			job.Partition = RangePartitioner(SampleSplits(input, reducers, 100, g))
+		}
+		want, wantSt := serialRun(job, input, mappers, reducers)
+		if wantSt.ReduceGroups < int64(reducers) {
+			emptyPartitions++
+		}
 		for _, workers := range []int{1, 2, 8} {
 			got, st, err := New(workers).Run(job, input)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) == 0 || !slices.Equal(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("%s at %d workers: %d records, not the serial run's %d in their order", job.Name, workers, len(got), len(want))
 			}
 			st.MapWall, st.ShuffleWall, st.ReduceWall = 0, 0, 0
-			if workers == 1 {
-				wantSt = st
+			if st != wantSt {
+				t.Fatalf("%s at %d workers: stats %+v, serial run %+v", job.Name, workers, st, wantSt)
 			}
-			if st != wantSt || st.ShuffleBytes == 0 || st.OutputRecords != int64(len(want)) {
-				t.Fatalf("%s at %d workers: stats %+v, at 1 worker %+v", job.Name, workers, st, wantSt)
+		}
+	}
+	if emptyPartitions == 0 {
+		t.Fatal("no case left a partition empty")
+	}
+}
+
+// TestMapMemoryFollowsOutput: a job allocates in proportion to what its mappers
+// emit, whether that is ten thousand records or fifty. A map-only identity job
+// holds its output twice (the mapper's segments, at most double what they hold
+// plus the first, and the result), one with a reducer a third time (the reduce
+// task's segments); buckets regrown from nil, a gathered partition and a values
+// slice per key cost two to four times that, and a fixed-size first segment
+// would cost the small job many times its output.
+func TestMapMemoryFollowsOutput(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the detector's own bookkeeping shows up in TotalAlloc")
+	}
+	const fixed = 4 << 10 // slots, handles, task closures: a job over no input costs about 1 kB
+	identity := Job{Name: "identity", Map: func(k, v string, emit func(k, v string)) { emit(k, v) }}
+	reduced := identity
+	reduced.Reduce = func(k string, vs []string, emit func(k, v string)) {
+		for _, v := range vs {
+			emit(k, v)
+		}
+	}
+	for _, tc := range []struct {
+		job    Job
+		factor uint64
+	}{{identity, 3}, {reduced, 5}} {
+		for _, n := range []int{50, 10000} {
+			input := make([]KV, n)
+			for i := range input {
+				input[i] = KV{strconv.Itoa(i), "v"}
+			}
+			e := New(1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, _, err := e.Run(tc.job, input)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(out) != n {
+				t.Fatalf("%d records out of %d, err %v", len(out), n, err)
+			}
+			got := after.TotalAlloc - before.TotalAlloc
+			if limit := tc.factor*uint64(n)*uint64(unsafe.Sizeof(KV{})) + fixed; got > limit {
+				t.Errorf("%d records (reducer: %v): the job allocated %d bytes, want at most %d", n, tc.job.Reduce != nil, got, limit)
 			}
 		}
 	}

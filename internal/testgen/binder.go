@@ -590,7 +590,6 @@ func (e *MapReduceExecutor) Exec(step Step) error {
 				}
 			},
 			NumReducers: 1,
-			SortOutput:  true,
 		}
 	case "top":
 		n, err := strconv.Atoi(step.Arg)

@@ -173,9 +173,8 @@ func labeledDocs(seed uint64, n, meanLen, workers int) ([]textgen.Document, []in
 				topic := g.IntN(model.Topics)
 				length := 20 + g.IntN(meanLen)
 				doc := make(textgen.Document, length)
-				alias := stats.NewAlias(model.Phi[topic])
 				for j := 0; j < length; j++ {
-					doc[j] = model.Vocab.Word(alias.Sample(g))
+					doc[j] = model.TopicWord(g, topic)
 				}
 				part = append(part, labeledDoc{doc: doc, label: topic})
 			}

@@ -2,6 +2,10 @@ package commerce
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/metrics"
@@ -64,6 +68,25 @@ func TestMetadata(t *testing.T) {
 	for _, w := range []workloads.Workload{CollaborativeFiltering{}, NaiveBayes{}} {
 		if w.Domain() != "e-commerce" || w.Category() != workloads.Offline {
 			t.Fatalf("%T metadata wrong", w)
+		}
+	}
+}
+
+// TestLabeledDocsPinned holds the labelled corpus to the bytes it had when
+// every document built its own alias table over its topic's word distribution:
+// the model's per-topic tables are the same tables, so the draws are the same,
+// at any worker count.
+func TestLabeledDocsPinned(t *testing.T) {
+	for seed, want := range map[uint64]string{7: "706b9a15aa058dc6", 2014: "00561e1798b51226"} {
+		for _, workers := range []int{1, 2, 4} {
+			docs, labels, _ := labeledDocs(seed, 600, 40, workers)
+			h := sha256.New()
+			for i, doc := range docs {
+				fmt.Fprintln(h, labels[i], strings.Join(doc, " "))
+			}
+			if got := hex.EncodeToString(h.Sum(nil)[:8]); got != want {
+				t.Errorf("seed %d at %d workers: corpus digest %s, want %s", seed, workers, got, want)
+			}
 		}
 	}
 }

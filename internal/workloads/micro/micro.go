@@ -269,7 +269,6 @@ func (TeraSort) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 		},
 		Partition:   mapreduce.RangePartitioner(splits),
 		NumReducers: p.Workers,
-		SortOutput:  true,
 	}
 	t0 := time.Now()
 	out, _, err := eng.Run(job, input)

@@ -6,8 +6,10 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,10 +68,10 @@ func (InvertedIndex) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 		},
 		Reduce: func(word string, docIDs []string, emit func(k, v string)) {
 			ids := append([]string(nil), docIDs...)
-			sort.Slice(ids, func(i, j int) bool {
-				a, _ := strconv.Atoi(ids[i])
-				b, _ := strconv.Atoi(ids[j])
-				return a < b
+			slices.SortFunc(ids, func(x, y string) int {
+				a, _ := strconv.Atoi(x)
+				b, _ := strconv.Atoi(y)
+				return cmp.Compare(a, b)
 			})
 			emit(word, strings.Join(ids, ","))
 		},

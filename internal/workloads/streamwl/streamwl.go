@@ -5,9 +5,10 @@
 package streamwl
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen/streamgen"
@@ -52,7 +53,7 @@ func (WindowedCount) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 	// boundaries; the window engine assumes in-order arrival, so restore
 	// event-time order first (the reorder buffer a real consumer runs).
 	// The stable sort is deterministic, preserving seed-determinism.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].Offset < events[j].Offset })
+	slices.SortStableFunc(events, func(a, b streamgen.Event) int { return cmp.Compare(a.Offset, b.Offset) })
 	c.RecordDatagen(time.Since(t0gen), n)
 	eng := streaming.New(1024).Instrument(c)
 	t0 := time.Now()
