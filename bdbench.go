@@ -61,4 +61,4 @@
 package bdbench
 
 // Version is the release version of the bdbench module.
-const Version = "1.15.0"
+const Version = "1.16.0"

@@ -54,12 +54,25 @@ func BenchmarkTable1DataGeneration(b *testing.B) {
 
 // ---- E6: Table 2 ----
 
+// suiteTasks flattens a built-in suite's workload inventory into engine
+// tasks, one per runner, in row order.
+func suiteTasks(name string, p workloads.Params) []engine.Task {
+	suite, _ := bdbench.DefaultRegistry().Suite(name)
+	var tasks []engine.Task
+	for _, row := range suite.Rows {
+		for _, w := range row.Runners {
+			tasks = append(tasks, engine.Task{Workload: w, Category: row.Category, Params: p})
+		}
+	}
+	return tasks
+}
+
 // BenchmarkTable2Workloads executes one representative suite inventory per
 // iteration (GridMix: the smallest full row of Table 2).
 func BenchmarkTable2Workloads(b *testing.B) {
-	suite, _ := bdbench.DefaultRegistry().Suite("GridMix")
+	tasks := suiteTasks("GridMix", workloads.Params{Seed: 1, Scale: 1, Workers: 4})
 	for i := 0; i < b.N; i++ {
-		results := engine.Run(context.Background(), suite.Tasks(workloads.Params{Seed: 1, Scale: 1, Workers: 4}), engine.Config{})
+		results := engine.Run(context.Background(), tasks, engine.Config{})
 		for _, r := range results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -73,8 +86,7 @@ func BenchmarkTable2Workloads(b *testing.B) {
 // suite inventory — the speedup the execution layer buys. Results are
 // seed-identical in both modes.
 func BenchmarkSuiteEngineParallelism(b *testing.B) {
-	suite, _ := bdbench.DefaultRegistry().Suite("CloudSuite")
-	p := workloads.Params{Seed: 1, Scale: 1, Workers: 2}
+	tasks := suiteTasks("CloudSuite", workloads.Params{Seed: 1, Scale: 1, Workers: 2})
 	for _, mode := range []struct {
 		name    string
 		workers int
@@ -84,14 +96,14 @@ func BenchmarkSuiteEngineParallelism(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: mode.workers})
+				results := engine.Run(context.Background(), tasks, engine.Config{Workers: mode.workers})
 				for _, r := range results {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}
 				}
 			}
-			b.ReportMetric(float64(len(suite.Workloads())*b.N)/b.Elapsed().Seconds(), "workloads/s")
+			b.ReportMetric(float64(len(tasks)*b.N)/b.Elapsed().Seconds(), "workloads/s")
 		})
 	}
 }
@@ -330,12 +342,12 @@ func BenchmarkWorkloadCategories(b *testing.B) {
 // pipeline is measured against.
 type mutexCollector struct {
 	mu       sync.Mutex
-	lat      map[string]*stats.LatencyHistogram
+	lat      map[string]*stats.AtomicLatencyHistogram
 	counters map[string]int64
 }
 
 func newMutexCollector() *mutexCollector {
-	return &mutexCollector{lat: map[string]*stats.LatencyHistogram{}, counters: map[string]int64{}}
+	return &mutexCollector{lat: map[string]*stats.AtomicLatencyHistogram{}, counters: map[string]int64{}}
 }
 
 func (c *mutexCollector) ObserveLatency(op string, d time.Duration) {
@@ -343,7 +355,7 @@ func (c *mutexCollector) ObserveLatency(op string, d time.Duration) {
 	defer c.mu.Unlock()
 	h, ok := c.lat[op]
 	if !ok {
-		h = &stats.LatencyHistogram{}
+		h = &stats.AtomicLatencyHistogram{}
 		c.lat[op] = h
 	}
 	h.Observe(d)
@@ -428,7 +440,7 @@ func BenchmarkCollectorParallel(b *testing.B) {
 	b.Run("sharded", func(b *testing.B) {
 		c := metrics.NewCollector("bench")
 		benchObservers(b, goroutines, byHandles(c))
-		if c.Counter("records") == 0 {
+		if c.Snapshot().Counters["records"] == 0 {
 			b.Fatal("shard writes lost")
 		}
 	})

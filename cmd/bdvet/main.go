@@ -66,7 +66,7 @@ func run(args []string) int {
 		return 2
 	}
 	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
+		fmt.Fprintln(os.Stderr, d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "bdvet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

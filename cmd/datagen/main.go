@@ -36,7 +36,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "generation seed")
 	model := flag.String("model", "lda", "text model: lda|markov|random (veracity)")
 	format := flag.String("format", "csv", "table format: csv|tsv|jsonl")
-	rate := flag.Float64("rate", 0, "stream generation rate in events/s (velocity; 0 = max)")
+	rate := flag.Float64("rate", 0, "stream event rate in events/s: spaces the events' timestamps 1/rate apart on average (0 = 1e6/s); the output is written as fast as it generates, never paced")
 	updates := flag.Float64("updates", 0, "stream update fraction (velocity as update frequency)")
 	workers := flag.Int("workers", 4, "parallel generators; the output does not depend on it (resume has no chunked path and ignores it)")
 	flag.Parse()

@@ -39,12 +39,6 @@ type RateProbe = datagen.RateProbe
 // NewRateProbe returns a probe counting from now.
 func NewRateProbe() *RateProbe { return datagen.NewRateProbe() }
 
-// Parallel runs fn over chunks with per-chunk deterministic RNGs derived
-// from seed — the parallel-deployment velocity knob.
-func Parallel(seed uint64, chunks, workers int, fn func(chunk int, g *RNG) error) error {
-	return datagen.Parallel(seed, chunks, workers, fn)
-}
-
 // Chunk is one independent unit of a chunked generation plan.
 type Chunk = datagen.Chunk
 

@@ -11,9 +11,6 @@ type Graph = graphgen.Graph
 // Edge is one directed edge.
 type Edge = graphgen.Edge
 
-// Generator is the common graph-generator contract.
-type Generator = graphgen.Generator
-
 // RMAT generates power-law graphs by recursive quadrant sampling.
 type RMAT = graphgen.RMAT
 

@@ -34,17 +34,9 @@ func ReferenceCorpus(seed uint64, docs, meanLen int) Corpus {
 // BuildVocabulary indexes the corpus's words.
 func BuildVocabulary(c Corpus) *Vocabulary { return textgen.BuildVocabulary(c) }
 
-// WordDistribution returns the corpus's unigram frequencies over the
-// vocabulary.
-func WordDistribution(c Corpus, v *Vocabulary) []float64 { return textgen.WordDistribution(c, v) }
-
 // NewLDA returns an untrained LDA model with k topics; zero alpha/beta use
 // defaults.
 func NewLDA(k int, alpha, beta float64) *LDA { return textgen.NewLDA(k, alpha, beta) }
 
 // NewMarkov returns an untrained order-N chain model.
 func NewMarkov(order int) *Markov { return textgen.NewMarkov(order) }
-
-// DefaultDictionary returns the built-in word list RandomText falls back
-// to.
-func DefaultDictionary() []string { return textgen.DefaultDictionary() }

@@ -5,7 +5,6 @@ package veracity
 
 import (
 	"github.com/bdbench/bdbench/internal/data"
-	"github.com/bdbench/bdbench/internal/datagen/graphgen"
 	"github.com/bdbench/bdbench/internal/datagen/streamgen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
 	"github.com/bdbench/bdbench/internal/datagen/veracity"
@@ -33,19 +32,5 @@ func Text(raw, syn textgen.Corpus) (Report, error) { return veracity.Text(raw, s
 // Table scores a synthetic table against the raw one, column by column.
 func Table(raw, syn *data.Table, bins int) (Report, error) { return veracity.Table(raw, syn, bins) }
 
-// Graph scores a synthetic graph's degree structure against the raw one.
-func Graph(raw, syn *graphgen.Graph) (Report, error) { return veracity.Graph(raw, syn) }
-
 // Stream scores a synthetic event stream against the raw one.
 func Stream(raw, syn []streamgen.Event) (Report, error) { return veracity.Stream(raw, syn) }
-
-// Classify rates a score against the resample noise floor and the
-// veracity-unaware baseline; ClassifyLog works in log space.
-func Classify(score, noiseFloor, baseline float64) Level {
-	return veracity.Classify(score, noiseFloor, baseline)
-}
-
-// ClassifyLog is Classify in log space, for scores spanning decades.
-func ClassifyLog(score, noiseFloor, baseline float64) Level {
-	return veracity.ClassifyLog(score, noiseFloor, baseline)
-}

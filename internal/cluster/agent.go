@@ -182,11 +182,19 @@ func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Heartbeat: periodic progress snapshots on the agent's real clock (the
-	// injectable engine clock is measurement, not liveness).
+	// injectable engine clock is measurement, not liveness). The handler
+	// waits for the goroutine before it returns: a tick that fires as the
+	// shard finishes would otherwise write to a response the server has
+	// already taken back.
 	hbCtx, hbStop := context.WithCancel(r.Context())
-	defer hbStop()
+	hbDone := make(chan struct{})
+	defer func() {
+		hbStop()
+		<-hbDone
+	}()
 	started := time.Now()
 	go func() {
+		defer close(hbDone)
 		ticker := time.NewTicker(a.opts.Heartbeat)
 		defer ticker.Stop()
 		for {

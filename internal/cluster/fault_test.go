@@ -238,6 +238,27 @@ func TestCoordinateLostShardDegrades(t *testing.T) {
 	}
 }
 
+// TestAgentHeartbeatEndsWithTheShard: the heartbeat goroutine has exited
+// when the shard handler returns. With a period far below a shard's run time
+// a tick is always due as the shard finishes; a heartbeat that outlived its
+// handler wrote to a response the server had taken back and crashed the
+// agent (seen under the repo benchmark's cluster_loopback at -seconds 1).
+func TestAgentHeartbeatEndsWithTheShard(t *testing.T) {
+	reg := detRegistry(t)
+	srv := httptest.NewServer(NewAgent(AgentOptions{
+		Registry: reg, ToolVersion: "test", Now: frozenNow, Heartbeat: 20 * time.Microsecond,
+	}).Handler())
+	defer srv.Close()
+	spec := detSpec()
+	spec.Scale, spec.Reps = 1, 1
+	for i := 0; i < 20; i++ {
+		opts := coordOptions(reg, []string{srv.URL}, filepath.Join(t.TempDir(), "run.blob"))
+		if _, err := Coordinate(context.Background(), spec, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAgentRejectsBadHandshake: protocol and digest mismatches, and a
 // placement outside the partition, are refused with an error frame before
 // any workload runs.

@@ -114,9 +114,6 @@ func (tb *TokenBucket) SetClock(now func() time.Time, sleep func(time.Duration))
 	tb.last = time.Time{}
 }
 
-// Rate returns the configured rate.
-func (tb *TokenBucket) Rate() float64 { return tb.rate }
-
 // Take blocks until n tokens are available and consumes them. It returns the
 // time spent waiting.
 func (tb *TokenBucket) Take(n float64) time.Duration {
@@ -147,30 +144,6 @@ func (tb *TokenBucket) Take(n float64) time.Duration {
 	return wait
 }
 
-// TryTake consumes n tokens if available without blocking and reports
-// whether it succeeded.
-func (tb *TokenBucket) TryTake(n float64) bool {
-	if tb.rate <= 0 {
-		return true
-	}
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	now := tb.now()
-	if tb.last.IsZero() {
-		tb.last = now
-	}
-	tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
-	}
-	tb.last = now
-	if tb.tokens < n {
-		return false
-	}
-	tb.tokens -= n
-	return true
-}
-
 // RateProbe measures achieved generation rate: call Add after producing
 // items, then Rate for items/second since construction.
 type RateProbe struct {
@@ -187,13 +160,6 @@ func (p *RateProbe) Add(n int64) {
 	p.mu.Lock()
 	p.count += n
 	p.mu.Unlock()
-}
-
-// Count returns items recorded so far.
-func (p *RateProbe) Count() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.count
 }
 
 // Rate returns items/second since the probe started.

@@ -141,33 +141,14 @@ func TestTokenBucketUnlimited(t *testing.T) {
 	if w := tb.Take(1000); w != 0 {
 		t.Fatalf("unlimited bucket waited %v", w)
 	}
-	if !tb.TryTake(1e9) {
-		t.Fatal("unlimited TryTake refused")
-	}
-}
-
-func TestTryTake(t *testing.T) {
-	clock := &virtualClock{now: time.Unix(0, 0)}
-	tb := NewTokenBucket(1, 2)
-	tb.SetClock(clock.Now, clock.Sleep)
-	if !tb.TryTake(1) || !tb.TryTake(1) {
-		t.Fatal("burst TryTake should succeed twice")
-	}
-	if tb.TryTake(1) {
-		t.Fatal("exhausted TryTake should fail")
-	}
-	clock.Sleep(time.Second) // refill 1 token
-	if !tb.TryTake(1) {
-		t.Fatal("refilled TryTake should succeed")
-	}
 }
 
 func TestRateProbe(t *testing.T) {
 	p := NewRateProbe()
 	p.Add(10)
 	p.Add(5)
-	if p.Count() != 15 {
-		t.Fatalf("count %d, want 15", p.Count())
+	if p.count != 15 {
+		t.Fatalf("count %d, want 15", p.count)
 	}
 	time.Sleep(5 * time.Millisecond)
 	if p.Rate() <= 0 {

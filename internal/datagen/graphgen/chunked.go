@@ -41,31 +41,6 @@ func (r RMAT) GenerateParallel(seed uint64, scale, workers int) *Graph {
 	return &Graph{N: n, Edges: edges}
 }
 
-// GenerateParallel is RMAT.GenerateParallel for G(n, m): its edges are
-// uniform independent samples.
-func (e ErdosRenyi) GenerateParallel(seed uint64, scale, workers int) *Graph {
-	if scale < 1 {
-		scale = 1
-	}
-	ef := e.EdgeFactor
-	if ef <= 0 {
-		ef = 16
-	}
-	n := int64(1) << uint(scale)
-	edges, err := datagen.Generate(seed, datagen.PlanChunks(n*int64(ef), chunkEdges), workers,
-		func(g *stats.RNG, c datagen.Chunk) ([]Edge, error) {
-			out := make([]Edge, 0, c.Len())
-			for i := c.Start; i < c.End; i++ {
-				out = append(out, Edge{Src: g.Int64N(n), Dst: g.Int64N(n)})
-			}
-			return out, nil
-		})
-	if err != nil {
-		panic(err)
-	}
-	return &Graph{N: n, Edges: edges}
-}
-
 // corpusScaleOffset maps the corpus scale knob to the RMAT vertex scale:
 // scale 1 is 2^11 vertices.
 const corpusScaleOffset = 10

@@ -12,7 +12,6 @@
 package graphgen
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/bdbench/bdbench/internal/stats"
@@ -79,22 +78,6 @@ func (g *Graph) Adjacency() [][]int64 {
 	return adj
 }
 
-// DegreeDistribution returns P(degree = k) for k in [0, maxK], using
-// out-degrees. It is the input to graph veracity comparisons.
-func (g *Graph) DegreeDistribution(maxK int) []float64 {
-	counts := make([]float64, maxK+1)
-	for _, d := range g.OutDegrees() {
-		if d > maxK {
-			d = maxK
-		}
-		counts[d]++
-	}
-	for i := range counts {
-		counts[i] /= float64(g.N)
-	}
-	return counts
-}
-
 // ConnectedComponents returns the number of weakly connected components and
 // a component label per vertex (union-find).
 func (g *Graph) ConnectedComponents() (int, []int64) {
@@ -151,14 +134,6 @@ func (g *Graph) TopDegreeVertices(n int) []int64 {
 	return ids[:n]
 }
 
-// Generator produces graphs of a requested scale.
-type Generator interface {
-	// Generate emits a graph with about 2^scale vertices.
-	Generate(g *stats.RNG, scale int) *Graph
-	// Name identifies the generator family.
-	Name() string
-}
-
 // RMAT is the recursive-matrix (Kronecker) generator used by Graph500 and
 // emulating LinkBench's Facebook-like graphs. A, B, C, D are the quadrant
 // probabilities (D is implied: 1-A-B-C); EdgeFactor is edges per vertex.
@@ -171,10 +146,7 @@ type RMAT struct {
 // edges per vertex.
 var DefaultRMAT = RMAT{A: 0.57, B: 0.19, C: 0.19, EdgeFactor: 16}
 
-// Name implements Generator.
-func (r RMAT) Name() string { return fmt.Sprintf("rmat(%.2f,%.2f,%.2f)", r.A, r.B, r.C) }
-
-// Generate implements Generator.
+// Generate emits a graph with 2^scale vertices.
 func (r RMAT) Generate(g *stats.RNG, scale int) *Graph {
 	if scale < 1 {
 		scale = 1
@@ -233,16 +205,7 @@ type BarabasiAlbert struct {
 	Mode MemoryMode
 }
 
-// Name implements Generator.
-func (b BarabasiAlbert) Name() string {
-	mode := "heavy"
-	if b.Mode == MemoryLight {
-		mode = "light"
-	}
-	return fmt.Sprintf("ba(m=%d,%s)", b.M, mode)
-}
-
-// Generate implements Generator.
+// Generate emits a graph with 2^scale vertices.
 func (b BarabasiAlbert) Generate(g *stats.RNG, scale int) *Graph {
 	if scale < 1 {
 		scale = 1
@@ -327,10 +290,7 @@ type ErdosRenyi struct {
 	EdgeFactor int
 }
 
-// Name implements Generator.
-func (e ErdosRenyi) Name() string { return "erdos-renyi" }
-
-// Generate implements Generator.
+// Generate emits a graph with 2^scale vertices.
 func (e ErdosRenyi) Generate(g *stats.RNG, scale int) *Graph {
 	if scale < 1 {
 		scale = 1

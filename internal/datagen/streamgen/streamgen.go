@@ -61,20 +61,6 @@ const (
 	ArrivalBursty
 )
 
-// String names the arrival process.
-func (a Arrival) String() string {
-	switch a {
-	case ArrivalConstant:
-		return "constant"
-	case ArrivalPoisson:
-		return "poisson"
-	case ArrivalBursty:
-		return "bursty"
-	default:
-		return fmt.Sprintf("arrival(%d)", int(a))
-	}
-}
-
 // Mix controls the update-frequency aspect of velocity: fractions of
 // updates and deletes (remainder inserts).
 type Mix struct {

@@ -118,9 +118,6 @@ func (c ProfiledNumericColumn) Gen(g *stats.RNG, _ int64) data.Value {
 	return data.Float(v)
 }
 
-// Describe implements ColumnGen.
-func (c ProfiledNumericColumn) Describe() string { return "profiled-numeric" }
-
 // ProfiledCategoryColumn samples a categorical column from learned
 // frequencies. Construct with NewProfiledCategoryColumn so the sampler is
 // built eagerly (concurrent Gen calls are then race-free).
@@ -142,9 +139,6 @@ func (c *ProfiledCategoryColumn) Kind() data.Kind { return data.KindString }
 func (c *ProfiledCategoryColumn) Gen(g *stats.RNG, _ int64) data.Value {
 	return data.String_(c.Profile.Values[c.alias.Sample(g)])
 }
-
-// Describe implements ColumnGen.
-func (c *ProfiledCategoryColumn) Describe() string { return "profiled-category" }
 
 // MomentMatchedColumn is the MUDD-style "traditional synthetic distribution":
 // a Gaussian matched to the real column's mean and standard deviation. It
@@ -170,11 +164,6 @@ func (c MomentMatchedColumn) Gen(g *stats.RNG, _ int64) data.Value {
 		return data.Int(int64(math.Round(v)))
 	}
 	return data.Float(v)
-}
-
-// Describe implements ColumnGen.
-func (c MomentMatchedColumn) Describe() string {
-	return fmt.Sprintf("moment-matched(%.3g,%.3g)", c.Mean, c.Std)
 }
 
 // VeracityLevel labels how much a generated table's columns learned from

@@ -25,7 +25,6 @@ func ReferenceSpec(seed uint64) TableSpec {
 			{Name: "quantity", Gen: IntColumn{Dist: shiftedPoisson{lambda: 2, shift: 1}}},
 			{Name: "price", Gen: Derived{
 				KindOf: data.KindFloat,
-				Desc:   "base(product)+noise",
 				Fn: func(g *stats.RNG, _ int64, prefix data.Row) data.Value {
 					product := prefix[2].Int()
 					base := 5 + float64(stats.Mix64(uint64(product))%20000)/100 // 5.00 .. 204.99
@@ -34,7 +33,7 @@ func ReferenceSpec(seed uint64) TableSpec {
 			}},
 			{Name: "region", Gen: CategoryColumn{
 				Categories: regions,
-				Sampler:    stats.NewCategorical("region", regionWeights),
+				Sampler:    stats.NewCategorical(regionWeights),
 			}},
 			{Name: "express", Gen: BoolColumn{P: 0.2}},
 		},
@@ -55,7 +54,3 @@ type shiftedPoisson struct {
 func (s shiftedPoisson) Sample(g *stats.RNG) float64 {
 	return stats.Poisson{Lambda: s.lambda}.Sample(g) + s.shift
 }
-
-func (s shiftedPoisson) Mean() float64 { return s.lambda + s.shift }
-
-func (s shiftedPoisson) Name() string { return "shifted-poisson" }

@@ -15,8 +15,6 @@
 package tablegen
 
 import (
-	"fmt"
-
 	"github.com/bdbench/bdbench/internal/data"
 	"github.com/bdbench/bdbench/internal/datagen"
 	"github.com/bdbench/bdbench/internal/stats"
@@ -29,8 +27,6 @@ type ColumnGen interface {
 	Kind() data.Kind
 	// Gen produces the value for the given absolute row number.
 	Gen(g *stats.RNG, row int64) data.Value
-	// Describe returns a short human-readable description.
-	Describe() string
 }
 
 // IntColumn samples int64 values from a real-valued distribution (rounded).
@@ -46,9 +42,6 @@ func (c IntColumn) Gen(g *stats.RNG, _ int64) data.Value {
 	return data.Int(int64(c.Dist.Sample(g)))
 }
 
-// Describe implements ColumnGen.
-func (c IntColumn) Describe() string { return "int~" + c.Dist.Name() }
-
 // FloatColumn samples float64 values from a distribution.
 type FloatColumn struct {
 	Dist stats.Distribution
@@ -61,9 +54,6 @@ func (c FloatColumn) Kind() data.Kind { return data.KindFloat }
 func (c FloatColumn) Gen(g *stats.RNG, _ int64) data.Value {
 	return data.Float(c.Dist.Sample(g))
 }
-
-// Describe implements ColumnGen.
-func (c FloatColumn) Describe() string { return "float~" + c.Dist.Name() }
 
 // SeqColumn emits the absolute row number plus Start — primary keys.
 type SeqColumn struct {
@@ -78,9 +68,6 @@ func (c SeqColumn) Gen(_ *stats.RNG, row int64) data.Value {
 	return data.Int(c.Start + row)
 }
 
-// Describe implements ColumnGen.
-func (c SeqColumn) Describe() string { return fmt.Sprintf("seq(%d)", c.Start) }
-
 // StringColumn emits random lowercase words.
 type StringColumn struct {
 	MinLen, MaxLen int
@@ -92,11 +79,6 @@ func (c StringColumn) Kind() data.Kind { return data.KindString }
 // Gen implements ColumnGen.
 func (c StringColumn) Gen(g *stats.RNG, _ int64) data.Value {
 	return data.String_(g.RandomWord(c.MinLen, c.MaxLen))
-}
-
-// Describe implements ColumnGen.
-func (c StringColumn) Describe() string {
-	return fmt.Sprintf("string[%d..%d]", c.MinLen, c.MaxLen)
 }
 
 // CategoryColumn samples from a fixed category list using Sampler (uniform
@@ -123,11 +105,6 @@ func (c CategoryColumn) Gen(g *stats.RNG, _ int64) data.Value {
 	return data.String_(c.Categories[idx])
 }
 
-// Describe implements ColumnGen.
-func (c CategoryColumn) Describe() string {
-	return fmt.Sprintf("category(%d)", len(c.Categories))
-}
-
 // BoolColumn emits true with probability P.
 type BoolColumn struct {
 	P float64
@@ -138,9 +115,6 @@ func (c BoolColumn) Kind() data.Kind { return data.KindBool }
 
 // Gen implements ColumnGen.
 func (c BoolColumn) Gen(g *stats.RNG, _ int64) data.Value { return data.Bool(g.Bool(c.P)) }
-
-// Describe implements ColumnGen.
-func (c BoolColumn) Describe() string { return fmt.Sprintf("bool(p=%g)", c.P) }
 
 // FKColumn emits foreign keys into a table of Count rows, skewed by Sampler
 // (uniform when nil).
@@ -160,16 +134,12 @@ func (c FKColumn) Gen(g *stats.RNG, _ int64) data.Value {
 	return data.Int(g.Int64N(c.Count))
 }
 
-// Describe implements ColumnGen.
-func (c FKColumn) Describe() string { return fmt.Sprintf("fk(%d)", c.Count) }
-
 // Derived computes a value from the row generated so far; it enables
 // correlated columns (e.g. price derived from product id plus noise). The
 // framework guarantees columns generate left to right within a row.
 type Derived struct {
 	KindOf data.Kind
 	Fn     func(g *stats.RNG, row int64, prefix data.Row) data.Value
-	Desc   string
 }
 
 // Kind implements ColumnGen.
@@ -180,9 +150,6 @@ func (c Derived) Kind() data.Kind { return c.KindOf }
 func (c Derived) Gen(g *stats.RNG, row int64) data.Value {
 	return c.Fn(g, row, nil)
 }
-
-// Describe implements ColumnGen.
-func (c Derived) Describe() string { return "derived:" + c.Desc }
 
 // ColumnSpec binds a name to a generator.
 type ColumnSpec struct {

@@ -91,7 +91,6 @@ func TestDerivedColumnSeesPrefix(t *testing.T) {
 			{Name: "a", Gen: SeqColumn{}},
 			{Name: "double_a", Gen: Derived{
 				KindOf: data.KindInt,
-				Desc:   "2*a",
 				Fn: func(_ *stats.RNG, _ int64, prefix data.Row) data.Value {
 					return data.Int(prefix[0].Int() * 2)
 				},
@@ -297,25 +296,6 @@ func TestBuildSpecUnsupportedKind(t *testing.T) {
 	tab.Rows = append(tab.Rows, data.Row{data.Null()})
 	if _, err := BuildSpec(tab, VeracityFull, nil, 8, 1); err == nil {
 		t.Fatal("null-kind column accepted")
-	}
-}
-
-func TestColumnDescribeNonEmpty(t *testing.T) {
-	gens := []ColumnGen{
-		IntColumn{Dist: stats.Uniform{Min: 0, Max: 1}},
-		FloatColumn{Dist: stats.Uniform{Min: 0, Max: 1}},
-		SeqColumn{},
-		StringColumn{MinLen: 1, MaxLen: 2},
-		CategoryColumn{Categories: []string{"a"}},
-		BoolColumn{P: 0.5},
-		FKColumn{Count: 2},
-		Derived{KindOf: data.KindInt, Desc: "d", Fn: func(*stats.RNG, int64, data.Row) data.Value { return data.Int(0) }},
-		MomentMatchedColumn{Mean: 0, Std: 1},
-	}
-	for _, g := range gens {
-		if g.Describe() == "" {
-			t.Fatalf("%T: empty Describe", g)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package textgen
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/bdbench/bdbench/internal/stats"
 )
@@ -141,53 +140,8 @@ func (l *LDA) Train(corpus Corpus, iters int, g *stats.RNG) error {
 	return nil
 }
 
-// Trained reports whether the model has been fit.
-func (l *LDA) Trained() bool { return l.trained }
-
 // Vocabulary returns the dictionary learned during training (nil before).
 func (l *LDA) Vocabulary() *Vocabulary { return l.vocab }
-
-// Phi returns the learned topic-word distributions; the veracity metrics
-// compare these against reference distributions (§5.1 metric type 1:
-// "compare the raw data and the constructed data models").
-func (l *LDA) Phi() [][]float64 { return l.phi }
-
-// TopicWords returns the n highest-probability words of topic t, for
-// model inspection and reporting.
-func (l *LDA) TopicWords(t, n int) ([]string, error) {
-	if !l.trained {
-		return nil, ErrNotTrained
-	}
-	if t < 0 || t >= l.K {
-		return nil, fmt.Errorf("textgen: topic %d out of range [0,%d)", t, l.K)
-	}
-	type wp struct {
-		w int
-		p float64
-	}
-	tops := make([]wp, 0, n)
-	for w, p := range l.phi[t] {
-		tops = append(tops, wp{w, p})
-	}
-	// Partial selection sort is fine for reporting sizes.
-	for i := 0; i < n && i < len(tops); i++ {
-		best := i
-		for j := i + 1; j < len(tops); j++ {
-			if tops[j].p > tops[best].p {
-				best = j
-			}
-		}
-		tops[i], tops[best] = tops[best], tops[i]
-	}
-	if n > len(tops) {
-		n = len(tops)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = l.vocab.Word(tops[i].w)
-	}
-	return out, nil
-}
 
 // Generate samples a synthetic corpus of docs documents with lengths drawn
 // from Poisson(meanLen). Each document's topic mixture is resampled from a

@@ -90,12 +90,6 @@ func (m *Markov) Train(corpus Corpus) error {
 	return nil
 }
 
-// Trained reports whether the chain has been fit.
-func (m *Markov) Trained() bool { return m.trained }
-
-// States returns the number of distinct states observed during training.
-func (m *Markov) States() int { return len(m.transitions) }
-
 // buildSampler constructs and caches the alias sampler for one state;
 // called only from Train, before the cache goes read-only.
 func (m *Markov) buildSampler(state string, ft *stats.FreqTable) {

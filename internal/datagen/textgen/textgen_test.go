@@ -94,17 +94,11 @@ func TestReferenceCorpusShape(t *testing.T) {
 func TestLDATrainAndGenerate(t *testing.T) {
 	ref := ReferenceCorpus(11, 120, 60)
 	l := NewLDA(4, 0, 0)
-	if l.Trained() {
-		t.Fatal("new model claims to be trained")
-	}
 	if _, err := l.Generate(stats.NewRNG(1), 1, 10); err != ErrNotTrained {
 		t.Fatalf("Generate before Train: err = %v, want ErrNotTrained", err)
 	}
 	if err := l.Train(ref, 30, stats.NewRNG(12)); err != nil {
 		t.Fatal(err)
-	}
-	if !l.Trained() {
-		t.Fatal("model not marked trained")
 	}
 	syn, err := l.Generate(stats.NewRNG(13), 50, 60)
 	if err != nil {
@@ -156,28 +150,6 @@ func TestLDAImprovesOverRandomText(t *testing.T) {
 	}
 }
 
-func TestLDATopicWords(t *testing.T) {
-	ref := ReferenceCorpus(31, 80, 50)
-	l := NewLDA(4, 0, 0)
-	if err := l.Train(ref, 20, stats.NewRNG(32)); err != nil {
-		t.Fatal(err)
-	}
-	words, err := l.TopicWords(0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(words) != 5 {
-		t.Fatalf("TopicWords returned %d, want 5", len(words))
-	}
-	if _, err := l.TopicWords(99, 5); err == nil {
-		t.Fatal("out-of-range topic accepted")
-	}
-	untrained := NewLDA(3, 0, 0)
-	if _, err := untrained.TopicWords(0, 5); err != ErrNotTrained {
-		t.Fatalf("untrained TopicWords err = %v", err)
-	}
-}
-
 func TestLDAEmptyCorpus(t *testing.T) {
 	l := NewLDA(3, 0, 0)
 	if err := l.Train(nil, 10, stats.NewRNG(1)); err == nil {
@@ -201,7 +173,7 @@ func TestMarkovTrainGenerate(t *testing.T) {
 	if err := m.Train(ref); err != nil {
 		t.Fatal(err)
 	}
-	if m.States() == 0 {
+	if len(m.transitions) == 0 {
 		t.Fatal("no states learned")
 	}
 	syn, err := m.Generate(stats.NewRNG(42), 30, 40)

@@ -45,15 +45,6 @@ func (r Report) Score() float64 {
 	return r.Metrics[0].Value
 }
 
-// String renders a compact summary.
-func (r Report) String() string {
-	s := r.DataType + ":"
-	for _, m := range r.Metrics {
-		s += fmt.Sprintf(" %s=%.4f", m.Name, m.Value)
-	}
-	return s
-}
-
 // Text compares two corpora. The primary metric is the KL divergence of the
 // synthetic word distribution from the raw one (the paper's worked example);
 // secondary metrics are JS divergence, cosine similarity and a bigram JS
@@ -335,36 +326,15 @@ const (
 	LevelUnconsidered Level = "Un-considered"
 )
 
-// Classify maps a measured divergence onto the Table 1 scale using two
+// ClassifyLog maps a measured divergence onto the Table 1 scale using two
 // calibration points: noiseFloor (divergence of an independent resample of
 // the raw data — the best achievable) and baseline (divergence of a
-// veracity-unaware generator). Scores within 3x the gap's lower third are
-// Considered; within the upper third of the baseline, Un-considered;
-// otherwise Partially Considered.
-func Classify(score, noiseFloor, baseline float64) Level {
-	if baseline <= noiseFloor {
-		// Degenerate calibration; fall back to absolute comparison.
-		if score <= noiseFloor*1.5 {
-			return LevelConsidered
-		}
-		return LevelUnconsidered
-	}
-	frac := (score - noiseFloor) / (baseline - noiseFloor)
-	switch {
-	case frac <= 1.0/3:
-		return LevelConsidered
-	case frac <= 2.0/3:
-		return LevelPartial
-	default:
-		return LevelUnconsidered
-	}
-}
-
-// ClassifyLog is Classify on a logarithmic scale: the thirds divide
-// [log(noiseFloor), log(baseline)]. Use it when the floor and baseline are
-// orders of magnitude apart (table column divergences typically span
-// 0.005 to 0.6), where a linear scale would lump every model-based
-// generator into "Considered".
+// veracity-unaware generator). The scale is logarithmic: the thirds divide
+// [log(noiseFloor), log(baseline)], because the floor and baseline are
+// typically orders of magnitude apart (table column divergences span 0.005
+// to 0.6) and a linear scale would lump every model-based generator into
+// "Considered". The lower third is Considered, the upper third
+// Un-considered, the middle Partially Considered.
 func ClassifyLog(score, noiseFloor, baseline float64) Level {
 	if noiseFloor <= 0 {
 		noiseFloor = 1e-9
@@ -373,7 +343,11 @@ func ClassifyLog(score, noiseFloor, baseline float64) Level {
 		score = noiseFloor
 	}
 	if baseline <= noiseFloor {
-		return Classify(score, noiseFloor, baseline)
+		// Degenerate calibration; fall back to absolute comparison.
+		if score <= noiseFloor*1.5 {
+			return LevelConsidered
+		}
+		return LevelUnconsidered
 	}
 	frac := (math.Log(score) - math.Log(noiseFloor)) / (math.Log(baseline) - math.Log(noiseFloor))
 	switch {

@@ -23,38 +23,57 @@ var loadModule = sync.OnceValues(func() ([]*Package, error) {
 const modulePath = "github.com/bdbench/bdbench"
 
 // callerless lists the names under internal/ — package-level ones as
-// "pkg.Name", methods as "pkg.Type.Method" — that no non-test file refers
-// to and that stay anyway, each with the reason.
+// "pkg.Name", methods as "pkg.Type.Method" — that no counting code refers to
+// and that stay anyway, each with the reason: an error or diagnostic path (a
+// String method only a fmt verb calls is here with the text that prints it),
+// a documented extension point, a clock seam tests inject, a reader kept as
+// its writer's round-trip oracle, or a name an open ROADMAP item calls for.
 var callerless = map[string]string{
-	"internal/raceflag.Enabled":             "read by tests only: alloc assertions skip under -race",
-	"internal/lint.CheckFiles":              "the analysistest harness loads testdata packages through it",
-	"internal/datagen/formats.ReadEdgeList": "test oracle for WriteEdgeList: proves the writers' output parses back",
-	"internal/datagen/formats.ReadTable":    "test oracle for WriteTable: proves CSV, TSV and JSONL parse back to the same cells",
-	"internal/stats.Histogram.Total":        "read by the binning tests: the count that includes out-of-range observations",
+	"internal/raceflag.Enabled":                "read by tests only: alloc assertions skip under -race",
+	"internal/lint.CheckFiles":                 "the analysistest harness loads testdata packages through it",
+	"internal/stats.Histogram.Total":           "read by the binning tests: the count that includes out-of-range observations",
+	"internal/data.Kind.String":                "diagnostic: the error texts of Schema.Validate and tablegen.BuildSpec print a column kind through %v",
+	"internal/scenario.Spec.String":            "diagnostic: Spec.Validate's negative-settings error texts print the normalized spec through %s",
+	"internal/datagen/streamgen.OpKind.String": "fmt calls it: StreamCorpus.GenerateChunk prints an event's kind through %s (written out, the call would box a string per event)",
+	"internal/opcompose.Register":              "extension point: bdbench.RegisterOperation adds a pattern operation through it",
+	"internal/datagen.TokenBucket.SetClock":    "clock seam: the pacing tests inject a virtual clock and sleeper",
+	"internal/datagen/formats.ReadEdgeList":    "round-trip oracle for WriteEdgeList: proves the writers' output parses back",
+	"internal/datagen/formats.ReadTable":       "round-trip oracle for WriteTable: proves CSV, TSV and JSONL parse back to the same cells",
+	"internal/datagen/weblog.Parse":            "round-trip oracle for Record.Format: proves a generated access-log line parses back to its record",
+	"internal/datagen/resume.ParseJSONL":       "round-trip oracle for MarshalJSONL: proves the resume corpus parses back",
+	"internal/datagen/media.ParseHeader":       "round-trip oracle for GenerateVideo: proves the container header parses back",
+	"internal/datagen/media.Frame":             "round-trip oracle for GenerateVideo: proves every frame can be cut back out of the blob",
+	"internal/datagen/veracity.Stream":         "ROADMAP item 4 applies it to the load generator's own realised inter-arrival stream",
 }
 
 // ifaceMethods are the method names the standard library calls through an
-// interface, so that a type's implementation has no selection of its own.
-// Methods of interfaces declared in the module are added to it by the walk.
-var ifaceMethods = []string{
-	"String", "Error", "MarshalJSON", "UnmarshalJSON", "Len", "Less", "Swap",
-	"Write", "Read", "ServeHTTP", "Close", "Unwrap",
+// interface of its own (error, json.Marshaler, sort.Interface, io.Writer,
+// ...), where the module holds no call to see. String is not among them: a
+// String method nothing selects is on callerless with the text that prints it.
+var ifaceMethods = map[string]bool{
+	"Error": true, "MarshalJSON": true, "UnmarshalJSON": true, "Len": true, "Less": true, "Swap": true,
+	"Write": true, "Read": true, "ServeHTTP": true, "Close": true, "Unwrap": true,
 }
 
 // TestInternalNamesHaveCallers holds the "no names nobody calls" rule: a
-// package-level func, type, var or const declared under internal/ must be
-// referred to by some non-test file of the module — cmd/, examples/,
-// benchmark/ and the public facades included. A name that only its own
-// tests exercise is dead weight with a green test beside it.
+// package-level func, type, var or const and every method declared under
+// internal/ must be referred to by code something runs — a non-test file
+// under internal/, cmd/, examples/ or benchmark/, a public facade
+// declaration that such code reaches, or an Example function of the root
+// package. A name that only its own tests exercise is dead weight with a
+// green test beside it.
 //
-// Two refinements keep a type from vouching for itself. A reference to T
-// from inside T's own method set — a receiver, a body — does not count as
-// a use of T. And a method needs a non-test selection of its own, outside
-// its own body, unless its type is public API (reachable from the exported
-// scope of the root package, datagen/... or stacks/... through exported
-// fields and signatures: callers outside the module may select it) or its
-// name is a method of an interface (declared in the module, or listed in
-// ifaceMethods: the call goes through the interface).
+// What does not count as a caller:
+//   - a reference to T from inside T's own method set (a receiver, a body),
+//     or to a method from its own body;
+//   - a facade declaration (root package, datagen/..., stacks/...) that no
+//     counting code refers to: an alias, a re-exported var or a wrapper is
+//     a use of what it wraps only when something uses the facade name;
+//   - a method's name occurring in an interface: an implementation is
+//     exempt only when counting code calls that method through an
+//     interface its type implements (or the name is in ifaceMethods);
+//   - a type being public API: a method needs a selection of its own
+//     whoever may hold the type.
 func TestInternalNamesHaveCallers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -63,99 +82,165 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The root package's examples live in its external test package, which
+	// Load skips; they are the one kind of test code that counts.
+	examples, err := CheckFiles(modulePath+"_test", filepath.Join("..", ".."), []string{filepath.Join("..", "..", "example_test.go")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs = append(pkgs[:len(pkgs):len(pkgs)], examples)
+
 	key := func(obj types.Object) string {
 		return strings.TrimPrefix(obj.Pkg().Path(), modulePath+"/") + "." + obj.Name()
-	}
-	isTest := func(fset *token.FileSet, pos token.Pos) bool {
-		return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 	}
 	packageLevel := func(obj types.Object) bool {
 		return obj != nil && obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 	}
-	// methodKey is "pkg.Type" and "pkg.Type.Method" for a method of a
-	// package-level named type, "" for anything else (interface methods,
-	// plain functions).
-	methodKey := func(obj types.Object) (typ, method string) {
+	// methodOf returns the package-level concrete type a method is declared
+	// on and the method's "pkg.Type.Method" key; nil for anything else
+	// (interface methods, plain functions).
+	methodOf := func(obj types.Object) (*types.Named, string) {
 		fn, ok := obj.(*types.Func)
 		if !ok {
-			return "", ""
+			return nil, ""
 		}
 		recv := fn.Type().(*types.Signature).Recv()
 		if recv == nil {
-			return "", ""
+			return nil, ""
 		}
 		named := receiverNamed(recv.Type())
 		if named == nil || !packageLevel(named.Obj()) || types.IsInterface(named) {
-			return "", ""
+			return nil, ""
 		}
-		typ = key(named.Obj())
-		return typ, typ + "." + fn.Name()
+		return named, key(named.Obj()) + "." + fn.Name()
+	}
+	facade := func(path string) bool {
+		rel := strings.TrimPrefix(path, modulePath)
+		return rel == "" || strings.HasPrefix(rel, "/datagen") || strings.HasPrefix(rel, "/stacks")
 	}
 
-	public := publicTypes(pkgs, key)
-	viaInterface := map[string]bool{}
-	for _, name := range ifaceMethods {
-		viaInterface[name] = true
+	// owner maps every identifier to the top-level declaration around it:
+	// for a method its (type, method) keys, and in a facade package the
+	// declared names, whose liveness decides whether the identifier counts.
+	type owner struct {
+		typ, method string
+		names       []string // keys of the names it declares
+		example     bool     // a func Example...
 	}
-	used := map[string]bool{}
-	declared := map[string]token.Position{}
-	type methodDecl struct{ typ, name string }
-	methods := map[string]methodDecl{} // by method key
+	owners := map[*ast.Ident]*owner{}
+	ownerOf := func(id *ast.Ident) *owner {
+		if o := owners[id]; o != nil {
+			return o
+		}
+		return &owner{} // outside any declaration: a package clause, an import
+	}
+	own := func(p *Package, n ast.Node, o *owner, names ...*ast.Ident) {
+		for _, name := range names {
+			if obj := p.Info.Defs[name]; packageLevel(obj) {
+				o.names = append(o.names, key(obj))
+			}
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				owners[id] = o
+			}
+			return true
+		})
+	}
 	for _, p := range pkgs {
-		// within maps every identifier inside a method declaration to
-		// that method's (type, method) keys.
-		type owner struct{ typ, method string }
-		within := map[*ast.Ident]owner{}
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil {
-					continue
-				}
-				typ, method := methodKey(p.Info.Defs[fd.Name])
-				if typ == "" {
-					continue
-				}
-				ast.Inspect(fd, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						within[id] = owner{typ, method}
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					o := &owner{example: d.Recv == nil && strings.HasPrefix(d.Name.Name, "Example")}
+					if named, method := methodOf(p.Info.Defs[d.Name]); named != nil {
+						o.typ, o.method = key(named.Obj()), method
 					}
-					return true
-				})
+					own(p, d, o, d.Name)
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							own(p, spec, &owner{}, spec.Name)
+						case *ast.ValueSpec:
+							own(p, spec, &owner{}, spec.Names...)
+						}
+					}
+				}
 			}
 		}
+	}
 
+	// A facade name is live when counting code outside the facades refers
+	// to it, or a live facade declaration does.
+	live := map[string]bool{}
+	inTest := func(p *Package, pos token.Pos) bool {
+		return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+	}
+	counts := func(p *Package, id *ast.Ident) bool {
+		switch {
+		case p == examples:
+			return ownerOf(id).example
+		case inTest(p, id.Pos()):
+			return false
+		case !facade(p.Path):
+			return true
+		}
+		for _, name := range ownerOf(id).names {
+			if live[name] {
+				return true
+			}
+		}
+		return false
+	}
+	for grew := true; grew; {
+		grew = false
+		for _, p := range pkgs {
+			for id, obj := range p.Info.Uses {
+				if packageLevel(obj) && facade(obj.Pkg().Path()) && !live[key(obj)] && counts(p, id) {
+					live[key(obj)], grew = true, true
+				}
+			}
+		}
+	}
+
+	type ifaceCall struct {
+		iface *types.Interface
+		name  string
+	}
+	var viaInterface []ifaceCall
+	used := map[string]bool{}
+	declared := map[string]token.Position{}
+	type methodDecl struct {
+		typ  *types.Named
+		name string
+	}
+	methods := map[string]methodDecl{} // by method key
+	for _, p := range pkgs {
 		for id, obj := range p.Info.Uses {
-			if !packageLevel(obj) || isTest(p.Fset, id.Pos()) {
+			if !packageLevel(obj) || !counts(p, id) {
 				continue
 			}
-			if _, isType := obj.(*types.TypeName); isType && within[id].typ == key(obj) {
+			if _, isType := obj.(*types.TypeName); isType && ownerOf(id).typ == key(obj) {
 				continue
 			}
 			used[key(obj)] = true
 		}
-		for expr, tv := range p.Info.Types {
-			if _, ok := expr.(*ast.InterfaceType); !ok || isTest(p.Fset, expr.Pos()) {
-				continue
-			}
-			if it, ok := tv.Type.(*types.Interface); ok {
-				for i := 0; i < it.NumMethods(); i++ {
-					viaInterface[it.Method(i).Name()] = true
-				}
-			}
-		}
 		for sel, s := range p.Info.Selections {
-			if isTest(p.Fset, sel.Pos()) {
+			if !counts(p, sel.Sel) {
 				continue
 			}
-			in := within[sel.Sel]
+			in := ownerOf(sel.Sel)
 			// A type's fields and methods reach it without naming it: T
 			// is alive when one is selected outside tests and outside T.
 			if named := receiverNamed(s.Recv()); named != nil && packageLevel(named.Obj()) && in.typ != key(named.Obj()) {
 				used[key(named.Obj())] = true
 			}
-			if _, method := methodKey(s.Obj()); method != "" && method != in.method {
+			if _, method := methodOf(s.Obj()); method != "" && method != in.method {
 				used[method] = true
+			}
+			if it, ok := s.Recv().Underlying().(*types.Interface); ok && s.Kind() != types.FieldVal {
+				viaInterface = append(viaInterface, ifaceCall{it, s.Obj().Name()})
 			}
 		}
 
@@ -163,12 +248,12 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 			continue
 		}
 		for id, obj := range p.Info.Defs {
-			if obj == nil || isTest(p.Fset, id.Pos()) {
+			if obj == nil || inTest(p, id.Pos()) {
 				continue
 			}
-			if typ, method := methodKey(obj); method != "" {
+			if named, method := methodOf(obj); named != nil {
 				declared[method] = p.Fset.Position(id.Pos())
-				methods[method] = methodDecl{typ, id.Name}
+				methods[method] = methodDecl{named, id.Name}
 				continue
 			}
 			if !packageLevel(obj) {
@@ -181,6 +266,17 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 			declared[key(obj)] = p.Fset.Position(id.Pos())
 		}
 	}
+	calledThroughInterface := func(m methodDecl) bool {
+		if ifaceMethods[m.name] {
+			return true
+		}
+		for _, c := range viaInterface {
+			if c.name == m.name && implements(m.typ, c.iface) {
+				return true
+			}
+		}
+		return false
+	}
 
 	var dead []string
 	for name, pos := range declared {
@@ -190,7 +286,7 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 		if _, ok := callerless[name]; ok {
 			continue
 		}
-		if m, isMethod := methods[name]; isMethod && (public[m.typ] || viaInterface[m.name]) {
+		if m, isMethod := methods[name]; isMethod && calledThroughInterface(m) {
 			continue
 		}
 		dead = append(dead, pos.String()+": "+name)
@@ -211,71 +307,32 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 	}
 }
 
-// publicTypes returns the keys of the module's named types that code
-// outside the module can hold: every type reachable from an exported name
-// of the root package, datagen/... or stacks/... through exported fields,
-// exported methods' signatures and element types, to a fixpoint.
-func publicTypes(pkgs []*Package, key func(types.Object) string) map[string]bool {
-	public := map[string]bool{}
-	var walk func(t types.Type)
-	tuple := func(tu *types.Tuple) {
-		for i := 0; i < tu.Len(); i++ {
-			walk(tu.At(i).Type())
+// implements is types.Implements for a type and an interface that were
+// type-checked apart (Load checks every package from source against its
+// imports' export data, so one named type is two objects): the pointer
+// method set has each interface method under the same name with the same
+// parameter and result types, compared as text.
+func implements(t *types.Named, it *types.Interface) bool {
+	text := func(f types.Object) string {
+		sig := f.Type().(*types.Signature)
+		return types.TypeString(types.NewSignatureType(nil, nil, nil, unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic()), nil)
+	}
+	ms := types.NewMethodSet(types.NewPointer(t))
+	for i := 0; i < it.NumMethods(); i++ {
+		m := it.Method(i)
+		if sel := ms.Lookup(m.Pkg(), m.Name()); sel == nil || text(sel.Obj()) != text(m) {
+			return false
 		}
 	}
-	walk = func(t types.Type) {
-		switch t := types.Unalias(t).(type) {
-		case *types.Named:
-			obj := t.Obj()
-			if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), modulePath) || public[key(obj)] {
-				return
-			}
-			public[key(obj)] = true
-			walk(t.Underlying())
-			for i := 0; i < t.NumMethods(); i++ {
-				if m := t.Method(i); m.Exported() {
-					walk(m.Type())
-				}
-			}
-		case *types.Pointer:
-			walk(t.Elem())
-		case *types.Slice:
-			walk(t.Elem())
-		case *types.Array:
-			walk(t.Elem())
-		case *types.Chan:
-			walk(t.Elem())
-		case *types.Map:
-			walk(t.Key())
-			walk(t.Elem())
-		case *types.Signature:
-			tuple(t.Params())
-			tuple(t.Results())
-		case *types.Struct:
-			for i := 0; i < t.NumFields(); i++ {
-				if f := t.Field(i); f.Exported() || f.Embedded() {
-					walk(f.Type())
-				}
-			}
-		case *types.Interface:
-			for i := 0; i < t.NumMethods(); i++ {
-				walk(t.Method(i).Type())
-			}
-		}
+	return true
+}
+
+func unnamed(tu *types.Tuple) *types.Tuple {
+	vars := make([]*types.Var, tu.Len())
+	for i := range vars {
+		vars[i] = types.NewVar(token.NoPos, nil, "", tu.At(i).Type())
 	}
-	for _, p := range pkgs {
-		rel := strings.TrimPrefix(p.Path, modulePath)
-		if rel != "" && !strings.HasPrefix(rel, "/datagen") && !strings.HasPrefix(rel, "/stacks") {
-			continue
-		}
-		scope := p.Types.Scope()
-		for _, name := range scope.Names() {
-			if obj := scope.Lookup(name); obj.Exported() {
-				walk(obj.Type())
-			}
-		}
-	}
-	return public
+	return types.NewTuple(vars...)
 }
 
 func receiverNamed(t types.Type) *types.Named {

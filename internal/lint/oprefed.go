@@ -7,17 +7,17 @@ import (
 )
 
 // Oprefed flags the collector's one-shot conveniences —
-// Collector.ObserveLatency, Collector.Add and Collector.Timed — called
-// inside a loop in internal non-test code. They resolve their label on
-// every call, which is right for a phase-level measurement and wrong for
-// a loop body: per-iteration recording belongs on an OpRef/CounterRef
-// minted once outside the loop (Collector.Op, Shard.Op), which is both
-// allocation-free and lookup-free. Below the collector there is nothing
+// Collector.ObserveLatency and Collector.Add — called inside a loop in
+// internal non-test code. They resolve their label on every call, which is
+// right for a phase-level measurement and wrong for a loop body:
+// per-iteration recording belongs on an OpRef/CounterRef minted once outside
+// the loop (Collector.Op, Shard.Op), which is both allocation-free and
+// lookup-free. Below the collector there is nothing
 // to police — shards record only through handles. One-shot calls outside
 // loops stay legal, as does anything in _test.go files.
 var Oprefed = &Analyzer{
 	Name: "oprefed",
-	Doc:  "flag Collector.ObserveLatency/Add/Timed in steady-state loops where an OpRef/CounterRef should be minted once",
+	Doc:  "flag Collector.ObserveLatency/Add in steady-state loops where an OpRef/CounterRef should be minted once",
 	Run:  runOprefed,
 }
 
@@ -36,7 +36,6 @@ var oprefExempt = []string{
 var stringKeyedMethods = map[string]bool{
 	"ObserveLatency": true,
 	"Add":            true,
-	"Timed":          true,
 }
 
 func runOprefed(pass *Pass) error {

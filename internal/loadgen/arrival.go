@@ -85,19 +85,12 @@ func (Poisson) Offsets(rate float64, d time.Duration, g *stats.RNG) []time.Durat
 	}
 }
 
-// Bursty is an on/off (interrupted) arrival process: within every Cycle it
-// offers the whole cycle's operations during the first OnFraction of the
-// cycle and stays silent for the rest, so the *mean* rate equals the
-// requested rate while the instantaneous on-phase rate is rate/OnFraction.
-// It models periodic load spikes — ingest ticks, batch front-ends, thundering
-// herds.
-type Bursty struct {
-	// Cycle is the on+off period length (default 1s).
-	Cycle time.Duration
-	// OnFraction is the fraction of each cycle that receives arrivals,
-	// in (0, 1] (default 0.5).
-	OnFraction float64
-}
+// Bursty is an on/off (interrupted) arrival process: within every one-second
+// cycle it offers the whole cycle's operations during the first half and
+// stays silent for the rest, so the *mean* rate equals the requested rate
+// while the instantaneous on-phase rate is twice that. It models periodic
+// load spikes — ingest ticks, batch front-ends, thundering herds.
+type Bursty struct{}
 
 // Name implements Process.
 func (Bursty) Name() string { return "bursty" }
@@ -105,15 +98,11 @@ func (Bursty) Name() string { return "bursty" }
 // Offsets implements Process. Arrivals within a burst are evenly spaced;
 // the RNG jitters each cycle's phase so bursts from different seeds do not
 // align, without changing per-cycle counts.
-func (b Bursty) Offsets(rate float64, d time.Duration, g *stats.RNG) []time.Duration {
-	cycle := b.Cycle
-	if cycle <= 0 {
-		cycle = time.Second
-	}
-	on := b.OnFraction
-	if on <= 0 || on > 1 {
-		on = 0.5
-	}
+func (Bursty) Offsets(rate float64, d time.Duration, g *stats.RNG) []time.Duration {
+	const (
+		cycle = time.Second // the on+off period
+		on    = 0.5         // the fraction of it that receives arrivals
+	)
 	perCycle := rate * cycle.Seconds()
 	out := make([]time.Duration, 0, opCount(rate, d))
 	for cycleStart, c := time.Duration(0), 1; cycleStart < d; cycleStart, c = cycleStart+cycle, c+1 {

@@ -107,8 +107,7 @@ func TestConstantSpacing(t *testing.T) {
 // TestBurstyOnOff verifies the on/off shape: every arrival falls in the
 // first (jittered) on-fraction of its cycle, and the off tail is silent.
 func TestBurstyOnOff(t *testing.T) {
-	b := Bursty{Cycle: time.Second, OnFraction: 0.3}
-	sched := Schedule(b, 100, 4*time.Second, 11)
+	sched := Schedule(Bursty{}, 100, 4*time.Second, 11)
 	if len(sched) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -121,8 +120,8 @@ func TestBurstyOnOff(t *testing.T) {
 	}
 	for cycle, offs := range byCycle {
 		span := offs[len(offs)-1] - offs[0]
-		if span > 300*time.Millisecond+time.Millisecond {
-			t.Fatalf("cycle %d: burst spans %v, want ≤ 300ms", cycle, span)
+		if span > 500*time.Millisecond+time.Millisecond {
+			t.Fatalf("cycle %d: burst spans %v, want ≤ 500ms", cycle, span)
 		}
 	}
 }

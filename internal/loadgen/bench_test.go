@@ -36,7 +36,7 @@ func BenchmarkDispatchSteadyState(b *testing.B) {
 	c := metrics.NewCollector("bench")
 	base := time.Unix(1000, 0)
 	now := func() time.Time { return base }
-	r := newRunState(context.Background(), func(context.Context) error { return nil }, c, now, 0)
+	r := newRunState(context.Background(), func(context.Context) error { return nil }, c, now)
 	r.execOne(0) // warm the substrate labels
 	b.ReportAllocs()
 	b.ResetTimer()

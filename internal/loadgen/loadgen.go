@@ -37,12 +37,6 @@ type Options struct {
 	Duration time.Duration
 	// Seed derives the arrival schedule (see Schedule).
 	Seed uint64
-	// MaxInflight caps concurrently executing operations. Zero means
-	// unbounded — the pure open-loop model, where dispatch never waits for
-	// capacity. A positive cap queues excess arrivals; their waiting time
-	// still counts against OpRequest, because the clock starts at the
-	// intended arrival either way.
-	MaxInflight int
 	// Rec receives every observation in the sharded metrics pipeline:
 	// OpRequest, OpService and OpWait, all substrate-level (the executed
 	// operations record their own user-level measurements). Nil records into
@@ -133,19 +127,19 @@ type runState struct {
 	endNs                     atomic.Int64 // latest completion, ns offset from t0
 
 	wg sync.WaitGroup
-	// ready carries intended-start offsets to workers. Unbounded mode uses
-	// an unbuffered channel: a send succeeds only by direct handoff to a
-	// parked worker, and the dispatcher spawns a new worker exactly when no
-	// idle one exists — peak concurrency costs one goroutine each, steady
-	// state reuses them all. Bounded mode (MaxInflight) buffers the whole
-	// schedule so the dispatcher never blocks while excess arrivals queue.
+	// ready carries intended-start offsets to workers. It is unbuffered: a
+	// send succeeds only by direct handoff to a parked worker, and the
+	// dispatcher spawns a new worker exactly when no idle one exists — peak
+	// concurrency costs one goroutine each, steady state reuses them all.
+	// Concurrency is unbounded, the pure open-loop model: dispatch never
+	// waits for capacity.
 	ready chan time.Duration
 }
 
 // newRunState builds the dispatch machinery for one run. now is the clock
 // (t0 is read from it immediately); the three latency views are recorded
 // into a substrate shard of rec, or a shard of their own when rec is nil.
-func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, now func() time.Time, buffered int) *runState {
+func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, now func() time.Time) *runState {
 	r := &runState{ctx: ctx, op: op, now: now}
 	shard := rec.SubstrateShard()
 	if shard == nil {
@@ -154,32 +148,22 @@ func newRunState(ctx context.Context, op func(context.Context) error, rec *metri
 	r.reqRef = shard.Op(OpRequest)
 	r.svcRef = shard.Op(OpService)
 	r.waitRef = shard.Op(OpWait)
-	r.ready = make(chan time.Duration, buffered)
+	r.ready = make(chan time.Duration)
 	r.t0 = now()
 	return r
 }
 
-// dispatch hands one intended-start offset to a worker. In unbounded mode
-// it spawns a worker only when none is parked on the handoff channel, so
-// the op starts immediately without a per-operation goroutine in steady
-// state.
-func (r *runState) dispatch(off time.Duration, bounded bool) {
-	if bounded {
-		r.ready <- off // buffered with the whole schedule: never blocks
-		return
-	}
+// dispatch hands one intended-start offset to a worker. It spawns a worker
+// only when none is parked on the handoff channel, so the op starts
+// immediately without a per-operation goroutine in steady state.
+func (r *runState) dispatch(off time.Duration) {
 	select {
 	case r.ready <- off: // direct handoff to an idle worker
 	default:
-		r.spawnWorker()
+		r.wg.Add(1)
+		go r.worker()
 		r.ready <- off
 	}
-}
-
-// spawnWorker adds one reusable executor goroutine.
-func (r *runState) spawnWorker() {
-	r.wg.Add(1)
-	go r.worker()
 }
 
 // worker executes offsets until the schedule is exhausted.
@@ -258,20 +242,7 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 		Scheduled: len(sched),
 	}
 
-	bounded := opts.MaxInflight > 0
-	buffered := 0
-	if bounded {
-		// Arrivals past the cap queue (with the queueing time still charged
-		// from their intended start). The channel holds the whole schedule,
-		// so the dispatcher itself never blocks on capacity.
-		buffered = len(sched)
-	}
-	r := newRunState(ctx, op, opts.Rec, now, buffered)
-	if bounded {
-		for w := 0; w < opts.MaxInflight; w++ {
-			r.spawnWorker()
-		}
-	}
+	r := newRunState(ctx, op, opts.Rec, now)
 
 	// The dispatcher walks the precomputed schedule on the clock. It reads
 	// nothing from completions — that independence is what makes the loop
@@ -292,7 +263,7 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 				timer = sleepContext(ctx, timer, wait)
 			}
 		}
-		r.dispatch(off, bounded)
+		r.dispatch(off)
 	}
 	close(r.ready)
 	r.wg.Wait()

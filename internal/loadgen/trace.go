@@ -79,11 +79,11 @@ func TraceFromLog(source string, raw []byte) (Trace, error) {
 	return Trace{Source: source, Offsets: offsets}, nil
 }
 
-// DefaultReplayJitter is the jitter fraction Replay applies when its Jitter
-// field is zero: each arrival moves by up to ±10% of the mean gap, so two
-// replays of the same trace with different seeds are realistic variations
-// of each other rather than identical copies.
-const DefaultReplayJitter = 0.1
+// replayJitter is the jitter fraction Replay applies: each arrival moves by
+// up to ±10% of the mean gap, so two replays of the same trace with
+// different seeds are realistic variations of each other rather than
+// identical copies.
+const replayJitter = 0.1
 
 // Replay is the trace-driven arrival process: it resamples a recorded
 // trace's empirical arrival distribution onto the requested (rate, window),
@@ -98,9 +98,6 @@ const DefaultReplayJitter = 0.1
 type Replay struct {
 	// Trace is the recorded arrival structure to resample.
 	Trace Trace
-	// Jitter is the fraction of the mean gap each arrival may move by
-	// (default DefaultReplayJitter; negative disables jitter).
-	Jitter float64
 }
 
 // Name implements Process.
@@ -114,13 +111,6 @@ func (r Replay) Offsets(rate float64, d time.Duration, g *stats.RNG) []time.Dura
 	n := opCount(rate, d)
 	if n <= 0 || r.Trace.Empty() {
 		return nil
-	}
-	jitter := r.Jitter
-	if jitter == 0 {
-		jitter = DefaultReplayJitter
-	}
-	if jitter < 0 {
-		jitter = 0
 	}
 	offs := r.Trace.Offsets
 	m := len(offs)
@@ -140,7 +130,7 @@ func (r Replay) Offsets(rate float64, d time.Duration, g *stats.RNG) []time.Dura
 		if span > 0 {
 			t = base / span * float64(d)
 		}
-		t += (g.Float64() - 0.5) * 2 * jitter * meanGap
+		t += (g.Float64() - 0.5) * 2 * replayJitter * meanGap
 		if t < 0 {
 			t = 0
 		}

@@ -114,7 +114,7 @@ func TestOpRefSampledZeroAllocAfterOverflow(t *testing.T) {
 func TestOpRefResolution(t *testing.T) {
 	c := NewCollector("wl")
 	ref := c.Op("read")
-	if !ref.Valid() {
+	if ref.cell == nil {
 		t.Fatal("ref minted from a collector should be valid")
 	}
 	ref.Observe(time.Millisecond)
@@ -131,12 +131,12 @@ func TestOpRefResolution(t *testing.T) {
 	var zero OpRef
 	zero.Observe(time.Second)
 	zero.ObserveSince(time.Now())
-	if zero.Valid() || !zero.StartTimer().IsZero() {
+	if zero.cell != nil || !zero.StartTimer().IsZero() {
 		t.Fatal("zero OpRef must be invalid and must not read the clock")
 	}
 	CounterRef{}.Add(1)
 	var none *Collector
-	if ref := none.SubstrateShard().Op("x"); ref.Valid() {
+	if ref := none.SubstrateShard().Op("x"); ref.cell != nil {
 		t.Fatal("a nil collector must mint no-op refs")
 	}
 	none.SubstrateShard().CounterRef("n").Add(1)

@@ -15,12 +15,11 @@
 //
 // There is one write path: Collector → Shard → OpRef/CounterRef. Code below
 // the collector records only through handles minted once, up front; the
-// collector's own ObserveLatency/Add/Timed are one-shot conveniences over
+// collector's own ObserveLatency/Add are one-shot conveniences over
 // that same path for phase-level measurements.
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -80,9 +79,6 @@ func NewCollector(name string) *Collector {
 	c.dgen = c.SubstrateShard()
 	return c
 }
-
-// Name returns the workload name the collector was created with.
-func (c *Collector) Name() string { return c.name }
 
 // Shard mints a private recording shard merged into this collector's
 // snapshots. Each worker goroutine of a parallel stack should hold its own
@@ -164,15 +160,6 @@ func (c *Collector) elapsedLocked() time.Duration {
 	return c.elapsed
 }
 
-// Elapsed returns the measured wall time: the running interval so far for a
-// started collector, the frozen interval after Stop or SetElapsed, zero
-// before Start.
-func (c *Collector) Elapsed() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.elapsedLocked()
-}
-
 // ObserveLatency records one operation latency under the given operation
 // label ("read", "update", ...).
 func (c *Collector) ObserveLatency(op string, d time.Duration) {
@@ -192,25 +179,6 @@ func (c *Collector) Op(name string) OpRef { return c.def.Op(name) }
 // CounterRef mints a pre-resolved counter handle on the collector's default
 // shard; see Shard.CounterRef.
 func (c *Collector) CounterRef(name string) CounterRef { return c.def.CounterRef(name) }
-
-// Counter returns the current value of a counter, summed across all shards.
-func (c *Collector) Counter(name string) int64 {
-	c.mu.Lock()
-	shards := append([]*Shard(nil), c.shards...)
-	c.mu.Unlock()
-	var total int64
-	for _, s := range shards {
-		total += s.Counter(name)
-	}
-	return total
-}
-
-// Timed runs f and records its duration under op.
-func (c *Collector) Timed(op string, f func()) {
-	t0 := time.Now()
-	f()
-	c.def.Op(op).ObserveSince(t0)
-}
 
 // OpStats summarizes the latency profile of one operation type.
 type OpStats struct {
@@ -341,11 +309,6 @@ func (c *Collector) Snapshot() Result {
 		r.MOPS = float64(archOps) / elapsed.Seconds() / 1e6
 	}
 	return r
-}
-
-// String renders a compact single-line summary.
-func (r Result) String() string {
-	return fmt.Sprintf("%s: %.0f ops/s in %v", r.Name, r.Throughput, r.Elapsed.Round(time.Millisecond))
 }
 
 // EnergyModel estimates energy use of a run from wall time, CPU-active time

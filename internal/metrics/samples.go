@@ -167,13 +167,6 @@ func (c *Collector) enableSampling(capacity int, start time.Time, now func() tim
 	}
 }
 
-// SamplingEnabled reports whether EnableSampling has been called.
-func (c *Collector) SamplingEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sampling != nil
-}
-
 // sampleKey merges streams for the same operation label across shards of the
 // same level (user vs substrate), mirroring how drainLatencies folds
 // histograms.

@@ -47,9 +47,6 @@ func (r OpRef) ObserveSince(start time.Time) {
 	}
 }
 
-// Valid reports whether observations through the ref are recorded anywhere.
-func (r OpRef) Valid() bool { return r.cell != nil }
-
 // Histogram returns a snapshot of the latencies observed through this ref's
 // cell — the same histogram Collector.Snapshot folds into the label's row.
 // It is empty for the zero ref and for a label never observed.
@@ -235,16 +232,6 @@ func (s *Shard) counterSlow(counter string) *atomic.Int64 {
 	next[counter] = c
 	s.counters.Store(&next)
 	return c
-}
-
-// Counter returns the shard-local value of a counter.
-func (s *Shard) Counter(name string) int64 {
-	if m := s.counters.Load(); m != nil {
-		if c, ok := (*m)[name]; ok {
-			return c.Load()
-		}
-	}
-	return 0
 }
 
 // drainLatencies folds the histograms of the shard's observed labels into

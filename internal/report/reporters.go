@@ -72,20 +72,15 @@ func (s style) titled(w io.Writer, title string, headers []string, rows [][]stri
 
 // JSONReporter exports the full outcome — normalized spec, step trace,
 // per-workload results with repetitions, summary and probes — as JSON.
-type JSONReporter struct {
-	// Compact disables indentation.
-	Compact bool
-}
+type JSONReporter struct{}
 
 // Format implements scenario.Reporter.
 func (JSONReporter) Format() string { return "json" }
 
 // Report implements scenario.Reporter.
-func (r JSONReporter) Report(w io.Writer, o *scenario.Outcome) error {
+func (JSONReporter) Report(w io.Writer, o *scenario.Outcome) error {
 	enc := json.NewEncoder(w)
-	if !r.Compact {
-		enc.SetIndent("", "  ")
-	}
+	enc.SetIndent("", "  ")
 	if err := enc.Encode(o); err != nil {
 		return fmt.Errorf("report: json: %w", err)
 	}

@@ -140,11 +140,6 @@ func refOf(r *Run) RunRef {
 	}
 }
 
-// Quantile returns the q-quantile of the series' sample values in
-// nanoseconds (exact, from the raw stream — not a bucketed estimate).
-// Zero for an empty series.
-func (s *Series) Quantile(q float64) int64 { return quantileOf(s.sortedValues(), q) }
-
 // sortedValues returns a copy of the series' sample values in ascending order.
 func (s *Series) sortedValues() []int64 {
 	vals := make([]int64, len(s.Samples))

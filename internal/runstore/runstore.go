@@ -231,16 +231,6 @@ func (r *Run) findSeriesKey(workload, op string, substrate bool) *Series {
 	return nil
 }
 
-// FindSeries returns the series for (workload, op), or nil.
-func (r *Run) FindSeries(workload, op string) *Series {
-	for i := range r.Series {
-		if r.Series[i].Workload == workload && r.Series[i].Op == op {
-			return &r.Series[i]
-		}
-	}
-	return nil
-}
-
 // Digest returns the hex SHA-256 of the run's canonical encoding — the
 // stable identity of the artifact's contents. Same meta and same logical
 // sample streams yield the same digest at any worker count.

@@ -181,16 +181,6 @@ func TestWriteReadFile(t *testing.T) {
 	}
 }
 
-func TestFindSeries(t *testing.T) {
-	run := sampleRun()
-	if s := run.FindSeries("micro.grep", "grep"); s == nil || len(s.Samples) != 400 {
-		t.Errorf("FindSeries(micro.grep, grep) = %+v", s)
-	}
-	if s := run.FindSeries("nope", "nope"); s != nil {
-		t.Errorf("FindSeries miss returned %+v", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	s := Series{}
 	for i := int64(1); i <= 100; i++ {
@@ -200,12 +190,12 @@ func TestQuantile(t *testing.T) {
 		q    float64
 		want int64
 	}{{0, 1}, {0.5, 50}, {0.95, 95}, {0.99, 99}, {1, 100}} {
-		if got := s.Quantile(tc.q); got != tc.want {
+		if got := quantileOf(s.sortedValues(), tc.q); got != tc.want {
 			t.Errorf("Quantile(%v) = %d, want %d", tc.q, got, tc.want)
 		}
 	}
 	empty := Series{}
-	if got := empty.Quantile(0.5); got != 0 {
+	if got := quantileOf(empty.sortedValues(), 0.5); got != 0 {
 		t.Errorf("empty Quantile = %d", got)
 	}
 }

@@ -134,16 +134,6 @@ func (r *Registry) Workloads() []workloads.Workload {
 	return out
 }
 
-// WorkloadNames returns the registered workload names, sorted.
-func (r *Registry) WorkloadNames() []string {
-	ws := r.Workloads()
-	names := make([]string, len(ws))
-	for i, w := range ws {
-		names[i] = w.Name()
-	}
-	return names
-}
-
 // Suites returns every registered suite in registration order.
 func (r *Registry) Suites() []suites.Suite {
 	r.mu.RLock()

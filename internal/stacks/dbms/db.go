@@ -8,12 +8,11 @@ package dbms
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/data"
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/stacks"
 )
 
 // DB is a named collection of tables. All public methods are safe for
@@ -49,14 +48,6 @@ func (db *DB) Instrument(c *metrics.Collector) *DB {
 	return db
 }
 
-// Name implements stacks.Stack.
-func (db *DB) Name() string { return "bdbench-dbms" }
-
-// Type implements stacks.Stack.
-func (db *DB) Type() stacks.Type { return stacks.TypeDBMS }
-
-var _ stacks.Stack = (*DB)(nil)
-
 // CreateTable registers an empty table with the schema.
 func (db *DB) CreateTable(schema data.Schema) error {
 	if schema.Name == "" {
@@ -86,18 +77,6 @@ func (db *DB) DropTable(name string) error {
 	}
 	delete(db.tables, name)
 	return nil
-}
-
-// Tables returns the table names in sorted order.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (db *DB) table(name string) (*table, error) {
@@ -180,26 +159,6 @@ func valueKey(v data.Value) string {
 	return fmt.Sprintf("%d:%s", v.Kind(), v.String())
 }
 
-// NumRows returns the table's row count.
-func (db *DB) NumRows(name string) (int, error) {
-	t, err := db.table(name)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows), nil
-}
-
-// Schema returns the table's schema.
-func (db *DB) Schema(name string) (data.Schema, error) {
-	t, err := db.table(name)
-	if err != nil {
-		return data.Schema{}, err
-	}
-	return t.schema, nil
-}
-
 // UpdateWhere sets the given columns on every row matching the predicates
 // and returns the number of rows changed. Indexes on changed columns are
 // maintained.
@@ -238,7 +197,7 @@ func (db *DB) UpdateWhere(name string, preds []Pred, set map[string]data.Value) 
 			col := t.schema.Cols[ci].Name
 			if idx, ok := t.indexes[col]; ok {
 				old := valueKey(row[ci])
-				idx[old] = removeRowID(idx[old], ri)
+				idx[old] = slices.DeleteFunc(idx[old], func(id int) bool { return id == ri })
 				idx[valueKey(v)] = append(idx[valueKey(v)], ri)
 			}
 			next[ci] = v
@@ -284,13 +243,4 @@ func (db *DB) DeleteWhere(name string, preds []Pred) (int, error) {
 		}
 	}
 	return deleted, nil
-}
-
-func removeRowID(ids []int, target int) []int {
-	for i, id := range ids {
-		if id == target {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
 }

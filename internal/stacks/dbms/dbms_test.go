@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/data"
-	"github.com/bdbench/bdbench/internal/stacks"
 )
 
 func usersSchema() data.Schema {
@@ -58,6 +57,15 @@ func TestCreateDropErrors(t *testing.T) {
 	}
 }
 
+func countRows(t *testing.T, db *DB, table string) int64 {
+	t.Helper()
+	out, err := db.Query("SELECT COUNT(*) FROM " + table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Rows[0][0].Int()
+}
+
 func TestInsertValidation(t *testing.T) {
 	db := loadUsers(t)
 	if err := db.Insert("users", data.Row{data.Int(9)}); err == nil {
@@ -66,9 +74,8 @@ func TestInsertValidation(t *testing.T) {
 	if err := db.Insert("missing", data.Row{}); err == nil {
 		t.Fatal("missing table accepted")
 	}
-	n, err := db.NumRows("users")
-	if err != nil || n != 5 {
-		t.Fatalf("rows %d err %v", n, err)
+	if n := countRows(t, db, "users"); n != 5 {
+		t.Fatalf("rows %d", n)
 	}
 }
 
@@ -383,8 +390,7 @@ func TestDeleteWhere(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("delete n=%d err=%v", n, err)
 	}
-	rows, _ := db.NumRows("users")
-	if rows != 3 {
+	if rows := countRows(t, db, "users"); rows != 3 {
 		t.Fatalf("rows after delete %d", rows)
 	}
 	// Index rebuilt correctly.
@@ -407,12 +413,11 @@ func TestLoadFromGeneratedTable(t *testing.T) {
 	if err := db.Load(src); err != nil { // second load appends
 		t.Fatal(err)
 	}
-	n, _ := db.NumRows("users")
-	if n != 2 {
+	if n := countRows(t, db, "users"); n != 2 {
 		t.Fatalf("rows %d", n)
 	}
-	if got := db.Tables(); len(got) != 1 || got[0] != "users" {
-		t.Fatalf("tables %v", got)
+	if len(db.tables) != 1 {
+		t.Fatalf("tables %v", db.tables)
 	}
 }
 
@@ -480,12 +485,5 @@ func TestExecuteErrors(t *testing.T) {
 		if _, err := db.Query(sql); err == nil {
 			t.Fatalf("accepted bad query: %q", sql)
 		}
-	}
-}
-
-func TestStackInterface(t *testing.T) {
-	db := Open()
-	if db.Name() == "" || db.Type() != stacks.TypeDBMS {
-		t.Fatal("stack identity wrong")
 	}
 }

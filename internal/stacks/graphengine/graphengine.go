@@ -7,13 +7,10 @@ package graphengine
 
 import (
 	"fmt"
-	"math"
 	"sync"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/stacks"
 )
 
 // Context is the API a vertex program uses during Compute. Each worker owns
@@ -39,9 +36,6 @@ type outMsg struct {
 
 // Superstep returns the current superstep number (0-based).
 func (c *Context) Superstep() int { return c.superstep }
-
-// NumVertices returns the graph's vertex count.
-func (c *Context) NumVertices() int64 { return c.numVerts }
 
 // Send delivers a message to dst at the next superstep.
 func (c *Context) Send(dst int64, val float64) {
@@ -74,15 +68,12 @@ type Program interface {
 	// messages and vote to halt. msgs is in the order Engine.Run documents
 	// and belongs to the engine: it is valid until Compute returns.
 	Compute(v *Vertex, msgs []float64, ctx *Context)
-	// Name identifies the program.
-	Name() string
 }
 
 // Result reports an engine run.
 type Result struct {
 	Supersteps   int
 	MessagesSent int64
-	Wall         time.Duration
 	Values       []float64
 	Halted       bool // true if all vertices halted before MaxSupersteps
 }
@@ -109,14 +100,6 @@ func (e *Engine) Instrument(rec *metrics.Collector) *Engine {
 	e.rec = rec
 	return e
 }
-
-// Name implements stacks.Stack.
-func (e *Engine) Name() string { return "bdbench-graphengine" }
-
-// Type implements stacks.Stack.
-func (e *Engine) Type() stacks.Type { return stacks.TypeGraph }
-
-var _ stacks.Stack = (*Engine)(nil)
 
 // worker is one BSP worker and, between two compute phases, the destination
 // partition of the same vertex range [lo, hi): it computes those vertices,
@@ -171,7 +154,6 @@ func (e *Engine) Run(g *graphgen.Graph, prog Program, maxSupersteps int) (Result
 		prog.Init(&verts[i])
 	}
 	halted := make([]bool, n)
-	start := time.Now()
 
 	nw := e.workers
 	stride := nw + bucketPad
@@ -236,7 +218,6 @@ func (e *Engine) Run(g *graphgen.Graph, prog Program, maxSupersteps int) (Result
 			break
 		}
 	}
-	res.Wall = time.Since(start)
 	res.Values = make([]float64, n)
 	for i := range verts {
 		res.Values[i] = verts[i].Value
@@ -302,7 +283,8 @@ func (wk *worker) gather(column [][]outMsg, stride int) {
 }
 
 // growInbox is gather's cold path. It at least doubles, so that a program
-// whose frontier widens step by step (SSSP) does not reallocate every time.
+// whose frontier widens step by step (a shortest-path search) does not
+// reallocate every time.
 func (wk *worker) growInbox(total int) {
 	wk.buf = make([]float64, max(total, 2*cap(wk.buf)))
 }
@@ -312,9 +294,6 @@ func (wk *worker) growInbox(total int) {
 type PageRank struct {
 	Damping float64 // default 0.85
 }
-
-// Name implements Program.
-func (p PageRank) Name() string { return "pagerank" }
 
 // Init implements Program.
 func (p PageRank) Init(v *Vertex) { v.Value = 1 }
@@ -351,9 +330,6 @@ func (p PageRank) Compute(v *Vertex, msgs []float64, ctx *Context) {
 // carry reverse edges; bdbench workloads add them).
 type ConnectedComponents struct{}
 
-// Name implements Program.
-func (ConnectedComponents) Name() string { return "connected-components" }
-
 // Init implements Program.
 func (ConnectedComponents) Init(v *Vertex) { v.Value = float64(v.ID) }
 
@@ -374,47 +350,8 @@ func (ConnectedComponents) Compute(v *Vertex, msgs []float64, ctx *Context) {
 	ctx.VoteToHalt()
 }
 
-// SSSP computes single-source shortest hop counts from Source; unreached
-// vertices end at +Inf.
-type SSSP struct {
-	Source int64
-}
-
-// Name implements Program.
-func (s SSSP) Name() string { return "sssp" }
-
-// Init implements Program.
-func (s SSSP) Init(v *Vertex) {
-	if v.ID == s.Source {
-		v.Value = 0
-	} else {
-		v.Value = math.Inf(1)
-	}
-}
-
-// Compute implements Program.
-func (s SSSP) Compute(v *Vertex, msgs []float64, ctx *Context) {
-	best := v.Value
-	for _, m := range msgs {
-		if m < best {
-			best = m
-		}
-	}
-	changed := best < v.Value
-	if ctx.Superstep() == 0 && v.ID == s.Source {
-		changed = true
-	}
-	if changed {
-		v.Value = best
-		for _, dst := range v.Out {
-			ctx.Send(dst, v.Value+1)
-		}
-	}
-	ctx.VoteToHalt()
-}
-
-// Undirected returns a copy of g with reverse edges added, which CC and
-// SSSP need to treat the graph as undirected.
+// Undirected returns a copy of g with reverse edges added, which CC needs
+// to treat the graph as undirected.
 func Undirected(g *graphgen.Graph) *graphgen.Graph {
 	out := &graphgen.Graph{N: g.N, Edges: make([]graphgen.Edge, 0, 2*len(g.Edges))}
 	out.Edges = append(out.Edges, g.Edges...)

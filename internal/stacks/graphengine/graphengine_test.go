@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
-	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -186,17 +185,5 @@ func TestUndirectedDoublesEdges(t *testing.T) {
 	u := Undirected(g)
 	if len(u.Edges) != 2*len(g.Edges) {
 		t.Fatalf("edges %d, want %d", len(u.Edges), 2*len(g.Edges))
-	}
-}
-
-func TestStackInterfaceAndNames(t *testing.T) {
-	e := New(0)
-	if e.Name() == "" || e.Type() != stacks.TypeGraph {
-		t.Fatal("stack identity wrong")
-	}
-	for _, p := range []Program{PageRank{}, ConnectedComponents{}, SSSP{}} {
-		if p.Name() == "" {
-			t.Fatalf("%T empty name", p)
-		}
 	}
 }

@@ -92,7 +92,6 @@ func referenceRun(workers int, g *graphgen.Graph, prog Program, maxSupersteps in
 // of an inbox changes the bits.
 type gossip struct{}
 
-func (gossip) Name() string   { return "gossip" }
 func (gossip) Init(v *Vertex) { v.Value = 1 / float64(v.ID+3) }
 func (gossip) Compute(v *Vertex, msgs []float64, ctx *Context) {
 	for i, m := range msgs {
@@ -102,11 +101,48 @@ func (gossip) Compute(v *Vertex, msgs []float64, ctx *Context) {
 		ctx.VoteToHalt()
 		return
 	}
-	n := ctx.NumVertices()
+	n := ctx.numVerts
 	dst := (v.ID*7 + int64(ctx.Superstep())) % n
 	ctx.Send(dst, v.Value)
 	ctx.Send(n-1-dst, v.Value/3)
 	ctx.Send(dst, v.Value/7)
+}
+
+// SSSP computes single-source shortest hop counts from Source; unreached
+// vertices end at +Inf. Its frontier widens step by step, which is the
+// inbox-growth case of the exchange.
+type SSSP struct {
+	Source int64
+}
+
+// Init implements Program.
+func (s SSSP) Init(v *Vertex) {
+	if v.ID == s.Source {
+		v.Value = 0
+	} else {
+		v.Value = math.Inf(1)
+	}
+}
+
+// Compute implements Program.
+func (s SSSP) Compute(v *Vertex, msgs []float64, ctx *Context) {
+	best := v.Value
+	for _, m := range msgs {
+		if m < best {
+			best = m
+		}
+	}
+	changed := best < v.Value
+	if ctx.Superstep() == 0 && v.ID == s.Source {
+		changed = true
+	}
+	if changed {
+		v.Value = best
+		for _, dst := range v.Out {
+			ctx.Send(dst, v.Value+1)
+		}
+	}
+	ctx.VoteToHalt()
 }
 
 // stray is gossip with out-of-range destinations in superstep 1: vertex 2
@@ -118,10 +154,10 @@ func (s stray) Compute(v *Vertex, msgs []float64, ctx *Context) {
 	if ctx.Superstep() == 1 {
 		switch v.ID {
 		case 2:
-			ctx.Send(ctx.NumVertices(), 1)
+			ctx.Send(ctx.numVerts, 1)
 			ctx.Send(-4, 1)
-		case ctx.NumVertices() - 1:
-			ctx.Send(ctx.NumVertices()+5, 1)
+		case ctx.numVerts - 1:
+			ctx.Send(ctx.numVerts+5, 1)
 		}
 	}
 }
@@ -147,7 +183,7 @@ func TestRunMatchesReferenceExchange(t *testing.T) {
 	for _, gr := range graphs {
 		for _, pr := range programs {
 			for _, workers := range []int{1, 2, 3, 8, 16} {
-				name := fmt.Sprintf("%s/%s/w%d", gr.name, pr.prog.Name(), workers)
+				name := fmt.Sprintf("%s/%T/w%d", gr.name, pr.prog, workers)
 				want, wantErr := referenceRun(workers, gr.g, pr.prog, pr.steps)
 				got, err := New(workers).Run(gr.g, pr.prog, pr.steps)
 				if _, isStray := pr.prog.(stray); isStray != (wantErr != nil) {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -94,17 +93,6 @@ func (e *Engine) Instrument(rec *metrics.Collector) *Engine {
 	e.rec = rec
 	return e
 }
-
-// Name implements stacks.Stack.
-func (e *Engine) Name() string { return "bdbench-mapreduce" }
-
-// Type implements stacks.Stack.
-func (e *Engine) Type() stacks.Type { return stacks.TypeMapReduce }
-
-// Workers returns the configured parallelism.
-func (e *Engine) Workers() int { return e.workers }
-
-var _ stacks.Stack = (*Engine)(nil)
 
 // Run executes the job over the input and returns the output records plus
 // run statistics. The output concatenates the reduce partitions in partition

@@ -11,7 +11,6 @@ import (
 	"unsafe"
 
 	"github.com/bdbench/bdbench/internal/raceflag"
-	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -233,19 +232,8 @@ func TestSampleSplitsDegenerate(t *testing.T) {
 	}
 }
 
-func TestStackInterface(t *testing.T) {
-	e := New(2)
-	if e.Name() == "" || e.Type() != stacks.TypeMapReduce {
-		t.Fatal("stack identity wrong")
-	}
-	if e.Workers() != 2 {
-		t.Fatal("workers accessor wrong")
-	}
-	var _ stacks.Stack = e
-}
-
 func TestWorkerClamp(t *testing.T) {
-	if New(0).Workers() != 1 {
+	if New(0).workers != 1 {
 		t.Fatal("workers should clamp to 1")
 	}
 }

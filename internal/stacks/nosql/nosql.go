@@ -15,7 +15,6 @@ import (
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -68,14 +67,6 @@ func Open(partitions int, seed uint64) *Store {
 	}
 	return s
 }
-
-// Name implements stacks.Stack.
-func (s *Store) Name() string { return "bdbench-nosql" }
-
-// Type implements stacks.Stack.
-func (s *Store) Type() stacks.Type { return stacks.TypeNoSQL }
-
-var _ stacks.Stack = (*Store)(nil)
 
 // Instrument attaches a collector (nil detaches) and returns the store.
 // Each partition mints a private substrate shard from c and binds its

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -196,13 +195,6 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-func TestStackInterface(t *testing.T) {
-	s := Open(2, 1)
-	if s.Name() == "" || s.Type() != stacks.TypeNoSQL {
-		t.Fatal("stack identity wrong")
 	}
 }
 

@@ -17,11 +17,3 @@ const (
 	TypeStreaming Type = "streaming" // windowed stream dataflow
 	TypeGraph     Type = "graph"     // Pregel-style BSP graph engine
 )
-
-// Stack is implemented by every substrate.
-type Stack interface {
-	// Name returns the concrete engine name (e.g. "bdbench-mapreduce").
-	Name() string
-	// Type returns the stack's taxonomy class.
-	Type() Type
-}

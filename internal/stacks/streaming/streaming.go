@@ -14,7 +14,6 @@ import (
 
 	"github.com/bdbench/bdbench/internal/datagen/streamgen"
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/stacks"
 )
 
 // Msg is the engine's dataflow record: keyed, valued, event-timed.
@@ -55,25 +54,6 @@ func (s MapStage) Run(in <-chan Msg, out chan<- Msg) {
 	defer close(out)
 	for m := range in {
 		out <- s.Fn(m)
-	}
-}
-
-// FilterStage drops messages failing the predicate.
-type FilterStage struct {
-	Label string
-	Pred  func(Msg) bool
-}
-
-// Name implements Stage.
-func (s FilterStage) Name() string { return "filter:" + s.Label }
-
-// Run implements Stage.
-func (s FilterStage) Run(in <-chan Msg, out chan<- Msg) {
-	defer close(out)
-	for m := range in {
-		if s.Pred(m) {
-			out <- m
-		}
 	}
 }
 
@@ -220,19 +200,10 @@ func (e *Engine) Instrument(rec *metrics.Collector) *Engine {
 	return e
 }
 
-// Name implements stacks.Stack.
-func (e *Engine) Name() string { return "bdbench-streaming" }
-
-// Type implements stacks.Stack.
-func (e *Engine) Type() stacks.Type { return stacks.TypeStreaming }
-
-var _ stacks.Stack = (*Engine)(nil)
-
 // Result reports a pipeline run.
 type Result struct {
 	In        int64
 	Out       []Msg
-	Wall      time.Duration
 	Processed int64
 	// Rate is input messages per second of wall time — the processing
 	// speed to compare against the arrival rate.
@@ -280,7 +251,6 @@ func (e *Engine) Run(events []streamgen.Event, stages ...Stage) Result {
 	r := Result{
 		In:        int64(len(events)),
 		Out:       collected,
-		Wall:      wall,
 		Processed: atomic.LoadInt64(&processed),
 	}
 	if wall > 0 {

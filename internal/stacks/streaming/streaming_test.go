@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen/streamgen"
-	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -17,7 +16,7 @@ func eventsAt(keys []string, times []time.Duration) []streamgen.Event {
 	return out
 }
 
-func TestMapAndFilter(t *testing.T) {
+func TestMapStage(t *testing.T) {
 	e := New(16)
 	events := eventsAt(
 		[]string{"a", "b", "a", "c"},
@@ -25,13 +24,12 @@ func TestMapAndFilter(t *testing.T) {
 	)
 	res := e.Run(events,
 		MapStage{Label: "x10", Fn: func(m Msg) Msg { m.Value *= 10; return m }},
-		FilterStage{Label: "only-a", Pred: func(m Msg) bool { return m.Key == "a" }},
 	)
-	if len(res.Out) != 2 {
-		t.Fatalf("out %d, want 2", len(res.Out))
+	if len(res.Out) != 4 {
+		t.Fatalf("out %d, want 4", len(res.Out))
 	}
 	for _, m := range res.Out {
-		if m.Key != "a" || m.Value != 10 {
+		if m.Value != 10 {
 			t.Fatalf("msg %+v", m)
 		}
 	}
@@ -152,17 +150,9 @@ func TestWindowDefaults(t *testing.T) {
 	}
 }
 
-func TestStackInterface(t *testing.T) {
-	e := New(1)
-	if e.Name() == "" || e.Type() != stacks.TypeStreaming {
-		t.Fatal("stack identity wrong")
-	}
-}
-
 func TestStageNames(t *testing.T) {
 	stages := []Stage{
 		MapStage{Label: "m"},
-		FilterStage{Label: "f"},
 		TumblingWindow{},
 		SlidingWindow{},
 	}

@@ -68,10 +68,7 @@ func NewAlias(weights []float64) *Alias {
 	return a
 }
 
-// N returns the number of categories.
-func (a *Alias) N() int { return a.n }
-
-// Sample draws a category index in [0, N).
+// Sample draws a category index in [0, n).
 func (a *Alias) Sample(g *RNG) int {
 	i := g.IntN(a.n)
 	if g.Float64() < a.prob[i] {
@@ -84,20 +81,13 @@ func (a *Alias) Sample(g *RNG) int {
 // table. It adapts Alias to the IntSampler interface used by key choosers.
 type Categorical struct {
 	alias *Alias
-	label string
 }
 
 // NewCategorical builds an IntSampler that draws index i with probability
 // proportional to weights[i].
-func NewCategorical(label string, weights []float64) *Categorical {
-	return &Categorical{alias: NewAlias(weights), label: label}
+func NewCategorical(weights []float64) *Categorical {
+	return &Categorical{alias: NewAlias(weights)}
 }
 
 // Next implements IntSampler.
 func (c *Categorical) Next(g *RNG) int64 { return int64(c.alias.Sample(g)) }
-
-// N implements IntSampler.
-func (c *Categorical) N() int64 { return int64(c.alias.N()) }
-
-// Name implements IntSampler.
-func (c *Categorical) Name() string { return fmt.Sprintf("categorical(%s,%d)", c.label, c.alias.N()) }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -13,10 +12,6 @@ import (
 type Distribution interface {
 	// Sample draws one variate using g.
 	Sample(g *RNG) float64
-	// Mean returns the theoretical mean (NaN if undefined).
-	Mean() float64
-	// Name returns a short human-readable identifier such as "zipf(1.1)".
-	Name() string
 }
 
 // Uniform is the continuous uniform distribution on [Min, Max).
@@ -26,12 +21,6 @@ type Uniform struct {
 
 // Sample implements Distribution.
 func (u Uniform) Sample(g *RNG) float64 { return u.Min + g.Float64()*(u.Max-u.Min) }
-
-// Mean implements Distribution.
-func (u Uniform) Mean() float64 { return (u.Min + u.Max) / 2 }
-
-// Name implements Distribution.
-func (u Uniform) Name() string { return fmt.Sprintf("uniform[%g,%g)", u.Min, u.Max) }
 
 // Pareto is the Pareto (power-law) distribution with scale Xm and shape Alpha.
 type Pareto struct {
@@ -46,17 +35,6 @@ func (p Pareto) Sample(g *RNG) float64 {
 	}
 	return p.Xm / math.Pow(u, 1/p.Alpha)
 }
-
-// Mean implements Distribution.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.NaN()
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
-// Name implements Distribution.
-func (p Pareto) Name() string { return fmt.Sprintf("pareto(%g,%g)", p.Xm, p.Alpha) }
 
 // Poisson is the Poisson distribution with mean Lambda. Sampling uses
 // Knuth's product method for small lambda and a normal approximation with
@@ -89,22 +67,12 @@ func (p Poisson) Sample(g *RNG) float64 {
 	}
 }
 
-// Mean implements Distribution.
-func (p Poisson) Mean() float64 { return p.Lambda }
-
-// Name implements Distribution.
-func (p Poisson) Name() string { return fmt.Sprintf("poisson(%g)", p.Lambda) }
-
-// IntSampler draws integer variates in [0, N). It is the interface used by
-// key choosers (which item does the next OLTP request touch?) and categorical
-// column generators.
+// IntSampler draws integer variates in [0, n), n being the size of the
+// sampler's domain. It is the interface used by key choosers (which item does
+// the next OLTP request touch?) and categorical column generators.
 type IntSampler interface {
-	// Next draws the next integer in [0, N).
+	// Next draws the next integer of the domain.
 	Next(g *RNG) int64
-	// N returns the size of the domain.
-	N() int64
-	// Name returns a short identifier.
-	Name() string
 }
 
 // UniformInt samples uniformly from [0, Count).
@@ -114,12 +82,6 @@ type UniformInt struct {
 
 // Next implements IntSampler.
 func (u UniformInt) Next(g *RNG) int64 { return g.Int64N(u.Count) }
-
-// N implements IntSampler.
-func (u UniformInt) N() int64 { return u.Count }
-
-// Name implements IntSampler.
-func (u UniformInt) Name() string { return fmt.Sprintf("uniformint(%d)", u.Count) }
 
 // Zipf samples ranks from a zipfian distribution over [0, Count): rank r is
 // drawn with probability proportional to 1/(r+1)^S. It is the canonical
@@ -142,12 +104,6 @@ func (z Zipf) Next(g *RNG) int64 {
 	return int64(zs.next(g))
 }
 
-// N implements IntSampler.
-func (z Zipf) N() int64 { return z.Count }
-
-// Name implements IntSampler.
-func (z Zipf) Name() string { return fmt.Sprintf("zipf(%d,s=%g)", z.Count, z.S) }
-
 // ScrambledZipf is YCSB's "scrambled zipfian": zipf-distributed popularity
 // ranks scattered across the item space with a bit mixer, so hot items are
 // spread uniformly over the key range instead of clustered at low ids.
@@ -161,12 +117,6 @@ func (z ScrambledZipf) Next(g *RNG) int64 {
 	rank := Zipf{Count: z.Count, S: z.S}.Next(g)
 	return int64(Mix64(uint64(rank)) % uint64(z.Count))
 }
-
-// N implements IntSampler.
-func (z ScrambledZipf) N() int64 { return z.Count }
-
-// Name implements IntSampler.
-func (z ScrambledZipf) Name() string { return fmt.Sprintf("scrambledzipf(%d,s=%g)", z.Count, z.S) }
 
 // Latest is YCSB's "latest" distribution: recently inserted items are most
 // popular. Max is a pointer so the hot end tracks ongoing inserts; it is
@@ -185,12 +135,6 @@ func (l Latest) Next(g *RNG) int64 {
 	off := Zipf{Count: n, S: l.S}.Next(g)
 	return n - 1 - off
 }
-
-// N implements IntSampler.
-func (l Latest) N() int64 { return atomic.LoadInt64(l.Max) }
-
-// Name implements IntSampler.
-func (l Latest) Name() string { return "latest" }
 
 // zipfState implements the rejection-inversion zipf sampler (Hörmann &
 // Derflinger), mirroring math/rand's Zipf but driven by our RNG so that

@@ -36,15 +36,9 @@ func TestParetoSamplesAboveScale(t *testing.T) {
 		}
 	}
 	m := sampleMean(d, 500000, 5)
-	want := d.Mean()
+	want := d.Alpha * d.Xm / (d.Alpha - 1)
 	if math.Abs(m-want)/want > 0.05 {
 		t.Fatalf("pareto mean %.3f, want ~%.3f", m, want)
-	}
-}
-
-func TestParetoMeanUndefined(t *testing.T) {
-	if !math.IsNaN((Pareto{Xm: 1, Alpha: 0.9}).Mean()) {
-		t.Fatal("pareto mean should be NaN for alpha <= 1")
 	}
 }
 
@@ -146,7 +140,7 @@ func TestZipfDrawsDoNotAllocate(t *testing.T) {
 	} {
 		allocs := testing.AllocsPerRun(1000, func() { s.Next(g) })
 		if allocs != 0 && !raceflag.Enabled {
-			t.Errorf("%s: %.1f allocs per draw, want 0", s.Name(), allocs)
+			t.Errorf("%T: %.1f allocs per draw, want 0", s, allocs)
 		}
 	}
 }
@@ -236,25 +230,5 @@ func TestQuickZipfInRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDistributionNames(t *testing.T) {
-	cases := []struct {
-		name string
-		d    interface{ Name() string }
-	}{
-		{"uniform", Uniform{0, 1}},
-		{"pareto", Pareto{1, 2}},
-		{"poisson", Poisson{1}},
-		{"uniformint", UniformInt{5}},
-		{"zipf", Zipf{5, 1.1}},
-		{"scrambledzipf", ScrambledZipf{5, 1.1}},
-		{"categorical", NewCategorical("c", []float64{1, 2})},
-	}
-	for _, c := range cases {
-		if c.d.Name() == "" {
-			t.Fatalf("%s: empty Name()", c.name)
-		}
 	}
 }

@@ -222,20 +222,6 @@ func bucketValue(i int) time.Duration {
 	return time.Duration(m<<uint(r)) * time.Microsecond
 }
 
-// Observe records one duration.
-func (l *LatencyHistogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	us := uint64(d / time.Microsecond)
-	l.counts[bucketIndex(us)]++
-	l.total++
-	l.sum += d
-	if d > l.max {
-		l.max = d
-	}
-}
-
 // Count returns the number of recorded durations.
 func (l *LatencyHistogram) Count() uint64 { return l.total }
 

@@ -147,15 +147,24 @@ func TestAlignedProbabilities(t *testing.T) {
 	}
 }
 
+// observed is the LatencyHistogram production reads: a drained
+// AtomicLatencyHistogram.
+func observed(ds ...time.Duration) *LatencyHistogram {
+	var a AtomicLatencyHistogram
+	for _, d := range ds {
+		a.Observe(d)
+	}
+	return a.Snapshot()
+}
+
 func TestLatencyHistogramQuantiles(t *testing.T) {
-	var l LatencyHistogram
 	durations := make([]time.Duration, 0, 1000)
 	g := NewRNG(5)
 	for i := 0; i < 1000; i++ {
 		d := time.Duration(g.IntN(10000)) * time.Microsecond
 		durations = append(durations, d)
-		l.Observe(d)
 	}
+	l := observed(durations...)
 	sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
 	exact := durations[500]
 	got := l.Quantile(0.5)
@@ -173,7 +182,6 @@ func TestLatencyHistogramQuantiles(t *testing.T) {
 }
 
 func TestLatencyHistogramWideRange(t *testing.T) {
-	var l LatencyHistogram
 	inputs := []time.Duration{
 		0,
 		time.Microsecond,
@@ -182,9 +190,7 @@ func TestLatencyHistogramWideRange(t *testing.T) {
 		time.Minute,
 		30 * time.Minute,
 	}
-	for _, d := range inputs {
-		l.Observe(d)
-	}
+	l := observed(inputs...)
 	if l.Count() != uint64(len(inputs)) {
 		t.Fatalf("count %d", l.Count())
 	}
@@ -197,18 +203,15 @@ func TestLatencyHistogramWideRange(t *testing.T) {
 }
 
 func TestLatencyHistogramNegativeClamped(t *testing.T) {
-	var l LatencyHistogram
-	l.Observe(-time.Second)
+	l := observed(-time.Second)
 	if l.Count() != 1 || l.Quantile(1) != 0 {
 		t.Fatal("negative duration should clamp to zero")
 	}
 }
 
 func TestLatencyHistogramMerge(t *testing.T) {
-	var a, b LatencyHistogram
-	a.Observe(time.Millisecond)
-	b.Observe(2 * time.Millisecond)
-	a.Merge(&b)
+	a, b := observed(time.Millisecond), observed(2*time.Millisecond)
+	a.Merge(b)
 	if a.Count() != 2 {
 		t.Fatalf("merged count %d, want 2", a.Count())
 	}
@@ -218,10 +221,11 @@ func TestLatencyHistogramMerge(t *testing.T) {
 }
 
 func TestLatencyHistogramMeanAccuracy(t *testing.T) {
-	var l LatencyHistogram
+	var a AtomicLatencyHistogram
 	for i := 1; i <= 100; i++ {
-		l.Observe(time.Duration(i) * time.Millisecond)
+		a.Observe(time.Duration(i) * time.Millisecond)
 	}
+	l := a.Snapshot()
 	want := 50500 * time.Microsecond
 	if got := l.Mean(); got != want {
 		t.Fatalf("mean %v, want %v (mean is exact, not bucketed)", got, want)
@@ -231,15 +235,16 @@ func TestLatencyHistogramMeanAccuracy(t *testing.T) {
 func TestQuickLatencyQuantileBounded(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := NewRNG(seed)
-		var l LatencyHistogram
+		var a AtomicLatencyHistogram
 		var maxSeen time.Duration
 		for i := 0; i < 200; i++ {
 			d := time.Duration(g.IntN(1<<20)) * time.Microsecond
 			if d > maxSeen {
 				maxSeen = d
 			}
-			l.Observe(d)
+			a.Observe(d)
 		}
+		l := a.Snapshot()
 		return l.Quantile(1.0) <= maxSeen && l.Quantile(0) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

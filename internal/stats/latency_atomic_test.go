@@ -11,8 +11,7 @@ import (
 // exactly the counts/sum/max a sequential baseline produces.
 func TestAtomicLatencyMatchesSequential(t *testing.T) {
 	const writers, perWriter = 8, 2000
-	var concurrent AtomicLatencyHistogram
-	var baseline LatencyHistogram
+	var concurrent, sequential AtomicLatencyHistogram
 	durations := make([][]time.Duration, writers)
 	for w := range durations {
 		g := NewRNG(uint64(100 + w))
@@ -34,10 +33,10 @@ func TestAtomicLatencyMatchesSequential(t *testing.T) {
 	wg.Wait()
 	for _, ds := range durations {
 		for _, d := range ds {
-			baseline.Observe(d)
+			sequential.Observe(d)
 		}
 	}
-	snap := concurrent.Snapshot()
+	snap, baseline := concurrent.Snapshot(), sequential.Snapshot()
 	if snap.Count() != baseline.Count() {
 		t.Fatalf("count %d, want %d", snap.Count(), baseline.Count())
 	}
@@ -58,16 +57,17 @@ func TestAtomicLatencyMatchesSequential(t *testing.T) {
 // quantiles exactly versus observing everything into one histogram.
 func TestLatencyMergeInvariants(t *testing.T) {
 	g := NewRNG(7)
-	var whole LatencyHistogram
+	var all AtomicLatencyHistogram
 	parts := make([]*AtomicLatencyHistogram, 4)
 	for i := range parts {
 		parts[i] = &AtomicLatencyHistogram{}
 	}
 	for i := 0; i < 5000; i++ {
 		d := time.Duration(g.IntN(1<<24)) * time.Microsecond
-		whole.Observe(d)
+		all.Observe(d)
 		parts[i%len(parts)].Observe(d)
 	}
+	whole := all.Snapshot()
 	var merged LatencyHistogram
 	for _, p := range parts {
 		merged.Merge(p.Snapshot())

@@ -78,15 +78,8 @@ func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
-
-// Rand exposes the underlying math/rand/v2 generator for callers that need
-// to interoperate with stdlib helpers (e.g. rand.NewZipf).
-func (g *RNG) Rand() *rand.Rand { return g.r }
 
 // Letters are the lowercase characters used by random word/key generators.
 const Letters = "abcdefghijklmnopqrstuvwxyz"

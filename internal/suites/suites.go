@@ -200,7 +200,7 @@ func MeasureTextVeracity(app TextApproach, seed uint64) (VeracityScores, error) 
 		weights := textgen.WordDistribution(raw, vocab)
 		candidate = textgen.RandomText{
 			Dictionary: vocab.Words(),
-			Sampler:    stats.NewCategorical("unigram", weights),
+			Sampler:    stats.NewCategorical(weights),
 		}.Generate(stats.NewRNG(seed+3), docs, meanLen)
 	case TextLDA:
 		lda := textgen.NewLDA(4, 0, 0)

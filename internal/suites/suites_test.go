@@ -206,9 +206,21 @@ func TestEveryDistinctWorkloadRuns(t *testing.T) {
 	}
 }
 
+// suiteTasks flattens a suite's workload inventory into engine tasks, one
+// per runner, in row order.
+func suiteTasks(s Suite, p workloads.Params) []engine.Task {
+	var tasks []engine.Task
+	for _, row := range s.Rows {
+		for _, w := range row.Runners {
+			tasks = append(tasks, engine.Task{Workload: w, Category: row.Category, Params: p})
+		}
+	}
+	return tasks
+}
+
 func TestSuiteTasksCollectResults(t *testing.T) {
 	gridmix := mustSuite(t, "GridMix")
-	results := engine.Run(context.Background(), gridmix.Tasks(workloads.Params{Seed: 7, Scale: 1, Workers: 2}), engine.Config{})
+	results := engine.Run(context.Background(), suiteTasks(gridmix, workloads.Params{Seed: 7, Scale: 1, Workers: 2}), engine.Config{})
 	if len(results) != 2 {
 		t.Fatalf("results %d", len(results))
 	}
@@ -251,8 +263,8 @@ func newCollector(name string) *metrics.Collector { return metrics.NewCollector(
 func TestSuiteTasksDeterministicAcrossWorkers(t *testing.T) {
 	suite := mustSuite(t, "CloudSuite")
 	p := workloads.Params{Seed: 42, Scale: 1, Workers: 2}
-	sequential := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 1})
-	parallel := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 8})
+	sequential := engine.Run(context.Background(), suiteTasks(suite, p), engine.Config{Workers: 1})
+	parallel := engine.Run(context.Background(), suiteTasks(suite, p), engine.Config{Workers: 8})
 	if len(sequential) != len(parallel) || len(sequential) == 0 {
 		t.Fatalf("result lengths: %d vs %d", len(sequential), len(parallel))
 	}
@@ -290,7 +302,7 @@ func TestSuiteTasksDeterministicAcrossWorkers(t *testing.T) {
 func TestSuiteTasksReps(t *testing.T) {
 	suite := mustSuite(t, "GridMix")
 	p := workloads.Params{Seed: 7, Scale: 1, Workers: 2}
-	results := engine.Run(context.Background(), suite.Tasks(p), engine.Config{Workers: 2, Reps: 3, Warmup: 1})
+	results := engine.Run(context.Background(), suiteTasks(suite, p), engine.Config{Workers: 2, Reps: 3, Warmup: 1})
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Workload, r.Err)

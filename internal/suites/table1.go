@@ -1,12 +1,12 @@
 package suites
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
-	"github.com/bdbench/bdbench/internal/datagen"
 	"github.com/bdbench/bdbench/internal/datagen/streamgen"
 	"github.com/bdbench/bdbench/internal/datagen/veracity"
 	"github.com/bdbench/bdbench/internal/stats"
@@ -87,14 +87,16 @@ func ProbeVelocity(s Suite) (VelocityClass, VelocityEvidence, error) {
 	}
 	if s.Velocity.Rate {
 		low, hi := 5000.0, 20000.0
-		measure := func(rate float64, n int) (float64, error) {
-			bucket := datagen.NewTokenBucket(rate, rate/100+1)
-			probe := datagen.NewRateProbe()
-			for i := 0; i < n; i++ {
-				bucket.Take(1)
-				probe.Add(1)
-			}
-			return probe.Rate(), nil
+		// The rate-paced generator itself is what is measured: n events
+		// through streamgen.Generator.Run, drained as they are emitted.
+		measure := func(rate float64, n int64) (float64, error) {
+			events := make(chan streamgen.Event)
+			go func() {
+				for range events {
+				}
+			}()
+			ctx := context.Background() //bdvet:allow ctxbg -- the probe has no caller context; n bounds the run at a quarter second
+			return streamgen.Generator{EventsPerSec: rate, Arrival: streamgen.ArrivalConstant}.Run(ctx, stats.NewRNG(12345), n, events)
 		}
 		var err error
 		ev.RateLowTarget, ev.RateHiTarget = low, hi

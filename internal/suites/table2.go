@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/bdbench/bdbench/internal/engine"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -90,18 +89,6 @@ func CompareTable2ToPaper(rows []Table2Row) []string {
 		}
 	}
 	return diffs
-}
-
-// Tasks flattens the suite's workload inventory into engine tasks, one per
-// runner, preserving row order.
-func (s Suite) Tasks(p workloads.Params) []engine.Task {
-	var tasks []engine.Task
-	for _, row := range s.Rows {
-		for _, w := range row.Runners {
-			tasks = append(tasks, engine.Task{Workload: w, Category: row.Category, Params: p})
-		}
-	}
-	return tasks
 }
 
 // FormatTable2 renders the derived table as aligned text.

@@ -1,7 +1,6 @@
 package testgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -108,11 +107,6 @@ func (p Prescription) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Marshal renders the prescription as JSON.
-func (p Prescription) Marshal() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
 }
 
 // Find fetches a built-in prescription by name.

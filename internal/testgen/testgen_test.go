@@ -169,7 +169,7 @@ func TestPrescriptionValidate(t *testing.T) {
 
 func TestPrescriptionJSONRoundTrip(t *testing.T) {
 	for _, p := range prescriptions {
-		raw, err := p.Marshal()
+		raw, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestIterativePatternStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iters := c.Counter("iterations")
+	iters := c.Snapshot().Counters["iterations"]
 	// select is idempotent, so exactly 2 iterations: one that shrinks,
 	// one that observes stability.
 	if iters != 2 {
@@ -311,7 +311,7 @@ func TestPipelineTrace(t *testing.T) {
 		if err := w.Run(context.Background(), workloads.Params{Workers: 2}, c); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Counter("records"); got != 1 {
+		if got := c.Snapshot().Counters["records"]; got != 1 {
 			t.Fatalf("%s: %d records, want the one count row", w.Name(), got)
 		}
 	}
@@ -401,7 +401,7 @@ func TestBindFunctionalView(t *testing.T) {
 				if err := w.Run(context.Background(), workloads.Params{Seed: 7, Scale: 2, Workers: 2}, c); err != nil {
 					t.Fatalf("%s: %v", w.Name(), err)
 				}
-				if got := c.Counter("records"); want < 0 {
+				if got := c.Snapshot().Counters["records"]; want < 0 {
 					want = got
 				} else if got != want {
 					t.Fatalf("%s run %d: %d records, other stacks and runs produced %d", w.Name(), rep, got, want)
@@ -438,7 +438,7 @@ func TestBoundTestStopsWhenCancelled(t *testing.T) {
 	if err := w.Run(context.Background(), workloads.Params{}, full); err != nil {
 		t.Fatal(err)
 	}
-	if steps := full.Counter("operations"); steps < 2 {
+	if steps := full.Snapshot().Counters["operations"]; steps < 2 {
 		t.Fatalf("uncancelled run took %d steps; the test needs a second step to cut", steps)
 	}
 
@@ -452,7 +452,7 @@ func TestBoundTestStopsWhenCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
-	if steps := c.Counter("operations"); steps != 1 {
+	if steps := c.Snapshot().Counters["operations"]; steps != 1 {
 		t.Fatalf("%d steps ran after the cancel point, want exactly the one before it", steps)
 	}
 	for i := 0; runtime.NumGoroutine() > before; i++ {

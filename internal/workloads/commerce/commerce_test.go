@@ -18,7 +18,7 @@ func TestCollaborativeFiltering(t *testing.T) {
 	if err := (CollaborativeFiltering{}).Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Counter("records") == 0 {
+	if c.Snapshot().Counters["records"] == 0 {
 		t.Fatal("no ratings recorded")
 	}
 }
@@ -28,8 +28,8 @@ func TestNaiveBayesAccuracy(t *testing.T) {
 	if err := (NaiveBayes{}).Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Counter("accuracy_pct") < 80 {
-		t.Fatalf("accuracy %d%%", c.Counter("accuracy_pct"))
+	if c.Snapshot().Counters["accuracy_pct"] < 80 {
+		t.Fatalf("accuracy %d%%", c.Snapshot().Counters["accuracy_pct"])
 	}
 }
 

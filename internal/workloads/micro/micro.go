@@ -137,10 +137,10 @@ func sumReducer(key string, values []string, emit func(k, v string)) {
 }
 
 // Grep filters lines matching a fixed pattern (map-only job).
-type Grep struct {
-	// Pattern defaults to "data".
-	Pattern string
-}
+type Grep struct{}
+
+// grepPattern is the substring Grep keeps lines for.
+const grepPattern = "data"
 
 // Name implements workloads.Workload.
 func (Grep) Name() string { return "grep" }
@@ -155,12 +155,8 @@ func (Grep) Domain() string { return "micro" }
 func (Grep) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
 
 // Run implements workloads.Workload.
-func (g Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+func (Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	p = p.WithDefaults()
-	pattern := g.Pattern
-	if pattern == "" {
-		pattern = "data"
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -169,7 +165,7 @@ func (g Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector)
 	job := mapreduce.Job{
 		Name: "grep",
 		Map: func(k, v string, emit func(k, v string)) {
-			if strings.Contains(v, pattern) {
+			if strings.Contains(v, grepPattern) {
 				emit(k, v)
 			}
 		},
@@ -183,7 +179,7 @@ func (g Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector)
 	c.Add("records", int64(len(input)))
 	c.Add("matches", int64(len(out)))
 	for _, kv := range out {
-		if !strings.Contains(kv.Value, pattern) {
+		if !strings.Contains(kv.Value, grepPattern) {
 			return fmt.Errorf("grep: non-matching line %q in output", kv.Value)
 		}
 	}

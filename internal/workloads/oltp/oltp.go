@@ -43,11 +43,15 @@ type CoreWorkload struct {
 	Label       string
 	Mix         Mix
 	Dist        Distribution
-	FieldCount  int // fields per record (default 10)
-	FieldLen    int // bytes per field (default 100)
-	MaxScanLen  int // default 100
 	OpsPerScale int // operations per Scale unit (default 10000)
 }
+
+// The record shape and scan bound of every core workload (YCSB's defaults).
+const (
+	fieldCount = 10  // fields per record
+	fieldLen   = 100 // bytes per field
+	maxScanLen = 100
+)
 
 // The six standard workloads, with YCSB's canonical mixes.
 var (
@@ -78,15 +82,6 @@ func (CoreWorkload) Domain() string { return "cloud OLTP" }
 func (CoreWorkload) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeNoSQL} }
 
 func (w CoreWorkload) defaults() CoreWorkload {
-	if w.FieldCount <= 0 {
-		w.FieldCount = 10
-	}
-	if w.FieldLen <= 0 {
-		w.FieldLen = 100
-	}
-	if w.MaxScanLen <= 0 {
-		w.MaxScanLen = 100
-	}
 	if w.OpsPerScale <= 0 {
 		w.OpsPerScale = 10000
 	}
@@ -95,19 +90,18 @@ func (w CoreWorkload) defaults() CoreWorkload {
 
 func key(id int64) string { return fmt.Sprintf("user%012d", id) }
 
-func makeRecord(g *stats.RNG, fields, fieldLen int) nosql.Record {
-	rec := make(nosql.Record, fields)
-	for f := 0; f < fields; f++ {
+func makeRecord(g *stats.RNG) nosql.Record {
+	rec := make(nosql.Record, fieldCount)
+	for f := 0; f < fieldCount; f++ {
 		rec[fmt.Sprintf("field%d", f)] = g.RandomWord(fieldLen, fieldLen)
 	}
 	return rec
 }
 
 // Load populates the store with recordCount records.
-func (w CoreWorkload) Load(store *nosql.Store, g *stats.RNG, recordCount int64) {
-	w = w.defaults()
+func (CoreWorkload) Load(store *nosql.Store, g *stats.RNG, recordCount int64) {
 	for i := int64(0); i < recordCount; i++ {
-		store.Insert(key(i), makeRecord(g, w.FieldCount, w.FieldLen))
+		store.Insert(key(i), makeRecord(g))
 	}
 }
 
@@ -239,19 +233,19 @@ func (w CoreWorkload) doOne(store *nosql.Store, g *stats.RNG, chooser stats.IntS
 	case opRead:
 		_, err = store.Read(k, nil)
 	case opUpdate:
-		err = store.Update(k, nosql.Record{"field0": g.RandomWord(w.FieldLen, w.FieldLen)})
+		err = store.Update(k, nosql.Record{"field0": g.RandomWord(fieldLen, fieldLen)})
 	case opInsert:
-		rec := makeRecord(g, w.FieldCount, w.FieldLen)
+		rec := makeRecord(g)
 		run.insertMu.Lock()
 		next := atomic.LoadInt64(&run.insertCursor)
 		store.Insert(key(next), rec)
 		atomic.AddInt64(&run.insertCursor, 1)
 		run.insertMu.Unlock()
 	case opScan:
-		store.Scan(k, 1+g.IntN(w.MaxScanLen))
+		store.Scan(k, 1+g.IntN(maxScanLen))
 	case opRMW:
 		err = store.ReadModifyWrite(k, func(rec nosql.Record) nosql.Record {
-			rec["field0"] = g.RandomWord(w.FieldLen, w.FieldLen)
+			rec["field0"] = g.RandomWord(fieldLen, fieldLen)
 			return rec
 		})
 	}

@@ -53,7 +53,7 @@ func TestURLCount(t *testing.T) {
 	if err := (URLCount{}).Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Counter("records") == 0 {
+	if c.Snapshot().Counters["records"] == 0 {
 		t.Fatal("no log records processed")
 	}
 }

@@ -16,7 +16,7 @@ func TestInvertedIndex(t *testing.T) {
 	if err := (InvertedIndex{}).Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Counter("terms") == 0 {
+	if c.Snapshot().Counters["terms"] == 0 {
 		t.Fatal("no terms indexed")
 	}
 }
@@ -26,7 +26,7 @@ func TestPageRank(t *testing.T) {
 	if err := (PageRank{}).Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Counter("messages") == 0 || c.Counter("supersteps") == 0 {
+	if c.Snapshot().Counters["messages"] == 0 || c.Snapshot().Counters["supersteps"] == 0 {
 		t.Fatal("graph counters missing")
 	}
 }

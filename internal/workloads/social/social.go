@@ -67,10 +67,7 @@ func GenerateClusters(g *stats.RNG, n, k int) ([]Point, []Point) {
 // KMeans clusters points with Lloyd's algorithm, each iteration a
 // MapReduce job: map assigns points to the nearest centroid, reduce
 // averages each cluster.
-type KMeans struct {
-	// K defaults to 4, Iterations to 8.
-	K, Iterations int
-}
+type KMeans struct{}
 
 // Name implements workloads.Workload.
 func (KMeans) Name() string { return "kmeans" }
@@ -85,16 +82,12 @@ func (KMeans) Domain() string { return "social network" }
 func (KMeans) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
 
 // Run implements workloads.Workload.
-func (w KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+func (KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	p = p.WithDefaults()
-	k := w.K
-	if k <= 0 {
-		k = 4
-	}
-	iters := w.Iterations
-	if iters <= 0 {
-		iters = 8
-	}
+	const (
+		k     = 4 // clusters
+		iters = 8 // Lloyd iterations
+	)
 	g := stats.NewRNG(p.Seed)
 	t0gen := time.Now()
 	points, trueCenters := GenerateClusters(g, p.Scale*1000, k)

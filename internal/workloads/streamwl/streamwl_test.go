@@ -13,10 +13,10 @@ func TestWindowedCount(t *testing.T) {
 	if err := (WindowedCount{}).Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Counter("windows_emitted") == 0 {
+	if c.Snapshot().Counters["windows_emitted"] == 0 {
 		t.Fatal("no windows emitted")
 	}
-	if c.Counter("sustainable_x1000") == 0 {
+	if c.Snapshot().Counters["sustainable_x1000"] == 0 {
 		t.Fatal("no sustainability ratio recorded")
 	}
 }
@@ -26,7 +26,7 @@ func TestRollingAggregate(t *testing.T) {
 	if err := (RollingAggregate{}).Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 2}, c); err != nil {
 		t.Fatal(err)
 	}
-	if c.Counter("emissions") == 0 {
+	if c.Snapshot().Counters["emissions"] == 0 {
 		t.Fatal("no emissions")
 	}
 }

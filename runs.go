@@ -138,8 +138,3 @@ func FormatComparison(c *RunComparison, format string) (string, error) {
 // the identity under which runs are comparable like-for-like. Two artifacts
 // with equal Meta.SpecDigest ran the same scenario configuration.
 func SpecDigest(s Scenario) (string, error) { return scenario.SpecDigest(s) }
-
-// CompareQuantiles is the default quantile set CompareRuns judges
-// (p50/p95/p99) — exported so callers building custom CompareOptions can
-// extend rather than guess it.
-func CompareQuantiles() []float64 { return []float64{0.50, 0.95, 0.99} }

@@ -33,8 +33,6 @@ type (
 	PageRank = graphengine.PageRank
 	// ConnectedComponents labels vertices by component.
 	ConnectedComponents = graphengine.ConnectedComponents
-	// SSSP computes single-source shortest paths.
-	SSSP = graphengine.SSSP
 )
 
 // Undirected returns the graph with every edge mirrored.

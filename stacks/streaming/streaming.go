@@ -13,9 +13,6 @@ type Stage = streaming.Stage
 // MapStage applies a function per message.
 type MapStage = streaming.MapStage
 
-// FilterStage drops messages failing a predicate.
-type FilterStage = streaming.FilterStage
-
 // WindowAgg selects the windowed aggregate function.
 type WindowAgg = streaming.WindowAgg
 

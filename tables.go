@@ -4,12 +4,7 @@ package bdbench
 // of "On Big Data Benchmarking" and the Figure 2/3 process demonstrations
 // — so the CLI and external tooling need no internal imports.
 
-import (
-	"context"
-
-	"github.com/bdbench/bdbench/internal/suites"
-	"github.com/bdbench/bdbench/internal/testgen"
-)
+import "github.com/bdbench/bdbench/internal/suites"
 
 // Table1Row is one derived row of the paper's Table 1 (data generation
 // techniques), produced by capability probes over a suite emulation.
@@ -61,17 +56,4 @@ func TextDataGenProcess(seed uint64, docs, workers int) (*DataGenOutcome, error)
 // TableDataGenProcess runs the 4-step Figure 3 process for table data.
 func TableDataGenProcess(seed uint64, rows int64, workers int) (*DataGenOutcome, error) {
 	return suites.TableDataGenProcess(seed, rows, workers)
-}
-
-// AbstractPortabilityCheck runs one built-in prescription across all stack
-// executors and reports whether the functional view held (§3.3).
-func AbstractPortabilityCheck(workers int) (bool, error) {
-	p, err := testgen.Find("select-count")
-	if err != nil {
-		return false, err
-	}
-	if _, err := testgen.VerifyPortability(context.TODO(), p, workers); err != nil {
-		return false, err
-	}
-	return true, nil
 }
