@@ -12,22 +12,85 @@ package nosql
 import (
 	"errors"
 	"slices"
+	"strings"
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
-// Record is a field-name -> value document, YCSB's record model.
+// Record is a field-name -> value document, YCSB's record model: the form
+// callers write with. The store keeps a Row.
 type Record map[string]string
 
-// clone returns a deep copy; the store never aliases caller maps.
-func (r Record) clone() Record {
-	out := make(Record, len(r))
-	for k, v := range r {
-		out[k] = v
+// Field is one name/value pair of a Row.
+type Field struct{ Name, Value string }
+
+// Row is the stored form of a record: its fields in name order, in one
+// allocation, with no way to change it. Read and Scan hand out the stored
+// Row itself, which stays what it was whatever is written to its key later.
+type Row struct{ fields []Field }
+
+// byName orders fields by name.
+func byName(a, b Field) int { return strings.Compare(a.Name, b.Name) }
+
+// rowOf copies rec into a Row.
+func rowOf(rec Record) Row {
+	fields := make([]Field, 0, len(rec))
+	for name, value := range rec {
+		fields = append(fields, Field{name, value})
+	}
+	slices.SortFunc(fields, byName)
+	return Row{fields}
+}
+
+// find returns the index of name among the row's fields, or where it would
+// be inserted.
+func (r Row) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(r.fields, Field{Name: name}, byName)
+}
+
+// Get returns the value of the named field, "" when the row has none.
+//
+//bdbench:hotpath
+func (r Row) Get(name string) string {
+	if i, ok := r.find(name); ok {
+		return r.fields[i].Value
+	}
+	return ""
+}
+
+// with returns a new Row: r with the given fields merged over it. Replacing
+// values is one allocation; a name r does not have grows the copy.
+func (r Row) with(fields Record) Row {
+	out := Row{slices.Clone(r.fields)}
+	for name, value := range fields {
+		i, ok := out.find(name)
+		if !ok {
+			out.fields = slices.Insert(out.fields, i, Field{Name: name})
+		}
+		out.fields[i].Value = value
 	}
 	return out
+}
+
+// project returns a new Row of the named fields r has.
+func (r Row) project(names []string) Row {
+	out := make([]Field, 0, len(names))
+	for _, f := range r.fields {
+		if slices.Contains(names, f.Name) {
+			out = append(out, f)
+		}
+	}
+	return Row{out}
+}
+
+// fill empties rec and copies the row's fields into it.
+func (r Row) fill(rec Record) {
+	clear(rec)
+	for _, f := range r.fields {
+		rec[f.Name] = f.Value
+	}
 }
 
 // ErrNotFound is returned for reads/updates/deletes of absent keys.
@@ -41,14 +104,16 @@ type Store struct {
 
 // partition is one contention domain: an ordered list behind a lock.
 //
-// Invariant: a record map is never mutated once it is in the list. Insert,
-// Update and ReadModifyWrite all install a fresh map (skipList.set swaps the
-// node's reference), and nothing hands a stored map out. That is what lets
-// Scan pick up references under the read lock and clone them after
-// releasing it; TestStoredRecordsAreNeverMutated holds it.
+// A stored record is never mutated, and the Row type is what holds that:
+// Insert, Update and ReadModifyWrite install a new Row in the key's node, so
+// Read and Scan hand the stored Row out under the read lock without copying
+// it, and it may be held past the unlock. TestStoredRecordsAreNeverMutated
+// watches it.
 type partition struct {
 	mu   sync.RWMutex
 	list *skipList
+	// scratch is the map ReadModifyWrite lends its function, reused under mu.
+	scratch Record
 	// Store-level latency handles, zero (no-ops) until Instrument.
 	insertRef, readRef, updateRef, deleteRef, rmwRef metrics.OpRef
 }
@@ -63,7 +128,7 @@ func Open(partitions int, seed uint64) *Store {
 	s := &Store{parts: make([]*partition, partitions)}
 	base := stats.NewRNG(seed)
 	for i := range s.parts {
-		s.parts[i] = &partition{list: newSkipList(base.Split("partition", i))}
+		s.parts[i] = &partition{list: newSkipList(base.Split("partition", i)), scratch: Record{}}
 	}
 	return s
 }
@@ -91,44 +156,38 @@ func (s *Store) part(key string) *partition {
 	return s.parts[stats.FNV64(key)%uint64(len(s.parts))]
 }
 
-// Insert stores a full record under key, replacing any existing record.
+// Insert stores a copy of rec under key, replacing any existing record.
 func (s *Store) Insert(key string, rec Record) {
 	p := s.part(key)
 	t0 := p.insertRef.StartTimer()
+	row := rowOf(rec)
 	p.mu.Lock()
-	p.list.set(key, rec.clone())
+	p.list.set(key, row)
 	p.mu.Unlock()
 	p.insertRef.ObserveSince(t0)
 }
 
-// Read returns the record's requested fields (all when fields is nil).
-func (s *Store) Read(key string, fields []string) (Record, error) {
+// Read returns the stored record (fields nil), or a new Row of the requested
+// fields it has.
+//
+//bdbench:hotpath
+func (s *Store) Read(key string, fields []string) (Row, error) {
 	p := s.part(key)
 	t0 := p.readRef.StartTimer()
 	p.mu.RLock()
-	rec, ok := p.list.get(key)
-	if !ok {
+	node := p.list.find(key)
+	if node == nil {
 		p.mu.RUnlock()
 		p.readRef.ObserveSince(t0)
-		return nil, ErrNotFound
+		return Row{}, ErrNotFound
 	}
-	out := projectFields(rec, fields)
+	row := node.val
 	p.mu.RUnlock()
+	if fields != nil {
+		row = row.project(fields)
+	}
 	p.readRef.ObserveSince(t0)
-	return out, nil
-}
-
-func projectFields(rec Record, fields []string) Record {
-	if fields == nil {
-		return rec.clone()
-	}
-	out := make(Record, len(fields))
-	for _, f := range fields {
-		if v, ok := rec[f]; ok {
-			out[f] = v
-		}
-	}
-	return out
+	return row, nil
 }
 
 // Update merges the given fields into an existing record.
@@ -138,15 +197,11 @@ func (s *Store) Update(key string, fields Record) error {
 	defer p.updateRef.ObserveSince(t0)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rec, ok := p.list.get(key)
-	if !ok {
+	node := p.list.find(key)
+	if node == nil {
 		return ErrNotFound
 	}
-	merged := rec.clone()
-	for k, v := range fields {
-		merged[k] = v
-	}
-	p.list.set(key, merged)
+	node.val = node.val.with(fields)
 	return nil
 }
 
@@ -164,32 +219,34 @@ func (s *Store) Delete(key string) error {
 }
 
 // ReadModifyWrite reads the record, applies fn to a copy and writes the
-// result back atomically with respect to the key's partition.
+// result back atomically with respect to the key's partition. The map fn
+// receives is the partition's scratch, valid only during the call; what fn
+// returns is copied into the store.
 func (s *Store) ReadModifyWrite(key string, fn func(Record) Record) error {
 	p := s.part(key)
 	t0 := p.rmwRef.StartTimer()
 	defer p.rmwRef.ObserveSince(t0)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rec, ok := p.list.get(key)
-	if !ok {
+	node := p.list.find(key)
+	if node == nil {
 		return ErrNotFound
 	}
-	p.list.set(key, fn(rec.clone()).clone())
+	node.val.fill(p.scratch)
+	node.val = rowOf(fn(p.scratch))
 	return nil
 }
 
 // KV is a scan result element.
 type KV struct {
 	Key string
-	Rec Record
+	Rec Row
 }
 
 // Scan returns up to limit records with keys >= start, in global key order:
 // a k-way merge over the per-partition ordered lists. Each partition
-// contributes references to its first limit candidates under its own read
-// lock — no copies, which the partition invariant makes safe to hold past
-// the unlock — and only the limit winners of the merge are cloned.
+// contributes its first limit candidates under its own read lock, and the
+// limit winners of the merge are returned: stored rows, none copied.
 func (s *Store) Scan(start string, limit int) []KV {
 	if limit <= 0 {
 		return nil
@@ -199,13 +256,18 @@ func (s *Store) Scan(start string, limit int) []KV {
 	// Partition i's candidates are refs[runs[i].next:runs[i].end], in key order.
 	type run struct{ next, end int }
 	runs := make([]run, len(s.parts))
-	var refs []KV
+	room := 0 // all the partitions can add, however large limit is
+	for _, p := range s.parts {
+		p.mu.RLock()
+		room += min(limit, p.list.len())
+		p.mu.RUnlock()
+	}
+	refs := make([]KV, 0, room)
 	for i, p := range s.parts {
 		first := len(refs)
 		p.mu.RLock()
-		refs = slices.Grow(refs, min(limit, p.list.len())) // all it can add, however large limit is
-		p.list.scanFrom(start, func(key string, rec Record) bool {
-			refs = append(refs, KV{Key: key, Rec: rec})
+		p.list.scanFrom(start, func(key string, row Row) bool {
+			refs = append(refs, KV{Key: key, Rec: row})
 			return len(refs)-first < limit
 		})
 		p.mu.RUnlock()
@@ -222,9 +284,8 @@ func (s *Store) Scan(start string, limit int) []KV {
 				best = i
 			}
 		}
-		win := refs[runs[best].next]
+		out[o] = refs[runs[best].next]
 		runs[best].next++
-		out[o] = KV{Key: win.Key, Rec: win.Rec.clone()}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package nosql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func TestInsertReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec["f0"] != "a" || rec["f1"] != "b" {
+	if rec.Get("f0") != "a" || rec.Get("f1") != "b" || rec.Get("f2") != "" {
 		t.Fatalf("read %v", rec)
 	}
 	if _, err := s.Read("missing", nil); err != ErrNotFound {
@@ -28,23 +29,66 @@ func TestInsertReadRoundTrip(t *testing.T) {
 func TestReadProjection(t *testing.T) {
 	s := Open(2, 1)
 	s.Insert("k", Record{"a": "1", "b": "2", "c": "3"})
-	rec, err := s.Read("k", []string{"a", "c", "zz"})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		fields []string
+		want   []Field
+	}{
+		{[]string{"a", "c", "zz"}, []Field{{"a", "1"}, {"c", "3"}}},
+		{[]string{"c", "a"}, []Field{{"a", "1"}, {"c", "3"}}}, // name order, not the request's
+		{[]string{"b", "b"}, []Field{{"b", "2"}}},             // named twice, returned once
+		{[]string{"zz"}, []Field{}},                           // a field the record lacks
+		{[]string{}, []Field{}},                               // no field: not the same as nil
+		{nil, []Field{{"a", "1"}, {"b", "2"}, {"c", "3"}}},    // nil: the whole record
+		{[]string{"a", "b", "c", "a"}, []Field{{"a", "1"}, {"b", "2"}, {"c", "3"}}},
+	} {
+		rec, err := s.Read("k", tc.fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rec.fields, tc.want) {
+			t.Errorf("Read(k, %q) = %v, want %v", tc.fields, rec.fields, tc.want)
+		}
 	}
-	if len(rec) != 2 || rec["a"] != "1" || rec["c"] != "3" {
-		t.Fatalf("projection %v", rec)
+	if _, err := s.Read("missing", []string{"a"}); err != ErrNotFound {
+		t.Fatalf("projection of a missing key: err = %v", err)
 	}
 }
 
-func TestReadReturnsCopy(t *testing.T) {
+// TestReadRowSurvivesWrites: the Row a Read returned is the stored one, and
+// stays what it was through every kind of write to its key.
+func TestReadRowSurvivesWrites(t *testing.T) {
 	s := Open(2, 1)
-	s.Insert("k", Record{"a": "1"})
-	rec, _ := s.Read("k", nil)
-	rec["a"] = "mutated"
-	again, _ := s.Read("k", nil)
-	if again["a"] != "1" {
-		t.Fatal("store aliased caller map")
+	writes := map[string]func(k string){
+		"insert": func(k string) { s.Insert(k, Record{"a": "inserted"}) },
+		"update": func(k string) {
+			if err := s.Update(k, Record{"a": "updated", "b": "added"}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"rmw": func(k string) {
+			if err := s.ReadModifyWrite(k, func(r Record) Record { r["a"] = "rmw"; return r }); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"delete": func(k string) {
+			if err := s.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for k, write := range writes {
+		s.Insert(k, Record{"a": "1", "c": "3"})
+		rec, err := s.Read(k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		write(k)
+		if want := []Field{{"a", "1"}, {"c", "3"}}; !slices.Equal(rec.fields, want) {
+			t.Errorf("after %s: the row read before it is %v, want %v", k, rec.fields, want)
+		}
+		if again, err := s.Read(k, nil); err == nil && again.Get("a") == "1" {
+			t.Errorf("after %s: the store still reads the old value", k)
+		}
 	}
 }
 
@@ -53,8 +97,9 @@ func TestInsertClonesInput(t *testing.T) {
 	in := Record{"a": "1"}
 	s.Insert("k", in)
 	in["a"] = "mutated"
+	delete(in, "a")
 	got, _ := s.Read("k", nil)
-	if got["a"] != "1" {
+	if got.Get("a") != "1" {
 		t.Fatal("store aliased inserted map")
 	}
 }
@@ -66,8 +111,16 @@ func TestUpdateMergesFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := s.Read("k", nil)
-	if rec["a"] != "1" || rec["b"] != "20" || rec["c"] != "30" {
-		t.Fatalf("merged %v", rec)
+	if want := []Field{{"a", "1"}, {"b", "20"}, {"c", "30"}}; !slices.Equal(rec.fields, want) {
+		t.Fatalf("merged %v, want %v", rec.fields, want)
+	}
+	// New names land in name order wherever they fall: first, between, last.
+	if err := s.Update("k", Record{"bb": "5", "0": "4", "z": "6", "a": "10"}); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ = s.Read("k", nil)
+	if want := []Field{{"0", "4"}, {"a", "10"}, {"b", "20"}, {"bb", "5"}, {"c", "30"}, {"z", "6"}}; !slices.Equal(rec.fields, want) {
+		t.Fatalf("merged %v, want %v", rec.fields, want)
 	}
 	if err := s.Update("missing", Record{"x": "y"}); err != ErrNotFound {
 		t.Fatalf("update missing err = %v", err)
@@ -104,7 +157,7 @@ func TestReadModifyWrite(t *testing.T) {
 		}
 	}
 	rec, _ := s.Read("counter", nil)
-	if rec["n"] != "10" {
+	if rec.Get("n") != "10" {
 		t.Fatalf("rmw result %v", rec)
 	}
 	if err := s.ReadModifyWrite("missing", func(r Record) Record { return r }); err != ErrNotFound {
@@ -204,7 +257,7 @@ func TestSkipListOrderInvariant(t *testing.T) {
 		inserted := map[string]bool{}
 		for _, r := range raw {
 			key := fmt.Sprintf("k%05d", r)
-			l.set(key, Record{"v": "1"})
+			l.set(key, rowOf(Record{"v": "1"}))
 			inserted[key] = true
 		}
 		want := make([]string, 0, len(inserted))
@@ -213,7 +266,7 @@ func TestSkipListOrderInvariant(t *testing.T) {
 		}
 		sort.Strings(want)
 		var got []string
-		l.scanFrom("", func(k string, _ Record) bool {
+		l.scanFrom("", func(k string, _ Row) bool {
 			got = append(got, k)
 			return true
 		})
@@ -238,7 +291,7 @@ func TestSkipListDeleteInvariant(t *testing.T) {
 		model := map[string]bool{}
 		for _, k := range keys {
 			key := fmt.Sprintf("k%03d", k)
-			l.set(key, Record{})
+			l.set(key, Row{})
 			model[key] = true
 		}
 		for _, d := range dels {
@@ -254,7 +307,7 @@ func TestSkipListDeleteInvariant(t *testing.T) {
 			return false
 		}
 		for k := range model {
-			if _, ok := l.get(k); !ok {
+			if l.find(k) == nil {
 				return false
 			}
 		}

@@ -2,9 +2,9 @@ package nosql
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -13,7 +13,7 @@ import (
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
-// referenceScan is the scan this package had before the k-way merge: clone up
+// referenceScan is the scan this package had before the k-way merge: take up
 // to limit records from every partition, sort the union, truncate. It lives
 // on here only as the oracle the merge is checked against.
 func referenceScan(s *Store, start string, limit int) []KV {
@@ -24,8 +24,8 @@ func referenceScan(s *Store, start string, limit int) []KV {
 	for _, p := range s.parts {
 		p.mu.RLock()
 		taken := 0
-		p.list.scanFrom(start, func(key string, rec Record) bool {
-			all = append(all, KV{Key: key, Rec: rec.clone()})
+		p.list.scanFrom(start, func(key string, row Row) bool {
+			all = append(all, KV{Key: key, Rec: row})
 			taken++
 			return taken < limit
 		})
@@ -80,7 +80,7 @@ func TestScanMatchesReference(t *testing.T) {
 	}
 }
 
-// TestScanUnderConcurrentWrites: Scan carries record references across the
+// TestScanUnderConcurrentWrites: Scan carries stored rows across the
 // partition unlock while Insert, Update, ReadModifyWrite and Delete keep
 // replacing records — what `make race` watches. Every scan must still be in
 // strict key order within its range, and every record in it whole: writers
@@ -134,7 +134,7 @@ func TestScanUnderConcurrentWrites(t *testing.T) {
 					if kv.Key < start || (j > 0 && got[j-1].Key >= kv.Key) {
 						t.Errorf("Scan(%q, %d): key %q at %d out of order", start, limit, kv.Key, j)
 					}
-					if len(kv.Rec) != 2 || kv.Rec["a"] != kv.Rec["b"] {
+					if len(kv.Rec.fields) != 2 || kv.Rec.Get("a") != kv.Rec.Get("b") {
 						t.Errorf("Scan(%q, %d): torn record %v under %q", start, limit, kv.Rec, kv.Key)
 					}
 				}
@@ -146,56 +146,81 @@ func TestScanUnderConcurrentWrites(t *testing.T) {
 	writers.Wait()
 }
 
-// TestResultsDoNotAliasTheStore: what Read and Scan hand out is the
-// caller's to change; the store never sees it.
-func TestResultsDoNotAliasTheStore(t *testing.T) {
+// TestScannedRowsAndScratchDoNotAliasTheStore: the rows a Scan returned stay
+// what they were through later writes to their keys, and the scratch map a
+// ReadModifyWrite function kept past its call cannot change the store.
+func TestScannedRowsAndScratchDoNotAliasTheStore(t *testing.T) {
 	s := Open(3, 1)
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
 	for i := 0; i < 20; i++ {
-		s.Insert(fmt.Sprintf("k%02d", i), Record{"f": "stored"})
+		s.Insert(key(i), Record{"f": "stored"})
 	}
-	rec, err := s.Read("k03", nil)
-	if err != nil {
+	before := s.Scan("", 100)
+	var stashed []Record
+	for i := 0; i < 20; i++ {
+		var err error
+		switch i % 3 {
+		case 0:
+			err = s.Update(key(i), Record{"f": "written", "g": "added"})
+		case 1:
+			err = s.ReadModifyWrite(key(i), func(r Record) Record {
+				stashed = append(stashed, r)
+				r["f"] = "written"
+				return r
+			})
+		case 2:
+			err = s.Delete(key(i))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(before) != 20 {
+		t.Fatalf("%d records", len(before))
+	}
+	for _, kv := range before {
+		if want := []Field{{"f", "stored"}}; !slices.Equal(kv.Rec.fields, want) {
+			t.Fatalf("%s: a later write reached a scanned row: %v", kv.Key, kv.Rec.fields)
+		}
+	}
+	for _, r := range stashed {
+		r["f"] = "the function's map is not the stored row"
+		r["extra"] = "x"
+	}
+	for _, kv := range s.Scan("", 100) {
+		if got := kv.Rec.Get("f"); got != "written" || kv.Rec.Get("extra") != "" {
+			t.Fatalf("%s: a stashed scratch map reached the store: %v", kv.Key, kv.Rec.fields)
+		}
+	}
+	// The scratch is lent again: a function that returns a map of its own is
+	// copied out just the same.
+	own := Record{"f": "own"}
+	if err := s.ReadModifyWrite(key(0), func(Record) Record { return own }); err != nil {
 		t.Fatal(err)
 	}
-	rec["f"] = "mutated"
-	rec["extra"] = "x"
-	for _, kv := range s.Scan("", 100) {
-		kv.Rec["f"] = "mutated"
-		delete(kv.Rec, "f")
-		kv.Rec["extra"] = "x"
-	}
-	got := s.Scan("", 100)
-	if len(got) != 20 {
-		t.Fatalf("%d records", len(got))
-	}
-	for _, kv := range got {
-		if len(kv.Rec) != 1 || kv.Rec["f"] != "stored" {
-			t.Fatalf("%s: a caller's edit reached the store: %v", kv.Key, kv.Rec)
-		}
-		if r, _ := s.Read(kv.Key, nil); len(r) != 1 || r["f"] != "stored" {
-			t.Fatalf("%s: a caller's edit reached the store: %v", kv.Key, r)
-		}
+	own["f"] = "changed after the call"
+	if r, _ := s.Read(key(0), nil); r.Get("f") != "own" {
+		t.Fatalf("the map a function returned is aliased by the store: %v", r.fields)
 	}
 }
 
-// TestStoredRecordsAreNeverMutated holds the invariant Scan rests on (see
-// partition): a map that has been in the list is never written again. Take
-// the stored maps themselves, run every kind of write over their keys, and
-// they must read exactly as they did.
+// TestStoredRecordsAreNeverMutated holds the invariant Read and Scan rest on
+// (see partition): a row that has been in the list is never written again.
+// Take the stored rows themselves, run every kind of write over their keys,
+// and they must read exactly as they did.
 func TestStoredRecordsAreNeverMutated(t *testing.T) {
 	s := Open(3, 2)
 	caller := Record{"f0": "a", "f1": "b"}
-	held := map[string]Record{}
+	held := map[string]Row{}
 	for i := 0; i < 30; i++ {
 		k := fmt.Sprintf("k%02d", i)
 		s.Insert(k, caller)
-		p := s.part(k)
-		held[k], _ = p.list.get(k)
+		held[k] = s.part(k).list.find(k).val
 	}
 	caller["f0"] = "the caller's map is not the stored one"
-	was := map[string]Record{}
-	for k, rec := range held {
-		was[k] = maps.Clone(rec)
+	was := map[string][]Field{}
+	for k, row := range held {
+		was[k] = slices.Clone(row.fields)
 	}
 	for i := 0; i < 30; i++ {
 		k := fmt.Sprintf("k%02d", i)
@@ -216,21 +241,18 @@ func TestStoredRecordsAreNeverMutated(t *testing.T) {
 			}
 		}
 	}
-	for k, rec := range held {
-		if !maps.Equal(rec, was[k]) {
-			t.Fatalf("%s: the stored map was written in place: %v, was %v", k, rec, was[k])
+	for k, row := range held {
+		if !slices.Equal(row.fields, was[k]) {
+			t.Fatalf("%s: the stored row was written in place: %v, was %v", k, row.fields, was[k])
 		}
-		if now, ok := s.part(k).list.get(k); ok && reflect.ValueOf(now).Pointer() == reflect.ValueOf(rec).Pointer() {
-			t.Fatalf("%s: a write left the old map installed", k)
+		if node := s.part(k).list.find(k); node != nil && &node.val.fields[0] == &row.fields[0] {
+			t.Fatalf("%s: a write left the old row installed", k)
 		}
 	}
 }
 
-// TestScanClonesOnlyWinners prices a scan in record clones: the limit
-// winners, not limit candidates from every partition, plus a handful of
-// allocations for the gather and the result.
-func TestScanClonesOnlyWinners(t *testing.T) {
-	const limit = 50
+// ycsbShapedStore returns a four-partition store of 2 000 ten-field records.
+func ycsbShapedStore() *Store {
 	s := Open(4, 3)
 	rec := Record{}
 	for f := 0; f < 10; f++ {
@@ -239,15 +261,23 @@ func TestScanClonesOnlyWinners(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		s.Insert(fmt.Sprintf("user%06d", i), rec)
 	}
-	var kept Record // escapes, as a scanned record does
-	perClone := testing.AllocsPerRun(100, func() { kept = rec.clone() })
-	_ = kept
-	scan := testing.AllocsPerRun(100, func() { s.Scan("user000500", limit) })
-	if raceflag.Enabled {
-		t.Skipf("allocation counts not asserted under -race (measured %.0f)", scan)
+	return s
+}
+
+// TestScanCopiesNoRow: a scan hands out the stored rows themselves, so its
+// price is the gather and the result — three allocations whatever the limit.
+func TestScanCopiesNoRow(t *testing.T) {
+	s := ycsbShapedStore()
+	for _, kv := range s.Scan("user000500", 50) {
+		if stored := s.part(kv.Key).list.find(kv.Key).val; &kv.Rec.fields[0] != &stored.fields[0] {
+			t.Fatalf("%s: the scanned row is a copy of the stored one", kv.Key)
+		}
 	}
-	if max := limit*perClone + 8; scan > max {
-		t.Errorf("Scan of %d records: %.0f allocations, want at most %.0f (%.0f per clone)", limit, scan, max, perClone)
+	for _, limit := range []int{1, 50, 1000, math.MaxInt} {
+		scan := testing.AllocsPerRun(100, func() { s.Scan("user000500", limit) })
+		if scan > 3 && !raceflag.Enabled {
+			t.Errorf("Scan of %d records: %.0f allocations, want at most 3", limit, scan)
+		}
 	}
 }
 
@@ -256,7 +286,7 @@ func TestScanClonesOnlyWinners(t *testing.T) {
 // nothing and an insert allocates only its node.
 func TestSkipListWritesReuseTheirPath(t *testing.T) {
 	l := newSkipList(stats.NewRNG(4))
-	rec := Record{"f": "v"}
+	rec := rowOf(Record{"f": "v"})
 	for i := 0; i < 500; i++ {
 		l.set(fmt.Sprintf("k%04d", i), rec)
 	}
@@ -266,5 +296,33 @@ func TestSkipListWritesReuseTheirPath(t *testing.T) {
 	})
 	if allocs != 0 && !raceflag.Enabled {
 		t.Errorf("replace + missed delete: %.1f allocations, want 0", allocs)
+	}
+}
+
+// TestPointOperationAllocations prices the point operations on a
+// YCSB-shaped store: a read hands out the stored row, an update of existing
+// fields and a read-modify-write build one new row each.
+func TestPointOperationAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts not asserted under -race")
+	}
+	s := ycsbShapedStore()
+	fields := Record{"field0": "new", "field7": "new"}
+	for _, tc := range []struct {
+		name string
+		op   func()
+		max  float64
+	}{
+		{"Read", func() { _, _ = s.Read("user000700", nil) }, 0},
+		{"Read of a missing key", func() { _, _ = s.Read("absent", nil) }, 0},
+		{"Read of two fields", func() { _, _ = s.Read("user000700", []string{"field3", "field4"}) }, 1},
+		{"Update of existing fields", func() { _ = s.Update("user000700", fields) }, 1},
+		{"ReadModifyWrite", func() {
+			_ = s.ReadModifyWrite("user000700", func(r Record) Record { r["field0"] = "rmw"; return r })
+		}, 1},
+	} {
+		if got := testing.AllocsPerRun(200, tc.op); got > tc.max {
+			t.Errorf("%s: %.1f allocations, want at most %.0f", tc.name, got, tc.max)
+		}
 	}
 }

@@ -17,8 +17,11 @@ type skipList struct {
 
 type skipNode struct {
 	key  string
-	val  Record
+	val  Row
 	next []*skipNode
+	// tower is next's storage in a node of level <= 2 (15 nodes in 16), so
+	// such a node is one allocation.
+	tower [2]*skipNode
 }
 
 const maxLevel = 24
@@ -52,8 +55,10 @@ func (s *skipList) findPath(key string) *skipNode {
 	return x.next[0]
 }
 
-// get returns the record for key, if present.
-func (s *skipList) get(key string) (Record, bool) {
+// find returns key's node, nil when the list has none.
+//
+//bdbench:hotpath
+func (s *skipList) find(key string) *skipNode {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && x.next[i].key < key {
@@ -62,15 +67,13 @@ func (s *skipList) get(key string) (Record, bool) {
 	}
 	x = x.next[0]
 	if x != nil && x.key == key {
-		return x.val, true
+		return x
 	}
-	return nil, false
+	return nil
 }
 
 // set inserts or replaces key's record; it reports whether the key was new.
-// Replacing swaps the node's reference to val: the map that was there is
-// left as it was, for any Scan still holding it (see partition).
-func (s *skipList) set(key string, val Record) bool {
+func (s *skipList) set(key string, val Row) bool {
 	found := s.findPath(key)
 	if found != nil && found.key == key {
 		found.val = val
@@ -83,7 +86,12 @@ func (s *skipList) set(key string, val Record) bool {
 		}
 		s.level = lvl
 	}
-	node := &skipNode{key: key, val: val, next: make([]*skipNode, lvl)}
+	node := &skipNode{key: key, val: val}
+	if lvl <= len(node.tower) {
+		node.next = node.tower[:lvl]
+	} else {
+		node.next = make([]*skipNode, lvl)
+	}
 	for i := 0; i < lvl; i++ {
 		node.next[i] = s.path[i].next[i]
 		s.path[i].next[i] = node
@@ -111,7 +119,7 @@ func (s *skipList) del(key string) bool {
 }
 
 // scanFrom walks keys >= start in order, calling fn until it returns false.
-func (s *skipList) scanFrom(start string, fn func(key string, val Record) bool) {
+func (s *skipList) scanFrom(start string, fn func(key string, val Row) bool) {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && x.next[i].key < start {

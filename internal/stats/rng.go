@@ -86,6 +86,15 @@ const Letters = "abcdefghijklmnopqrstuvwxyz"
 
 // RandomWord returns a random lowercase word with length in [minLen, maxLen].
 func (g *RNG) RandomWord(minLen, maxLen int) string {
+	var b strings.Builder
+	g.WriteWord(&b, minLen, maxLen)
+	return b.String()
+}
+
+// WriteWord appends a random lowercase word with length in [minLen, maxLen]
+// to b. It grows b by at most that length, so into a builder already grown it
+// allocates nothing.
+func (g *RNG) WriteWord(b *strings.Builder, minLen, maxLen int) {
 	if minLen < 1 {
 		minLen = 1
 	}
@@ -96,10 +105,8 @@ func (g *RNG) RandomWord(minLen, maxLen int) string {
 	if maxLen > minLen {
 		n += g.IntN(maxLen - minLen + 1)
 	}
-	// One allocation, the word itself: letters are drawn into a stack chunk
-	// (a WriteByte per letter costs a tenth more time) and copied into a
-	// builder grown to the word's length up front.
-	var b strings.Builder
+	// Letters are drawn into a stack chunk (a WriteByte per letter costs a
+	// tenth more time) and copied into the builder, grown up front.
 	b.Grow(n)
 	var chunk [64]byte
 	for n > 0 {
@@ -110,15 +117,16 @@ func (g *RNG) RandomWord(minLen, maxLen int) string {
 		b.Write(chunk[:k])
 		n -= k
 	}
-	return b.String()
 }
 
 // FNV64 hashes s with FNV-1a; used wherever bdbench needs a stable,
 // seed-independent 64-bit hash of a string (key scattering, partitioning).
 func FNV64(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	h := uint64(14695981039346656037) // FNV-1a's 64-bit offset basis
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211 // and its prime
+	}
+	return h
 }
 
 // Mix64 is a strong 64-bit bit mixer (splitmix64 finalizer). It is used to

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"hash/fnv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +94,62 @@ func TestRandomWordSequencePinned(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, func() { g.RandomWord(n, n) }); allocs != 1 && !raceflag.Enabled {
 			t.Fatalf("RandomWord(%d, %d) allocates %v times, want 1", n, n, allocs)
 		}
+	}
+}
+
+// TestWriteWordIsRandomWord: words written into one builder are the words
+// RandomWord returns one by one — same bytes, same draws left in the stream —
+// at fixed and ranged lengths, and a builder grown beforehand is not grown.
+func TestWriteWordIsRandomWord(t *testing.T) {
+	for _, bounds := range [][2]int{{100, 100}, {3, 9}, {1, 1}, {60, 70}, {0, 0}, {5, 2}} {
+		a, b := NewRNG(2014), NewRNG(2014)
+		var words, written strings.Builder
+		for i := 0; i < 20; i++ {
+			words.WriteString(a.RandomWord(bounds[0], bounds[1]))
+			b.WriteWord(&written, bounds[0], bounds[1])
+		}
+		if words.String() != written.String() {
+			t.Fatalf("bounds %v: WriteWord wrote %q, RandomWord returned %q", bounds, written.String(), words.String())
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("bounds %v: the draw after the words differs: %d, %d", bounds, x, y)
+		}
+	}
+	g := NewRNG(7)
+	allocs := testing.AllocsPerRun(100, func() {
+		var b strings.Builder
+		b.Grow(1000)
+		for i := 0; i < 10; i++ {
+			g.WriteWord(&b, 100, 100)
+		}
+	})
+	if allocs != 1 && !raceflag.Enabled {
+		t.Fatalf("ten words into a grown builder: %v allocations, want 1 (the Grow)", allocs)
+	}
+}
+
+// TestFNV64MatchesHashFNV: the loop is hash/fnv's 64-bit FNV-1a, byte for
+// byte, so partition placement and every digest built on it hold.
+func TestFNV64MatchesHashFNV(t *testing.T) {
+	inputs := []string{"", "a", "user000000000042", "héllo wörld", "\x00\xff\xfe", string([]byte{0x80, 0, 0xc3, 0x28})}
+	g := NewRNG(3)
+	for n := 1; n <= 200; n++ {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(g.IntN(256))
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, s := range inputs {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(s))
+		if got, want := FNV64(s), h.Sum64(); got != want {
+			t.Fatalf("FNV64(%q) = %#x, hash/fnv says %#x", s, got, want)
+		}
+	}
+	long := strings.Repeat("k", 100)
+	if allocs := testing.AllocsPerRun(100, func() { FNV64(long) }); allocs != 0 && !raceflag.Enabled {
+		t.Fatalf("FNV64 of a 100-byte key allocates %v times", allocs)
 	}
 }
 

@@ -55,7 +55,7 @@ func Architecture() []Layer {
 			Name: "Execution Layer",
 			Role: "system configuration, format conversion, result analysis",
 			Components: []string{
-				"stacks/mapreduce, stacks/dbms, stacks/nosql, stacks/streaming, stacks/graphengine",
+				"stacks/mapreduce, stacks/dbms, stacks/streaming, stacks/graphengine, internal/stacks/nosql",
 				"internal/datagen/formats (CSV/TSV/JSONL table and edge-list writers)",
 				"report (analyzer and reporter)",
 			},

@@ -394,7 +394,7 @@ func (e *NoSQLExecutor) snapshot() Dataset {
 	kvs := e.store.Scan("", e.store.Size())
 	ds := make(Dataset, len(kvs))
 	for i, kv := range kvs {
-		ds[i] = Record{Key: kv.Key, Value: kv.Rec["v"]}
+		ds[i] = Record{Key: kv.Key, Value: kv.Rec.Get("v")}
 	}
 	return ds
 }
@@ -438,7 +438,7 @@ func (e *NoSQLExecutor) Exec(step Step) error {
 			if err != nil {
 				return err
 			}
-			e.rewrite(Dataset{{Key: step.Arg, Value: rec["v"]}})
+			e.rewrite(Dataset{{Key: step.Arg, Value: rec.Get("v")}})
 			return nil
 		case "put":
 			k, v, ok := strings.Cut(step.Arg, "=")

@@ -8,6 +8,7 @@ package oltp
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,20 +89,47 @@ func (w CoreWorkload) defaults() CoreWorkload {
 	return w
 }
 
-func key(id int64) string { return fmt.Sprintf("user%012d", id) }
-
-func makeRecord(g *stats.RNG) nosql.Record {
-	rec := make(nosql.Record, fieldCount)
-	for f := 0; f < fieldCount; f++ {
-		rec[fmt.Sprintf("field%d", f)] = g.RandomWord(fieldLen, fieldLen)
+// key writes id's key, "user" and twelve digits. Converted at a call that
+// does not keep the key (every store operation but Insert), string(k[:])
+// stays on the caller's stack.
+//
+//bdbench:hotpath
+func key(id int64) (k [16]byte) {
+	copy(k[:], "user")
+	for i := len(k) - 1; i >= 4; i-- {
+		k[i] = byte('0' + id%10)
+		id /= 10
 	}
-	return rec
+	return k
+}
+
+// fieldNames are the names of a record's fields.
+var fieldNames = [fieldCount]string{
+	"field0", "field1", "field2", "field3", "field4",
+	"field5", "field6", "field7", "field8", "field9",
+}
+
+// fillRecord draws a record's ten values into rec: one allocation, which the
+// values slice.
+func fillRecord(rec nosql.Record, g *stats.RNG) {
+	var b strings.Builder
+	b.Grow(fieldCount * fieldLen)
+	for range fieldNames {
+		g.WriteWord(&b, fieldLen, fieldLen)
+	}
+	values := b.String()
+	for f, name := range fieldNames {
+		rec[name] = values[f*fieldLen : (f+1)*fieldLen]
+	}
 }
 
 // Load populates the store with recordCount records.
 func (CoreWorkload) Load(store *nosql.Store, g *stats.RNG, recordCount int64) {
+	rec := make(nosql.Record, fieldCount) // Insert copies it
 	for i := int64(0); i < recordCount; i++ {
-		store.Insert(key(i), makeRecord(g))
+		k := key(i)
+		fillRecord(rec, g)
+		store.Insert(string(k[:]), rec)
 	}
 }
 
@@ -128,8 +156,13 @@ func (w CoreWorkload) Run(ctx context.Context, p workloads.Params, c *metrics.Co
 
 	run := &coreRun{insertCursor: recordCount}
 	var wg sync.WaitGroup
-	perClient := opCount / int64(p.Workers)
 	for cl := 0; cl < p.Workers; cl++ {
+		// The first opCount mod Workers clients run one operation more, so
+		// the clients' operations sum to opCount.
+		ops := opCount / int64(p.Workers)
+		if int64(cl) < opCount%int64(p.Workers) {
+			ops++
+		}
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
@@ -138,17 +171,19 @@ func (w CoreWorkload) Run(ctx context.Context, p workloads.Params, c *metrics.Co
 			// measurement path in bdbench and must neither serialize
 			// clients on a shared collector lock nor look a label up.
 			shard := c.Shard()
-			var refs [numOps]metrics.OpRef
-			for op, name := range opNames {
-				refs[op] = shard.Op(name)
+			self := client{
+				g:       stats.NewRNG(p.Seed).Split("client", cl),
+				chooser: w.chooser(&run.insertCursor, recordCount),
+				rec:     make(nosql.Record, fieldCount),
 			}
-			g := stats.NewRNG(p.Seed).Split("client", cl)
-			chooser := w.chooser(&run.insertCursor, recordCount)
-			for op := int64(0); op < perClient; op++ {
+			for op, name := range opNames {
+				self.refs[op] = shard.Op(name)
+			}
+			for op := int64(0); op < ops; op++ {
 				if op%64 == 0 && ctx.Err() != nil {
 					return
 				}
-				w.doOne(store, g, chooser, run, &refs)
+				w.doOne(store, run, &self)
 			}
 		}(cl)
 	}
@@ -179,6 +214,14 @@ type coreRun struct {
 	errCount     int64
 }
 
+// client is the private state of one closed-loop client.
+type client struct {
+	g       *stats.RNG
+	chooser stats.IntSampler
+	refs    [numOps]metrics.OpRef
+	rec     nosql.Record // what an insert fills; Store.Insert copies it
+}
+
 // chooser builds the key sampler for the workload's distribution. The
 // insertCursor pointer lets "latest" track concurrent inserts.
 func (w CoreWorkload) chooser(insertCursor *int64, recordCount int64) stats.IntSampler {
@@ -205,8 +248,8 @@ const (
 // opNames are the operation labels clients record under.
 var opNames = [numOps]string{"read", "update", "insert", "scan", "rmw"}
 
-func (w CoreWorkload) doOne(store *nosql.Store, g *stats.RNG, chooser stats.IntSampler,
-	run *coreRun, refs *[numOps]metrics.OpRef) {
+func (w CoreWorkload) doOne(store *nosql.Store, run *coreRun, cl *client) {
+	g := cl.g
 	u := g.Float64()
 	var op int
 	switch {
@@ -222,7 +265,7 @@ func (w CoreWorkload) doOne(store *nosql.Store, g *stats.RNG, chooser stats.IntS
 		op = opRMW
 	}
 	limit := atomic.LoadInt64(&run.insertCursor)
-	id := chooser.Next(g)
+	id := cl.chooser.Next(g)
 	if id >= limit {
 		id = limit - 1
 	}
@@ -231,25 +274,25 @@ func (w CoreWorkload) doOne(store *nosql.Store, g *stats.RNG, chooser stats.IntS
 	var err error
 	switch op {
 	case opRead:
-		_, err = store.Read(k, nil)
+		_, err = store.Read(string(k[:]), nil)
 	case opUpdate:
-		err = store.Update(k, nosql.Record{"field0": g.RandomWord(fieldLen, fieldLen)})
+		err = store.Update(string(k[:]), nosql.Record{"field0": g.RandomWord(fieldLen, fieldLen)})
 	case opInsert:
-		rec := makeRecord(g)
+		fillRecord(cl.rec, g)
 		run.insertMu.Lock()
-		next := atomic.LoadInt64(&run.insertCursor)
-		store.Insert(key(next), rec)
+		next := key(atomic.LoadInt64(&run.insertCursor))
+		store.Insert(string(next[:]), cl.rec)
 		atomic.AddInt64(&run.insertCursor, 1)
 		run.insertMu.Unlock()
 	case opScan:
-		store.Scan(k, 1+g.IntN(maxScanLen))
+		store.Scan(string(k[:]), 1+g.IntN(maxScanLen))
 	case opRMW:
-		err = store.ReadModifyWrite(k, func(rec nosql.Record) nosql.Record {
+		err = store.ReadModifyWrite(string(k[:]), func(rec nosql.Record) nosql.Record {
 			rec["field0"] = g.RandomWord(fieldLen, fieldLen)
 			return rec
 		})
 	}
-	refs[op].ObserveSince(t0)
+	cl.refs[op].ObserveSince(t0)
 	if err != nil {
 		atomic.AddInt64(&run.errCount, 1)
 	}
