@@ -58,8 +58,8 @@ func (constCorpus) Name() string { return "test-const" }
 
 func (constCorpus) Plan(scale int) []datagen.Chunk { return datagen.PlanChunks(int64(scale)*4, 2) }
 
-func (constCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
-	return []byte(strings.Repeat("x", int(c.Len()))), nil
+func (constCorpus) AppendChunk(dst []byte, g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+	return append(dst, strings.Repeat("x", int(c.Len()))...), nil
 }
 
 func TestRegisterDataGeneratorExtendsRegistry(t *testing.T) {

@@ -94,24 +94,33 @@ func (v Value) Str() string { return v.s }
 // Bool returns the boolean payload.
 func (v Value) Bool() bool { return v.i != 0 }
 
-// String renders the value for display and text formats.
+// String renders the value for display and text formats: AppendText's text
+// as a string.
 func (v Value) String() string {
+	if v.kind == KindString {
+		return v.s // its own text; no copy
+	}
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the value's text form to dst and returns the extended
+// slice. It is the one text format of a value; String and the text corpora
+// both write it.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	case KindString:
-		return v.s
+		return append(dst, v.s...)
 	case KindBool:
-		if v.i != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.i != 0)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 

@@ -83,17 +83,20 @@ func Generate[T any](seed uint64, plan []Chunk, workers int, gen func(g *stats.R
 }
 
 // Chunked is a corpus generator family that plans its output as independent
-// chunks: Plan decides the chunk boundaries for a scale, GenerateChunk
-// renders one chunk to bytes from an RNG the driver derives from the corpus
-// seed and the chunk index. Implementations must keep GenerateChunk free of
-// shared mutable state so chunks can run concurrently.
+// chunks: Plan decides the chunk boundaries for a scale, AppendChunk renders
+// one chunk from an RNG the driver derives from the corpus seed and the chunk
+// index. Implementations must keep AppendChunk free of shared mutable state
+// so chunks can run concurrently.
 type Chunked interface {
 	// Name identifies the generator family in the registry and the CLI.
 	Name() string
 	// Plan splits the corpus at the given scale into independent chunks.
 	Plan(scale int) []Chunk
-	// GenerateChunk renders chunk c of the corpus at the given scale.
-	GenerateChunk(g *stats.RNG, scale int, c Chunk) ([]byte, error)
+	// AppendChunk appends chunk c of the corpus at the given scale to dst and
+	// returns the extended slice. It leaves dst's existing bytes untouched,
+	// appends exactly what it would to a nil dst, and keeps no reference to
+	// dst: the driver reuses the buffer for a later chunk.
+	AppendChunk(dst []byte, g *stats.RNG, scale int, c Chunk) ([]byte, error)
 }
 
 // Stat reports one Build's shape and timing — the generation-cost evidence
@@ -131,28 +134,28 @@ func (s Stat) MBPerSec() float64 {
 // Build runs a Chunked generator's full plan on the worker pool (one worker
 // per CPU when workers <= 0) and returns the assembled corpus with its
 // Stat. The corpus bytes and digest depend only on (generator, seed, scale).
-// Callers that only need the Stat should use BuildStat, which skips the
-// corpus assembly copy.
+// Callers that only need the Stat should use BuildStat, which never holds
+// the corpus.
 func Build(cg Chunked, seed uint64, scale, workers int) ([]byte, Stat, error) {
-	parts, stat, err := buildParts(cg, seed, scale, workers)
+	parts, stat, err := buildParts(cg, seed, scale, workers, true)
 	if err != nil {
 		return nil, stat, err
 	}
 	return bytes.Join(parts, nil), stat, nil
 }
 
-// BuildStat is Build without materializing the assembled corpus: the chunk
-// parts are hashed and counted in plan order and then dropped, halving
-// peak memory for stat-only callers (the CLI, bdbench.DataGen).
+// BuildStat is Build without the corpus: it holds the chunks in flight and
+// those that finished ahead of an earlier one, never the whole corpus.
 func BuildStat(cg Chunked, seed uint64, scale, workers int) (Stat, error) {
-	_, stat, err := buildParts(cg, seed, scale, workers)
+	_, stat, err := buildParts(cg, seed, scale, workers, false)
 	return stat, err
 }
 
-// buildParts runs the plan and returns the per-chunk outputs along with
-// the completed Stat (digest and byte count are computed by streaming over
-// the parts in plan order, so they match the joined corpus exactly).
-func buildParts(cg Chunked, seed uint64, scale, workers int) ([][]byte, Stat, error) {
+// buildParts runs the plan and completes the Stat. Each chunk appends into a
+// buffer from a free list; whichever worker finishes chunk next hashes every
+// finished chunk from there on in plan order, outside the lock, and returns
+// their buffers to the list. With keep it returns a copy of every chunk.
+func buildParts(cg Chunked, seed uint64, scale, workers int, keep bool) ([][]byte, Stat, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -164,13 +167,51 @@ func buildParts(cg Chunked, seed uint64, scale, workers int) ([][]byte, Stat, er
 	for _, c := range plan {
 		items += c.Len()
 	}
+	var (
+		mu      sync.Mutex
+		free    [][]byte
+		ready   = make([][]byte, len(plan))
+		done    = make([]bool, len(plan))
+		next    int
+		hashing bool
+		parts   [][]byte
+		size    int64
+		h       = sha256.New()
+	)
 	t0 := time.Now() //bdvet:allow detnondet -- measures generation wall time for Stat.Elapsed; never feeds data bytes
-	parts, err := Generate(seed, plan, workers, func(g *stats.RNG, c Chunk) ([][]byte, error) {
-		b, err := cg.GenerateChunk(g, scale, c)
-		if err != nil {
-			return nil, err
+	err := Parallel(seed, len(plan), workers, func(i int, g *stats.RNG) error {
+		var buf []byte
+		mu.Lock()
+		if n := len(free); n > 0 {
+			buf, free = free[n-1], free[:n-1]
 		}
-		return [][]byte{b}, nil
+		mu.Unlock()
+		buf, err := cg.AppendChunk(buf[:0], g, scale, plan[i])
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		ready[i], done[i] = buf, true
+		if hashing {
+			return nil
+		}
+		hashing = true
+		for next < len(plan) && done[next] {
+			b := ready[next]
+			ready[next] = nil
+			mu.Unlock()
+			_, _ = h.Write(b)
+			size += int64(len(b))
+			if keep {
+				parts = append(parts, bytes.Clone(b))
+			}
+			mu.Lock()
+			free = append(free, b)
+			next++
+		}
+		hashing = false
+		return nil
 	})
 	stat := Stat{
 		Generator: cg.Name(),
@@ -182,12 +223,6 @@ func buildParts(cg Chunked, seed uint64, scale, workers int) ([][]byte, Stat, er
 	}
 	if err != nil {
 		return nil, stat, err
-	}
-	h := sha256.New()
-	var size int64
-	for _, p := range parts {
-		_, _ = h.Write(p)
-		size += int64(len(p))
 	}
 	stat.Elapsed = time.Since(t0) //bdvet:allow detnondet -- wall-time measurement only; Digest covers the deterministic bytes
 	stat.Bytes = size

@@ -46,18 +46,17 @@ func (f fakeCorpus) Name() string { return "fake" }
 
 func (f fakeCorpus) Plan(scale int) []Chunk { return PlanChunks(int64(scale)*100, 10) }
 
-func (f fakeCorpus) GenerateChunk(g *stats.RNG, _ int, c Chunk) ([]byte, error) {
+func (f fakeCorpus) AppendChunk(dst []byte, g *stats.RNG, _ int, c Chunk) ([]byte, error) {
 	if c.Index == f.PanicAt {
 		panic("chunk exploded")
 	}
 	if c.Index == f.FailAt {
-		return nil, errors.New("chunk failed")
+		return dst, errors.New("chunk failed")
 	}
-	var sb strings.Builder
 	for i := c.Start; i < c.End; i++ {
-		fmt.Fprintf(&sb, "item-%d-%d\n", i, g.IntN(1000))
+		dst = fmt.Appendf(dst, "item-%d-%d\n", i, g.IntN(1000))
 	}
-	return []byte(sb.String()), nil
+	return dst, nil
 }
 
 func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {

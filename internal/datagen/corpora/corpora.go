@@ -31,5 +31,5 @@ func init() {
 	datagen.Register(tablegen.TableCorpus{})
 	datagen.Register(graphgen.GraphCorpus{})
 	datagen.Register(streamgen.StreamCorpus{})
-	datagen.Register(weblog.LogCorpus{Orders: referenceOrders})
+	datagen.Register(weblog.NewLogCorpus(referenceOrders))
 }

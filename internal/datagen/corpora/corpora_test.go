@@ -2,6 +2,7 @@ package corpora
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/datagen"
@@ -9,6 +10,8 @@ import (
 	"github.com/bdbench/bdbench/internal/datagen/streamgen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
 	"github.com/bdbench/bdbench/internal/datagen/weblog"
+	"github.com/bdbench/bdbench/internal/raceflag"
+	"github.com/bdbench/bdbench/internal/stats"
 )
 
 // TestBuiltinsRegistered pins the registry contents the CLI and public API
@@ -119,20 +122,95 @@ func TestGeneratorParallelVariantsMatchSequentialChunking(t *testing.T) {
 	})
 }
 
-// BenchmarkDatagenParallel measures corpus generation throughput at 1, 2
-// and 4 workers — the speedup evidence behind the parallel pipeline. The
-// repo benchmark's datagen_corpora workload is what judges it.
-func BenchmarkDatagenParallel(b *testing.B) {
-	for _, name := range []string{"text", "table", "graph"} {
-		cg, ok := datagen.Lookup(name)
-		if !ok {
-			b.Fatalf("generator %q missing", name)
+// TestAppendChunkAppends is the AppendChunk contract for every built-in: the
+// bytes already in dst are left as they were, and what is appended equals
+// the chunk rendered into a nil dst from the same RNG.
+func TestAppendChunkAppends(t *testing.T) {
+	for _, name := range datagen.Generators() {
+		cg, _ := datagen.Lookup(name)
+		plan := cg.Plan(2)
+		for _, c := range []datagen.Chunk{plan[0], plan[len(plan)-1]} {
+			want, err := cg.AppendChunk(nil, stats.NewRNG(9).Split("chunk", c.Index), 2, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := []byte("existing bytes\n")
+			dst := append(make([]byte, 0, len(prefix)+len(want)), prefix...)
+			got, err := cg.AppendChunk(dst, stats.NewRNG(9).Split("chunk", c.Index), 2, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(dst) != string(prefix) || string(got[:len(prefix)]) != string(prefix) {
+				t.Fatalf("%s chunk %d: the existing prefix became %q", name, c.Index, got[:len(prefix)])
+			}
+			if string(got[len(prefix):]) != string(want) {
+				t.Fatalf("%s chunk %d: appended %d bytes differ from the %d rendered into nil", name, c.Index, len(got)-len(prefix), len(want))
+			}
 		}
+	}
+}
+
+// TestAppendChunkAllocations: into a buffer with room, a chunk of text,
+// graph or stream allocates nothing, a chunk of table only its one reused
+// row, and a chunk of weblog only what the web-log generator measured.
+func TestAppendChunkAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ceilings := map[string]float64{"text": 0, "graph": 0, "stream": 0, "table": 1, "weblog": 0}
+	buf := make([]byte, 0, 4<<20)
+	for name, ceiling := range ceilings {
+		cg, _ := datagen.Lookup(name)
+		c := cg.Plan(1)[0]
+		g := stats.NewRNG(3)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := cg.AppendChunk(buf[:0], g, 1, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Errorf("%s: AppendChunk of %d items allocates %v times, ceiling %v", name, c.Len(), allocs, ceiling)
+		}
+	}
+}
+
+// TestBuildStatMemoryFollowsChunks: BuildStat holds chunks, not the corpus,
+// so four times the stream allocates about what one does. One worker keeps
+// the reading deterministic: no chunk finishes out of order, so every chunk
+// reuses the first one's buffer.
+func TestBuildStatMemoryFollowsChunks(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cg, _ := datagen.Lookup("stream")
+	allocated := func(scale int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := datagen.BuildStat(cg, 5, scale, 1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := allocated(10), allocated(40)
+	if ratio := float64(large) / float64(small); ratio > 1.5 {
+		t.Fatalf("stream at scale 40 allocates %d bytes, %.2f× the %d at scale 10; want at most 1.5×", large, ratio, small)
+	}
+}
+
+// BenchmarkDatagenParallel measures every built-in corpus through BuildStat
+// at 1, 2 and 4 workers — the speedup and allocation evidence behind the
+// parallel pipeline. The repo benchmark's datagen_corpora workload is what
+// judges it.
+func BenchmarkDatagenParallel(b *testing.B) {
+	for _, name := range datagen.Generators() {
+		cg, _ := datagen.Lookup(name)
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+				b.ReportAllocs()
 				var bytes int64
 				for i := 0; i < b.N; i++ {
-					_, stat, err := datagen.Build(cg, 42, 4, workers)
+					stat, err := datagen.BuildStat(cg, 42, 4, workers)
 					if err != nil {
 						b.Fatal(err)
 					}

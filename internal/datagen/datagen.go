@@ -12,6 +12,7 @@ package datagen
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/stats"
@@ -23,8 +24,8 @@ import (
 // worker count. The pool mirrors the execution engine's semantics: a bounded
 // set of workers draining a job channel, with panics isolated into errors so
 // one bad chunk fails the generation cleanly instead of crashing the
-// process. The first error aborts the run (remaining chunks may still
-// execute but their results should be discarded by the caller).
+// process. The first error aborts the run: no chunk is dispatched or started
+// after it is recorded, so only the chunks already running finish.
 func Parallel(seed uint64, chunks, workers int, fn func(chunk int, g *stats.RNG) error) error {
 	if chunks <= 0 {
 		return nil
@@ -38,8 +39,7 @@ func Parallel(seed uint64, chunks, workers int, fn func(chunk int, g *stats.RNG)
 	base := stats.NewRNG(seed)
 	var (
 		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
+		firstErr atomic.Pointer[error]
 	)
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -47,22 +47,25 @@ func Parallel(seed uint64, chunks, workers int, fn func(chunk int, g *stats.RNG)
 		go func() {
 			defer wg.Done()
 			for c := range next {
+				if firstErr.Load() != nil {
+					continue
+				}
 				if err := runChunk(c, base.Split("chunk", c), fn); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("datagen: chunk %d: %w", c, err)
-					}
-					mu.Unlock()
+					wrapped := fmt.Errorf("datagen: chunk %d: %w", c, err)
+					firstErr.CompareAndSwap(nil, &wrapped)
 				}
 			}
 		}()
 	}
-	for c := 0; c < chunks; c++ {
+	for c := 0; c < chunks && firstErr.Load() == nil; c++ {
 		next <- c
 	}
 	close(next)
 	wg.Wait()
-	return firstErr
+	if err := firstErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // runChunk executes one chunk, converting a panic into an error so the pool

@@ -3,6 +3,7 @@ package datagen
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,6 +45,28 @@ func TestParallelPropagatesError(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
+	}
+}
+
+// TestParallelStopsAfterFirstError: once a chunk has failed, no further chunk
+// is dispatched or started — a failure in chunk 0 of a 1 000-chunk plan runs
+// at most the chunks already in flight, not the other 999.
+func TestParallelStopsAfterFirstError(t *testing.T) {
+	const workers = 4
+	var ran atomic.Int64
+	err := Parallel(1, 1000, workers, func(chunk int, g *stats.RNG) error {
+		ran.Add(1)
+		if chunk == 0 {
+			return errors.New("boom")
+		}
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	})
+	if err == nil {
+		t.Fatal("want chunk 0's error")
+	}
+	if n := ran.Load(); n > 2*workers {
+		t.Fatalf("chunk 0 failed and %d chunks ran, want at most %d", n, 2*workers)
 	}
 }
 

@@ -1,7 +1,7 @@
 package graphgen
 
 import (
-	"fmt"
+	"strconv"
 
 	"github.com/bdbench/bdbench/internal/datagen"
 	"github.com/bdbench/bdbench/internal/stats"
@@ -66,13 +66,13 @@ func (GraphCorpus) Plan(scale int) []datagen.Chunk {
 	return datagen.PlanChunks(n*int64(DefaultRMAT.EdgeFactor), chunkEdges)
 }
 
-// GenerateChunk implements datagen.Chunked.
-func (GraphCorpus) GenerateChunk(g *stats.RNG, scale int, c datagen.Chunk) ([]byte, error) {
+// AppendChunk implements datagen.Chunked.
+func (GraphCorpus) AppendChunk(dst []byte, g *stats.RNG, scale int, c datagen.Chunk) ([]byte, error) {
 	vs := vertexScale(scale)
-	var out []byte
 	for i := c.Start; i < c.End; i++ {
 		e := DefaultRMAT.edge(g, vs)
-		out = fmt.Appendf(out, "%d\t%d\n", e.Src, e.Dst)
+		dst = append(strconv.AppendInt(dst, e.Src, 10), '\t')
+		dst = append(strconv.AppendInt(dst, e.Dst, 10), '\n')
 	}
-	return out, nil
+	return dst, nil
 }

@@ -1,7 +1,7 @@
 package streamgen
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen"
@@ -30,18 +30,21 @@ func (gen Generator) GenerateParallel(seed uint64, n int64, workers int) []Event
 	return out
 }
 
-// chunk emits one chunk's events from its nominal time base — the single
-// definition of chunked stream output, shared by GenerateParallel and the
-// StreamCorpus adapter so the two can never drift apart.
+// chunk emits one chunk's events, the structured twin of a corpus chunk.
 func (gen Generator) chunk(g *stats.RNG, c datagen.Chunk) []Event {
-	mean := 1 / gen.rate()
-	at := time.Duration(float64(c.Start) * mean * float64(time.Second))
+	ev := gen.chunkStart(c)
 	part := make([]Event, 0, c.Len())
 	for i := c.Start; i < c.End; i++ {
-		at += gen.interarrival(g, i)
-		part = append(part, gen.next(g, i, at))
+		ev = gen.draw(g, i, ev)
+		part = append(part, ev.event(i))
 	}
 	return part
+}
+
+// chunkStart places a chunk on its nominal time base, Start/rate.
+func (gen Generator) chunkStart(c datagen.Chunk) drawn {
+	mean := 1 / gen.rate()
+	return drawn{at: time.Duration(float64(c.Start) * mean * float64(time.Second))}
 }
 
 // corpusEventsPerScale is the "stream" corpus's event count per scale unit.
@@ -67,11 +70,19 @@ func (StreamCorpus) Plan(scale int) []datagen.Chunk {
 	return datagen.PlanChunks(int64(scale)*corpusEventsPerScale, chunkEvents)
 }
 
-// GenerateChunk implements datagen.Chunked.
-func (StreamCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
-	var out []byte
-	for _, ev := range corpusGen.chunk(g, c) {
-		out = fmt.Appendf(out, "%d\t%d\t%s\t%s\t%s\n", ev.Seq, int64(ev.Offset), ev.Kind, ev.Key, ev.Value)
+// AppendChunk implements datagen.Chunked: each event is drawn with its
+// value in one reused buffer and written as a tab-separated line.
+func (StreamCorpus) AppendChunk(dst []byte, g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+	var value [64]byte
+	ev := corpusGen.chunkStart(c)
+	ev.value = value[:0]
+	for i := c.Start; i < c.End; i++ {
+		ev = corpusGen.draw(g, i, ev)
+		dst = append(strconv.AppendInt(dst, i, 10), '\t')
+		dst = append(strconv.AppendInt(dst, int64(ev.at), 10), '\t')
+		dst = append(append(dst, ev.kind.String()...), '\t')
+		dst = append(appendKey(dst, ev.key), '\t')
+		dst = append(append(dst, ev.value...), '\n')
 	}
-	return out, nil
+	return dst, nil
 }

@@ -9,6 +9,7 @@ package streamgen
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen"
@@ -140,39 +141,63 @@ func (gen Generator) interarrival(g *stats.RNG, i int64) time.Duration {
 	}
 }
 
-// next produces event i (without pacing).
-func (gen Generator) next(g *stats.RNG, i int64, at time.Duration) Event {
-	kind := OpInsert
+// drawn is an event as drawn: its key still a number and its value's letters
+// in a buffer the drawing loop reuses.
+type drawn struct {
+	at    time.Duration
+	kind  OpKind
+	key   int64
+	value []byte
+}
+
+// draw advances ev to event i: the gap since the previous event, then its
+// kind, its key and its value. It is the one sequence of draws behind
+// Generate, Run, GenerateParallel and the "stream" corpus.
+func (gen Generator) draw(g *stats.RNG, i int64, ev drawn) drawn {
+	ev.at += gen.interarrival(g, i)
+	ev.kind = OpInsert
 	u := g.Float64()
 	switch {
 	case u < gen.Mix.UpdateFraction:
-		kind = OpUpdate
+		ev.kind = OpUpdate
 	case u < gen.Mix.UpdateFraction+gen.Mix.DeleteFraction:
-		kind = OpDelete
+		ev.kind = OpDelete
 	}
-	var key int64
 	if gen.KeyChooser != nil {
-		key = gen.KeyChooser.Next(g) % gen.keySpace()
+		ev.key = gen.KeyChooser.Next(g) % gen.keySpace()
 	} else {
-		key = g.Int64N(gen.keySpace())
+		ev.key = g.Int64N(gen.keySpace())
 	}
-	return Event{
-		Seq:    i,
-		Offset: at,
-		Kind:   kind,
-		Key:    fmt.Sprintf("key%010d", key),
-		Value:  g.RandomWord(gen.valueLen(), gen.valueLen()),
+	ev.value = g.AppendWord(ev.value[:0], gen.valueLen(), gen.valueLen())
+	return ev
+}
+
+// event returns the drawn event as event i of a stream.
+func (ev drawn) event(i int64) Event {
+	var key [24]byte
+	return Event{Seq: i, Offset: ev.at, Kind: ev.kind, Key: string(appendKey(key[:0], ev.key)), Value: string(ev.value)}
+}
+
+// appendKey appends the name of key (never negative): "key" and its number
+// zero-padded to ten digits, as fmt's %010d pads it.
+func appendKey(dst []byte, key int64) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], key, 10)
+	dst = append(dst, "key"...)
+	for range 10 - len(d) {
+		dst = append(dst, '0')
 	}
+	return append(dst, d...)
 }
 
 // Generate emits n events with virtual timestamps, unpaced — deterministic
 // and fast, for tests and event-time workloads.
 func (gen Generator) Generate(g *stats.RNG, n int64) []Event {
 	out := make([]Event, 0, n)
-	var at time.Duration
+	var ev drawn
 	for i := int64(0); i < n; i++ {
-		at += gen.interarrival(g, i)
-		out = append(out, gen.next(g, i, at))
+		ev = gen.draw(g, i, ev)
+		out = append(out, ev.event(i))
 	}
 	return out
 }
@@ -184,13 +209,12 @@ func (gen Generator) Run(ctx context.Context, g *stats.RNG, n int64, out chan<- 
 	defer close(out)
 	bucket := datagen.NewTokenBucket(gen.EventsPerSec, gen.rate()/100+1)
 	probe := datagen.NewRateProbe()
-	var at time.Duration
+	var d drawn
 	for i := int64(0); i < n; i++ {
 		bucket.Take(1)
-		at += gen.interarrival(g, i)
-		ev := gen.next(g, i, at)
+		d = gen.draw(g, i, d)
 		select {
-		case out <- ev:
+		case out <- d.event(i):
 			probe.Add(1)
 		case <-ctx.Done():
 			return probe.Rate(), ctx.Err()

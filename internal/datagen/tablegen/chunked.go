@@ -1,7 +1,6 @@
 package tablegen
 
 import (
-	"strings"
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/data"
@@ -29,7 +28,7 @@ type TableCorpus struct{}
 // Name implements datagen.Chunked.
 func (TableCorpus) Name() string { return "table" }
 
-// corpusSpec is built once: GenerateChunk runs per chunk, and rebuilding
+// corpusSpec is built once: AppendChunk runs per chunk, and rebuilding
 // the column generators there would be redundant allocation on the parallel
 // hot path.
 var corpusSpec = sync.OnceValue(func() TableSpec { return ReferenceSpec(0) })
@@ -42,18 +41,19 @@ func (TableCorpus) Plan(scale int) []datagen.Chunk {
 	return datagen.PlanChunks(int64(scale)*corpusRowsPerScale, corpusSpec().chunkSize())
 }
 
-// GenerateChunk implements datagen.Chunked.
-func (TableCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+// AppendChunk implements datagen.Chunked: every row of the chunk is filled
+// into one reused row and written as its values' text, tab-separated.
+func (TableCorpus) AppendChunk(dst []byte, g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
 	spec := corpusSpec()
-	var sb strings.Builder
+	row := make(data.Row, len(spec.Columns))
 	for r := c.Start; r < c.End; r++ {
-		for i, v := range spec.genRow(g, r) {
+		for i, v := range spec.fillRow(g, r, row) {
 			if i > 0 {
-				sb.WriteByte('\t')
+				dst = append(dst, '\t')
 			}
-			sb.WriteString(v.String())
+			dst = v.AppendText(dst)
 		}
-		sb.WriteByte('\n')
+		dst = append(dst, '\n')
 	}
-	return []byte(sb.String()), nil
+	return dst, nil
 }

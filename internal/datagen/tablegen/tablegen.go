@@ -184,9 +184,10 @@ func (s TableSpec) chunkSize() int64 {
 	return 4096
 }
 
-// genRow fills one row; derived columns see the prefix generated so far.
-func (s TableSpec) genRow(g *stats.RNG, row int64) data.Row {
-	out := make(data.Row, len(s.Columns))
+// fillRow fills out, one value per column, with absolute row number row and
+// returns it; derived columns see the prefix filled so far. It is the one
+// sequence of draws behind a generated table and the "table" corpus.
+func (s TableSpec) fillRow(g *stats.RNG, row int64, out data.Row) data.Row {
 	for i, c := range s.Columns {
 		if d, ok := c.Gen.(Derived); ok {
 			out[i] = d.Fn(g, row, out[:i])
@@ -217,7 +218,7 @@ func (s TableSpec) generate(rows int64, workers int) *data.Table {
 		func(g *stats.RNG, c datagen.Chunk) ([]data.Row, error) {
 			part := make([]data.Row, 0, c.Len())
 			for r := c.Start; r < c.End; r++ {
-				part = append(part, s.genRow(g, r))
+				part = append(part, s.fillRow(g, r, make(data.Row, len(s.Columns))))
 			}
 			return part, nil
 		})

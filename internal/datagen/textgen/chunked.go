@@ -1,7 +1,6 @@
 package textgen
 
 import (
-	"strings"
 	"sync"
 
 	"github.com/bdbench/bdbench/internal/datagen"
@@ -96,11 +95,11 @@ type CorpusGen struct{}
 // Name implements datagen.Chunked.
 func (CorpusGen) Name() string { return "text" }
 
-// corpusText is built once: GenerateChunk runs per chunk, and rebuilding
-// the dictionary there would put a redundant allocation on the parallel hot
-// path.
+// corpusText is built once: AppendChunk runs per chunk, and rebuilding
+// the dictionary and its sampler there would put a redundant allocation on
+// the parallel hot path.
 var corpusText = sync.OnceValue(func() RandomText {
-	return RandomText{Dictionary: DefaultDictionary()}
+	return RandomText{Dictionary: DefaultDictionary()}.withDefaults()
 })
 
 // Plan implements datagen.Chunked.
@@ -111,12 +110,19 @@ func (CorpusGen) Plan(scale int) []datagen.Chunk {
 	return datagen.PlanChunks(int64(scale)*corpusDocsPerScale, chunkDocs)
 }
 
-// GenerateChunk implements datagen.Chunked.
-func (CorpusGen) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
-	var sb strings.Builder
-	for _, doc := range corpusText().Generate(g, int(c.Len()), corpusMeanLen) {
-		sb.WriteString(strings.Join(doc, " "))
-		sb.WriteByte('\n')
+// AppendChunk implements datagen.Chunked: each document is drawn into one
+// reused word list and written space-separated.
+func (CorpusGen) AppendChunk(dst []byte, g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+	r := corpusText()
+	var words [64]string
+	for range c.Len() {
+		for i, w := range r.doc(g, corpusMeanLen, words[:0]) {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = append(dst, w...)
+		}
+		dst = append(dst, '\n')
 	}
-	return []byte(sb.String()), nil
+	return dst, nil
 }

@@ -1,6 +1,10 @@
 package textgen
 
-import "github.com/bdbench/bdbench/internal/stats"
+import (
+	"slices"
+
+	"github.com/bdbench/bdbench/internal/stats"
+)
 
 // RandomText emulates the veracity-unaware generators of HiBench, GridMix
 // and PigMix: synthetic words drawn independently of any real data set
@@ -19,35 +23,43 @@ type RandomText struct {
 
 // Generate emits docs documents with lengths drawn from Poisson(meanLen).
 func (r RandomText) Generate(g *stats.RNG, docs, meanLen int) Corpus {
-	minLen, maxLen := r.MinWordLen, r.MaxWordLen
-	if minLen <= 0 {
-		minLen = 3
-	}
-	if maxLen < minLen {
-		maxLen = minLen + 7
-	}
-	sampler := r.Sampler
-	if sampler == nil && len(r.Dictionary) > 0 {
-		sampler = stats.UniformInt{Count: int64(len(r.Dictionary))}
-	}
-	lenDist := stats.Poisson{Lambda: float64(meanLen)}
+	r = r.withDefaults()
 	out := make(Corpus, 0, docs)
-	for d := 0; d < docs; d++ {
-		n := int(lenDist.Sample(g))
-		if n < 1 {
-			n = 1
-		}
-		doc := make(Document, n)
-		for i := 0; i < n; i++ {
-			if sampler != nil {
-				doc[i] = r.Dictionary[int(sampler.Next(g))%len(r.Dictionary)]
-			} else {
-				doc[i] = g.RandomWord(minLen, maxLen)
-			}
-		}
-		out = append(out, doc)
+	for range docs {
+		out = append(out, r.doc(g, meanLen, nil))
 	}
 	return out
+}
+
+// withDefaults fills in the word-length bounds and a dictionary's uniform
+// sampler.
+func (r RandomText) withDefaults() RandomText {
+	if r.MinWordLen <= 0 {
+		r.MinWordLen = 3
+	}
+	if r.MaxWordLen < r.MinWordLen {
+		r.MaxWordLen = r.MinWordLen + 7
+	}
+	if r.Sampler == nil && len(r.Dictionary) > 0 {
+		r.Sampler = stats.UniformInt{Count: int64(len(r.Dictionary))}
+	}
+	return r
+}
+
+// doc draws one document — its Poisson(meanLen) length, then its words — and
+// appends the words to words. It is the one sequence of draws behind
+// Generate and the "text" corpus; r has its defaults filled in.
+func (r RandomText) doc(g *stats.RNG, meanLen int, words Document) Document {
+	n := max(int(stats.Poisson{Lambda: float64(meanLen)}.Sample(g)), 1)
+	words = slices.Grow(words, n)
+	for range n {
+		if r.Sampler != nil {
+			words = append(words, r.Dictionary[int(r.Sampler.Next(g))%len(r.Dictionary)])
+		} else {
+			words = append(words, g.RandomWord(r.MinWordLen, r.MaxWordLen))
+		}
+	}
+	return words
 }
 
 // DefaultDictionary returns a flat copy of the built-in themed word list,

@@ -1,7 +1,7 @@
 package weblog
 
 import (
-	"strings"
+	"sync"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/data"
@@ -22,22 +22,20 @@ const nominalGap = 2500 * time.Millisecond
 // base derived from its record range, with its RNG derived from (seed,
 // chunk index) — so the log is identical at any worker count.
 func (gen Generator) FromTableParallel(seed uint64, orders *data.Table, n, workers int) ([]Record, error) {
-	custIdx, prodIdx, err := gen.tableIndexes(orders)
+	src, err := newSource(orders)
 	if err != nil {
 		return nil, err
 	}
 	return datagen.Generate(seed, datagen.PlanChunks(int64(n), chunkRecords), workers,
 		func(g *stats.RNG, c datagen.Chunk) ([]Record, error) {
-			return gen.chunk(g, orders, custIdx, prodIdx, c), nil
+			return gen.records(g, src, int(c.Len()), gen.chunkStart(c)), nil
 		})
 }
 
-// chunk emits one chunk's records from its nominal time base — the single
-// definition of chunked log output, shared by FromTableParallel and the
-// LogCorpus adapter so the two can never drift apart.
-func (gen Generator) chunk(g *stats.RNG, orders *data.Table, custIdx, prodIdx int, c datagen.Chunk) []Record {
-	at := gen.start().Add(time.Duration(c.Start) * nominalGap)
-	return gen.sessions(g, orders, custIdx, prodIdx, int(c.Len()), at)
+// chunkStart is a chunk's nominal time base, Start*nominalGap after the log's
+// start.
+func (gen Generator) chunkStart(c datagen.Chunk) time.Time {
+	return gen.start().Add(time.Duration(c.Start) * nominalGap)
 }
 
 // corpusRecordsPerScale is the "weblog" corpus's record count per scale unit.
@@ -45,12 +43,15 @@ const corpusRecordsPerScale = 5000
 
 // LogCorpus adapts the web-log generator (at its defaults) to the
 // datagen.Chunked corpus contract: Apache combined-log lines derived from an
-// orders table.
+// orders table. Build it with NewLogCorpus.
 type LogCorpus struct {
-	// Orders supplies the table sessions derive from; it is called lazily
-	// so registries can defer table construction, and must return the same
-	// table on every call.
-	Orders func() *data.Table
+	source func() (source, error)
+}
+
+// NewLogCorpus returns the weblog corpus over the table orders returns,
+// called once, on the first chunk, so registries can defer building it.
+func NewLogCorpus(orders func() *data.Table) LogCorpus {
+	return LogCorpus{source: sync.OnceValues(func() (source, error) { return newSource(orders()) })}
 }
 
 // Name implements datagen.Chunked.
@@ -64,18 +65,13 @@ func (LogCorpus) Plan(scale int) []datagen.Chunk {
 	return datagen.PlanChunks(int64(scale)*corpusRecordsPerScale, chunkRecords)
 }
 
-// GenerateChunk implements datagen.Chunked.
-func (lc LogCorpus) GenerateChunk(g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
-	var gen Generator
-	orders := lc.Orders()
-	custIdx, prodIdx, err := gen.tableIndexes(orders)
+// AppendChunk implements datagen.Chunked: one combined-log line per record.
+func (lc LogCorpus) AppendChunk(dst []byte, g *stats.RNG, _ int, c datagen.Chunk) ([]byte, error) {
+	src, err := lc.source()
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	var sb strings.Builder
-	for _, r := range gen.chunk(g, orders, custIdx, prodIdx, c) {
-		sb.WriteString(r.Format())
-		sb.WriteByte('\n')
-	}
-	return []byte(sb.String()), nil
+	var gen Generator
+	gen.sessions(g, src, int(c.Len()), gen.chunkStart(c), func(r Record) { dst = append(r.AppendFormat(dst), '\n') })
+	return dst, nil
 }

@@ -7,6 +7,7 @@ package weblog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,11 +28,25 @@ type Record struct {
 	Agent   string
 }
 
+// timeLayout is the combined log format's timestamp.
+const timeLayout = "02/Jan/2006:15:04:05 -0700"
+
 // Format renders the record as an Apache combined log line.
 func (r Record) Format() string {
-	return fmt.Sprintf(`%s - %s [%s] "%s %s HTTP/1.1" %d %d "%s" "%s"`,
-		r.IP, r.User, r.Time.Format("02/Jan/2006:15:04:05 -0700"),
-		r.Method, r.Path, r.Status, r.Bytes, r.Referer, r.Agent)
+	var buf [256]byte
+	return string(r.AppendFormat(buf[:0]))
+}
+
+// AppendFormat appends the record's Apache combined log line, without a
+// newline, to dst and returns the extended slice. It is the one definition
+// of the line: Format and the "weblog" corpus both write it.
+func (r Record) AppendFormat(dst []byte) []byte {
+	dst = append(append(append(append(dst, r.IP...), " - "...), r.User...), " ["...)
+	dst = append(r.Time.AppendFormat(dst, timeLayout), `] "`...)
+	dst = append(append(append(append(dst, r.Method...), ' '), r.Path...), ` HTTP/1.1" `...)
+	dst = append(strconv.AppendInt(dst, int64(r.Status), 10), ' ')
+	dst = append(strconv.AppendInt(dst, r.Bytes, 10), ` "`...)
+	return append(append(append(append(dst, r.Referer...), `" "`...), r.Agent...), '"')
 }
 
 // Parse parses a combined log line produced by Format. It returns an error
@@ -50,7 +65,7 @@ func Parse(line string) (Record, error) {
 	if !strings.HasPrefix(rest, "[") || tEnd < 0 {
 		return r, fmt.Errorf("weblog: missing timestamp")
 	}
-	ts, err := time.Parse("02/Jan/2006:15:04:05 -0700", rest[1:tEnd])
+	ts, err := time.Parse(timeLayout, rest[1:tEnd])
 	if err != nil {
 		return r, fmt.Errorf("weblog: bad timestamp: %w", err)
 	}
@@ -104,25 +119,36 @@ var agents = []string{
 // FromTable generates n log records from the orders table (expects
 // customer_id and product_id columns, as in tablegen.ReferenceTable).
 func (gen Generator) FromTable(g *stats.RNG, orders *data.Table, n int) ([]Record, error) {
-	custIdx, prodIdx, err := gen.tableIndexes(orders)
+	src, err := newSource(orders)
 	if err != nil {
 		return nil, err
 	}
-	return gen.sessions(g, orders, custIdx, prodIdx, n, gen.start()), nil
+	return gen.records(g, src, n, gen.start()), nil
 }
 
-// tableIndexes validates the orders table and returns the column indexes
-// the click sessions derive from.
-func (gen Generator) tableIndexes(orders *data.Table) (custIdx, prodIdx int, err error) {
-	custIdx = orders.Schema.ColIndex("customer_id")
-	prodIdx = orders.Schema.ColIndex("product_id")
+// source is an orders table readied for click sessions: per row, its
+// customer's IP and user name and its product's page, rendered once so that
+// drawing a record allocates nothing.
+type source []struct{ ip, user, path string }
+
+// newSource validates the orders table and renders its rows' strings.
+func newSource(orders *data.Table) (source, error) {
+	custIdx := orders.Schema.ColIndex("customer_id")
+	prodIdx := orders.Schema.ColIndex("product_id")
 	if custIdx < 0 || prodIdx < 0 {
-		return 0, 0, fmt.Errorf("weblog: table %q lacks customer_id/product_id", orders.Schema.Name)
+		return nil, fmt.Errorf("weblog: table %q lacks customer_id/product_id", orders.Schema.Name)
 	}
 	if orders.NumRows() == 0 {
-		return 0, 0, fmt.Errorf("weblog: empty orders table")
+		return nil, fmt.Errorf("weblog: empty orders table")
 	}
-	return custIdx, prodIdx, nil
+	src := make(source, orders.NumRows())
+	for i, row := range orders.Rows {
+		cust := row[custIdx].Int()
+		src[i].ip = fmt.Sprintf("10.%d.%d.%d", (cust>>16)&255, (cust>>8)&255, cust&255)
+		src[i].user = fmt.Sprintf("u%d", cust)
+		src[i].path = fmt.Sprintf("/product/%d", row[prodIdx].Int())
+	}
+	return src, nil
 }
 
 func (gen Generator) start() time.Time {
@@ -132,8 +158,10 @@ func (gen Generator) start() time.Time {
 	return gen.Start
 }
 
-// sessions emits n click-session records starting at the virtual time at.
-func (gen Generator) sessions(g *stats.RNG, orders *data.Table, custIdx, prodIdx, n int, at time.Time) []Record {
+// sessions draws n click-session records starting at the virtual time at
+// and hands each to emit. It is the one sequence of draws behind FromTable,
+// FromTableParallel and the "weblog" corpus.
+func (gen Generator) sessions(g *stats.RNG, src source, n int, at time.Time, emit func(Record)) {
 	sessionLen := gen.SessionLen
 	if sessionLen <= 0 {
 		sessionLen = 8
@@ -142,17 +170,12 @@ func (gen Generator) sessions(g *stats.RNG, orders *data.Table, custIdx, prodIdx
 	if errRate <= 0 {
 		errRate = 0.02
 	}
-	out := make([]Record, 0, n)
-	for len(out) < n {
+	for n > 0 {
 		// Pick a random order row; its customer anchors the session.
-		row := orders.Rows[g.IntN(orders.NumRows())]
-		cust := row[custIdx].Int()
-		ip := fmt.Sprintf("10.%d.%d.%d", (cust>>16)&255, (cust>>8)&255, cust&255)
-		user := fmt.Sprintf("u%d", cust)
+		row := src[g.IntN(len(src))]
 		pages := int(stats.Poisson{Lambda: sessionLen}.Sample(g)) + 1
-		for p := 0; p < pages && len(out) < n; p++ {
-			prodRow := orders.Rows[g.IntN(orders.NumRows())]
-			prod := prodRow[prodIdx].Int()
+		for p := 0; p < pages && n > 0; p, n = p+1, n-1 {
+			path := src[g.IntN(len(src))].path
 			status := 200
 			if g.Bool(errRate) {
 				if g.Bool(0.5) {
@@ -161,7 +184,6 @@ func (gen Generator) sessions(g *stats.RNG, orders *data.Table, custIdx, prodIdx
 					status = 500
 				}
 			}
-			path := fmt.Sprintf("/product/%d", prod)
 			if p == pages-1 && g.Bool(0.3) {
 				path = "/checkout"
 			}
@@ -169,9 +191,9 @@ func (gen Generator) sessions(g *stats.RNG, orders *data.Table, custIdx, prodIdx
 			if p > 0 {
 				referer = "/search"
 			}
-			out = append(out, Record{
-				IP:   ip,
-				User: user,
+			emit(Record{
+				IP:   row.ip,
+				User: row.user,
 				// The combined log format carries second granularity, so
 				// records are truncated to it for clean round-trips.
 				Time:    at.Truncate(time.Second),
@@ -185,6 +207,12 @@ func (gen Generator) sessions(g *stats.RNG, orders *data.Table, custIdx, prodIdx
 			at = at.Add(time.Duration(g.IntN(5000)) * time.Millisecond)
 		}
 	}
+}
+
+// records collects n records drawn by sessions.
+func (gen Generator) records(g *stats.RNG, src source, n int, at time.Time) []Record {
+	out := make([]Record, 0, n)
+	gen.sessions(g, src, n, at, func(r Record) { out = append(out, r) })
 	return out
 }
 

@@ -14,6 +14,7 @@ package stats
 import (
 	"hash/fnv"
 	"math/rand/v2"
+	"slices"
 	"strings"
 )
 
@@ -95,6 +96,31 @@ func (g *RNG) RandomWord(minLen, maxLen int) string {
 // to b. It grows b by at most that length, so into a builder already grown it
 // allocates nothing.
 func (g *RNG) WriteWord(b *strings.Builder, minLen, maxLen int) {
+	n := g.wordLen(minLen, maxLen)
+	// Letters are drawn into a stack chunk (a WriteByte per letter costs a
+	// tenth more time) and copied into the builder, grown up front.
+	b.Grow(n)
+	var chunk [64]byte
+	for n > 0 {
+		k := min(n, len(chunk))
+		g.letters(chunk[:k])
+		b.Write(chunk[:k])
+		n -= k
+	}
+}
+
+// AppendWord appends a random lowercase word with length in [minLen, maxLen]
+// to dst and returns the extended slice: the draws WriteWord makes, written
+// in place, so into a slice with room it allocates nothing.
+func (g *RNG) AppendWord(dst []byte, minLen, maxLen int) []byte {
+	n := g.wordLen(minLen, maxLen)
+	dst = slices.Grow(dst, n)
+	g.letters(dst[len(dst) : len(dst)+n])
+	return dst[:len(dst)+n]
+}
+
+// wordLen draws a word length in [max(minLen, 1), max(maxLen, minLen)].
+func (g *RNG) wordLen(minLen, maxLen int) int {
 	if minLen < 1 {
 		minLen = 1
 	}
@@ -105,17 +131,13 @@ func (g *RNG) WriteWord(b *strings.Builder, minLen, maxLen int) {
 	if maxLen > minLen {
 		n += g.IntN(maxLen - minLen + 1)
 	}
-	// Letters are drawn into a stack chunk (a WriteByte per letter costs a
-	// tenth more time) and copied into the builder, grown up front.
-	b.Grow(n)
-	var chunk [64]byte
-	for n > 0 {
-		k := min(n, len(chunk))
-		for i := range chunk[:k] {
-			chunk[i] = Letters[g.IntN(len(Letters))]
-		}
-		b.Write(chunk[:k])
-		n -= k
+	return n
+}
+
+// letters fills p with random lowercase letters, one draw each.
+func (g *RNG) letters(p []byte) {
+	for i := range p {
+		p[i] = Letters[g.IntN(len(Letters))]
 	}
 }
 

@@ -128,6 +128,38 @@ func TestWriteWordIsRandomWord(t *testing.T) {
 	}
 }
 
+// TestAppendWordIsWriteWord: words appended to a slice are the words
+// WriteWord writes — same bytes, same draws left in the stream — at fixed and
+// ranged lengths, and a slice with room is not grown.
+func TestAppendWordIsWriteWord(t *testing.T) {
+	for _, bounds := range [][2]int{{100, 100}, {3, 9}, {1, 1}, {60, 70}, {0, 0}, {5, 2}} {
+		a, b := NewRNG(2014), NewRNG(2014)
+		var written strings.Builder
+		appended := []byte("prefix:")
+		for i := 0; i < 20; i++ {
+			a.WriteWord(&written, bounds[0], bounds[1])
+			appended = b.AppendWord(appended, bounds[0], bounds[1])
+		}
+		if got := string(appended); got != "prefix:"+written.String() {
+			t.Fatalf("bounds %v: AppendWord appended %q, WriteWord wrote %q", bounds, got, written.String())
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("bounds %v: the draw after the words differs: %d, %d", bounds, x, y)
+		}
+	}
+	g := NewRNG(7)
+	buf := make([]byte, 0, 1000)
+	allocs := testing.AllocsPerRun(100, func() {
+		dst := buf[:0]
+		for i := 0; i < 10; i++ {
+			dst = g.AppendWord(dst, 100, 100)
+		}
+	})
+	if allocs != 0 && !raceflag.Enabled {
+		t.Fatalf("ten words into a slice with room: %v allocations, want 0", allocs)
+	}
+}
+
 // TestFNV64MatchesHashFNV: the loop is hash/fnv's 64-bit FNV-1a, byte for
 // byte, so partition placement and every digest built on it hold.
 func TestFNV64MatchesHashFNV(t *testing.T) {
