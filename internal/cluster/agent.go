@@ -214,7 +214,9 @@ func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 	results := engine.Run(r.Context(), engTasks, cfg)
 	hbStop()
 	for i, res := range results {
+		// An encode error reaches the coordinator; a write error has no one to reach.
 		if err := fw.write(wire.TypeResult, wire.FromTaskResult(i, res)); err != nil {
+			fw.fail("agent: task %d (%s): %v", i, res.Workload, err)
 			return
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,8 +15,10 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/internal/cluster/wire"
+	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/runstore"
 	"github.com/bdbench/bdbench/internal/scenario"
+	"github.com/bdbench/bdbench/internal/workloads"
 )
 
 // faultOptions is coordOptions with the failure policy tightened so fault
@@ -71,12 +74,12 @@ func acceptAssignment(t *testing.T, reg *scenario.Registry, w http.ResponseWrite
 	}
 }
 
-// TestCoordinateReroutesKilledAgent: an agent whose connection drops
-// mid-shard (accept sent, then the handler aborts) fails the attempt; the
-// retry lands on the healthy agent and the run still produces the
-// byte-identical artifact with no degraded marker.
-func TestCoordinateReroutesKilledAgent(t *testing.T) {
-	reg := detRegistry(t)
+// assertReroutedMatchesLocal runs detSpec with the faulty agent first and a
+// healthy one second: every shard's first attempt hits the fault, the retry
+// lands on the healthy agent, and the run must produce the single-process
+// artifact byte for byte, with no degraded marker.
+func assertReroutedMatchesLocal(t *testing.T, reg *scenario.Registry, faulty string) {
+	t.Helper()
 	dir := t.TempDir()
 	localPath := filepath.Join(dir, "local.blob")
 	if _, err := scenario.Run(context.Background(), detSpec(), localOptions(reg, localPath)); err != nil {
@@ -86,18 +89,9 @@ func TestCoordinateReroutesKilledAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	killed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		assign := readAssignment(t, r)
-		acceptAssignment(t, reg, w, assign)
-		panic(http.ErrAbortHandler) // drop the connection mid-stream
-	}))
-	t.Cleanup(killed.Close)
 	good := startAgents(t, reg, 1)
-
 	path := filepath.Join(dir, "dist.blob")
-	out, err := Coordinate(context.Background(), detSpec(),
-		faultOptions(reg, []string{killed.URL, good[0]}, path))
+	out, err := Coordinate(context.Background(), detSpec(), faultOptions(reg, []string{faulty, good[0]}, path))
 	if err != nil {
 		t.Fatalf("coordinate: %v", err)
 	}
@@ -114,22 +108,27 @@ func TestCoordinateReroutesKilledAgent(t *testing.T) {
 	}
 }
 
+// TestCoordinateReroutesKilledAgent: an agent whose connection drops
+// mid-shard (accept sent, then the handler aborts) fails the attempt; the
+// retry lands on the healthy agent and the run still produces the
+// byte-identical artifact with no degraded marker.
+func TestCoordinateReroutesKilledAgent(t *testing.T) {
+	reg := detRegistry(t)
+	killed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		assign := readAssignment(t, r)
+		acceptAssignment(t, reg, w, assign)
+		panic(http.ErrAbortHandler) // drop the connection mid-stream
+	}))
+	t.Cleanup(killed.Close)
+	assertReroutedMatchesLocal(t, reg, killed.URL)
+}
+
 // TestCoordinateReroutesSlowAgent: an agent that accepts and then goes
 // silent past the heartbeat bound is abandoned by the watchdog; the retry
 // completes the run on the healthy agent within the test's lifetime (no
 // hang) and the artifact is still byte-identical.
 func TestCoordinateReroutesSlowAgent(t *testing.T) {
 	reg := detRegistry(t)
-	dir := t.TempDir()
-	localPath := filepath.Join(dir, "local.blob")
-	if _, err := scenario.Run(context.Background(), detSpec(), localOptions(reg, localPath)); err != nil {
-		t.Fatalf("local run: %v", err)
-	}
-	localRaw, err := os.ReadFile(localPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -141,28 +140,80 @@ func TestCoordinateReroutesSlowAgent(t *testing.T) {
 		}
 	}))
 	t.Cleanup(slow.Close)
-	good := startAgents(t, reg, 1)
-
-	path := filepath.Join(dir, "dist.blob")
 	start := time.Now()
-	out, err := Coordinate(context.Background(), detSpec(),
-		faultOptions(reg, []string{slow.URL, good[0]}, path))
-	if err != nil {
-		t.Fatalf("coordinate: %v", err)
-	}
-	if len(out.Degraded) != 0 {
-		t.Fatalf("rerouted run reported degraded: %v", out.Degraded)
-	}
+	assertReroutedMatchesLocal(t, reg, slow.URL)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("watchdog took %v to abandon a silent agent", elapsed)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
+}
+
+// corruptingWriter passes an agent's frames through, changing one base64
+// character of every sample section: the frames stay well framed and well
+// formed JSON, and only runstore's checks can tell.
+type corruptingWriter struct{ http.ResponseWriter }
+
+func (w corruptingWriter) Write(p []byte) (int, error) {
+	key := []byte(`"samples":"`)
+	p = bytes.Clone(p)
+	for off := 0; ; {
+		i := bytes.Index(p[off:], key)
+		if i < 0 {
+			break
+		}
+		off += i + len(key) + 16
+		if p[off] == 'A' {
+			p[off] = 'B'
+		} else {
+			p[off] = 'A'
+		}
+	}
+	return w.ResponseWriter.Write(p)
+}
+
+func (w corruptingWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestCoordinateReroutesCorruptSamples: an agent whose result frame carries
+// a corrupt sample section fails the attempt as a corrupt JSON body would;
+// the retry lands on the healthy agent and the artifact is still
+// byte-identical. Were the sections accepted, the shard would complete on
+// the corrupting agent without its samples.
+func TestCoordinateReroutesCorruptSamples(t *testing.T) {
+	reg := detRegistry(t)
+	agent := NewAgent(AgentOptions{Registry: reg, ToolVersion: "test", Now: frozenNow}).Handler()
+	corrupt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		agent.ServeHTTP(corruptingWriter{w}, r)
+	}))
+	t.Cleanup(corrupt.Close)
+	assertReroutedMatchesLocal(t, reg, corrupt.URL)
+}
+
+// hugeLabel records one observation under an operation label longer than a
+// runstore name may be, so its sample section cannot be encoded.
+type hugeLabel struct{ detWorkload }
+
+func (hugeLabel) Run(_ context.Context, _ workloads.Params, c *metrics.Collector) error {
+	c.ObserveLatency(strings.Repeat("x", math.MaxUint16+1), time.Millisecond)
+	return nil
+}
+
+// TestAgentReportsUnencodableResult: a result the agent cannot encode is an
+// error frame naming the failure, not a silent hang-up the coordinator can
+// only report as a stream that ended early.
+func TestAgentReportsUnencodableResult(t *testing.T) {
+	reg := scenario.NewRegistry()
+	if err := reg.RegisterWorkload(hugeLabel{detWorkload{name: "huge-label", cat: workloads.Offline}}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, localRaw) {
-		t.Fatalf("rerouted blob differs from single-process blob: %s vs %s",
-			runstore.DigestBytes(raw), runstore.DigestBytes(localRaw))
+	spec := scenario.Spec{Name: "huge", Entries: []scenario.Entry{{Workload: "huge-label"}},
+		Seed: 1, Scale: 1, Workers: 1, DatagenWorkers: 1, Parallel: 1, Reps: 1}
+	opts := faultOptions(reg, startAgents(t, reg, 1), "")
+	out, err := Coordinate(context.Background(), spec, opts)
+	if err == nil || out == nil || len(out.Degraded) != 1 {
+		t.Fatalf("unencodable result: err=%.300v, want one degraded shard", err)
+	}
+	note := out.Degraded[0]
+	if !strings.Contains(note, "agent: task 0 (huge-label)") || !strings.Contains(note, "exceeds 65535 bytes") {
+		t.Fatalf("degraded note does not carry the encode error: %.300s", note)
 	}
 }
 
@@ -283,11 +334,13 @@ func TestAgentRejectsBadHandshake(t *testing.T) {
 	}{
 		{"protocol-mismatch", wire.Hello{Protocol: 99, SpecDigest: digest}, 0, 1, "protocol version 99"},
 		// Stale coordinators are refused, not half-understood: protocol 1
-		// expected median/best copies in result frames, and protocol 2 stamped
+		// expected median/best copies in result frames, protocol 2 stamped
 		// the placement into the spec it sent (which this agent's strict parse
-		// would reject anyway — the version check says why first).
-		{"protocol-1", wire.Hello{Protocol: 1, SpecDigest: digest}, 0, 1, "protocol version 1 unsupported (agent speaks 3)"},
-		{"protocol-2", wire.Hello{Protocol: 2, SpecDigest: digest}, 0, 1, "protocol version 2 unsupported (agent speaks 3)"},
+		// would reject anyway — the version check says why first), and
+		// protocol 3 read samples as JSON pairs, not a runstore blob.
+		{"protocol-1", wire.Hello{Protocol: 1, SpecDigest: digest}, 0, 1, "protocol version 1 unsupported (agent speaks 4)"},
+		{"protocol-2", wire.Hello{Protocol: 2, SpecDigest: digest}, 0, 1, "protocol version 2 unsupported (agent speaks 4)"},
+		{"protocol-3", wire.Hello{Protocol: 3, SpecDigest: digest}, 0, 1, "protocol version 3 unsupported (agent speaks 4)"},
 		{"digest-mismatch", wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: "deadbeef"}, 0, 1, "spec digest mismatch"},
 		{"shard-at-shards", good, 2, 2, "shard 2/2 out of range"},
 		{"negative-shard", good, -1, 2, "shard -1/2 out of range"},

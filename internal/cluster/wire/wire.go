@@ -6,9 +6,10 @@
 // spec); the agent's response streams Accept,
 // then engine Events interleaved with periodic Snapshot heartbeats, then
 // one Result frame per shard-local task. A result is its measured
-// repetitions — each sample crosses the wire once — and the coordinator
-// re-derives median, best and throughput from them with the engine's own
-// rule (engine.Summarize), exactly as a local run does.
+// repetitions — each sample crosses the wire once, in the runstore blob
+// encoding the artifact stores — and the coordinator re-derives median,
+// best and throughput from them with the engine's own rule
+// (engine.Summarize), exactly as a local run does.
 //
 // Framing is deliberately defensive: a four-byte big-endian length, capped
 // at MaxFrameSize, prefixes every JSON envelope, and ReadFrame/DecodeFrame
@@ -37,7 +38,7 @@ import (
 // ProtocolVersion is the wire protocol version. A Hello carrying any other
 // value is rejected at handshake — framing or semantics changes bump it, so
 // a stale agent fails loudly instead of mis-executing a shard.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // MaxFrameSize caps one frame's JSON body (64 MiB). A length prefix above
 // it is treated as corruption: the reader fails instead of allocating
@@ -161,14 +162,61 @@ type Snapshot struct {
 	ElapsedNs int64 `json:"elapsedNs,omitempty"`
 }
 
-// Rep is one measured repetition in transit: the full metrics.Result (its
-// JSON form round-trips exactly — shortest-representation floats, sorted
-// map keys) plus the raw latency streams metrics excludes from JSON,
-// carried as runstore series keyed by the owning workload.
-type Rep struct {
-	Result  metrics.Result    `json:"result"`
-	Samples []runstore.Series `json:"samples,omitempty"`
-	Err     string            `json:"err,omitempty"`
+// Rep is one measured repetition in transit. Its Result travels as JSON
+// (which round-trips exactly: shortest-representation floats, sorted map
+// keys), its error as a message, and the raw latency streams metrics
+// excludes from JSON as a runstore blob: the artifact's own encoding.
+type Rep engine.Rep
+
+// repJSON is Rep's wire shape; Samples is base64 in the JSON.
+type repJSON struct {
+	Result  metrics.Result `json:"result"`
+	Samples []byte         `json:"samples,omitempty"`
+	Err     string         `json:"err,omitempty"`
+}
+
+// MarshalJSON encodes the streams with runstore.Encode, as series with no
+// workload, so a stream runstore cannot encode fails EncodeFrame. Encode
+// sorts each stream in place, and the streams are the caller's.
+func (r Rep) MarshalJSON() ([]byte, error) {
+	w := repJSON{Result: r.Result}
+	if r.Err != nil {
+		w.Err = r.Err.Error()
+	}
+	if len(r.Result.Samples) > 0 {
+		var err error
+		if w.Samples, err = runstore.Encode(&runstore.Run{Series: runstore.SeriesOf("", r.Result.Samples)}); err != nil {
+			return nil, err
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON decodes the streams with runstore.Decode, CRC and length
+// checks included, so a corrupt sample section fails Frame.Decode as a
+// corrupt JSON body does. An error's identity (errors.Is) does not survive
+// the wire; its message does.
+func (r *Rep) UnmarshalJSON(raw []byte) error {
+	var w repJSON
+	if err := json.Unmarshal(raw, &w); err != nil {
+		return err
+	}
+	*r = Rep{Result: w.Result}
+	if w.Err != "" {
+		r.Err = errors.New(w.Err)
+	}
+	if len(w.Samples) == 0 {
+		return nil
+	}
+	run, err := runstore.Decode(w.Samples)
+	if err != nil {
+		return fmt.Errorf("samples: %w", err)
+	}
+	r.Result.Samples = make([]metrics.OpSamples, len(run.Series))
+	for i, s := range run.Series {
+		r.Result.Samples[i] = metrics.OpSamples{Op: s.Op, Substrate: s.Substrate, Samples: s.Samples, Dropped: s.Dropped}
+	}
+	return nil
 }
 
 // Result is one finished shard-local task: its measured repetitions and,
@@ -190,65 +238,21 @@ type Error struct {
 	Message string `json:"message"`
 }
 
-// SamplesOf converts wire series back to the metrics form.
-func SamplesOf(series []runstore.Series) []metrics.OpSamples {
-	if len(series) == 0 {
-		return nil
-	}
-	out := make([]metrics.OpSamples, 0, len(series))
-	for _, s := range series {
-		os := metrics.OpSamples{
-			Op:        s.Op,
-			Substrate: s.Substrate,
-			Dropped:   s.Dropped,
-			Offsets:   make([]int64, len(s.Samples)),
-			Values:    make([]int64, len(s.Samples)),
-		}
-		for i, smp := range s.Samples {
-			os.Offsets[i] = smp.Offset
-			os.Values[i] = smp.Value
-		}
-		out = append(out, os)
-	}
-	return out
-}
-
-// fromRep converts one repetition, splitting the JSON-excluded samples out.
-func fromRep(workload string, r engine.Rep) Rep {
-	w := Rep{Result: r.Result, Samples: runstore.SeriesOf(workload, r.Result.Samples)}
-	w.Result.Samples = nil
-	if r.Err != nil {
-		w.Err = r.Err.Error()
-	}
-	return w
-}
-
-func (r Rep) toRep() engine.Rep {
-	out := engine.Rep{Result: r.Result}
-	out.Result.Samples = SamplesOf(r.Samples)
-	if r.Err != "" {
-		out.Err = errors.New(r.Err)
-	}
-	return out
-}
-
 // FromTaskResult converts one engine result to its wire form. task is the
 // shard-local index.
 func FromTaskResult(task int, r engine.TaskResult) Result {
 	w := Result{Task: task, Workload: r.Workload, Category: string(r.Category), Load: r.Load}
 	for _, rep := range r.Reps {
-		w.Reps = append(w.Reps, fromRep(r.Workload, rep))
+		w.Reps = append(w.Reps, Rep(rep))
 	}
 	return w
 }
 
 // ToTaskResult converts back, re-deriving what the repetitions determine.
-// Errors arrive as opaque messages: identity (errors.Is) does not survive
-// the wire, messages do.
 func (r Result) ToTaskResult() engine.TaskResult {
 	var reps []engine.Rep
 	for _, rep := range r.Reps {
-		reps = append(reps, rep.toRep())
+		reps = append(reps, engine.Rep(rep))
 	}
 	return engine.Summarize(r.Workload, workloads.Category(r.Category), reps, r.Load)
 }

@@ -3,8 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -80,12 +80,11 @@ func TestEventRoundTrip(t *testing.T) {
 }
 
 // sampledResult is a metrics.Result with one captured stream whose offsets
-// and values are unique per (seed, i), so a frame can be searched for them.
+// and values are unique per (seed, i).
 func sampledResult(name string, throughput float64, seed int64, n int) metrics.Result {
 	s := metrics.OpSamples{Op: "read", Dropped: 1}
 	for i := int64(0); i < int64(n); i++ {
-		s.Offsets = append(s.Offsets, seed*1_000_000+i)
-		s.Values = append(s.Values, seed*1_000_000+500_000+i)
+		s.Samples = append(s.Samples, metrics.Sample{Offset: seed*1_000_000 + i, Value: seed*1_000_000 + 500_000 + i})
 	}
 	return metrics.Result{
 		Name:       name,
@@ -138,10 +137,6 @@ func TestTaskResultRoundTrip(t *testing.T) {
 			if w.Task != 7 {
 				t.Fatalf("shard-local task %d, want 7", w.Task)
 			}
-			// Samples travel as series, not inside the Result JSON.
-			if w.Reps[0].Result.Samples != nil {
-				t.Fatal("wire rep still carries raw samples inline")
-			}
 			frame, err := EncodeFrame(TypeResult, w)
 			if err != nil {
 				t.Fatal(err)
@@ -176,40 +171,134 @@ func TestTaskResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultFrameCarriesEachSampleOnce: a reps=1 result used to cross the
-// wire as reps[0], median and best — three JSON copies of every captured
-// sample, of which the coordinator used one.
-func TestResultFrameCarriesEachSampleOnce(t *testing.T) {
-	const n = 50
-	res := sampledResult("det-a", 100, 7, n)
-	frame, err := EncodeFrame(TypeResult, FromTaskResult(0,
-		engine.Summarize("det-a", "offline analytics", []engine.Rep{{Result: res}}, nil)))
+// TestResultFrameCarriesTheBlobEncoding pins what a sample costs on the
+// wire: a result frame of 10 000 paced samples is at most 1.5× the runstore
+// blob of the same series (base64 is 4/3) over the frame without them. The
+// streams cross once, columnar: neither as JSON pairs (protocol 3, about
+// nine times the blob) nor with median and best copies (protocol 1). The
+// frame decodes back to exactly those samples.
+func TestResultFrameCarriesTheBlobEncoding(t *testing.T) {
+	const n = 10_000
+	res := sampledResult("det-a", 100, 7, 0)
+	s := &res.Samples[0]
+	for i := int64(0); i < n; i++ {
+		// Every 5 µs with up to 200 ns of jitter, latencies of 200–250 µs.
+		s.Samples = append(s.Samples, metrics.Sample{Offset: i*5000 + i*7919%200, Value: 200_000 + i*104729%50_000})
+	}
+	frameOf := func(r metrics.Result) []byte {
+		frame, err := EncodeFrame(TypeResult, FromTaskResult(0,
+			engine.Summarize("det-a", "offline analytics", []engine.Rep{{Result: r}}, nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	frame := frameOf(res)
+	bare := res
+	bare.Samples = nil
+	blob, err := runstore.Encode(&runstore.Run{Series: runstore.SeriesOf("det-a", res.Samples)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Samples[0]
-	for i := 0; i < n; i++ {
-		pair := fmt.Sprintf(`{"Offset":%d,"Value":%d}`, s.Offsets[i], s.Values[i])
-		if got := bytes.Count(frame, []byte(pair)); got != 1 {
-			t.Fatalf("sample %s appears %d times in the frame, want once", pair, got)
-		}
+	if limit := len(frameOf(bare)) + len(blob)*3/2; len(frame) > limit {
+		t.Fatalf("%d samples: %d-byte frame, above %d (1.5 × the %d-byte blob over the frame without them)",
+			n, len(frame), limit, len(blob))
+	}
+	f, _, err := DecodeFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Result
+	if err := f.Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Reps[0].Result.Samples; !reflect.DeepEqual(got, res.Samples) {
+		t.Fatalf("decoded %d stream(s), not the %d samples sent", len(got), n)
 	}
 }
 
+// TestSeriesConversionRoundTrip: SeriesOf keys the capture's streams
+// without copying them, and a repetition's streams cross the wire and come
+// back as they were; no streams stay nil both ways.
 func TestSeriesConversionRoundTrip(t *testing.T) {
 	in := []metrics.OpSamples{
-		{Op: "read", Offsets: []int64{5, 6}, Values: []int64{50, 60}},
-		{Op: "shuffle", Substrate: true, Offsets: []int64{7}, Values: []int64{70}, Dropped: 3},
+		{Op: "read", Samples: []metrics.Sample{{Offset: 5, Value: 50}, {Offset: 6, Value: 60}}},
+		{Op: "shuffle", Substrate: true, Samples: []metrics.Sample{{Offset: 7, Value: 70}}, Dropped: 3},
 	}
 	series := runstore.SeriesOf("w", in)
-	if len(series) != 2 || series[0].Workload != "w" || !series[1].Substrate {
+	if len(series) != 2 || series[0].Workload != "w" || !series[1].Substrate || series[1].Dropped != 3 {
 		t.Fatalf("series %+v", series)
 	}
-	if got := SamplesOf(series); !reflect.DeepEqual(got, in) {
-		t.Fatalf("round trip %+v, want %+v", got, in)
+	if &series[0].Samples[0] != &in[0].Samples[0] {
+		t.Fatal("SeriesOf copied the samples")
 	}
-	if runstore.SeriesOf("w", nil) != nil || SamplesOf(nil) != nil {
-		t.Fatal("empty conversions must stay nil")
+	for _, samples := range [][]metrics.OpSamples{in, nil} {
+		raw, err := json.Marshal(Rep{Result: metrics.Result{Samples: samples}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Rep
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Result.Samples, samples) {
+			t.Fatalf("round trip %+v, want %+v", back.Result.Samples, samples)
+		}
+	}
+	if runstore.SeriesOf("w", nil) != nil {
+		t.Fatal("no streams must stay nil")
+	}
+}
+
+// resultFrame is a result frame whose one repetition carries the given
+// sample section bytes, whatever they are.
+func resultFrame(tb testing.TB, samples []byte) []byte {
+	tb.Helper()
+	body := struct {
+		Workload string    `json:"workload"`
+		Reps     []repJSON `json:"reps"`
+	}{"det-a", []repJSON{{Result: sampledResult("det-a", 100, 1, 0), Samples: samples}}}
+	frame, err := EncodeFrame(TypeResult, body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// corruptSampleFrames are well-framed result frames whose sample section is
+// not a blob runstore accepts.
+func corruptSampleFrames(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	blob, err := runstore.Encode(&runstore.Run{Series: runstore.SeriesOf("", sampledResult("det-a", 100, 1, 50).Samples)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	flipped := bytes.Clone(blob)
+	flipped[len(flipped)/2] ^= 0x10
+	version := bytes.Clone(blob)
+	binary.LittleEndian.PutUint16(version[4:], runstore.Version+1)
+	return map[string][]byte{
+		"samples-truncated":     resultFrame(tb, blob[:len(blob)-5]),
+		"samples-bit-flipped":   resultFrame(tb, flipped),
+		"samples-wrong-version": resultFrame(tb, version),
+	}
+}
+
+// TestResultFrameCorruptSamples: a corrupt sample section is framed well,
+// so DecodeFrame accepts it, and then fails Frame.Decode like a corrupt
+// JSON body: an error naming the section, never a panic.
+func TestResultFrameCorruptSamples(t *testing.T) {
+	for name, raw := range corruptSampleFrames(t) {
+		t.Run(name, func(t *testing.T) {
+			f, _, err := DecodeFrame(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var r Result
+			if err := f.Decode(&r); err == nil || !strings.Contains(err.Error(), "samples: runstore:") {
+				t.Fatalf("corrupt sample section decoded: err=%v", err)
+			}
+		})
 	}
 }
 
@@ -317,14 +406,17 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, raw := range corruptFrames(f) {
 		f.Add(raw)
 	}
-	// The protocol-2 result frame: repetitions and their series, no
-	// median/best copies.
+	// A protocol-4 result frame: repetitions, each with its sample section
+	// as a runstore blob; and the same frame with that section corrupt.
 	result, err := EncodeFrame(TypeResult, FromTaskResult(0,
 		engine.Summarize("det-a", "offline analytics", []engine.Rep{{Result: sampledResult("det-a", 100, 1, 2)}}, nil)))
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(result)
+	for _, raw := range corruptSampleFrames(f) {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		frame, n, err := DecodeFrame(raw)
 		if err != nil {
@@ -338,6 +430,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if _, err := EncodeFrame(frame.Type, frame.Body); err != nil {
 			t.Fatalf("valid frame failed to re-encode: %v", err)
+		}
+		// A result body goes through runstore.Decode: an error, never a panic.
+		if frame.Type == TypeResult {
+			var r Result
+			_ = frame.Decode(&r)
 		}
 	})
 }

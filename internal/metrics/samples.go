@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,16 +122,21 @@ func (b *sampleBuf) grow(k int) *[]slot {
 	return &seg
 }
 
+// Sample is one captured observation, from capture to artifact (runstore's
+// series hold these): a latency Value at an Offset from the sampling origin
+// (EnableSampling time), both in nanoseconds.
+type Sample struct {
+	Offset int64
+	Value  int64
+}
+
 // OpSamples is one operation's captured raw latency stream, drained from
-// every shard at Snapshot. Offsets are nanoseconds from the sampling origin
-// (EnableSampling time), values are latency nanoseconds; index i of both
-// slices is one observation. Excluded from JSON: the stream's durable form
-// is the runstore blob, not the report document.
+// every shard at Snapshot. Excluded from JSON: the stream's durable form is
+// the runstore blob, not the report document.
 type OpSamples struct {
 	Op        string `json:"-"`
 	Substrate bool   `json:"-"`
-	Offsets   []int64
-	Values    []int64
+	Samples   []Sample
 	// Dropped counts observations made after the buffer filled; the stream
 	// is complete when it is zero. Size buffers via EnableSampling capacity.
 	Dropped uint64
@@ -198,6 +204,7 @@ func (s *Shard) drainSamples(dst map[sampleKey]*OpSamples) {
 			os = &OpSamples{Op: op, Substrate: s.substrate}
 			dst[k] = os
 		}
+		os.Samples = slices.Grow(os.Samples, int(filled))
 		// Segments in slot order reproduce claim order.
 		for i, left := 0, filled; left > 0; i++ {
 			seg := b.segs[i].Load()
@@ -206,8 +213,7 @@ func (s *Shard) drainSamples(dst map[sampleKey]*OpSamples) {
 			}
 			part := (*seg)[:min(left, uint64(len(*seg)))]
 			for j := range part {
-				os.Offsets = append(os.Offsets, part[j].off.Load())
-				os.Values = append(os.Values, part[j].val.Load())
+				os.Samples = append(os.Samples, Sample{Offset: part[j].off.Load(), Value: part[j].val.Load()})
 			}
 			left -= uint64(len(part))
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -42,19 +43,16 @@ func TestSamplingCapturesAllPaths(t *testing.T) {
 	for _, s := range r.Samples {
 		byKey[fmt.Sprintf("%s/%v", s.Op, s.Substrate)] = s
 	}
-	if s := byKey["read/false"]; len(s.Values) != 3 {
-		t.Errorf("read stream: %d samples, want 3 (merged across shards): %+v", len(s.Values), s)
+	if s := byKey["read/false"]; len(s.Samples) != 3 {
+		t.Errorf("read stream: %d samples, want 3 (merged across shards): %+v", len(s.Samples), s)
 	}
-	if s := byKey["echo/true"]; len(s.Values) != 1 || s.Values[0] != int64(4*time.Millisecond) {
+	if s := byKey["echo/true"]; len(s.Samples) != 1 || s.Samples[0].Value != int64(4*time.Millisecond) {
 		t.Errorf("substrate echo stream: %+v", s)
 	}
-	if s := byKey["datagen/true"]; len(s.Values) != 1 {
+	if s := byKey["datagen/true"]; len(s.Samples) != 1 {
 		t.Errorf("datagen stream: %+v", s)
 	}
 	for _, s := range r.Samples {
-		if len(s.Offsets) != len(s.Values) {
-			t.Errorf("%s: %d offsets vs %d values", s.Op, len(s.Offsets), len(s.Values))
-		}
 		if s.Dropped != 0 {
 			t.Errorf("%s: %d dropped with roomy buffers", s.Op, s.Dropped)
 		}
@@ -74,13 +72,13 @@ func TestSamplingDropsAtCapacityExactly(t *testing.T) {
 		t.Fatalf("streams: %+v", r.Samples)
 	}
 	s := r.Samples[0]
-	if len(s.Values) != 8 || s.Dropped != 12 {
-		t.Fatalf("capacity 8, 20 observations: %d kept, %d dropped", len(s.Values), s.Dropped)
+	if len(s.Samples) != 8 || s.Dropped != 12 {
+		t.Fatalf("capacity 8, 20 observations: %d kept, %d dropped", len(s.Samples), s.Dropped)
 	}
 	// The first capacity observations are the ones kept, in order.
-	for i, v := range s.Values {
-		if v != int64(time.Duration(i+1)*time.Microsecond) {
-			t.Fatalf("sample %d: %d", i, v)
+	for i, smp := range s.Samples {
+		if smp.Value != int64(time.Duration(i+1)*time.Microsecond) {
+			t.Fatalf("sample %d: %d", i, smp.Value)
 		}
 	}
 	// Histogram still saw every observation.
@@ -114,19 +112,8 @@ func TestSamplingDeterministicAcrossShardCounts(t *testing.T) {
 		return c.Snapshot().Samples
 	}
 	canon := func(ss []OpSamples) []OpSamples {
-		for i := range ss {
-			s := &ss[i]
-			idx := make([]int, len(s.Values))
-			for j := range idx {
-				idx[j] = j
-			}
-			sort.Slice(idx, func(a, b int) bool { return s.Values[idx[a]] < s.Values[idx[b]] })
-			vals := make([]int64, len(idx))
-			offs := make([]int64, len(idx))
-			for j, k := range idx {
-				vals[j], offs[j] = s.Values[k], s.Offsets[k]
-			}
-			s.Values, s.Offsets = vals, offs
+		for _, s := range ss {
+			sort.Slice(s.Samples, func(a, b int) bool { return s.Samples[a].Value < s.Samples[b].Value })
 		}
 		return ss
 	}
@@ -137,11 +124,11 @@ func TestSamplingDeterministicAcrossShardCounts(t *testing.T) {
 			t.Fatalf("%d shards: %d streams, want %d", n, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].Op != want[i].Op || len(got[i].Values) != len(want[i].Values) {
+			if got[i].Op != want[i].Op || len(got[i].Samples) != len(want[i].Samples) {
 				t.Fatalf("%d shards: stream %d mismatch", n, i)
 			}
-			for j := range got[i].Values {
-				if got[i].Values[j] != want[i].Values[j] || got[i].Offsets[j] != want[i].Offsets[j] {
+			for j := range got[i].Samples {
+				if got[i].Samples[j] != want[i].Samples[j] {
 					t.Fatalf("%d shards: sample %d/%d differs", n, i, j)
 				}
 			}
@@ -177,8 +164,8 @@ func TestSamplingConcurrentSnapshot(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r := c.Snapshot()
 		for _, s := range r.Samples {
-			if len(s.Values) > 4*128 {
-				t.Errorf("stream overflow: %d samples", len(s.Values))
+			if len(s.Samples) > 4*128 {
+				t.Errorf("stream overflow: %d samples", len(s.Samples))
 			}
 		}
 	}
@@ -200,8 +187,8 @@ func TestSamplingOffsetsUseInjectedClock(t *testing.T) {
 	c.SetElapsed(time.Second)
 	r := c.Snapshot()
 	s := r.Samples[0]
-	if s.Offsets[0] != int64(time.Millisecond) || s.Offsets[1] != int64(2*time.Millisecond) {
-		t.Fatalf("offsets %v, want 1ms/2ms", s.Offsets)
+	if s.Samples[0].Offset != int64(time.Millisecond) || s.Samples[1].Offset != int64(2*time.Millisecond) {
+		t.Fatalf("samples %v, want offsets 1ms/2ms", s.Samples)
 	}
 }
 
@@ -211,7 +198,7 @@ func TestSamplingDefaultCapacity(t *testing.T) {
 	op := c.Op("op")
 	op.Observe(time.Microsecond)
 	c.SetElapsed(time.Second)
-	if r := c.Snapshot(); len(r.Samples) != 1 || len(r.Samples[0].Values) != 1 {
+	if r := c.Snapshot(); len(r.Samples) != 1 || len(r.Samples[0].Samples) != 1 {
 		t.Fatalf("default-capacity capture lost the observation: %+v", r.Samples)
 	}
 }
@@ -249,8 +236,8 @@ func TestHandlesAreFreeUntilUsed(t *testing.T) {
 	if len(r.Ops) != 1 || r.Ops[0].Op != "op-07" || r.Ops[0].Count != 1 {
 		t.Fatalf("ops after the first observation: %+v", r.Ops)
 	}
-	if len(r.Samples) != 1 || r.Samples[0].Op != "op-07" || len(r.Samples[0].Values) != 1 ||
-		r.Samples[0].Values[0] != int64(3*time.Millisecond) {
+	if len(r.Samples) != 1 || r.Samples[0].Op != "op-07" || len(r.Samples[0].Samples) != 1 ||
+		r.Samples[0].Samples[0].Value != int64(3*time.Millisecond) {
 		t.Fatalf("series after the first observation: %+v", r.Samples)
 	}
 }
@@ -283,9 +270,9 @@ func TestFirstObservationRace(t *testing.T) {
 		t.Fatalf("%d ops, %d series, want %d each", len(r.Ops), len(r.Samples), labels)
 	}
 	for i, op := range r.Ops {
-		if op.Count != writers || len(r.Samples[i].Values) != writers || r.Samples[i].Dropped != 0 {
+		if op.Count != writers || len(r.Samples[i].Samples) != writers || r.Samples[i].Dropped != 0 {
 			t.Fatalf("%s: count %d, %d samples, %d dropped, want %d/%d/0",
-				op.Op, op.Count, len(r.Samples[i].Values), r.Samples[i].Dropped, writers, writers)
+				op.Op, op.Count, len(r.Samples[i].Samples), r.Samples[i].Dropped, writers, writers)
 		}
 	}
 }
@@ -316,11 +303,14 @@ func TestSampleQuantilesAgreeWithHistogram(t *testing.T) {
 		}
 		c.SetElapsed(time.Second)
 		r := c.Snapshot()
-		if len(r.Samples) != 1 || r.Samples[0].Dropped != 0 || len(r.Samples[0].Values) != n {
+		if len(r.Samples) != 1 || r.Samples[0].Dropped != 0 || len(r.Samples[0].Samples) != n {
 			t.Fatalf("%s: stream not captured whole: %+v", name, r.Samples)
 		}
-		vals := r.Samples[0].Values
-		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+		vals := make([]int64, n)
+		for i, smp := range r.Samples[0].Samples {
+			vals[i] = smp.Value
+		}
+		slices.Sort(vals)
 		st := r.Ops[0]
 		for _, q := range []struct {
 			q    float64
@@ -414,8 +404,8 @@ func TestSampleBufProperty(t *testing.T) {
 			defer snaps.Done()
 			for {
 				for _, s := range c.Snapshot().Samples {
-					if len(s.Values) > capacity || len(s.Values) != len(s.Offsets) {
-						t.Errorf("%s: mid-run snapshot holds %d values, %d offsets", name, len(s.Values), len(s.Offsets))
+					if len(s.Samples) > capacity {
+						t.Errorf("%s: mid-run snapshot holds %d samples", name, len(s.Samples))
 					}
 				}
 				select {
@@ -454,13 +444,14 @@ func TestSampleBufProperty(t *testing.T) {
 			t.Fatalf("%s: %d series", name, len(r.Samples))
 		}
 		s := r.Samples[0]
-		if len(s.Values) != kept || len(s.Offsets) != kept || s.Dropped != uint64(n-kept) {
-			t.Fatalf("%s: kept %d values, %d offsets, dropped %d; want %d, %d, %d",
-				name, len(s.Values), len(s.Offsets), s.Dropped, kept, kept, n-kept)
+		if len(s.Samples) != kept || s.Dropped != uint64(n-kept) {
+			t.Fatalf("%s: kept %d samples, dropped %d; want %d, %d",
+				name, len(s.Samples), s.Dropped, kept, n-kept)
 		}
 		seen := make(map[int64]bool, kept)
 		last := make([]int64, writers)
-		for _, v := range s.Values {
+		for _, smp := range s.Samples {
+			v := smp.Value
 			if v < 1 || v > int64(n) || seen[v] {
 				t.Fatalf("%s: drained %d, which was not recorded or was drained twice", name, v)
 			}

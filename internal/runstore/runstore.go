@@ -46,13 +46,8 @@ const (
 	KindCorpus = "corpus"
 )
 
-// Sample is one captured observation: a latency value at an offset from the
-// run's start. Both are nanoseconds; Offset orders the stream, Value is
-// what quantiles are computed from.
-type Sample struct {
-	Offset int64
-	Value  int64
-}
+// Sample is one captured observation: the capture's own type, unconverted.
+type Sample = metrics.Sample
 
 // Series is one operation's latency stream within a run, keyed by the
 // workload that produced it and the operation label observed.
@@ -70,25 +65,18 @@ type Series struct {
 	Dropped uint64
 }
 
-// SeriesOf converts one workload's captured latency streams to series: the
-// one conversion behind both the run artifact and a distributed result
-// frame, so merged shard series and local series are indistinguishable.
+// SeriesOf keys one workload's captured latency streams as series: the one
+// conversion behind both the run artifact and a distributed result frame,
+// so merged shard series and local series are indistinguishable. It copies
+// headers only — each series shares its stream's Samples slice — so Encode,
+// which sorts samples in place, leaves the capture in canonical order too.
 func SeriesOf(workload string, samples []metrics.OpSamples) []Series {
 	if len(samples) == 0 {
 		return nil
 	}
 	out := make([]Series, len(samples))
 	for i, s := range samples {
-		out[i] = Series{
-			Workload:  workload,
-			Op:        s.Op,
-			Substrate: s.Substrate,
-			Dropped:   s.Dropped,
-			Samples:   make([]Sample, len(s.Values)),
-		}
-		for j := range s.Values {
-			out[i].Samples[j] = Sample{Offset: s.Offsets[j], Value: s.Values[j]}
-		}
+		out[i] = Series{Workload: workload, Op: s.Op, Substrate: s.Substrate, Samples: s.Samples, Dropped: s.Dropped}
 	}
 	return out
 }
