@@ -497,7 +497,6 @@ func BenchmarkYCSBClientScaling(b *testing.B) {
 					workloads.Params{Seed: 9, Scale: 1, Workers: w}, c); err != nil {
 					b.Fatal(err)
 				}
-				c.Stop()
 				for _, op := range c.Snapshot().Ops {
 					if !op.Substrate { // count each logical op once, not its kv_* echo
 						ops += op.Count

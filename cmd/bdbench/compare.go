@@ -49,13 +49,13 @@ func cmdCompare(args []string) error {
 		return err
 	}
 	cmp := bdbench.CompareRuns(a, b, opts)
-	if *format != "json" {
-		fmt.Fprintf(stdout, "a: %s   (%s)\n", bdbench.RunInfo(a), fs.Arg(0))
-		fmt.Fprintf(stdout, "b: %s   (%s)\n\n", bdbench.RunInfo(b), fs.Arg(1))
-	}
 	rendered, err := bdbench.FormatComparison(cmp, *format)
 	if err != nil {
 		return err
+	}
+	if *format != "json" {
+		fmt.Fprintf(stdout, "a: %s   (%s)\n", bdbench.RunInfo(a), fs.Arg(0))
+		fmt.Fprintf(stdout, "b: %s   (%s)\n\n", bdbench.RunInfo(b), fs.Arg(1))
 	}
 	fmt.Fprint(stdout, rendered)
 	return cmp.Err()

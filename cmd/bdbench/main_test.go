@@ -183,6 +183,27 @@ func TestRunShowCompare(t *testing.T) {
 	}
 }
 
+// TestUnknownFormatIsOneMessage: run, show and compare resolve -format
+// through one table, so a format none of them knows fails each the same way,
+// naming every format there is.
+func TestUnknownFormatIsOneMessage(t *testing.T) {
+	blob := filepath.Join(t.TempDir(), "empty.blob")
+	if err := bdbench.WriteRun(blob, &bdbench.RunArtifact{}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `bdbench: report: unknown format "x" (have: text, markdown, json)`
+	for _, args := range [][]string{
+		{"run", "-format", "x", "-suite", "GridMix", "-validate"},
+		{"show", "-format", "x", blob},
+		{"compare", "-format", "x", blob, blob},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(args, &out, &errw); code != 1 || strings.TrimSpace(errw.String()) != want || out.Len() != 0 {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and %q", args[0], code, out.String(), errw.String(), want)
+		}
+	}
+}
+
 // TestSampleSpecComparesCleanWithItself: the sample spec runs grep twice —
 // once in GridMix's inventory, once open-loop — and each result needs its
 // own name in the artifact, or compare aligns both with the first stream

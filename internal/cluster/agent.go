@@ -48,8 +48,9 @@ type AgentOptions struct {
 	// ToolVersion is echoed in the handshake (bdbench.Version through the
 	// public API).
 	ToolVersion string
-	// Now is the engine clock seam (engine.Config.Now); nil means real time.
-	// Determinism tests freeze it on agents and coordinator alike.
+	// Now is the run's clock (engine.Config.Now), which the engine sets on
+	// every collector; nil means real time. Determinism tests freeze it on
+	// agents and coordinator alike.
 	Now func() time.Time
 	// Heartbeat is the progress-snapshot period (DefaultHeartbeat when 0) —
 	// the liveness signal the coordinator's watchdog feeds on while a long

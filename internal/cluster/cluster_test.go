@@ -13,11 +13,11 @@ import (
 )
 
 // The equivalence harness: byte-identical artifacts require every input of
-// the artifact to be deterministic, so the tests pin the three wall-clock
-// seams (engine clock, step-trace clock, artifact stamp) and run synthetic
-// workloads whose observations derive purely from (seed, name, scale).
-// Real workloads record wall-clock latencies and would differ between any
-// two runs, distributed or not.
+// the artifact to be deterministic, so the tests freeze the run's one clock
+// (Options.Now: step traces, the artifact stamp and, through the engine,
+// every collector) and pin the machine-dependent spec defaults. Most run
+// synthetic workloads whose observations derive purely from (seed, name,
+// scale); TestBuiltinsMatchAcrossAgentsAndParallelism runs the built-ins.
 
 const frozenUnix int64 = 1754600000
 
@@ -108,7 +108,6 @@ func coordOptions(reg *scenario.Registry, agents []string, out string) Options {
 		SampleCapacity: 512,
 		ToolVersion:    "test",
 		Now:            frozenNow,
-		Stamp:          7,
 	}
 }
 
@@ -119,6 +118,5 @@ func localOptions(reg *scenario.Registry, out string) scenario.Options {
 		SampleCapacity: 512,
 		ToolVersion:    "test",
 		Now:            frozenNow,
-		Stamp:          7,
 	}
 }

@@ -66,7 +66,6 @@ type Options struct {
 	SampleCapacity int
 	ToolVersion    string
 	Now            func() time.Time
-	Stamp          int64
 }
 
 // Coordinate runs the scenario's five-step process locally with Step 4
@@ -108,7 +107,6 @@ func Coordinate(ctx context.Context, spec scenario.Spec, opts Options) (*scenari
 		SampleCapacity: opts.SampleCapacity,
 		ToolVersion:    opts.ToolVersion,
 		Now:            opts.Now,
-		Stamp:          opts.Stamp,
 		Execute:        c.execute,
 	})
 }

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/engine"
+	"github.com/bdbench/bdbench/internal/opcompose"
 	"github.com/bdbench/bdbench/internal/runstore"
 	"github.com/bdbench/bdbench/internal/scenario"
+	"github.com/bdbench/bdbench/internal/testgen"
 )
 
 // TestCoordinateMatchesLocalRun is the determinism-equivalence contract:
@@ -147,5 +150,128 @@ func TestCoordinateCancelledContext(t *testing.T) {
 	}
 	if out != nil && len(out.Degraded) > 0 {
 		t.Fatalf("cancellation must abort, not degrade: %v", out.Degraded)
+	}
+}
+
+// TestPatternMatchesThroughAgents: a composed pattern times its operations
+// on the collector's clock, which an agent's engine sets as a local engine
+// does, so a frozen-clock pattern spec writes the same blob either way.
+func TestPatternMatchesThroughAgents(t *testing.T) {
+	reg, spec := scenario.NewRegistry(), detSpec()
+	spec.Entries = []scenario.Entry{{Pattern: &opcompose.Pattern{
+		Name:        "mix",
+		Corpus:      "weblog",
+		OpsPerScale: 400,
+		Ops:         []opcompose.OpWeight{{Op: "filter", Weight: 2}, {Op: "aggregate"}, {Op: "scan"}},
+	}}}
+	dir := t.TempDir()
+	local, dist := filepath.Join(dir, "local.blob"), filepath.Join(dir, "dist.blob")
+	if _, err := scenario.Run(context.Background(), spec, localOptions(reg, local)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Coordinate(context.Background(), spec, coordOptions(reg, startAgents(t, reg, 2), dist)); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := os.ReadFile(local)
+	b, _ := os.ReadFile(dist)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("local blob %s, through two agents %s", runstore.DigestBytes(a), runstore.DigestBytes(b))
+	}
+}
+
+// builtinSpec runs every built-in workload once, plus a composed pattern and
+// a prescription bound to the mapreduce stack, with every machine-dependent
+// default pinned. Its registry is the built-in inventory and the bound
+// prescription; agents get the same one.
+func builtinSpec(t *testing.T, parallel int) (*scenario.Registry, scenario.Spec) {
+	t.Helper()
+	reg := scenario.NewRegistry()
+	bound, err := testgen.Bind(testgen.Config{Prescription: "select-count", Stack: "mapreduce"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []scenario.Entry
+	for _, w := range append(scenario.Default().Workloads(), bound) {
+		if err := reg.RegisterWorkload(w); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, scenario.Entry{Workload: w.Name()})
+	}
+	entries = append(entries, scenario.Entry{Pattern: &opcompose.Pattern{
+		Name:        "mix",
+		Corpus:      "weblog",
+		OpsPerScale: 400,
+		Ops:         []opcompose.OpWeight{{Op: "filter", Weight: 2}, {Op: "aggregate"}, {Op: "scan"}},
+	}})
+	return reg, scenario.Spec{
+		Name:           "builtins",
+		Entries:        entries,
+		Seed:           2014,
+		Scale:          1,
+		Workers:        2,
+		DatagenWorkers: 2,
+		Parallel:       parallel,
+	}
+}
+
+// TestBuiltinsMatchAcrossAgentsAndParallelism extends the equivalence
+// contract from synthetic to real workloads: under a frozen run clock, every
+// built-in, a composed pattern and a bound prescription write the same blob
+// run twice locally and through 2 and 4 agents, and the same series at
+// Parallel 1. Every duration a workload or stack measures reads the
+// collector's clock, so the frozen clock reaches them on an agent too.
+func TestBuiltinsMatchAcrossAgentsAndParallelism(t *testing.T) {
+	dir := t.TempDir()
+	blob := func(name string, run func(path string) (*scenario.Outcome, error)) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name+".blob")
+		out, err := run(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if out.Failures != 0 || len(out.Degraded) != 0 {
+			t.Fatalf("%s: %d failure(s), degraded %v", name, out.Failures, out.Degraded)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	reg, spec := builtinSpec(t, 2)
+	local := func(spec scenario.Spec) func(string) (*scenario.Outcome, error) {
+		return func(path string) (*scenario.Outcome, error) {
+			return scenario.Run(context.Background(), spec, localOptions(reg, path))
+		}
+	}
+	want := blob("local", local(spec))
+	run, err := runstore.Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Series) < 100 {
+		t.Fatalf("%d series; the check wants at least 100 to mean something", len(run.Series))
+	}
+
+	if again := blob("again", local(spec)); !bytes.Equal(again, want) {
+		t.Fatalf("two local runs differ: %s vs %s", runstore.DigestBytes(want), runstore.DigestBytes(again))
+	}
+	for _, agents := range []int{2, 4} {
+		urls := startAgents(t, reg, agents)
+		got := blob(fmt.Sprintf("agents-%d", agents), func(path string) (*scenario.Outcome, error) {
+			return Coordinate(context.Background(), spec, coordOptions(reg, urls, path))
+		})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d agents: blob %s, local %s", agents, runstore.DigestBytes(got), runstore.DigestBytes(want))
+		}
+	}
+
+	_, serial := builtinSpec(t, 1)
+	one, err := runstore.Decode(blob("parallel-1", local(serial)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(one.Series, run.Series) {
+		t.Fatal("Parallel 1 captured different series than Parallel 2")
 	}
 }

@@ -58,11 +58,11 @@ type Config struct {
 	// (metrics.EnableSampling). The captured streams surface as
 	// Result.Samples and become the runstore blob's series.
 	SampleCap int
-	// Now, when set, is the clock for repetition timing and sample offsets —
-	// the determinism seam distributed equivalence tests freeze so every
-	// elapsed-derived field (Elapsed, Throughput, sample offsets) reproduces
-	// exactly across processes. Nil means time.Now. Scheduling is unaffected:
-	// workload outputs are (spec, seed)-deterministic regardless.
+	// Now, when set, is the run's one clock, set on every collector the
+	// engine builds: repetition and window timing, sample offsets and every
+	// duration a workload or stack measures read it. Equivalence tests freeze
+	// it; nil means time.Now. Open-loop pacing and loadgen's own latencies
+	// stay on the wall clock, which a frozen clock could not pace.
 	Now func() time.Time
 }
 
@@ -75,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Warmup < 0 {
 		c.Warmup = 0
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -228,7 +225,11 @@ func Run(ctx context.Context, tasks []Task, cfg Config) []TaskResult {
 // open-loop window when the task carries a load spec).
 func runTask(ctx context.Context, idx int, t Task, cfg Config, emit func(Event)) TaskResult {
 	name := t.Workload.Name()
-	t0 := cfg.Now()
+	now := cfg.Now
+	if now == nil {
+		now = time.Now
+	}
+	t0 := now()
 	emit(Event{Kind: EventTaskStart, Workload: name, Task: idx, Rep: -1})
 
 	for i := 0; i < cfg.Warmup; i++ {
@@ -265,7 +266,7 @@ func runTask(ctx context.Context, idx int, t Task, cfg Config, emit func(Event))
 	}
 	res := Summarize(name, t.Category, reps, load)
 	emit(Event{Kind: EventTaskDone, Workload: name, Task: idx, Rep: -1,
-		Err: res.Err, Elapsed: cfg.Now().Sub(t0)})
+		Err: res.Err, Elapsed: now().Sub(t0)})
 	return res
 }
 
@@ -312,13 +313,10 @@ func Summarize(workload string, category workloads.Category, reps []Rep, load *l
 // bounds each individual operation, exactly as it bounds a closed-loop
 // repetition.
 func runOpenLoop(ctx context.Context, t Task, cfg Config) (Rep, loadgen.Stats) {
-	c := metrics.NewCollector(t.Workload.Name())
-	if cfg.SampleCap > 0 {
-		c.EnableSamplingClock(cfg.SampleCap, cfg.Now(), cfg.Now)
-	}
+	c := newCollector(t, cfg, cfg.SampleCap > 0)
 	opts := *t.Load
 	opts.Rec = c
-	c.Start()
+	t0 := c.Now()
 	st, runErr := loadgen.Run(ctx, opts, func(opCtx context.Context) error {
 		if cfg.Timeout > 0 {
 			var cancel context.CancelFunc
@@ -330,7 +328,7 @@ func runOpenLoop(ctx context.Context, t Task, cfg Config) (Rep, loadgen.Stats) {
 		// non-cooperative workload must not wedge the whole window.
 		return awaitRun(opCtx, t, c)
 	})
-	c.Stop()
+	c.SetElapsed(c.Now().Sub(t0))
 
 	rep := Rep{Result: c.Snapshot(), Err: runErr}
 	if runErr == nil && st.Dispatched > 0 && st.Errors == st.Dispatched {
@@ -355,18 +353,26 @@ func runOnce(ctx context.Context, t Task, cfg Config, measured bool) Rep {
 	}
 	defer cancel()
 
-	c := metrics.NewCollector(t.Workload.Name())
-	if measured && cfg.SampleCap > 0 {
-		c.EnableSamplingClock(cfg.SampleCap, cfg.Now(), cfg.Now)
-	}
+	c := newCollector(t, cfg, measured && cfg.SampleCap > 0)
 	if err := runCtx.Err(); err != nil {
 		// Already expired or cancelled: fail fast without starting the run.
 		return Rep{Result: c.Snapshot(), Err: err}
 	}
-	t0 := cfg.Now()
+	t0 := c.Now()
 	err := awaitRun(runCtx, t, c)
-	c.SetElapsed(cfg.Now().Sub(t0))
+	c.SetElapsed(c.Now().Sub(t0))
 	return Rep{Result: c.Snapshot(), Err: err}
+}
+
+// newCollector builds the collector one run of t records into, on the run's
+// clock, capturing raw samples when capture is set.
+func newCollector(t Task, cfg Config, capture bool) *metrics.Collector {
+	c := metrics.NewCollector(t.Workload.Name())
+	c.SetClock(cfg.Now)
+	if capture {
+		c.EnableSampling(cfg.SampleCap)
+	}
+	return c
 }
 
 // awaitRun executes the workload in its own goroutine — converting a panic

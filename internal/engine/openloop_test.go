@@ -67,6 +67,36 @@ func TestOpenLoopTask(t *testing.T) {
 	}
 }
 
+// TestOpenLoopWindowReadsRunClock: an open-loop window is timed on the run's
+// clock like a closed-loop repetition, and so is whatever its operations
+// time, so a frozen Config.Now reads zero for both. Pacing stays on the wall
+// clock: the window still dispatches every arrival.
+func TestOpenLoopWindowReadsRunClock(t *testing.T) {
+	w := fakeWorkload{name: "timed", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+		t0 := c.Now()
+		time.Sleep(time.Millisecond)
+		c.ObserveLatency("op", c.Now().Sub(t0))
+		return nil
+	}}
+	frozen := func() time.Time { return time.Unix(1754600000, 0) }
+	res := Run(context.Background(), []Task{openLoopTask(w, 200, 50*time.Millisecond)}, Config{Workers: 1, Now: frozen})[0]
+	if res.Err != nil || res.Load.Dispatched != 10 {
+		t.Fatalf("err %v, %d dispatched; want nil, 10", res.Err, res.Load.Dispatched)
+	}
+	if res.Median.Elapsed != 0 {
+		t.Fatalf("window elapsed %v under a frozen clock, want 0", res.Median.Elapsed)
+	}
+	var timed metrics.OpStats
+	for _, op := range res.Median.Ops {
+		if op.Op == "op" {
+			timed = op
+		}
+	}
+	if timed.Count != 10 || timed.Max != 0 {
+		t.Fatalf("operations timed %d observation(s), max %v; want 10 of 0", timed.Count, timed.Max)
+	}
+}
+
 // TestOpenLoopAllFailures verifies a window whose every operation errors
 // surfaces as the task's error.
 func TestOpenLoopAllFailures(t *testing.T) {

@@ -21,6 +21,8 @@ import (
 
 func TestDetnondet(t *testing.T) { runWantTest(t, "internal/datagen/det", Detnondet) }
 
+func TestDetnondetWorkloads(t *testing.T) { runWantTest(t, "internal/workloads/timed", Detnondet) }
+
 func TestDetnondetOptInDirective(t *testing.T) { runWantTest(t, "detopt", Detnondet) }
 
 func TestHotpath(t *testing.T) { runWantTest(t, "hot", Hotpath) }

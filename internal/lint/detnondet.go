@@ -11,13 +11,16 @@ import (
 // them must produce output that is a pure function of (spec, seed) — the
 // property the whole benchmark's repeatability rests on (byte-identical
 // corpora at any worker count, canonical runstore blobs, seed-derived
-// schedules). Matched as path segments, so module-qualified and bare
-// testdata paths both hit.
+// schedules, workloads and stacks that time only on the run's clock,
+// metrics.Collector.Now). Matched as path segments, so module-qualified and
+// bare testdata paths both hit.
 var detScopes = []string{
 	"internal/datagen",
 	"internal/loadgen",
 	"internal/runstore",
+	"internal/stacks",
 	"internal/stats",
+	"internal/workloads",
 }
 
 // detDirective opts any other package into the determinism contract.

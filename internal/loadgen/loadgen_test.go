@@ -92,7 +92,7 @@ func TestCoordinatedOmissionGuard(t *testing.T) {
 // the load generator's bookkeeping.
 func TestRunRecordsIntoCollector(t *testing.T) {
 	c := metrics.NewCollector("under-load")
-	c.Start()
+	t0 := c.Now()
 	st, err := Run(context.Background(), Options{
 		Rate: 300, Duration: 100 * time.Millisecond, Rec: c,
 	}, func(context.Context) error {
@@ -101,7 +101,7 @@ func TestRunRecordsIntoCollector(t *testing.T) {
 		c.ObserveLatency("work", time.Microsecond)
 		return nil
 	})
-	c.Stop()
+	c.SetElapsed(c.Now().Sub(t0))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

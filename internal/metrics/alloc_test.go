@@ -188,11 +188,11 @@ func TestOpRefSampledZeroAllocBetweenGrowthSteps(t *testing.T) {
 // samples need — never more than ⌈log2(n/firstSegment)⌉+1 — and a step costs
 // at most a slot array and a slice box.
 func TestSampleBufGrowthSteps(t *testing.T) {
-	st := &samplingState{capacity: DefaultSampleCapacity, start: time.Now(), now: time.Now}
+	st := &samplingState{capacity: DefaultSampleCapacity, start: time.Now()}
 	for _, n := range []int{1, 64, 65, 1000, 4032, 4033, DefaultSampleCapacity + 7} {
 		var b *sampleBuf
 		allocs := testing.AllocsPerRun(1, func() {
-			b = newSampleBuf(st)
+			b = newSampleBuf(st, nil)
 			for i := 0; i < n; i++ {
 				b.record(time.Microsecond)
 			}

@@ -8,11 +8,10 @@ import (
 
 func TestRecordDatagenSurfacesDataPrep(t *testing.T) {
 	c := NewCollector("wl")
-	c.Start()
 	c.ObserveLatency("op", 5*time.Millisecond)
 	c.RecordDatagen(40*time.Millisecond, 1000)
 	c.RecordDatagen(10*time.Millisecond, 0)
-	c.Stop()
+	c.SetElapsed(60 * time.Millisecond)
 	r := c.Snapshot()
 	if r.DataPrep != 50*time.Millisecond {
 		t.Fatalf("DataPrep = %v, want 50ms", r.DataPrep)
@@ -39,20 +38,17 @@ func TestRecordDatagenSurfacesDataPrep(t *testing.T) {
 
 func TestRecordDatagenExcludedFromThroughput(t *testing.T) {
 	c := NewCollector("wl")
-	c.Start()
 	for i := 0; i < 10; i++ {
 		c.ObserveLatency("op", time.Millisecond)
 	}
 	c.RecordDatagen(100*time.Millisecond, 50)
-	time.Sleep(2 * time.Millisecond)
-	c.Stop()
+	c.SetElapsed(2 * time.Millisecond)
 	r := c.Snapshot()
 	// Throughput counts the 10 user observations over elapsed — the
 	// datagen observation and the datagen_items counter must not inflate
-	// it. With elapsed ≥ 2ms, 10 ops bound throughput below 5000/s; a
-	// leak of the datagen observation would show as 11 ops.
-	want := float64(10) / r.Elapsed.Seconds()
-	if r.Throughput != want {
+	// it: 10 ops over 2ms is 5000/s; a leak of the datagen observation
+	// would show as 11 ops.
+	if want := float64(10) / r.Elapsed.Seconds(); r.Throughput != want {
 		t.Fatalf("Throughput = %v, want %v (datagen leaked in)", r.Throughput, want)
 	}
 }
@@ -81,9 +77,8 @@ func TestRecordDatagenConcurrent(t *testing.T) {
 
 func TestZeroDataPrepWithoutRecordDatagen(t *testing.T) {
 	c := NewCollector("wl")
-	c.Start()
 	c.ObserveLatency("op", time.Millisecond)
-	c.Stop()
+	c.SetElapsed(time.Millisecond)
 	if r := c.Snapshot(); r.DataPrep != 0 {
 		t.Fatalf("DataPrep = %v, want 0", r.DataPrep)
 	}

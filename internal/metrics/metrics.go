@@ -54,15 +54,14 @@ const DatagenItems = "datagen_items"
 // collector's own recording methods go through handles on a default shard
 // whose hot path is lock-free, and worker goroutines can mint private shards
 // with Shard so their operation loops never contend with each other at all.
-// The collector's own mutex guards only the measured-interval lifecycle and
-// the shard list.
+// The collector's own mutex guards only the measured interval and the shard
+// list. A collector also carries the run's one clock (SetClock, Now):
+// everything that times something inside a run reads it.
 type Collector struct {
 	name string
+	now  func() time.Time // nil is the wall clock
 
 	mu      sync.Mutex // guards the fields below, never the recording path
-	start   time.Time
-	started bool
-	stopped bool
 	elapsed time.Duration
 	shards  []*Shard
 	def     *Shard
@@ -78,6 +77,32 @@ func NewCollector(name string) *Collector {
 	c.def = c.Shard()
 	c.dgen = c.SubstrateShard()
 	return c
+}
+
+// SetClock makes now the clock every handle, sample offset and Now reads;
+// nil is the wall clock. Call it right after NewCollector, before the
+// collector is shared or sampling is enabled, as the engine does.
+func (c *Collector) SetClock(now func() time.Time) { c.now = now }
+
+// Now reads the collector's clock. A nil collector — an uninstrumented
+// stack — reads the wall clock.
+func (c *Collector) Now() time.Time {
+	if c == nil || c.now == nil {
+		return time.Now()
+	}
+	return c.now()
+}
+
+// since is the time elapsed on the collector's clock since start. On the
+// wall clock that is time.Since, one monotonic read, so a timed interval
+// never holds a wall-time read of its own.
+//
+//bdbench:hotpath
+func (c *Collector) since(start time.Time) time.Duration {
+	if c == nil || c.now == nil {
+		return time.Since(start)
+	}
+	return c.now().Sub(start)
 }
 
 // Shard mints a private recording shard merged into this collector's
@@ -99,34 +124,12 @@ func (c *Collector) SubstrateShard() *Shard {
 }
 
 func (c *Collector) newShard(substrate bool) *Shard {
-	s := &Shard{substrate: substrate}
+	s := &Shard{substrate: substrate, col: c}
 	c.mu.Lock()
 	s.sampling = c.sampling
 	c.shards = append(c.shards, s)
 	c.mu.Unlock()
 	return s
-}
-
-// Start marks the beginning of the measured interval.
-func (c *Collector) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.start = time.Now()
-	c.started = true
-	c.stopped = false
-	c.elapsed = 0
-}
-
-// Stop marks the end of the measured interval. Stop is idempotent: calls
-// after the first (without an intervening Start) leave the measured interval
-// unchanged instead of silently extending it.
-func (c *Collector) Stop() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started && !c.stopped {
-		c.elapsed = time.Since(c.start)
-		c.stopped = true
-	}
 }
 
 // RecordDatagen records d of data-preparation wall time and the number of
@@ -141,23 +144,13 @@ func (c *Collector) RecordDatagen(d time.Duration, items int64) {
 	}
 }
 
-// SetElapsed overrides the measured wall time; used when the caller measures
-// the interval itself (e.g. inside testing.B loops).
+// SetElapsed sets the measured wall time: the caller times the interval on
+// the collector's clock (Now before, SetElapsed after), as the engine does
+// for a repetition and for an open-loop window.
 func (c *Collector) SetElapsed(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.elapsed = d
-	c.started = true
-	c.stopped = true
-}
-
-// elapsedLocked returns the measured interval, reading the live clock for a
-// collector that is started but not yet stopped. Callers hold c.mu.
-func (c *Collector) elapsedLocked() time.Duration {
-	if c.started && !c.stopped {
-		return time.Since(c.start)
-	}
-	return c.elapsed
 }
 
 // ObserveLatency records one operation latency under the given operation
@@ -224,9 +217,8 @@ type Result struct {
 
 // Snapshot freezes the collector into a Result, merging every shard's
 // histograms and counters (a straight counts/sum/max fold over the fixed
-// bucket layout). It is safe to call while observations are still in flight
-// — including on a running collector, whose Elapsed and rates are then
-// computed over the interval so far rather than reported as zero.
+// bucket layout). It is safe to call while observations are still in
+// flight; Elapsed and the rates are over the interval SetElapsed recorded.
 //
 // Throughput (user-perceivable family) is the workload-level
 // latency-observation count over the measured interval — substrate shards'
@@ -236,7 +228,7 @@ type Result struct {
 // never collapse into rescalings of each other.
 func (c *Collector) Snapshot() Result {
 	c.mu.Lock()
-	elapsed := c.elapsedLocked()
+	elapsed := c.elapsed
 	shards := append([]*Shard(nil), c.shards...)
 	c.mu.Unlock()
 

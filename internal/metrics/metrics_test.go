@@ -74,43 +74,6 @@ func TestCollectorConcurrentSafety(t *testing.T) {
 	}
 }
 
-func TestCollectorStartStop(t *testing.T) {
-	c := NewCollector("wl")
-	c.Start()
-	time.Sleep(10 * time.Millisecond)
-	c.Stop()
-	if got := c.Snapshot().Elapsed; got < 5*time.Millisecond {
-		t.Fatalf("elapsed %v, want >= 5ms", got)
-	}
-}
-
-func TestStopIsIdempotent(t *testing.T) {
-	c := NewCollector("wl")
-	c.Start()
-	time.Sleep(5 * time.Millisecond)
-	c.Stop()
-	first := c.Snapshot().Elapsed
-	time.Sleep(10 * time.Millisecond)
-	c.Stop() // must not silently extend the measured interval
-	if got := c.Snapshot().Elapsed; got != first {
-		t.Fatalf("second Stop changed elapsed: %v -> %v", first, got)
-	}
-}
-
-func TestSnapshotWhileRunning(t *testing.T) {
-	c := NewCollector("wl")
-	c.ObserveLatency("op", time.Millisecond)
-	c.Start()
-	time.Sleep(5 * time.Millisecond)
-	r := c.Snapshot() // mid-run: no Stop yet
-	if r.Elapsed < time.Millisecond {
-		t.Fatalf("running snapshot elapsed %v, want the interval so far", r.Elapsed)
-	}
-	if r.Throughput <= 0 {
-		t.Fatalf("running snapshot throughput %v, want > 0", r.Throughput)
-	}
-}
-
 func TestMOPSFromArchitectureCounters(t *testing.T) {
 	c := NewCollector("wl")
 	// 1000 latency observations (user-perceivable family) but 4M abstract

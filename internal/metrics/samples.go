@@ -39,13 +39,11 @@ const (
 )
 
 // samplingState is the capture configuration shared by every shard (and so
-// every cell buffer) of one collector: the per-cell bound on kept samples,
-// the run's origin for offsets, and the clock. The clock is injectable so
-// determinism tests can freeze it; production use is time.Now.
+// every cell buffer) of one collector: the per-cell bound on kept samples
+// and the run's origin for offsets, read from the collector's clock.
 type samplingState struct {
 	capacity int
 	start    time.Time
-	now      func() time.Time
 }
 
 // slot is one captured observation: nanoseconds from the sampling origin and
@@ -63,15 +61,16 @@ type slot struct{ off, val atomic.Int64 }
 // installed: the soft-read semantics Snapshot already has for histograms.
 type sampleBuf struct {
 	st    *samplingState
-	limit uint64 // st.capacity, beside n so a full buffer's claim reads one line
+	col   *Collector // whose clock offsets are read from
+	limit uint64     // st.capacity, beside n so a full buffer's claim reads one line
 	n     atomic.Uint64
 	segs  [maxSegments]atomic.Pointer[[]slot]
 	mu    sync.Mutex // serializes growth steps only
 	first []slot     // segment 0, so an observed cell costs one slot array and no box
 }
 
-func newSampleBuf(st *samplingState) *sampleBuf {
-	b := &sampleBuf{st: st, limit: uint64(st.capacity)}
+func newSampleBuf(st *samplingState, col *Collector) *sampleBuf {
+	b := &sampleBuf{st: st, col: col, limit: uint64(st.capacity)}
 	b.first = make([]slot, b.segmentLen(0))
 	b.segs[0].Store(&b.first)
 	return b
@@ -95,7 +94,7 @@ func (b *sampleBuf) record(d time.Duration) {
 	if idx >= b.limit {
 		return // buffer full: counted as dropped at drain time
 	}
-	off := int64(b.st.now().Sub(b.st.start))
+	off := int64(b.col.since(b.st.start))
 	k := bits.Len64(idx>>firstSegmentBits+1) - 1
 	seg := b.segs[k].Load()
 	if seg == nil {
@@ -146,23 +145,13 @@ type OpSamples struct {
 // collector has minted or will mint, with buffers of the given capacity per
 // observed operation cell (DefaultSampleCapacity if capacity <= 0). Call it
 // before workloads mint their handles: cells built before sampling was
-// enabled capture nothing. Offsets are measured from the moment of the call.
+// enabled capture nothing. Offsets are measured on the collector's clock
+// from the moment of the call.
 func (c *Collector) EnableSampling(capacity int) {
-	c.enableSampling(capacity, time.Now(), time.Now)
-}
-
-// EnableSamplingClock is EnableSampling with an injected clock — the
-// determinism seam. Tests freeze now so offsets (and therefore encoded
-// artifacts) are reproducible at any worker count.
-func (c *Collector) EnableSamplingClock(capacity int, start time.Time, now func() time.Time) {
-	c.enableSampling(capacity, start, now)
-}
-
-func (c *Collector) enableSampling(capacity int, start time.Time, now func() time.Time) {
 	if capacity <= 0 {
 		capacity = DefaultSampleCapacity
 	}
-	st := &samplingState{capacity: capacity, start: start, now: now}
+	st := &samplingState{capacity: capacity, start: c.Now()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sampling = st

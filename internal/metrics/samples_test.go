@@ -94,7 +94,8 @@ func TestSamplingDeterministicAcrossShardCounts(t *testing.T) {
 	run := func(shardCount int) []OpSamples {
 		c := NewCollector("wl")
 		t0 := time.Unix(0, 0)
-		c.EnableSamplingClock(1024, t0, func() time.Time { return t0 })
+		c.SetClock(func() time.Time { return t0 })
+		c.EnableSampling(1024)
 		var wg sync.WaitGroup
 		for w := 0; w < shardCount; w++ {
 			sh := c.Shard()
@@ -160,7 +161,6 @@ func TestSamplingConcurrentSnapshot(t *testing.T) {
 			}
 		}()
 	}
-	c.Start()
 	for i := 0; i < 50; i++ {
 		r := c.Snapshot()
 		for _, s := range r.Samples {
@@ -173,14 +173,19 @@ func TestSamplingConcurrentSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
+// steppingClock returns a clock that advances 1ms on every read.
+func steppingClock() func() time.Time {
+	t := time.Unix(100, 0)
+	return func() time.Time {
+		t = t.Add(time.Millisecond)
+		return t
+	}
+}
+
 func TestSamplingOffsetsUseInjectedClock(t *testing.T) {
 	c := NewCollector("wl")
-	t0 := time.Unix(100, 0)
-	tick := int64(0)
-	c.EnableSamplingClock(16, t0, func() time.Time {
-		tick++
-		return t0.Add(time.Duration(tick) * time.Millisecond)
-	})
+	c.SetClock(steppingClock())
+	c.EnableSampling(16) // the origin is one read
 	op := c.Op("op")
 	op.Observe(time.Microsecond)
 	op.Observe(time.Microsecond)
@@ -189,6 +194,30 @@ func TestSamplingOffsetsUseInjectedClock(t *testing.T) {
 	s := r.Samples[0]
 	if s.Samples[0].Offset != int64(time.Millisecond) || s.Samples[1].Offset != int64(2*time.Millisecond) {
 		t.Fatalf("samples %v, want offsets 1ms/2ms", s.Samples)
+	}
+}
+
+// TestHandlesReadTheCollectorClock: a StartTimer/ObserveSince pair reads
+// the clock SetClock installed — on the default shard NewCollector minted
+// before the call and on a shard minted after it — so with a clock that
+// steps 1ms per read every pair records exactly 1ms. A shard no collector
+// minted and a nil collector read the wall clock.
+func TestHandlesReadTheCollectorClock(t *testing.T) {
+	c := NewCollector("wl")
+	c.SetClock(steppingClock())
+	for _, op := range []OpRef{c.Op("def"), c.Shard().Op("worker")} {
+		op.ObserveSince(op.StartTimer())
+	}
+	for _, st := range c.Snapshot().Ops {
+		if st.Count != 1 || st.Max != time.Millisecond {
+			t.Fatalf("%s: %d observation(s), max %v; want one of exactly 1ms", st.Op, st.Count, st.Max)
+		}
+	}
+	if got := c.Now().Sub(c.Now()); got != -time.Millisecond {
+		t.Fatalf("Now does not read the collector clock: consecutive reads differ by %v", got)
+	}
+	if new(Shard).Op("x").StartTimer().IsZero() || (*Collector)(nil).Now().IsZero() {
+		t.Fatal("a shard without a collector and a nil collector must read the wall clock")
 	}
 }
 
@@ -477,7 +506,7 @@ func TestSampleBufProperty(t *testing.T) {
 // relative to the buffer's own geometry so they hold on any Go version's
 // size classes.
 func TestCaptureCostFollowsObservations(t *testing.T) {
-	st := &samplingState{capacity: DefaultSampleCapacity, start: time.Now(), now: time.Now}
+	st := &samplingState{capacity: DefaultSampleCapacity, start: time.Now()}
 	// What the buffer costs beyond its slots: the header, and a slice box
 	// for every segment after the first.
 	const header = unsafe.Sizeof(sampleBuf{})
@@ -488,7 +517,7 @@ func TestCaptureCostFollowsObservations(t *testing.T) {
 	// values) and 2·8·capacity bytes whatever the cell saw.
 	var keep *sampleBuf
 	if objs := testing.AllocsPerRun(100, func() {
-		keep = newSampleBuf(st)
+		keep = newSampleBuf(st, nil)
 		keep.record(time.Microsecond)
 	}); objs > 3 && !raceflag.Enabled {
 		t.Errorf("a cell with one observation allocates %.0f objects for capture, want at most 3", objs)
@@ -497,7 +526,7 @@ func TestCaptureCostFollowsObservations(t *testing.T) {
 	for _, n := range []int{1, firstSegment, firstSegment + 1, 1000, 5000, DefaultSampleCapacity / 2, DefaultSampleCapacity, DefaultSampleCapacity + 100} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		b := newSampleBuf(st)
+		b := newSampleBuf(st, nil)
 		for i := 0; i < n; i++ {
 			b.record(time.Microsecond)
 		}

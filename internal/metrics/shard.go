@@ -23,7 +23,7 @@ type OpRef struct{ cell *opCell }
 // zero-cost start half of optional instrumentation. Pair with ObserveSince.
 func (r OpRef) StartTimer() (t time.Time) {
 	if r.cell != nil {
-		t = time.Now()
+		t = r.cell.col.Now()
 	}
 	return t
 }
@@ -38,12 +38,13 @@ func (r OpRef) Observe(d time.Duration) {
 	}
 }
 
-// ObserveSince records the time elapsed since start (see StartTimer).
+// ObserveSince records the time elapsed on the collector's clock since
+// start (see StartTimer).
 //
 //bdbench:hotpath
 func (r OpRef) ObserveSince(start time.Time) {
 	if c := r.cell; c != nil {
-		c.observe(time.Since(start))
+		c.observe(c.col.since(start))
 	}
 }
 
@@ -87,6 +88,7 @@ type (
 // first observation.
 type opCell struct {
 	sampling *samplingState // capture config when the cell was built; nil = histogram only
+	col      *Collector     // whose clock the cell reads; nil for a shard no collector minted
 	state    atomic.Pointer[opState]
 	mu       sync.Mutex // serializes the first observers; never taken again
 }
@@ -132,7 +134,7 @@ func (c *opCell) install() *opState {
 	}
 	st := &opState{}
 	if c.sampling != nil {
-		st.buf = newSampleBuf(c.sampling)
+		st.buf = newSampleBuf(c.sampling, c.col)
 	}
 	c.state.Store(st)
 	return st
@@ -159,6 +161,7 @@ type Shard struct {
 	// capture raw samples (see Collector.EnableSampling). Set before the
 	// shard's handles are minted; cells built earlier capture nothing.
 	sampling *samplingState
+	col      *Collector // the minter, whose clock its cells read; nil reads the wall clock
 }
 
 // Op mints a pre-resolved handle for the operation label, installing its
@@ -192,7 +195,7 @@ func (s *Shard) latSlow(op string) *opCell {
 			next[k] = v
 		}
 	}
-	c := &opCell{sampling: s.sampling}
+	c := &opCell{sampling: s.sampling, col: s.col}
 	next[op] = c
 	s.lat.Store(&next)
 	return c

@@ -70,7 +70,6 @@ func TestShardedWritersMatchSequentialBaseline(t *testing.T) {
 // internally consistent.
 func TestSnapshotRacesWithObserves(t *testing.T) {
 	c := NewCollector("racing")
-	c.Start()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -100,9 +99,6 @@ func TestSnapshotRacesWithObserves(t *testing.T) {
 	var last uint64
 	for i := 0; i < 100; i++ {
 		r := c.Snapshot()
-		if r.Elapsed <= 0 {
-			t.Fatal("running collector reported zero elapsed")
-		}
 		var count uint64
 		for _, op := range r.Ops {
 			count += op.Count
@@ -114,7 +110,6 @@ func TestSnapshotRacesWithObserves(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	c.Stop()
 	final := c.Snapshot()
 	if uint64(final.Counters["records"]) != final.Ops[0].Count {
 		t.Fatalf("final counters %d != observations %d", final.Counters["records"], final.Ops[0].Count)

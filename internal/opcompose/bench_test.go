@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stats"
 )
@@ -12,8 +13,8 @@ import (
 var benchSink uint64
 
 // dispatchFixture is the composed workload's per-operation hot path in
-// isolation: a one-phase pattern over ops compiled on a fixed clock (so
-// time-source cost is excluded), a resident 256-record window, and a
+// isolation: a one-phase pattern over ops timed on a collector with a fixed
+// clock (so time-source cost is excluded), a resident 256-record window, and a
 // key-value substrate holding the whole key space so put overwrites instead
 // of growing the map. step runs one operation exactly as Run does — phase
 // dispatch, weighted draw, clocking, the op body, the observation appended
@@ -24,8 +25,9 @@ func dispatchFixture(tb testing.TB, n int, ops ...OpWeight) (step func() int) {
 		tb.Fatal(err)
 	}
 	cw := w.(*composed)
+	c := metrics.NewCollector(cw.Name())
 	base := time.Unix(1000, 0)
-	cw.SetClock(func() time.Time { return base })
+	c.SetClock(func() time.Time { return base })
 	g := stats.NewRNG(42)
 	records := make([]string, 256)
 	for i := range records {
@@ -43,9 +45,9 @@ func dispatchFixture(tb testing.TB, n int, ops ...OpWeight) (step func() int) {
 		if ph.alias != nil {
 			j = ph.alias.Sample(g)
 		}
-		start := cw.now()
+		start := c.Now()
 		fp := ph.ops[j].Apply(octx)
-		buf = append(buf, obs{op: int32(j), dur: cw.now().Sub(start)})
+		buf = append(buf, obs{op: int32(j), dur: c.Now().Sub(start)})
 		benchSink ^= fp
 		return len(buf)
 	}

@@ -57,7 +57,7 @@ func Compile(p Pattern) (workloads.Workload, error) {
 			phases[i].alias = stats.NewAlias(weights)
 		}
 	}
-	return &composed{p: n, phases: phases, now: time.Now}, nil //bdvet:allow detnondet -- production default for the injected latency clock; determinism tests override via SetClock
+	return &composed{p: n, phases: phases}, nil
 }
 
 // execPhase is one compiled phase: resolved operations, a weighted sampler
@@ -74,9 +74,6 @@ type execPhase struct {
 type composed struct {
 	p      Pattern
 	phases []execPhase
-	// now is the latency clock (default time.Now); SetClock freezes it so
-	// equivalence tests produce byte-identical artifacts.
-	now func() time.Time
 }
 
 // Name implements workloads.Workload.
@@ -92,12 +89,6 @@ func (w *composed) Domain() string { return "operation patterns" }
 // abstract substrate, like prescription workloads on the reference
 // executor.
 func (w *composed) StackTypes() []stacks.Type { return []stacks.Type{stacks.Type("abstract")} }
-
-// SetClock overrides the workload's latency clock — the determinism seam
-// the scenario runner wires to its own Options.Now, so a frozen-clock run
-// records all-zero durations and the artifact bytes depend only on the
-// seed.
-func (w *composed) SetClock(now func() time.Time) { w.now = now }
 
 // obs is one buffered observation: which (phase, op) cell it belongs to
 // and the measured duration. Observations are buffered per chunk and
@@ -134,14 +125,14 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 	if !ok {
 		return fmt.Errorf("opcompose: corpus %q is not registered", w.p.Corpus)
 	}
-	// Datagen elapsed is measured on the workload's own clock (not the
-	// Stat's wall clock) so frozen-clock runs stay byte-identical.
-	t0 := w.now()
+	// Datagen elapsed is measured on the run's clock (not the Stat's wall
+	// clock) so frozen-clock runs stay byte-identical.
+	t0 := c.Now()
 	corpus, stat, err := datagen.Build(cg, params.Seed, params.Scale, params.DatagenWorkers)
 	if err != nil {
 		return fmt.Errorf("opcompose: corpus %q: %w", w.p.Corpus, err)
 	}
-	c.RecordDatagen(w.now().Sub(t0), stat.Items)
+	c.RecordDatagen(c.Now().Sub(t0), stat.Items)
 	records := splitLines(corpus)
 	if len(records) == 0 {
 		return fmt.Errorf("opcompose: corpus %q generated no records at scale %d", w.p.Corpus, params.Scale)
@@ -189,9 +180,9 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 			if b := buckets[pi]; b != nil {
 				b.Take(1)
 			}
-			start := w.now()
+			start := c.Now()
 			fp := ph.ops[j].Apply(octx)
-			res.obs = append(res.obs, obs{phase: int32(pi), op: int32(j), dur: w.now().Sub(start)})
+			res.obs = append(res.obs, obs{phase: int32(pi), op: int32(j), dur: c.Now().Sub(start)})
 			res.fp = (res.fp ^ fp) * fnvPrime
 		}
 		return []chunkResult{res}, nil

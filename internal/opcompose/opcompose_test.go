@@ -150,7 +150,7 @@ func TestPatternValidateErrors(t *testing.T) {
 }
 
 // runComposed executes the compiled test pattern once and returns the
-// snapshot. The latency clock is frozen so results depend only on the
+// snapshot. The collector's clock is frozen so results depend only on the
 // seed.
 func runComposed(t *testing.T, params workloads.Params) metrics.Result {
 	t.Helper()
@@ -158,13 +158,11 @@ func runComposed(t *testing.T, params workloads.Params) metrics.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.(interface{ SetClock(func() time.Time) }).SetClock(func() time.Time { return time.Unix(1754600000, 0) })
 	c := metrics.NewCollector(w.Name())
-	c.Start()
+	c.SetClock(func() time.Time { return time.Unix(1754600000, 0) })
 	if err := w.Run(context.Background(), params, c); err != nil {
 		t.Fatal(err)
 	}
-	c.Stop()
 	return c.Snapshot()
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/bdbench/bdbench/internal/runstore"
 	"github.com/bdbench/bdbench/internal/scenario"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
@@ -16,6 +17,40 @@ import (
 // a scenario Outcome: the text and markdown reporters produce result
 // tables with a per-category summary, the JSON reporter exports the whole
 // outcome for downstream tooling.
+
+// reporter is a built-in reporter: it renders an outcome, and a comparison
+// of two saved runs, in its format.
+type reporter interface {
+	scenario.Reporter
+	comparison(c *runstore.Comparison) (string, error)
+}
+
+// reporters is the one table of output formats: a live run, a saved run and
+// a comparison all resolve a format name here.
+var reporters = []reporter{TextReporter{}, MarkdownReporter{}, JSONReporter{}}
+
+// Reporters returns the built-in reporters, in table order.
+func Reporters() []scenario.Reporter {
+	out := make([]scenario.Reporter, len(reporters))
+	for i, r := range reporters {
+		out[i] = r
+	}
+	return out
+}
+
+// ReporterFor returns the reporter for a format name.
+func ReporterFor(format string) (scenario.Reporter, error) { return lookup(format) }
+
+func lookup(format string) (reporter, error) {
+	var names []string
+	for _, r := range reporters {
+		if r.Format() == format {
+			return r, nil
+		}
+		names = append(names, r.Format())
+	}
+	return nil, fmt.Errorf("report: unknown format %q (have: %s)", format, strings.Join(names, ", "))
+}
 
 // TextReporter renders the outcome as aligned-text tables.
 type TextReporter struct{}

@@ -23,14 +23,14 @@ import (
 // or loadcurve blob from before those kinds were retired — is a
 // self-describing JSON document and renders as-is, whatever the format.
 func RenderRun(w io.Writer, run *runstore.Run, format string) error {
+	rep, err := lookup(format)
+	if err != nil {
+		return err
+	}
 	if run.Meta.Kind == runstore.KindScenario {
 		var o scenario.Outcome
 		if err := json.Unmarshal(run.Meta.Payload, &o); err != nil {
 			return fmt.Errorf("report: run payload: %w", err)
-		}
-		rep, err := ReporterFor(format)
-		if err != nil {
-			return err
 		}
 		return rep.Report(w, &o)
 	}
@@ -44,21 +44,6 @@ func RenderRun(w io.Writer, run *runstore.Run, format string) error {
 	}
 	_, err = io.WriteString(w, s+"\n")
 	return err
-}
-
-// ReporterFor returns the reporter for a format name ("text", "markdown",
-// "json").
-func ReporterFor(format string) (scenario.Reporter, error) {
-	switch format {
-	case "text":
-		return TextReporter{}, nil
-	case "markdown":
-		return MarkdownReporter{}, nil
-	case "json":
-		return JSONReporter{}, nil
-	default:
-		return nil, fmt.Errorf("report: unknown format %q (have: text, markdown, json)", format)
-	}
 }
 
 // RunInfo renders a one-paragraph identity block for a run artifact — what
@@ -91,20 +76,27 @@ func RunInfo(run *runstore.Run) string {
 // markdown produce the workload and per-series delta tables with the overall
 // verdict; JSON exports the whole Comparison document.
 func FormatComparison(c *runstore.Comparison, format string) (string, error) {
-	switch format {
-	case "json":
-		s, err := JSON(c)
-		if err != nil {
-			return "", err
-		}
-		return s + "\n", nil
-	case "text":
-		return comparisonTables(c, Table, ""), nil
-	case "markdown":
-		return comparisonTables(c, Markdown, "**"), nil
-	default:
-		return "", fmt.Errorf("report: unknown comparison format %q (have: text, markdown, json)", format)
+	r, err := lookup(format)
+	if err != nil {
+		return "", err
 	}
+	return r.comparison(c)
+}
+
+func (TextReporter) comparison(c *runstore.Comparison) (string, error) {
+	return comparisonTables(c, Table, ""), nil
+}
+
+func (MarkdownReporter) comparison(c *runstore.Comparison) (string, error) {
+	return comparisonTables(c, Markdown, "**"), nil
+}
+
+func (JSONReporter) comparison(c *runstore.Comparison) (string, error) {
+	s, err := JSON(c)
+	if err != nil {
+		return "", err
+	}
+	return s + "\n", nil
 }
 
 func comparisonTables(c *runstore.Comparison, render func([]string, [][]string) string, em string) string {

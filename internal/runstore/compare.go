@@ -77,7 +77,9 @@ type QuantileDelta struct {
 	Verdict Verdict `json:"verdict"`
 }
 
-// SeriesDelta compares one (workload, op) latency stream across runs.
+// SeriesDelta compares one (workload, op, substrate) latency stream across
+// runs: a user-level stream is never judged against a substrate stream of
+// the same label.
 // DroppedA and DroppedB count the observations each run's capture buffer
 // had no room for: nonzero means the quantiles come from the kept prefix
 // of a longer stream, not from all of it.
@@ -92,6 +94,8 @@ type SeriesDelta struct {
 	Quantiles []QuantileDelta `json:"quantiles,omitempty"`
 	Verdict   Verdict         `json:"verdict"`
 }
+
+func (d *SeriesDelta) key() seriesKey { return seriesKey{d.Workload, d.Op, d.Substrate} }
 
 // WorkloadDelta compares one workload's rate metric across runs:
 // closed-loop throughput, or achieved rate when both runs were open-loop.
@@ -239,17 +243,16 @@ func compareWorkloads(a, b *Run, opts CompareOptions) []WorkloadDelta {
 }
 
 func compareSeries(a, b *Run, opts CompareOptions) []SeriesDelta {
-	type key struct{ wl, op string }
-	am := map[key]*Series{}
+	am := map[seriesKey]*Series{}
 	for i := range a.Series {
 		s := &a.Series[i]
-		am[key{s.Workload, s.Op}] = s
+		am[s.key()] = s
 	}
-	seen := map[key]bool{}
+	seen := map[seriesKey]bool{}
 	var out []SeriesDelta
 	for i := range b.Series {
 		sb := &b.Series[i]
-		k := key{sb.Workload, sb.Op}
+		k := sb.key()
 		seen[k] = true
 		sa, ok := am[k]
 		if !ok {
@@ -294,18 +297,12 @@ func compareSeries(a, b *Run, opts CompareOptions) []SeriesDelta {
 	}
 	for i := range a.Series {
 		sa := &a.Series[i]
-		k := key{sa.Workload, sa.Op}
-		if !seen[k] {
+		if !seen[sa.key()] {
 			out = append(out, SeriesDelta{Workload: sa.Workload, Op: sa.Op, Substrate: sa.Substrate,
 				CountA: len(sa.Samples), DroppedA: sa.Dropped, Verdict: VerdictOnlyA})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Workload != out[j].Workload {
-			return out[i].Workload < out[j].Workload
-		}
-		return out[i].Op < out[j].Op
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].key().less(out[j].key()) })
 	return out
 }
 

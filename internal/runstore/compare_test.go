@@ -168,3 +168,34 @@ func TestCompareOpenLoopUsesAchieved(t *testing.T) {
 		t.Errorf("metric = %q, want achieved", cmp.Workloads[0].Metric)
 	}
 }
+
+// TestCompareKeysOnSubstrate: a user-level and a substrate-level stream under
+// one label are two series, aligned and reported apart, in canonical order
+// (user before substrate) whatever order the runs hold them in.
+func TestCompareKeysOnSubstrate(t *testing.T) {
+	mk := func(user, sub int64) *Run {
+		return &Run{Series: []Series{ // substrate first: the rows must not follow input order
+			{Workload: "w", Op: "request", Substrate: true, Samples: []Sample{{Value: sub}}},
+			{Workload: "w", Op: "request", Samples: []Sample{{Value: user}}},
+		}}
+	}
+	verdicts := func(c *Comparison) (user, sub Verdict) {
+		if len(c.Series) != 2 || c.Series[0].Substrate || !c.Series[1].Substrate {
+			t.Fatalf("rows %+v, want the user row then the substrate row", c.Series)
+		}
+		return c.Series[0].Verdict, c.Series[1].Verdict
+	}
+	ms := int64(time.Millisecond)
+	if u, s := verdicts(Compare(mk(ms, 100*ms), mk(50*ms, 100*ms), CompareOptions{})); u != VerdictRegressed || s != VerdictOK {
+		t.Errorf("user stream 1ms -> 50ms: user %s, substrate %s; want regressed, ok", u, s)
+	}
+	if u, s := verdicts(Compare(mk(ms, 100*ms), mk(ms, 200*ms), CompareOptions{})); u != VerdictOK || s != VerdictRegressed {
+		t.Errorf("substrate stream 100ms -> 200ms: user %s, substrate %s; want ok, regressed", u, s)
+	}
+
+	a := &Run{Series: []Series{{Workload: "w", Op: "request", Substrate: true, Samples: []Sample{{Value: ms}}}}}
+	b := &Run{Series: []Series{{Workload: "w", Op: "request", Samples: []Sample{{Value: ms}}}}}
+	if u, s := verdicts(Compare(a, b, CompareOptions{})); u != VerdictOnlyB || s != VerdictOnlyA {
+		t.Errorf("one level per run: user %s, substrate %s; want only-in-b, only-in-a", u, s)
+	}
+}

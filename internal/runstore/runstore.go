@@ -50,10 +50,10 @@ const (
 type Sample = metrics.Sample
 
 // Series is one operation's latency stream within a run, keyed by the
-// workload that produced it and the operation label observed.
+// workload that produced it, the operation label observed and its level.
 type Series struct {
-	// Workload and Op key the series; Compare aligns series across runs by
-	// this pair.
+	// Workload, Op and Substrate key the series: Encode orders series by
+	// them, Merge folds on them and Compare aligns on them.
 	Workload string
 	Op       string
 	// Substrate marks stack-internal echo streams (see metrics.OpStats).
@@ -173,15 +173,27 @@ func (r *Run) canonicalize() {
 		})
 	}
 	ss := r.Series
-	sort.Slice(ss, func(a, b int) bool {
-		if ss[a].Workload != ss[b].Workload {
-			return ss[a].Workload < ss[b].Workload
-		}
-		if ss[a].Op != ss[b].Op {
-			return ss[a].Op < ss[b].Op
-		}
-		return !ss[a].Substrate && ss[b].Substrate
-	})
+	sort.Slice(ss, func(a, b int) bool { return ss[a].key().less(ss[b].key()) })
+}
+
+// seriesKey identifies a series within a run (see Series).
+type seriesKey struct {
+	workload, op string
+	substrate    bool
+}
+
+func (s *Series) key() seriesKey { return seriesKey{s.Workload, s.Op, s.Substrate} }
+
+// less orders keys canonically: by workload, then op, a user-level stream
+// before the substrate stream of the same label.
+func (k seriesKey) less(o seriesKey) bool {
+	if k.workload != o.workload {
+		return k.workload < o.workload
+	}
+	if k.op != o.op {
+		return k.op < o.op
+	}
+	return !k.substrate && o.substrate
 }
 
 // Merge folds a partial run into r: workload summaries, corpora and
@@ -198,7 +210,7 @@ func (r *Run) Merge(shard *Run) {
 	r.Meta.Corpora = append(r.Meta.Corpora, shard.Meta.Corpora...)
 	r.Meta.Degraded = append(r.Meta.Degraded, shard.Meta.Degraded...)
 	for _, s := range shard.Series {
-		if dst := r.findSeriesKey(s.Workload, s.Op, s.Substrate); dst != nil {
+		if dst := r.findSeries(s.key()); dst != nil {
 			dst.Samples = append(dst.Samples, s.Samples...)
 			dst.Dropped += s.Dropped
 			continue
@@ -209,10 +221,9 @@ func (r *Run) Merge(shard *Run) {
 	}
 }
 
-func (r *Run) findSeriesKey(workload, op string, substrate bool) *Series {
+func (r *Run) findSeries(k seriesKey) *Series {
 	for i := range r.Series {
-		s := &r.Series[i]
-		if s.Workload == workload && s.Op == op && s.Substrate == substrate {
+		if s := &r.Series[i]; s.key() == k {
 			return s
 		}
 	}

@@ -40,16 +40,9 @@ func CaptureEnv() runstore.Environment {
 // metadata (spec digest, seed, environment, per-workload summaries), the
 // full Outcome JSON as the payload so reporters can re-render the saved run
 // exactly, and one series per captured per-op latency stream. toolVersion
-// identifies the writing binary (bdbench.Version via the public API).
+// identifies the writing binary (bdbench.Version via the public API). It is
+// stamped with the wall clock; a scenario run restamps it with its own.
 func BuildArtifact(out *Outcome, toolVersion string) (*runstore.Run, error) {
-	return BuildArtifactAt(out, toolVersion, time.Now().Unix())
-}
-
-// BuildArtifactAt is BuildArtifact with an explicit CreatedUnix stamp — the
-// seam that lets a coordinator (or a determinism test) pin the one
-// wall-clock field BuildArtifact would otherwise read from time.Now, so two
-// runs of the same deterministic scenario encode to identical bytes.
-func BuildArtifactAt(out *Outcome, toolVersion string, createdUnix int64) (*runstore.Run, error) {
 	digest, err := SpecDigest(out.Spec)
 	if err != nil {
 		return nil, err
@@ -66,7 +59,7 @@ func BuildArtifactAt(out *Outcome, toolVersion string, createdUnix int64) (*runs
 			ToolVersion: toolVersion,
 			SpecDigest:  digest,
 			Seed:        out.Spec.Seed,
-			CreatedUnix: createdUnix,
+			CreatedUnix: time.Now().Unix(),
 			Env:         CaptureEnv(),
 			Degraded:    out.Degraded,
 			Payload:     payload,
@@ -113,12 +106,14 @@ func AppendOutcome(run *runstore.Run, out *Outcome) {
 }
 
 // writeArtifact builds and writes the run blob for a finished outcome —
-// the bracket at the end of every scenario run that has a RunOutput path.
+// the bracket at the end of every scenario run that has a RunOutput path —
+// stamped createdUnix on the run's clock.
 func writeArtifact(path string, out *Outcome, toolVersion string, createdUnix int64) error {
-	run, err := BuildArtifactAt(out, toolVersion, createdUnix)
+	run, err := BuildArtifact(out, toolVersion)
 	if err != nil {
 		return err
 	}
+	run.Meta.CreatedUnix = createdUnix
 	if err := runstore.WriteFile(path, run); err != nil {
 		return fmt.Errorf("scenario: run output: %w", err)
 	}

@@ -113,7 +113,7 @@ func TestAppendOutcomeNamesAreUnique(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	run, err := BuildArtifactAt(out, "test", 1)
+	run, err := BuildArtifact(out, "test")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,15 +171,11 @@ type Options struct {
 	// the distributed coordinator's entry point. Nil runs the in-process
 	// engine.
 	Execute Executor
-	// Now, when set, is the clock for step-trace durations and the engine's
-	// repetition timing (engine.Config.Now) — the determinism seam
-	// equivalence tests freeze so elapsed-derived fields reproduce exactly.
-	// Nil means time.Now.
+	// Now, when set, is the run's one clock: step-trace durations, the
+	// artifact's CreatedUnix, and everything the engine times
+	// (engine.Config.Now) read it — the determinism seam equivalence tests
+	// freeze so elapsed-derived fields reproduce exactly. Nil means time.Now.
 	Now func() time.Time
-	// Stamp, when nonzero, overrides the artifact's CreatedUnix — paired
-	// with Now when a test needs two runs to produce identical bytes. Zero
-	// stamps the wall clock.
-	Stamp int64
 }
 
 // Run executes the five-step benchmarking process for the spec: validate
@@ -228,16 +224,6 @@ func run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	tasks, err := n.Tasks(reg)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Now != nil {
-		// Workloads compiled from operation patterns measure op latencies on
-		// an injectable clock; pin it to the run's clock so frozen-clock runs
-		// produce byte-identical artifacts.
-		for _, t := range tasks {
-			if cw, ok := t.Workload.(interface{ SetClock(func() time.Time) }); ok {
-				cw.SetClock(opts.Now)
-			}
-		}
 	}
 	record(StepPlanning, fmt.Sprintf("object=%q entries=%d workloads=%d scale=%d seed=%d",
 		n.Name, len(n.Entries), len(tasks), n.Scale, n.Seed), t0)
@@ -394,11 +380,7 @@ func run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	// succeeded.
 	var artErr error
 	if opts.RunOutput != "" {
-		stamp := opts.Stamp
-		if stamp == 0 {
-			stamp = now().Unix()
-		}
-		artErr = writeArtifact(opts.RunOutput, out, opts.ToolVersion, stamp)
+		artErr = writeArtifact(opts.RunOutput, out, opts.ToolVersion, now().Unix())
 	}
 	if out.Failures > 0 {
 		return out, fmt.Errorf("scenario: %d workload(s) failed", out.Failures)

@@ -412,7 +412,6 @@ func TestComposedArtifactDeterministic(t *testing.T) {
 			SampleCapacity: 512,
 			ToolVersion:    "test",
 			Now:            frozen,
-			Stamp:          7,
 		})
 		if err != nil {
 			t.Fatalf("Run: %v", err)

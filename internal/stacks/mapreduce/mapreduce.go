@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/stats"
@@ -55,9 +54,7 @@ type Job struct {
 	NumReducers int
 }
 
-// Stats captures the architecture metrics of one job run. The shuffle's sort
-// runs inside the map tasks and its merge inside the reduce tasks, so MapWall
-// and ReduceWall hold them; ShuffleWall is the hand-over between the two.
+// Stats captures the architecture metrics of one job run.
 type Stats struct {
 	MapInputRecords   int64
 	MapOutputRecords  int64
@@ -65,9 +62,6 @@ type Stats struct {
 	ShuffleBytes      int64
 	ReduceGroups      int64
 	OutputRecords     int64
-	MapWall           time.Duration
-	ShuffleWall       time.Duration
-	ReduceWall        time.Duration
 }
 
 // Engine is a simulated cluster with a fixed worker pool.
@@ -161,7 +155,6 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	// segment of every run (the map-side sort of the real shuffle) and the
 	// combiner folds the merged segments. A mapper counts what it did in its
 	// own mapOutput; the counts meet at the barrier.
-	mapStart := time.Now()
 	mapOut := make([]mapOutput, numMappers)
 	phase(numMappers, func(m, slot int) {
 		taskStart := mapRefs[slot].StartTimer()
@@ -195,7 +188,6 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 		mapOut[m] = o
 		mapRefs[slot].ObserveSince(taskStart)
 	})
-	st.MapWall = time.Since(mapStart)
 	for _, o := range mapOut {
 		st.MapOutputRecords += o.emitted
 		st.CombineOutRecords += o.combined
@@ -215,20 +207,17 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	// ---- Shuffle phase: every reduce partition is handed the sorted
 	// segments the mappers hold for it, in mapper order. No record is copied;
 	// the merge of those segments streams into the reduce tasks.
-	shuffleStart := time.Now()
 	sources := make([]run, numReducers)
 	for p := range sources {
 		for _, o := range mapOut {
 			sources[p] = append(sources[p], o.runs[p]...)
 		}
 	}
-	st.ShuffleWall = time.Since(shuffleStart)
 
 	// ---- Reduce phase: k-way merge the partition's segments and fold each
 	// run of equal keys. Equal keys leave the merge in mapper order, then
 	// emission order: the order concatenating the mappers' records and
 	// stable-sorting them would give.
-	reduceStart := time.Now()
 	reduceOut := make([]run, numReducers)
 	merged := make([]merger, numReducers)
 	phase(numReducers, func(p, slot int) {
@@ -243,7 +232,6 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 		st.ReduceGroups += mg.keys
 		st.ShuffleBytes += mg.bytes
 	}
-	st.ReduceWall = time.Since(reduceStart)
 
 	out := flatten(reduceOut)
 	st.OutputRecords = int64(len(out))

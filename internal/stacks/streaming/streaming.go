@@ -205,14 +205,14 @@ type Result struct {
 	In        int64
 	Out       []Msg
 	Processed int64
-	// Rate is input messages per second of wall time — the processing
-	// speed to compare against the arrival rate.
+	// Rate is input messages per second on the collector's clock (Now) —
+	// the processing speed to compare against the arrival rate.
 	Rate float64
 }
 
 // Run pushes events through the stages and collects the sink output.
 func (e *Engine) Run(events []streamgen.Event, stages ...Stage) Result {
-	start := time.Now()
+	start := e.rec.Now()
 	src := make(chan Msg, e.buffer)
 	var processed int64
 	go func() {
@@ -247,7 +247,7 @@ func (e *Engine) Run(events []streamgen.Event, stages ...Stage) Result {
 	// deferred close(out), so without this wait the final observation could
 	// race with (or be missed by) the caller's snapshot.
 	stageWG.Wait()
-	wall := time.Since(start)
+	wall := e.rec.Now().Sub(start)
 	r := Result{
 		In:        int64(len(events)),
 		Out:       collected,

@@ -179,7 +179,7 @@ func All() []Suite {
 				{
 					Category: workloads.Online,
 					Examples: []string{"select", "insert", "update", "delete", "association range queries", "count queries"},
-					Runners:  []workloads.Workload{LinkBenchOps{}},
+					Runners:  []workloads.Workload{oltp.LinkBenchOps{}},
 				},
 			},
 			SoftwareStacks: []string{"DBMS (MySQL)"},
@@ -269,7 +269,7 @@ func All() []Suite {
 				{
 					Category: workloads.Online,
 					Examples: []string{"YCSB A-F", "LinkBench operations"},
-					Runners:  []workloads.Workload{oltp.WorkloadA, LinkBenchOps{}},
+					Runners:  []workloads.Workload{oltp.WorkloadA, oltp.LinkBenchOps{}},
 				},
 				{
 					Category: workloads.Offline,

@@ -234,26 +234,6 @@ func TestSuiteTasksCollectResults(t *testing.T) {
 	}
 }
 
-func TestLinkBenchOpsDirect(t *testing.T) {
-	c := newCollector("linkbench")
-	if err := (LinkBenchOps{}).Run(context.Background(), workloads.Params{Seed: 3, Scale: 1, Workers: 2}, c); err != nil {
-		t.Fatal(err)
-	}
-	c.SetElapsed(1)
-	r := c.Snapshot()
-	wantOps := map[string]bool{"select": false, "assoc_range": false, "count": false, "update": false, "insert": false}
-	for _, op := range r.Ops {
-		if _, ok := wantOps[op.Op]; ok {
-			wantOps[op.Op] = true
-		}
-	}
-	for op, seen := range wantOps {
-		if !seen {
-			t.Fatalf("linkbench never executed %q", op)
-		}
-	}
-}
-
 func newCollector(name string) *metrics.Collector { return metrics.NewCollector(name) }
 
 // TestSuiteTasksDeterministicAcrossWorkers is the acceptance check for the

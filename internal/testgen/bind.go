@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/stacks"
@@ -101,12 +100,12 @@ func (w *boundTest) Run(ctx context.Context, params workloads.Params, c *metrics
 	if params.Seed != 0 {
 		p.Data.Seed = params.Seed
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	out, err := RunOn(ctx, executors[w.cfg.Stack](params.Workers), p, c)
 	if err != nil {
 		return fmt.Errorf("testgen: prescription %s on %s: %w", p.Name, w.cfg.Stack, err)
 	}
-	c.ObserveLatency("prescription", time.Since(t0))
+	c.ObserveLatency("prescription", c.Now().Sub(t0))
 	c.Add("records", int64(len(out)))
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/data"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
@@ -83,11 +82,11 @@ func RunOn(ctx context.Context, exec Executor, p Prescription, c *metrics.Collec
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	if err := exec.Load(main, second); err != nil {
 		return nil, err
 	}
-	c.ObserveLatency("load", time.Since(t0))
+	c.ObserveLatency("load", c.Now().Sub(t0))
 
 	// Resolve every step's latency ref and the run counters once, before
 	// the (possibly iterated) step loop: the loop then records through
@@ -104,7 +103,7 @@ func RunOn(ctx context.Context, exec Executor, p Prescription, c *metrics.Collec
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			t := time.Now()
+			t := stepRefs[i].StartTimer()
 			if err := exec.Exec(step); err != nil {
 				return fmt.Errorf("testgen: step %q on %s: %w", step.Op, exec.Name(), err)
 			}

@@ -11,7 +11,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
@@ -81,11 +80,11 @@ func (CollaborativeFiltering) Run(ctx context.Context, p workloads.Params, c *me
 	g := stats.NewRNG(p.Seed)
 	users := p.Scale * 500
 	const items = 80
-	t0gen := time.Now()
+	t0gen := c.Now()
 	ratings := GenerateRatings(g, users, items, 12)
-	c.RecordDatagen(time.Since(t0gen), int64(len(ratings)))
+	c.RecordDatagen(c.Now().Sub(t0gen), int64(len(ratings)))
 
-	t0 := time.Now()
+	t0 := c.Now()
 	// Build item vectors (user -> score) and norms.
 	vecs := make([]map[int]float64, items)
 	for i := range vecs {
@@ -129,7 +128,7 @@ func (CollaborativeFiltering) Run(ctx context.Context, p workloads.Params, c *me
 			}
 		}
 	}
-	c.ObserveLatency("similarity", time.Since(t0))
+	c.ObserveLatency("similarity", c.Now().Sub(t0))
 	c.Add("records", int64(len(ratings)))
 
 	if same.Mean() <= cross.Mean()*1.5 {
@@ -200,9 +199,9 @@ func (NaiveBayes) Run(ctx context.Context, p workloads.Params, c *metrics.Collec
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	t0gen := time.Now()
+	t0gen := c.Now()
 	docs, labels, k := labeledDocs(p.Seed, n, 40, p.DatagenWorkers)
-	c.RecordDatagen(time.Since(t0gen), int64(n))
+	c.RecordDatagen(c.Now().Sub(t0gen), int64(n))
 	split := n * 4 / 5
 
 	// ---- Training: per-class word counts as one MapReduce job.
@@ -223,12 +222,12 @@ func (NaiveBayes) Run(ctx context.Context, p workloads.Params, c *metrics.Collec
 			emit(key, strconv.Itoa(len(values)))
 		},
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	out, _, err := eng.Run(job, input)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("train", time.Since(t0))
+	c.ObserveLatency("train", c.Now().Sub(t0))
 
 	wordCounts := make([]map[string]float64, k)
 	classTotals := make([]float64, k)
@@ -263,7 +262,7 @@ func (NaiveBayes) Run(ctx context.Context, p workloads.Params, c *metrics.Collec
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	t1 := time.Now()
+	t1 := c.Now()
 	v := float64(len(vocab))
 	totalDocs := 0.0
 	for _, d := range classDocs {
@@ -286,7 +285,7 @@ func (NaiveBayes) Run(ctx context.Context, p workloads.Params, c *metrics.Collec
 			correct++
 		}
 	}
-	c.ObserveLatency("classify", time.Since(t1))
+	c.ObserveLatency("classify", c.Now().Sub(t1))
 	c.Add("records", int64(n))
 	accuracy := float64(correct) / float64(n-split)
 	c.Add("accuracy_pct", int64(accuracy*100))

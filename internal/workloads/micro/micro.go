@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
@@ -25,7 +24,7 @@ import (
 func textInput(p workloads.Params, wordsPerLine int, c *metrics.Collector) []mapreduce.KV {
 	dict := textgen.DefaultDictionary()
 	n := int64(p.Scale) * 1000
-	t0 := time.Now()
+	t0 := c.Now()
 	input, err := datagen.Generate(p.Seed, datagen.PlanChunks(n, 0), p.DatagenWorkers,
 		func(g *stats.RNG, ch datagen.Chunk) ([]mapreduce.KV, error) {
 			part := make([]mapreduce.KV, 0, ch.Len())
@@ -46,7 +45,7 @@ func textInput(p workloads.Params, wordsPerLine int, c *metrics.Collector) []map
 		// Word sampling cannot fail by construction.
 		panic(err)
 	}
-	c.RecordDatagen(time.Since(t0), n)
+	c.RecordDatagen(c.Now().Sub(t0), n)
 	return input
 }
 
@@ -54,7 +53,7 @@ func textInput(p workloads.Params, wordsPerLine int, c *metrics.Collector) []map
 // through the chunked pipeline, accounting preparation time to c.
 func keyInput(p workloads.Params, c *metrics.Collector) []mapreduce.KV {
 	n := int64(p.Scale) * 1000
-	t0 := time.Now()
+	t0 := c.Now()
 	input, err := datagen.Generate(p.Seed, datagen.PlanChunks(n, 0), p.DatagenWorkers,
 		func(g *stats.RNG, ch datagen.Chunk) ([]mapreduce.KV, error) {
 			part := make([]mapreduce.KV, 0, ch.Len())
@@ -66,7 +65,7 @@ func keyInput(p workloads.Params, c *metrics.Collector) []mapreduce.KV {
 	if err != nil {
 		panic(err)
 	}
-	c.RecordDatagen(time.Since(t0), n)
+	c.RecordDatagen(c.Now().Sub(t0), n)
 	return input
 }
 
@@ -104,12 +103,12 @@ func (WordCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collect
 		Reduce: sumReducer,
 	}
 	job.Combine = job.Reduce
-	t0 := time.Now()
+	t0 := c.Now()
 	out, st, err := eng.Run(job, input)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("job", time.Since(t0))
+	c.ObserveLatency("job", c.Now().Sub(t0))
 	c.Add("records", int64(len(input)))
 	c.Add("shuffle_bytes", st.ShuffleBytes)
 	// Verify: total counted words == words emitted.
@@ -170,12 +169,12 @@ func (Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 			}
 		},
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	out, _, err := eng.Run(job, input)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("job", time.Since(t0))
+	c.ObserveLatency("job", c.Now().Sub(t0))
 	c.Add("records", int64(len(input)))
 	c.Add("matches", int64(len(out)))
 	for _, kv := range out {
@@ -216,12 +215,12 @@ func (Sort) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 		Reduce:      func(k string, vs []string, emit func(k, v string)) { emit(k, strconv.Itoa(len(vs))) },
 		NumReducers: p.Workers,
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	out, _, err := eng.Run(job, input)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("job", time.Since(t0))
+	c.ObserveLatency("job", c.Now().Sub(t0))
 	c.Add("records", int64(len(input)))
 	if len(out) == 0 {
 		return fmt.Errorf("sort: empty output")
@@ -266,12 +265,12 @@ func (TeraSort) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 		Partition:   mapreduce.RangePartitioner(splits),
 		NumReducers: p.Workers,
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	out, _, err := eng.Run(job, input)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("job", time.Since(t0))
+	c.ObserveLatency("job", c.Now().Sub(t0))
 	c.Add("records", int64(len(input)))
 	if len(out) != len(input) {
 		return fmt.Errorf("terasort: %d records out, want %d", len(out), len(input))

@@ -14,11 +14,9 @@ import (
 func runWorkload(t *testing.T, w workloads.Workload) *metrics.Collector {
 	t.Helper()
 	c := metrics.NewCollector(w.Name())
-	c.Start()
 	if err := w.Run(context.Background(), workloads.Params{Seed: 42, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatalf("%s: %v", w.Name(), err)
 	}
-	c.Stop()
 	return c
 }
 

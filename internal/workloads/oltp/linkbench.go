@@ -1,9 +1,8 @@
-package suites
+package oltp
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/data"
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
@@ -56,7 +55,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 	for _, e := range graph.Edges {
 		assocs.Rows = append(assocs.Rows, data.Row{data.Int(e.Src), data.Int(e.Dst), data.String_("friend")})
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	if err := db.Load(nodes); err != nil {
 		return err
 	}
@@ -69,7 +68,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 	if err := db.CreateIndex("assocs", "src"); err != nil {
 		return err
 	}
-	c.ObserveLatency("load", time.Since(t0))
+	c.ObserveLatency("load", c.Now().Sub(t0))
 
 	ops := int64(p.Scale) * 2000
 	chooser := stats.ScrambledZipf{Count: graph.N, S: 1.2}
@@ -95,7 +94,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 		u := g.Float64()
 		switch {
 		case u < 0.5: // point select
-			t := time.Now()
+			t := selectRef.StartTimer()
 			out, err := db.Execute(dbms.Query{
 				From:   "nodes",
 				Where:  []dbms.Pred{{Col: "id", Op: dbms.OpEq, Val: data.Int(id)}},
@@ -109,7 +108,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 				return fmt.Errorf("linkbench: node %d missing", id)
 			}
 		case u < 0.65: // association range query
-			t := time.Now()
+			t := rangeRef.StartTimer()
 			out, err := db.Execute(dbms.Query{
 				From:    "assocs",
 				Where:   []dbms.Pred{{Col: "src", Op: dbms.OpEq, Val: data.Int(id)}},
@@ -123,7 +122,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 			}
 			_ = out
 		case u < 0.8: // count query
-			t := time.Now()
+			t := countRef.StartTimer()
 			out, err := db.Execute(dbms.Query{
 				From:  "assocs",
 				Where: []dbms.Pred{{Col: "src", Op: dbms.OpEq, Val: data.Int(id)}},
@@ -137,7 +136,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 				return fmt.Errorf("linkbench: count query returned %d rows", out.NumRows())
 			}
 		case u < 0.9: // version update
-			t := time.Now()
+			t := updateRef.StartTimer()
 			n, err := db.UpdateWhere("nodes",
 				[]dbms.Pred{{Col: "id", Op: dbms.OpEq, Val: data.Int(id)}},
 				map[string]data.Value{"version": data.Int(i)})
@@ -149,7 +148,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 				return fmt.Errorf("linkbench: update touched %d rows", n)
 			}
 		case u < 0.97: // insert node + edge
-			t := time.Now()
+			t := insertRef.StartTimer()
 			if err := db.Insert("nodes", data.Row{data.Int(nextNode), data.String_("user"), data.Int(0)}); err != nil {
 				return err
 			}
@@ -159,7 +158,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 			insertRef.ObserveSince(t)
 			nextNode++
 		default: // delete association
-			t := time.Now()
+			t := deleteRef.StartTimer()
 			if _, err := db.DeleteWhere("assocs", []dbms.Pred{
 				{Col: "src", Op: dbms.OpEq, Val: data.Int(id)},
 				{Col: "dst", Op: dbms.OpEq, Val: data.Int((id + 1) % graph.N)},

@@ -2,7 +2,8 @@
 // the NoSQL substrate — the "online services" row of the paper's Table 2
 // for YCSB and CloudSuite. Each workload is a ratio mix of read, update,
 // insert, scan and read-modify-write operations under a configurable
-// request distribution (zipfian, uniform or latest).
+// request distribution (zipfian, uniform or latest). LinkBenchOps is the
+// LinkBench row: a social graph served from the DBMS substrate.
 package oltp
 
 import (
@@ -11,7 +12,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/stacks"
@@ -147,9 +147,9 @@ func (w CoreWorkload) Run(ctx context.Context, p workloads.Params, c *metrics.Co
 	}
 	store := nosql.Open(max(p.Workers, 4), p.Seed)
 	loadG := stats.NewRNG(p.Seed)
-	loadStart := time.Now()
+	loadStart := c.Now()
 	w.Load(store, loadG, recordCount)
-	c.ObserveLatency("load", time.Since(loadStart))
+	c.ObserveLatency("load", c.Now().Sub(loadStart))
 	// Instrument after the load so the store-level kv_* latencies describe
 	// the serving phase only (the load is already measured as "load").
 	store.Instrument(c)
@@ -270,7 +270,7 @@ func (w CoreWorkload) doOne(store *nosql.Store, run *coreRun, cl *client) {
 		id = limit - 1
 	}
 	k := key(id)
-	t0 := time.Now()
+	t0 := cl.refs[op].StartTimer()
 	var err error
 	switch op {
 	case opRead:

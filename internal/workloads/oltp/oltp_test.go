@@ -18,11 +18,11 @@ import (
 func runCore(t *testing.T, w CoreWorkload) metrics.Result {
 	t.Helper()
 	c := metrics.NewCollector(w.Name())
-	c.Start()
+	t0 := c.Now()
 	if err := w.Run(context.Background(), workloads.Params{Seed: 11, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatalf("%s: %v", w.Name(), err)
 	}
-	c.Stop()
+	c.SetElapsed(c.Now().Sub(t0))
 	return c.Snapshot()
 }
 
@@ -157,11 +157,9 @@ func TestClientsRunEveryOperation(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7} {
 		for _, w := range []CoreWorkload{WorkloadA, WorkloadC} {
 			c := metrics.NewCollector(w.Name())
-			c.Start()
 			if err := w.Run(context.Background(), workloads.Params{Seed: 11, Scale: 1, Workers: workers}, c); err != nil {
 				t.Fatal(err)
 			}
-			c.Stop()
 			r := c.Snapshot()
 			var ops uint64
 			for _, op := range r.Ops {
@@ -228,6 +226,26 @@ func TestThroughputRecorded(t *testing.T) {
 	for _, op := range r.Ops {
 		if op.P50 > op.P99 {
 			t.Fatalf("%s percentiles inverted", op.Op)
+		}
+	}
+}
+
+func TestLinkBenchOpsDirect(t *testing.T) {
+	c := metrics.NewCollector("linkbench")
+	if err := (LinkBenchOps{}).Run(context.Background(), workloads.Params{Seed: 3, Scale: 1, Workers: 2}, c); err != nil {
+		t.Fatal(err)
+	}
+	c.SetElapsed(1)
+	r := c.Snapshot()
+	wantOps := map[string]bool{"select": false, "assoc_range": false, "count": false, "update": false, "insert": false}
+	for _, op := range r.Ops {
+		if _, ok := wantOps[op.Op]; ok {
+			wantOps[op.Op] = true
+		}
+	}
+	for op, seen := range wantOps {
+		if !seen {
+			t.Fatalf("linkbench never executed %q", op)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/data"
 	"github.com/bdbench/bdbench/internal/datagen/tablegen"
@@ -29,9 +28,9 @@ import (
 // generated through the chunked pipeline (rows identical at any
 // DatagenWorkers setting) with the preparation time accounted to c.
 func ordersRows(p workloads.Params, c *metrics.Collector) *data.Table {
-	t0 := time.Now()
+	t0 := c.Now()
 	t := tablegen.ReferenceTableParallel(p.Seed, int64(p.Scale)*2000, p.DatagenWorkers)
-	c.RecordDatagen(time.Since(t0), int64(t.NumRows()))
+	c.RecordDatagen(c.Now().Sub(t0), int64(t.NumRows()))
 	return t
 }
 
@@ -46,9 +45,9 @@ func customersTable(p workloads.Params, c *metrics.Collector) *data.Table {
 			{Name: "credit", Gen: tablegen.FloatColumn{Dist: stats.Uniform{Min: 0, Max: 1}}},
 		},
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	t := spec.GenerateParallel(10000, p.DatagenWorkers)
-	c.RecordDatagen(time.Since(t0), int64(t.NumRows()))
+	c.RecordDatagen(c.Now().Sub(t0), int64(t.NumRows()))
 	return t
 }
 
@@ -78,7 +77,7 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	customers := customersTable(p, c)
 	db := dbms.Open().Instrument(c)
 
-	t0 := time.Now()
+	t0 := c.Now()
 	if err := db.Load(orders); err != nil {
 		return err
 	}
@@ -88,15 +87,15 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	if err := db.CreateIndex("orders", "customer_id"); err != nil {
 		return err
 	}
-	c.ObserveLatency("load", time.Since(t0))
+	c.ObserveLatency("load", c.Now().Sub(t0))
 
 	// Selection: express orders in one region.
-	t1 := time.Now()
+	t1 := c.Now()
 	sel, err := db.Query("SELECT order_id, price FROM orders WHERE region = 'eu' AND express = true")
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("select", time.Since(t1))
+	c.ObserveLatency("select", c.Now().Sub(t1))
 	wantSel := 0
 	ri := orders.Schema.ColIndex("region")
 	ei := orders.Schema.ColIndex("express")
@@ -113,12 +112,12 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	t2 := time.Now()
+	t2 := c.Now()
 	agg, err := db.Query("SELECT region, sum(price) AS revenue, count(*) AS n FROM orders GROUP BY region ORDER BY revenue DESC")
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("aggregate", time.Since(t2))
+	c.ObserveLatency("aggregate", c.Now().Sub(t2))
 	if agg.NumRows() != 5 {
 		return fmt.Errorf("pavlo-dbms: aggregation %d groups, want 5 regions", agg.NumRows())
 	}
@@ -131,12 +130,12 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	}
 
 	// Join: orders x customers with a filter on the dimension table.
-	t3 := time.Now()
+	t3 := c.Now()
 	join, err := db.Query("SELECT order_id, segment FROM orders JOIN customers ON customer_id = cid WHERE segment = 'retail'")
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("join", time.Since(t3))
+	c.ObserveLatency("join", c.Now().Sub(t3))
 	if join.NumRows() == 0 {
 		return fmt.Errorf("pavlo-dbms: empty join result")
 	}
@@ -193,7 +192,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	}
 
 	// Selection.
-	t1 := time.Now()
+	t1 := c.Now()
 	sel, _, err := eng.Run(mapreduce.Job{
 		Name: "mr-select",
 		Map: func(k, v string, emit func(k, v string)) {
@@ -206,7 +205,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("select", time.Since(t1))
+	c.ObserveLatency("select", c.Now().Sub(t1))
 
 	wantSel := 0
 	ri, ei := oi("region"), oi("express")
@@ -220,7 +219,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	}
 
 	// Aggregation: revenue per region.
-	t2 := time.Now()
+	t2 := c.Now()
 	agg, _, err := eng.Run(mapreduce.Job{
 		Name: "mr-aggregate",
 		Map: func(k, v string, emit func(k, v string)) {
@@ -239,7 +238,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("aggregate", time.Since(t2))
+	c.ObserveLatency("aggregate", c.Now().Sub(t2))
 	if len(agg) != 5 {
 		return fmt.Errorf("pavlo-mapreduce: aggregation %d groups, want 5", len(agg))
 	}
@@ -262,7 +261,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 			Value: "C|" + row[ci("segment")].String(),
 		})
 	}
-	t3 := time.Now()
+	t3 := c.Now()
 	joined, _, err := eng.Run(mapreduce.Job{
 		Name: "mr-join",
 		Map:  func(k, v string, emit func(k, v string)) { emit(k, v) },
@@ -288,7 +287,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("join", time.Since(t3))
+	c.ObserveLatency("join", c.Now().Sub(t3))
 	if len(joined) == 0 {
 		return fmt.Errorf("pavlo-mapreduce: empty join")
 	}
@@ -321,12 +320,12 @@ func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 		return err
 	}
 	orders := ordersRows(p, c)
-	t0gen := time.Now()
+	t0gen := c.Now()
 	logs, err := weblog.Generator{}.FromTableParallel(p.Seed+2, orders, p.Scale*5000, p.DatagenWorkers)
 	if err != nil {
 		return err
 	}
-	c.RecordDatagen(time.Since(t0gen), int64(len(logs)))
+	c.RecordDatagen(c.Now().Sub(t0gen), int64(len(logs)))
 
 	// DBMS side: convert logs to a table, GROUP BY path.
 	logTable := data.NewTable(data.Schema{Name: "hits", Cols: []data.Column{
@@ -342,12 +341,12 @@ func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 	if err := db.Load(logTable); err != nil {
 		return err
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	agg, err := db.Query("SELECT path, count(*) AS hits FROM hits WHERE status = 200 GROUP BY path ORDER BY hits DESC LIMIT 10")
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("dbms", time.Since(t0))
+	c.ObserveLatency("dbms", c.Now().Sub(t0))
 	if agg.NumRows() == 0 {
 		return fmt.Errorf("url-count: empty aggregation")
 	}
@@ -361,7 +360,7 @@ func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 		input[i] = mapreduce.KV{Key: strconv.Itoa(i), Value: fmt.Sprintf("%s %d", r.Path, r.Status)}
 	}
 	eng := mapreduce.New(p.Workers).Instrument(c)
-	t1 := time.Now()
+	t1 := c.Now()
 	counts, _, err := eng.Run(mapreduce.Job{
 		Name: "mr-url-count",
 		Map: func(k, v string, emit func(k, v string)) {
@@ -377,7 +376,7 @@ func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("mapreduce", time.Since(t1))
+	c.ObserveLatency("mapreduce", c.Now().Sub(t1))
 
 	mrCounts := map[string]int64{}
 	for _, kv := range counts {

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
@@ -47,9 +46,9 @@ func (InvertedIndex) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	t0gen := time.Now()
+	t0gen := c.Now()
 	docs := textgen.ReferenceCorpusParallel(p.Seed, p.Scale*1000, 40, p.DatagenWorkers)
-	c.RecordDatagen(time.Since(t0gen), int64(len(docs)))
+	c.RecordDatagen(c.Now().Sub(t0gen), int64(len(docs)))
 	input := make([]mapreduce.KV, len(docs))
 	for i, d := range docs {
 		input[i] = mapreduce.KV{Key: strconv.Itoa(i), Value: strings.Join(d, " ")}
@@ -76,12 +75,12 @@ func (InvertedIndex) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 			emit(word, strings.Join(ids, ","))
 		},
 	}
-	t0 := time.Now()
+	t0 := c.Now()
 	out, _, err := eng.Run(job, input)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("build", time.Since(t0))
+	c.ObserveLatency("build", c.Now().Sub(t0))
 	c.Add("records", int64(len(input)))
 	c.Add("terms", int64(len(out)))
 
@@ -137,16 +136,16 @@ func (PageRank) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 		return err
 	}
 	scale := 8 + p.Scale // 2^(8+scale) vertices
-	t0gen := time.Now()
+	t0gen := c.Now()
 	g := graphgen.DefaultRMAT.GenerateParallel(p.Seed, scale, p.DatagenWorkers)
-	c.RecordDatagen(time.Since(t0gen), int64(g.NumEdges()))
+	c.RecordDatagen(c.Now().Sub(t0gen), int64(g.NumEdges()))
 	eng := graphengine.New(p.Workers).Instrument(c)
-	t0 := time.Now()
+	t0 := c.Now()
 	res, err := eng.Run(g, graphengine.PageRank{}, 20)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("run", time.Since(t0))
+	c.ObserveLatency("run", c.Now().Sub(t0))
 	c.Add("records", g.N)
 	c.Add("messages", res.MessagesSent)
 	c.Add("supersteps", int64(res.Supersteps))

@@ -10,7 +10,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
 	"github.com/bdbench/bdbench/internal/metrics"
@@ -89,9 +88,9 @@ func (KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collector)
 		iters = 8 // Lloyd iterations
 	)
 	g := stats.NewRNG(p.Seed)
-	t0gen := time.Now()
+	t0gen := c.Now()
 	points, trueCenters := GenerateClusters(g, p.Scale*1000, k)
-	c.RecordDatagen(time.Since(t0gen), int64(len(points)))
+	c.RecordDatagen(c.Now().Sub(t0gen), int64(len(points)))
 	input := make([]mapreduce.KV, len(points))
 	for i, pt := range points {
 		input[i] = mapreduce.KV{Key: strconv.Itoa(i), Value: pt.encode()}
@@ -118,7 +117,7 @@ func (KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collector)
 		centroids = append(centroids, points[far])
 	}
 	eng := mapreduce.New(p.Workers).Instrument(c)
-	t0 := time.Now()
+	t0 := c.Now()
 	for it := 0; it < iters; it++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -169,7 +168,7 @@ func (KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collector)
 			centroids[ci] = pt
 		}
 	}
-	c.ObserveLatency("cluster", time.Since(t0))
+	c.ObserveLatency("cluster", c.Now().Sub(t0))
 	c.Add("records", int64(len(points)))
 	c.Add("iterations", int64(iters))
 
@@ -216,17 +215,17 @@ func (ConnectedComponents) Run(ctx context.Context, p workloads.Params, c *metri
 	// Preferential attachment is inherently sequential (every edge depends
 	// on all previous degrees), so the BA graph stays on the single-RNG
 	// path; its cost is still accounted to the datagen family.
-	t0gen := time.Now()
+	t0gen := c.Now()
 	g := graphgen.BarabasiAlbert{M: 2}.Generate(stats.NewRNG(p.Seed), scale)
-	c.RecordDatagen(time.Since(t0gen), int64(g.NumEdges()))
+	c.RecordDatagen(c.Now().Sub(t0gen), int64(g.NumEdges()))
 	und := graphengine.Undirected(g)
 	eng := graphengine.New(p.Workers).Instrument(c)
-	t0 := time.Now()
+	t0 := c.Now()
 	res, err := eng.Run(und, graphengine.ConnectedComponents{}, 200)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("run", time.Since(t0))
+	c.ObserveLatency("run", c.Now().Sub(t0))
 	c.Add("records", und.N)
 	c.Add("messages", res.MessagesSent)
 

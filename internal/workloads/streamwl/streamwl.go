@@ -47,18 +47,18 @@ func (WindowedCount) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 		KeySpace:     100,
 		KeyChooser:   stats.Zipf{Count: 100, S: 1.2},
 	}
-	t0gen := time.Now()
+	t0gen := c.Now()
 	events := gen.GenerateParallel(p.Seed, n, p.DatagenWorkers)
 	// Chunked Poisson offsets can regress a few events at chunk
 	// boundaries; the window engine assumes in-order arrival, so restore
 	// event-time order first (the reorder buffer a real consumer runs).
 	// The stable sort is deterministic, preserving seed-determinism.
 	slices.SortStableFunc(events, func(a, b streamgen.Event) int { return cmp.Compare(a.Offset, b.Offset) })
-	c.RecordDatagen(time.Since(t0gen), n)
+	c.RecordDatagen(c.Now().Sub(t0gen), n)
 	eng := streaming.New(1024).Instrument(c)
-	t0 := time.Now()
+	t0 := c.Now()
 	res := eng.Run(events, streaming.TumblingWindow{Size: 100 * time.Millisecond})
-	c.ObserveLatency("pipeline", time.Since(t0))
+	c.ObserveLatency("pipeline", c.Now().Sub(t0))
 	c.Add("records", n)
 	c.Add("windows_emitted", int64(len(res.Out)))
 
@@ -103,11 +103,11 @@ func (RollingAggregate) Run(ctx context.Context, p workloads.Params, c *metrics.
 		EventsPerSec: 50000,
 		KeySpace:     20,
 	}
-	t0gen := time.Now()
+	t0gen := c.Now()
 	events := gen.GenerateParallel(p.Seed, n, p.DatagenWorkers)
-	c.RecordDatagen(time.Since(t0gen), n)
+	c.RecordDatagen(c.Now().Sub(t0gen), n)
 	eng := streaming.New(1024).Instrument(c)
-	t0 := time.Now()
+	t0 := c.Now()
 	res := eng.Run(events,
 		streaming.MapStage{Label: "weight", Fn: func(m streaming.Msg) streaming.Msg {
 			m.Value = 2
@@ -115,7 +115,7 @@ func (RollingAggregate) Run(ctx context.Context, p workloads.Params, c *metrics.
 		}},
 		streaming.SlidingWindow{Size: 400 * time.Millisecond, Slide: 100 * time.Millisecond, Agg: streaming.AggSum},
 	)
-	c.ObserveLatency("pipeline", time.Since(t0))
+	c.ObserveLatency("pipeline", c.Now().Sub(t0))
 	c.Add("records", n)
 	c.Add("emissions", int64(len(res.Out)))
 	if len(res.Out) == 0 {

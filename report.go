@@ -1,9 +1,6 @@
 package bdbench
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/bdbench/bdbench/internal/report"
 	"github.com/bdbench/bdbench/internal/scenario"
 )
@@ -24,19 +21,10 @@ func NewMarkdownReporter() Reporter { return report.MarkdownReporter{} }
 func NewJSONReporter() Reporter { return report.JSONReporter{} }
 
 // ReporterFor maps a format name to its reporter.
-func ReporterFor(format string) (Reporter, error) {
-	for _, r := range Reporters() {
-		if r.Format() == format {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("bdbench: unknown format %q (have: %s)", format, strings.Join(Formats(), ", "))
-}
+func ReporterFor(format string) (Reporter, error) { return report.ReporterFor(format) }
 
 // Reporters returns the built-in reporters.
-func Reporters() []Reporter {
-	return []Reporter{NewTextReporter(), NewMarkdownReporter(), NewJSONReporter()}
-}
+func Reporters() []Reporter { return report.Reporters() }
 
 // Formats lists the built-in reporter format names.
 func Formats() []string {
