@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -162,5 +163,73 @@ func TestQuickCompareTransitiveOnInts(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyAgreesWithCompare: for non-NaN values, two keys are equal exactly
+// when Compare calls the values equal, over every pair of a pool of edge
+// values and of values drawn from small domains so that equalities recur.
+// Every NaN has one key, which no number shares.
+func TestKeyAgreesWithCompare(t *testing.T) {
+	pool := []Value{
+		Null(), Int(0), Int(1), Int(-1), Int(5), Int(1 << 53), Int(1<<53 + 1), Int(math.MaxInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(5), Float(0.5), Float(-1), Float(1 << 53),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.MaxInt64),
+		String_(""), String_("5"), String_("a"), Bool(true), Bool(false),
+	}
+	agree := func(a, b Value) bool {
+		return (Compare(a, b) == 0) == (KeyOf(a) == KeyOf(b))
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			if !agree(a, b) {
+				t.Errorf("%v (%v) and %v (%v): Compare %d, keys equal %v", a, a.Kind(), b, b.Kind(), Compare(a, b), KeyOf(a) == KeyOf(b))
+			}
+		}
+	}
+	small := func(kind uint8, n int8) Value {
+		switch kind % 5 {
+		case 0:
+			return Null()
+		case 1:
+			return Int(int64(n % 4))
+		case 2:
+			return Float(float64(n%8) / 2)
+		case 3:
+			return String_([]string{"a", "b"}[n&1])
+		default:
+			return Bool(n%2 == 0)
+		}
+	}
+	if err := quick.Check(func(ka, kb uint8, na, nb int8) bool {
+		return agree(small(ka, na), small(kb, nb))
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	nan := KeyOf(Float(math.NaN()))
+	if KeyOf(Float(-math.NaN())) != nan || KeyOf(Float(math.Float64frombits(0x7ff0000000000f00))) != nan || KeyOf(Float(0)) == nan {
+		t.Error("NaNs do not share one key of their own")
+	}
+}
+
+// TestKeyAppendEncodesTuples: two pairs of values, each pair's keys appended
+// in turn, encode alike exactly when their keys are pairwise equal.
+func TestKeyAppendEncodesTuples(t *testing.T) {
+	pool := []Value{
+		Null(), Int(0), Float(math.Copysign(0, -1)), Int(1), Float(math.NaN()), Bool(false), Bool(true),
+		String_(""), String_("\x00"), String_("a"), String_("a\x00"), String_("\x01a"),
+	}
+	enc := func(a, b Value) string { return string(KeyOf(b).Append(KeyOf(a).Append(nil))) }
+	for _, a := range pool {
+		for _, b := range pool {
+			for _, c := range pool {
+				for _, d := range pool {
+					same := KeyOf(a) == KeyOf(c) && KeyOf(b) == KeyOf(d)
+					if (enc(a, b) == enc(c, d)) != same {
+						t.Errorf("(%q, %q) and (%q, %q): encodings equal %v, keys equal %v", a, b, c, d, !same, same)
+					}
+				}
+			}
+		}
 	}
 }

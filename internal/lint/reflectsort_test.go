@@ -20,6 +20,8 @@ var reflectiveSorts = map[string]string{
 // which was a third of batch_mix's CPU while the shuffle used them. Under the
 // substrates, the run store and the workloads a sort over records, samples or
 // rows is slices.Sort*Func; what stays sorts a handful of report rows and says so.
+// The substrates also call no fmt.Sprint*: keying dbms rows by their fmt text
+// was a sixth of batch_mix's objects. fmt.Errorf stays.
 func TestNoReflectiveSortOnDataPaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -49,7 +51,13 @@ func TestNoReflectiveSortOnDataPaths(t *testing.T) {
 						return true
 					}
 					fn, ok := p.Info.Uses[id].(*types.Func)
-					if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sort" || (fn.Name() != "Slice" && fn.Name() != "SliceStable") {
+					if !ok || fn.Pkg() == nil {
+						return true
+					}
+					if fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Sprint") && strings.HasPrefix(rel, "internal/stacks/") {
+						t.Errorf("%s: fmt.%s in %s; a substrate builds no text through fmt on its row paths", p.Fset.Position(id.Pos()), fn.Name(), rel+"."+fd.Name.Name)
+					}
+					if fn.Pkg().Path() != "sort" || (fn.Name() != "Slice" && fn.Name() != "SliceStable") {
 						return true
 					}
 					name := rel + "." + fd.Name.Name

@@ -28,7 +28,7 @@ type table struct {
 	mu      sync.RWMutex
 	schema  data.Schema
 	rows    []data.Row
-	indexes map[string]map[string][]int // column -> value key -> row ids
+	indexes map[string]map[data.Key][]int // column -> value key -> ascending row ids
 }
 
 // Open returns an empty database.
@@ -63,7 +63,7 @@ func (db *DB) CreateTable(schema data.Schema) error {
 	}
 	db.tables[schema.Name] = &table{
 		schema:  schema,
-		indexes: make(map[string]map[string][]int),
+		indexes: make(map[string]map[data.Key][]int),
 	}
 	return nil
 }
@@ -107,7 +107,7 @@ func (db *DB) Insert(name string, rows ...data.Row) error {
 	for col, idx := range t.indexes {
 		ci := t.schema.ColIndex(col)
 		for i, row := range rows {
-			key := valueKey(row[ci])
+			key := data.KeyOf(row[ci])
 			idx[key] = append(idx[key], base+i)
 		}
 	}
@@ -144,19 +144,18 @@ func (db *DB) CreateIndex(tableName, col string) error {
 	if _, ok := t.indexes[col]; ok {
 		return fmt.Errorf("dbms: index on %s.%s already exists", tableName, col)
 	}
-	idx := make(map[string][]int)
-	for i, row := range t.rows {
-		key := valueKey(row[ci])
-		idx[key] = append(idx[key], i)
-	}
-	t.indexes[col] = idx
+	t.indexes[col] = buildIndex(t.rows, ci)
 	return nil
 }
 
-// valueKey renders a value as a hashable index key with a kind tag so
-// Int(1) and String("1") never collide.
-func valueKey(v data.Value) string {
-	return fmt.Sprintf("%d:%s", v.Kind(), v.String())
+// buildIndex maps each key of column ci to the ids of the rows holding it.
+func buildIndex(rows []data.Row, ci int) map[data.Key][]int {
+	idx := make(map[data.Key][]int)
+	for i, row := range rows {
+		key := data.KeyOf(row[ci])
+		idx[key] = append(idx[key], i)
+	}
+	return idx
 }
 
 // UpdateWhere sets the given columns on every row matching the predicates
@@ -180,13 +179,13 @@ func (db *DB) UpdateWhere(name string, preds []Pred, set map[string]data.Value) 
 		}
 		setIdx[ci] = v
 	}
-	match, err := compilePreds(t.schema, preds)
+	ps, err := resolvePreds(t.schema, preds)
 	if err != nil {
 		return 0, err
 	}
 	changed := 0
 	for ri, row := range t.rows {
-		if !match(row) {
+		if !matches(ps, row) {
 			continue
 		}
 		// Copy-on-write: previously returned query results may alias this
@@ -194,11 +193,14 @@ func (db *DB) UpdateWhere(name string, preds []Pred, set map[string]data.Value) 
 		// mutating in place.
 		next := row.Clone()
 		for ci, v := range setIdx {
-			col := t.schema.Cols[ci].Name
-			if idx, ok := t.indexes[col]; ok {
-				old := valueKey(row[ci])
-				idx[old] = slices.DeleteFunc(idx[old], func(id int) bool { return id == ri })
-				idx[valueKey(v)] = append(idx[valueKey(v)], ri)
+			if idx, ok := t.indexes[t.schema.Cols[ci].Name]; ok {
+				if old, key := data.KeyOf(row[ci]), data.KeyOf(v); old != key {
+					// Ids stay ascending, so a lookup returns rows in table order.
+					i, _ := slices.BinarySearch(idx[old], ri)
+					idx[old] = slices.Delete(idx[old], i, i+1)
+					i, _ = slices.BinarySearch(idx[key], ri)
+					idx[key] = slices.Insert(idx[key], i, ri)
+				}
 			}
 			next[ci] = v
 		}
@@ -217,14 +219,14 @@ func (db *DB) DeleteWhere(name string, preds []Pred) (int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	match, err := compilePreds(t.schema, preds)
+	ps, err := resolvePreds(t.schema, preds)
 	if err != nil {
 		return 0, err
 	}
 	kept := t.rows[:0]
 	deleted := 0
 	for _, row := range t.rows {
-		if match(row) {
+		if matches(ps, row) {
 			deleted++
 			continue
 		}
@@ -233,13 +235,7 @@ func (db *DB) DeleteWhere(name string, preds []Pred) (int, error) {
 	t.rows = kept
 	if deleted > 0 {
 		for col := range t.indexes {
-			ci := t.schema.ColIndex(col)
-			idx := make(map[string][]int)
-			for i, row := range t.rows {
-				key := valueKey(row[ci])
-				idx[key] = append(idx[key], i)
-			}
-			t.indexes[col] = idx
+			t.indexes[col] = buildIndex(t.rows, t.schema.ColIndex(col))
 		}
 	}
 	return deleted, nil

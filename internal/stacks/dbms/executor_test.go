@@ -1,0 +1,439 @@
+package dbms
+
+import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"strconv"
+	"sync"
+	"testing"
+
+	"github.com/bdbench/bdbench/internal/data"
+	"github.com/bdbench/bdbench/internal/raceflag"
+)
+
+// mustExecute runs q or fails the test.
+func mustExecute(t *testing.T, db *DB, q Query) *data.Table {
+	t.Helper()
+	out, err := db.Execute(q)
+	if err != nil {
+		t.Fatalf("%+v: %v", q, err)
+	}
+	return out
+}
+
+// sameRows reports whether two row lists hold the same kinds and values in
+// the same order.
+func sameRows(a, b []data.Row) bool {
+	return slices.EqualFunc(a, b, func(x, y data.Row) bool {
+		return slices.EqualFunc(x, y, func(u, v data.Value) bool {
+			return u.Kind() == v.Kind() && data.Compare(u, v) == 0
+		})
+	})
+}
+
+// randomCell draws a value of kind k from a small domain, so equal keys
+// recur, or NULL one time in five.
+func randomCell(g *rand.Rand, k data.Kind) data.Value {
+	if g.IntN(5) == 0 {
+		return data.Null()
+	}
+	switch k {
+	case data.KindInt:
+		return data.Int(int64(g.IntN(5) - 2))
+	case data.KindFloat:
+		return data.Float([]float64{math.Copysign(0, -1), 0, 1, 1.5, -2}[g.IntN(5)])
+	case data.KindString:
+		return data.String_([]string{"", "a", "1", "b"}[g.IntN(4)])
+	default:
+		return data.Bool(g.IntN(2) == 0)
+	}
+}
+
+// TestIndexAgreesWithScan: an equality predicate returns the same rows in the
+// same order whether or not its column has an index, for literals of every
+// kind on columns of every kind, after updates and deletes have moved rows
+// between index keys. On odd seeds the float column also holds NaN cells,
+// which Compare calls equal to every number.
+func TestIndexAgreesWithScan(t *testing.T) {
+	schema := data.Schema{Name: "t", Cols: []data.Column{
+		{Name: "n", Kind: data.KindInt},
+		{Name: "i", Kind: data.KindInt},
+		{Name: "f", Kind: data.KindFloat},
+		{Name: "s", Kind: data.KindString},
+		{Name: "b", Kind: data.KindBool},
+	}}
+	literals := []data.Value{
+		data.Null(), data.Int(-2), data.Int(0), data.Int(1), data.Float(math.Copysign(0, -1)),
+		data.Float(1), data.Float(1.5), data.Float(math.NaN()), data.String_(""), data.String_("1"), data.String_("a"),
+		data.Bool(true), data.Bool(false),
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := rand.New(rand.NewPCG(seed, 2014))
+		plain, indexed := Open(), Open()
+		for _, db := range []*DB{plain, indexed} {
+			if err := db.CreateTable(schema); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range schema.Cols[1:] {
+			if err := indexed.CreateIndex("t", c.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for n := range 40 {
+			row := data.Row{data.Int(int64(n))}
+			for _, c := range schema.Cols[1:] {
+				cell := randomCell(g, c.Kind)
+				if c.Kind == data.KindFloat && seed%2 == 1 && g.IntN(8) == 0 {
+					cell = data.Float(math.NaN())
+				}
+				row = append(row, cell)
+			}
+			for _, db := range []*DB{plain, indexed} {
+				if err := db.Insert("t", row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for range 10 {
+			c := schema.Cols[1+g.IntN(4)]
+			where := []Pred{{Col: "n", Op: OpEq, Val: data.Int(int64(g.IntN(40)))}}
+			set := map[string]data.Value{c.Name: randomCell(g, c.Kind)}
+			for _, db := range []*DB{plain, indexed} {
+				if _, err := db.UpdateWhere("t", where, set); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		del := []Pred{{Col: "n", Op: OpEq, Val: data.Int(int64(g.IntN(40)))}}
+		for _, db := range []*DB{plain, indexed} {
+			if _, err := db.DeleteWhere("t", del); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range schema.Cols[1:] {
+			for _, lit := range literals {
+				for _, extra := range [][]Pred{nil, {{Col: "n", Op: OpGe, Val: data.Int(10)}}} {
+					q := Query{From: "t", Where: append([]Pred{{Col: c.Name, Op: OpEq, Val: lit}}, extra...)}
+					want, got := mustExecute(t, plain, q), mustExecute(t, indexed, q)
+					if !sameRows(got.Rows, want.Rows) {
+						t.Fatalf("seed %d, %s = %v (%v), extra %v: index returns %v, scan %v",
+							seed, c.Name, lit, lit.Kind(), extra, got.Rows, want.Rows)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupByTwoColumns: a GROUP BY over two columns keeps pairs that share
+// one column apart, folds NULL keys like any other, and lists the groups in
+// first-seen order.
+func TestGroupByTwoColumns(t *testing.T) {
+	db := Open()
+	if err := db.CreateTable(data.Schema{Name: "t", Cols: []data.Column{
+		{Name: "a", Kind: data.KindInt}, {Name: "b", Kind: data.KindString}, {Name: "v", Kind: data.KindInt},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	x, y, null := data.String_("x"), data.String_("y"), data.Null()
+	for i, ab := range [][2]data.Value{
+		{data.Int(1), x}, {data.Int(1), y}, {data.Int(2), x}, {data.Int(1), x}, {data.Int(2), y},
+		{data.Int(2), x}, {null, x}, {data.Int(1), null}, {null, x},
+	} {
+		if err := db.Insert("t", data.Row{ab[0], ab[1], data.Int(int64(i + 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := db.Query("SELECT a, b, count(*) AS n, sum(v) AS s FROM t GROUP BY a, b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []data.Row{
+		{data.Int(1), x, data.Int(2), data.Float(5)},
+		{data.Int(1), y, data.Int(1), data.Float(2)},
+		{data.Int(2), x, data.Int(2), data.Float(9)},
+		{data.Int(2), y, data.Int(1), data.Float(5)},
+		{null, x, data.Int(2), data.Float(16)},
+		{data.Int(1), null, data.Int(1), data.Float(8)},
+	}
+	if !sameRows(out.Rows, want) {
+		t.Fatalf("GROUP BY a, b = %v, want %v", out.Rows, want)
+	}
+}
+
+// TestGroupByNaNAndNegativeZero: every NaN is one group, and −0 groups with
+// 0, the same rows WHERE f = 0 matches.
+func TestGroupByNaNAndNegativeZero(t *testing.T) {
+	db := Open()
+	if err := db.CreateTable(data.Schema{Name: "t", Cols: []data.Column{{Name: "f", Kind: data.KindFloat}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{math.NaN(), 0, math.Copysign(0, -1), math.NaN(), 1, math.Copysign(0, -1)} {
+		if err := db.Insert("t", data.Row{data.Float(f)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := db.Query("SELECT f, count(*) FROM t GROUP BY f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := []int64{}
+	for _, row := range out.Rows {
+		counts = append(counts, row[1].Int())
+	}
+	if !slices.Equal(counts, []int64{2, 3, 1}) || !math.IsNaN(out.Rows[0][0].Float()) || out.Rows[2][0].Float() != 1 {
+		t.Fatalf("groups %v, want NaN×2, 0×3, 1×1", out.Rows)
+	}
+	// Compare calls NaN equal to everything, so only the numbers are counted.
+	zeros, err := db.Query("SELECT f FROM t WHERE f = 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(slices.DeleteFunc(zeros.Rows, func(r data.Row) bool { return math.IsNaN(r[0].Float()) })); n != 3 {
+		t.Fatalf("WHERE f = 0 matches %d numbers, want 3", n)
+	}
+}
+
+// TestJoinFiltersEachSide: a join whose WHERE names a left column, a right
+// column and a right column renamed for a collision returns what a nested-loop
+// join followed by the filter returns, in the same order, over an int column
+// joined to a float one, with or without indexes on the filtered columns.
+func TestJoinFiltersEachSide(t *testing.T) {
+	ls := data.Schema{Name: "l", Cols: []data.Column{
+		{Name: "id", Kind: data.KindInt}, {Name: "k", Kind: data.KindInt}, {Name: "name", Kind: data.KindString},
+	}}
+	rs := data.Schema{Name: "r", Cols: []data.Column{
+		{Name: "k", Kind: data.KindFloat}, {Name: "id", Kind: data.KindInt}, {Name: "tag", Kind: data.KindString},
+	}}
+	joinedCol := map[string]int{"id": 0, "k": 1, "name": 2, "r.k": 3, "r.id": 4, "tag": 5}
+	g := rand.New(rand.NewPCG(7, 2014))
+	var lrows, rrows []data.Row
+	for i := range 40 {
+		lrows = append(lrows, data.Row{data.Int(int64(i)), randomCell(g, data.KindInt), randomCell(g, data.KindString)})
+		rrows = append(rrows, data.Row{randomCell(g, data.KindFloat), data.Int(int64(i)), randomCell(g, data.KindString)})
+	}
+	plain, indexed := Open(), Open()
+	for _, db := range []*DB{plain, indexed} {
+		for _, tab := range []*data.Table{{Schema: ls, Rows: lrows}, {Schema: rs, Rows: rrows}} {
+			if err := db.Load(tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := indexed.CreateIndex("l", "name"); err != nil {
+		t.Fatal(err)
+	}
+	if err := indexed.CreateIndex("r", "tag"); err != nil {
+		t.Fatal(err)
+	}
+	filters := [][]Pred{
+		nil,
+		{{Col: "name", Op: OpEq, Val: data.String_("a")}},
+		{{Col: "tag", Op: OpEq, Val: data.String_("b")}},
+		{{Col: "r.id", Op: OpLt, Val: data.Int(20)}},
+		{{Col: "name", Op: OpNe, Val: data.String_("1")}, {Col: "tag", Op: OpEq, Val: data.String_("a")}, {Col: "r.id", Op: OpGe, Val: data.Int(5)}},
+		{{Col: "id", Op: OpLt, Val: data.Int(30)}, {Col: "r.k", Op: OpGt, Val: data.Int(-1)}, {Col: "tag", Op: OpNe, Val: data.String_("")}},
+	}
+	for _, where := range filters {
+		var want []data.Row
+		for _, l := range lrows {
+			for _, r := range rrows {
+				if l[1].IsNull() || r[0].IsNull() || data.Compare(l[1], r[0]) != 0 {
+					continue
+				}
+				row := append(l.Clone(), r...)
+				keep := true
+				for _, p := range where {
+					v := row[joinedCol[p.Col]]
+					cmp := data.Compare(v, p.Val)
+					keep = keep && !v.IsNull() && map[CmpOp]bool{
+						OpEq: cmp == 0, OpNe: cmp != 0, OpLt: cmp < 0, OpGe: cmp >= 0, OpGt: cmp > 0,
+					}[p.Op]
+				}
+				if keep {
+					want = append(want, row)
+				}
+			}
+		}
+		if where == nil && len(want) == 0 {
+			t.Fatal("the unfiltered join is empty; the test data joins nothing")
+		}
+		for _, db := range []*DB{plain, indexed} {
+			q := Query{From: "l", Join: &JoinSpec{Table: "r", LeftCol: "k", RightCol: "k"}, Where: where}
+			if got := mustExecute(t, db, q); !sameRows(got.Rows, want) {
+				t.Errorf("WHERE %v: join returns %v, nested loop %v", where, got.Rows, want)
+			}
+		}
+	}
+}
+
+// TestExecuteAllocations: the executor allocates per result, not per input
+// row. An index lookup costs the same at 1 000 and at 100 000 rows; a GROUP BY
+// of 10 000 rows into 5 groups costs a constant plus a few allocations per
+// group; a join of filtered sides costs the same however large the tables.
+func TestExecuteAllocations(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts not asserted under -race")
+	}
+	load := func(db *DB, name string, n int) *DB {
+		tab := data.NewTable(data.Schema{Name: name, Cols: []data.Column{
+			{Name: "id", Kind: data.KindInt}, {Name: "g", Kind: data.KindInt}, {Name: "v", Kind: data.KindFloat},
+		}})
+		for i := range n {
+			tab.Rows = append(tab.Rows, data.Row{data.Int(int64(i)), data.Int(int64(i % 5)), data.Float(float64(i))})
+		}
+		if err := db.Load(tab); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	allocs := func(db *DB, q Query) float64 {
+		return testing.AllocsPerRun(20, func() { mustExecute(t, db, q) })
+	}
+
+	lookup := Query{From: "t", Where: []Pred{{Col: "id", Op: OpEq, Val: data.Int(7)}}, Select: []string{"v"}}
+	var perSize []float64
+	for _, n := range []int{1_000, 100_000} {
+		db := load(Open(), "t", n)
+		if err := db.CreateIndex("t", "id"); err != nil {
+			t.Fatal(err)
+		}
+		perSize = append(perSize, allocs(db, lookup))
+	}
+	if perSize[0] != perSize[1] {
+		t.Errorf("index lookup: %.0f allocations at 1 000 rows, %.0f at 100 000", perSize[0], perSize[1])
+	}
+
+	group := Query{From: "t", GroupBy: []string{"g"}, Aggs: []Agg{{Fn: "count"}, {Fn: "sum", Col: "v"}}}
+	if got := allocs(load(Open(), "t", 10_000), group); got > 15+3*5 {
+		t.Errorf("GROUP BY of 10 000 rows into 5 groups: %.0f allocations, want at most 30", got)
+	}
+
+	join := Query{From: "t", Join: &JoinSpec{Table: "u", LeftCol: "g", RightCol: "g"},
+		Where: []Pred{{Col: "id", Op: OpLt, Val: data.Int(10)}, {Col: "u.id", Op: OpLt, Val: data.Int(10)}}}
+	perSize = perSize[:0]
+	for _, n := range []int{1_000, 100_000} {
+		perSize = append(perSize, allocs(load(load(Open(), "t", n), "u", n), join))
+	}
+	if perSize[0] != perSize[1] {
+		t.Errorf("join of 10 × 10 filtered rows: %.0f allocations over 1 000-row tables, %.0f over 100 000", perSize[0], perSize[1])
+	}
+}
+
+// TestConcurrentQueriesAndWrites: index, scan, join and GROUP BY queries run
+// while a writer inserts, updates and deletes, and every result is one the
+// table could have held: rows in id order, each row's invariants intact.
+// Under -race it also checks that no query reads table storage unlocked.
+func TestConcurrentQueriesAndWrites(t *testing.T) {
+	db := Open()
+	if err := db.CreateTable(data.Schema{Name: "t", Cols: []data.Column{
+		{Name: "id", Kind: data.KindInt}, {Name: "grp", Kind: data.KindInt}, {Name: "v", Kind: data.KindInt},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(data.Schema{Name: "g", Cols: []data.Column{
+		{Name: "grp", Kind: data.KindInt}, {Name: "label", Kind: data.KindString},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	labels := []string{"g0", "g1", "g2", "g3", "g4"}
+	for grp, label := range labels {
+		if err := db.Insert("g", data.Row{data.Int(int64(grp)), data.String_(label)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every row of t has grp = id mod 5 and v = ±id.
+	row := func(id int64) data.Row { return data.Row{data.Int(id), data.Int(id % 5), data.Int(id)} }
+	for id := range int64(200) {
+		if err := db.Insert("t", row(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, col := range []string{"grp", "v"} {
+		if err := db.CreateIndex("t", col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// check asserts the invariants of rows with columns id, grp, v first.
+	check := func(what string, rows []data.Row) {
+		for i, r := range rows {
+			id := r[0].Int()
+			if r[1].Int() != id%5 || (r[2].Int() != id && r[2].Int() != -id) || (i > 0 && rows[i-1][0].Int() >= id) {
+				t.Errorf("%s: row %d %v breaks an invariant in %v", what, i, r, rows)
+				return
+			}
+		}
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for reader := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := int64(reader); ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				grp := n % 5
+				q := func(sql string) *data.Table {
+					out, err := db.Query(sql)
+					if err != nil {
+						t.Error(err)
+						return data.NewTable(data.Schema{})
+					}
+					return out
+				}
+				out := q("SELECT * FROM t WHERE grp = " + strconv.FormatInt(grp, 10))
+				check("index", out.Rows)
+				for _, r := range out.Rows {
+					if r[1].Int() != grp {
+						t.Errorf("index lookup grp = %d returned %v", grp, r)
+					}
+				}
+				out = q("SELECT * FROM t WHERE v < 0")
+				check("scan", out.Rows)
+				out = q("SELECT * FROM t WHERE v = " + strconv.FormatInt(-n%400, 10))
+				check("index on an updated column", out.Rows)
+				if len(out.Rows) > 1 || (len(out.Rows) == 1 && out.Rows[0][0].Int() != n%400) {
+					t.Errorf("index lookup v = %d returned %v", -n%400, out.Rows)
+				}
+				out = q("SELECT * FROM t JOIN g ON grp = grp WHERE label = '" + labels[grp] + "' AND id >= 50")
+				check("join", out.Rows)
+				for _, r := range out.Rows {
+					if r[3].Int() != grp || r[4].Str() != labels[grp] || r[0].Int() < 50 {
+						t.Errorf("join for %s returned %v", labels[grp], r)
+					}
+				}
+				out = q("SELECT grp, count(*) AS n, min(id), max(id) FROM t GROUP BY grp")
+				seen := map[int64]bool{}
+				for _, r := range out.Rows {
+					if seen[r[0].Int()] || r[1].Int() < 1 || r[2].Int()%5 != r[0].Int() || r[2].Int() > r[3].Int() {
+						t.Errorf("GROUP BY returned %v", out.Rows)
+					}
+					seen[r[0].Int()] = true
+				}
+			}
+		}()
+	}
+	next := int64(200)
+	for i := range int64(300) {
+		if err := db.Insert("t", row(next)); err != nil {
+			t.Error(err)
+		}
+		next++
+		if _, err := db.UpdateWhere("t", []Pred{{Col: "id", Op: OpEq, Val: data.Int(i*7%next + i)}},
+			map[string]data.Value{"v": data.Int(-(i*7%next + i))}); err != nil {
+			t.Error(err)
+		}
+		if _, err := db.DeleteWhere("t", []Pred{{Col: "id", Op: OpEq, Val: data.Int(i)}}); err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+}

@@ -2,6 +2,7 @@ package dbms
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/bdbench/bdbench/internal/data"
@@ -59,8 +60,11 @@ type JoinSpec struct {
 	RightCol string
 }
 
-// Query is a logical query plan. The executor applies: scan → (index
-// lookup) → join → filter → group/aggregate → project → order → limit.
+// Query is a logical query plan. The executor applies: a filtered scan of
+// From, or an index lookup when an equality predicate's column has an index →
+// a hash join with the filtered Join table → group/aggregate or project →
+// order → limit. Each Where predicate runs on the side of the join that owns
+// its column, before the join.
 type Query struct {
 	From    string
 	Join    *JoinSpec
@@ -83,46 +87,45 @@ func (db *DB) Execute(q Query) (*data.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	left.mu.RLock()
+	// A schema never changes after CreateTable, so it is read unlocked.
 	schema := left.schema
-	rows, usedPreds, err := scanWithIndex(left, q)
+	var right *table
+	li, ri := -1, -1
+	if q.Join != nil {
+		if right, err = db.table(q.Join.Table); err != nil {
+			return nil, err
+		}
+		if li = schema.ColIndex(q.Join.LeftCol); li < 0 {
+			return nil, fmt.Errorf("dbms: join: no column %q in %q", q.Join.LeftCol, schema.Name)
+		}
+		if ri = right.schema.ColIndex(q.Join.RightCol); ri < 0 {
+			return nil, fmt.Errorf("dbms: join: no column %q in %q", q.Join.RightCol, right.schema.Name)
+		}
+		schema = joinSchema(schema, right.schema)
+	}
+	preds, err := resolvePreds(schema, q.Where)
 	if err != nil {
-		left.mu.RUnlock()
 		return nil, err
 	}
-	// Copy out so locks release before the pipeline continues.
-	working := make([]data.Row, len(rows))
-	copy(working, rows)
-	left.mu.RUnlock()
-
-	remaining := diffPreds(q.Where, usedPreds)
-
-	if q.Join != nil {
-		right, err := db.table(q.Join.Table)
-		if err != nil {
-			return nil, err
+	var lpreds, rpreds []pred
+	for _, p := range preds {
+		if p.col < len(left.schema.Cols) {
+			lpreds = append(lpreds, p)
+		} else {
+			p.col -= len(left.schema.Cols)
+			rpreds = append(rpreds, p)
 		}
-		right.mu.RLock()
-		joinedSchema, joined, err := hashJoin(schema, working, right.schema, right.rows, *q.Join)
-		right.mu.RUnlock()
-		if err != nil {
-			return nil, err
-		}
-		schema, working = joinedSchema, joined
 	}
 
-	if len(remaining) > 0 {
-		match, err := compilePreds(schema, remaining)
-		if err != nil {
-			return nil, err
-		}
-		filtered := working[:0]
-		for _, row := range working {
-			if match(row) {
-				filtered = append(filtered, row)
-			}
-		}
-		working = filtered
+	// Each side is filtered while it is copied out under its read lock.
+	left.mu.RLock()
+	working := scan(left, lpreds)
+	left.mu.RUnlock()
+	if right != nil {
+		right.mu.RLock()
+		rrows := scan(right, rpreds)
+		right.mu.RUnlock()
+		working = hashJoin(working, li, rrows, ri, len(schema.Cols))
 	}
 
 	if len(q.Aggs) > 0 {
@@ -152,107 +155,103 @@ func (db *DB) Execute(q Query) (*data.Table, error) {
 	return out, nil
 }
 
-// scanWithIndex returns candidate rows, using a hash index when an equality
-// predicate hits one; it reports which predicates the index consumed.
-// Caller holds the table read lock.
-func scanWithIndex(t *table, q Query) ([]data.Row, []Pred, error) {
-	for _, p := range q.Where {
-		if p.Op != OpEq {
+// scan copies out, in table order, the rows of t that match every predicate.
+// The first equality predicate whose column has an index narrows the rows to
+// the index's ids, which are ascending; a NULL literal matches no row there as
+// in a scan. Compare calls NaN equal to every number, which one key cannot
+// say, so a NaN literal, or a number where the index holds a NaN, scans.
+// Caller holds t's read lock.
+func scan(t *table, ps []pred) []data.Row {
+	if len(ps) == 0 {
+		return slices.Clone(t.rows)
+	}
+	for _, p := range ps {
+		idx, ok := t.indexes[t.schema.Cols[p.col].Name]
+		if !ok || p.op != OpEq {
 			continue
 		}
-		idx, ok := t.indexes[p.Col]
-		if !ok {
+		if p.val.IsNull() {
+			return nil
+		}
+		key := data.KeyOf(p.val)
+		if k := p.val.Kind(); (k == data.KindInt || k == data.KindFloat) && (key == nanKey || len(idx[nanKey]) > 0) {
 			continue
 		}
-		ids := idx[valueKey(p.Val)]
-		rows := make([]data.Row, 0, len(ids))
+		ids := idx[key]
+		out := make([]data.Row, 0, len(ids))
 		for _, id := range ids {
-			rows = append(rows, t.rows[id])
-		}
-		return rows, []Pred{p}, nil
-	}
-	return t.rows, nil, nil
-}
-
-func diffPreds(all, used []Pred) []Pred {
-	if len(used) == 0 {
-		return all
-	}
-	var out []Pred
-	for _, p := range all {
-		skip := false
-		for _, u := range used {
-			if p == u {
-				skip = true
-				break
+			if matches(ps, t.rows[id]) {
+				out = append(out, t.rows[id])
 			}
 		}
-		if !skip {
-			out = append(out, p)
+		return out
+	}
+	var out []data.Row
+	for _, row := range t.rows {
+		if matches(ps, row) {
+			out = append(out, row)
 		}
 	}
 	return out
 }
 
-// compilePreds resolves column names once and returns a row matcher. Null
-// values never match any comparison (SQL three-valued logic collapsed to
-// false).
-func compilePreds(schema data.Schema, preds []Pred) (func(data.Row) bool, error) {
-	type compiled struct {
-		idx int
-		op  CmpOp
-		val data.Value
-	}
-	cs := make([]compiled, len(preds))
+// nanKey is the one key of every NaN.
+var nanKey = data.KeyOf(data.Float(math.NaN()))
+
+// pred is a Pred resolved to a column position.
+type pred struct {
+	col int
+	op  CmpOp
+	val data.Value
+}
+
+// resolvePreds resolves the predicates' column names against schema.
+func resolvePreds(schema data.Schema, preds []Pred) ([]pred, error) {
+	ps := make([]pred, len(preds))
 	for i, p := range preds {
 		ci := schema.ColIndex(p.Col)
 		if ci < 0 {
 			return nil, fmt.Errorf("dbms: no column %q", p.Col)
 		}
-		cs[i] = compiled{idx: ci, op: p.Op, val: p.Val}
+		ps[i] = pred{col: ci, op: p.Op, val: p.Val}
 	}
-	return func(row data.Row) bool {
-		for _, c := range cs {
-			v := row[c.idx]
-			if v.IsNull() {
-				return false
-			}
-			cmp := data.Compare(v, c.val)
-			ok := false
-			switch c.op {
-			case OpEq:
-				ok = cmp == 0
-			case OpNe:
-				ok = cmp != 0
-			case OpLt:
-				ok = cmp < 0
-			case OpLe:
-				ok = cmp <= 0
-			case OpGt:
-				ok = cmp > 0
-			case OpGe:
-				ok = cmp >= 0
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}, nil
+	return ps, nil
 }
 
-// hashJoin builds a hash table on the right input and probes with the left.
-// Output columns: left columns first, then right columns; name collisions
-// on the right are prefixed with "table.".
-func hashJoin(ls data.Schema, lrows []data.Row, rs data.Schema, rrows []data.Row, spec JoinSpec) (data.Schema, []data.Row, error) {
-	li := ls.ColIndex(spec.LeftCol)
-	if li < 0 {
-		return data.Schema{}, nil, fmt.Errorf("dbms: join: no column %q in %q", spec.LeftCol, ls.Name)
+// matches reports whether row satisfies every predicate. Null values never
+// match any comparison (SQL three-valued logic collapsed to false).
+func matches(ps []pred, row data.Row) bool {
+	for _, p := range ps {
+		v := row[p.col]
+		if v.IsNull() {
+			return false
+		}
+		cmp := data.Compare(v, p.val)
+		ok := false
+		switch p.op {
+		case OpEq:
+			ok = cmp == 0
+		case OpNe:
+			ok = cmp != 0
+		case OpLt:
+			ok = cmp < 0
+		case OpLe:
+			ok = cmp <= 0
+		case OpGt:
+			ok = cmp > 0
+		case OpGe:
+			ok = cmp >= 0
+		}
+		if !ok {
+			return false
+		}
 	}
-	ri := rs.ColIndex(spec.RightCol)
-	if ri < 0 {
-		return data.Schema{}, nil, fmt.Errorf("dbms: join: no column %q in %q", spec.RightCol, rs.Name)
-	}
+	return true
+}
+
+// joinSchema is a joined row's shape: left columns first, then right columns;
+// name collisions on the right are prefixed with "table.".
+func joinSchema(ls, rs data.Schema) data.Schema {
 	out := data.Schema{Name: ls.Name + "_" + rs.Name}
 	out.Cols = append(out.Cols, ls.Cols...)
 	taken := make(map[string]bool, len(ls.Cols))
@@ -266,29 +265,56 @@ func hashJoin(ls data.Schema, lrows []data.Row, rs data.Schema, rrows []data.Row
 		}
 		out.Cols = append(out.Cols, data.Column{Name: name, Kind: c.Kind})
 	}
-	build := make(map[string][]int, len(rrows))
-	for i, row := range rrows {
-		if row[ri].IsNull() {
-			continue
+	return out
+}
+
+// hashJoin builds a hash table on the right rows and probes it with the left
+// ones: each left row, in order, is followed by the right rows whose column
+// ri has the key of its column li, in their order. A NULL joins nothing, and
+// a NaN joins only a NaN.
+// Every joined row is a capacity-capped window of one slab.
+func hashJoin(lrows []data.Row, li int, rrows []data.Row, ri, width int) []data.Row {
+	type chain struct{ first, n int } // rows first, next[first], ... n of them
+	heads := make(map[data.Key]chain, len(rrows))
+	next := make([]int, len(rrows))
+	for i := len(rrows) - 1; i >= 0; i-- {
+		if v := rrows[i][ri]; !v.IsNull() {
+			k := data.KeyOf(v)
+			c := heads[k]
+			next[i] = c.first
+			heads[k] = chain{first: i, n: c.n + 1}
 		}
-		k := valueKey(row[ri])
-		build[k] = append(build[k], i)
 	}
-	var joined []data.Row
-	for _, lrow := range lrows {
-		if lrow[li].IsNull() {
-			continue
+	type hit struct {
+		row data.Row
+		chain
+	}
+	var hits []hit
+	total := 0
+	for _, row := range lrows {
+		if v := row[li]; !v.IsNull() {
+			if c, ok := heads[data.KeyOf(v)]; ok {
+				hits = append(hits, hit{row, c})
+				total += c.n
+			}
 		}
-		for _, rid := range build[valueKey(lrow[li])] {
-			row := make(data.Row, 0, len(out.Cols))
-			row = append(row, lrow...)
-			row = append(row, rrows[rid]...)
+	}
+	slab := make([]data.Value, total*width)
+	joined := make([]data.Row, 0, total)
+	for _, h := range hits {
+		for i, n := h.first, h.n; n > 0; i, n = next[i], n-1 {
+			row := slab[:width:width]
+			slab = slab[width:]
+			copy(row, h.row)
+			copy(row[len(h.row):], rrows[i])
 			joined = append(joined, row)
 		}
 	}
-	return out, joined, nil
+	return joined
 }
 
+// project keeps the named columns. rows is the executor's own slice, so each
+// projected row, a window of one slab, takes its input row's slot.
 func project(schema data.Schema, rows []data.Row, cols []string) (data.Schema, []data.Row, error) {
 	idxs := make([]int, len(cols))
 	out := data.Schema{Name: schema.Name}
@@ -300,15 +326,16 @@ func project(schema data.Schema, rows []data.Row, cols []string) (data.Schema, [
 		idxs[i] = ci
 		out.Cols = append(out.Cols, schema.Cols[ci])
 	}
-	projected := make([]data.Row, len(rows))
+	w := len(idxs)
+	slab := make([]data.Value, len(rows)*w)
 	for ri, row := range rows {
-		p := make(data.Row, len(idxs))
+		p := slab[ri*w : (ri+1)*w : (ri+1)*w]
 		for i, ci := range idxs {
 			p[i] = row[ci]
 		}
-		projected[ri] = p
+		rows[ri] = p
 	}
-	return out, projected, nil
+	return out, rows, nil
 }
 
 type aggState struct {
@@ -351,27 +378,27 @@ func aggregate(schema data.Schema, rows []data.Row, groupBy []string, aggs []Agg
 		}
 	}
 
-	type group struct {
-		key    []data.Value
-		states []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string // deterministic first-seen group order
-	for _, row := range rows {
-		keyVals := make([]data.Value, len(groupIdx))
-		keyStr := ""
-		for i, gi := range groupIdx {
-			keyVals[i] = row[gi]
-			keyStr += valueKey(row[gi]) + "\x1f"
+	// A group is named by the first row that had its key. A row's keys are
+	// appended into one reused buffer that finds its group, so only a new
+	// group copies them into a string. Output is in first-seen order.
+	var firsts []int
+	var states []aggState // len(aggs) per group
+	groups := make(map[string]int)
+	var buf []byte
+	for r, row := range rows {
+		buf = buf[:0]
+		for _, ci := range groupIdx {
+			buf = data.KeyOf(row[ci]).Append(buf)
 		}
-		grp, ok := groups[keyStr]
+		g, ok := groups[string(buf)]
 		if !ok {
-			grp = &group{key: keyVals, states: make([]aggState, len(aggs))}
-			groups[keyStr] = grp
-			order = append(order, keyStr)
+			g = len(firsts)
+			groups[string(buf)] = g
+			firsts = append(firsts, r)
+			states = append(states, make([]aggState, len(aggs))...)
 		}
 		for i, a := range aggs {
-			st := &grp.states[i]
+			st := &states[g*len(aggs)+i]
 			switch a.Fn {
 			case "count":
 				if aggIdx[i] < 0 || !row[aggIdx[i]].IsNull() {
@@ -395,9 +422,9 @@ func aggregate(schema data.Schema, rows []data.Row, groupBy []string, aggs []Agg
 		}
 	}
 	// Global aggregate over empty input still yields one row.
-	if len(groupBy) == 0 && len(groups) == 0 {
-		groups[""] = &group{states: make([]aggState, len(aggs))}
-		order = append(order, "")
+	if len(groupBy) == 0 && len(firsts) == 0 {
+		firsts = append(firsts, -1)
+		states = make([]aggState, len(aggs))
 	}
 
 	out := data.Schema{Name: schema.Name + "_agg"}
@@ -414,13 +441,16 @@ func aggregate(schema data.Schema, rows []data.Row, groupBy []string, aggs []Agg
 		}
 		out.Cols = append(out.Cols, data.Column{Name: a.name(), Kind: kind})
 	}
-	result := make([]data.Row, 0, len(groups))
-	for _, keyStr := range order {
-		grp := groups[keyStr]
-		row := make(data.Row, 0, len(out.Cols))
-		row = append(row, grp.key...)
+	w := len(out.Cols)
+	slab := make([]data.Value, len(firsts)*w)
+	result := make([]data.Row, 0, len(firsts))
+	for g, first := range firsts {
+		row := slab[g*w : g*w : (g+1)*w]
+		for _, gi := range groupIdx {
+			row = append(row, rows[first][gi])
+		}
 		for i, a := range aggs {
-			st := grp.states[i]
+			st := states[g*len(aggs)+i]
 			switch a.Fn {
 			case "count":
 				row = append(row, data.Int(st.count))
