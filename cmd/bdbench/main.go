@@ -150,7 +150,8 @@ engine knobs (run, figure1, experiments — shared):
   -workers N        concurrent workloads in the engine pool (0 = one per CPU)
   -reps N           measured repetitions per workload; the median is reported
   -warmup N         unmeasured warmup runs per workload
-  -timeout D        per-run deadline (e.g. 30s); overrunning runs are cancelled
+  -timeout D        per-run deadline (e.g. 30s); a run still going at it is
+                    cancelled through its context and reported failed
   -stack-workers N  parallelism of the simulated stack inside each workload
   -datagen-workers N  chunk workers preparing each workload's input data
                     (0 = one per CPU; pure speed knob, bytes identical)
@@ -160,7 +161,9 @@ open-loop load (run, figure1, experiments; loadcurve has its own flags):
   -rate R           offered load in ops/s; switches execution to open-loop
                     (arrivals scheduled independently of completions,
                     latency measured from intended start)
-  -arrival P        arrival process: constant, poisson, bursty or ramp
+  -arrival P        arrival process: constant, poisson, bursty, ramp or replay
+  -trace C          corpus whose recorded timestamps drive the replay arrival
+                    (requires -rate; implies -arrival replay)
   -duration D       scheduling window per workload, e.g. 10s
 
 profiling (run, loadcurve, datagen):

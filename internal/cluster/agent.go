@@ -111,7 +111,7 @@ func (fw *frameWriter) fail(format string, args ...any) {
 // serveShard executes one shard: handshake, assignment, engine run,
 // streamed results. Protocol violations abort with an error frame; a
 // dropped coordinator connection cancels the request context, which the
-// engine observes and aborts on.
+// running workload observes; the handler returns after the workload has.
 func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)

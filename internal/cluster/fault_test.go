@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,6 +309,57 @@ func TestAgentHeartbeatEndsWithTheShard(t *testing.T) {
 		if _, err := Coordinate(context.Background(), spec, opts); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// unwinding calls started on entry, then waits for its context's cancel,
+// takes 20 ms to unwind, and sets returned.
+type unwinding struct {
+	detWorkload
+	started  func()
+	returned *atomic.Bool
+}
+
+func (w unwinding) Run(ctx context.Context, _ workloads.Params, _ *metrics.Collector) error {
+	w.started()
+	<-ctx.Done()
+	time.Sleep(20 * time.Millisecond)
+	w.returned.Store(true)
+	return ctx.Err()
+}
+
+// TestAgentShardWaitsForItsWorkload: the coordinator's context is cancelled
+// mid-shard, and the agent's shard handler returns only after the workload
+// it was running has.
+func TestAgentShardWaitsForItsWorkload(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var returned atomic.Bool
+	reg := scenario.NewRegistry()
+	w := unwinding{detWorkload: detWorkload{name: "unwinding", cat: workloads.Offline}, started: cancel, returned: &returned}
+	if err := reg.RegisterWorkload(w); err != nil {
+		t.Fatal(err)
+	}
+	agent := NewAgent(AgentOptions{Registry: reg, ToolVersion: "test", Now: frozenNow}).Handler()
+	handled := make(chan bool, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		agent.ServeHTTP(w, r)
+		handled <- returned.Load()
+	}))
+	defer srv.Close()
+	spec := scenario.Spec{Name: "cancel", Entries: []scenario.Entry{{Workload: w.name}},
+		Seed: 1, Scale: 1, Workers: 1, DatagenWorkers: 1, Parallel: 1}
+	opts := coordOptions(reg, []string{srv.URL}, filepath.Join(t.TempDir(), "run.blob"))
+	if _, err := Coordinate(ctx, spec, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Coordinate = %v, want context.Canceled", err)
+	}
+	select {
+	case ok := <-handled:
+		if !ok {
+			t.Fatal("the shard handler returned before its workload did")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the shard handler never returned")
 	}
 }
 

@@ -4,6 +4,10 @@
 // with per-workload warmup and repetition control, per-run context
 // deadlines, panic isolation and streaming progress events.
 //
+// Every execution runs on the goroutine that measures it, so Run returns
+// only once everything it started has; deadlines and cancellation are
+// cooperative, through the workload's context.
+//
 // Tasks run in one of two modes. Closed-loop (the default) measures how
 // fast a workload can go: Warmup unmeasured runs, then Reps measured
 // repetitions back to back, median reported. Open-loop (Task.Load set)
@@ -47,8 +51,9 @@ type Config struct {
 	// Warmup is the number of unmeasured runs before the repetitions
 	// (default 0). Warmup results are discarded.
 	Warmup int
-	// Timeout bounds each individual run (warmup or repetition). Zero means
-	// no per-run deadline; the parent context still applies.
+	// Timeout bounds each individual run (warmup or repetition); one still
+	// going at the deadline fails. Zero means no per-run deadline; the
+	// parent context still applies.
 	Timeout time.Duration
 	// OnEvent, when set, receives progress events. Calls are serialized by
 	// the engine, so the callback needs no locking of its own.
@@ -180,8 +185,8 @@ type Event struct {
 // Run executes the tasks on a bounded worker pool and returns one
 // TaskResult per task, in task order. It never fails as a whole: workload
 // errors, timeouts and panics are reported per repetition. Run returns once
-// every task has been scheduled and observed; a cancelled context makes
-// remaining runs fail fast with the context's error.
+// every execution it started has returned; a cancelled context fails the
+// running ones and makes remaining runs fail fast with the context's error.
 func Run(ctx context.Context, tasks []Task, cfg Config) []TaskResult {
 	cfg = cfg.withDefaults()
 	if len(tasks) == 0 {
@@ -323,10 +328,8 @@ func runOpenLoop(ctx context.Context, t Task, cfg Config) (Rep, loadgen.Stats) {
 			opCtx, cancel = context.WithTimeout(opCtx, cfg.Timeout)
 			defer cancel()
 		}
-		// Abandon an overrunning operation at its deadline exactly as the
-		// closed-loop runOnce does — same helper, provably same behavior. A
-		// non-cooperative workload must not wedge the whole window.
-		return awaitRun(opCtx, t, c)
+		// loadgen isolates each operation's panic; execute only runs it.
+		return execute(opCtx, t, c)
 	})
 	c.SetElapsed(c.Now().Sub(t0))
 
@@ -339,13 +342,10 @@ func runOpenLoop(ctx context.Context, t Task, cfg Config) (Rep, loadgen.Stats) {
 }
 
 // runOnce executes a single run under the configured deadline, isolating
-// panics into errors. When the deadline passes before the workload unwinds,
-// the repetition is reported with the context error immediately; the
-// workload goroutine observes the same context cooperatively and exits on
-// its own (the collector is concurrency-safe, so late writes are harmless).
-// Sample capture (measured reps only — warmup is discarded, so capturing it
-// would only burn buffer memory) is enabled before the workload sees the
-// collector, so every cell it builds carries a buffer.
+// panics into errors. Sample capture (measured reps only — warmup is
+// discarded, so capturing it would only burn buffer memory) is enabled
+// before the workload sees the collector, so every cell it builds carries a
+// buffer.
 func runOnce(ctx context.Context, t Task, cfg Config, measured bool) Rep {
 	runCtx, cancel := ctx, func() {}
 	if cfg.Timeout > 0 {
@@ -359,9 +359,28 @@ func runOnce(ctx context.Context, t Task, cfg Config, measured bool) Rep {
 		return Rep{Result: c.Snapshot(), Err: err}
 	}
 	t0 := c.Now()
-	err := awaitRun(runCtx, t, c)
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("engine: workload %s panicked: %v", t.Workload.Name(), r)
+			}
+		}()
+		return execute(runCtx, t, c)
+	}()
 	c.SetElapsed(c.Now().Sub(t0))
 	return Rep{Result: c.Snapshot(), Err: err}
+}
+
+// execute runs the workload once on the caller's goroutine, for closed-loop
+// repetitions and open-loop operations alike. One whose context ended
+// before it returned is failed with the context's error whatever it
+// returned, so a run still going at its deadline fails.
+func execute(ctx context.Context, t Task, c *metrics.Collector) error {
+	err := t.Workload.Run(ctx, t.Params, c)
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return ctxErr
+	}
+	return err
 }
 
 // newCollector builds the collector one run of t records into, on the run's
@@ -373,42 +392,4 @@ func newCollector(t Task, cfg Config, capture bool) *metrics.Collector {
 		c.EnableSampling(cfg.SampleCap)
 	}
 	return c
-}
-
-// awaitRun executes the workload in its own goroutine — converting a panic
-// into an error — and returns the moment it finishes or ctx expires,
-// whichever comes first. On expiry the workload goroutine is abandoned to
-// unwind cooperatively on its own; the collector is concurrency-safe, so
-// late writes are harmless. Both execution modes share this helper, so
-// closed-loop repetitions and open-loop operations are abandoned
-// identically.
-func awaitRun(ctx context.Context, t Task, c *metrics.Collector) error {
-	done := donePool.Get().(chan error)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				done <- fmt.Errorf("engine: workload %s panicked: %v", t.Workload.Name(), r)
-			}
-		}()
-		done <- t.Workload.Run(ctx, t.Params, c)
-	}()
-	select {
-	case err := <-done:
-		donePool.Put(done)
-		return err
-	case <-ctx.Done():
-		// The abandoned goroutine still owns the channel and will complete
-		// its one buffered send later; recycling it here could deliver that
-		// stale result to an unrelated run. Let it be garbage instead.
-		return ctx.Err()
-	}
-}
-
-// donePool recycles awaitRun's one-slot completion channels. Open-loop mode
-// calls awaitRun once per dispatched operation, so without reuse every
-// operation pays a channel allocation. A channel is returned to the pool
-// only after its result was received — a drained one-slot channel is
-// indistinguishable from new.
-var donePool = sync.Pool{
-	New: func() any { return make(chan error, 1) },
 }

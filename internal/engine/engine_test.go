@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -98,7 +99,7 @@ func TestTimeoutCancelsWorkload(t *testing.T) {
 	if !errors.Is(res[0].Err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", res[0].Err)
 	}
-	// The workload goroutine observes the same cancellation cooperatively.
+	// The workload observes the same cancellation cooperatively.
 	deadline := time.Now().Add(2 * time.Second)
 	for !observed.Load() {
 		if time.Now().After(deadline) {
@@ -203,6 +204,79 @@ func TestAllRepsFailed(t *testing.T) {
 	}
 	if r.Median.Counters["records"] != 5 {
 		t.Fatal("partial measurements dropped")
+	}
+}
+
+// settle fails the test unless the goroutine count comes back down to
+// before within a second.
+func settle(t *testing.T, before int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines %d, %d before the run", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCancelledRunWaitsForTheWorkload: a parent cancelled mid-warmup or
+// mid-repetition fails the run, and Run returns only after the workload,
+// which takes 20 ms to unwind once it sees the cancel, has returned.
+func TestCancelledRunWaitsForTheWorkload(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cancelAt int64 // the call that cancels: 1 is the warmup, 2 the first repetition
+	}{{"mid-warmup", 1}, {"mid-repetition", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls atomic.Int64
+			var returned atomic.Bool
+			w := fakeWorkload{name: "cancelled", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+				if calls.Add(1) != tc.cancelAt {
+					return nil
+				}
+				cancel()
+				<-ctx.Done()
+				time.Sleep(20 * time.Millisecond) // unwinding
+				returned.Store(true)
+				return ctx.Err()
+			}}
+			before := runtime.NumGoroutine()
+			res := Run(ctx, tasksOf(w), Config{Workers: 1, Warmup: 1, Reps: 3})[0]
+			if !returned.Load() {
+				t.Fatal("Run returned before the cancelled workload did")
+			}
+			if !errors.Is(res.Err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", res.Err)
+			}
+			if got := calls.Load(); got != tc.cancelAt {
+				t.Fatalf("%d workload call(s) after a cancel at call %d", got-tc.cancelAt, tc.cancelAt)
+			}
+			settle(t, before)
+		})
+	}
+}
+
+// TestOverrunningRepetitionFails: a repetition that ignores its context
+// and sleeps 40 ms through a 10 ms Timeout fails with the deadline error
+// although the workload returned nil, and Run returns only after it has.
+func TestOverrunningRepetitionFails(t *testing.T) {
+	var returned atomic.Bool
+	w := fakeWorkload{name: "overrun", run: func(context.Context, workloads.Params, *metrics.Collector) error {
+		time.Sleep(40 * time.Millisecond) // ignores ctx entirely
+		returned.Store(true)
+		return nil
+	}}
+	res := Run(context.Background(), tasksOf(w), Config{Workers: 1, Timeout: 10 * time.Millisecond})[0]
+	if !returned.Load() {
+		t.Fatal("Run returned before the overrunning workload did")
+	}
+	if !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", res.Err)
+	}
+	if res.Median.Elapsed < 40*time.Millisecond {
+		t.Fatalf("elapsed %v; the repetition ends when the workload returns", res.Median.Elapsed)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,28 +138,64 @@ func TestOpenLoopTimeoutBoundsOperations(t *testing.T) {
 	}
 }
 
-// TestOpenLoopAbandonsNonCooperativeWorkload guards against a workload
-// that ignores its context wedging the whole window: each overrunning
-// operation must be reported failed at its deadline and abandoned, exactly
-// as closed-loop runOnce abandons an overrunning repetition.
-func TestOpenLoopAbandonsNonCooperativeWorkload(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block) // unwedge the leaked goroutines at test end
-	w := fakeWorkload{name: "wedged", run: func(context.Context, workloads.Params, *metrics.Collector) error {
-		<-block // ignores ctx entirely
+// TestOpenLoopOverrunningOperationFails: an operation that ignores its
+// context and overruns its deadline is counted as an error although it
+// returned nil, the window still completes, and nothing is left running
+// when Run returns.
+func TestOpenLoopOverrunningOperationFails(t *testing.T) {
+	var running atomic.Int64
+	w := fakeWorkload{name: "overrun", run: func(context.Context, workloads.Params, *metrics.Collector) error {
+		running.Add(1)
+		defer running.Add(-1)
+		time.Sleep(40 * time.Millisecond) // ignores ctx entirely
 		return nil
 	}}
-	start := time.Now()
-	results := Run(context.Background(),
+	before := runtime.NumGoroutine()
+	res := Run(context.Background(),
 		[]Task{openLoopTask(w, 50, 100*time.Millisecond)},
-		Config{Workers: 1, Timeout: 25 * time.Millisecond})
-	if took := time.Since(start); took > 5*time.Second {
-		t.Fatalf("non-cooperative workload wedged the window for %v", took)
+		Config{Workers: 1, Timeout: 10 * time.Millisecond})[0]
+	if n := running.Load(); n != 0 {
+		t.Fatalf("%d operation(s) still running when Run returned", n)
 	}
-	res := results[0]
-	if res.Load == nil || res.Load.Errors != res.Load.Dispatched || res.Load.Dispatched == 0 {
-		t.Fatalf("abandoned operations not reported as errors: %+v", res.Load)
+	if res.Load == nil || res.Load.Dispatched != res.Load.Scheduled || res.Load.Dispatched == 0 {
+		t.Fatalf("window did not complete: %+v", res.Load)
 	}
+	if res.Load.Errors != res.Load.Dispatched {
+		t.Fatalf("%d of %d overrunning operations counted as errors", res.Load.Errors, res.Load.Dispatched)
+	}
+	settle(t, before)
+}
+
+// TestOpenLoopCancelMidDispatchWaits: the parent is cancelled while the
+// window is dispatching; Run returns only after the operation that was
+// running has unwound, and reports the cancellation.
+func TestOpenLoopCancelMidDispatchWaits(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	var returned atomic.Bool
+	w := fakeWorkload{name: "cancelled", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+		if calls.Add(1) != 3 {
+			return nil
+		}
+		cancel()
+		<-ctx.Done()
+		time.Sleep(20 * time.Millisecond) // unwinding
+		returned.Store(true)
+		return ctx.Err()
+	}}
+	before := runtime.NumGoroutine()
+	res := Run(ctx, []Task{openLoopTask(w, 100, 200*time.Millisecond)}, Config{Workers: 1})[0]
+	if !returned.Load() {
+		t.Fatal("Run returned before the cancelled operation did")
+	}
+	if !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", res.Err)
+	}
+	if res.Load.Skipped == 0 {
+		t.Fatalf("no arrival skipped after the cancel: %+v", res.Load)
+	}
+	settle(t, before)
 }
 
 // TestOpenLoopScheduleIdenticalAcrossEngineWorkers is the determinism

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,12 +47,39 @@ func TestRunExecutesSchedule(t *testing.T) {
 // only instant operations: the delay vanishes. The intended-start view must
 // charge it to every late request.
 func TestCoordinatedOmissionGuard(t *testing.T) {
-	const stall = 80 * time.Millisecond
+	const (
+		stall  = 80 * time.Millisecond
+		rate   = 200 // 5ms apart
+		window = 150 * time.Millisecond
+	)
 	var clock atomic.Int64 // nanoseconds since the virtual epoch
 	base := time.Unix(1000, 0)
 	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
+	c := metrics.NewCollector("guard")
+	requests := func() uint64 {
+		for _, op := range c.Snapshot().Ops {
+			if op.Op == OpRequest {
+				return op.Count
+			}
+		}
+		return 0
+	}
+	sched := Schedule(Constant{}, rate, window, 0)
 	stalled := false // read and written by the dispatcher goroutine only
 	sleep := func(_ context.Context, d time.Duration) {
+		// The dispatcher sleeps only for an arrival not yet due, so the
+		// operations started so far are the arrivals already due. Each must
+		// have recorded before the clock moves, or one reading its start
+		// before the move and its end after it shows a service time.
+		var started uint64
+		for _, off := range sched {
+			if off <= time.Duration(clock.Load()) {
+				started++
+			}
+		}
+		for requests() < started {
+			runtime.Gosched()
+		}
 		if !stalled {
 			stalled = true
 			d += stall
@@ -59,8 +87,9 @@ func TestCoordinatedOmissionGuard(t *testing.T) {
 		clock.Add(int64(d))
 	}
 	st, err := Run(context.Background(), Options{
-		Rate:     200, // 5ms apart
-		Duration: 150 * time.Millisecond,
+		Rate:     rate,
+		Duration: window,
+		Rec:      c,
 		Now:      now, Sleep: sleep,
 	}, func(context.Context) error { return nil })
 	if err != nil {

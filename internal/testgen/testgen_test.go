@@ -427,8 +427,9 @@ func (c *cancelAfter) Err() error {
 
 // TestBoundTestStopsWhenCancelled: a prescription workload observes its
 // context before every step. iterative-shrink on dbms (a table reload per
-// step) used to run all its iterations after -timeout had fired, in the
-// goroutine the engine had abandoned.
+// step) used to run all its iterations after -timeout had fired; the engine
+// waits for a cancelled run to return, so those iterations would now hold
+// up the whole run.
 func TestBoundTestStopsWhenCancelled(t *testing.T) {
 	w, err := Bind(Config{Prescription: "iterative-shrink", Stack: "dbms"})
 	if err != nil {

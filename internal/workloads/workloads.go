@@ -66,7 +66,9 @@ func (p Params) WithDefaults() Params {
 // Run observes ctx cooperatively: implementations check ctx at phase
 // boundaries (and inside long operation loops) and return ctx.Err() when the
 // deadline passes or the run is cancelled. The execution engine
-// (internal/engine) supplies per-repetition deadlines through this context.
+// (internal/engine) supplies per-repetition deadlines through this context
+// and waits for Run to return, so a workload's cancellation latency is its
+// longest stretch between ctx checks.
 type Workload interface {
 	Name() string
 	Category() Category

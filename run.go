@@ -81,8 +81,8 @@ func ProfileModes() []string { return profiling.Modes() }
 //
 // Workload failures do not stop the run: they are reported per result, and
 // summarized in a non-nil error alongside the (still valid) outcome.
-// Validation failures return a nil outcome. Cancelling ctx aborts
-// in-flight workload executions.
+// Validation failures return a nil outcome. Cancelling ctx fails the
+// in-flight workload executions; Run returns once they have returned.
 func Run(ctx context.Context, s Scenario, opts ...Option) (*Outcome, error) {
 	var o scenario.Options
 	for _, opt := range opts {
