@@ -50,34 +50,25 @@ func PlanChunks(total, size int64) []Chunk {
 	return plan
 }
 
-// Generate runs gen over every chunk of the plan on a bounded worker pool
-// and concatenates the chunk outputs in plan order. Each chunk's RNG is
-// derived from (seed, chunk index), so the result is identical for any
-// worker count. A chunk error — or a panic inside gen, which is recovered —
-// fails the whole generation: Generate returns nil and the first error.
-func Generate[T any](seed uint64, plan []Chunk, workers int, gen func(g *stats.RNG, c Chunk) ([]T, error)) ([]T, error) {
+// Generate allocates the output once, sized from the plan (consecutive
+// chunks from 0, as PlanChunks returns it), and runs fill over every chunk on
+// a bounded worker pool: chunk c writes its items into its own window
+// out[c.Start:c.End:c.End], so chunks share no memory and nothing is joined
+// afterwards. Each chunk's RNG is derived from (seed, chunk index), so the
+// result is identical for any worker count. A chunk error — or a panic inside
+// fill, which is recovered — fails the whole generation: Generate returns nil
+// and the first error.
+func Generate[T any](seed uint64, plan []Chunk, workers int, fill func(g *stats.RNG, c Chunk, dst []T) error) ([]T, error) {
 	if len(plan) == 0 {
 		return nil, nil
 	}
-	parts := make([][]T, len(plan))
+	out := make([]T, plan[len(plan)-1].End)
 	err := Parallel(seed, len(plan), workers, func(i int, g *stats.RNG) error {
-		out, err := gen(g, plan[i])
-		if err != nil {
-			return err
-		}
-		parts[i] = out
-		return nil
+		c := plan[i]
+		return fill(g, c, out[c.Start:c.End:c.End])
 	})
 	if err != nil {
 		return nil, err
-	}
-	var total int
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
 	}
 	return out, nil
 }

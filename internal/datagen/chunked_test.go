@@ -113,14 +113,16 @@ func TestBuildFailingChunkFailsWholeGeneration(t *testing.T) {
 	}
 }
 
-func TestGenerateConcatenatesInPlanOrder(t *testing.T) {
+func TestGenerateFillsInPlanOrder(t *testing.T) {
 	plan := PlanChunks(100, 7)
-	out, err := Generate(3, plan, 8, func(g *stats.RNG, c Chunk) ([]int64, error) {
-		part := make([]int64, 0, c.Len())
-		for i := c.Start; i < c.End; i++ {
-			part = append(part, i)
+	out, err := Generate(3, plan, 8, func(g *stats.RNG, c Chunk, dst []int64) error {
+		if int64(len(dst)) != c.Len() || int64(cap(dst)) != c.Len() {
+			return fmt.Errorf("chunk %d: window len %d cap %d, want %d", c.Index, len(dst), cap(dst), c.Len())
 		}
-		return part, nil
+		for i := range dst {
+			dst[i] = c.Start + int64(i)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,21 +132,25 @@ func TestGenerateConcatenatesInPlanOrder(t *testing.T) {
 	}
 	for i, v := range out {
 		if v != int64(i) {
-			t.Fatalf("out[%d] = %d: chunk outputs out of plan order", i, v)
+			t.Fatalf("out[%d] = %d: chunk windows out of plan order", i, v)
 		}
 	}
 }
 
 func TestGeneratePanicIsolated(t *testing.T) {
 	plan := PlanChunks(50, 10)
-	_, err := Generate(3, plan, 4, func(g *stats.RNG, c Chunk) ([]int, error) {
+	out, err := Generate(3, plan, 4, func(g *stats.RNG, c Chunk, dst []int) error {
 		if c.Index == 2 {
 			panic("boom")
 		}
-		return []int{c.Index}, nil
+		dst[0] = c.Index
+		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "chunk 2") {
 		t.Fatalf("want chunk 2 panic error, got %v", err)
+	}
+	if out != nil {
+		t.Fatal("failed generation must not return a partial output")
 	}
 }
 

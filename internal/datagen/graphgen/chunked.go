@@ -27,12 +27,11 @@ func (r RMAT) GenerateParallel(seed uint64, scale, workers int) *Graph {
 	}
 	n := int64(1) << uint(scale)
 	edges, err := datagen.Generate(seed, datagen.PlanChunks(n*int64(ef), chunkEdges), workers,
-		func(g *stats.RNG, c datagen.Chunk) ([]Edge, error) {
-			out := make([]Edge, 0, c.Len())
-			for i := c.Start; i < c.End; i++ {
-				out = append(out, r.edge(g, scale))
+		func(g *stats.RNG, _ datagen.Chunk, dst []Edge) error {
+			for i := range dst {
+				dst[i] = r.edge(g, scale)
 			}
-			return out, nil
+			return nil
 		})
 	if err != nil {
 		// Edge sampling cannot fail by construction.

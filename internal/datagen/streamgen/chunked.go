@@ -20,25 +20,20 @@ const chunkEvents = 4096
 // event-time consumers absorb exactly like network reordering.
 func (gen Generator) GenerateParallel(seed uint64, n int64, workers int) []Event {
 	out, err := datagen.Generate(seed, datagen.PlanChunks(n, chunkEvents), workers,
-		func(g *stats.RNG, c datagen.Chunk) ([]Event, error) {
-			return gen.chunk(g, c), nil
+		func(g *stats.RNG, c datagen.Chunk, dst []Event) error {
+			ev := gen.chunkStart(c)
+			for i := range dst {
+				seq := c.Start + int64(i)
+				ev = gen.draw(g, seq, ev)
+				dst[i] = ev.event(seq)
+			}
+			return nil
 		})
 	if err != nil {
 		// Event sampling cannot fail by construction.
 		panic(err)
 	}
 	return out
-}
-
-// chunk emits one chunk's events, the structured twin of a corpus chunk.
-func (gen Generator) chunk(g *stats.RNG, c datagen.Chunk) []Event {
-	ev := gen.chunkStart(c)
-	part := make([]Event, 0, c.Len())
-	for i := c.Start; i < c.End; i++ {
-		ev = gen.draw(g, i, ev)
-		part = append(part, ev.event(i))
-	}
-	return part
 }
 
 // chunkStart places a chunk on its nominal time base, Start/rate.

@@ -215,12 +215,15 @@ func (s TableSpec) generate(rows int64, workers int) *data.Table {
 		return t
 	}
 	out, err := datagen.Generate(s.Seed, datagen.PlanChunks(rows, s.chunkSize()), workers,
-		func(g *stats.RNG, c datagen.Chunk) ([]data.Row, error) {
-			part := make([]data.Row, 0, c.Len())
-			for r := c.Start; r < c.End; r++ {
-				part = append(part, s.fillRow(g, r, make(data.Row, len(s.Columns))))
+		func(g *stats.RNG, c datagen.Chunk, dst []data.Row) error {
+			// Every row is a window of one slab per chunk: a row costs no
+			// allocation of its own, and no row can grow into its neighbour.
+			w := len(s.Columns)
+			slab := make([]data.Value, len(dst)*w)
+			for i := range dst {
+				dst[i] = s.fillRow(g, c.Start+int64(i), slab[i*w:(i+1)*w:(i+1)*w])
 			}
-			return part, nil
+			return nil
 		})
 	if err != nil {
 		// Built-in column generators cannot fail; a panicking custom

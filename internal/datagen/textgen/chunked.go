@@ -12,21 +12,29 @@ import (
 // bookkeeping is noise.
 const chunkDocs = 256
 
+// fillCorpus generates docs documents in chunks of chunkDocs, fill drawing
+// each chunk's documents into its window of the corpus.
+func fillCorpus(seed uint64, docs, workers int, fill func(g *stats.RNG, dst Corpus)) (Corpus, error) {
+	return datagen.Generate(seed, datagen.PlanChunks(int64(docs), chunkDocs), workers,
+		func(g *stats.RNG, _ datagen.Chunk, dst []Document) error {
+			fill(g, dst)
+			return nil
+		})
+}
+
 // GenerateParallel emits docs documents across a bounded worker pool,
 // chunked so the corpus depends only on (seed, docs, meanLen) — never on
 // the worker count. The chunked corpus is its own canonical output: it is
 // not the same byte stream the single-RNG Generate produces, but it is
 // byte-identical at workers=1 and workers=N.
 func (r RandomText) GenerateParallel(seed uint64, docs, meanLen, workers int) Corpus {
-	plan := datagen.PlanChunks(int64(docs), chunkDocs)
-	out, err := datagen.Generate(seed, plan, workers, func(g *stats.RNG, c datagen.Chunk) ([]Document, error) {
-		return r.Generate(g, int(c.Len()), meanLen), nil
-	})
+	r = r.withDefaults()
+	out, err := fillCorpus(seed, docs, workers, func(g *stats.RNG, dst Corpus) { r.fill(g, dst, meanLen) })
 	if err != nil {
 		// RandomText cannot fail and panics are impossible by construction.
 		panic(err)
 	}
-	return Corpus(out)
+	return out
 }
 
 // GenerateParallel samples a synthetic corpus like Generate but across a
@@ -37,11 +45,7 @@ func (l *LDA) GenerateParallel(seed uint64, docs, meanLen, workers int) (Corpus,
 	if !l.trained {
 		return nil, ErrNotTrained
 	}
-	plan := datagen.PlanChunks(int64(docs), chunkDocs)
-	out, err := datagen.Generate(seed, plan, workers, func(g *stats.RNG, c datagen.Chunk) ([]Document, error) {
-		return l.Generate(g, int(c.Len()), meanLen)
-	})
-	return Corpus(out), err
+	return fillCorpus(seed, docs, workers, func(g *stats.RNG, dst Corpus) { l.fill(g, dst, meanLen) })
 }
 
 // GenerateParallel samples a corpus from the chain across a bounded worker
@@ -52,26 +56,19 @@ func (m *Markov) GenerateParallel(seed uint64, docs, meanLen, workers int) (Corp
 	if !m.trained {
 		return nil, errNotTrainedMarkov
 	}
-	plan := datagen.PlanChunks(int64(docs), chunkDocs)
-	out, err := datagen.Generate(seed, plan, workers, func(g *stats.RNG, c datagen.Chunk) ([]Document, error) {
-		return m.Generate(g, int(c.Len()), meanLen)
-	})
-	return Corpus(out), err
+	return fillCorpus(seed, docs, workers, func(g *stats.RNG, dst Corpus) { m.fill(g, dst, meanLen) })
 }
 
 // GenerateCorpusParallel emits docs reference documents across a bounded
 // worker pool; the hidden model is immutable, so chunks share it safely.
 // Output is chunk-deterministic at any worker count.
 func (m *ReferenceModel) GenerateCorpusParallel(seed uint64, docs, meanLen, workers int) Corpus {
-	plan := datagen.PlanChunks(int64(docs), chunkDocs)
-	out, err := datagen.Generate(seed, plan, workers, func(g *stats.RNG, c datagen.Chunk) ([]Document, error) {
-		return m.GenerateCorpus(g, int(c.Len()), meanLen), nil
-	})
+	out, err := fillCorpus(seed, docs, workers, func(g *stats.RNG, dst Corpus) { m.fill(g, dst, meanLen) })
 	if err != nil {
 		// The reference model cannot fail by construction.
 		panic(err)
 	}
-	return Corpus(out)
+	return out
 }
 
 // ReferenceCorpusParallel is ReferenceCorpus built through the chunked

@@ -151,9 +151,15 @@ func (l *LDA) Generate(g *stats.RNG, docs, meanLen int) (Corpus, error) {
 	if !l.trained {
 		return nil, ErrNotTrained
 	}
+	out := make(Corpus, docs)
+	l.fill(g, out, meanLen)
+	return out, nil
+}
+
+// fill samples one document into each slot of dst; l is trained.
+func (l *LDA) fill(g *stats.RNG, dst Corpus, meanLen int) {
 	lenDist := stats.Poisson{Lambda: float64(meanLen)}
-	out := make(Corpus, 0, docs)
-	for d := 0; d < docs; d++ {
+	for d := range dst {
 		theta := l.docTopics[g.IntN(len(l.docTopics))]
 		thetaAlias := stats.NewAlias(theta)
 		n := int(lenDist.Sample(g))
@@ -165,7 +171,6 @@ func (l *LDA) Generate(g *stats.RNG, docs, meanLen int) (Corpus, error) {
 			topic := thetaAlias.Sample(g)
 			doc[i] = l.vocab.Word(l.aliases[topic].Sample(g))
 		}
-		out = append(out, doc)
+		dst[d] = doc
 	}
-	return out, nil
 }

@@ -119,10 +119,16 @@ func (m *Markov) Generate(g *stats.RNG, docs, meanLen int) (Corpus, error) {
 	if !m.trained {
 		return nil, errNotTrainedMarkov
 	}
+	out := make(Corpus, docs)
+	m.fill(g, out, meanLen)
+	return out, nil
+}
+
+// fill samples one document into each slot of dst; m is trained.
+func (m *Markov) fill(g *stats.RNG, dst Corpus, meanLen int) {
 	lenDist := stats.Poisson{Lambda: float64(meanLen)}
 	startEntry := m.sampler(startState, m.starts)
-	out := make(Corpus, 0, docs)
-	for d := 0; d < docs; d++ {
+	for d := range dst {
 		n := int(lenDist.Sample(g))
 		if n < m.Order {
 			n = m.Order
@@ -144,7 +150,6 @@ func (m *Markov) Generate(g *stats.RNG, docs, meanLen int) (Corpus, error) {
 		if len(doc) > n {
 			doc = doc[:n]
 		}
-		out = append(out, doc)
+		dst[d] = doc
 	}
-	return out, nil
 }

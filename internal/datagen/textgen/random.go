@@ -23,12 +23,16 @@ type RandomText struct {
 
 // Generate emits docs documents with lengths drawn from Poisson(meanLen).
 func (r RandomText) Generate(g *stats.RNG, docs, meanLen int) Corpus {
-	r = r.withDefaults()
-	out := make(Corpus, 0, docs)
-	for range docs {
-		out = append(out, r.doc(g, meanLen, nil))
-	}
+	out := make(Corpus, docs)
+	r.withDefaults().fill(g, out, meanLen)
 	return out
+}
+
+// fill draws one document into each slot of dst; r has its defaults filled in.
+func (r RandomText) fill(g *stats.RNG, dst Corpus, meanLen int) {
+	for i := range dst {
+		dst[i] = r.doc(g, meanLen, nil)
+	}
 }
 
 // withDefaults fills in the word-length bounds and a dictionary's uniform

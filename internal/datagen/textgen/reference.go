@@ -101,9 +101,15 @@ func (m *ReferenceModel) TopicWord(g *stats.RNG, topic int) string {
 // GenerateCorpus emits docs documents whose lengths are drawn from
 // Poisson(meanLen), each from a fresh document-topic mixture.
 func (m *ReferenceModel) GenerateCorpus(g *stats.RNG, docs, meanLen int) Corpus {
+	out := make(Corpus, docs)
+	m.fill(g, out, meanLen)
+	return out
+}
+
+// fill draws one document into each slot of dst.
+func (m *ReferenceModel) fill(g *stats.RNG, dst Corpus, meanLen int) {
 	lenDist := stats.Poisson{Lambda: float64(meanLen)}
-	out := make(Corpus, 0, docs)
-	for d := 0; d < docs; d++ {
+	for d := range dst {
 		theta := stats.SymmetricDirichletSample(g, m.ThetaAlpha, m.Topics)
 		thetaAlias := stats.NewAlias(theta)
 		n := int(lenDist.Sample(g))
@@ -114,9 +120,8 @@ func (m *ReferenceModel) GenerateCorpus(g *stats.RNG, docs, meanLen int) Corpus 
 		for i := 0; i < n; i++ {
 			doc[i] = m.TopicWord(g, thetaAlias.Sample(g))
 		}
-		out = append(out, doc)
+		dst[d] = doc
 	}
-	return out
 }
 
 // ReferenceCorpus returns the standard reference corpus for a seed: the

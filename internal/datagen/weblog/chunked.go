@@ -27,8 +27,9 @@ func (gen Generator) FromTableParallel(seed uint64, orders *data.Table, n, worke
 		return nil, err
 	}
 	return datagen.Generate(seed, datagen.PlanChunks(int64(n), chunkRecords), workers,
-		func(g *stats.RNG, c datagen.Chunk) ([]Record, error) {
-			return gen.records(g, src, int(c.Len()), gen.chunkStart(c)), nil
+		func(g *stats.RNG, c datagen.Chunk, dst []Record) error {
+			gen.fill(g, src, gen.chunkStart(c), dst)
+			return nil
 		})
 }
 

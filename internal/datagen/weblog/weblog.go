@@ -123,7 +123,9 @@ func (gen Generator) FromTable(g *stats.RNG, orders *data.Table, n int) ([]Recor
 	if err != nil {
 		return nil, err
 	}
-	return gen.records(g, src, n, gen.start()), nil
+	out := make([]Record, n)
+	gen.fill(g, src, gen.start(), out)
+	return out, nil
 }
 
 // source is an orders table readied for click sessions: per row, its
@@ -209,11 +211,10 @@ func (gen Generator) sessions(g *stats.RNG, src source, n int, at time.Time, emi
 	}
 }
 
-// records collects n records drawn by sessions.
-func (gen Generator) records(g *stats.RNG, src source, n int, at time.Time) []Record {
-	out := make([]Record, 0, n)
-	gen.sessions(g, src, n, at, func(r Record) { out = append(out, r) })
-	return out
+// fill draws len(dst) records by sessions into dst.
+func (gen Generator) fill(g *stats.RNG, src source, at time.Time, dst []Record) {
+	i := 0
+	gen.sessions(g, src, len(dst), at, func(r Record) { dst[i], i = r, i+1 })
 }
 
 // FormatAll renders records as a newline-joined log file body.

@@ -161,11 +161,14 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 	// chunk RNGs from (seed, chunk index), so give the stream its own root.
 	opSeed := stats.NewRNG(params.Seed).Split("opcompose/"+w.p.Name, 0).Seed()
 	plan := datagen.PlanChunks(total, chunkOps)
-	results, err := datagen.Generate(opSeed, plan, params.Workers, func(g *stats.RNG, ch datagen.Chunk) ([]chunkResult, error) {
+	results := make([]chunkResult, len(plan))
+	err = datagen.Parallel(opSeed, len(plan), params.Workers, func(i int, g *stats.RNG) error {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		res := chunkResult{obs: make([]obs, 0, ch.Len()), fp: fnvOffset}
+		ch := plan[i]
+		res := &results[i]
+		*res = chunkResult{obs: make([]obs, 0, ch.Len()), fp: fnvOffset}
 		octx := &OpContext{RNG: g, Records: records, Store: make(map[uint64]string, 64)}
 		pi := phaseAt(bounds, ch.Start)
 		for idx := ch.Start; idx < ch.End; idx++ {
@@ -185,7 +188,7 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 			res.obs = append(res.obs, obs{phase: int32(pi), op: int32(j), dur: c.Now().Sub(start)})
 			res.fp = (res.fp ^ fp) * fnvPrime
 		}
-		return []chunkResult{res}, nil
+		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("opcompose: %w", err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,29 +15,33 @@ import (
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
-// cancelOnErr is the run's context, except that the first Err call cancels
-// it: a workload is cancelled at its first check. Done is the real channel.
+// cancelOnErr is the run's context, except that its at-th Err call cancels
+// it: a workload is cancelled at that check. Done is the real channel.
 type cancelOnErr struct {
 	context.Context
 	cancel context.CancelFunc
-	once   sync.Once
+	at     int32
+	calls  atomic.Int32
 }
 
 func (c *cancelOnErr) Err() error {
-	c.once.Do(c.cancel)
+	if c.calls.Add(1) == c.at {
+		c.cancel()
+	}
 	return c.Context.Err()
 }
 
-// cancelAtFirstCheck runs the inner workload under cancelOnErr and sets
-// returned once the inner Run has returned.
-type cancelAtFirstCheck struct {
+// cancelAtCheck runs the inner workload under cancelOnErr, cancelled at its
+// at-th context check, and sets returned once the inner Run has returned.
+type cancelAtCheck struct {
 	workloads.Workload
 	cancel   context.CancelFunc
+	at       int32
 	returned atomic.Bool
 }
 
-func (w *cancelAtFirstCheck) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	err := w.Workload.Run(&cancelOnErr{Context: ctx, cancel: w.cancel}, p, c)
+func (w *cancelAtCheck) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+	err := w.Workload.Run(&cancelOnErr{Context: ctx, cancel: w.cancel, at: w.at}, p, c)
 	w.returned.Store(true)
 	return err
 }
@@ -60,26 +63,49 @@ func TestBuiltinsStopCleanlyOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, inner := range append(Default().Workloads(), pattern, bound) {
-		t.Run(inner.Name(), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			w := &cancelAtFirstCheck{Workload: inner, cancel: cancel}
-			task := engine.Task{Workload: w, Category: w.Category(),
-				Params: workloads.Params{Seed: 2014, Scale: 1, Workers: 2, DatagenWorkers: 2}}
-			before := runtime.NumGoroutine()
-			res := engine.Run(ctx, []engine.Task{task}, engine.Config{Workers: 1})[0]
-			if !w.returned.Load() {
-				t.Fatal("engine.Run returned before the workload did")
-			}
-			if !errors.Is(res.Err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", res.Err)
-			}
-			for i := 0; runtime.NumGoroutine() > before; i++ {
-				if i == 100 {
-					t.Fatalf("goroutines %d, %d before the cancelled run", runtime.NumGoroutine(), before)
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		})
+		t.Run(inner.Name(), func(t *testing.T) { stopsCleanlyOnCancel(t, inner, 1) })
+	}
+}
+
+// TestMicroStopOnceInputIsBuilt: grep, wordcount, sort and terasort check
+// the context again between building their input and running the job, so a
+// cancel at their second check stops them cleanly too.
+func TestMicroStopOnceInputIsBuilt(t *testing.T) {
+	ran := 0
+	for _, inner := range Default().Workloads() {
+		switch inner.Name() {
+		case "grep", "wordcount", "sort", "terasort":
+			ran++
+			t.Run(inner.Name(), func(t *testing.T) { stopsCleanlyOnCancel(t, inner, 2) })
+		}
+	}
+	if ran != 4 {
+		t.Fatalf("ran %d of the four micro built-ins", ran)
+	}
+}
+
+// stopsCleanlyOnCancel runs inner cancelled at its at-th context check and
+// requires it to fail with context.Canceled, to have returned when
+// engine.Run returns, and to leave no goroutine behind.
+func stopsCleanlyOnCancel(t *testing.T, inner workloads.Workload, at int32) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &cancelAtCheck{Workload: inner, cancel: cancel, at: at}
+	task := engine.Task{Workload: w, Category: w.Category(),
+		Params: workloads.Params{Seed: 2014, Scale: 1, Workers: 2, DatagenWorkers: 2}}
+	before := runtime.NumGoroutine()
+	res := engine.Run(ctx, []engine.Task{task}, engine.Config{Workers: 1})[0]
+	if !w.returned.Load() {
+		t.Fatal("engine.Run returned before the workload did")
+	}
+	if !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", res.Err)
+	}
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines %d, %d before the cancelled run", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -154,40 +154,28 @@ func (NaiveBayes) Domain() string { return "e-commerce" }
 // StackTypes implements workloads.Workload.
 func (NaiveBayes) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
 
-// labeledDoc pairs a document with its ground-truth class.
-type labeledDoc struct {
-	doc   textgen.Document
-	label int
-}
-
 // labeledDocs emits documents drawn from a single hidden topic each, so the
 // topic is a ground-truth class label. Generation is chunked: the corpus
-// depends only on (seed, n, meanLen), never on the worker count.
+// depends only on (seed, n, meanLen), never on the worker count. A chunk
+// writes its labels into its own range of labels, as its documents into dst.
 func labeledDocs(seed uint64, n, meanLen, workers int) ([]textgen.Document, []int, int) {
 	model := textgen.NewReferenceModel()
-	pairs, err := datagen.Generate(seed, datagen.PlanChunks(int64(n), 256), workers,
-		func(g *stats.RNG, ch datagen.Chunk) ([]labeledDoc, error) {
-			part := make([]labeledDoc, 0, ch.Len())
-			for i := ch.Start; i < ch.End; i++ {
+	labels := make([]int, n)
+	docs, err := datagen.Generate(seed, datagen.PlanChunks(int64(n), 256), workers,
+		func(g *stats.RNG, ch datagen.Chunk, dst []textgen.Document) error {
+			for i := range dst {
 				topic := g.IntN(model.Topics)
-				length := 20 + g.IntN(meanLen)
-				doc := make(textgen.Document, length)
-				for j := 0; j < length; j++ {
-					doc[j] = model.TopicWord(g, topic)
+				labels[ch.Start+int64(i)] = topic
+				dst[i] = make(textgen.Document, 20+g.IntN(meanLen))
+				for j := range dst[i] {
+					dst[i][j] = model.TopicWord(g, topic)
 				}
-				part = append(part, labeledDoc{doc: doc, label: topic})
 			}
-			return part, nil
+			return nil
 		})
 	if err != nil {
 		// The hidden model cannot fail by construction.
 		panic(err)
-	}
-	docs := make([]textgen.Document, n)
-	labels := make([]int, n)
-	for i, p := range pairs {
-		docs[i] = p.doc
-		labels[i] = p.label
 	}
 	return docs, labels, model.Topics
 }

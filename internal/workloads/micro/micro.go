@@ -23,46 +23,74 @@ import (
 // and accounts the preparation wall time to c's data-generation family.
 func textInput(p workloads.Params, wordsPerLine int, c *metrics.Collector) []mapreduce.KV {
 	dict := textgen.DefaultDictionary()
-	n := int64(p.Scale) * 1000
-	t0 := c.Now()
-	input, err := datagen.Generate(p.Seed, datagen.PlanChunks(n, 0), p.DatagenWorkers,
-		func(g *stats.RNG, ch datagen.Chunk) ([]mapreduce.KV, error) {
-			part := make([]mapreduce.KV, 0, ch.Len())
-			var line []byte // reused across the chunk: a line costs its one string, not a buffer regrown from nil
-			for i := ch.Start; i < ch.End; i++ {
-				line = line[:0]
-				for w := 0; w < wordsPerLine; w++ {
-					if w > 0 {
-						line = append(line, ' ')
-					}
-					line = append(line, dict[g.IntN(len(dict))]...)
+	return arenaInput(p, c, func(g *stats.RNG, i int64, b *strings.Builder) (int, int) {
+		var num [20]byte
+		key := strconv.AppendInt(num[:0], i, 10)
+		if b != nil {
+			b.Write(key)
+		}
+		n := wordsPerLine - 1
+		for w := 0; w < wordsPerLine; w++ {
+			word := dict[g.IntN(len(dict))]
+			n += len(word)
+			if b != nil {
+				if w > 0 {
+					b.WriteByte(' ')
 				}
-				part = append(part, mapreduce.KV{Key: strconv.FormatInt(i, 10), Value: string(line)})
+				b.WriteString(word)
 			}
-			return part, nil
-		})
-	if err != nil {
-		// Word sampling cannot fail by construction.
-		panic(err)
-	}
-	c.RecordDatagen(c.Now().Sub(t0), n)
-	return input
+		}
+		return len(key), n
+	})
 }
 
 // keyInput builds Scale*1000 records with random string keys (for sorts)
 // through the chunked pipeline, accounting preparation time to c.
 func keyInput(p workloads.Params, c *metrics.Collector) []mapreduce.KV {
+	return arenaInput(p, c, func(g *stats.RNG, i int64, b *strings.Builder) (int, int) {
+		var word [16]byte
+		var num [20]byte
+		key, value := g.AppendWord(word[:0], 8, 16), strconv.AppendInt(num[:0], i, 10)
+		if b != nil {
+			b.Write(key)
+			b.Write(value)
+		}
+		return len(key), len(value)
+	})
+}
+
+// arenaInput builds Scale*1000 records in chunks, accounting the wall time to
+// c's data-generation family. Each chunk's keys and values are cut from one
+// exact-size string, so a chunk costs a constant number of allocations
+// whatever its record count. record draws record i from g and returns its
+// key's and value's lengths; given a builder it also writes the key and then
+// the value to it. It runs twice per record: with the chunk's RNG and no
+// builder to size the arena, then with a fresh RNG at the chunk's seed to
+// write it. Parallel hands every chunk a fresh RNG, so both passes make the
+// same draws.
+func arenaInput(p workloads.Params, c *metrics.Collector, record func(g *stats.RNG, i int64, b *strings.Builder) (int, int)) []mapreduce.KV {
 	n := int64(p.Scale) * 1000
 	t0 := c.Now()
 	input, err := datagen.Generate(p.Seed, datagen.PlanChunks(n, 0), p.DatagenWorkers,
-		func(g *stats.RNG, ch datagen.Chunk) ([]mapreduce.KV, error) {
-			part := make([]mapreduce.KV, 0, ch.Len())
+		func(g *stats.RNG, ch datagen.Chunk, dst []mapreduce.KV) error {
+			size := 0
 			for i := ch.Start; i < ch.End; i++ {
-				part = append(part, mapreduce.KV{Key: g.RandomWord(8, 16), Value: strconv.FormatInt(i, 10)})
+				k, v := record(g, i, nil)
+				size += k + v
 			}
-			return part, nil
+			var b strings.Builder
+			b.Grow(size)
+			g = stats.NewRNG(g.Seed())
+			for i := range dst {
+				off := b.Len()
+				k, _ := record(g, ch.Start+int64(i), &b)
+				arena := b.String()
+				dst[i] = mapreduce.KV{Key: arena[off : off+k], Value: arena[off+k:]}
+			}
+			return nil
 		})
 	if err != nil {
+		// Word and key sampling cannot fail by construction.
 		panic(err)
 	}
 	c.RecordDatagen(c.Now().Sub(t0), n)
@@ -92,6 +120,9 @@ func (WordCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collect
 		return err
 	}
 	input := textInput(p, 10, c)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	eng := mapreduce.New(p.Workers).Instrument(c)
 	job := mapreduce.Job{
 		Name: "wordcount",
@@ -160,6 +191,9 @@ func (Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 		return err
 	}
 	input := textInput(p, 10, c)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	eng := mapreduce.New(p.Workers).Instrument(c)
 	job := mapreduce.Job{
 		Name: "grep",
@@ -208,6 +242,9 @@ func (Sort) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 		return err
 	}
 	input := keyInput(p, c)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	eng := mapreduce.New(p.Workers).Instrument(c)
 	job := mapreduce.Job{
 		Name:        "sort",
@@ -251,6 +288,9 @@ func (TeraSort) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 		return err
 	}
 	input := keyInput(p, c)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	g := stats.NewRNG(p.Seed + 1)
 	splits := mapreduce.SampleSplits(input, p.Workers, 1000, g)
 	eng := mapreduce.New(p.Workers).Instrument(c)

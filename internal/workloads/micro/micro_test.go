@@ -8,6 +8,7 @@ import (
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stacks"
+	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -64,13 +65,26 @@ func TestMetadata(t *testing.T) {
 }
 
 // TestTextInputCorpusPinned holds the generated text corpus (digest taken
-// before the line buffer was reused: same dictionary draws, same order) and
-// what a line may cost: its key, its value and a share of the chunk's slice,
-// not a builder regrown from nil.
+// when every key and value was a string of its own: same dictionary draws,
+// same order) and what growing it costs.
 func TestTextInputCorpusPinned(t *testing.T) {
+	pinInput(t, func(p workloads.Params, c *metrics.Collector) []mapreduce.KV { return textInput(p, 10, c) }, 0x7827c807afd32c39)
+}
+
+// TestKeyInputPinned is TestTextInputCorpusPinned for the sort inputs.
+func TestKeyInputPinned(t *testing.T) {
+	pinInput(t, keyInput, 0xf6b5998fd53a4035)
+}
+
+// pinInput holds build's 2000 records at Scale 2 to the digest want, and
+// holds its allocations to the chunk count: from Scale 2 (one chunk) to
+// Scale 16 (four chunks, and a second worker) they may grow by a small
+// constant per added chunk, never by one or more per record.
+func pinInput(t *testing.T, build func(workloads.Params, *metrics.Collector) []mapreduce.KV, want uint64) {
+	t.Helper()
 	p := workloads.Params{Seed: 2014, Scale: 2, DatagenWorkers: 2}
-	c := metrics.NewCollector("text")
-	in := textInput(p, 10, c)
+	c := metrics.NewCollector("input")
+	in := build(p, c)
 	h := fnv.New64a()
 	for _, kv := range in {
 		h.Write([]byte(kv.Key))
@@ -78,11 +92,19 @@ func TestTextInputCorpusPinned(t *testing.T) {
 		h.Write([]byte(kv.Value))
 		h.Write([]byte{'\n'})
 	}
-	if got := h.Sum64(); len(in) != 2000 || got != 0x7827c807afd32c39 {
-		t.Fatalf("text corpus moved: %d lines, digest %#x", len(in), got)
+	if got := h.Sum64(); len(in) != 2000 || got != want {
+		t.Fatalf("input moved: %d records, digest %#x, want 2000 and %#x", len(in), got, want)
 	}
-	perLine := testing.AllocsPerRun(5, func() { textInput(p, 10, c) }) / float64(len(in))
-	if perLine > 3 && !raceflag.Enabled {
-		t.Errorf("textInput allocates %.2f objects per line, want at most 3", perLine)
+	if raceflag.Enabled {
+		return
+	}
+	allocs := func(scale int) float64 {
+		p.Scale = scale
+		return testing.AllocsPerRun(5, func() { build(p, c) })
+	}
+	const perChunk = 16
+	if small, large := allocs(2), allocs(16); large-small > 3*perChunk {
+		t.Errorf("allocations grow from %.0f at Scale 2 to %.0f at Scale 16, want at most %d more per added chunk",
+			small, large, perChunk)
 	}
 }
