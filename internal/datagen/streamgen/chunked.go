@@ -2,6 +2,7 @@ package streamgen
 
 import (
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen"
@@ -21,12 +22,7 @@ const chunkEvents = 4096
 func (gen Generator) GenerateParallel(seed uint64, n int64, workers int) []Event {
 	out, err := datagen.Generate(seed, datagen.PlanChunks(n, chunkEvents), workers,
 		func(g *stats.RNG, c datagen.Chunk, dst []Event) error {
-			ev := gen.chunkStart(c)
-			for i := range dst {
-				seq := c.Start + int64(i)
-				ev = gen.draw(g, seq, ev)
-				dst[i] = ev.event(seq)
-			}
+			gen.fill(g, c, dst)
 			return nil
 		})
 	if err != nil {
@@ -34,6 +30,27 @@ func (gen Generator) GenerateParallel(seed uint64, n int64, workers int) []Event
 		panic(err)
 	}
 	return out
+}
+
+// fill draws chunk c's events into dst from g. Every key and value is cut
+// from one string grown once to hold them all, so a chunk costs a constant
+// number of allocations whatever its event count. Its size is exact while
+// KeySpace <= 10^10, where every key name is "key" and ten digits, and an
+// upper bound beyond.
+func (gen Generator) fill(g *stats.RNG, c datagen.Chunk, dst []Event) {
+	var key [24]byte
+	var b strings.Builder
+	b.Grow(len(dst) * (len(appendKey(key[:0], gen.keySpace()-1)) + gen.valueLen()))
+	ev := gen.chunkStart(c)
+	for i := range dst {
+		seq := c.Start + int64(i)
+		ev = gen.draw(g, seq, ev)
+		off := b.Len()
+		k, _ := b.Write(appendKey(key[:0], ev.key))
+		b.Write(ev.value)
+		arena := b.String()
+		dst[i] = Event{Seq: seq, Offset: ev.at, Kind: ev.kind, Key: arena[off : off+k], Value: arena[off+k:]}
+	}
 }
 
 // chunkStart places a chunk on its nominal time base, Start/rate.

@@ -191,14 +191,11 @@ func appendKey(dst []byte, key int64) []byte {
 }
 
 // Generate emits n events with virtual timestamps, unpaced — deterministic
-// and fast, for tests and event-time workloads.
+// and fast, for tests and event-time workloads. The events are one chunk:
+// their keys and values share one string.
 func (gen Generator) Generate(g *stats.RNG, n int64) []Event {
-	out := make([]Event, 0, n)
-	var ev drawn
-	for i := int64(0); i < n; i++ {
-		ev = gen.draw(g, i, ev)
-		out = append(out, ev.event(i))
-	}
+	out := make([]Event, n)
+	gen.fill(g, datagen.Chunk{End: n}, out)
 	return out
 }
 

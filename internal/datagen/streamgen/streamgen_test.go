@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -41,6 +42,24 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("event %d differs", i)
 		}
+	}
+}
+
+// TestGenerateParallelAllocsPerChunk holds GenerateParallel's allocations to
+// its chunk count: from one chunk to eight they may grow by a small constant
+// per added chunk, never by one or more per event.
+func TestGenerateParallelAllocsPerChunk(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	gen := Generator{EventsPerSec: 50000, Arrival: ArrivalPoisson, KeySpace: 100, KeyChooser: stats.Zipf{Count: 100, S: 1.2}}
+	allocs := func(n int64) float64 {
+		return testing.AllocsPerRun(5, func() { gen.GenerateParallel(7, n, 2) })
+	}
+	const perChunk = 16
+	if small, large := allocs(chunkEvents), allocs(8*chunkEvents); large-small > 7*perChunk {
+		t.Errorf("allocations grow from %.0f at one chunk to %.0f at eight, want at most %d more per added chunk",
+			small, large, perChunk)
 	}
 }
 

@@ -22,6 +22,33 @@ type KV struct {
 	Key, Value string
 }
 
+// Arena fills dst with records whose keys and values are cut from one
+// exact-size string, so an input costs a constant number of allocations
+// whatever its record count. record draws record i from g and returns its
+// key's and value's lengths; given a builder it also writes the key and then
+// the value to it. Arena calls it twice per record: with g and no builder to
+// size the string, then with a fresh RNG at g's seed to fill it, so both
+// passes make the same draws when g is fresh. A record that draws nothing may
+// take a nil g.
+func Arena(dst []KV, g *stats.RNG, record func(g *stats.RNG, i int, b *strings.Builder) (int, int)) {
+	size := 0
+	for i := range dst {
+		k, v := record(g, i, nil)
+		size += k + v
+	}
+	if g != nil {
+		g = stats.NewRNG(g.Seed())
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := range dst {
+		off := b.Len()
+		k, _ := record(g, i, &b)
+		arena := b.String()
+		dst[i] = KV{Key: arena[off : off+k], Value: arena[off+k:]}
+	}
+}
+
 // Mapper transforms one input record into zero or more intermediate records.
 type Mapper func(key, value string, emit func(k, v string))
 

@@ -42,6 +42,11 @@ func TestGenerateCallersPinned(t *testing.T) {
 			fmt.Fprintln(w, strings.Join(doc, " "))
 		}
 	}
+	streamEvents := func(w io.Writer, gen streamgen.Generator, workers int) {
+		for _, ev := range gen.GenerateParallel(7, 10000, workers) {
+			fmt.Fprintln(w, ev.Seq, int64(ev.Offset), ev.Kind, ev.Key, ev.Value)
+		}
+	}
 	for _, tc := range []struct {
 		name, want string
 		render     func(w io.Writer, workers int)
@@ -71,6 +76,16 @@ func TestGenerateCallersPinned(t *testing.T) {
 			for _, ev := range gen.GenerateParallel(7, 10000, workers) {
 				fmt.Fprintln(w, ev.Seq, int64(ev.Offset), ev.Kind, ev.Key, ev.Value)
 			}
+		}},
+		// windowed-count's and rolling-aggregate's generators, the ones
+		// batch_mix runs: digests recorded while every event's key and
+		// value were strings of their own.
+		{"streamgen/windowed-count", "ced5eeb246ba6c3c", func(w io.Writer, workers int) {
+			streamEvents(w, streamgen.Generator{EventsPerSec: 50000, Arrival: streamgen.ArrivalPoisson,
+				KeySpace: 100, KeyChooser: stats.Zipf{Count: 100, S: 1.2}}, workers)
+		}},
+		{"streamgen/rolling-aggregate", "0ac4c4854d5c9ea2", func(w io.Writer, workers int) {
+			streamEvents(w, streamgen.Generator{EventsPerSec: 50000, KeySpace: 20}, workers)
 		}},
 		{"tablegen", "1bac0640c716c28b", func(w io.Writer, workers int) {
 			for _, row := range table.GenerateParallel(2000, workers).Rows {

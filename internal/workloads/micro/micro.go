@@ -60,33 +60,17 @@ func keyInput(p workloads.Params, c *metrics.Collector) []mapreduce.KV {
 }
 
 // arenaInput builds Scale*1000 records in chunks, accounting the wall time to
-// c's data-generation family. Each chunk's keys and values are cut from one
-// exact-size string, so a chunk costs a constant number of allocations
-// whatever its record count. record draws record i from g and returns its
-// key's and value's lengths; given a builder it also writes the key and then
-// the value to it. It runs twice per record: with the chunk's RNG and no
-// builder to size the arena, then with a fresh RNG at the chunk's seed to
-// write it. Parallel hands every chunk a fresh RNG, so both passes make the
-// same draws.
+// c's data-generation family. Each chunk's records share one mapreduce.Arena,
+// whose record function record is, over absolute record numbers. Parallel
+// hands every chunk a fresh RNG, so both of Arena's passes make the same draws.
 func arenaInput(p workloads.Params, c *metrics.Collector, record func(g *stats.RNG, i int64, b *strings.Builder) (int, int)) []mapreduce.KV {
 	n := int64(p.Scale) * 1000
 	t0 := c.Now()
 	input, err := datagen.Generate(p.Seed, datagen.PlanChunks(n, 0), p.DatagenWorkers,
 		func(g *stats.RNG, ch datagen.Chunk, dst []mapreduce.KV) error {
-			size := 0
-			for i := ch.Start; i < ch.End; i++ {
-				k, v := record(g, i, nil)
-				size += k + v
-			}
-			var b strings.Builder
-			b.Grow(size)
-			g = stats.NewRNG(g.Seed())
-			for i := range dst {
-				off := b.Len()
-				k, _ := record(g, ch.Start+int64(i), &b)
-				arena := b.String()
-				dst[i] = mapreduce.KV{Key: arena[off : off+k], Value: arena[off+k:]}
-			}
+			mapreduce.Arena(dst, g, func(g *stats.RNG, i int, b *strings.Builder) (int, int) {
+				return record(g, ch.Start+int64(i), b)
+			})
 			return nil
 		})
 	if err != nil {

@@ -10,6 +10,7 @@ package relational
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -51,6 +52,29 @@ func customersTable(p workloads.Params, c *metrics.Collector) *data.Table {
 	return t
 }
 
+// groundTruth counts from the rows themselves what the Pavlo tasks must find:
+// the express orders in region eu, the price summed per region, and the
+// orders whose customer's segment is retail.
+func groundTruth(orders, customers *data.Table) (selected int, revenue map[string]float64, retail int) {
+	oc, cc := orders.Schema.ColIndex, customers.Schema.ColIndex
+	ri, ei, pi, ci := oc("region"), oc("express"), oc("price"), oc("customer_id")
+	isRetail := make(map[int64]bool, customers.NumRows())
+	for _, row := range customers.Rows {
+		isRetail[row[cc("cid")].Int()] = row[cc("segment")].Str() == "retail"
+	}
+	revenue = map[string]float64{}
+	for _, row := range orders.Rows {
+		if row[ri].Str() == "eu" && row[ei].Bool() {
+			selected++
+		}
+		revenue[row[ri].Str()] += row[pi].Float()
+		if isRetail[row[ci].Int()] {
+			retail++
+		}
+	}
+	return selected, revenue, retail
+}
+
 // LoadSelectAggregateJoin runs the Pavlo task sequence on the DBMS and
 // verifies each stage's result cardinality and values.
 type LoadSelectAggregateJoin struct{}
@@ -75,6 +99,7 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	}
 	orders := ordersRows(p, c)
 	customers := customersTable(p, c)
+	wantSel, _, wantJoin := groundTruth(orders, customers)
 	db := dbms.Open().Instrument(c)
 
 	t0 := c.Now()
@@ -96,14 +121,6 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 		return err
 	}
 	c.ObserveLatency("select", c.Now().Sub(t1))
-	wantSel := 0
-	ri := orders.Schema.ColIndex("region")
-	ei := orders.Schema.ColIndex("express")
-	for _, row := range orders.Rows {
-		if row[ri].Str() == "eu" && row[ei].Bool() {
-			wantSel++
-		}
-	}
 	if sel.NumRows() != wantSel {
 		return fmt.Errorf("pavlo-dbms: selection %d rows, want %d", sel.NumRows(), wantSel)
 	}
@@ -136,8 +153,8 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 		return err
 	}
 	c.ObserveLatency("join", c.Now().Sub(t3))
-	if join.NumRows() == 0 {
-		return fmt.Errorf("pavlo-dbms: empty join result")
+	if join.NumRows() != wantJoin {
+		return fmt.Errorf("pavlo-dbms: join %d rows, want %d retail orders", join.NumRows(), wantJoin)
 	}
 	for _, row := range join.Rows {
 		if row[1].Str() != "retail" {
@@ -173,47 +190,24 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	}
 	orders := ordersRows(p, c)
 	customers := customersTable(p, c)
+	wantSel, revenue, wantJoin := groundTruth(orders, customers)
 	eng := mapreduce.New(p.Workers).Instrument(c)
-
-	// Encode orders as "order_id|customer_id|price|region|express".
-	oi := func(name string) int { return orders.Schema.ColIndex(name) }
-	encodeOrders := make([]mapreduce.KV, orders.NumRows())
-	for i, row := range orders.Rows {
-		encodeOrders[i] = mapreduce.KV{
-			Key: strconv.Itoa(i),
-			Value: strings.Join([]string{
-				row[oi("order_id")].String(),
-				row[oi("customer_id")].String(),
-				row[oi("price")].String(),
-				row[oi("region")].String(),
-				row[oi("express")].String(),
-			}, "|"),
-		}
-	}
+	encoded := ordersInput(orders)
 
 	// Selection.
 	t1 := c.Now()
 	sel, _, err := eng.Run(mapreduce.Job{
 		Name: "mr-select",
 		Map: func(k, v string, emit func(k, v string)) {
-			f := strings.Split(v, "|")
-			if f[3] == "eu" && f[4] == "true" {
-				emit(f[0], f[2])
+			if id, price, region, express := orderFields(v); region == "eu" && express == "true" {
+				emit(id, price)
 			}
 		},
-	}, encodeOrders)
+	}, encoded)
 	if err != nil {
 		return err
 	}
 	c.ObserveLatency("select", c.Now().Sub(t1))
-
-	wantSel := 0
-	ri, ei := oi("region"), oi("express")
-	for _, row := range orders.Rows {
-		if row[ri].Str() == "eu" && row[ei].Bool() {
-			wantSel++
-		}
-	}
 	if len(sel) != wantSel {
 		return fmt.Errorf("pavlo-mapreduce: selection %d, want %d", len(sel), wantSel)
 	}
@@ -223,8 +217,8 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	agg, _, err := eng.Run(mapreduce.Job{
 		Name: "mr-aggregate",
 		Map: func(k, v string, emit func(k, v string)) {
-			f := strings.Split(v, "|")
-			emit(f[3], f[2])
+			_, price, region, _ := orderFields(v)
+			emit(region, price)
 		},
 		Reduce: func(region string, prices []string, emit func(k, v string)) {
 			sum := 0.0
@@ -234,7 +228,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 			}
 			emit(region, strconv.FormatFloat(sum, 'f', 2, 64))
 		},
-	}, encodeOrders)
+	}, encoded)
 	if err != nil {
 		return err
 	}
@@ -242,25 +236,18 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	if len(agg) != 5 {
 		return fmt.Errorf("pavlo-mapreduce: aggregation %d groups, want 5", len(agg))
 	}
+	for _, kv := range agg {
+		// The reducer sums in shuffle order and prints cents.
+		if got, _ := strconv.ParseFloat(kv.Value, 64); math.Abs(got-revenue[kv.Key]) >= 0.01 {
+			return fmt.Errorf("pavlo-mapreduce: %s revenue %s, want %.2f", kv.Key, kv.Value, revenue[kv.Key])
+		}
+	}
 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	// Repartition join: tag records by source, join in the reducer.
-	ci := func(name string) int { return customers.Schema.ColIndex(name) }
-	joinInput := make([]mapreduce.KV, 0, orders.NumRows()+customers.NumRows())
-	for _, row := range orders.Rows {
-		joinInput = append(joinInput, mapreduce.KV{
-			Key:   row[oi("customer_id")].String(),
-			Value: "O|" + row[oi("order_id")].String(),
-		})
-	}
-	for _, row := range customers.Rows {
-		joinInput = append(joinInput, mapreduce.KV{
-			Key:   row[ci("cid")].String(),
-			Value: "C|" + row[ci("segment")].String(),
-		})
-	}
+	joinIn := joinInput(orders, customers)
 	t3 := c.Now()
 	joined, _, err := eng.Run(mapreduce.Job{
 		Name: "mr-join",
@@ -283,16 +270,89 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 				emit(oid, segment)
 			}
 		},
-	}, joinInput)
+	}, joinIn)
 	if err != nil {
 		return err
 	}
 	c.ObserveLatency("join", c.Now().Sub(t3))
-	if len(joined) == 0 {
-		return fmt.Errorf("pavlo-mapreduce: empty join")
+	if len(joined) != wantJoin {
+		return fmt.Errorf("pavlo-mapreduce: join %d rows, want %d retail orders", len(joined), wantJoin)
 	}
 	c.Add("records", int64(orders.NumRows()))
 	return nil
+}
+
+// ordersInput encodes orders as MapReduce input, one record per row keyed by
+// its index: "order_id|customer_id|price|region|express".
+func ordersInput(orders *data.Table) []mapreduce.KV {
+	col := orders.Schema.ColIndex
+	cols := []int{col("order_id"), col("customer_id"), col("price"), col("region"), col("express")}
+	return encode(orders.NumRows(), func(rec []byte, i int) ([]byte, int) {
+		rec = strconv.AppendInt(rec, int64(i), 10)
+		k := len(rec)
+		for j, col := range cols {
+			if j > 0 {
+				rec = append(rec, '|')
+			}
+			rec = orders.Rows[i][col].AppendText(rec)
+		}
+		return rec, k
+	})
+}
+
+// orderFields cuts an ordersInput value into the fields the jobs read.
+func orderFields(v string) (id, price, region, express string) {
+	id, rest, _ := strings.Cut(v, "|")
+	_, rest, _ = strings.Cut(rest, "|")
+	price, rest, _ = strings.Cut(rest, "|")
+	region, express, _ = strings.Cut(rest, "|")
+	return id, price, region, express
+}
+
+// joinInput encodes the repartition join's input: every order keyed by its
+// customer_id with value "O|order_id", then every customer keyed by its cid
+// with value "C|segment".
+func joinInput(orders, customers *data.Table) []mapreduce.KV {
+	n := orders.NumRows()
+	oc, oid := orders.Schema.ColIndex("customer_id"), orders.Schema.ColIndex("order_id")
+	cid, seg := customers.Schema.ColIndex("cid"), customers.Schema.ColIndex("segment")
+	return encode(n+customers.NumRows(), func(rec []byte, i int) ([]byte, int) {
+		t, key, tag, val := orders, oc, "O|", oid
+		if i >= n {
+			t, key, tag, val, i = customers, cid, "C|", seg, i-n
+		}
+		rec = t.Rows[i][key].AppendText(rec)
+		k := len(rec)
+		return t.Rows[i][val].AppendText(append(rec, tag...)), k
+	})
+}
+
+// urlInput encodes web log records as MapReduce input, one record per log
+// line keyed by its index: "path status".
+func urlInput(logs []weblog.Record) []mapreduce.KV {
+	return encode(len(logs), func(rec []byte, i int) ([]byte, int) {
+		rec = strconv.AppendInt(rec, int64(i), 10)
+		k := len(rec)
+		rec = append(append(rec, logs[i].Path...), ' ')
+		return strconv.AppendInt(rec, int64(logs[i].Status), 10), k
+	})
+}
+
+// encode builds n records in one mapreduce.Arena. record appends record i's
+// key and then its value to rec, and returns rec and the key's length; it
+// renders each record twice, once per pass.
+func encode(n int, record func(rec []byte, i int) ([]byte, int)) []mapreduce.KV {
+	in := make([]mapreduce.KV, n)
+	var rec []byte
+	mapreduce.Arena(in, nil, func(_ *stats.RNG, i int, b *strings.Builder) (int, int) {
+		var k int
+		rec, k = record(rec[:0], i)
+		if b != nil {
+			b.Write(rec)
+		}
+		return k, len(rec) - k
+	})
+	return in
 }
 
 // URLCount is the Pavlo benchmark's "count URL links" task over generated
@@ -355,18 +415,14 @@ func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 		return err
 	}
 	// MapReduce side: same count as a job; top-1 must agree.
-	input := make([]mapreduce.KV, len(logs))
-	for i, r := range logs {
-		input[i] = mapreduce.KV{Key: strconv.Itoa(i), Value: fmt.Sprintf("%s %d", r.Path, r.Status)}
-	}
+	input := urlInput(logs)
 	eng := mapreduce.New(p.Workers).Instrument(c)
 	t1 := c.Now()
 	counts, _, err := eng.Run(mapreduce.Job{
 		Name: "mr-url-count",
 		Map: func(k, v string, emit func(k, v string)) {
-			parts := strings.Fields(v)
-			if len(parts) == 2 && parts[1] == "200" {
-				emit(parts[0], "1")
+			if path, status, _ := strings.Cut(v, " "); status == "200" {
+				emit(path, "1")
 			}
 		},
 		Reduce: func(path string, ones []string, emit func(k, v string)) {

@@ -2,9 +2,14 @@ package relational
 
 import (
 	"context"
+	"hash/fnv"
 	"testing"
 
+	"github.com/bdbench/bdbench/internal/data"
+	"github.com/bdbench/bdbench/internal/datagen/weblog"
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/raceflag"
+	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -67,5 +72,54 @@ func TestMetadata(t *testing.T) {
 	}
 	if len((URLCount{}).StackTypes()) != 2 {
 		t.Fatal("url-count runs on both stacks")
+	}
+}
+
+// TestEncodersPinned holds the MapReduce inputs the relational workloads
+// encode to digests recorded when every key and value was a string of its
+// own, and holds each encoder's allocations to its input count: from n to 8n
+// records they may grow by a small constant, never by one or more per record.
+func TestEncodersPinned(t *testing.T) {
+	p := workloads.Params{Seed: 2014, Scale: 1, DatagenWorkers: 2}.WithDefaults()
+	c := metrics.NewCollector("encode")
+	orders, customers := ordersRows(p, c), customersTable(p, c)
+	logs, err := weblog.Generator{}.FromTableParallel(p.Seed+2, orders, 5000, p.DatagenWorkers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := func(tab *data.Table, n int) *data.Table { return &data.Table{Schema: tab.Schema, Rows: tab.Rows[:n]} }
+	for _, tc := range []struct {
+		name   string
+		n      int // the pinned input has 8n records
+		want   uint64
+		encode func(n int) []mapreduce.KV
+	}{
+		{"orders", 250, 0xccded64d9e129ac1, func(n int) []mapreduce.KV { return ordersInput(head(orders, n)) }},
+		{"join", 250, 0x9529f828e2f7d961, func(n int) []mapreduce.KV {
+			return joinInput(head(orders, n), head(customers, 5*n))
+		}},
+		{"url", 625, 0x7e74d35275778421, func(n int) []mapreduce.KV { return urlInput(logs[:n]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := fnv.New64a()
+			for _, kv := range tc.encode(8 * tc.n) {
+				h.Write([]byte(kv.Key))
+				h.Write([]byte{0})
+				h.Write([]byte(kv.Value))
+				h.Write([]byte{'\n'})
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Fatalf("input moved: digest %#x, want %#x", got, tc.want)
+			}
+			if raceflag.Enabled {
+				return
+			}
+			const perInput = 4
+			small := testing.AllocsPerRun(5, func() { tc.encode(tc.n) })
+			if large := testing.AllocsPerRun(5, func() { tc.encode(8 * tc.n) }); large-small > perInput {
+				t.Errorf("allocations grow from %.0f at %d records to %.0f at %d, want at most %d more",
+					small, tc.n, large, 8*tc.n, perInput)
+			}
+		})
 	}
 }
