@@ -27,10 +27,12 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/loadgen"
@@ -51,9 +53,10 @@ type Config struct {
 	// Warmup is the number of unmeasured runs before the repetitions
 	// (default 0). Warmup results are discarded.
 	Warmup int
-	// Timeout bounds each individual run (warmup or repetition); one still
-	// going at the deadline fails. Zero means no per-run deadline; the
-	// parent context still applies.
+	// Timeout bounds each individual run (warmup or repetition) and, in an
+	// open loop, each operation (through loadgen.Options.Timeout); one
+	// still going at the deadline fails. Zero means no per-run deadline;
+	// the parent context still applies.
 	Timeout time.Duration
 	// OnEvent, when set, receives progress events. Calls are serialized by
 	// the engine, so the callback needs no locking of its own.
@@ -316,27 +319,34 @@ func Summarize(workload string, category workloads.Category, reps []Rep, load *l
 // sharded, so concurrent operations never contend), and the window's merged
 // snapshot becomes the task's one measured repetition. Config.Timeout
 // bounds each individual operation, exactly as it bounds a closed-loop
-// repetition.
+// repetition. A window whose every operation failed fails with the first
+// error an operation returned.
 func runOpenLoop(ctx context.Context, t Task, cfg Config) (Rep, loadgen.Stats) {
 	c := newCollector(t, cfg, cfg.SampleCap > 0)
 	opts := *t.Load
-	opts.Rec = c
+	opts.Rec, opts.Timeout = c, cfg.Timeout
 	t0 := c.Now()
+	// loadgen bounds each operation and isolates its panic; execute only
+	// runs it. The first error is kept for a window that fails as a whole.
+	var first atomic.Pointer[error]
 	st, runErr := loadgen.Run(ctx, opts, func(opCtx context.Context) error {
-		if cfg.Timeout > 0 {
-			var cancel context.CancelFunc
-			opCtx, cancel = context.WithTimeout(opCtx, cfg.Timeout)
-			defer cancel()
+		err := execute(opCtx, t, c)
+		if err != nil {
+			e := err // declared here, so only a failed operation allocates it
+			first.CompareAndSwap(nil, &e)
 		}
-		// loadgen isolates each operation's panic; execute only runs it.
-		return execute(opCtx, t, c)
+		return err
 	})
 	c.SetElapsed(c.Now().Sub(t0))
 
 	rep := Rep{Result: c.Snapshot(), Err: runErr}
 	if runErr == nil && st.Dispatched > 0 && st.Errors == st.Dispatched {
-		rep.Err = fmt.Errorf("engine: workload %s: all %d operations failed under load",
-			t.Workload.Name(), st.Errors)
+		cause := errors.New("every operation panicked")
+		if p := first.Load(); p != nil {
+			cause = *p
+		}
+		rep.Err = fmt.Errorf("engine: workload %s: all %d operations failed under load: %w",
+			t.Workload.Name(), st.Errors, cause)
 	}
 	return rep, st
 }
@@ -373,12 +383,15 @@ func runOnce(ctx context.Context, t Task, cfg Config, measured bool) Rep {
 
 // execute runs the workload once on the caller's goroutine, for closed-loop
 // repetitions and open-loop operations alike. One whose context ended
-// before it returned is failed with the context's error whatever it
-// returned, so a run still going at its deadline fails.
+// before it returned is failed with the context's cause whatever it
+// returned, so a run still going at its deadline fails with
+// context.DeadlineExceeded, and one cancelled with context.Canceled.
+//
+//bdbench:hotpath
 func execute(ctx context.Context, t Task, c *metrics.Collector) error {
 	err := t.Workload.Run(ctx, t.Params, c)
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return ctxErr
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
 	}
 	return err
 }

@@ -138,6 +138,26 @@ func TestOpenLoopTimeoutBoundsOperations(t *testing.T) {
 	}
 }
 
+// TestOpenLoopDeadlineIsDeadlineExceeded: an open-loop operation still
+// running at Config.Timeout fails with an error that is
+// context.DeadlineExceeded, as a closed-loop repetition does, and a window
+// of nothing else fails with it.
+func TestOpenLoopDeadlineIsDeadlineExceeded(t *testing.T) {
+	w := fakeWorkload{name: "overrun", run: func(context.Context, workloads.Params, *metrics.Collector) error {
+		time.Sleep(20 * time.Millisecond) // ignores ctx entirely
+		return nil
+	}}
+	res := Run(context.Background(),
+		[]Task{openLoopTask(w, 50, 60*time.Millisecond)},
+		Config{Workers: 1, Timeout: 5 * time.Millisecond})[0]
+	if res.Load == nil || res.Load.Errors != res.Load.Dispatched || res.Load.Dispatched == 0 {
+		t.Fatalf("overrunning operations not counted as errors: %+v", res.Load)
+	}
+	if !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", res.Err)
+	}
+}
+
 // TestOpenLoopOverrunningOperationFails: an operation that ignores its
 // context and overruns its deadline is counted as an error although it
 // returned nil, the window still completes, and nothing is left running

@@ -18,7 +18,9 @@ const HotpathDirective = "//bdbench:hotpath"
 // functions: fmt calls, non-constant string concatenation,
 // string<->[]byte conversions, function literals (closures), make/new,
 // slice/map composite literals, appends without a visible reuse hint,
-// variadic calls, and interface boxing of non-pointer-shaped arguments.
+// variadic calls, interface boxing of non-pointer-shaped arguments, and
+// the context and timer constructors (context.WithTimeout, time.AfterFunc
+// and the like).
 // The rules are conservative by design — a construct the compiler might
 // optimize away still reads as an allocation hazard to the next editor —
 // so the escape hatch is the same as everywhere: //bdvet:allow hotpath
@@ -104,8 +106,13 @@ func (p *Pass) checkHotCall(call *ast.CallExpr) {
 
 	// Ordinary function or method call.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if obj, pkgPath := p.selectedObj(sel); obj != nil && pkgPath == "fmt" {
+		obj, pkgPath := p.selectedObj(sel)
+		if obj != nil && pkgPath == "fmt" {
 			p.Reportf(call.Pos(), "fmt.%s in hot path: formatting allocates; record raw values and format at snapshot time", obj.Name())
+			return
+		}
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() == nil && allocatingFuncs[pkgPath+"."+fn.Name()] {
+			p.Reportf(call.Pos(), "%s.%s in hot path allocates a context or timer; build it once outside the hot path and re-arm it", pkgPath, fn.Name())
 			return
 		}
 	}
@@ -135,6 +142,15 @@ func (p *Pass) checkHotCall(call *ast.CallExpr) {
 			p.Reportf(arg.Pos(), "passing %s to an interface parameter boxes it (allocates) in hot path; pass a pointer or restructure the call", types.TypeString(p.typeOf(arg), nil))
 		}
 	}
+}
+
+// allocatingFuncs are the context and time constructors: each call builds
+// a context, a timer or both.
+var allocatingFuncs = map[string]bool{
+	"context.WithCancel": true, "context.WithCancelCause": true, "context.WithTimeout": true,
+	"context.WithDeadline": true, "context.WithDeadlineCause": true, "context.WithValue": true,
+	"context.AfterFunc": true, "time.AfterFunc": true, "time.NewTimer": true,
+	"time.NewTicker": true, "time.After": true, "time.Tick": true,
 }
 
 func (p *Pass) typeOf(e ast.Expr) types.Type {

@@ -3,7 +3,11 @@
 // default is silence.
 package hot
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+	"time"
+)
 
 type cell struct {
 	buf   []int
@@ -40,6 +44,21 @@ func hotBoxing(c *cell, v int) {
 func hotVariadic(vals []int) {
 	variadic(1, 2) // want `hotpath: variadic call allocates its argument slice`
 	variadic(vals...)
+}
+
+// hotDeadlines plants the context and timer constructors; re-arming a
+// timer built elsewhere is the sanctioned idiom.
+//
+//bdbench:hotpath
+func hotDeadlines(ctx context.Context, t *time.Timer, now time.Time) {
+	_, cancel := context.WithTimeout(ctx, time.Second) // want `hotpath: context\.WithTimeout in hot path allocates a context or timer`
+	cancel()
+	_, stop := context.WithCancelCause(ctx) // want `hotpath: context\.WithCancelCause in hot path allocates`
+	stop(nil)
+	_ = time.AfterFunc(time.Second, cancel) // want `hotpath: time\.AfterFunc in hot path allocates`
+	<-time.After(time.Second)               // want `hotpath: time\.After in hot path allocates`
+	_ = now.After(now)                      // a method, not the constructor
+	t.Reset(time.Second)
 }
 
 // hotClean uses only the sanctioned idioms and must stay silent.

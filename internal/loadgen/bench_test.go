@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"github.com/bdbench/bdbench/internal/metrics"
 )
 
 // BenchmarkSchedule measures arrival-schedule materialization per process
@@ -28,20 +26,21 @@ func BenchmarkSchedule(b *testing.B) {
 }
 
 // BenchmarkDispatchSteadyState measures the per-operation hot path in
-// isolation — execOne through its three pre-resolved OpRefs, on a
-// fixed clock so time-source cost is excluded. This is the zero-allocation
-// contract's loadgen half: the allocs/op column must stay at 0
-// (TestDispatchSteadyStateZeroAlloc holds it there).
+// isolation — execOne through its three pre-resolved OpRefs, without and
+// with a re-armed deadline, on a fixed clock so time-source cost is
+// excluded. This is the zero-allocation contract's loadgen half: the
+// allocs/op column must stay at 0 (TestDispatchSteadyStateZeroAlloc holds
+// it there).
 func BenchmarkDispatchSteadyState(b *testing.B) {
-	c := metrics.NewCollector("bench")
-	base := time.Unix(1000, 0)
-	now := func() time.Time { return base }
-	r := newRunState(context.Background(), func(context.Context) error { return nil }, c, now)
-	r.execOne(0) // warm the substrate labels
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.execOne(time.Millisecond)
+	for _, tc := range dispatchCases {
+		b.Run(tc.name, func(b *testing.B) {
+			r := steadyRunState(tc.timeout)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.execOne(time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -37,6 +37,12 @@ type Options struct {
 	Duration time.Duration
 	// Seed derives the arrival schedule (see Schedule).
 	Seed uint64
+	// Timeout, when positive, bounds each operation: its context is then
+	// cancelled with cause context.DeadlineExceeded. Operations re-arm
+	// timers the run keeps rather than build a context each, so
+	// ctx.Deadline() reports no time inside an operation. Zero means no
+	// deadline.
+	Timeout time.Duration
 	// Rec receives every observation in the sharded metrics pipeline:
 	// OpRequest, OpService and OpWait, all substrate-level (the executed
 	// operations record their own user-level measurements). Nil records into
@@ -116,10 +122,11 @@ type Stats struct {
 // worker, execute, observe — performs zero heap allocations (asserted by
 // TestDispatchSteadyStateZeroAlloc).
 type runState struct {
-	ctx context.Context
-	op  func(context.Context) error
-	now func() time.Time
-	t0  time.Time
+	ctx     context.Context
+	op      func(context.Context) error
+	now     func() time.Time
+	t0      time.Time
+	timeout time.Duration
 
 	reqRef, svcRef, waitRef metrics.OpRef
 
@@ -134,13 +141,17 @@ type runState struct {
 	// Concurrency is unbounded, the pure open-loop model: dispatch never
 	// waits for capacity.
 	ready chan time.Duration
+
+	mu   sync.Mutex // guards free
+	free *deadline  // the deadlines no operation runs under
 }
 
 // newRunState builds the dispatch machinery for one run. now is the clock
 // (t0 is read from it immediately); the three latency views are recorded
-// into a substrate shard of rec, or a shard of their own when rec is nil.
-func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, now func() time.Time) *runState {
-	r := &runState{ctx: ctx, op: op, now: now}
+// into a substrate shard of rec, or a shard of their own when rec is nil;
+// timeout is Options.Timeout.
+func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, now func() time.Time, timeout time.Duration) *runState {
+	r := &runState{ctx: ctx, op: op, now: now, timeout: timeout}
 	shard := rec.SubstrateShard()
 	if shard == nil {
 		shard = new(metrics.Shard)
@@ -174,10 +185,10 @@ func (r *runState) worker() {
 	}
 }
 
-// execOne runs one operation and records its three latency views. This is
-// the per-operation hot path: zero allocations in steady state
-// (TestDispatchSteadyStateZeroAlloc at runtime, bdvet's hotpath analyzer
-// statically).
+// execOne runs one operation, under a deadline when the run has a timeout,
+// and records its three latency views. This is the per-operation hot
+// path: zero allocations in steady state (TestDispatchSteadyStateZeroAlloc
+// at runtime, bdvet's hotpath analyzer statically).
 //
 //bdbench:hotpath
 func (r *runState) execOne(offset time.Duration) {
@@ -188,7 +199,15 @@ func (r *runState) execOne(offset time.Duration) {
 	r.dispatched.Add(1)
 	intended := r.t0.Add(offset)
 	actual := r.now()
-	err := runIsolated(r.ctx, r.op)
+	ctx, d := r.ctx, (*deadline)(nil)
+	if r.timeout > 0 {
+		d = r.takeDeadline()
+		ctx = d.ctx
+	}
+	err := runIsolated(ctx, r.op)
+	if d != nil {
+		r.putDeadline(d)
+	}
 	end := r.now()
 
 	wait := actual.Sub(intended)
@@ -242,7 +261,7 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 		Scheduled: len(sched),
 	}
 
-	r := newRunState(ctx, op, opts.Rec, now)
+	r := newRunState(ctx, op, opts.Rec, now, opts.Timeout)
 
 	// The dispatcher walks the precomputed schedule on the clock. It reads
 	// nothing from completions — that independence is what makes the loop
@@ -267,6 +286,7 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 	}
 	close(r.ready)
 	r.wg.Wait()
+	r.releaseDeadlines()
 
 	st.Dispatched = int(r.dispatched.Load())
 	st.Skipped = int(r.skipped.Load())
@@ -286,6 +306,68 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 			st.Dispatched, st.Scheduled, ctx.Err())
 	}
 	return st, nil
+}
+
+// deadline bounds one operation at a time: a child of the run's context
+// and a timer that cancels it with cause context.DeadlineExceeded. An
+// operation takes one from the run's free list and puts it back, so a run
+// builds as many as operations ran at once — not one per operation, nor
+// one per worker the dispatcher spawned. next links the free list.
+type deadline struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	timer  *time.Timer
+	next   *deadline
+}
+
+// takeDeadline returns a deadline armed for one operation: a free one
+// re-armed, or a new one when every one built so far is in use.
+//
+//bdbench:hotpath
+func (r *runState) takeDeadline() *deadline {
+	r.mu.Lock()
+	d := r.free
+	if d != nil {
+		r.free = d.next
+	}
+	r.mu.Unlock()
+	if d == nil {
+		return r.newDeadline()
+	}
+	d.timer.Reset(r.timeout)
+	return d
+}
+
+// newDeadline builds a deadline, armed.
+func (r *runState) newDeadline() *deadline {
+	ctx, cancel := context.WithCancelCause(r.ctx)
+	return &deadline{ctx: ctx, cancel: cancel,
+		timer: time.AfterFunc(r.timeout, func() { cancel(context.DeadlineExceeded) })}
+}
+
+// putDeadline ends an operation's deadline. A timer that could not be
+// stopped fired or is firing: its context is spent, so it is cancelled
+// here, which detaches it from the run's context at once, and dropped. A
+// late fire therefore never reaches a later operation.
+//
+//bdbench:hotpath
+func (r *runState) putDeadline(d *deadline) {
+	if !d.timer.Stop() {
+		d.cancel(context.DeadlineExceeded)
+		return
+	}
+	r.mu.Lock()
+	d.next, r.free = r.free, d
+	r.mu.Unlock()
+}
+
+// releaseDeadlines stops and cancels every deadline once no operation
+// runs, so none stays registered on the run's context.
+func (r *runState) releaseDeadlines() {
+	for d := r.free; d != nil; d = d.next {
+		d.timer.Stop()
+		d.cancel(context.Canceled)
+	}
 }
 
 // runIsolated invokes op with panic isolation, so one exploding operation

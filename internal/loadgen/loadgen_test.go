@@ -305,24 +305,150 @@ func TestSleepContextTimerReuse(t *testing.T) {
 }
 
 // TestDispatchSteadyStateZeroAlloc asserts the per-operation hot path —
-// execOne through the histograms and the pre-resolved OpRefs — allocates
-// nothing once the run state exists. This is the loadgen half of the
-// zero-allocation contract; BenchmarkDispatchSteadyState prices the same
-// path.
+// execOne through the histograms and the pre-resolved OpRefs, and with a
+// timeout a re-armed deadline from the run's free list — allocates nothing
+// once the run state and its one deadline exist. This is the loadgen half
+// of the zero-allocation contract; BenchmarkDispatchSteadyState prices the
+// same path.
 func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
-	c := metrics.NewCollector("wl")
-	op := func(context.Context) error { return nil }
-	base := time.Unix(1000, 0)
-	now := func() time.Time { return base }
-	r := newRunState(context.Background(), op, c, now)
-	r.execOne(0) // warm the substrate labels
-	allocs := testing.AllocsPerRun(1000, func() {
-		r.execOne(time.Millisecond)
-	})
-	if raceflag.Enabled {
-		t.Skipf("allocation counts not asserted under -race (measured %.1f)", allocs)
+	for _, tc := range dispatchCases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := steadyRunState(tc.timeout)
+			allocs := testing.AllocsPerRun(1000, func() {
+				r.execOne(time.Millisecond)
+			})
+			if raceflag.Enabled {
+				t.Skipf("allocation counts not asserted under -race (measured %.1f)", allocs)
+			}
+			if allocs != 0 {
+				t.Errorf("dispatch steady state: %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
-	if allocs != 0 {
-		t.Errorf("dispatch steady state: %.1f allocs/op, want 0", allocs)
+}
+
+// dispatchCases are the per-operation deadlines the steady-state dispatch
+// path is held at zero allocations under: none, and one no operation
+// reaches.
+var dispatchCases = []struct {
+	name    string
+	timeout time.Duration
+}{{"no-deadline", 0}, {"deadline", time.Hour}}
+
+// steadyRunState builds a run state on a fixed clock and dispatches one
+// operation through it to warm the substrate labels and, with a timeout,
+// build the run's one deadline.
+func steadyRunState(timeout time.Duration) *runState {
+	base := time.Unix(1000, 0)
+	r := newRunState(context.Background(), func(context.Context) error { return nil },
+		metrics.NewCollector("wl"), func() time.Time { return base }, timeout)
+	r.execOne(0)
+	return r
+}
+
+// TestOperationDeadline pins what an operation sees of Options.Timeout: one
+// that overruns it finds its context's cause is context.DeadlineExceeded
+// and is counted in Errors, and the next operation the same worker runs
+// starts with a live context.
+func TestOperationDeadline(t *testing.T) {
+	var calls atomic.Int64
+	var cause, stale atomic.Value
+	before := runtime.NumGoroutine()
+	st, err := Run(context.Background(), Options{Rate: 100, Duration: 100 * time.Millisecond, Timeout: 5 * time.Millisecond},
+		func(ctx context.Context) error {
+			if calls.Add(1) != 1 {
+				if ctx.Err() != nil {
+					stale.Store(true)
+				}
+				return nil
+			}
+			<-ctx.Done()
+			cause.Store(context.Cause(ctx))
+			return ctx.Err()
+		})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := cause.Load(); got != context.DeadlineExceeded {
+		t.Fatalf("overrunning operation saw cause %v, want context.DeadlineExceeded", got)
+	}
+	if st.Errors != 1 || st.Dispatched != st.Scheduled {
+		t.Fatalf("errors %d, dispatched %d of %d; want 1 error and every arrival dispatched", st.Errors, st.Dispatched, st.Scheduled)
+	}
+	if stale.Load() != nil {
+		t.Fatal("an operation after the overrun started with a cancelled context")
+	}
+	settle(t, before)
+}
+
+// TestOperationDeadlineLateFire drives a run's deadlines through many
+// operations that last about as long as the timeout, so a timer fires
+// during an operation, between its end and the Stop, or not at all. An
+// operation whose context is cancelled sooner than the timeout after it
+// took its deadline saw an earlier operation's fire: that must never
+// happen.
+func TestOperationDeadlineLateFire(t *testing.T) {
+	const timeout = time.Millisecond
+	before := runtime.NumGoroutine()
+	r := newRunState(context.Background(), nil, nil, time.Now, timeout)
+	var dropped, reused int
+	for i := 0; i < 200; i++ {
+		t0 := time.Now()
+		d := r.takeDeadline()
+		if d.ctx.Err() != nil && time.Since(t0) < timeout {
+			t.Fatalf("operation %d started with a context cancelled before its own deadline", i)
+		}
+		for end := t0.Add(timeout * time.Duration(2+i%8) / 4); time.Now().Before(end); { // 0.5 to 2.25 timeouts
+		}
+		r.putDeadline(d)
+		if r.free == nil {
+			dropped++
+		} else {
+			reused++
+		}
+	}
+	r.releaseDeadlines()
+	if dropped == 0 || reused == 0 {
+		t.Fatalf("%d deadlines dropped, %d reused: want both paths taken", dropped, reused)
+	}
+	settle(t, before)
+}
+
+// TestOperationDeadlineRunCancelled: cancelling the run's context while an
+// operation runs under a deadline reports context.Canceled to it, not a
+// deadline.
+func TestOperationDeadlineRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cause atomic.Value
+	var calls atomic.Int64
+	before := runtime.NumGoroutine()
+	_, err := Run(ctx, Options{Rate: 100, Duration: time.Second, Timeout: time.Hour},
+		func(ctx context.Context) error {
+			if calls.Add(1) == 3 {
+				cancel()
+				<-ctx.Done()
+				cause.Store(context.Cause(ctx))
+			}
+			return ctx.Err()
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: %v, want context.Canceled", err)
+	}
+	if got := cause.Load(); got != context.Canceled {
+		t.Fatalf("cancelled operation saw cause %v, want context.Canceled", got)
+	}
+	settle(t, before)
+}
+
+// settle waits for the goroutines a run started to exit, failing after a
+// second.
+func settle(t *testing.T, before int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("goroutines %d, %d before the run", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
