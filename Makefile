@@ -31,7 +31,7 @@ vet:
 	$(GO) vet ./...
 
 # lint runs bdvet, the repo's own analyzer suite (determinism, zero-alloc
-# hot paths, metrics hygiene, context threading — see docs/LINT.md).
+# hot paths, context threading — see docs/LINT.md).
 lint:
 	$(GO) run ./cmd/bdvet ./...
 

@@ -1,7 +1,7 @@
 // Command bdvet statically enforces the repo's measurement contracts:
-// determinism (detnondet), zero-allocation hot paths (hotpath), interned
-// metric handles in steady-state loops (oprefed), and threaded task
-// contexts in engine-driven code (ctxbg). See docs/LINT.md.
+// determinism (detnondet), zero-allocation hot paths that mint no metric
+// handles (hotpath), and threaded task contexts in engine-driven code
+// (ctxbg). See docs/LINT.md.
 //
 // It runs over package patterns (exit 1 on findings):
 //
@@ -28,7 +28,7 @@ func run(args []string) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: bdvet [-analyzers a,b] [packages]\n\n")
-		fmt.Fprintf(fs.Output(), "bdvet statically enforces bdbench's determinism, zero-alloc and\nmetrics-hygiene contracts.\n\n")
+		fmt.Fprintf(fs.Output(), "bdvet statically enforces bdbench's determinism, zero-alloc and\ncontext-threading contracts.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

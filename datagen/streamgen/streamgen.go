@@ -25,7 +25,6 @@ type Arrival = streamgen.Arrival
 const (
 	ArrivalConstant = streamgen.ArrivalConstant
 	ArrivalPoisson  = streamgen.ArrivalPoisson
-	ArrivalBursty   = streamgen.ArrivalBursty
 )
 
 // Mix sets the update/delete fractions — the data updating frequency knob.

@@ -32,8 +32,8 @@ func (evenCount) Run(ctx context.Context, p bdbench.Params, c *bdbench.Collector
 		}
 		check.ObserveSince(t0)
 	}
-	c.Add("evens", int64(evens))
-	c.Add("records", int64(100*p.Scale))
+	c.CounterRef("evens").Add(int64(evens))
+	c.CounterRef("records").Add(int64(100 * p.Scale))
 	return nil
 }
 

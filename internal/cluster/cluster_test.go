@@ -43,9 +43,9 @@ func (w detWorkload) Run(_ context.Context, p workloads.Params, c *metrics.Colle
 	ops := [...]string{"read", "write", "scan"}
 	for i := 0; i < 30*p.Scale; i++ {
 		state = state*6364136223846793005 + 1442695040888963407
-		c.ObserveLatency(ops[i%len(ops)], time.Duration(state%1_000_000))
+		c.Op(ops[i%len(ops)]).Observe(time.Duration(state % 1_000_000))
 	}
-	c.Add("records", int64(30*p.Scale))
+	c.CounterRef("records").Add(int64(30 * p.Scale))
 	return nil
 }
 

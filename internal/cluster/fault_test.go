@@ -194,7 +194,7 @@ func TestCoordinateReroutesCorruptSamples(t *testing.T) {
 type hugeLabel struct{ detWorkload }
 
 func (hugeLabel) Run(_ context.Context, _ workloads.Params, c *metrics.Collector) error {
-	c.ObserveLatency(strings.Repeat("x", math.MaxUint16+1), time.Millisecond)
+	c.Op(strings.Repeat("x", math.MaxUint16+1)).Observe(time.Millisecond)
 	return nil
 }
 

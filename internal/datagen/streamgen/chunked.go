@@ -44,7 +44,7 @@ func (gen Generator) fill(g *stats.RNG, c datagen.Chunk, dst []Event) {
 	ev := gen.chunkStart(c)
 	for i := range dst {
 		seq := c.Start + int64(i)
-		ev = gen.draw(g, seq, ev)
+		ev = gen.draw(g, ev)
 		off := b.Len()
 		k, _ := b.Write(appendKey(key[:0], ev.key))
 		b.Write(ev.value)
@@ -89,7 +89,7 @@ func (StreamCorpus) AppendChunk(dst []byte, g *stats.RNG, _ int, c datagen.Chunk
 	ev := corpusGen.chunkStart(c)
 	ev.value = value[:0]
 	for i := c.Start; i < c.End; i++ {
-		ev = corpusGen.draw(g, i, ev)
+		ev = corpusGen.draw(g, ev)
 		dst = append(strconv.AppendInt(dst, i, 10), '\t')
 		dst = append(strconv.AppendInt(dst, int64(ev.at), 10), '\t')
 		dst = append(append(dst, ev.kind.String()...), '\t')

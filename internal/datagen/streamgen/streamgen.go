@@ -54,12 +54,11 @@ type Event struct {
 // Arrival selects the interarrival process.
 type Arrival int
 
-// Supported arrival processes: fixed spacing, Poisson (exponential
-// interarrivals) and bursty on/off periods.
+// Supported arrival processes: fixed spacing and Poisson (exponential
+// interarrivals).
 const (
 	ArrivalConstant Arrival = iota
 	ArrivalPoisson
-	ArrivalBursty
 )
 
 // Mix controls the update-frequency aspect of velocity: fractions of
@@ -85,11 +84,6 @@ type Generator struct {
 	KeyChooser stats.IntSampler
 	// ValueLen is the payload length in bytes (default 64).
 	ValueLen int
-	// BurstOnFraction and BurstFactor shape ArrivalBursty: the stream runs
-	// at BurstFactor×rate for BurstOnFraction of the time and idles
-	// otherwise (defaults 0.2 and 5: same average rate, bursty shape).
-	BurstOnFraction float64
-	BurstFactor     float64
 }
 
 func (gen Generator) keySpace() int64 {
@@ -113,32 +107,13 @@ func (gen Generator) rate() float64 {
 	return gen.EventsPerSec
 }
 
-// interarrival draws the next gap for event i.
-func (gen Generator) interarrival(g *stats.RNG, i int64) time.Duration {
+// interarrival draws the next gap.
+func (gen Generator) interarrival(g *stats.RNG) time.Duration {
 	mean := 1 / gen.rate()
-	switch gen.Arrival {
-	case ArrivalPoisson:
+	if gen.Arrival == ArrivalPoisson {
 		return time.Duration(g.ExpFloat64() * mean * float64(time.Second))
-	case ArrivalBursty:
-		on := gen.BurstOnFraction
-		if on <= 0 || on >= 1 {
-			on = 0.2
-		}
-		factor := gen.BurstFactor
-		if factor <= 1 {
-			factor = 5
-		}
-		// Alternate on/off in blocks of 1000 virtual events.
-		block := (i / 1000) % 10
-		if float64(block) < on*10 {
-			return time.Duration(mean / factor * float64(time.Second))
-		}
-		// Off period: stretched gaps to keep the same average rate.
-		off := (1 - on*1/factor) / (1 - on)
-		return time.Duration(mean * off * float64(time.Second))
-	default:
-		return time.Duration(mean * float64(time.Second))
 	}
+	return time.Duration(mean * float64(time.Second))
 }
 
 // drawn is an event as drawn: its key still a number and its value's letters
@@ -150,11 +125,11 @@ type drawn struct {
 	value []byte
 }
 
-// draw advances ev to event i: the gap since the previous event, then its
-// kind, its key and its value. It is the one sequence of draws behind
+// draw advances ev to the next event: the gap since the previous event, then
+// its kind, its key and its value. It is the one sequence of draws behind
 // Generate, Run, GenerateParallel and the "stream" corpus.
-func (gen Generator) draw(g *stats.RNG, i int64, ev drawn) drawn {
-	ev.at += gen.interarrival(g, i)
+func (gen Generator) draw(g *stats.RNG, ev drawn) drawn {
+	ev.at += gen.interarrival(g)
 	ev.kind = OpInsert
 	u := g.Float64()
 	switch {
@@ -209,7 +184,7 @@ func (gen Generator) Run(ctx context.Context, g *stats.RNG, n int64, out chan<- 
 	var d drawn
 	for i := int64(0); i < n; i++ {
 		bucket.Take(1)
-		d = gen.draw(g, i, d)
+		d = gen.draw(g, d)
 		select {
 		case out <- d.event(i):
 			probe.Add(1)

@@ -64,7 +64,7 @@ func TestGenerateParallelAllocsPerChunk(t *testing.T) {
 }
 
 func TestVirtualRateMatchesTarget(t *testing.T) {
-	for _, arrival := range []Arrival{ArrivalConstant, ArrivalPoisson, ArrivalBursty} {
+	for _, arrival := range []Arrival{ArrivalConstant, ArrivalPoisson} {
 		gen := Generator{EventsPerSec: 2000, Arrival: arrival}
 		events := gen.Generate(stats.NewRNG(3), 20000)
 		span := events[len(events)-1].Offset.Seconds()
@@ -72,26 +72,6 @@ func TestVirtualRateMatchesTarget(t *testing.T) {
 		if math.Abs(rate-2000)/2000 > 0.15 {
 			t.Fatalf("%v virtual rate %.0f, want ~2000", arrival, rate)
 		}
-	}
-}
-
-func TestBurstyHasBurstStructure(t *testing.T) {
-	gen := Generator{EventsPerSec: 1000, Arrival: ArrivalBursty}
-	events := gen.Generate(stats.NewRNG(4), 10000)
-	// Gaps should be bimodal: some much shorter than the mean, some longer.
-	mean := 1.0 / 1000
-	short, long := 0, 0
-	for i := 1; i < len(events); i++ {
-		gap := (events[i].Offset - events[i-1].Offset).Seconds()
-		if gap < mean*0.5 {
-			short++
-		}
-		if gap > mean*1.1 {
-			long++
-		}
-	}
-	if short == 0 || long == 0 {
-		t.Fatalf("bursty arrivals not bimodal: short=%d long=%d", short, long)
 	}
 }
 

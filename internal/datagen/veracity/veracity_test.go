@@ -140,7 +140,7 @@ func TestStreamOrdering(t *testing.T) {
 	gen := streamgen.Generator{EventsPerSec: 1000, Arrival: streamgen.ArrivalPoisson, Mix: streamgen.Mix{UpdateFraction: 0.3}}
 	raw := gen.Generate(stats.NewRNG(41), 5000)
 	resample := gen.Generate(stats.NewRNG(42), 5000)
-	differentShape := streamgen.Generator{EventsPerSec: 1000, Arrival: streamgen.ArrivalBursty}.Generate(stats.NewRNG(43), 5000)
+	differentShape := streamgen.Generator{EventsPerSec: 1000, Arrival: streamgen.ArrivalConstant}.Generate(stats.NewRNG(43), 5000)
 
 	rFloor, err := Stream(raw, resample)
 	if err != nil {

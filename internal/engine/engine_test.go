@@ -39,8 +39,8 @@ func seededWorkload(name string) fakeWorkload {
 		for i := 0; i < 10000; i++ {
 			acc += int64(g.IntN(1 << 20))
 		}
-		c.Add("records", 10000)
-		c.Add("checksum", acc)
+		c.CounterRef("records").Add(10000)
+		c.CounterRef("checksum").Add(acc)
 		return nil
 	}}
 }
@@ -144,7 +144,7 @@ func TestWarmupAndReps(t *testing.T) {
 	var runs atomic.Int64
 	counting := fakeWorkload{name: "counting", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 		runs.Add(1)
-		c.Add("records", 1000)
+		c.CounterRef("records").Add(1000)
 		return nil
 	}}
 	var events []Event
@@ -194,7 +194,7 @@ func TestWarmupAndReps(t *testing.T) {
 // TestAllRepsFailed keeps partial measurements when every repetition fails.
 func TestAllRepsFailed(t *testing.T) {
 	failing := fakeWorkload{name: "failing", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-		c.Add("records", 5)
+		c.CounterRef("records").Add(5)
 		return errors.New("verification failed")
 	}}
 	res := Run(context.Background(), tasksOf(failing), Config{Workers: 1, Reps: 2})

@@ -31,7 +31,7 @@ func TestOpenLoopTask(t *testing.T) {
 	var calls atomic.Int64
 	w := fakeWorkload{name: "under-load", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 		calls.Add(1)
-		c.Add("records", 1)
+		c.CounterRef("records").Add(1)
 		return nil
 	}}
 	results := Run(context.Background(), []Task{openLoopTask(w, 200, 200*time.Millisecond)}, Config{Workers: 1})
@@ -76,7 +76,7 @@ func TestOpenLoopWindowReadsRunClock(t *testing.T) {
 	w := fakeWorkload{name: "timed", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 		t0 := c.Now()
 		time.Sleep(time.Millisecond)
-		c.ObserveLatency("op", c.Now().Sub(t0))
+		c.Op("op").Observe(c.Now().Sub(t0))
 		return nil
 	}}
 	frozen := func() time.Time { return time.Unix(1754600000, 0) }

@@ -10,11 +10,10 @@
 //     iteration order leak into output (detnondet);
 //   - zero-allocation hot paths: functions marked //bdbench:hotpath (the
 //     record path, the loadgen dispatch path, the sample-sink claim path)
-//     must not contain allocating constructs (hotpath);
-//   - metrics hygiene: steady-state loops must record through pre-resolved
-//     OpRef/CounterRef handles, not per-call string keys (oprefed), and
-//     engine-driven code must thread the task context instead of minting
-//     context.Background (ctxbg).
+//     must not contain allocating constructs or mint metric handles from a
+//     label (hotpath);
+//   - context threading: engine-driven code must thread the task context
+//     instead of minting context.Background (ctxbg).
 //
 // The analyzers follow the golang.org/x/tools/go/analysis model (an
 // Analyzer runs over one type-checked package at a time and reports
@@ -52,7 +51,7 @@ type Analyzer struct {
 
 // Analyzers returns the bdvet suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Detnondet, Hotpath, Oprefed, Ctxbg}
+	return []*Analyzer{Detnondet, Hotpath, Ctxbg}
 }
 
 // A Pass carries one package's syntax and type information to an
@@ -172,26 +171,6 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 		}
 	}
 	return false
-}
-
-// walkStack traverses the file like ast.Inspect but hands fn the stack of
-// ancestor nodes (outermost first, not including n itself). Returning
-// false prunes the subtree.
-func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			// Pruned: push a placeholder so the matching pop stays
-			// balanced? ast.Inspect does not descend, so no pop follows.
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // rootIdent unwraps selector/index/star/paren chains to the base

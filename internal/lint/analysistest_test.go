@@ -27,8 +27,6 @@ func TestDetnondetOptInDirective(t *testing.T) { runWantTest(t, "detopt", Detnon
 
 func TestHotpath(t *testing.T) { runWantTest(t, "hot", Hotpath) }
 
-func TestOprefed(t *testing.T) { runWantTest(t, "internal/hygiene/opref", Oprefed) }
-
 func TestCtxbg(t *testing.T) { runWantTest(t, "internal/engine/ctxtest", Ctxbg) }
 
 // TestSuppressionMisuse checks the malformed-allow contract directly:

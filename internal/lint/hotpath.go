@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // HotpathDirective marks a function as part of the zero-allocation
@@ -18,16 +19,17 @@ const HotpathDirective = "//bdbench:hotpath"
 // functions: fmt calls, non-constant string concatenation,
 // string<->[]byte conversions, function literals (closures), make/new,
 // slice/map composite literals, appends without a visible reuse hint,
-// variadic calls, interface boxing of non-pointer-shaped arguments, and
-// the context and timer constructors (context.WithTimeout, time.AfterFunc
-// and the like).
+// variadic calls, interface boxing of non-pointer-shaped arguments, the
+// context and timer constructors (context.WithTimeout, time.AfterFunc and
+// the like), and metric handles minted from a label (Collector.Op,
+// Shard.CounterRef and the like).
 // The rules are conservative by design — a construct the compiler might
 // optimize away still reads as an allocation hazard to the next editor —
 // so the escape hatch is the same as everywhere: //bdvet:allow hotpath
 // with a reason.
 var Hotpath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "flag allocating constructs inside //bdbench:hotpath functions",
+	Doc:  "flag allocating constructs and metric handle mints inside //bdbench:hotpath functions",
 	Run:  runHotpath,
 }
 
@@ -114,6 +116,14 @@ func (p *Pass) checkHotCall(call *ast.CallExpr) {
 		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() == nil && allocatingFuncs[pkgPath+"."+fn.Name()] {
 			p.Reportf(call.Pos(), "%s.%s in hot path allocates a context or timer; build it once outside the hot path and re-arm it", pkgPath, fn.Name())
 			return
+		}
+		// Collector's and Shard's Op and CounterRef mint a handle from a label.
+		if fn, ok := obj.(*types.Func); ok && (fn.Name() == "Op" || fn.Name() == "CounterRef") && strings.HasSuffix(pkgPath, "/internal/metrics") {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				p.Reportf(call.Pos(), "%s.%s in hot path looks its label up on every call and allocates the label's cell on a new one; mint the handle once outside the hot path",
+					strings.TrimPrefix(types.TypeString(recv.Type(), (*types.Package).Name), "*"), fn.Name())
+				return
+			}
 		}
 	}
 	sig, ok := p.typeOf(call.Fun).Underlying().(*types.Signature)

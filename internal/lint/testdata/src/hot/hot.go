@@ -7,6 +7,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"github.com/bdbench/bdbench/internal/metrics"
 )
 
 type cell struct {
@@ -59,6 +61,19 @@ func hotDeadlines(ctx context.Context, t *time.Timer, now time.Time) {
 	<-time.After(time.Second)               // want `hotpath: time\.After in hot path allocates`
 	_ = now.After(now)                      // a method, not the constructor
 	t.Reset(time.Second)
+}
+
+// hotMints plants handles minted from a label; recording through handles
+// minted outside the hot path is the sanctioned idiom.
+//
+//bdbench:hotpath
+func hotMints(c *metrics.Collector, s *metrics.Shard, op metrics.OpRef, n metrics.CounterRef) {
+	c.Op("op").Observe(time.Second)          // want `hotpath: metrics\.Collector\.Op in hot path looks its label up on every call`
+	c.CounterRef("records").Add(1)           // want `hotpath: metrics\.Collector\.CounterRef in hot path looks its label up`
+	s.Op("op").ObserveSince(op.StartTimer()) // want `hotpath: metrics\.Shard\.Op in hot path looks its label up`
+	s.CounterRef("records").Add(1)           // want `hotpath: metrics\.Shard\.CounterRef in hot path looks its label up`
+	op.Observe(time.Second)
+	n.Add(1)
 }
 
 // hotClean uses only the sanctioned idioms and must stay silent.

@@ -11,12 +11,12 @@ import (
 )
 
 func wallClock(c *metrics.Collector) {
-	t0 := time.Now()                        // want `detnondet: wall clock \(time\.Now\)`
-	c.ObserveLatency("job", time.Since(t0)) // want `detnondet: wall clock \(time\.Since\)`
+	t0 := time.Now()                    // want `detnondet: wall clock \(time\.Now\)`
+	c.Op("job").Observe(time.Since(t0)) // want `detnondet: wall clock \(time\.Since\)`
 }
 
 func runClock(c *metrics.Collector, op metrics.OpRef) {
 	t0 := c.Now()
-	c.ObserveLatency("job", c.Now().Sub(t0))
+	c.Op("job").Observe(c.Now().Sub(t0))
 	op.ObserveSince(op.StartTimer())
 }

@@ -127,7 +127,7 @@ func TestRunRecordsIntoCollector(t *testing.T) {
 	}, func(context.Context) error {
 		// The operation measures itself at the user level, as a real
 		// workload execution does.
-		c.ObserveLatency("work", time.Microsecond)
+		c.Op("work").Observe(time.Microsecond)
 		return nil
 	})
 	c.SetElapsed(c.Now().Sub(t0))

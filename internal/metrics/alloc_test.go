@@ -43,18 +43,6 @@ func TestShardAddZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestCollectorFacadeZeroAlloc: the collector's one-shot conveniences go
-// through handles on its default shard and must stay allocation-free too.
-func TestCollectorFacadeZeroAlloc(t *testing.T) {
-	c := NewCollector("wl")
-	c.ObserveLatency("op", time.Millisecond)
-	c.Add("records", 1)
-	assertZeroAllocs(t, "Collector facade", func() {
-		c.ObserveLatency("op", time.Microsecond)
-		c.Add("records", 1)
-	})
-}
-
 // TestOpRefZeroAlloc: the pre-resolved handles never allocate once their
 // label has been observed.
 func TestOpRefZeroAlloc(t *testing.T) {
@@ -89,8 +77,8 @@ func TestOpRefSampledZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, "OpRef.ObserveSince (sampling on)", func() {
 		op.ObserveSince(start)
 	})
-	assertZeroAllocs(t, "Collector.ObserveLatency (sampling on)", func() {
-		c.ObserveLatency("op", time.Microsecond)
+	assertZeroAllocs(t, "Collector.Op + Observe (sampling on)", func() {
+		c.Op("op").Observe(time.Microsecond)
 	})
 }
 

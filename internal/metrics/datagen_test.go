@@ -8,7 +8,7 @@ import (
 
 func TestRecordDatagenSurfacesDataPrep(t *testing.T) {
 	c := NewCollector("wl")
-	c.ObserveLatency("op", 5*time.Millisecond)
+	c.Op("op").Observe(5 * time.Millisecond)
 	c.RecordDatagen(40*time.Millisecond, 1000)
 	c.RecordDatagen(10*time.Millisecond, 0)
 	c.SetElapsed(60 * time.Millisecond)
@@ -39,7 +39,7 @@ func TestRecordDatagenSurfacesDataPrep(t *testing.T) {
 func TestRecordDatagenExcludedFromThroughput(t *testing.T) {
 	c := NewCollector("wl")
 	for i := 0; i < 10; i++ {
-		c.ObserveLatency("op", time.Millisecond)
+		c.Op("op").Observe(time.Millisecond)
 	}
 	c.RecordDatagen(100*time.Millisecond, 50)
 	c.SetElapsed(2 * time.Millisecond)
@@ -77,7 +77,7 @@ func TestRecordDatagenConcurrent(t *testing.T) {
 
 func TestZeroDataPrepWithoutRecordDatagen(t *testing.T) {
 	c := NewCollector("wl")
-	c.ObserveLatency("op", time.Millisecond)
+	c.Op("op").Observe(time.Millisecond)
 	c.SetElapsed(time.Millisecond)
 	if r := c.Snapshot(); r.DataPrep != 0 {
 		t.Fatalf("DataPrep = %v, want 0", r.DataPrep)

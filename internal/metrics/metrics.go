@@ -13,10 +13,10 @@
 // (stats.AtomicLatencyHistogram), with a mutex taken only when a new label's
 // handle is minted.
 //
-// There is one write path: Collector → Shard → OpRef/CounterRef. Code below
-// the collector records only through handles minted once, up front; the
-// collector's own ObserveLatency/Add are one-shot conveniences over
-// that same path for phase-level measurements.
+// There is one write path: Collector → Shard → OpRef/CounterRef. Every
+// observation goes through a handle. A phase-level measurement mints one on
+// the collector's default shard (Collector.Op, Collector.CounterRef) where
+// it records; a hot path mints its handles once, up front.
 package metrics
 
 import (
@@ -50,10 +50,10 @@ const DatagenItems = "datagen_items"
 // Collector accumulates measurements for one workload execution. It is safe
 // for concurrent use by the goroutines of a parallel stack.
 //
-// Internally it is a set of shards merged only at Snapshot time: the
-// collector's own recording methods go through handles on a default shard
-// whose hot path is lock-free, and worker goroutines can mint private shards
-// with Shard so their operation loops never contend with each other at all.
+// Internally it is a set of shards merged only at Snapshot time: Op and
+// CounterRef mint handles on a default shard whose hot path is lock-free,
+// and worker goroutines can mint private shards with Shard so their
+// operation loops never contend with each other at all.
 // The collector's own mutex guards only the measured interval and the shard
 // list. A collector also carries the run's one clock (SetClock, Now):
 // everything that times something inside a run reads it.
@@ -151,18 +151,6 @@ func (c *Collector) SetElapsed(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.elapsed = d
-}
-
-// ObserveLatency records one operation latency under the given operation
-// label ("read", "update", ...).
-func (c *Collector) ObserveLatency(op string, d time.Duration) {
-	c.def.Op(op).Observe(d)
-}
-
-// Add increments the named counter by delta. Counters capture architecture
-// metrics (records processed, bytes shuffled, messages sent, ...).
-func (c *Collector) Add(counter string, delta int64) {
-	c.def.CounterRef(counter).Add(delta)
 }
 
 // Op mints a pre-resolved latency handle on the collector's default shard;

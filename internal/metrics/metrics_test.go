@@ -10,7 +10,7 @@ import (
 func TestCollectorLatencyAndSnapshot(t *testing.T) {
 	c := NewCollector("wl")
 	for i := 1; i <= 100; i++ {
-		c.ObserveLatency("read", time.Duration(i)*time.Millisecond)
+		c.Op("read").Observe(time.Duration(i) * time.Millisecond)
 	}
 	c.SetElapsed(2 * time.Second)
 	r := c.Snapshot()
@@ -33,9 +33,9 @@ func TestCollectorLatencyAndSnapshot(t *testing.T) {
 
 func TestCollectorCounters(t *testing.T) {
 	c := NewCollector("wl")
-	c.Add("records", 10)
-	c.Add("records", 5)
-	c.Add("bytes", 100)
+	c.CounterRef("records").Add(10)
+	c.CounterRef("records").Add(5)
+	c.CounterRef("bytes").Add(100)
 	c.SetElapsed(time.Second)
 	r := c.Snapshot()
 	if r.Counters["records"] != 15 {
@@ -58,8 +58,8 @@ func TestCollectorConcurrentSafety(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.ObserveLatency("op", time.Microsecond)
-				c.Add("n", 1)
+				c.Op("op").Observe(time.Microsecond)
+				c.CounterRef("n").Add(1)
 			}
 		}()
 	}
@@ -79,11 +79,11 @@ func TestMOPSFromArchitectureCounters(t *testing.T) {
 	// 1000 latency observations (user-perceivable family) but 4M abstract
 	// operations (architecture family).
 	for i := 0; i < 1000; i++ {
-		c.ObserveLatency("op", time.Microsecond)
+		c.Op("op").Observe(time.Microsecond)
 	}
-	c.Add("records", 3_000_000)
-	c.Add("bytes", 1_000_000)
-	c.Add("iterations", 500) // not an architecture counter
+	c.CounterRef("records").Add(3_000_000)
+	c.CounterRef("bytes").Add(1_000_000)
+	c.CounterRef("iterations").Add(500) // not an architecture counter
 	c.SetElapsed(2 * time.Second)
 	r := c.Snapshot()
 	if math.Abs(r.Throughput-500) > 1e-9 {
@@ -100,8 +100,8 @@ func TestMOPSFromArchitectureCounters(t *testing.T) {
 
 func TestMOPSZeroWithoutArchitectureCounters(t *testing.T) {
 	c := NewCollector("wl")
-	c.ObserveLatency("op", time.Microsecond)
-	c.Add("iterations", 8)
+	c.Op("op").Observe(time.Microsecond)
+	c.CounterRef("iterations").Add(8)
 	c.SetElapsed(time.Second)
 	r := c.Snapshot()
 	if r.Throughput <= 0 {
@@ -114,8 +114,8 @@ func TestMOPSZeroWithoutArchitectureCounters(t *testing.T) {
 
 func TestSnapshotSortsOps(t *testing.T) {
 	c := NewCollector("wl")
-	c.ObserveLatency("zeta", time.Millisecond)
-	c.ObserveLatency("alpha", time.Millisecond)
+	c.Op("zeta").Observe(time.Millisecond)
+	c.Op("alpha").Observe(time.Millisecond)
 	c.SetElapsed(time.Second)
 	r := c.Snapshot()
 	if r.Ops[0].Op != "alpha" || r.Ops[1].Op != "zeta" {

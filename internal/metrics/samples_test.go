@@ -17,7 +17,7 @@ import (
 
 func TestSamplingDisabledByDefault(t *testing.T) {
 	c := NewCollector("wl")
-	c.ObserveLatency("op", time.Millisecond)
+	c.Op("op").Observe(time.Millisecond)
 	c.SetElapsed(time.Second)
 	if r := c.Snapshot(); r.Samples != nil {
 		t.Fatalf("Samples captured without EnableSampling: %+v", r.Samples)
@@ -28,9 +28,9 @@ func TestSamplingCapturesAllPaths(t *testing.T) {
 	c := NewCollector("wl")
 	c.EnableSampling(64)
 
-	// Every way into the record path: collector convenience, collector
-	// handle, private shard, substrate shard, datagen.
-	c.ObserveLatency("read", time.Millisecond)
+	// Every way into the record path: collector handles (minted twice),
+	// private shard, substrate shard, datagen.
+	c.Op("read").Observe(time.Millisecond)
 	c.Op("read").Observe(2 * time.Millisecond)
 	c.Shard().Op("read").Observe(3 * time.Millisecond)
 	sub := c.SubstrateShard()

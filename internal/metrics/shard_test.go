@@ -35,10 +35,10 @@ func TestShardedWritersMatchSequentialBaseline(t *testing.T) {
 	wg.Wait()
 	for w := 0; w < workers; w++ {
 		for i := 0; i < perWorker; i++ {
-			baseline.ObserveLatency("op", time.Duration(i%100)*time.Microsecond)
-			baseline.ObserveLatency(fmt.Sprintf("op-%d", w%2), time.Microsecond)
-			baseline.Add("records", 1)
-			baseline.Add("bytes", 64)
+			baseline.Op("op").Observe(time.Duration(i%100) * time.Microsecond)
+			baseline.Op(fmt.Sprintf("op-%d", w%2)).Observe(time.Microsecond)
+			baseline.CounterRef("records").Add(1)
+			baseline.CounterRef("bytes").Add(64)
 		}
 	}
 	sharded.SetElapsed(time.Second)
@@ -122,7 +122,7 @@ func TestSnapshotRacesWithObserves(t *testing.T) {
 func TestSubstrateShardsExcludedFromThroughput(t *testing.T) {
 	c := NewCollector("wl")
 	for i := 0; i < 100; i++ {
-		c.ObserveLatency("read", time.Microsecond) // workload level
+		c.Op("read").Observe(time.Microsecond) // workload level
 	}
 	sub := c.SubstrateShard()
 	kvRead, read := sub.Op("kv_read"), sub.Op("read")

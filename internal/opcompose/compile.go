@@ -205,12 +205,12 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 		done += int64(len(r.obs))
 		digest = (digest ^ r.fp) * fnvPrime
 	}
-	c.Add("ops", done)
-	c.Add("records", int64(len(records)))
+	c.CounterRef("ops").Add(done)
+	c.CounterRef("records").Add(int64(len(records)))
 	// The digest is the cross-run equivalence witness: same (pattern,
 	// seed, scale) must yield the same value at any worker count, on any
 	// machine. Masked to keep the int64 counter non-negative.
-	c.Add("pattern_digest", int64(digest&(1<<62-1)))
+	c.CounterRef("pattern_digest").Add(int64(digest & (1<<62 - 1)))
 	return ctx.Err()
 }
 

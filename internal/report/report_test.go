@@ -70,7 +70,7 @@ func TestFormatSeries(t *testing.T) {
 
 func TestResultRows(t *testing.T) {
 	c := metrics.NewCollector("wl")
-	c.ObserveLatency("read", time.Millisecond)
+	c.Op("read").Observe(time.Millisecond)
 	c.SetElapsed(time.Second)
 	rows := ResultRows([]metrics.Result{c.Snapshot()})
 	if len(rows) != 1 || rows[0][0] != "wl" {
@@ -90,7 +90,7 @@ func TestResultRowsPreferWorkloadOpsOverSubstrate(t *testing.T) {
 	// op in the p50/p99 columns.
 	c := metrics.NewCollector("wl")
 	for i := 0; i < 10; i++ {
-		c.ObserveLatency("read", 4*time.Millisecond)
+		c.Op("read").Observe(4 * time.Millisecond)
 	}
 	echo := c.SubstrateShard().Op("db_execute")
 	for i := 0; i < 100; i++ {

@@ -67,20 +67,24 @@ func TestBuiltinsStopCleanlyOnCancel(t *testing.T) {
 	}
 }
 
-// TestMicroStopOnceInputIsBuilt: grep, wordcount, sort and terasort check
-// the context again between building their input and running the job, so a
-// cancel at their second check stops them cleanly too.
+// TestMicroStopOnceInputIsBuilt: the four micro built-ins and six others
+// check the context again between building their input and running their
+// stack, so a cancel at their second check stops them cleanly too.
 func TestMicroStopOnceInputIsBuilt(t *testing.T) {
+	names := map[string]bool{
+		"grep": true, "wordcount": true, "sort": true, "terasort": true,
+		"collaborative-filtering": true, "connected-components": true, "inverted-index": true,
+		"pagerank": true, "rolling-aggregate": true, "windowed-count": true,
+	}
 	ran := 0
 	for _, inner := range Default().Workloads() {
-		switch inner.Name() {
-		case "grep", "wordcount", "sort", "terasort":
+		if names[inner.Name()] {
 			ran++
 			t.Run(inner.Name(), func(t *testing.T) { stopsCleanlyOnCancel(t, inner, 2) })
 		}
 	}
-	if ran != 4 {
-		t.Fatalf("ran %d of the four micro built-ins", ran)
+	if ran != len(names) {
+		t.Fatalf("ran %d of the %d built-ins", ran, len(names))
 	}
 }
 

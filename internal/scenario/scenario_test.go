@@ -37,11 +37,11 @@ func (f fakeWorkload) Run(ctx context.Context, p workloads.Params, c *metrics.Co
 		return errors.New("boom")
 	}
 	for i := 0; i < 10*p.Scale; i++ {
-		c.ObserveLatency("op", time.Microsecond)
+		c.Op("op").Observe(time.Microsecond)
 	}
-	c.Add("records", int64(10*p.Scale))
-	c.Add("scale", int64(p.Scale))
-	c.Add("seed", int64(p.Seed))
+	c.CounterRef("records").Add(int64(10 * p.Scale))
+	c.CounterRef("scale").Add(int64(p.Scale))
+	c.CounterRef("seed").Add(int64(p.Seed))
 	return nil
 }
 

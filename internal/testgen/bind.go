@@ -105,7 +105,7 @@ func (w *boundTest) Run(ctx context.Context, params workloads.Params, c *metrics
 	if err != nil {
 		return fmt.Errorf("testgen: prescription %s on %s: %w", p.Name, w.cfg.Stack, err)
 	}
-	c.ObserveLatency("prescription", c.Now().Sub(t0))
-	c.Add("records", int64(len(out)))
+	c.Op("prescription").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(int64(len(out)))
 	return nil
 }

@@ -86,7 +86,7 @@ func RunOn(ctx context.Context, exec Executor, p Prescription, c *metrics.Collec
 	if err := exec.Load(main, second); err != nil {
 		return nil, err
 	}
-	c.ObserveLatency("load", c.Now().Sub(t0))
+	c.Op("load").Observe(c.Now().Sub(t0))
 
 	// Resolve every step's latency ref and the run counters once, before
 	// the (possibly iterated) step loop: the loop then records through

@@ -83,6 +83,9 @@ func (CollaborativeFiltering) Run(ctx context.Context, p workloads.Params, c *me
 	t0gen := c.Now()
 	ratings := GenerateRatings(g, users, items, 12)
 	c.RecordDatagen(c.Now().Sub(t0gen), int64(len(ratings)))
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 
 	t0 := c.Now()
 	// Build item vectors (user -> score) and norms.
@@ -128,8 +131,8 @@ func (CollaborativeFiltering) Run(ctx context.Context, p workloads.Params, c *me
 			}
 		}
 	}
-	c.ObserveLatency("similarity", c.Now().Sub(t0))
-	c.Add("records", int64(len(ratings)))
+	c.Op("similarity").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(int64(len(ratings)))
 
 	if same.Mean() <= cross.Mean()*1.5 {
 		return fmt.Errorf("collaborative-filtering: planted structure not recovered: same=%.4f cross=%.4f",
@@ -215,7 +218,7 @@ func (NaiveBayes) Run(ctx context.Context, p workloads.Params, c *metrics.Collec
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("train", c.Now().Sub(t0))
+	c.Op("train").Observe(c.Now().Sub(t0))
 
 	wordCounts := make([]map[string]float64, k)
 	classTotals := make([]float64, k)
@@ -273,10 +276,10 @@ func (NaiveBayes) Run(ctx context.Context, p workloads.Params, c *metrics.Collec
 			correct++
 		}
 	}
-	c.ObserveLatency("classify", c.Now().Sub(t1))
-	c.Add("records", int64(n))
+	c.Op("classify").Observe(c.Now().Sub(t1))
+	c.CounterRef("records").Add(int64(n))
 	accuracy := float64(correct) / float64(n-split)
-	c.Add("accuracy_pct", int64(accuracy*100))
+	c.CounterRef("accuracy_pct").Add(int64(accuracy * 100))
 
 	// The hidden topics are well separated; anything below 80% means the
 	// pipeline is broken (chance is 25%).

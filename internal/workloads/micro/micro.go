@@ -123,9 +123,9 @@ func (WordCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collect
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("job", c.Now().Sub(t0))
-	c.Add("records", int64(len(input)))
-	c.Add("shuffle_bytes", st.ShuffleBytes)
+	c.Op("job").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(int64(len(input)))
+	c.CounterRef("shuffle_bytes").Add(st.ShuffleBytes)
 	// Verify: total counted words == words emitted.
 	var total int64
 	for _, kv := range out {
@@ -192,9 +192,9 @@ func (Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("job", c.Now().Sub(t0))
-	c.Add("records", int64(len(input)))
-	c.Add("matches", int64(len(out)))
+	c.Op("job").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(int64(len(input)))
+	c.CounterRef("matches").Add(int64(len(out)))
 	for _, kv := range out {
 		if !strings.Contains(kv.Value, grepPattern) {
 			return fmt.Errorf("grep: non-matching line %q in output", kv.Value)
@@ -241,8 +241,8 @@ func (Sort) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("job", c.Now().Sub(t0))
-	c.Add("records", int64(len(input)))
+	c.Op("job").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(int64(len(input)))
 	if len(out) == 0 {
 		return fmt.Errorf("sort: empty output")
 	}
@@ -294,8 +294,8 @@ func (TeraSort) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("job", c.Now().Sub(t0))
-	c.Add("records", int64(len(input)))
+	c.Op("job").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(int64(len(input)))
 	if len(out) != len(input) {
 		return fmt.Errorf("terasort: %d records out, want %d", len(out), len(input))
 	}

@@ -68,7 +68,7 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 	if err := db.CreateIndex("assocs", "src"); err != nil {
 		return err
 	}
-	c.ObserveLatency("load", c.Now().Sub(t0))
+	c.Op("load").Observe(c.Now().Sub(t0))
 
 	ops := int64(p.Scale) * 2000
 	chooser := stats.ScrambledZipf{Count: graph.N, S: 1.2}
@@ -168,6 +168,6 @@ func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Coll
 			deleteRef.ObserveSince(t)
 		}
 	}
-	c.Add("records", ops)
+	c.CounterRef("records").Add(ops)
 	return nil
 }

@@ -149,7 +149,7 @@ func (w CoreWorkload) Run(ctx context.Context, p workloads.Params, c *metrics.Co
 	loadG := stats.NewRNG(p.Seed)
 	loadStart := c.Now()
 	w.Load(store, loadG, recordCount)
-	c.ObserveLatency("load", c.Now().Sub(loadStart))
+	c.Op("load").Observe(c.Now().Sub(loadStart))
 	// Instrument after the load so the store-level kv_* latencies describe
 	// the serving phase only (the load is already measured as "load").
 	store.Instrument(c)
@@ -191,8 +191,8 @@ func (w CoreWorkload) Run(ctx context.Context, p workloads.Params, c *metrics.Co
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c.Add("records", opCount)
-	c.Add("errors", atomic.LoadInt64(&run.errCount))
+	c.CounterRef("records").Add(opCount)
+	c.CounterRef("errors").Add(atomic.LoadInt64(&run.errCount))
 
 	// The insert cursor publishes an id only after the record is in the
 	// store, so no operation should ever observe a missing key. Any error

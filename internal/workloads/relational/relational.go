@@ -112,7 +112,7 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	if err := db.CreateIndex("orders", "customer_id"); err != nil {
 		return err
 	}
-	c.ObserveLatency("load", c.Now().Sub(t0))
+	c.Op("load").Observe(c.Now().Sub(t0))
 
 	// Selection: express orders in one region.
 	t1 := c.Now()
@@ -120,7 +120,7 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("select", c.Now().Sub(t1))
+	c.Op("select").Observe(c.Now().Sub(t1))
 	if sel.NumRows() != wantSel {
 		return fmt.Errorf("pavlo-dbms: selection %d rows, want %d", sel.NumRows(), wantSel)
 	}
@@ -134,7 +134,7 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("aggregate", c.Now().Sub(t2))
+	c.Op("aggregate").Observe(c.Now().Sub(t2))
 	if agg.NumRows() != 5 {
 		return fmt.Errorf("pavlo-dbms: aggregation %d groups, want 5 regions", agg.NumRows())
 	}
@@ -152,7 +152,7 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("join", c.Now().Sub(t3))
+	c.Op("join").Observe(c.Now().Sub(t3))
 	if join.NumRows() != wantJoin {
 		return fmt.Errorf("pavlo-dbms: join %d rows, want %d retail orders", join.NumRows(), wantJoin)
 	}
@@ -161,7 +161,7 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 			return fmt.Errorf("pavlo-dbms: join leak: %v", row)
 		}
 	}
-	c.Add("records", int64(orders.NumRows()))
+	c.CounterRef("records").Add(int64(orders.NumRows()))
 	return nil
 }
 
@@ -207,7 +207,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("select", c.Now().Sub(t1))
+	c.Op("select").Observe(c.Now().Sub(t1))
 	if len(sel) != wantSel {
 		return fmt.Errorf("pavlo-mapreduce: selection %d, want %d", len(sel), wantSel)
 	}
@@ -232,7 +232,7 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("aggregate", c.Now().Sub(t2))
+	c.Op("aggregate").Observe(c.Now().Sub(t2))
 	if len(agg) != 5 {
 		return fmt.Errorf("pavlo-mapreduce: aggregation %d groups, want 5", len(agg))
 	}
@@ -274,11 +274,11 @@ func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metr
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("join", c.Now().Sub(t3))
+	c.Op("join").Observe(c.Now().Sub(t3))
 	if len(joined) != wantJoin {
 		return fmt.Errorf("pavlo-mapreduce: join %d rows, want %d retail orders", len(joined), wantJoin)
 	}
-	c.Add("records", int64(orders.NumRows()))
+	c.CounterRef("records").Add(int64(orders.NumRows()))
 	return nil
 }
 
@@ -406,7 +406,7 @@ func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("dbms", c.Now().Sub(t0))
+	c.Op("dbms").Observe(c.Now().Sub(t0))
 	if agg.NumRows() == 0 {
 		return fmt.Errorf("url-count: empty aggregation")
 	}
@@ -432,7 +432,7 @@ func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("mapreduce", c.Now().Sub(t1))
+	c.Op("mapreduce").Observe(c.Now().Sub(t1))
 
 	mrCounts := map[string]int64{}
 	for _, kv := range counts {
@@ -444,6 +444,6 @@ func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 	if mrCounts[topPath] != topHits {
 		return fmt.Errorf("url-count: DBMS says %s=%d, MapReduce says %d", topPath, topHits, mrCounts[topPath])
 	}
-	c.Add("records", int64(len(logs)))
+	c.CounterRef("records").Add(int64(len(logs)))
 	return nil
 }

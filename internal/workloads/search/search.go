@@ -53,6 +53,9 @@ func (InvertedIndex) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 	for i, d := range docs {
 		input[i] = mapreduce.KV{Key: strconv.Itoa(i), Value: strings.Join(d, " ")}
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	eng := mapreduce.New(p.Workers).Instrument(c)
 	job := mapreduce.Job{
 		Name: "inverted-index",
@@ -80,9 +83,9 @@ func (InvertedIndex) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("build", c.Now().Sub(t0))
-	c.Add("records", int64(len(input)))
-	c.Add("terms", int64(len(out)))
+	c.Op("build").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(int64(len(input)))
+	c.CounterRef("terms").Add(int64(len(out)))
 
 	// Verify a handful of postings against a direct scan.
 	index := make(map[string]string, len(out))
@@ -139,16 +142,19 @@ func (PageRank) Run(ctx context.Context, p workloads.Params, c *metrics.Collecto
 	t0gen := c.Now()
 	g := graphgen.DefaultRMAT.GenerateParallel(p.Seed, scale, p.DatagenWorkers)
 	c.RecordDatagen(c.Now().Sub(t0gen), int64(g.NumEdges()))
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	eng := graphengine.New(p.Workers).Instrument(c)
 	t0 := c.Now()
 	res, err := eng.Run(g, graphengine.PageRank{}, 20)
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("run", c.Now().Sub(t0))
-	c.Add("records", g.N)
-	c.Add("messages", res.MessagesSent)
-	c.Add("supersteps", int64(res.Supersteps))
+	c.Op("run").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(g.N)
+	c.CounterRef("messages").Add(res.MessagesSent)
+	c.CounterRef("supersteps").Add(int64(res.Supersteps))
 	return checkRanks(g, res.Values)
 }
 

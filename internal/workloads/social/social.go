@@ -168,9 +168,9 @@ func (KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collector)
 			centroids[ci] = pt
 		}
 	}
-	c.ObserveLatency("cluster", c.Now().Sub(t0))
-	c.Add("records", int64(len(points)))
-	c.Add("iterations", int64(iters))
+	c.Op("cluster").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(int64(len(points)))
+	c.CounterRef("iterations").Add(int64(iters))
 
 	// Verify: every true center has a learned centroid within 3 units
 	// (clusters are separated by 20).
@@ -218,6 +218,9 @@ func (ConnectedComponents) Run(ctx context.Context, p workloads.Params, c *metri
 	t0gen := c.Now()
 	g := graphgen.BarabasiAlbert{M: 2}.Generate(stats.NewRNG(p.Seed), scale)
 	c.RecordDatagen(c.Now().Sub(t0gen), int64(g.NumEdges()))
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	und := graphengine.Undirected(g)
 	eng := graphengine.New(p.Workers).Instrument(c)
 	t0 := c.Now()
@@ -225,9 +228,9 @@ func (ConnectedComponents) Run(ctx context.Context, p workloads.Params, c *metri
 	if err != nil {
 		return err
 	}
-	c.ObserveLatency("run", c.Now().Sub(t0))
-	c.Add("records", und.N)
-	c.Add("messages", res.MessagesSent)
+	c.Op("run").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(und.N)
+	c.CounterRef("messages").Add(res.MessagesSent)
 
 	labels := map[float64]bool{}
 	for _, v := range res.Values {
@@ -237,6 +240,6 @@ func (ConnectedComponents) Run(ctx context.Context, p workloads.Params, c *metri
 	if len(labels) != wantCount {
 		return fmt.Errorf("connected-components: engine found %d components, union-find %d", len(labels), wantCount)
 	}
-	c.Add("components", int64(len(labels)))
+	c.CounterRef("components").Add(int64(len(labels)))
 	return nil
 }

@@ -55,12 +55,15 @@ func (WindowedCount) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 	// The stable sort is deterministic, preserving seed-determinism.
 	slices.SortStableFunc(events, func(a, b streamgen.Event) int { return cmp.Compare(a.Offset, b.Offset) })
 	c.RecordDatagen(c.Now().Sub(t0gen), n)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	eng := streaming.New(1024).Instrument(c)
 	t0 := c.Now()
 	res := eng.Run(events, streaming.TumblingWindow{Size: 100 * time.Millisecond})
-	c.ObserveLatency("pipeline", c.Now().Sub(t0))
-	c.Add("records", n)
-	c.Add("windows_emitted", int64(len(res.Out)))
+	c.Op("pipeline").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(n)
+	c.CounterRef("windows_emitted").Add(int64(len(res.Out)))
 
 	total := 0.0
 	for _, m := range res.Out {
@@ -73,7 +76,7 @@ func (WindowedCount) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 	// pipeline to be sustainable; record the ratio as a counter (x1000).
 	span := events[len(events)-1].Offset.Seconds()
 	arrivalRate := float64(n) / span
-	c.Add("sustainable_x1000", int64(res.Rate/arrivalRate*1000))
+	c.CounterRef("sustainable_x1000").Add(int64(res.Rate / arrivalRate * 1000))
 	return nil
 }
 
@@ -106,6 +109,9 @@ func (RollingAggregate) Run(ctx context.Context, p workloads.Params, c *metrics.
 	t0gen := c.Now()
 	events := gen.GenerateParallel(p.Seed, n, p.DatagenWorkers)
 	c.RecordDatagen(c.Now().Sub(t0gen), n)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	eng := streaming.New(1024).Instrument(c)
 	t0 := c.Now()
 	res := eng.Run(events,
@@ -115,9 +121,9 @@ func (RollingAggregate) Run(ctx context.Context, p workloads.Params, c *metrics.
 		}},
 		streaming.SlidingWindow{Size: 400 * time.Millisecond, Slide: 100 * time.Millisecond, Agg: streaming.AggSum},
 	)
-	c.ObserveLatency("pipeline", c.Now().Sub(t0))
-	c.Add("records", n)
-	c.Add("emissions", int64(len(res.Out)))
+	c.Op("pipeline").Observe(c.Now().Sub(t0))
+	c.CounterRef("records").Add(n)
+	c.CounterRef("emissions").Add(int64(len(res.Out)))
 	if len(res.Out) == 0 {
 		return fmt.Errorf("rolling-aggregate: no emissions")
 	}
