@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"math/bits"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/bdbench/bdbench/internal/raceflag"
 )
@@ -180,7 +182,7 @@ func TestSampleBufGrowthSteps(t *testing.T) {
 	for _, n := range []int{1, 64, 65, 1000, 4032, 4033, DefaultSampleCapacity + 7} {
 		var b *sampleBuf
 		allocs := testing.AllocsPerRun(1, func() {
-			b = newSampleBuf(st, nil)
+			b = new(sampleBuf).init(st, nil)
 			for i := 0; i < n; i++ {
 				b.record(time.Microsecond)
 			}
@@ -196,5 +198,72 @@ func TestSampleBufGrowthSteps(t *testing.T) {
 		if allocs > float64(2*want) && !raceflag.Enabled {
 			t.Errorf("%d observations: %.0f allocations for %d segments, want at most two each", n, allocs, want)
 		}
+	}
+}
+
+// TestFirstObservationCost: a cell's first observation allocates its state
+// once — the histogram with its inline page, at most 1 KiB — and, with
+// capture on, the buffer header inside that same object and the first
+// segment beside it.
+func TestFirstObservationCost(t *testing.T) {
+	const capture = unsafe.Sizeof(sampleBuf{}) + firstSegment*unsafe.Sizeof(slot{})
+	for _, sampled := range []bool{false, true} {
+		c := NewCollector("wl")
+		if sampled {
+			c.EnableSampling(0)
+		}
+		op := c.Op("op")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op.Observe(141300 * time.Microsecond)
+		runtime.ReadMemStats(&after)
+		if raceflag.Enabled {
+			continue // the detector's own bookkeeping shows up in the counts
+		}
+		objs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		wantObjs, limit := uint64(1), uint64(1024)
+		if sampled {
+			// Size classes round an object up by at most an eighth.
+			wantObjs, limit = 2, limit+uint64(capture)*9/8
+		}
+		if objs != wantObjs || bytes > limit {
+			t.Errorf("sampling %v: the first observation allocated %d objects, %d bytes; want %d, at most %d",
+				sampled, objs, bytes, wantObjs, limit)
+		}
+	}
+}
+
+// TestOpRefPagesAllocateOnFirstUse: a cell that observed k ranges (page 0 is
+// [0, 32) ns, page k ≥ 1 the power of two [2^(k+4), 2^(k+5))) has paid for
+// its state and k−1 pages — one allocation per range after the first, the
+// first being the highest, so the inline page is not tied to page 0 — and
+// observing again inside them allocates nothing.
+func TestOpRefPagesAllocateOnFirstUse(t *testing.T) {
+	const pages = 38
+	pageValue := func(k int) time.Duration {
+		if k == 0 {
+			return 0
+		}
+		return time.Duration(1) << (k + 4)
+	}
+	for _, k := range []int{1, 2, 5, pages} {
+		var c *opCell
+		allocs := testing.AllocsPerRun(1, func() {
+			c = &opCell{}
+			for p := k - 1; p >= 0; p-- {
+				c.observe(pageValue(p))
+			}
+		})
+		if !raceflag.Enabled && allocs != float64(k+1) {
+			t.Errorf("%d ranges: %.0f allocations, want the cell, its state and %d pages", k, allocs, k-1)
+		}
+		if n := c.state.Load().hist.Snapshot().Count(); n != uint64(k) {
+			t.Fatalf("%d ranges: %d observations recorded", k, n)
+		}
+		assertZeroAllocs(t, "opCell.observe (inside installed pages)", func() {
+			for p := 0; p < k; p++ {
+				c.observe(pageValue(p) + 1)
+			}
+		})
 	}
 }

@@ -9,9 +9,10 @@
 // meant to observe: a Collector is a set of Shards merged only at Snapshot
 // time, every worker goroutine of a parallel stack can mint a private shard
 // (Collector.Shard, SubstrateShard), and recording into a shard is lock-free
-// — atomic counter cells and atomic fixed-bucket latency histograms
-// (stats.AtomicLatencyHistogram), with a mutex taken only when a new label's
-// handle is minted.
+// — atomic counter cells and atomic latency histograms
+// (stats.AtomicLatencyHistogram) whose pages exist once a value reaches
+// them, with a mutex taken only when a new label's handle is minted or a
+// histogram's page is first used.
 //
 // There is one write path: Collector → Shard → OpRef/CounterRef. Every
 // observation goes through a handle. A phase-level measurement mints one on

@@ -31,6 +31,23 @@ func TestCollectorLatencyAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSingleLoadReportsItsDuration is the regression test for the bucket
+// start being reported: a single 141.3 ms load read P50 139.3 ms. A label
+// observed once must report that observation, within 1/64, at every
+// quantile.
+func TestSingleLoadReportsItsDuration(t *testing.T) {
+	const load = 141300 * time.Microsecond
+	c := NewCollector("wl")
+	c.Op("load").Observe(load)
+	c.SetElapsed(time.Second)
+	st := c.Snapshot().Ops[0]
+	for _, q := range []time.Duration{st.P50, st.P95, st.P99, st.Max} {
+		if q < load-load/64 || q > load+load/64 {
+			t.Fatalf("a single %v load reports P50 %v, P95 %v, P99 %v, max %v", load, st.P50, st.P95, st.P99, st.Max)
+		}
+	}
+}
+
 func TestCollectorCounters(t *testing.T) {
 	c := NewCollector("wl")
 	c.CounterRef("records").Add(10)

@@ -69,8 +69,9 @@ type sampleBuf struct {
 	first []slot     // segment 0, so an observed cell costs one slot array and no box
 }
 
-func newSampleBuf(st *samplingState, col *Collector) *sampleBuf {
-	b := &sampleBuf{st: st, col: col, limit: uint64(st.capacity)}
+// init readies b with its first segment, and returns it.
+func (b *sampleBuf) init(st *samplingState, col *Collector) *sampleBuf {
+	b.st, b.col, b.limit = st, col, uint64(st.capacity)
 	b.first = make([]slot, b.segmentLen(0))
 	b.segs[0].Store(&b.first)
 	return b

@@ -100,11 +100,20 @@ type opState struct {
 	buf  *sampleBuf
 }
 
-// observe is the record hot path: one atomic pointer load and a handful of
-// atomic adds, plus a slot claim and two atomic stores into the sample
-// buffer when capture is on. It allocates at the cell's first observation
-// (install) and at each of the buffer's few growth steps (sampleBuf.grow),
-// never between them (TestOpRefSampledZeroAlloc and
+// sampledState is a capturing cell's state: the buffer's header shares the
+// state's allocation.
+type sampledState struct {
+	opState
+	b sampleBuf
+}
+
+// observe is the record hot path: two atomic pointer loads (the state and
+// the histogram page) and a handful of atomic adds, plus a slot claim and
+// two atomic stores into the sample buffer when capture is on. It allocates
+// at the cell's first observation (install), at the first value to reach
+// each further histogram page (at most 37 over the cell's life) and at each
+// of the buffer's few growth steps (sampleBuf.grow), never between them
+// (TestOpRefSampledZeroAlloc, TestOpRefPagesAllocateOnFirstUse and
 // TestOpRefSampledZeroAllocBetweenGrowthSteps hold it to that; bdvet's
 // hotpath analyzer holds it statically).
 //
@@ -121,20 +130,25 @@ func (c *opCell) observe(d time.Duration) {
 }
 
 // install allocates the cell's recording state on its first observation:
-// the histogram and, when capturing, a sample buffer holding its first
-// segment (later segments are sampleBuf.grow's). Concurrent first observers
-// queue on the cell's mutex rather than racing a compare-and-swap: zeroing
-// a histogram takes far longer than an operation, so a racing design has
-// every loser allocate — and discard — a state of its own.
+// the histogram with its inline page, one object of about 0.6 kB, and, when
+// capturing, a sample buffer in the same object plus its first segment
+// (later pages are the histogram's, later segments sampleBuf.grow's).
+// Concurrent first observers queue on the cell's mutex rather than racing a
+// compare-and-swap that has every loser allocate — and discard — a state of
+// its own.
 func (c *opCell) install() *opState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if st := c.state.Load(); st != nil {
 		return st
 	}
-	st := &opState{}
-	if c.sampling != nil {
-		st.buf = newSampleBuf(c.sampling, c.col)
+	var st *opState
+	if c.sampling == nil {
+		st = &opState{}
+	} else {
+		s := &sampledState{}
+		s.buf = s.b.init(c.sampling, c.col)
+		st = &s.opState
 	}
 	c.state.Store(st)
 	return st

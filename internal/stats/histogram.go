@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -171,55 +172,49 @@ func AlignedProbabilities(f, g *FreqTable) (p, q []float64) {
 	return p, q
 }
 
-// LatencyHistogram records durations in exponentially sized buckets,
-// giving HDR-style constant relative error from microseconds to minutes with
-// a small fixed footprint. It is the backing store for the latency
-// percentiles bdbench reports as user-perceivable metrics.
+// LatencyHistogram records durations in an HDR layout at nanosecond
+// resolution: exact below 64 ns, then 32 sub-buckets per power of two up to
+// 2⁴² ns (73 minutes), so a reported quantile is within 1/64 of the
+// observation it stands for. It is the backing store for the latency
+// percentiles bdbench reports as user-perceivable metrics. The plain form
+// keeps every count in one dense array (9.7 kB), so Quantile and Merge are
+// straight loops; AtomicLatencyHistogram, which records, keeps the same
+// counts in pages it allocates as values reach them.
 type LatencyHistogram struct {
 	counts [buckets]uint64
 	total  uint64
 	sum    time.Duration
+	min    time.Duration
 	max    time.Duration
 }
 
-// 64 sub-buckets per power of two, from 1us granularity up to ~1.2 hours.
+// The layout. Buckets 0–63 hold one nanosecond each. From 2⁶ ns on, the
+// power of two [2^e, 2^(e+1)) is split into 32 buckets of width 2^(e−5);
+// the last power below the top is [2⁴¹, 2⁴²) ns, and anything above lands
+// in the last bucket. The buckets are stored in pages of 32 counts: page 0
+// is [0, 32) ns and page p ≥ 1 is one power of two, [2^(p+4), 2^(p+5)).
 const (
-	subBucketBits = 6
-	subBuckets    = 1 << subBucketBits
-	ranges        = 32
-	buckets       = ranges * subBuckets
+	subBucketBits = 5
+	subBuckets    = 1 << subBucketBits // buckets per power of two, and per page
+	topBits       = 42                 // values at or above 2⁴² ns share the last bucket
+	buckets       = (topBits - subBucketBits + 1) * subBuckets
+	pages         = buckets / subBuckets
 )
 
-// bucketIndex maps a duration in microseconds to a bucket.
-func bucketIndex(us uint64) int {
-	if us < subBuckets {
-		return int(us)
-	}
-	// Position of the highest bit beyond the sub-bucket resolution.
-	exp := 63 - subBucketBits
-	for us>>(uint(exp)+subBucketBits) == 0 {
-		exp--
-	}
-	// exp is now such that us >> exp is in [subBuckets, 2*subBuckets).
-	r := exp + 1
-	if r >= ranges {
-		r = ranges - 1
-	}
-	mantissa := us >> uint(r)
-	if mantissa >= subBuckets {
-		mantissa = subBuckets - 1
-	}
-	return r*subBuckets + int(mantissa)
+// bucketIndex maps a duration in nanoseconds to its bucket: below 2⁶ the
+// value itself, above it the power of two's sub-bucket.
+func bucketIndex(ns uint64) int {
+	s := max(bits.Len64(ns)-subBucketBits-1, 0)
+	return min(s<<subBucketBits+int(ns>>uint(s)), buckets-1)
 }
 
-// bucketValue returns a representative duration for bucket i (bucket start).
-func bucketValue(i int) time.Duration {
-	r := i / subBuckets
-	m := uint64(i % subBuckets)
-	if r == 0 {
-		return time.Duration(m) * time.Microsecond
-	}
-	return time.Duration(m<<uint(r)) * time.Microsecond
+// bucketMid is the value Quantile reports for bucket i: the middle of the
+// nanoseconds it holds, so it is off by at most half a bucket width — 1/64
+// of any value in the bucket.
+func bucketMid(i int) time.Duration {
+	s := max(i>>subBucketBits-1, 0)
+	lo := uint64(i-s<<subBucketBits) << uint(s)
+	return time.Duration(lo + (uint64(1)<<uint(s))/2)
 }
 
 // Count returns the number of recorded durations.
@@ -241,39 +236,38 @@ func (l *LatencyHistogram) Mean() time.Duration {
 // Max returns the largest recorded duration.
 func (l *LatencyHistogram) Max() time.Duration { return l.max }
 
-// Quantile returns the q-quantile (0..1) of recorded durations.
+// Quantile returns the q-quantile (0..1) of recorded durations: the middle
+// of the bucket holding the nearest-rank observation, clamped to the
+// observed [min, max], so a histogram of one value reports that value.
 func (l *LatencyHistogram) Quantile(q float64) time.Duration {
 	if l.total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(l.total)))
-	if target == 0 {
-		target = 1
-	}
+	q = min(max(q, 0), 1)
+	target := max(uint64(math.Ceil(q*float64(l.total))), 1)
 	var cum uint64
 	for i, c := range l.counts {
 		cum += c
 		if cum >= target {
-			return bucketValue(i)
+			return min(max(bucketMid(i), l.min), l.max)
 		}
 	}
 	return l.max
 }
 
-// Merge adds other's samples into l.
+// Merge adds other's samples into l. Count, sum, min and max combine
+// exactly, so a merge of shards equals one histogram of their union.
 func (l *LatencyHistogram) Merge(other *LatencyHistogram) {
+	if other.total == 0 {
+		return
+	}
 	for i, c := range other.counts {
 		l.counts[i] += c
 	}
+	if l.total == 0 || other.min < l.min {
+		l.min = other.min
+	}
 	l.total += other.total
 	l.sum += other.sum
-	if other.max > l.max {
-		l.max = other.max
-	}
+	l.max = max(l.max, other.max)
 }

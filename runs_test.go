@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -210,4 +211,49 @@ func TestReadRunRejectsGarbage(t *testing.T) {
 	if _, err := bdbench.ReadRun(filepath.Join(t.TempDir(), "missing.blob")); err == nil {
 		t.Fatal("missing file read cleanly")
 	}
+}
+
+// TestYCSBReadMedianIsResolved is the regression test for sub-microsecond
+// operations: ycsb-C's reads take about a microsecond, and with the latency
+// histogram truncating to the microsecond its `read` P50 read 0. The
+// reported P50 must be non-zero and within 1/64 of the exact median of the
+// same run's captured samples (nearest rank, as `compare` and the repo
+// benchmark read it), with the stream captured whole.
+func TestYCSBReadMedianIsResolved(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ycsb-c.blob")
+	sc := bdbench.Scenario{Name: "ycsb-c", Entries: []bdbench.Entry{{Workload: "ycsb-C"}}, Scale: 1, Seed: 2014}
+	out, err := bdbench.Run(context.Background(), sc, bdbench.WithRunOutput(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := bdbench.ReadRun(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reported time.Duration
+	for _, op := range out.Results[0].Result.Ops {
+		if op.Op == "read" && !op.Substrate {
+			reported = op.P50
+		}
+	}
+	for _, s := range run.Series {
+		if s.Op != "read" || s.Substrate {
+			continue
+		}
+		if s.Dropped != 0 || len(s.Samples) == 0 {
+			t.Fatalf("read stream not captured whole: %d samples, %d dropped", len(s.Samples), s.Dropped)
+		}
+		vals := make([]int64, len(s.Samples))
+		for i, smp := range s.Samples {
+			vals[i] = smp.Value
+		}
+		slices.Sort(vals)
+		exact := time.Duration(vals[(len(vals)+1)/2-1])
+		if reported <= 0 || reported < exact-exact/64 || reported > exact+exact/64 {
+			t.Fatalf("read P50 %v, exact median of %d samples %v: want non-zero and within 1/64",
+				reported, len(vals), exact)
+		}
+		return
+	}
+	t.Fatal("the artifact carries no read stream")
 }
