@@ -64,7 +64,7 @@ func (p *Pass) checkHotBody(body *ast.BlockStmt) {
 				p.Reportf(n.Pos(), "string concatenation allocates in hot path; pre-build the label at construction")
 			}
 		case *ast.GoStmt:
-			p.Reportf(n.Pos(), "go statement in hot path: spawning allocates a goroutine; park reusable workers instead")
+			p.Reportf(n.Pos(), "go statement in hot path: spawning allocates a goroutine; start goroutines outside the hot path, from a func value bound at construction")
 		case *ast.CallExpr:
 			p.checkHotCall(n)
 		}

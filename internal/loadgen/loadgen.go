@@ -117,10 +117,12 @@ type Stats struct {
 // runState is one open-loop run's dispatch machinery, hoisted out of Run
 // so that every per-operation cost is paid once at construction: the
 // schedule is materialized up front, the metric handles are pre-resolved
-// OpRefs, and workers are goroutines that range over one shared handoff
-// channel. The steady-state dispatch path — hand an offset to a parked
-// worker, execute, observe — performs zero heap allocations (asserted by
-// TestDispatchSteadyStateZeroAlloc).
+// OpRefs, and the worker body is a func value bound once. Workers claim
+// the arrivals the dispatcher releases by index straight from the
+// schedule: nothing is copied or sent on a channel, and no worker parks.
+// Neither the per-operation path — claim, execute, observe — nor starting
+// a worker allocates (TestDispatchSteadyStateZeroAlloc,
+// TestSaturatedRunAllocatesPerRunNotPerArrival).
 type runState struct {
 	ctx     context.Context
 	op      func(context.Context) error
@@ -133,14 +135,17 @@ type runState struct {
 	dispatched, skipped, errs atomic.Int64
 	endNs                     atomic.Int64 // latest completion, ns offset from t0
 
-	wg sync.WaitGroup
-	// ready carries intended-start offsets to workers. It is unbuffered: a
-	// send succeeds only by direct handoff to a parked worker, and the
-	// dispatcher spawns a new worker exactly when no idle one exists — peak
-	// concurrency costs one goroutine each, steady state reuses them all.
-	// Concurrency is unbounded, the pure open-loop model: dispatch never
+	// sched[:released] are the arrivals the dispatcher has released and
+	// sched[:claimed] the ones workers have taken. idle counts the workers
+	// alive and not inside execOne. A worker is started only when none is
+	// idle, so concurrency is unbounded, the pure open-loop model: an
+	// arrival never waits behind a blocked operation, and dispatch never
 	// waits for capacity.
-	ready chan time.Duration
+	sched             []time.Duration
+	released, claimed atomic.Int64
+	idle              atomic.Int64
+	wg                sync.WaitGroup
+	work              func() // r.worker, bound once so that a start allocates no closure
 
 	mu   sync.Mutex // guards free
 	free *deadline  // the deadlines no operation runs under
@@ -149,7 +154,7 @@ type runState struct {
 // newRunState builds the dispatch machinery for one run. now is the clock
 // (t0 is read from it immediately); the three latency views are recorded
 // into a substrate shard of rec, or a shard of their own when rec is nil;
-// timeout is Options.Timeout.
+// timeout is Options.Timeout. The caller sets sched before releasing.
 func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, now func() time.Time, timeout time.Duration) *runState {
 	r := &runState{ctx: ctx, op: op, now: now, timeout: timeout}
 	shard := rec.SubstrateShard()
@@ -159,31 +164,68 @@ func newRunState(ctx context.Context, op func(context.Context) error, rec *metri
 	r.reqRef = shard.Op(OpRequest)
 	r.svcRef = shard.Op(OpService)
 	r.waitRef = shard.Op(OpWait)
-	r.ready = make(chan time.Duration)
+	r.work = r.worker
 	r.t0 = now()
 	return r
 }
 
-// dispatch hands one intended-start offset to a worker. It spawns a worker
-// only when none is parked on the handoff channel, so the op starts
-// immediately without a per-operation goroutine in steady state.
-func (r *runState) dispatch(off time.Duration) {
-	select {
-	case r.ready <- off: // direct handoff to an idle worker
-	default:
-		r.wg.Add(1)
-		go r.worker()
-		r.ready <- off
+// release makes the next arrival of the schedule claimable. It starts a
+// worker only when none is idle. The release comes before the check, and
+// an idle worker stops being idle before its last look (see worker); the
+// atomics are sequentially consistent, so either that worker sees the
+// arrival or release sees no idle worker.
+func (r *runState) release() {
+	r.released.Add(1)
+	if r.idle.Load() == 0 {
+		r.start()
 	}
 }
 
-// worker executes offsets until the schedule is exhausted.
+// start begins one worker, idle from the start.
+func (r *runState) start() {
+	r.idle.Add(1)
+	r.wg.Add(1)
+	go r.work()
+}
+
+// worker runs released arrivals until it finds none unclaimed. A claim
+// that leaves no worker idle while more arrivals wait starts one more, so
+// the next arrival never waits for this one's operation. A worker that
+// finds nothing to claim gives up being idle, then looks once more before
+// it exits.
 func (r *runState) worker() {
 	defer r.wg.Done()
-	for off := range r.ready {
-		r.execOne(off)
+	for {
+		i := r.claim()
+		if i < 0 {
+			r.idle.Add(-1)
+			if !r.pending() {
+				return
+			}
+			r.idle.Add(1)
+			continue
+		}
+		if r.idle.Add(-1) == 0 && r.pending() {
+			r.start()
+		}
+		r.execOne(r.sched[i])
+		r.idle.Add(1)
 	}
 }
+
+// claim takes the earliest released arrival no worker has taken, or
+// returns -1 when there is none.
+func (r *runState) claim() int64 {
+	for c := r.claimed.Load(); c < r.released.Load(); c = r.claimed.Load() {
+		if r.claimed.CompareAndSwap(c, c+1) {
+			return c
+		}
+	}
+	return -1
+}
+
+// pending reports whether a released arrival is still unclaimed.
+func (r *runState) pending() bool { return r.claimed.Load() < r.released.Load() }
 
 // execOne runs one operation, under a deadline when the run has a timeout,
 // and records its three latency views. This is the per-operation hot
@@ -262,11 +304,14 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 	}
 
 	r := newRunState(ctx, op, opts.Rec, now, opts.Timeout)
+	r.sched = sched
 
 	// The dispatcher walks the precomputed schedule on the clock. It reads
 	// nothing from completions — that independence is what makes the loop
 	// open. One pacing timer is reused across every sleep, so pacing
-	// produces no per-arrival garbage and honors cancellation.
+	// produces no per-arrival garbage and honors cancellation. Once the
+	// context is cancelled no further arrival is released, so the released
+	// ones stay a prefix of the schedule.
 	var timer *time.Timer
 	cancelled := false
 	for _, off := range sched {
@@ -282,9 +327,8 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 				timer = sleepContext(ctx, timer, wait)
 			}
 		}
-		r.dispatch(off)
+		r.release()
 	}
-	close(r.ready)
 	r.wg.Wait()
 	r.releaseDeadlines()
 
@@ -312,7 +356,7 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 // and a timer that cancels it with cause context.DeadlineExceeded. An
 // operation takes one from the run's free list and puts it back, so a run
 // builds as many as operations ran at once — not one per operation, nor
-// one per worker the dispatcher spawned. next links the free list.
+// one per worker the dispatcher started. next links the free list.
 type deadline struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc

@@ -290,6 +290,26 @@ func TestOrderByMultipleKeysAndLimit(t *testing.T) {
 	}
 }
 
+// TestLimitZeroReturnsNoRows: an explicit LIMIT 0 returns no rows but
+// keeps the result's columns, while a Query with no Limit returns every row.
+func TestLimitZeroReturnsNoRows(t *testing.T) {
+	db := loadUsers(t)
+	out, err := db.Query("SELECT id, age FROM users ORDER BY id LIMIT 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumRows() != 0 || len(out.Schema.Cols) != 2 {
+		t.Fatalf("LIMIT 0: %d rows, %d columns; want 0 rows, 2 columns", out.NumRows(), len(out.Schema.Cols))
+	}
+	all, err := db.Execute(Query{From: "users"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.NumRows() != 5 {
+		t.Fatalf("no limit: %d rows, want 5", all.NumRows())
+	}
+}
+
 func TestIndexEqualityLookup(t *testing.T) {
 	db := loadUsers(t)
 	if err := db.CreateIndex("users", "name"); err != nil {

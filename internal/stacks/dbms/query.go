@@ -73,8 +73,14 @@ type Query struct {
 	GroupBy []string
 	Aggs    []Agg
 	OrderBy []Order
-	Limit   int
+	// Limit caps the result at Limit rows when positive. Zero is no cap, so
+	// a Query without a limit returns every row; SQL's LIMIT 0 parses to
+	// NoRows.
+	Limit int
 }
+
+// NoRows is the Limit of a query that returns no rows, as LIMIT 0 does.
+const NoRows = -1
 
 // Execute runs a query and returns a result table.
 func (db *DB) Execute(q Query) (*data.Table, error) {
@@ -146,7 +152,10 @@ func (db *DB) Execute(q Query) (*data.Table, error) {
 		}
 	}
 
-	if q.Limit > 0 && len(working) > q.Limit {
+	switch {
+	case q.Limit < 0:
+		working = working[:0]
+	case q.Limit > 0 && len(working) > q.Limit:
 		working = working[:q.Limit]
 	}
 

@@ -1,6 +1,7 @@
 package dbms
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -319,7 +320,7 @@ func (p *sqlParser) parse() (Query, error) {
 		if err != nil || n < 0 {
 			return q, fmt.Errorf("bad LIMIT %q", t.text)
 		}
-		q.Limit = n
+		q.Limit = cmp.Or(n, NoRows) // LIMIT 0 is no rows, not no limit
 	}
 
 	if t := p.peek(); t.kind != "end" {

@@ -560,6 +560,10 @@ func (e *MapReduceExecutor) Exec(step Step) error {
 		e.cur = next
 		return nil
 	case "count":
+		if len(input) == 0 { // a reduce over no keys emits nothing, not a count of 0
+			e.cur = []mapreduce.KV{{Key: "count", Value: "0"}}
+			return nil
+		}
 		job = mapreduce.Job{
 			Name: "count",
 			Map:  func(k, v string, emit func(k, v string)) { emit("count", "1") },

@@ -233,6 +233,36 @@ func TestAllExecutorsAgreeOnBuiltins(t *testing.T) {
 	}
 }
 
+// TestPortabilityRegressions runs minimal prescriptions on which a stack
+// once disagreed with the reference, and pins the reference's answer too.
+func TestPortabilityRegressions(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		steps []Step
+		want  Dataset
+	}{
+		// A mapreduce reduce over no keys emitted no count record at all.
+		{"count-of-nothing", []Step{{Op: "get", Arg: "nope"}, {Op: "count"}}, Dataset{{"count", "0"}}},
+		// dbms read SQL's LIMIT 0 as no limit and returned every row.
+		{"top-0", []Step{{Op: "top", Arg: "0"}}, Dataset{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kind := MultiPattern
+			if len(tc.steps) == 1 {
+				kind = SinglePattern
+			}
+			p := Prescription{Name: tc.name, Data: DataSpec{Source: "pairs", Size: 5, Seed: 1}, Kind: kind, Steps: tc.steps}
+			results, err := VerifyPortability(context.Background(), p, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := results["reference"]; !got.Equal(tc.want) {
+				t.Fatalf("reference gave %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestIterativePatternStops(t *testing.T) {
 	p := Prescription{
 		Name:    "iter",
