@@ -26,8 +26,8 @@ func BenchmarkSchedule(b *testing.B) {
 }
 
 // BenchmarkDispatchSteadyState measures the per-operation hot path in
-// isolation — execOne through its three pre-resolved OpRefs, without and
-// with a re-armed deadline, on a fixed clock so time-source cost is
+// isolation — exec through its three pre-resolved OpRefs, without and
+// with the re-armed deadline a worker holds, on a fixed clock so time-source cost is
 // excluded. This is the zero-allocation contract's loadgen half: the
 // allocs/op column must stay at 0 (TestDispatchSteadyStateZeroAlloc holds
 // it there).

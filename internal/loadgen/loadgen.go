@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,7 +123,9 @@ type Stats struct {
 // schedule: nothing is copied or sent on a channel, and no worker parks.
 // Neither the per-operation path — claim, execute, observe — nor starting
 // a worker allocates (TestDispatchSteadyStateZeroAlloc,
-// TestSaturatedRunAllocatesPerRunNotPerArrival).
+// TestSaturatedRunAllocatesPerRunNotPerArrival), and the per-operation
+// path takes no lock: the deadline free list's mutex is taken at a
+// worker's first timed operation and at its exit.
 type runState struct {
 	ctx     context.Context
 	op      func(context.Context) error
@@ -137,7 +140,7 @@ type runState struct {
 
 	// sched[:released] are the arrivals the dispatcher has released and
 	// sched[:claimed] the ones workers have taken. idle counts the workers
-	// alive and not inside execOne. A worker is started only when none is
+	// alive and not inside exec. A worker is started only when none is
 	// idle, so concurrency is unbounded, the pure open-loop model: an
 	// arrival never waits behind a blocked operation, and dispatch never
 	// waits for capacity.
@@ -148,7 +151,7 @@ type runState struct {
 	work              func() // r.worker, bound once so that a start allocates no closure
 
 	mu   sync.Mutex // guards free
-	free *deadline  // the deadlines no operation runs under
+	free *deadline  // the deadlines no worker holds
 }
 
 // newRunState builds the dispatch machinery for one run. now is the clock
@@ -193,22 +196,37 @@ func (r *runState) start() {
 // the next arrival never waits for this one's operation. A worker that
 // finds nothing to claim gives up being idle, then looks once more before
 // it exits.
+//
+// Under a timeout a worker holds one deadline from its first operation to
+// its exit, when it goes back on the run's free list; exec arms it for
+// each operation and disarms it after. The worker takes it while still
+// idle: one held up there, on the list's lock or parked by the
+// GC to assist for the deadline it builds, must not make the dispatcher
+// start another, which would build one too and could be held up the same
+// way (docs/PERFORMANCE.md, "No lock on the open-loop operation path").
 func (r *runState) worker() {
 	defer r.wg.Done()
+	var d *deadline
 	for {
 		i := r.claim()
 		if i < 0 {
 			r.idle.Add(-1)
 			if !r.pending() {
+				if d != nil {
+					r.freeDeadline(d)
+				}
 				return
 			}
 			r.idle.Add(1)
 			continue
 		}
+		if d == nil && r.timeout > 0 {
+			d = r.holdDeadline()
+		}
 		if r.idle.Add(-1) == 0 && r.pending() {
 			r.start()
 		}
-		r.execOne(r.sched[i])
+		d = r.exec(r.sched[i], d)
 		r.idle.Add(1)
 	}
 }
@@ -227,28 +245,32 @@ func (r *runState) claim() int64 {
 // pending reports whether a released arrival is still unclaimed.
 func (r *runState) pending() bool { return r.claimed.Load() < r.released.Load() }
 
-// execOne runs one operation, under a deadline when the run has a timeout,
-// and records its three latency views. This is the per-operation hot
-// path: zero allocations in steady state (TestDispatchSteadyStateZeroAlloc
-// at runtime, bdvet's hotpath analyzer statically).
+// exec runs one operation and records its three latency views. Under a
+// timeout the operation runs under d, the disarmed deadline the calling
+// worker holds (nil without a timeout), which exec alone arms: right
+// before the operation, so no delay of the worker's before that can spend
+// it. exec returns d disarmed for the worker's next operation, or nil when
+// its timer fired. This is the per-operation hot path: no allocation and
+// no lock (TestDispatchSteadyStateZeroAlloc at runtime, bdvet's hotpath
+// analyzer statically).
 //
 //bdbench:hotpath
-func (r *runState) execOne(offset time.Duration) {
+func (r *runState) exec(offset time.Duration, d *deadline) *deadline {
 	if r.ctx.Err() != nil {
 		r.skipped.Add(1)
-		return
+		return d
 	}
 	r.dispatched.Add(1)
 	intended := r.t0.Add(offset)
 	actual := r.now()
-	ctx, d := r.ctx, (*deadline)(nil)
-	if r.timeout > 0 {
-		d = r.takeDeadline()
+	ctx := r.ctx
+	if d != nil {
+		d.timer.Reset(r.timeout)
 		ctx = d.ctx
 	}
 	err := runIsolated(ctx, r.op)
-	if d != nil {
-		r.putDeadline(d)
+	if d != nil && !d.disarm() {
+		d = nil
 	}
 	end := r.now()
 
@@ -271,6 +293,7 @@ func (r *runState) execOne(offset time.Duration) {
 		}
 		break
 	}
+	return d
 }
 
 // Run offers the configured load to op: it materializes the arrival
@@ -353,10 +376,12 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 }
 
 // deadline bounds one operation at a time: a child of the run's context
-// and a timer that cancels it with cause context.DeadlineExceeded. An
-// operation takes one from the run's free list and puts it back, so a run
+// and a timer that cancels it with cause context.DeadlineExceeded. A worker
+// takes one from the run's free list at its first operation, holds it
+// across the operations it runs and puts it back when it exits, so a run
 // builds as many as operations ran at once — not one per operation, nor
-// one per worker the dispatcher started. next links the free list.
+// one per worker the dispatcher started. Its timer runs only inside exec;
+// off the list or on it, a deadline is disarmed. next links the free list.
 type deadline struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -364,11 +389,11 @@ type deadline struct {
 	next   *deadline
 }
 
-// takeDeadline returns a deadline armed for one operation: a free one
-// re-armed, or a new one when every one built so far is in use.
+// holdDeadline returns a disarmed deadline for a worker to hold: a free
+// one, or a new one when every one built so far is held.
 //
 //bdbench:hotpath
-func (r *runState) takeDeadline() *deadline {
+func (r *runState) holdDeadline() *deadline {
 	r.mu.Lock()
 	d := r.free
 	if d != nil {
@@ -378,28 +403,35 @@ func (r *runState) takeDeadline() *deadline {
 	if d == nil {
 		return r.newDeadline()
 	}
-	d.timer.Reset(r.timeout)
 	return d
 }
 
-// newDeadline builds a deadline, armed.
+// newDeadline builds a deadline, disarmed: its timer is set for a time it
+// never reaches and stopped at once.
 func (r *runState) newDeadline() *deadline {
 	ctx, cancel := context.WithCancelCause(r.ctx)
-	return &deadline{ctx: ctx, cancel: cancel,
-		timer: time.AfterFunc(r.timeout, func() { cancel(context.DeadlineExceeded) })}
+	timer := time.AfterFunc(math.MaxInt64, func() { cancel(context.DeadlineExceeded) })
+	timer.Stop()
+	return &deadline{ctx: ctx, cancel: cancel, timer: timer}
 }
 
-// putDeadline ends an operation's deadline. A timer that could not be
-// stopped fired or is firing: its context is spent, so it is cancelled
-// here, which detaches it from the run's context at once, and dropped. A
-// late fire therefore never reaches a later operation.
+// disarm ends an operation's deadline and reports whether d can bound
+// another. A timer that could not be stopped fired or is firing: its
+// context is spent, so it is cancelled here, which detaches it from the
+// run's context at once, and d must be dropped. A late fire therefore
+// never reaches a later operation.
 //
 //bdbench:hotpath
-func (r *runState) putDeadline(d *deadline) {
-	if !d.timer.Stop() {
-		d.cancel(context.DeadlineExceeded)
-		return
+func (d *deadline) disarm() bool {
+	if d.timer.Stop() {
+		return true
 	}
+	d.cancel(context.DeadlineExceeded)
+	return false
+}
+
+// freeDeadline puts a disarmed deadline back on the free list.
+func (r *runState) freeDeadline(d *deadline) {
 	r.mu.Lock()
 	d.next, r.free = r.free, d
 	r.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -333,61 +334,60 @@ func TestDispatchSteadyStateZeroAlloc(t *testing.T) {
 // and starting workers. A 2M/s schedule over 100ms has the dispatcher run
 // ahead of its workers, so it starts workers throughout the run; each
 // start must allocate nothing once the runtime holds goroutines to reuse,
-// so a run costs its fixed set-up, not objects per arrival. The count is
+// so a run costs its fixed set-up, not objects per arrival. Under a
+// timeout, as every benchmark spec sets, the deadlines a run builds are
+// part of that set-up: one per operation in flight at once. The count is
 // the least of up to three runs after the warm-up: the host can only add
-// to it (a worker stalled by another process while it installs a
-// histogram page makes the others queue on that page's lock, and each
-// queued worker is replaced), never take from it.
+// to it (a worker stalled by another process is not idle, so the
+// dispatcher starts another, which may need a deadline of its own), never
+// take from it.
 func TestSaturatedRunAllocatesPerRunNotPerArrival(t *testing.T) {
 	const arrivals, bound = 200000, 2000
-	measure := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		st, err := Run(context.Background(), Options{Rate: 2e6, Duration: 100 * time.Millisecond},
-			func(context.Context) error { return nil })
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if st.Scheduled != arrivals || st.Dispatched != st.Scheduled {
-			t.Fatalf("dispatched %d of %d, want %d of %d", st.Dispatched, st.Scheduled, arrivals, arrivals)
-		}
-		return after.Mallocs - before.Mallocs
-	}
-	measure() // warm-up: the goroutines a saturated run needs exist afterwards
-	least := measure()
-	if raceflag.Enabled {
-		t.Skipf("allocation counts not asserted under -race (measured %d)", least)
-	}
-	for i := 1; i < 3 && least >= bound; i++ {
-		least = min(least, measure())
-	}
-	if least >= bound {
-		t.Errorf("a saturated run of %d arrivals made at least %d heap allocations, want fewer than %d", arrivals, least, bound)
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+	}{{"no-deadline", 0}, {"deadline", 2 * time.Minute}} {
+		t.Run(tc.name, func(t *testing.T) {
+			measure := func() uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				st, err := Run(context.Background(), Options{Rate: 2e6, Duration: 100 * time.Millisecond, Timeout: tc.timeout},
+					func(context.Context) error { return nil })
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if st.Scheduled != arrivals || st.Dispatched != st.Scheduled {
+					t.Fatalf("dispatched %d of %d, want %d of %d", st.Dispatched, st.Scheduled, arrivals, arrivals)
+				}
+				return after.Mallocs - before.Mallocs
+			}
+			measure() // warm-up: the goroutines a saturated run needs exist afterwards
+			least := measure()
+			if raceflag.Enabled {
+				t.Skipf("allocation counts not asserted under -race (measured %d)", least)
+			}
+			for i := 1; i < 3 && least >= bound; i++ {
+				least = min(least, measure())
+			}
+			if least >= bound {
+				t.Errorf("a saturated run of %d arrivals made at least %d heap allocations, want fewer than %d", arrivals, least, bound)
+			}
+		})
 	}
 }
 
 // TestBlockedOperationsDoNotHoldBackArrivals pins unbounded concurrency:
 // every operation blocks until all n of the schedule are in flight at
 // once, which happens only if no arrival waits for an earlier operation
-// to finish. An operation that waits 5s gives up with an error instead
-// of hanging the test.
+// to finish.
 func TestBlockedOperationsDoNotHoldBackArrivals(t *testing.T) {
 	for _, n := range []int{1, 2, 64, 500} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			const rate = 100000
 			var inFlight atomic.Int64
 			st, err := Run(context.Background(), Options{Rate: rate, Duration: time.Duration(n) * time.Second / rate},
-				func(context.Context) error {
-					inFlight.Add(1)
-					for give := time.Now().Add(5 * time.Second); inFlight.Load() < int64(n); {
-						if time.Now().After(give) {
-							return fmt.Errorf("%d of %d operations in flight after 5s", inFlight.Load(), n)
-						}
-						time.Sleep(50 * time.Microsecond)
-					}
-					return nil
-				})
+				func(context.Context) error { return awaitInFlight(&inFlight, n) })
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -396,6 +396,20 @@ func TestBlockedOperationsDoNotHoldBackArrivals(t *testing.T) {
 			}
 		})
 	}
+}
+
+// awaitInFlight counts one more operation in flight and waits until n
+// are. An operation that waits 5s gives up with an error instead of
+// hanging the test.
+func awaitInFlight(inFlight *atomic.Int64, n int) error {
+	inFlight.Add(1)
+	for give := time.Now().Add(5 * time.Second); inFlight.Load() < int64(n); {
+		if time.Now().After(give) {
+			return fmt.Errorf("%d of %d operations in flight after 5s", inFlight.Load(), n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return nil
 }
 
 // dispatchCases are the per-operation deadlines the steady-state dispatch
@@ -415,6 +429,151 @@ func steadyRunState(timeout time.Duration) *runState {
 		metrics.NewCollector("wl"), func() time.Time { return base }, timeout)
 	r.execOne(0)
 	return r
+}
+
+// execOne runs one operation as a run's only worker does: under the
+// deadline the worker holds when the run has a timeout, which exec arms
+// and disarms. Between calls the head of the free list stands for that
+// held deadline. The first call takes it, as a worker's first operation
+// does; from then on a call takes no lock, and a deadline whose timer
+// fired is dropped, as the worker drops it.
+func (r *runState) execOne(offset time.Duration) {
+	if r.timeout > 0 && r.free == nil {
+		r.freeDeadline(r.holdDeadline())
+	}
+	d := r.free
+	if r.exec(offset, d) == nil && d != nil {
+		r.free = d.next
+	}
+}
+
+// takeDeadline returns a deadline armed for one operation, as exec arms
+// the one a worker holds.
+func (r *runState) takeDeadline() *deadline {
+	d := r.holdDeadline()
+	d.timer.Reset(r.timeout)
+	return d
+}
+
+// putDeadline ends a deadline as exec and then the worker's exit do:
+// disarmed, then back on the free list unless its timer fired.
+func (r *runState) putDeadline(d *deadline) {
+	if d.disarm() {
+		r.freeDeadline(d)
+	}
+}
+
+// TestHeldDeadlineIsDisarmed: a worker may be held up for longer than the
+// timeout between taking its deadline and running an operation under it,
+// or between two operations: descheduled, or parked to assist the GC. The
+// deadline must not run down meanwhile. exec alone arms it, so every
+// operation under it starts with a live context and the worker keeps it.
+// Both a new deadline and one back from the free list are covered.
+func TestHeldDeadlineIsDisarmed(t *testing.T) {
+	const timeout = 25 * time.Millisecond
+	var stale atomic.Int64
+	r := newRunState(context.Background(), func(ctx context.Context) error {
+		if ctx.Err() != nil {
+			stale.Add(1)
+		}
+		return nil
+	}, nil, time.Now, timeout)
+	var first *deadline
+	for _, source := range []string{"new", "free list"} {
+		d := r.holdDeadline()
+		if source == "new" {
+			first = d
+		} else if d != first {
+			t.Fatal("a deadline put back on the free list was not taken again")
+		}
+		for i := range 2 {
+			time.Sleep(2 * timeout)
+			if d = r.exec(0, d); d == nil {
+				t.Fatalf("%s deadline, operation %d: the worker lost a deadline its operation did not overrun", source, i)
+			}
+			if n := stale.Load(); n != 0 {
+				t.Fatalf("%s deadline, operation %d: started with a cancelled context after the worker was held up past the timeout", source, i)
+			}
+		}
+		r.freeDeadline(d)
+	}
+	r.releaseDeadlines()
+}
+
+// TestWorkersReuseDeadlines pins how many deadlines a run under a timeout
+// builds: one per operation in flight at once. A worker keeps its deadline
+// across the operations it runs, and a worker started later takes the one
+// an exited worker put back. An operation's context identifies its
+// deadline.
+func TestWorkersReuseDeadlines(t *testing.T) {
+	t.Run("sequential", func(t *testing.T) {
+		// Each arrival is released once the worker of the one before has
+		// exited, so one operation is in flight at a time, and never two
+		// deadlines exist unless a worker failed to put its own back.
+		const n = 100
+		var done atomic.Int64
+		var ctxs []context.Context // appended by one operation at a time
+		r := newRunState(context.Background(), func(ctx context.Context) error {
+			ctxs = append(ctxs, ctx)
+			done.Add(1)
+			return nil
+		}, nil, time.Now, time.Minute)
+		r.sched = make([]time.Duration, n)
+		give := time.Now().Add(5 * time.Second)
+		for i := range n {
+			r.release()
+			for done.Load() <= int64(i) || !r.hasFree() {
+				if time.Now().After(give) {
+					t.Fatalf("operation %d: after 5s done %v, its worker's deadline back on the free list %v", i, done.Load() > int64(i), r.hasFree())
+				}
+				runtime.Gosched()
+			}
+		}
+		r.wg.Wait()
+		r.releaseDeadlines()
+		if distinct := countDistinct(ctxs); distinct != 1 {
+			t.Fatalf("%d sequential operations ran under %d deadlines, want 1", n, distinct)
+		}
+	})
+	for _, n := range []int{2, 64} {
+		t.Run(fmt.Sprintf("%d-in-flight", n), func(t *testing.T) {
+			// As in TestBlockedOperationsDoNotHoldBackArrivals: every
+			// operation waits until all n are in flight.
+			const rate = 100000
+			var inFlight atomic.Int64
+			var mu sync.Mutex
+			var ctxs []context.Context
+			st, err := Run(context.Background(), Options{Rate: rate, Duration: time.Duration(n) * time.Second / rate, Timeout: time.Minute},
+				func(ctx context.Context) error {
+					mu.Lock()
+					ctxs = append(ctxs, ctx)
+					mu.Unlock()
+					return awaitInFlight(&inFlight, n)
+				})
+			if err != nil || st.Dispatched != n || st.Errors != 0 {
+				t.Fatalf("Run: %v; dispatched %d errors %d, want %d and 0", err, st.Dispatched, st.Errors, n)
+			}
+			if distinct := countDistinct(ctxs); distinct != n {
+				t.Fatalf("%d operations in flight at once ran under %d deadlines, want %d", n, distinct, n)
+			}
+		})
+	}
+}
+
+// hasFree reports whether a deadline is on the run's free list.
+func (r *runState) hasFree() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.free != nil
+}
+
+// countDistinct counts the distinct contexts in ctxs.
+func countDistinct(ctxs []context.Context) int {
+	seen := map[context.Context]bool{}
+	for _, c := range ctxs {
+		seen[c] = true
+	}
+	return len(seen)
 }
 
 // TestOperationDeadline pins what an operation sees of Options.Timeout: one

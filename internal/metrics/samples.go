@@ -107,10 +107,13 @@ func (b *sampleBuf) record(d time.Duration) {
 }
 
 // grow installs segment k. Claimants that land in a missing segment queue on
-// the buffer's mutex, as first observers do in opCell.install, rather than
-// racing a compare-and-swap that has every loser allocate — and discard — a
-// segment of its own. The caller took its duration and its offset before it
-// got here, so time spent growing is never inside a recorded value.
+// the buffer's mutex, as first observers do in opCell.install. Unlike a
+// histogram page (AtomicLatencyHistogram.addPage, which races a
+// compare-and-swap), a segment is worth the lock: a losing racer would
+// allocate and discard a segment of up to several MB, and the segments
+// double, so grow runs only O(log n) times per buffer of n samples. The
+// caller took its duration and its offset before it got here, so time spent
+// growing is never inside a recorded value.
 func (b *sampleBuf) grow(k int) *[]slot {
 	b.mu.Lock()
 	defer b.mu.Unlock()

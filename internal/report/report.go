@@ -9,43 +9,67 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/bdbench/bdbench/internal/metrics"
 )
 
-// Table renders rows under headers with aligned columns.
+// Table renders rows under headers with aligned columns. A column is as
+// wide as its longest cell in bytes, and a cell is padded to that width in
+// runes, as fmt's %-*s pads: the bytes match that rendering, without
+// boxing every cell for fmt.
 func Table(headers []string, rows [][]string) string {
+	// A padded cell takes its column's width plus the bytes its runes take
+	// beyond one each; size sums those extra bytes.
 	widths := make([]int, len(headers))
+	size := 0
 	for i, h := range headers {
 		widths[i] = len(h)
+		size += len(h) - utf8.RuneCountInString(h)
 	}
 	for _, row := range rows {
 		for i, cell := range row {
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
 			}
+			size += len(cell) - utf8.RuneCountInString(cell)
 		}
 	}
+	line := 2 * len(headers) // the gaps between columns, and the newline
+	for _, w := range widths {
+		line += w
+	}
 	var b strings.Builder
+	b.Grow(size + line*(len(rows)+2))
 	writeRow := func(cells []string) {
 		for i, cell := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			b.WriteString(cell)
+			pad(&b, ' ', widths[i]-utf8.RuneCountInString(cell))
 		}
 		b.WriteByte('\n')
 	}
 	writeRow(headers)
-	sep := make([]string, len(headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for i, w := range widths {
+		if i > 0 {
+			b.WriteString("  ")
+		}
+		pad(&b, '-', w)
 	}
-	writeRow(sep)
+	b.WriteByte('\n')
 	for _, row := range rows {
 		writeRow(row)
 	}
 	return b.String()
+}
+
+// pad writes n copies of c, none when n ≤ 0.
+func pad(b *strings.Builder, c byte, n int) {
+	for ; n > 0; n-- {
+		b.WriteByte(c)
+	}
 }
 
 // Markdown renders rows as a GitHub-flavored markdown table.

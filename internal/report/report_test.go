@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,59 @@ func TestTableAlignment(t *testing.T) {
 		if len(l) < idx {
 			t.Fatalf("row too short: %q", l)
 		}
+	}
+}
+
+// TestTableMatchesFmtPadding pins Table's bytes to the fmt rendering it
+// replaced, %-*s per cell, whose width counts runes: with a multi-byte
+// cell ("µs") a byte-counted pad would shift the columns after it. Table
+// allocates its widths and its one output buffer, not an object per cell.
+func TestTableMatchesFmtPadding(t *testing.T) {
+	viaFmt := func(headers []string, rows [][]string) string {
+		widths := make([]int, len(headers))
+		for i, h := range headers {
+			widths[i] = len(h)
+		}
+		for _, row := range rows {
+			for i, cell := range row {
+				widths[i] = max(widths[i], len(cell))
+			}
+		}
+		var b strings.Builder
+		for _, cells := range append([][]string{headers, nil}, rows...) {
+			if cells == nil {
+				for _, w := range widths {
+					cells = append(cells, strings.Repeat("-", w))
+				}
+			}
+			for i, cell := range cells {
+				if i > 0 {
+					b.WriteString("  ")
+				}
+				fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	for _, tc := range []struct {
+		name    string
+		headers []string
+		rows    [][]string
+	}{
+		{"ascii", []string{"name", "value", "n"}, [][]string{{"short", "1", "3"}, {"a-much-longer-name", "22222", ""}}},
+		{"multi-byte", []string{"op", "p50", "p99"}, [][]string{{"read", "1.2µs", "35µs"}, {"scan", "850µs", "1.1ms"}, {"Ünïcödé", "ß", "—"}}},
+		{"short row", []string{"a", "b"}, [][]string{{"x"}, {}}},
+		{"no rows", []string{"only", "headers"}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, want := Table(tc.headers, tc.rows), viaFmt(tc.headers, tc.rows); got != want {
+				t.Fatalf("Table:\n%q\nfmt:\n%q", got, want)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { Table(tc.headers, tc.rows) }); allocs > 2 {
+				t.Errorf("Table: %.0f allocs, want at most 2 (the widths and the output)", allocs)
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -14,15 +13,15 @@ import (
 // pays for the ranges it touches: a page of counts exists once a value
 // lands in it. The first page needed is the inline one, so a histogram that
 // saw one range is one object of about 0.6 kB; each further page is
-// allocated by the first value to reach it, at most pages−1 times ever.
+// allocated by the first value to reach it, and only writers that race that
+// value there allocate one they then drop (see addPage).
 type AtomicLatencyHistogram struct {
 	dir    [pages]atomic.Pointer[page]
 	inline page
 	sumNs  atomic.Int64
 	maxNs  atomic.Int64
 	minGap atomic.Int64 // math.MaxInt64 − min, so zero means none and min rises like max
-	mu     sync.Mutex   // serializes page installs only
-	used   bool         // the inline page is in the directory; guarded by mu
+	used   atomic.Bool  // the inline page is claimed by a writer or in the directory
 }
 
 // page is 32 consecutive buckets.
@@ -55,21 +54,23 @@ func raise(v *atomic.Int64, x int64) {
 }
 
 // addPage installs page k for the first value to reach it: the inline page
-// if still free, else a new one. Writers queue on the mutex rather than
-// race a compare-and-swap that has every loser allocate a page to discard.
+// if no writer has claimed it, else a new one. Writers race a
+// compare-and-swap on the directory entry, so none waits on another that
+// is descheduled mid-install. A loser drops its new page, or gives the
+// inline page back, and takes the winner's: at most one 256 B page lost per
+// racing writer, and only while page k is first reached.
 func (l *AtomicLatencyHistogram) addPage(k int) *page {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if p := l.dir[k].Load(); p != nil {
-		return p
-	}
 	p := &l.inline
-	if l.used {
+	if !l.used.CompareAndSwap(false, true) {
 		p = new(page)
 	}
-	l.used = true
-	l.dir[k].Store(p)
-	return p
+	if l.dir[k].CompareAndSwap(nil, p) {
+		return p
+	}
+	if p == &l.inline {
+		l.used.Store(false)
+	}
+	return l.dir[k].Load()
 }
 
 // Snapshot folds the atomic cells into a plain LatencyHistogram, skipping

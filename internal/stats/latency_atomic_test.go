@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -127,6 +128,67 @@ func TestAtomicLatencySnapshotDuringWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAtomicLatencyConcurrentFirstWriters races GOMAXPROCS×4 writers into
+// fresh histograms. Every writer walks the pages in the same order, so the
+// ones running at once reach each page together and race its install. No
+// observation may be lost to a page a losing writer dropped. The inline
+// page may be in the directory at most once, and it is claimed exactly
+// when it is there: a loser that claimed it gives it back, so a later page
+// can take it. (It can stay out of the directory for good when its
+// claimant loses after every other page is installed; under -race that
+// happens about once in a few thousand histograms.)
+func TestAtomicLatencyConcurrentFirstWriters(t *testing.T) {
+	writers := 4 * runtime.GOMAXPROCS(0)
+	// pageValue is a value in page k, varied by writer within the page.
+	pageValue := func(k, w int) time.Duration {
+		if k == 0 {
+			return time.Duration(w % subBuckets)
+		}
+		return time.Duration(1<<(k+4) + w%subBuckets)
+	}
+	for w := range writers {
+		for k := range pages {
+			if got := bucketIndex(uint64(pageValue(k, w))) >> subBucketBits; got != k {
+				t.Fatalf("value %v lands in page %d, want %d", pageValue(k, w), got, k)
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		var h, want AtomicLatencyHistogram
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := range 2 * pages {
+					h.Observe(pageValue(i%pages, w))
+				}
+			}()
+			for i := range 2 * pages {
+				want.Observe(pageValue(i%pages, w))
+			}
+		}
+		close(start)
+		wg.Wait()
+		if got, exp := h.Snapshot(), want.Snapshot(); *got != *exp {
+			t.Fatalf("trial %d: concurrent first writers recorded count %d sum %v min %v max %v, want %d %v %v %v (or differ in a bucket)",
+				trial, got.Count(), got.sum, got.min, got.max, exp.Count(), exp.sum, exp.min, exp.max)
+		}
+		inline := 0
+		for k := range h.dir {
+			if h.dir[k].Load() == &h.inline {
+				inline++
+			}
+		}
+		if inline > 1 || h.used.Load() != (inline == 1) {
+			t.Fatalf("trial %d: the inline page is in the directory %d times and claimed %v; want at most once, and claimed exactly when there",
+				trial, inline, h.used.Load())
+		}
+	}
 }
 
 func TestAtomicLatencyNegativeClamped(t *testing.T) {
