@@ -12,6 +12,7 @@ import (
 	"github.com/bdbench/bdbench/datagen/streamgen"
 	"github.com/bdbench/bdbench/datagen/tablegen"
 	"github.com/bdbench/bdbench/datagen/veracity"
+	"github.com/bdbench/bdbench/internal/report"
 )
 
 // cmdExperiments runs the quantitative experiments E7-E13 and prints their
@@ -168,7 +169,7 @@ func expPavloComparison(scale int, sf *scenarioFlags) error {
 	find := func(r bdbench.Result, task string) string {
 		for _, op := range r.Ops {
 			if op.Op == task {
-				return op.Mean.Round(time.Microsecond).String()
+				return report.FormatLatency(op.Mean)
 			}
 		}
 		return "-"

@@ -1,5 +1,5 @@
 // Package datagen is the public facade over bdbench's 4V data-generation
-// substrate: rate control and measurement utilities here, plus one
+// substrate: rate measurement and the chunked-build utilities here, plus one
 // subpackage per source family (textgen, tablegen, graphgen, streamgen,
 // weblog, resume, media) and the §5.1 veracity metrics (veracity).
 //
@@ -25,13 +25,6 @@ type Zipf = stats.Zipf
 // ScrambledZipf is Zipf with the popularity ranking scrambled across the
 // key space (YCSB-style).
 type ScrambledZipf = stats.ScrambledZipf
-
-// TokenBucket paces generation to a target rate (§2.1 velocity control).
-type TokenBucket = datagen.TokenBucket
-
-// NewTokenBucket returns a bucket filling at rate tokens/s with the given
-// burst capacity.
-func NewTokenBucket(rate, burst float64) *TokenBucket { return datagen.NewTokenBucket(rate, burst) }
 
 // RateProbe measures an achieved generation rate.
 type RateProbe = datagen.RateProbe

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -34,13 +35,16 @@ func main() {
 
 	// ---- Velocity: generation rate, update frequency, processing speed.
 	fmt.Println("\nVELOCITY — three meanings (§2.1):")
-	bucket := datagen.NewTokenBucket(5000, 50)
-	probe := datagen.NewRateProbe()
-	for i := 0; i < 2500; i++ {
-		bucket.Take(1)
-		probe.Add(1)
+	paced := make(chan streamgen.Event)
+	go func() {
+		for range paced { // drain: Run closes the channel when it returns
+		}
+	}()
+	achieved, err := streamgen.Generator{EventsPerSec: 5000}.Run(context.Background(), datagen.NewRNG(1), 2500, paced)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("  generation rate: target 5000/s, achieved %.0f/s\n", probe.Rate())
+	fmt.Printf("  generation rate: target 5000/s, achieved %.0f/s\n", achieved)
 
 	gen := streamgen.Generator{EventsPerSec: 100000, Mix: streamgen.Mix{UpdateFraction: 0.25, DeleteFraction: 0.05}}
 	events := gen.Generate(datagen.NewRNG(2), 20000)

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/bdbench/bdbench/internal/engine"
 	"github.com/bdbench/bdbench/internal/opcompose"
@@ -202,6 +203,9 @@ func builtinSpec(t *testing.T, parallel int) (*scenario.Registry, scenario.Spec)
 		Corpus:      "weblog",
 		OpsPerScale: 400,
 		Ops:         []opcompose.OpWeight{{Op: "filter", Weight: 2}, {Op: "aggregate"}, {Op: "scan"}},
+		// At 1 op/s the paced half would sleep 200 s of wall time; under
+		// the frozen clock it sleeps none.
+		Phases: []opcompose.Phase{{Name: "burst"}, {Name: "paced", Rate: 1}},
 	}})
 	return reg, scenario.Spec{
 		Name:           "builtins",
@@ -216,10 +220,11 @@ func builtinSpec(t *testing.T, parallel int) (*scenario.Registry, scenario.Spec)
 
 // TestBuiltinsMatchAcrossAgentsAndParallelism extends the equivalence
 // contract from synthetic to real workloads: under a frozen run clock, every
-// built-in, a composed pattern and a bound prescription write the same blob
-// run twice locally and through 2 and 4 agents, and the same series at
-// Parallel 1. Every duration a workload or stack measures reads the
-// collector's clock, so the frozen clock reaches them on an agent too.
+// built-in, a composed pattern with a paced phase and a bound prescription
+// write the same blob run twice locally and through 2 and 4 agents, and the
+// same series at Parallel 1. Every duration a workload or stack measures
+// reads the collector's clock, so the frozen clock reaches them on an agent
+// too, and a paced phase sleeps no wall time under it.
 func TestBuiltinsMatchAcrossAgentsAndParallelism(t *testing.T) {
 	dir := t.TempDir()
 	blob := func(name string, run func(path string) (*scenario.Outcome, error)) []byte {
@@ -244,7 +249,11 @@ func TestBuiltinsMatchAcrossAgentsAndParallelism(t *testing.T) {
 			return scenario.Run(context.Background(), spec, localOptions(reg, path))
 		}
 	}
+	t0 := time.Now()
 	want := blob("local", local(spec))
+	if took := time.Since(t0); took > 100*time.Second {
+		t.Fatalf("a frozen-clock run took %v: the paced phase slept wall time", took)
+	}
 	run, err := runstore.Decode(want)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 // Package datagen holds the generation infrastructure shared by every data
 // generator in bdbench: deterministic parallel chunk execution (the paper's
 // "data generation can be paralleled and distributed to multiple machines,
-// thus supporting different data generation rates") and token-bucket rate
-// control (the paper's explicit generation-rate knob).
+// thus supporting different data generation rates") and the measurement of
+// an achieved generation rate (RateProbe). Pacing to a target rate is not
+// here: every paced operation sleeps with metrics.Collector.SleepUntil.
 //
 // Subpackages implement the concrete generators per data source: textgen,
 // tablegen, graphgen, streamgen, weblog, resume and media, with veracity
@@ -77,74 +78,6 @@ func runChunk(chunk int, g *stats.RNG, fn func(chunk int, g *stats.RNG) error) (
 		}
 	}()
 	return fn(chunk, g)
-}
-
-// TokenBucket is a classic token-bucket rate limiter used to pace data
-// generation and stream emission at a target rate.
-type TokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second; <= 0 means unlimited
-	burst  float64
-	tokens float64
-	last   time.Time
-	// now and sleep are injectable for tests.
-	now   func() time.Time
-	sleep func(time.Duration)
-}
-
-// NewTokenBucket returns a bucket refilling at rate tokens/second with the
-// given burst capacity (clamped to at least 1). A rate <= 0 disables
-// limiting.
-func NewTokenBucket(rate, burst float64) *TokenBucket {
-	if burst < 1 {
-		burst = 1
-	}
-	return &TokenBucket{
-		rate:   rate,
-		burst:  burst,
-		tokens: burst,
-		now:    time.Now, //bdvet:allow detnondet -- production default for the injected clock; tests override via SetClock
-		sleep:  time.Sleep,
-	}
-}
-
-// SetClock overrides the time source and sleeper; tests use a virtual clock.
-func (tb *TokenBucket) SetClock(now func() time.Time, sleep func(time.Duration)) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	tb.now = now
-	tb.sleep = sleep
-	tb.last = time.Time{}
-}
-
-// Take blocks until n tokens are available and consumes them. It returns the
-// time spent waiting.
-func (tb *TokenBucket) Take(n float64) time.Duration {
-	if tb.rate <= 0 {
-		return 0
-	}
-	tb.mu.Lock()
-	now := tb.now()
-	if tb.last.IsZero() {
-		tb.last = now
-	}
-	tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
-	}
-	tb.last = now
-	var wait time.Duration
-	if tb.tokens < n {
-		deficit := n - tb.tokens
-		wait = time.Duration(deficit / tb.rate * float64(time.Second))
-	}
-	tb.tokens -= n
-	sleep := tb.sleep
-	tb.mu.Unlock()
-	if wait > 0 {
-		sleep(wait)
-	}
-	return wait
 }
 
 // RateProbe measures achieved generation rate: call Add after producing

@@ -109,63 +109,6 @@ func TestParallelClampsWorkers(t *testing.T) {
 	}
 }
 
-// virtualClock advances only when slept on.
-type virtualClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *virtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *virtualClock) Sleep(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-func TestTokenBucketPacesToRate(t *testing.T) {
-	clock := &virtualClock{now: time.Unix(0, 0)}
-	tb := NewTokenBucket(100, 1) // 100 tokens/sec, burst 1
-	tb.SetClock(clock.Now, clock.Sleep)
-	start := clock.Now()
-	for i := 0; i < 200; i++ {
-		tb.Take(1)
-	}
-	elapsed := clock.Now().Sub(start)
-	// 200 tokens at 100/sec with burst 1 should take ~2 virtual seconds.
-	if elapsed < 1900*time.Millisecond || elapsed > 2100*time.Millisecond {
-		t.Fatalf("virtual elapsed %v, want ~2s", elapsed)
-	}
-}
-
-func TestTokenBucketBurst(t *testing.T) {
-	clock := &virtualClock{now: time.Unix(0, 0)}
-	tb := NewTokenBucket(10, 50)
-	tb.SetClock(clock.Now, clock.Sleep)
-	start := clock.Now()
-	for i := 0; i < 50; i++ {
-		tb.Take(1) // entire burst available immediately
-	}
-	if clock.Now().Sub(start) != 0 {
-		t.Fatal("burst tokens should not wait")
-	}
-	tb.Take(1)
-	if clock.Now().Sub(start) == 0 {
-		t.Fatal("post-burst token should wait")
-	}
-}
-
-func TestTokenBucketUnlimited(t *testing.T) {
-	tb := NewTokenBucket(0, 1)
-	if w := tb.Take(1000); w != 0 {
-		t.Fatalf("unlimited bucket waited %v", w)
-	}
-}
-
 func TestRateProbe(t *testing.T) {
 	p := NewRateProbe()
 	p.Add(10)

@@ -1,9 +1,10 @@
 // Package streamgen generates event streams. It operationalizes the
 // paper's three meanings of data velocity (§2.1): the *generation rate*
-// (token-bucket pacing toward a target events/second), the *updating
-// frequency* (the insert/update/delete mix of the emitted operations), and
-// the *processing speed* (streams carry virtual timestamps so a consumer's
-// sustainable rate can be measured against the arrival rate).
+// (Run sleeps each event to its intended time at a target events/second),
+// the *updating frequency* (the insert/update/delete mix of the emitted
+// operations), and the *processing speed* (streams carry virtual timestamps
+// so a consumer's sustainable rate can be measured against the arrival
+// rate).
 package streamgen
 
 import (
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen"
+	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -174,16 +176,23 @@ func (gen Generator) Generate(g *stats.RNG, n int64) []Event {
 	return out
 }
 
-// Run emits n events into out, paced at EventsPerSec by a token bucket
-// (unpaced if EventsPerSec <= 0). It stops early if ctx is cancelled and
-// always closes out. It returns the achieved rate in events/second.
+// Run emits n events into out, event i at its intended time
+// start + i/EventsPerSec on the wall clock (unpaced if EventsPerSec <= 0).
+// It returns as soon as ctx is cancelled and always closes out. It returns
+// the achieved rate in events/second.
 func (gen Generator) Run(ctx context.Context, g *stats.RNG, n int64, out chan<- Event) (float64, error) {
 	defer close(out)
-	bucket := datagen.NewTokenBucket(gen.EventsPerSec, gen.rate()/100+1)
+	var wall *metrics.Collector // a nil collector reads and sleeps on the wall clock
 	probe := datagen.NewRateProbe()
+	start := wall.Now()
 	var d drawn
 	for i := int64(0); i < n; i++ {
-		bucket.Take(1)
+		if gen.EventsPerSec > 0 {
+			due := start.Add(time.Duration(float64(i) / gen.EventsPerSec * float64(time.Second)))
+			if err := wall.SleepUntil(ctx, due); err != nil {
+				return probe.Rate(), err
+			}
+		}
 		d = gen.draw(g, d)
 		select {
 		case out <- d.event(i):

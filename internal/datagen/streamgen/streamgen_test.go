@@ -172,6 +172,29 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
+// TestRunCancelInterruptsPacing: at 2 events/s the second event is due
+// 500 ms in; a cancel 50 ms in returns within 50 ms, because the pacing
+// sleep is the context-aware one.
+func TestRunCancelInterruptsPacing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	out := make(chan Event)
+	errCh := make(chan error)
+	go func() {
+		_, err := Generator{EventsPerSec: 2}.Run(ctx, stats.NewRNG(8), 10, out)
+		errCh <- err
+	}()
+	<-out
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	cancelled := time.Now()
+	if err := <-errCh; err != context.Canceled {
+		t.Fatalf("cancelled run returned %v, want ctx.Err()", err)
+	}
+	if late := time.Since(cancelled); late > 50*time.Millisecond {
+		t.Fatalf("run returned %v after its cancel, want within 50ms", late)
+	}
+}
+
 func TestRunUnpaced(t *testing.T) {
 	gen := Generator{} // EventsPerSec 0 = max speed
 	out := make(chan Event, 10000)

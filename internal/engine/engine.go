@@ -69,8 +69,9 @@ type Config struct {
 	// Now, when set, is the run's one clock, set on every collector the
 	// engine builds: repetition and window timing, sample offsets and every
 	// duration a workload or stack measures read it. Equivalence tests freeze
-	// it; nil means time.Now. Open-loop pacing and loadgen's own latencies
-	// stay on the wall clock, which a frozen clock could not pace.
+	// it, and a paced pattern phase sleeps on it (not at all when frozen);
+	// nil means time.Now. Open-loop pacing and loadgen's own latencies stay
+	// on the wall clock, which a frozen clock could not pace.
 	Now func() time.Time
 }
 

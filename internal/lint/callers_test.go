@@ -26,8 +26,8 @@ const modulePath = "github.com/bdbench/bdbench"
 // "pkg.Name", methods as "pkg.Type.Method" — that no counting code refers to
 // and that stay anyway, each with the reason: an error or diagnostic path (a
 // String method only a fmt verb calls is here with the text that prints it),
-// a documented extension point, a clock seam tests inject, a reader kept as
-// its writer's round-trip oracle, or a name an open ROADMAP item calls for.
+// a documented extension point, a reader kept as its writer's round-trip
+// oracle, or a name an open ROADMAP item calls for.
 var callerless = map[string]string{
 	"internal/raceflag.Enabled":             "read by tests only: alloc assertions skip under -race",
 	"internal/lint.CheckFiles":              "the analysistest harness loads testdata packages through it",
@@ -35,7 +35,6 @@ var callerless = map[string]string{
 	"internal/data.Kind.String":             "diagnostic: the error texts of Schema.Validate and tablegen.BuildSpec print a column kind through %v",
 	"internal/scenario.Spec.String":         "diagnostic: Spec.Validate's negative-settings error texts print the normalized spec through %s",
 	"internal/opcompose.Register":           "extension point: bdbench.RegisterOperation adds a pattern operation through it",
-	"internal/datagen.TokenBucket.SetClock": "clock seam: the pacing tests inject a virtual clock and sleeper",
 	"internal/datagen/formats.ReadEdgeList": "round-trip oracle for WriteEdgeList: proves the writers' output parses back",
 	"internal/datagen/formats.ReadTable":    "round-trip oracle for WriteTable: proves CSV, TSV and JSONL parse back to the same cells",
 	"internal/datagen/weblog.Parse":         "round-trip oracle for Record.Format: proves a generated access-log line parses back to its record",

@@ -9,9 +9,10 @@
 // instead of silently slowing the request stream down — the classic
 // coordinated-omission error that closed-loop measurement cannot avoid.
 //
-// It generalizes the pacing primitive the data generators already use
-// (datagen.TokenBucket paces emission to one constant rate) into pluggable
-// stochastic arrival processes: constant, Poisson, bursty on/off and ramp.
+// Its arrival processes are pluggable and stochastic: constant, Poisson,
+// bursty on/off and ramp. The sleep to an arrival's intended time is the
+// module's one pacing sleep, metrics.SleepContext, which paced pattern
+// phases and streamgen.Generator.Run also sleep with.
 // Schedules are derived from the seed alone, so the same seed and rate
 // produce the same arrival times at any worker count.
 package loadgen

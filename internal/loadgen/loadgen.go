@@ -457,21 +457,7 @@ func runIsolated(ctx context.Context, op func(context.Context) error) (err error
 	return op(ctx)
 }
 
-// sleepContext pauses for d or until ctx is cancelled, whichever comes
-// first — a pacing sleep must never delay shutdown. The timer is reused
-// across calls (pass nil on the first, the return value thereafter), so a
-// high-rate dispatch loop produces no per-sleep timer garbage. Requires the
-// go1.23+ timer semantics go.mod declares: Reset without draining is safe.
+// sleepContext is metrics.SleepContext, the module's one pacing sleep.
 func sleepContext(ctx context.Context, timer *time.Timer, d time.Duration) *time.Timer {
-	if timer == nil {
-		timer = time.NewTimer(d)
-	} else {
-		timer.Reset(d)
-	}
-	select {
-	case <-timer.C:
-	case <-ctx.Done():
-		timer.Stop()
-	}
-	return timer
+	return metrics.SleepContext(ctx, timer, d)
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -218,6 +219,33 @@ func TestHandlesReadTheCollectorClock(t *testing.T) {
 	}
 	if new(Shard).Op("x").StartTimer().IsZero() || (*Collector)(nil).Now().IsZero() {
 		t.Fatal("a shard without a collector and a nil collector must read the wall clock")
+	}
+}
+
+// TestSleepUntilFollowsTheClock: on the wall clock (a nil collector's too)
+// SleepUntil sleeps to its time and a cancel cuts the sleep short; under an
+// injected clock it returns at once, since a wall sleep cannot advance it.
+func TestSleepUntilFollowsTheClock(t *testing.T) {
+	ctx := context.Background()
+	frozen := NewCollector("wl")
+	frozen.SetClock(steppingClock())
+	for _, c := range []*Collector{nil, NewCollector("wl"), frozen} {
+		t0 := time.Now()
+		if err := c.SleepUntil(ctx, c.Now().Add(20*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if slept := time.Since(t0); (c == frozen) != (slept < 20*time.Millisecond) {
+			t.Fatalf("injected clock %v: slept %v toward a time 20ms ahead", c == frozen, slept)
+		}
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	t0 := time.Now()
+	if err := (*Collector)(nil).SleepUntil(cancelled, time.Now().Add(time.Minute)); err != context.Canceled {
+		t.Fatalf("cancelled sleep returned %v, want ctx.Err()", err)
+	}
+	if slept := time.Since(t0); slept > time.Second {
+		t.Fatalf("cancelled sleep took %v", slept)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/datagen"
@@ -147,15 +148,12 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 			refs[i][j] = c.Op(ph.name + "/" + op.Name)
 		}
 	}
-	// One shared token bucket per paced phase: chunks running that phase's
-	// ops all drain it, so the phase's global rate holds at any worker
-	// count. Pacing shapes timing only — never outputs.
-	buckets := make([]*datagen.TokenBucket, len(w.phases))
-	for i, ph := range w.phases {
-		if ph.rate > 0 {
-			buckets[i] = datagen.NewTokenBucket(ph.rate, ph.rate/10+1)
-		}
-	}
+	// A paced phase starts when a chunk worker first reaches one of its
+	// operations, and its operation j (counted from its first, at stream
+	// index firsts[i]) is due j/rate later on the run's clock, so its rate
+	// holds at any worker count. Pacing shapes timing only — never outputs.
+	starts := make([]atomic.Pointer[time.Time], len(w.phases))
+	firsts := append([]int64{0}, bounds[:len(bounds)-1]...)
 
 	// Decorrelate the op stream from the corpus generator: both derive
 	// chunk RNGs from (seed, chunk index), so give the stream its own root.
@@ -180,10 +178,22 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 			if ph.alias != nil {
 				j = ph.alias.Sample(g)
 			}
-			if b := buckets[pi]; b != nil {
-				b.Take(1)
-			}
 			start := c.Now()
+			if ph.rate > 0 {
+				if starts[pi].Load() == nil {
+					first := start
+					starts[pi].CompareAndSwap(nil, &first)
+				}
+				// Latency runs from the intended time, so an op slower
+				// than the pace records the backlog it builds.
+				due := starts[pi].Load().Add(time.Duration(float64(idx-firsts[pi]) / ph.rate * float64(time.Second)))
+				if err := c.SleepUntil(ctx, due); err != nil {
+					return err
+				}
+				if start = c.Now(); due.Before(start) {
+					start = due
+				}
+			}
 			fp := ph.ops[j].Apply(octx)
 			res.obs = append(res.obs, obs{phase: int32(pi), op: int32(j), dur: c.Now().Sub(start)})
 			res.fp = (res.fp ^ fp) * fnvPrime

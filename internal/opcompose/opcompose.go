@@ -52,8 +52,9 @@ type Phase struct {
 	// Fraction is the share of the operation stream this phase covers, in
 	// (0, 1]. Zero-fraction phases split the remainder equally.
 	Fraction float64 `json:"fraction,omitempty"`
-	// Rate, when positive, paces this phase's operations through a shared
-	// token bucket at this many operations/second. Zero runs unpaced.
+	// Rate, when positive, paces this phase's operations at this many
+	// operations/second: each sleeps to its intended time on the run's
+	// clock, and its latency runs from that time. Zero runs unpaced.
 	Rate float64 `json:"rate,omitempty"`
 }
 

@@ -165,8 +165,8 @@ func ResultRows(results []metrics.Result) [][]string {
 			}
 		}
 		if dominant != nil {
-			p50 = dominant.P50.Round(time.Microsecond).String()
-			p99 = dominant.P99.Round(time.Microsecond).String()
+			p50 = FormatLatency(dominant.P50)
+			p99 = FormatLatency(dominant.P99)
 		}
 		rows = append(rows, []string{
 			r.Name,

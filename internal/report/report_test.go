@@ -166,6 +166,31 @@ func TestResultRowsPreferWorkloadOpsOverSubstrate(t *testing.T) {
 	}
 }
 
+// TestFormatLatency: a latency under a microsecond renders in nanoseconds;
+// from a microsecond up each cell keeps its former rounding.
+func TestFormatLatency(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, "0s"},
+		{450 * time.Nanosecond, "450ns"},
+		{1500 * time.Nanosecond, "2µs"},
+		{1234567 * time.Nanosecond, "1.23ms"},
+		{2345 * time.Millisecond, "2.35s"},
+	} {
+		if got := FormatLatency(tc.d); got != tc.want {
+			t.Errorf("FormatLatency(%d ns) = %q, want %q", tc.d.Nanoseconds(), got, tc.want)
+		}
+	}
+	c := metrics.NewCollector("wl")
+	c.Op("read").Observe(450 * time.Nanosecond)
+	c.SetElapsed(time.Second)
+	if row := ResultRows([]metrics.Result{c.Snapshot()})[0]; row[3] != "450ns" || row[4] != "450ns" {
+		t.Fatalf("a 450ns op renders p50 %q and p99 %q", row[3], row[4])
+	}
+}
+
 func TestJSON(t *testing.T) {
 	out, err := JSON(map[string]int{"a": 1})
 	if err != nil {

@@ -183,25 +183,28 @@ func LoadRows(o *scenario.Outcome) [][]string {
 			r.Workload, r.Load.Arrival,
 			fmt.Sprintf("%.0f/s", r.Load.Offered),
 			fmt.Sprintf("%.0f/s", r.Load.Achieved),
-			roundLatency(r.Load.Latency.P50),
-			roundLatency(r.Load.Latency.P95),
-			roundLatency(r.Load.Latency.P99),
-			roundLatency(r.Load.Latency.Max),
+			FormatLatency(r.Load.Latency.P50),
+			FormatLatency(r.Load.Latency.P95),
+			FormatLatency(r.Load.Latency.P99),
+			FormatLatency(r.Load.Latency.Max),
 			fmt.Sprintf("%d", r.Load.Errors),
 		})
 	}
 	return rows
 }
 
-// roundLatency renders a duration at a resolution fit for a table cell.
-func roundLatency(d time.Duration) string {
+// FormatLatency renders a latency at a resolution fit for a table cell,
+// down to whole microseconds and, below one microsecond, nanoseconds.
+func FormatLatency(d time.Duration) string {
 	switch {
 	case d >= time.Second:
 		return d.Round(10 * time.Millisecond).String()
 	case d >= time.Millisecond:
 		return d.Round(10 * time.Microsecond).String()
-	default:
+	case d >= time.Microsecond:
 		return d.Round(time.Microsecond).String()
+	default:
+		return d.String()
 	}
 }
 
@@ -230,9 +233,9 @@ func PhaseRows(o *scenario.Outcome) [][]string {
 			rows = append(rows, []string{
 				r.Workload, phase, name,
 				fmt.Sprintf("%d", op.Count),
-				roundLatency(op.Mean),
-				roundLatency(op.P95),
-				roundLatency(op.Max),
+				FormatLatency(op.Mean),
+				FormatLatency(op.P95),
+				FormatLatency(op.Max),
 			})
 		}
 	}

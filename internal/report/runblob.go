@@ -151,7 +151,7 @@ func comparisonTables(c *runstore.Comparison, render func([]string, [][]string) 
 				rows = append(rows, []string{
 					name,
 					fmt.Sprintf("p%g", q.Q*100),
-					roundLatency(time.Duration(q.A)), roundLatency(time.Duration(q.B)),
+					FormatLatency(time.Duration(q.A)), FormatLatency(time.Duration(q.B)),
 					ratioCell(q.Ratio), string(q.Verdict),
 				})
 				name = "" // repeat the stream name only on its first row
