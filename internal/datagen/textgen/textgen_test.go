@@ -1,10 +1,12 @@
 package textgen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
@@ -284,6 +286,21 @@ func TestDefaultDictionaryNoDuplicatesWithinGroups(t *testing.T) {
 			t.Fatalf("duplicate dictionary word %q", w)
 		}
 		seen[w] = true
+	}
+}
+
+// TestDefaultDictionaryIsOneAllocation: the flat copy is the groups in
+// order, built in one allocation.
+func TestDefaultDictionaryIsOneAllocation(t *testing.T) {
+	var want []string
+	for _, group := range baseWords {
+		want = append(want, group...)
+	}
+	if got := DefaultDictionary(); !slices.Equal(got, want) {
+		t.Fatalf("DefaultDictionary() = %q, want %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { DefaultDictionary() }); allocs > 1 && !raceflag.Enabled {
+		t.Errorf("DefaultDictionary: %.0f allocations, want 1", allocs)
 	}
 }
 

@@ -253,8 +253,9 @@ func (s *Shard) counterSlow(counter string) *atomic.Int64 {
 }
 
 // drainLatencies folds the histograms of the shard's observed labels into
-// dst, minting plain histograms on demand. A label that was minted but
-// never observed is skipped: it is not an operation.
+// dst, minting a plain histogram the first time a label has observations: a
+// cell adds its installed pages straight into the label's histogram. A label
+// that was minted but never observed is skipped: it is not an operation.
 func (s *Shard) drainLatencies(dst map[string]*stats.LatencyHistogram) {
 	m := s.lat.Load()
 	if m == nil {
@@ -265,14 +266,12 @@ func (s *Shard) drainLatencies(dst map[string]*stats.LatencyHistogram) {
 		if st == nil {
 			continue
 		}
-		snap := st.hist.Snapshot()
-		if snap.Count() == 0 {
-			continue // first observation still in flight
+		h := dst[op]
+		if h == nil {
+			h = &stats.LatencyHistogram{}
 		}
-		if h, ok := dst[op]; ok {
-			h.Merge(snap)
-		} else {
-			dst[op] = snap
+		if st.hist.AddTo(h) > 0 { // none when the first observation is still in flight
+			dst[op] = h
 		}
 	}
 }

@@ -3,9 +3,12 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/bdbench/bdbench/internal/stats"
 )
 
 // TestShardedWritersMatchSequentialBaseline: N goroutines recording into
@@ -170,4 +173,82 @@ func TestShardCounterAndTimed(t *testing.T) {
 	if r.Ops[0].Op != "f" || r.Ops[0].Count != 1 || r.Ops[0].Mean < time.Millisecond {
 		t.Fatalf("timed observation not recorded: %+v", r.Ops)
 	}
+}
+
+// TestSnapshotFoldMatchesSnapshotAndMerge: over random collectors — user and
+// substrate shards sharing labels, cells spanning one histogram page or
+// dozens, labels minted and never observed — the Ops of Snapshot, which folds
+// each cell's installed pages straight into its label's histogram, are what
+// snapshotting every cell densely and merging the copies gave.
+func TestSnapshotFoldMatchesSnapshotAndMerge(t *testing.T) {
+	g := stats.NewRNG(47)
+	labels := []string{"a", "b", "c", "d"}
+	for trial := 0; trial < 60; trial++ {
+		c := NewCollector("fold")
+		for s, shards := 0, 1+g.IntN(6); s < shards; s++ {
+			shard := c.Shard()
+			if g.IntN(3) == 0 {
+				shard = c.SubstrateShard()
+			}
+			for _, label := range labels {
+				ref := shard.Op(label)
+				for i, n := 0, g.IntN(4)*g.IntN(40); i < n; i++ {
+					ref.Observe(time.Duration(g.IntN(1 << (1 + g.IntN(40)))))
+				}
+			}
+		}
+		c.SetElapsed(time.Second)
+		got, want := c.Snapshot().Ops, snapshotAndMergeOps(c)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d:\n fold %+v\nmerge %+v", trial, got, want)
+		}
+	}
+}
+
+// snapshotAndMergeOps is the Ops Snapshot built before it folded cells in
+// place: a dense Snapshot of every observed cell, merged per label and level,
+// then the substrate echo merged into the label's row.
+func snapshotAndMergeOps(c *Collector) []OpStats {
+	user := map[string]*stats.LatencyHistogram{}
+	sub := map[string]*stats.LatencyHistogram{}
+	for _, s := range c.shards {
+		dst := user
+		if s.substrate {
+			dst = sub
+		}
+		m := s.lat.Load()
+		if m == nil {
+			continue
+		}
+		for op, cell := range *m {
+			st := cell.state.Load()
+			if st == nil {
+				continue
+			}
+			snap := st.hist.Snapshot()
+			if snap.Count() == 0 {
+				continue
+			}
+			if h, ok := dst[op]; ok {
+				h.Merge(snap)
+			} else {
+				dst[op] = snap
+			}
+		}
+	}
+	var ops []OpStats
+	for _, op := range []string{"a", "b", "c", "d"} {
+		h, substrate := user[op], user[op] == nil
+		if substrate {
+			h = &stats.LatencyHistogram{}
+		}
+		if sub[op] != nil {
+			h.Merge(sub[op])
+		} else if substrate {
+			continue
+		}
+		ops = append(ops, OpStats{Op: op, Count: h.Count(), Mean: h.Mean(), P50: h.Quantile(0.50),
+			P95: h.Quantile(0.95), P99: h.Quantile(0.99), Max: h.Max(), Substrate: substrate})
+	}
+	return ops
 }

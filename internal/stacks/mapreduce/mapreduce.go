@@ -183,6 +183,7 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 	// combiner folds the merged segments. A mapper counts what it did in its
 	// own mapOutput; the counts meet at the barrier.
 	mapOut := make([]mapOutput, numMappers)
+	sortScratch := make([][]KV, e.workers) // a merge sort's buffer per worker slot
 	phase(numMappers, func(m, slot int) {
 		taskStart := mapRefs[slot].StartTimer()
 		lo := len(input) * m / numMappers
@@ -197,7 +198,7 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 		}
 		if job.Reduce != nil || job.Combine != nil {
 			for _, r := range o.runs {
-				r.sortSegments()
+				r.sortSegments(&sortScratch[slot])
 			}
 		}
 		if job.Combine != nil {
@@ -207,7 +208,7 @@ func (e *Engine) Run(job Job, input []KV) ([]KV, Stats, error) {
 				mg.fold(r, job.Combine, combined.add)
 				// In key order already unless the combiner changed keys, and
 				// sorting an ordered segment costs one pass.
-				combined.sortSegments()
+				combined.sortSegments(&sortScratch[slot])
 				o.runs[p] = combined
 				o.combined += int64(combined.len())
 			}
@@ -306,11 +307,72 @@ func (r run) len() int {
 	return n
 }
 
-// sortSegments stable-sorts each segment by key.
-func (r run) sortSegments() {
+// sortSegments stable-sorts each segment by key, growing scratch to the
+// run's longest segment for the merge sort to use.
+func (r run) sortSegments(scratch *[]KV) {
+	longest := 0
 	for _, seg := range r {
-		slices.SortStableFunc(seg, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+		longest = max(longest, len(seg))
 	}
+	if len(*scratch) < longest {
+		*scratch = make([]KV, longest)
+	}
+	for _, seg := range r {
+		mergeSort(seg, (*scratch)[:len(seg)])
+	}
+}
+
+// sortBlock is the length of the runs mergeSort insertion-sorts before it
+// starts merging.
+const sortBlock = 24
+
+// mergeSort stable-sorts seg by key: a bottom-up merge sort over
+// insertion-sorted blocks, each pass merging neighbouring runs from seg into
+// buf or back (buf is as long as seg). An ordered segment costs one pass.
+func mergeSort(seg, buf []KV) {
+	if slices.IsSortedFunc(seg, func(a, b KV) int { return strings.Compare(a.Key, b.Key) }) {
+		return
+	}
+	n := len(seg)
+	for lo := 0; lo < n; lo += sortBlock {
+		insertionSort(seg[lo:min(lo+sortBlock, n)])
+	}
+	src, dst := seg, buf
+	for width := sortBlock; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid, hi := min(lo+width, n), min(lo+2*width, n)
+			merge(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &seg[0] {
+		copy(seg, src)
+	}
+}
+
+// insertionSort stable-sorts a short segment by key.
+func insertionSort(seg []KV) {
+	for i := 1; i < len(seg); i++ {
+		for j := i; j > 0 && seg[j].Key < seg[j-1].Key; j-- {
+			seg[j], seg[j-1] = seg[j-1], seg[j]
+		}
+	}
+}
+
+// merge writes the sorted a and b into dst in key order, a's record first
+// of two with equal keys.
+func merge(dst, a, b []KV) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].Key < a[0].Key {
+			dst[k], b = b[0], b[1:]
+		} else {
+			dst[k], a = a[0], a[1:]
+		}
+		k++
+	}
+	k += copy(dst[k:], a)
+	copy(dst[k:], b)
 }
 
 // flatten returns the records of the runs, in order, in one slice allocated

@@ -447,3 +447,35 @@ func TestMapMemoryFollowsOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeSortIsStable: over random segments — empty, shorter and longer
+// than a block, ordered, reversed, and with few distinct keys so most have
+// ties — the merge sort leaves what slices.SortStableFunc leaves, equal keys
+// in their order, whatever the scratch held before.
+func TestMergeSortIsStable(t *testing.T) {
+	g := stats.NewRNG(10)
+	var scratch []KV
+	for trial := 0; trial < 400; trial++ {
+		n := g.IntN(3 * maxSegment / 2)
+		if trial%4 == 0 {
+			n = g.IntN(3 * sortBlock)
+		}
+		distinct := 1 + g.IntN(n+1)
+		seg := make([]KV, n)
+		for i := range seg {
+			seg[i] = KV{Key: strconv.Itoa(g.IntN(distinct)), Value: strconv.Itoa(i)}
+		}
+		switch trial % 5 {
+		case 1:
+			slices.SortStableFunc(seg, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+		case 2:
+			slices.Reverse(seg)
+		}
+		want := slices.Clone(seg)
+		slices.SortStableFunc(want, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+		run{seg}.sortSegments(&scratch)
+		if !slices.Equal(seg, want) {
+			t.Fatalf("trial %d (%d records, %d keys): merge sort differs from a stable sort", trial, n, distinct)
+		}
+	}
+}

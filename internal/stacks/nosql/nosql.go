@@ -27,21 +27,21 @@ type Record map[string]string
 type Field struct{ Name, Value string }
 
 // Row is the stored form of a record: its fields in name order, in one
-// allocation, with no way to change it. Read and Scan hand out the stored
-// Row itself, which stays what it was whatever is written to its key later.
+// slice, with no way to change it. Read and Scan hand out the stored Row
+// itself, which stays what it was whatever is written to its key later.
 type Row struct{ fields []Field }
 
 // byName orders fields by name.
 func byName(a, b Field) int { return strings.Compare(a.Name, b.Name) }
 
-// rowOf copies rec into a Row.
-func rowOf(rec Record) Row {
-	fields := make([]Field, 0, len(rec))
+// rowOf copies rec into a Row cut from fields.
+func rowOf(rec Record, fields *slab[Field]) Row {
+	row := fields.cut(len(rec))[:0]
 	for name, value := range rec {
-		fields = append(fields, Field{name, value})
+		row = append(row, Field{name, value})
 	}
-	slices.SortFunc(fields, byName)
-	return Row{fields}
+	slices.SortFunc(row, byName)
+	return Row{row}
 }
 
 // find returns the index of name among the row's fields, or where it would
@@ -93,6 +93,34 @@ func (r Row) fill(rec Record) {
 	}
 }
 
+// A slab's first chunk holds firstSlab values and each next one twice the
+// last, up to slabLen, so a small store stays small and a loaded one pays an
+// allocation per slabLen values. At slabLen a field (32 B), a list node
+// (80 B) and a tower slot (8 B) fill whole 8 KiB pages, and no chunk but the
+// two smallest of nodes rounds up to a larger size class.
+const (
+	firstSlab = 32
+	slabLen   = 1024
+)
+
+// slab hands out short slices of T cut from larger chunks. A cut is capped
+// (len == cap): appending to one copies it rather than reach the next.
+type slab[T any] struct {
+	free []T
+	size int // the last chunk's length
+}
+
+// cut returns n zero values of T.
+func (s *slab[T]) cut(n int) []T {
+	if n > len(s.free) {
+		s.size = min(max(2*s.size, firstSlab), slabLen)
+		s.free = make([]T, max(n, s.size))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
 // ErrNotFound is returned for reads/updates/deletes of absent keys.
 var ErrNotFound = errors.New("nosql: key not found")
 
@@ -108,10 +136,13 @@ type Store struct {
 // Insert, Update and ReadModifyWrite install a new Row in the key's node, so
 // Read and Scan hand the stored Row out under the read lock without copying
 // it, and it may be held past the unlock. TestStoredRecordsAreNeverMutated
-// watches it.
+// watches it. Insert and ReadModifyWrite cut the new Row from the
+// partition's field slab under the write lock; a cut is capped, so no Row
+// reaches into the next one's fields.
 type partition struct {
-	mu   sync.RWMutex
-	list *skipList
+	mu     sync.RWMutex
+	list   *skipList
+	fields slab[Field]
 	// scratch is the map ReadModifyWrite lends its function, reused under mu.
 	scratch Record
 	// Store-level latency handles, zero (no-ops) until Instrument.
@@ -160,9 +191,8 @@ func (s *Store) part(key string) *partition {
 func (s *Store) Insert(key string, rec Record) {
 	p := s.part(key)
 	t0 := p.insertRef.StartTimer()
-	row := rowOf(rec)
 	p.mu.Lock()
-	p.list.set(key, row)
+	p.list.set(key, rowOf(rec, &p.fields))
 	p.mu.Unlock()
 	p.insertRef.ObserveSince(t0)
 }
@@ -233,7 +263,7 @@ func (s *Store) ReadModifyWrite(key string, fn func(Record) Record) error {
 		return ErrNotFound
 	}
 	node.val.fill(p.scratch)
-	node.val = rowOf(fn(p.scratch))
+	node.val = rowOf(fn(p.scratch), &p.fields)
 	return nil
 }
 

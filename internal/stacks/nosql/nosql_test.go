@@ -257,7 +257,7 @@ func TestSkipListOrderInvariant(t *testing.T) {
 		inserted := map[string]bool{}
 		for _, r := range raw {
 			key := fmt.Sprintf("k%05d", r)
-			l.set(key, rowOf(Record{"v": "1"}))
+			l.set(key, rowOf(Record{"v": "1"}, new(slab[Field])))
 			inserted[key] = true
 		}
 		want := make([]string, 0, len(inserted))

@@ -286,7 +286,7 @@ func TestScanCopiesNoRow(t *testing.T) {
 // nothing and an insert allocates only its node.
 func TestSkipListWritesReuseTheirPath(t *testing.T) {
 	l := newSkipList(stats.NewRNG(4))
-	rec := rowOf(Record{"f": "v"})
+	rec := rowOf(Record{"f": "v"}, new(slab[Field]))
 	for i := 0; i < 500; i++ {
 		l.set(fmt.Sprintf("k%04d", i), rec)
 	}
@@ -299,15 +299,46 @@ func TestSkipListWritesReuseTheirPath(t *testing.T) {
 	}
 }
 
+// TestSkipListDeleteReleasesTheNode: a deleted node stays in its slab as long
+// as the slab's other nodes live, so del clears it: the slab keeps neither
+// the key nor the row reachable.
+func TestSkipListDeleteReleasesTheNode(t *testing.T) {
+	l := newSkipList(stats.NewRNG(6))
+	for i := 0; i < 100; i++ {
+		l.set(fmt.Sprintf("k%03d", i), rowOf(Record{"f": "v"}, new(slab[Field])))
+	}
+	for i := 0; i < 100; i += 3 {
+		k := fmt.Sprintf("k%03d", i)
+		node := l.find(k)
+		if !l.del(k) {
+			t.Fatalf("%s: not deleted", k)
+		}
+		if node.key != "" || node.val.fields != nil || node.next != nil {
+			t.Fatalf("%s: the deleted node still holds %q, %v, %d links", k, node.key, node.val.fields, len(node.next))
+		}
+	}
+}
+
 // TestPointOperationAllocations prices the point operations on a
 // YCSB-shaped store: a read hands out the stored row, an update of existing
-// fields and a read-modify-write build one new row each.
+// fields builds one new row, and an insert and a read-modify-write cut theirs
+// from the partition's slabs, so a thousand of them cost a few allocations.
 func TestPointOperationAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts not asserted under -race")
 	}
 	s := ycsbShapedStore()
 	fields := Record{"field0": "new", "field7": "new"}
+	rec := Record{}
+	for f := 0; f < 10; f++ {
+		rec[fmt.Sprintf("field%d", f)] = "value"
+	}
+	// AllocsPerRun calls its function once more than it counts.
+	keys := make([]string, 1001)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%06d", 2000+i)
+	}
+	inserted := 0
 	for _, tc := range []struct {
 		name string
 		op   func()
@@ -320,9 +351,69 @@ func TestPointOperationAllocations(t *testing.T) {
 		{"ReadModifyWrite", func() {
 			_ = s.ReadModifyWrite("user000700", func(r Record) Record { r["field0"] = "rmw"; return r })
 		}, 1},
+		{"Insert", func() { s.Insert(keys[inserted], rec); inserted++ }, 0.05},
 	} {
-		if got := testing.AllocsPerRun(200, tc.op); got > tc.max {
-			t.Errorf("%s: %.1f allocations, want at most %.0f", tc.name, got, tc.max)
+		if got := testing.AllocsPerRun(len(keys)-1, tc.op); got > tc.max {
+			t.Errorf("%s: %.3f allocations, want at most %g", tc.name, got, tc.max)
+		}
+	}
+	if s.Size() != 2000+len(keys) {
+		t.Fatalf("%d records after the inserts, want %d", s.Size(), 2000+len(keys))
+	}
+}
+
+// TestSlabRowsAreCapped: rows cut from a partition's field slab end where
+// their fields end (cap == len), so nothing appended to one reaches its
+// neighbour, and the rows Read and Scan handed out read byte for byte the
+// same after 2 000 more inserts and read-modify-writes into the same
+// partitions.
+func TestSlabRowsAreCapped(t *testing.T) {
+	s := ycsbShapedStore()
+	type held struct {
+		key    string
+		row    Row
+		fields []Field
+	}
+	var rows []held
+	hold := func(key string, row Row) {
+		if cap(row.fields) != len(row.fields) {
+			t.Fatalf("%s: a row of %d fields has room for %d", key, len(row.fields), cap(row.fields))
+		}
+		rows = append(rows, held{key, row, slices.Clone(row.fields)})
+	}
+	for i := 0; i < 2000; i += 97 {
+		key := fmt.Sprintf("user%06d", i)
+		row, err := s.Read(key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold(key, row)
+	}
+	for _, kv := range s.Scan("user000500", 100) {
+		hold(kv.Key, kv.Rec)
+	}
+	g := stats.NewRNG(5)
+	for i := 0; i < 2000; i++ {
+		if i%2 == 0 {
+			s.Insert(fmt.Sprintf("user%06d", 2000+i), Record{"field0": fmt.Sprint(i), "field1": "inserted"})
+			continue
+		}
+		err := s.ReadModifyWrite(fmt.Sprintf("user%06d", g.IntN(2000)), func(r Record) Record {
+			r["field0"], r["extra"] = fmt.Sprint(i), "rmw"
+			return r
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range rows {
+		if !slices.Equal(h.row.fields, h.fields) {
+			t.Fatalf("%s: a held row changed under later writes: %v, was %v", h.key, h.row.fields, h.fields)
+		}
+	}
+	for _, kv := range s.Scan("", s.Size()) {
+		if cap(kv.Rec.fields) != len(kv.Rec.fields) {
+			t.Fatalf("%s: a row of %d fields has room for %d", kv.Key, len(kv.Rec.fields), cap(kv.Rec.fields))
 		}
 	}
 }

@@ -13,6 +13,9 @@ type skipList struct {
 	// path is findPath's scratch, so set and del allocate no search path:
 	// the partition's lock serializes writers, and readers never touch it.
 	path [maxLevel]*skipNode
+	// set cuts nodes, and the towers of nodes above level 2, from these.
+	nodes  slab[skipNode]
+	towers slab[*skipNode]
 }
 
 type skipNode struct {
@@ -20,7 +23,7 @@ type skipNode struct {
 	val  Row
 	next []*skipNode
 	// tower is next's storage in a node of level <= 2 (15 nodes in 16), so
-	// such a node is one allocation.
+	// such a node needs no cut from the list's towers.
 	tower [2]*skipNode
 }
 
@@ -86,11 +89,12 @@ func (s *skipList) set(key string, val Row) bool {
 		}
 		s.level = lvl
 	}
-	node := &skipNode{key: key, val: val}
+	node := &s.nodes.cut(1)[0]
+	node.key, node.val = key, val
 	if lvl <= len(node.tower) {
 		node.next = node.tower[:lvl]
 	} else {
-		node.next = make([]*skipNode, lvl)
+		node.next = s.towers.cut(lvl)
 	}
 	for i := 0; i < lvl; i++ {
 		node.next[i] = s.path[i].next[i]
@@ -114,6 +118,8 @@ func (s *skipList) del(key string) bool {
 	for s.level > 1 && s.head.next[s.level-1] == nil {
 		s.level--
 	}
+	// The node's slab outlives it: let go of what it held.
+	*found = skipNode{}
 	s.length--
 	return true
 }

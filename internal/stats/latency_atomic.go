@@ -73,12 +73,21 @@ func (l *AtomicLatencyHistogram) addPage(k int) *page {
 	return l.dir[k].Load()
 }
 
-// Snapshot folds the atomic cells into a plain LatencyHistogram, skipping
-// pages never installed. It may run concurrently with writers; the result
-// is then a momentary cut (the total is derived from the bucket counts so
-// quantiles stay internally consistent), exact once writers have quiesced.
+// Snapshot returns the atomic cells as a plain LatencyHistogram (see AddTo).
 func (l *AtomicLatencyHistogram) Snapshot() *LatencyHistogram {
 	out := &LatencyHistogram{}
+	l.AddTo(out)
+	return out
+}
+
+// AddTo folds the atomic cells into dst, as dst.Merge(l.Snapshot()) would
+// without the dense copy: it reads only the pages installed. It returns how
+// many observations it added, and adds nothing when that is none. It may run
+// concurrently with writers; what it adds is then a momentary cut (the total
+// is derived from the bucket counts so quantiles stay internally
+// consistent), exact once writers have quiesced.
+func (l *AtomicLatencyHistogram) AddTo(dst *LatencyHistogram) uint64 {
+	var n uint64
 	for k := range l.dir {
 		p := l.dir[k].Load()
 		if p == nil {
@@ -86,14 +95,18 @@ func (l *AtomicLatencyHistogram) Snapshot() *LatencyHistogram {
 		}
 		for j := range p {
 			c := p[j].Load()
-			out.counts[k<<subBucketBits+j] = c
-			out.total += c
+			dst.counts[k<<subBucketBits+j] += c
+			n += c
 		}
 	}
-	out.sum = time.Duration(l.sumNs.Load())
-	out.max = time.Duration(l.maxNs.Load())
-	if out.total > 0 {
-		out.min = time.Duration(math.MaxInt64 - l.minGap.Load())
+	if n == 0 {
+		return 0
 	}
-	return out
+	dst.sum += time.Duration(l.sumNs.Load())
+	dst.max = max(dst.max, time.Duration(l.maxNs.Load()))
+	if lo := time.Duration(math.MaxInt64 - l.minGap.Load()); dst.total == 0 || lo < dst.min {
+		dst.min = lo
+	}
+	dst.total += n
+	return n
 }

@@ -175,14 +175,16 @@ func TestClientsRunEveryOperation(t *testing.T) {
 	}
 }
 
-// TestLoadAllocations: a loaded record costs its key, its values, its row and
-// its list node — and a tower for the one node in sixteen above level 2.
+// TestLoadAllocations: a load allocates per chunk, not per record — its keys
+// and values come from one arena each per 1 024 records, and the store cuts
+// rows, list nodes and towers from slabs — so a YCSB load of 10 000 records,
+// store and all, costs at most one allocation in twenty records.
 func TestLoadAllocations(t *testing.T) {
-	const records = 500
+	const records = 10000
 	// A store of its own each run: loading over loaded records adds no node.
 	allocs := testing.AllocsPerRun(3, func() { WorkloadA.Load(nosql.Open(4, 1), stats.NewRNG(2), records) })
-	if perRecord := allocs / records; perRecord > 4.2 && !raceflag.Enabled {
-		t.Errorf("Load: %.2f allocations a record, want at most 4.2", perRecord)
+	if perRecord := allocs / records; perRecord > 0.05 && !raceflag.Enabled {
+		t.Errorf("Load: %.3f allocations a record, want at most 0.05", perRecord)
 	}
 }
 
