@@ -62,11 +62,10 @@ func expVelocityParallel(scale int, _ *scenarioFlags) error {
 	var labels []string
 	var rates []float64
 	for w := 1; w <= maxWorkers; w *= 2 {
-		t0 := time.Now()
-		tab := spec.GenerateParallel(rows, w)
-		rate := float64(tab.NumRows()) / time.Since(t0).Seconds()
+		probe := datagen.NewRateProbe()
+		probe.Add(int64(spec.GenerateParallel(rows, w).NumRows()))
 		labels = append(labels, fmt.Sprintf("%d workers", w))
-		rates = append(rates, rate)
+		rates = append(rates, probe.Rate())
 	}
 	fmt.Fprint(stdout, bdbench.BarChart(labels, rates, 40))
 	return nil

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/internal/engine"
+	"github.com/bdbench/bdbench/internal/loadgen"
 	"github.com/bdbench/bdbench/internal/opcompose"
 	"github.com/bdbench/bdbench/internal/runstore"
 	"github.com/bdbench/bdbench/internal/scenario"
@@ -180,10 +181,10 @@ func TestPatternMatchesThroughAgents(t *testing.T) {
 	}
 }
 
-// builtinSpec runs every built-in workload once, plus a composed pattern and
-// a prescription bound to the mapreduce stack, with every machine-dependent
-// default pinned. Its registry is the built-in inventory and the bound
-// prescription; agents get the same one.
+// builtinSpec runs every built-in workload once, plus a composed pattern, a
+// prescription bound to the mapreduce stack and an open-loop grep window,
+// with every machine-dependent default pinned. Its registry is the built-in
+// inventory and the bound prescription; agents get the same one.
 func builtinSpec(t *testing.T, parallel int) (*scenario.Registry, scenario.Spec) {
 	t.Helper()
 	reg := scenario.NewRegistry()
@@ -206,7 +207,11 @@ func builtinSpec(t *testing.T, parallel int) (*scenario.Registry, scenario.Spec)
 		// At 1 op/s the paced half would sleep 200 s of wall time; under
 		// the frozen clock it sleeps none.
 		Phases: []opcompose.Phase{{Name: "burst"}, {Name: "paced", Rate: 1}},
-	}})
+	}}, scenario.Entry{
+		// Under the frozen clock every arrival is released at once, each
+		// to a worker of its own, so the window is kept to tens of them.
+		Workload: "grep", Rate: 100, Arrival: "poisson", Duration: scenario.Duration(150 * time.Millisecond),
+	})
 	return reg, scenario.Spec{
 		Name:           "builtins",
 		Entries:        entries,
@@ -220,11 +225,12 @@ func builtinSpec(t *testing.T, parallel int) (*scenario.Registry, scenario.Spec)
 
 // TestBuiltinsMatchAcrossAgentsAndParallelism extends the equivalence
 // contract from synthetic to real workloads: under a frozen run clock, every
-// built-in, a composed pattern with a paced phase and a bound prescription
-// write the same blob run twice locally and through 2 and 4 agents, and the
-// same series at Parallel 1. Every duration a workload or stack measures
-// reads the collector's clock, so the frozen clock reaches them on an agent
-// too, and a paced phase sleeps no wall time under it.
+// built-in, a composed pattern with a paced phase, a bound prescription and
+// an open-loop window write the same blob run twice locally and through 2
+// and 4 agents, and the same series at Parallel 1. Every duration a
+// workload, a stack or the load generator measures reads the collector's
+// clock, so the frozen clock reaches them on an agent too, and neither a
+// paced phase nor the open-loop dispatcher sleeps wall time under it.
 func TestBuiltinsMatchAcrossAgentsAndParallelism(t *testing.T) {
 	dir := t.TempDir()
 	blob := func(name string, run func(path string) (*scenario.Outcome, error)) []byte {
@@ -260,6 +266,15 @@ func TestBuiltinsMatchAcrossAgentsAndParallelism(t *testing.T) {
 	}
 	if len(run.Series) < 100 {
 		t.Fatalf("%d series; the check wants at least 100 to mean something", len(run.Series))
+	}
+	requests := 0
+	for _, s := range run.Series {
+		if s.Op == loadgen.OpRequest {
+			requests += len(s.Samples)
+		}
+	}
+	if requests == 0 || requests > 20 {
+		t.Fatalf("the open-loop window captured %d requests, want 1 to 20", requests)
 	}
 
 	if again := blob("again", local(spec)); !bytes.Equal(again, want) {

@@ -179,29 +179,34 @@ func (gen Generator) Generate(g *stats.RNG, n int64) []Event {
 // Run emits n events into out, event i at its intended time
 // start + i/EventsPerSec on the wall clock (unpaced if EventsPerSec <= 0).
 // It returns as soon as ctx is cancelled and always closes out. It returns
-// the achieved rate in events/second.
+// the achieved rate in events/second: the events sent over the time since
+// start, on the same clock it paces on.
 func (gen Generator) Run(ctx context.Context, g *stats.RNG, n int64, out chan<- Event) (float64, error) {
 	defer close(out)
 	var wall *metrics.Collector // a nil collector reads and sleeps on the wall clock
-	probe := datagen.NewRateProbe()
-	start := wall.Now()
+	var timer *time.Timer
+	var err error
 	var d drawn
-	for i := int64(0); i < n; i++ {
+	start, sent := wall.Now(), int64(0)
+	for sent < n && err == nil {
 		if gen.EventsPerSec > 0 {
-			due := start.Add(time.Duration(float64(i) / gen.EventsPerSec * float64(time.Second)))
-			if err := wall.SleepUntil(ctx, due); err != nil {
-				return probe.Rate(), err
+			due := start.Add(time.Duration(float64(sent) / gen.EventsPerSec * float64(time.Second)))
+			if timer, err = wall.SleepUntil(ctx, due, timer); err != nil {
+				break
 			}
 		}
 		d = gen.draw(g, d)
 		select {
-		case out <- d.event(i):
-			probe.Add(1)
+		case out <- d.event(sent):
+			sent++
 		case <-ctx.Done():
-			return probe.Rate(), ctx.Err()
+			err = ctx.Err()
 		}
 	}
-	return probe.Rate(), nil
+	if secs := wall.Now().Sub(start).Seconds(); secs > 0 {
+		return float64(sent) / secs, err
+	}
+	return 0, err
 }
 
 // MeasureProcessingSpeed drains events through process and returns the

@@ -67,11 +67,11 @@ type Config struct {
 	// Result.Samples and become the runstore blob's series.
 	SampleCap int
 	// Now, when set, is the run's one clock, set on every collector the
-	// engine builds: repetition and window timing, sample offsets and every
-	// duration a workload or stack measures read it. Equivalence tests freeze
-	// it, and a paced pattern phase sleeps on it (not at all when frozen);
-	// nil means time.Now. Open-loop pacing and loadgen's own latencies stay
-	// on the wall clock, which a frozen clock could not pace.
+	// engine builds: repetition and window timing, sample offsets, loadgen's
+	// request latencies and every duration a workload or stack measures read
+	// it. Equivalence tests freeze it. Open-loop dispatch and paced pattern
+	// phases sleep on it, which is not at all when it is frozen; nil means
+	// time.Now.
 	Now func() time.Time
 }
 

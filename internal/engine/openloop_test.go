@@ -70,8 +70,10 @@ func TestOpenLoopTask(t *testing.T) {
 
 // TestOpenLoopWindowReadsRunClock: an open-loop window is timed on the run's
 // clock like a closed-loop repetition, and so is whatever its operations
-// time, so a frozen Config.Now reads zero for both. Pacing stays on the wall
-// clock: the window still dispatches every arrival.
+// time, and so are loadgen's own request, service and wait latencies, so a
+// frozen Config.Now reads zero for all of them. The dispatcher paces on the
+// same clock, so under the frozen one it sleeps no wall time: ten arrivals
+// at 200/s would take 45ms to release on the wall clock.
 func TestOpenLoopWindowReadsRunClock(t *testing.T) {
 	w := fakeWorkload{name: "timed", run: func(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 		t0 := c.Now()
@@ -80,21 +82,29 @@ func TestOpenLoopWindowReadsRunClock(t *testing.T) {
 		return nil
 	}}
 	frozen := func() time.Time { return time.Unix(1754600000, 0) }
+	start := time.Now()
 	res := Run(context.Background(), []Task{openLoopTask(w, 200, 50*time.Millisecond)}, Config{Workers: 1, Now: frozen})[0]
+	took := time.Since(start)
 	if res.Err != nil || res.Load.Dispatched != 10 {
 		t.Fatalf("err %v, %d dispatched; want nil, 10", res.Err, res.Load.Dispatched)
 	}
-	if res.Median.Elapsed != 0 {
-		t.Fatalf("window elapsed %v under a frozen clock, want 0", res.Median.Elapsed)
+	if res.Median.Elapsed != 0 || res.Load.Elapsed != 0 {
+		t.Fatalf("window elapsed %v, load elapsed %v under a frozen clock, want 0", res.Median.Elapsed, res.Load.Elapsed)
 	}
-	var timed metrics.OpStats
+	ops := map[string]metrics.OpStats{}
 	for _, op := range res.Median.Ops {
-		if op.Op == "op" {
-			timed = op
+		ops[op.Op] = op
+	}
+	for _, name := range []string{"op", loadgen.OpRequest, loadgen.OpService, loadgen.OpWait} {
+		if op := ops[name]; op.Count != 10 || op.Max != 0 {
+			t.Fatalf("%s: %d observation(s), max %v; want 10 of 0", name, op.Count, op.Max)
 		}
 	}
-	if timed.Count != 10 || timed.Max != 0 {
-		t.Fatalf("operations timed %d observation(s), max %v; want 10 of 0", timed.Count, timed.Max)
+	if l := res.Load; l.Latency.Max != 0 || l.Service.Max != 0 || l.Wait.Max != 0 {
+		t.Fatalf("load latency/service/wait max %v/%v/%v, want 0", l.Latency.Max, l.Service.Max, l.Wait.Max)
+	}
+	if took >= 40*time.Millisecond {
+		t.Fatalf("a frozen-clock window took %v of wall time: the dispatcher paced on the wall clock", took)
 	}
 }
 

@@ -10,9 +10,13 @@
 // coordinated-omission error that closed-loop measurement cannot avoid.
 //
 // Its arrival processes are pluggable and stochastic: constant, Poisson,
-// bursty on/off and ramp. The sleep to an arrival's intended time is the
-// module's one pacing sleep, metrics.SleepContext, which paced pattern
-// phases and streamgen.Generator.Run also sleep with.
+// bursty on/off and ramp. A run reads one clock, its collector's: the
+// dispatcher sleeps to each arrival's intended time on it, through the
+// module's one pacing sleep, metrics.Collector.SleepUntil, which paced
+// pattern phases and streamgen.Generator.Run also sleep with, and every
+// latency it records is read from it. Under an injected clock the sleep
+// returns at once, so a frozen-clock run releases every arrival without
+// sleeping and records zeros.
 // Schedules are derived from the seed alone, so the same seed and rate
 // produce the same arrival times at any worker count.
 package loadgen

@@ -47,14 +47,10 @@ type Options struct {
 	// Rec receives every observation in the sharded metrics pipeline:
 	// OpRequest, OpService and OpWait, all substrate-level (the executed
 	// operations record their own user-level measurements). Nil records into
-	// a shard private to the run, which only Stats reads.
+	// a shard private to the run, which only Stats reads. Rec's clock is the
+	// run's: the dispatcher paces on it (Collector.SleepUntil) and every
+	// start, end and Elapsed reads it. Nil is the wall clock.
 	Rec *metrics.Collector
-
-	// Now and Sleep are injectable for tests; nil means the real clock.
-	// Sleep receives the run's context and must return early when it is
-	// cancelled, so shutdown is never delayed by a pacing sleep.
-	Now   func() time.Time
-	Sleep func(context.Context, time.Duration)
 }
 
 // LatencySummary is one latency distribution digest.
@@ -91,8 +87,8 @@ type Stats struct {
 	// Arrival is the process name and Offered the configured mean rate.
 	Arrival string  `json:"arrival"`
 	Offered float64 `json:"offered"`
-	// Window is the configured scheduling window; Elapsed the wall time from
-	// the first intended arrival to the last completion.
+	// Window is the configured scheduling window; Elapsed the time on the
+	// run's clock from the first intended arrival to the last completion.
 	Window  time.Duration `json:"window"`
 	Elapsed time.Duration `json:"elapsed"`
 	// Scheduled counts the arrivals in the schedule; Dispatched the ones
@@ -109,7 +105,8 @@ type Stats struct {
 	Achieved float64 `json:"achieved"`
 	// Latency is measured from each operation's intended start (queueing
 	// included — immune to coordinated omission); Service from its actual
-	// start; Wait is the gap between the two.
+	// start; Wait is the gap between the two, never negative, and Latency
+	// is Service plus Wait.
 	Latency LatencySummary `json:"latency"`
 	Service LatencySummary `json:"service"`
 	Wait    LatencySummary `json:"wait"`
@@ -129,7 +126,7 @@ type Stats struct {
 type runState struct {
 	ctx     context.Context
 	op      func(context.Context) error
-	now     func() time.Time
+	clock   *metrics.Collector // the run's clock; nil is the wall clock
 	t0      time.Time
 	timeout time.Duration
 
@@ -154,12 +151,13 @@ type runState struct {
 	free *deadline  // the deadlines no worker holds
 }
 
-// newRunState builds the dispatch machinery for one run. now is the clock
-// (t0 is read from it immediately); the three latency views are recorded
-// into a substrate shard of rec, or a shard of their own when rec is nil;
-// timeout is Options.Timeout. The caller sets sched before releasing.
-func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, now func() time.Time, timeout time.Duration) *runState {
-	r := &runState{ctx: ctx, op: op, now: now, timeout: timeout}
+// newRunState builds the dispatch machinery for one run. rec's clock is the
+// run's (t0 is read from it immediately), and the three latency views are
+// recorded into a substrate shard of rec, or a shard of their own when rec
+// is nil; timeout is Options.Timeout. The caller sets sched before
+// releasing.
+func newRunState(ctx context.Context, op func(context.Context) error, rec *metrics.Collector, timeout time.Duration) *runState {
+	r := &runState{ctx: ctx, op: op, clock: rec, timeout: timeout}
 	shard := rec.SubstrateShard()
 	if shard == nil {
 		shard = new(metrics.Shard)
@@ -168,7 +166,7 @@ func newRunState(ctx context.Context, op func(context.Context) error, rec *metri
 	r.svcRef = shard.Op(OpService)
 	r.waitRef = shard.Op(OpWait)
 	r.work = r.worker
-	r.t0 = now()
+	r.t0 = rec.Now()
 	return r
 }
 
@@ -245,11 +243,14 @@ func (r *runState) claim() int64 {
 // pending reports whether a released arrival is still unclaimed.
 func (r *runState) pending() bool { return r.claimed.Load() < r.released.Load() }
 
-// exec runs one operation and records its three latency views. Under a
-// timeout the operation runs under d, the disarmed deadline the calling
-// worker holds (nil without a timeout), which exec alone arms: right
-// before the operation, so no delay of the worker's before that can spend
-// it. exec returns d disarmed for the worker's next operation, or nil when
+// exec runs one operation and records its three latency views: service
+// from its actual start, wait from its intended start to its actual one
+// (never negative) and request as their sum, which on the wall clock is
+// the time from the intended start, since no pacing sleep ends early.
+// Under a timeout the operation runs under d, the disarmed deadline the
+// calling worker holds (nil without a timeout), which exec alone arms:
+// right before the operation, so no delay of the worker's before that can
+// spend it. exec returns d disarmed for the worker's next operation, or nil when
 // its timer fired. This is the per-operation hot path: no allocation and
 // no lock (TestDispatchSteadyStateZeroAlloc at runtime, bdvet's hotpath
 // analyzer statically).
@@ -262,7 +263,7 @@ func (r *runState) exec(offset time.Duration, d *deadline) *deadline {
 	}
 	r.dispatched.Add(1)
 	intended := r.t0.Add(offset)
-	actual := r.now()
+	actual := r.clock.Now()
 	ctx := r.ctx
 	if d != nil {
 		d.timer.Reset(r.timeout)
@@ -272,14 +273,11 @@ func (r *runState) exec(offset time.Duration, d *deadline) *deadline {
 	if d != nil && !d.disarm() {
 		d = nil
 	}
-	end := r.now()
+	end := r.clock.Now()
 
-	wait := actual.Sub(intended)
-	if wait < 0 {
-		wait = 0
-	}
-	r.reqRef.Observe(end.Sub(intended))
-	r.svcRef.Observe(end.Sub(actual))
+	service, wait := end.Sub(actual), max(actual.Sub(intended), 0)
+	r.reqRef.Observe(service + wait)
+	r.svcRef.Observe(service)
 	r.waitRef.Observe(wait)
 	if err != nil {
 		r.errs.Add(1)
@@ -313,10 +311,6 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 	if proc == nil {
 		proc = Constant{}
 	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now //bdvet:allow detnondet -- production default for the Options.Now clock seam; determinism tests inject a virtual clock
-	}
 
 	sched := Schedule(proc, opts.Rate, opts.Duration, opts.Seed)
 	st := Stats{
@@ -326,15 +320,17 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 		Scheduled: len(sched),
 	}
 
-	r := newRunState(ctx, op, opts.Rec, now, opts.Timeout)
+	r := newRunState(ctx, op, opts.Rec, opts.Timeout)
 	r.sched = sched
 
-	// The dispatcher walks the precomputed schedule on the clock. It reads
-	// nothing from completions — that independence is what makes the loop
-	// open. One pacing timer is reused across every sleep, so pacing
-	// produces no per-arrival garbage and honors cancellation. Once the
-	// context is cancelled no further arrival is released, so the released
-	// ones stay a prefix of the schedule.
+	// The dispatcher walks the precomputed schedule on the run's clock. It
+	// reads nothing from completions — that independence is what makes the
+	// loop open. One pacing timer is reused across every sleep, so pacing
+	// produces no per-arrival garbage and honors cancellation; under an
+	// injected clock the sleep returns at once and every arrival is
+	// released without waiting. Once the context is cancelled no further
+	// arrival is released, so the released ones stay a prefix of the
+	// schedule.
 	var timer *time.Timer
 	cancelled := false
 	for _, off := range sched {
@@ -343,13 +339,9 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 			cancelled = true
 			continue
 		}
-		if wait := r.t0.Add(off).Sub(now()); wait > 0 {
-			if opts.Sleep != nil {
-				opts.Sleep(ctx, wait)
-			} else {
-				timer = sleepContext(ctx, timer, wait)
-			}
-		}
+		// A sleep cut short by a cancel still releases its arrival, which
+		// exec then counts as skipped, so the error needs no handling here.
+		timer, _ = r.clock.SleepUntil(ctx, r.t0.Add(off), timer)
 		r.release()
 	}
 	r.wg.Wait()
@@ -360,7 +352,7 @@ func Run(ctx context.Context, opts Options, op func(context.Context) error) (Sta
 	st.Errors = int(r.errs.Load())
 	st.Elapsed = time.Duration(r.endNs.Load())
 	if st.Elapsed <= 0 {
-		st.Elapsed = now().Sub(r.t0)
+		st.Elapsed = r.clock.Now().Sub(r.t0)
 	}
 	if span := max(st.Elapsed, st.Window); span > 0 {
 		st.Achieved = float64(st.Dispatched-st.Errors) / span.Seconds()
@@ -455,9 +447,4 @@ func runIsolated(ctx context.Context, op func(context.Context) error) (err error
 		}
 	}()
 	return op(ctx)
-}
-
-// sleepContext is metrics.SleepContext, the module's one pacing sleep.
-func sleepContext(ctx context.Context, timer *time.Timer, d time.Duration) *time.Timer {
-	return metrics.SleepContext(ctx, timer, d)
 }

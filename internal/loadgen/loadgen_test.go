@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,56 +44,30 @@ func TestRunExecutesSchedule(t *testing.T) {
 }
 
 // TestCoordinatedOmissionGuard is the regression test for intended-start
-// recording. The generator itself stalls once — its first pacing sleep
-// returns 80ms late on the virtual clock — so every arrival scheduled inside
-// the stall is dispatched after its intended start. A service-time view sees
-// only instant operations: the delay vanishes. The intended-start view must
-// charge it to every late request.
+// recording. The run's clock stalls once: its first read, the run's t0, is
+// base, and every later read is base+stall, so every arrival scheduled
+// inside the stall is dispatched after its intended start. A service-time
+// view sees only instant operations: the delay vanishes. The intended-start
+// view must charge it to every late request.
 func TestCoordinatedOmissionGuard(t *testing.T) {
 	const (
 		stall  = 80 * time.Millisecond
 		rate   = 200 // 5ms apart
 		window = 150 * time.Millisecond
 	)
-	var clock atomic.Int64 // nanoseconds since the virtual epoch
 	base := time.Unix(1000, 0)
-	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
+	var read atomic.Bool
 	c := metrics.NewCollector("guard")
-	requests := func() uint64 {
-		for _, op := range c.Snapshot().Ops {
-			if op.Op == OpRequest {
-				return op.Count
-			}
+	c.SetClock(func() time.Time {
+		if read.CompareAndSwap(false, true) {
+			return base
 		}
-		return 0
-	}
-	sched := Schedule(Constant{}, rate, window, 0)
-	stalled := false // read and written by the dispatcher goroutine only
-	sleep := func(_ context.Context, d time.Duration) {
-		// The dispatcher sleeps only for an arrival not yet due, so the
-		// operations started so far are the arrivals already due. Each must
-		// have recorded before the clock moves, or one reading its start
-		// before the move and its end after it shows a service time.
-		var started uint64
-		for _, off := range sched {
-			if off <= time.Duration(clock.Load()) {
-				started++
-			}
-		}
-		for requests() < started {
-			runtime.Gosched()
-		}
-		if !stalled {
-			stalled = true
-			d += stall
-		}
-		clock.Add(int64(d))
-	}
+		return base.Add(stall)
+	})
 	st, err := Run(context.Background(), Options{
 		Rate:     rate,
 		Duration: window,
 		Rec:      c,
-		Now:      now, Sleep: sleep,
 	}, func(context.Context) error { return nil })
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -102,7 +77,7 @@ func TestCoordinatedOmissionGuard(t *testing.T) {
 	}
 	// The service view is blind to the stall: no operation took any time.
 	if st.Service.Max != 0 {
-		t.Fatalf("service max %v, want 0 on a clock only the dispatcher moves", st.Service.Max)
+		t.Fatalf("service max %v, want 0 on a clock that moves only once", st.Service.Max)
 	}
 	// The intended-start view is not: arrivals dispatched late carry their
 	// full waiting time, so the p95 tail must be within reach of the stall
@@ -220,35 +195,33 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestRunVirtualClock drives the pacer on an injected clock and observes
-// the dispatcher's sleeps: with instant operations it must sleep exactly
-// the schedule's gaps — the dispatcher paces on the clock, never on
-// completions. (The sleep hook is only ever called by the dispatcher
-// goroutine, so the slice needs no lock.)
+// TestRunVirtualClock paces on the wall clock, a nil collector's: the
+// dispatcher sleeps each arrival to its intended offset, so no operation
+// starts before it. Ten arrivals at 10/s are 100ms apart. Run reads its t0
+// after the test's own start, so an operation that started on time is at
+// least its offset past that start; the k-th earliest start is matched
+// against the k-th offset, since operations may begin in any order.
 func TestRunVirtualClock(t *testing.T) {
-	var clock atomic.Int64 // nanoseconds since the virtual epoch
-	base := time.Unix(1000, 0)
-	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
-	var slept []time.Duration
-	sleep := func(_ context.Context, d time.Duration) { clock.Add(int64(d)); slept = append(slept, d) }
-	st, err := Run(context.Background(), Options{
-		Rate: 10, Duration: time.Second,
-		Now: now, Sleep: sleep,
-	}, func(context.Context) error { return nil })
+	var mu sync.Mutex
+	var starts []time.Duration
+	begin := time.Now()
+	st, err := Run(context.Background(), Options{Rate: 10, Duration: time.Second},
+		func(context.Context) error {
+			mu.Lock()
+			starts = append(starts, time.Since(begin))
+			mu.Unlock()
+			return nil
+		})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if st.Scheduled != 10 || st.Dispatched != 10 {
-		t.Fatalf("scheduled %d dispatched %d, want 10/10", st.Scheduled, st.Dispatched)
+	if st.Scheduled != 10 || st.Dispatched != 10 || len(starts) != 10 {
+		t.Fatalf("scheduled %d dispatched %d started %d, want 10/10/10", st.Scheduled, st.Dispatched, len(starts))
 	}
-	// First arrival is at offset 0 (no sleep); the other nine are 100ms
-	// apart on an otherwise idle virtual clock.
-	if len(slept) != 9 {
-		t.Fatalf("dispatcher slept %d times, want 9 (%v)", len(slept), slept)
-	}
-	for i, d := range slept {
-		if d != 100*time.Millisecond {
-			t.Fatalf("sleep %d = %v, want 100ms", i, d)
+	slices.Sort(starts)
+	for i, off := range Schedule(Constant{}, 10, time.Second, 0) {
+		if starts[i] < off {
+			t.Fatalf("operation %d started %v into the run, before its intended offset %v", i, starts[i], off)
 		}
 	}
 }
@@ -282,27 +255,6 @@ func TestRunCancelDuringSleep(t *testing.T) {
 	}
 	if st.Skipped == 0 {
 		t.Fatalf("cancelled run reported no skipped arrivals: %+v", st)
-	}
-}
-
-// TestSleepContextTimerReuse exercises sleepContext directly: the timer
-// returned from one call must be reusable by the next, and a cancelled
-// context must cut a long sleep short.
-func TestSleepContextTimerReuse(t *testing.T) {
-	timer := sleepContext(context.Background(), nil, time.Millisecond)
-	if timer == nil {
-		t.Fatal("sleepContext returned a nil timer")
-	}
-	timer2 := sleepContext(context.Background(), timer, time.Millisecond)
-	if timer2 != timer {
-		t.Fatal("sleepContext did not reuse the timer")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	sleepContext(ctx, timer, time.Minute)
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("cancelled sleep took %v", elapsed)
 	}
 }
 
@@ -425,8 +377,9 @@ var dispatchCases = []struct {
 // build the run's one deadline.
 func steadyRunState(timeout time.Duration) *runState {
 	base := time.Unix(1000, 0)
-	r := newRunState(context.Background(), func(context.Context) error { return nil },
-		metrics.NewCollector("wl"), func() time.Time { return base }, timeout)
+	c := metrics.NewCollector("wl")
+	c.SetClock(func() time.Time { return base })
+	r := newRunState(context.Background(), func(context.Context) error { return nil }, c, timeout)
 	r.execOne(0)
 	return r
 }
@@ -477,7 +430,7 @@ func TestHeldDeadlineIsDisarmed(t *testing.T) {
 			stale.Add(1)
 		}
 		return nil
-	}, nil, time.Now, timeout)
+	}, nil, timeout)
 	var first *deadline
 	for _, source := range []string{"new", "free list"} {
 		d := r.holdDeadline()
@@ -517,7 +470,7 @@ func TestWorkersReuseDeadlines(t *testing.T) {
 			ctxs = append(ctxs, ctx)
 			done.Add(1)
 			return nil
-		}, nil, time.Now, time.Minute)
+		}, nil, time.Minute)
 		r.sched = make([]time.Duration, n)
 		give := time.Now().Add(5 * time.Second)
 		for i := range n {
@@ -620,7 +573,7 @@ func TestOperationDeadline(t *testing.T) {
 func TestOperationDeadlineLateFire(t *testing.T) {
 	const timeout = time.Millisecond
 	before := runtime.NumGoroutine()
-	r := newRunState(context.Background(), nil, nil, time.Now, timeout)
+	r := newRunState(context.Background(), nil, nil, timeout)
 	var dropped, reused int
 	for i := 0; i < 200; i++ {
 		t0 := time.Now()

@@ -58,8 +58,8 @@ const DatagenItems = "datagen_items"
 // operation loops never contend with each other at all.
 // The collector's own mutex guards only the measured interval and the shard
 // list. A collector also carries the run's one clock (SetClock, Now):
-// everything that times something inside a run reads it, and a paced
-// pattern phase sleeps on it (SleepUntil).
+// everything that times something inside a run reads it, and every pacer
+// sleeps on it (SleepUntil).
 type Collector struct {
 	name string
 	now  func() time.Time // nil is the wall clock
@@ -109,25 +109,23 @@ func (c *Collector) since(start time.Time) time.Duration {
 }
 
 // SleepUntil pauses until t on the collector's clock, or until ctx is
-// cancelled, and returns ctx.Err(). Paced pattern phases and generated
-// streams sleep through it: on the wall clock (a nil collector's too) it is
-// SleepContext; under an injected clock it returns at once, because no wall
-// sleep can advance that clock.
-func (c *Collector) SleepUntil(ctx context.Context, t time.Time) error {
-	if c == nil || c.now == nil {
-		if d := time.Until(t); d > 0 {
-			SleepContext(ctx, nil, d)
-		}
+// cancelled, and returns ctx.Err(). It is the module's one pacing sleep:
+// the open-loop dispatcher, paced pattern phases and generated streams all
+// sleep through it, so a cancel never waits out a pacing gap. On the wall
+// clock (a nil collector's too) it waits on timer, which the caller reuses
+// across calls — nil on the first, the returned timer thereafter — so a
+// pacer makes one timer, not one per sleep. Under an injected clock it
+// returns at once, because no wall sleep can advance that clock. Requires
+// the go1.23+ timer semantics go.mod declares: Reset without draining is
+// safe.
+func (c *Collector) SleepUntil(ctx context.Context, t time.Time, timer *time.Timer) (*time.Timer, error) {
+	if c != nil && c.now != nil {
+		return timer, ctx.Err()
 	}
-	return ctx.Err()
-}
-
-// SleepContext pauses for d or until ctx is cancelled, whichever comes
-// first — a pacing sleep must never delay shutdown. The timer is reused
-// across calls (pass nil on the first, the return value thereafter), so a
-// high-rate dispatch loop produces no per-sleep timer garbage. Requires the
-// go1.23+ timer semantics go.mod declares: Reset without draining is safe.
-func SleepContext(ctx context.Context, timer *time.Timer, d time.Duration) *time.Timer {
+	d := time.Until(t)
+	if d <= 0 {
+		return timer, ctx.Err()
+	}
 	if timer == nil {
 		timer = time.NewTimer(d)
 	} else {
@@ -138,7 +136,7 @@ func SleepContext(ctx context.Context, timer *time.Timer, d time.Duration) *time
 	case <-ctx.Done():
 		timer.Stop()
 	}
-	return timer
+	return timer, ctx.Err()
 }
 
 // Shard mints a private recording shard merged into this collector's

@@ -231,7 +231,7 @@ func TestSleepUntilFollowsTheClock(t *testing.T) {
 	frozen.SetClock(steppingClock())
 	for _, c := range []*Collector{nil, NewCollector("wl"), frozen} {
 		t0 := time.Now()
-		if err := c.SleepUntil(ctx, c.Now().Add(20*time.Millisecond)); err != nil {
+		if _, err := c.SleepUntil(ctx, c.Now().Add(20*time.Millisecond), nil); err != nil {
 			t.Fatal(err)
 		}
 		if slept := time.Since(t0); (c == frozen) != (slept < 20*time.Millisecond) {
@@ -241,11 +241,52 @@ func TestSleepUntilFollowsTheClock(t *testing.T) {
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	t0 := time.Now()
-	if err := (*Collector)(nil).SleepUntil(cancelled, time.Now().Add(time.Minute)); err != context.Canceled {
+	if _, err := (*Collector)(nil).SleepUntil(cancelled, time.Now().Add(time.Minute), nil); err != context.Canceled {
 		t.Fatalf("cancelled sleep returned %v, want ctx.Err()", err)
 	}
 	if slept := time.Since(t0); slept > time.Second {
 		t.Fatalf("cancelled sleep took %v", slept)
+	}
+}
+
+// TestSleepUntilTimerReuse: the timer one sleep returns is the one the next
+// sleep waits on, and a cancelled context cuts a long sleep on it short.
+func TestSleepUntilTimerReuse(t *testing.T) {
+	ctx := context.Background()
+	var wall *Collector
+	timer, err := wall.SleepUntil(ctx, time.Now().Add(time.Millisecond), nil)
+	if err != nil || timer == nil {
+		t.Fatalf("first sleep: timer %v, err %v; want a timer and nil", timer, err)
+	}
+	if again, _ := wall.SleepUntil(ctx, time.Now().Add(time.Millisecond), timer); again != timer {
+		t.Fatal("the second sleep did not reuse the first one's timer")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	t0 := time.Now()
+	if _, err := wall.SleepUntil(cancelled, time.Now().Add(time.Minute), timer); err != context.Canceled {
+		t.Fatalf("cancelled sleep returned %v, want context.Canceled", err)
+	}
+	if slept := time.Since(t0); slept > time.Second {
+		t.Fatalf("cancelled sleep took %v", slept)
+	}
+}
+
+// TestSleepUntilZeroAlloc pins "no pacer allocates per sleep": once the
+// first sleep has made the timer, a sleep on the wall clock allocates
+// nothing.
+func TestSleepUntilZeroAlloc(t *testing.T) {
+	ctx := context.Background()
+	var wall *Collector
+	timer, _ := wall.SleepUntil(ctx, time.Now().Add(50*time.Microsecond), nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		timer, _ = wall.SleepUntil(ctx, time.Now().Add(50*time.Microsecond), timer)
+	})
+	if raceflag.Enabled {
+		t.Skipf("allocation counts not asserted under -race (measured %.1f)", allocs)
+	}
+	if allocs != 0 {
+		t.Fatalf("a pacing sleep made %.1f allocations after the first, want 0", allocs)
 	}
 }
 

@@ -169,6 +169,7 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 		*res = chunkResult{obs: make([]obs, 0, ch.Len()), fp: fnvOffset}
 		octx := &OpContext{RNG: g, Records: records, Store: make(map[uint64]string, 64)}
 		pi := phaseAt(bounds, ch.Start)
+		var timer *time.Timer // the chunk's pacing timer, made at its first wall-clock sleep
 		for idx := ch.Start; idx < ch.End; idx++ {
 			for idx >= bounds[pi] {
 				pi++
@@ -187,7 +188,8 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 				// Latency runs from the intended time, so an op slower
 				// than the pace records the backlog it builds.
 				due := starts[pi].Load().Add(time.Duration(float64(idx-firsts[pi]) / ph.rate * float64(time.Second)))
-				if err := c.SleepUntil(ctx, due); err != nil {
+				var err error
+				if timer, err = c.SleepUntil(ctx, due, timer); err != nil {
 					return err
 				}
 				if start = c.Now(); due.Before(start) {
