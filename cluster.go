@@ -13,12 +13,17 @@ import (
 // would produce for a deterministic (spec, seed). See docs/DISTRIBUTED.md
 // for the wire protocol, partitioning rules and failure semantics.
 
-// AgentOptions configures a benchmark agent.
+// AgentOptions configures a benchmark agent: its registry, its run clock,
+// and its heartbeat period — the one liveness setting of a distributed run,
+// which the agent announces to the coordinator at every shard's handshake.
 type AgentOptions = cluster.AgentOptions
 
 // CoordinateOptions configures a coordinated distributed run: the agent
-// fleet, the failure policy (retries, backoff, per-shard and heartbeat
-// timeouts), and the usual scenario options.
+// fleet, the shard count, and the usual scenario options. The failure
+// policy is fixed: 2 retries with a doubling backoff from 100ms, and an
+// attempt abandoned after 15 silent heartbeat periods of its agent (never
+// under 100ms; 15s until the agent has accepted the shard). A bound
+// on the run is the spec's own timeout, as in a local run.
 type CoordinateOptions = cluster.Options
 
 // ServeAgent runs a benchmark agent on addr until ctx is cancelled, then
@@ -26,9 +31,6 @@ type CoordinateOptions = cluster.Options
 // stateless between requests; one agent can serve any number of
 // coordinators.
 func ServeAgent(ctx context.Context, addr string, opts AgentOptions) error {
-	if opts.ToolVersion == "" {
-		opts.ToolVersion = Version
-	}
 	return cluster.ServeAgent(ctx, addr, opts)
 }
 
@@ -36,9 +38,6 @@ func ServeAgent(ctx context.Context, addr string, opts AgentOptions) error {
 // — the embedding point for callers that already run an HTTP server (and
 // for httptest-based fault injection).
 func AgentHandler(opts AgentOptions) http.Handler {
-	if opts.ToolVersion == "" {
-		opts.ToolVersion = Version
-	}
 	return cluster.NewAgent(opts).Handler()
 }
 

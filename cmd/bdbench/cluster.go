@@ -18,7 +18,7 @@ import (
 func cmdAgent(args []string) error {
 	fs := newFlagSet("agent")
 	listen := fs.String("listen", "127.0.0.1:9031", "address to serve shard dispatches on")
-	heartbeat := fs.Duration("heartbeat", 0, "progress-snapshot period (0 = default 1s)")
+	heartbeat := fs.Duration("heartbeat", 0, "heartbeat period; a coordinator abandons a shard after 15 silent periods (0 = default 1s)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -30,25 +30,17 @@ func cmdAgent(args []string) error {
 
 // cmdCoordinate runs a scenario with its Execution step distributed across
 // agents. Selection, reporting and artifact flags match `bdbench run`; the
-// extra knobs are the fleet and the failure policy.
+// extra knobs are the fleet and the shard count.
 func cmdCoordinate(args []string) error {
 	fs := newFlagSet("coordinate")
 	agents := fs.String("agents", "", "comma-separated agent base URLs, e.g. http://host1:9031,http://host2:9031")
 	shards := fs.Int("shards", 0, "shard count (0 = one per agent, clamped to the task count)")
-	retries := fs.Int("retries", 0, "re-dispatches per failed shard (0 = default 2, negative = none)")
-	shardTimeout := fs.Duration("shard-timeout", 0, "per-dispatch-attempt deadline (0 = none)")
-	heartbeatTimeout := fs.Duration("heartbeat-timeout", 0, "per-attempt stream silence bound (0 = default 15s)")
-	backoff := fs.Duration("backoff", 0, "wait before a shard's first retry, doubling per attempt (0 = default 100ms)")
 	return runScenario(fs, args, func(sc bdbench.Scenario, ro runOptions) (*bdbench.Outcome, error) {
 		copts := bdbench.CoordinateOptions{
-			Agents:           splitAgents(*agents),
-			Shards:           *shards,
-			Retries:          *retries,
-			ShardTimeout:     *shardTimeout,
-			HeartbeatTimeout: *heartbeatTimeout,
-			Backoff:          *backoff,
-			RunOutput:        ro.out,
-			SampleCapacity:   ro.samples,
+			Agents:         splitAgents(*agents),
+			Shards:         *shards,
+			RunOutput:      ro.out,
+			SampleCapacity: ro.samples,
 		}
 		if ro.progress {
 			copts.OnEvent = printEvent

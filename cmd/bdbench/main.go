@@ -113,8 +113,10 @@ commands:
                   an interrupt (in-flight shards get a bounded drain)
   coordinate      run a scenario with its Execution step distributed across
                   agents (-agents url,url,...); takes the run selection,
-                  engine and artifact flags plus -shards, -retries,
-                  -shard-timeout, -heartbeat-timeout, -backoff; a shard no
+                  engine and artifact flags plus -shards; a shard is retried
+                  twice on the next agents, an attempt is abandoned after
+                  15 silent heartbeat periods of its agent (at least
+                  100ms), and a shard no
                   agent completes degrades the run (reported, nonzero exit)
                   instead of hanging (see docs/DISTRIBUTED.md)
   show            re-render a saved run artifact (-format text|markdown|json,

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/cluster/wire"
@@ -32,7 +31,7 @@ import (
 // pair, receive the streamed shard execution.
 const ShardPath = "/v1/shard"
 
-// DefaultHeartbeat is the agent's progress-snapshot period.
+// DefaultHeartbeat is the agent's heartbeat period.
 const DefaultHeartbeat = time.Second
 
 // shutdownDrain bounds how long a stopping agent waits for in-flight
@@ -45,16 +44,16 @@ type AgentOptions struct {
 	// must hold the same inventory as the coordinator's registry — the
 	// handshake's task-count cross-check rejects drifted agents.
 	Registry *scenario.Registry
-	// ToolVersion is echoed in the handshake (bdbench.Version through the
-	// public API).
-	ToolVersion string
 	// Now is the run's clock (engine.Config.Now), which the engine sets on
 	// every collector; nil means real time. Determinism tests freeze it on
 	// agents and coordinator alike.
 	Now func() time.Time
-	// Heartbeat is the progress-snapshot period (DefaultHeartbeat when 0) —
-	// the liveness signal the coordinator's watchdog feeds on while a long
-	// task produces no events.
+	// Heartbeat is the period of the empty snapshot frames a shard's stream
+	// carries while a long task produces no events (DefaultHeartbeat when
+	// 0 or negative). It is the one liveness setting of a distributed run:
+	// the agent announces it in its accept frame, and the coordinator
+	// abandons an attempt after silentPeriods periods (at least minSilence)
+	// without a byte from the agent.
 	Heartbeat time.Duration
 }
 
@@ -83,9 +82,11 @@ func (a *Agent) Handler() http.Handler {
 	return mux
 }
 
-// frameWriter serializes frame writes from the engine's event callback and
-// the heartbeat goroutine onto one response stream, flushing after every
-// frame so the coordinator's liveness watchdog sees bytes promptly.
+// frameWriter serializes frame writes from the engine's event callback, the
+// result loop and the heartbeat goroutine onto one response stream, flushing
+// after every frame so the coordinator's liveness watchdog sees bytes
+// promptly. A frame is encoded before the lock is taken, so heartbeats keep
+// flowing while a large result encodes.
 type frameWriter struct {
 	mu sync.Mutex
 	w  http.ResponseWriter
@@ -93,10 +94,14 @@ type frameWriter struct {
 }
 
 func (fw *frameWriter) write(typ string, body any) error {
+	raw, err := wire.EncodeFrame(typ, body)
+	if err != nil {
+		return err
+	}
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if err := wire.WriteFrame(fw.w, typ, body); err != nil {
-		return err
+	if _, err := fw.w.Write(raw); err != nil {
+		return fmt.Errorf("wire: write %s frame: %w", typ, err)
 	}
 	if fw.f != nil {
 		fw.f.Flush()
@@ -159,9 +164,9 @@ func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := fw.write(wire.TypeAccept, wire.Accept{
-		Protocol:    wire.ProtocolVersion,
-		ToolVersion: a.opts.ToolVersion,
-		Tasks:       len(tasks),
+		Protocol:  wire.ProtocolVersion,
+		Tasks:     len(tasks),
+		Heartbeat: a.opts.Heartbeat,
 	}); err != nil {
 		return // coordinator went away; nothing to report to
 	}
@@ -172,28 +177,23 @@ func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 	engTasks, cfg := n.EngineInputs(tasks)
 	cfg.SampleCap = assign.SampleCap
 	cfg.Now = a.opts.Now
-	var done atomic.Int64
 	cfg.OnEvent = func(e engine.Event) {
-		if e.Kind == engine.EventTaskDone {
-			done.Add(1)
-		}
 		// A failed event write means the coordinator is gone; the request
 		// context is about to cancel the engine, so just stop streaming.
 		_ = fw.write(wire.TypeEvent, wire.FromEvent(e))
 	}
 
-	// Heartbeat: periodic progress snapshots on the agent's real clock (the
-	// injectable engine clock is measurement, not liveness). The handler
-	// waits for the goroutine before it returns: a tick that fires as the
-	// shard finishes would otherwise write to a response the server has
-	// already taken back.
+	// Heartbeat: periodic empty snapshots on the agent's real clock (the
+	// injectable engine clock is measurement, not liveness), from the engine
+	// run until the last result frame is written. The handler waits for the
+	// goroutine before it returns: a tick that fires as the shard finishes
+	// would otherwise write to a response the server has already taken back.
 	hbCtx, hbStop := context.WithCancel(r.Context())
 	hbDone := make(chan struct{})
 	defer func() {
 		hbStop()
 		<-hbDone
 	}()
-	started := time.Now()
 	go func() {
 		defer close(hbDone)
 		ticker := time.NewTicker(a.opts.Heartbeat)
@@ -203,17 +203,12 @@ func (a *Agent) serveShard(w http.ResponseWriter, r *http.Request) {
 			case <-hbCtx.Done():
 				return
 			case <-ticker.C:
-				_ = fw.write(wire.TypeSnapshot, wire.Snapshot{
-					Done:      int(done.Load()),
-					Tasks:     len(tasks),
-					ElapsedNs: int64(time.Since(started)),
-				})
+				_ = fw.write(wire.TypeSnapshot, nil)
 			}
 		}
 	}()
 
 	results := engine.Run(r.Context(), engTasks, cfg)
-	hbStop()
 	for i, res := range results {
 		// An encode error reaches the coordinator; a write error has no one to reach.
 		if err := fw.write(wire.TypeResult, wire.FromTaskResult(i, res)); err != nil {

@@ -89,10 +89,9 @@ func startAgents(t *testing.T, reg *scenario.Registry, n int) []string {
 	urls := make([]string, n)
 	for i := range urls {
 		srv := httptest.NewServer(NewAgent(AgentOptions{
-			Registry:    reg,
-			ToolVersion: "test",
-			Now:         frozenNow,
-			Heartbeat:   50 * time.Millisecond,
+			Registry:  reg,
+			Now:       frozenNow,
+			Heartbeat: 50 * time.Millisecond,
 		}).Handler())
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL

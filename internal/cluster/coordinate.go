@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -16,23 +17,32 @@ import (
 	"github.com/bdbench/bdbench/internal/scenario"
 )
 
-// Coordinator defaults.
+// The coordinator's failure policy. A bound on the run itself is the spec's
+// own timeout, applied by each agent's engine as in a local run.
 const (
-	// DefaultRetries is how many times a failed shard is re-dispatched (to
-	// the next agent in rotation) before it is declared lost.
-	DefaultRetries = 2
-	// DefaultBackoff is the wait before a shard's first retry; it doubles
-	// per attempt.
-	DefaultBackoff = 100 * time.Millisecond
-	// DefaultHeartbeatTimeout is how long a shard's response stream may stay
-	// silent — no event, snapshot or result frame — before the attempt is
-	// abandoned. Agents heartbeat every DefaultHeartbeat, so a healthy
-	// stream is never near it.
-	DefaultHeartbeatTimeout = 15 * time.Second
+	// retries is how many times a failed shard is re-dispatched before it
+	// is declared lost. Attempt k of shard s goes to Agents[(s+k) %
+	// len(Agents)], so a retry lands on a different agent whenever there
+	// is one.
+	retries = 2
+	// backoff is the wait before a shard's first retry; it doubles per
+	// attempt.
+	backoff = 100 * time.Millisecond
+	// silentPeriods is how many of the agent's heartbeat periods a shard's
+	// response stream may stay silent — no byte of an event, snapshot or
+	// result frame — before the attempt is abandoned. The period is the one
+	// the agent announces in its accept frame, so from the accept on the two
+	// ends cannot disagree; until it arrives the period is DefaultHeartbeat.
+	silentPeriods = 15
+	// minSilence floors that bound: a shorter wait would take the Go
+	// scheduler's delay in running the stream's reader, or the agent's
+	// ticker, for an agent's silence (an agent at a 20 µs heartbeat lost
+	// shards under -race at a 300 µs bound).
+	minSilence = 100 * time.Millisecond
 )
 
-// Options configures Coordinate: the agent fleet and failure policy, plus
-// the scenario options forwarded to the run pipeline.
+// Options configures Coordinate: the agent fleet, plus the scenario options
+// forwarded to the run pipeline.
 type Options struct {
 	// Agents lists the agent base URLs ("http://host:port"). Required.
 	Agents []string
@@ -40,22 +50,8 @@ type Options struct {
 	// len(Agents), clamped to the task count). Shards beyond len(Agents)
 	// share agents round-robin.
 	Shards int
-	// Retries is how many re-dispatches a failed shard gets before being
-	// declared lost (DefaultRetries when 0; negative means none). Attempt k
-	// of shard s goes to Agents[(s+k) % len(Agents)], so a retry lands on a
-	// different agent whenever there is one.
-	Retries int
-	// ShardTimeout bounds one dispatch attempt end-to-end (0 = no bound; the
-	// heartbeat watchdog still catches dead agents).
-	ShardTimeout time.Duration
-	// HeartbeatTimeout is the per-attempt silence bound
-	// (DefaultHeartbeatTimeout when 0).
-	HeartbeatTimeout time.Duration
-	// Backoff is the wait before a shard's first retry, doubling per attempt
-	// (DefaultBackoff when 0).
-	Backoff time.Duration
 	// Client is the HTTP client for agent dispatch (a fresh client when
-	// nil). Per-attempt deadlines come from ShardTimeout, not the client.
+	// nil). An attempt is bounded by the heartbeat watchdog, not the client.
 	Client *http.Client
 
 	// The scenario pass-throughs (see scenario.Options).
@@ -85,15 +81,6 @@ type Options struct {
 func Coordinate(ctx context.Context, spec scenario.Spec, opts Options) (*scenario.Outcome, error) {
 	if len(opts.Agents) == 0 {
 		return nil, errors.New("cluster: coordinate: no agents")
-	}
-	if opts.Retries == 0 {
-		opts.Retries = DefaultRetries
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = DefaultBackoff
-	}
-	if opts.HeartbeatTimeout <= 0 {
-		opts.HeartbeatTimeout = DefaultHeartbeatTimeout
 	}
 	c := &coordinator{opts: opts, client: opts.Client}
 	if c.client == nil {
@@ -142,13 +129,7 @@ func (c *coordinator) execute(ctx context.Context, n scenario.Spec, tasks []engi
 	}
 	// Every shard gets the same handshake and the same spec bytes; only the
 	// shard number differs.
-	hello := wire.Hello{
-		Protocol:    wire.ProtocolVersion,
-		Tool:        "bdbench",
-		ToolVersion: c.opts.ToolVersion,
-		SpecDigest:  digest,
-		Seed:        n.Seed,
-	}
+	hello := wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: digest}
 	assign := wire.Assign{Spec: rawSpec, Shards: shards, SampleCap: cfg.SampleCap}
 	results := make([]engine.TaskResult, len(tasks))
 	notes := make([]string, shards) // slot per shard keeps degraded order deterministic
@@ -161,8 +142,7 @@ func (c *coordinator) execute(ctx context.Context, n scenario.Spec, tasks []engi
 			defer wg.Done()
 			s := assign.Shard
 			if err := c.dispatch(ctx, hello, assign, indices, results); err != nil {
-				attempts := 1 + max(0, c.opts.Retries)
-				notes[s] = fmt.Sprintf("shard %d/%d lost after %d attempt(s): %v", s, shards, attempts, err)
+				notes[s] = fmt.Sprintf("shard %d/%d lost after %d attempt(s): %v", s, shards, 1+retries, err)
 				for _, gi := range indices {
 					results[gi] = engine.TaskResult{
 						Workload: tasks[gi].Workload.Name(),
@@ -192,19 +172,18 @@ func (c *coordinator) execute(ctx context.Context, n scenario.Spec, tasks []engi
 // failed attempt's partial writes are overwritten by the attempt that
 // succeeds (or by the lost-shard fabrication).
 func (c *coordinator) dispatch(ctx context.Context, hello wire.Hello, assign wire.Assign, indices []int, results []engine.TaskResult) error {
-	attempts := 1 + max(0, c.opts.Retries)
-	backoff := c.opts.Backoff
+	wait := backoff
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			timer := time.NewTimer(backoff)
+			timer := time.NewTimer(wait)
 			select {
 			case <-ctx.Done():
 				timer.Stop()
 				return ctx.Err()
 			case <-timer.C:
 			}
-			backoff *= 2
+			wait *= 2
 		}
 		agent := c.opts.Agents[(assign.Shard+attempt)%len(c.opts.Agents)]
 		err := c.runShard(ctx, agent, hello, assign, indices, results)
@@ -223,17 +202,13 @@ func (c *coordinator) dispatch(ctx context.Context, hello wire.Hello, assign wir
 // live (shard-local task indices remapped to global), so a retried shard
 // re-emits its events: distributed progress events are at-least-once.
 func (c *coordinator) runShard(ctx context.Context, agentURL string, hello wire.Hello, assign wire.Assign, indices []int, results []engine.TaskResult) error {
-	attemptCtx := ctx
-	cancel := context.CancelFunc(func() {})
-	if c.opts.ShardTimeout > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, c.opts.ShardTimeout)
-	}
-	defer cancel()
-	// The watchdog cancels the attempt when the stream goes silent past the
-	// heartbeat bound; every received frame re-arms it.
-	attemptCtx, abandon := context.WithCancel(attemptCtx)
+	// The watchdog cancels the attempt when the agent stays silent for
+	// silentPeriods heartbeats. It runs from the request until the response
+	// headers, then only while a read waits for the agent's bytes (stream),
+	// so the coordinator's own decoding never counts as the agent's silence.
+	attemptCtx, abandon := context.WithCancel(ctx)
 	defer abandon()
-	watchdog := time.AfterFunc(c.opts.HeartbeatTimeout, abandon)
+	watchdog := time.AfterFunc(silentPeriods*DefaultHeartbeat, abandon)
 	defer watchdog.Stop()
 
 	var body bytes.Buffer
@@ -256,7 +231,8 @@ func (c *coordinator) runShard(ctx context.Context, agentURL string, hello wire.
 		return fmt.Errorf("dispatch shard: agent answered %s", resp.Status)
 	}
 
-	accept, err := c.readAccept(resp.Body, watchdog)
+	stream := &watchedReader{r: resp.Body, watchdog: watchdog, silence: silentPeriods * DefaultHeartbeat}
+	accept, err := readAccept(stream)
 	if err != nil {
 		return err
 	}
@@ -266,11 +242,17 @@ func (c *coordinator) runShard(ctx context.Context, agentURL string, hello wire.
 	if accept.Tasks != len(indices) {
 		return fmt.Errorf("agent resolved %d task(s) for a shard owning %d — mismatched workload registries?", accept.Tasks, len(indices))
 	}
+	// A period so long that silentPeriods of it overflow is refused like a
+	// non-positive one.
+	if accept.Heartbeat <= 0 || accept.Heartbeat > math.MaxInt64/silentPeriods {
+		return fmt.Errorf("agent announced a heartbeat of %v", accept.Heartbeat)
+	}
+	stream.silence = max(silentPeriods*accept.Heartbeat, minSilence)
 
 	got := make([]bool, len(indices))
 	received := 0
 	for received < len(indices) {
-		f, err := wire.ReadFrame(resp.Body)
+		f, err := wire.ReadFrame(stream)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				err = fmt.Errorf("stream ended after %d of %d result(s)", received, len(indices))
@@ -280,7 +262,6 @@ func (c *coordinator) runShard(ctx context.Context, agentURL string, hello wire.
 			}
 			return err
 		}
-		watchdog.Reset(c.opts.HeartbeatTimeout)
 		switch f.Type {
 		case wire.TypeEvent:
 			var we wire.Event
@@ -295,7 +276,7 @@ func (c *coordinator) runShard(ctx context.Context, agentURL string, hello wire.
 				c.emitMu.Unlock()
 			}
 		case wire.TypeSnapshot:
-			// Liveness is the content; the watchdog reset above consumed it.
+			// Liveness is the content; its bytes ended the wait in stream.
 		case wire.TypeResult:
 			var wr wire.Result
 			if err := f.Decode(&wr); err != nil {
@@ -323,13 +304,28 @@ func (c *coordinator) runShard(ctx context.Context, agentURL string, hello wire.
 	return nil
 }
 
+// watchedReader arms watchdog for silence only while a Read waits for the
+// agent's bytes: any byte that arrives ends the wait, so a large frame in
+// transfer is not silence, and the time between reads is not either.
+type watchedReader struct {
+	r        io.Reader
+	watchdog *time.Timer
+	silence  time.Duration
+}
+
+func (w *watchedReader) Read(p []byte) (int, error) {
+	w.watchdog.Reset(w.silence)
+	n, err := w.r.Read(p)
+	w.watchdog.Stop()
+	return n, err
+}
+
 // readAccept reads and validates the stream's first frame.
-func (c *coordinator) readAccept(r io.Reader, watchdog *time.Timer) (wire.Accept, error) {
+func readAccept(r io.Reader) (wire.Accept, error) {
 	f, err := wire.ReadFrame(r)
 	if err != nil {
 		return wire.Accept{}, fmt.Errorf("read accept: %w", err)
 	}
-	watchdog.Reset(c.opts.HeartbeatTimeout)
 	switch f.Type {
 	case wire.TypeAccept:
 		var a wire.Accept

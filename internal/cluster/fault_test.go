@@ -23,14 +23,9 @@ import (
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
-// faultOptions is coordOptions with the failure policy tightened so fault
-// paths resolve in milliseconds instead of the production defaults.
-func faultOptions(reg *scenario.Registry, agents []string, out string) Options {
-	opts := coordOptions(reg, agents, out)
-	opts.Backoff = time.Millisecond
-	opts.HeartbeatTimeout = 200 * time.Millisecond
-	return opts
-}
+// fakeHeartbeat is the period the fake agents announce, so a silent one is
+// abandoned after silentPeriods × 10 ms = 150 ms.
+const fakeHeartbeat = 10 * time.Millisecond
 
 // readAssignment consumes a shard request's hello+assign frames and returns
 // the decoded assignment — the shared front half of every fake agent.
@@ -51,9 +46,10 @@ func readAssignment(t *testing.T, r *http.Request) wire.Assign {
 }
 
 // acceptAssignment resolves the assignment exactly as a real agent would
-// and writes a well-formed accept frame — so the coordinator gets past the
-// handshake and the fault hits mid-shard, not at validation.
-func acceptAssignment(t *testing.T, reg *scenario.Registry, w http.ResponseWriter, assign wire.Assign) {
+// and writes an accept frame announcing heartbeat — so, with a positive
+// period, the coordinator gets past the handshake and the fault hits
+// mid-shard, not at validation.
+func acceptAssignment(t *testing.T, reg *scenario.Registry, w http.ResponseWriter, assign wire.Assign, heartbeat time.Duration) {
 	t.Helper()
 	spec, err := scenario.Parse(assign.Spec)
 	if err != nil {
@@ -68,7 +64,7 @@ func acceptAssignment(t *testing.T, reg *scenario.Registry, w http.ResponseWrite
 		t.Errorf("fake agent: resolve tasks: %v", err)
 		return
 	}
-	if err := wire.WriteFrame(w, wire.TypeAccept, wire.Accept{Protocol: wire.ProtocolVersion, Tasks: len(tasks)}); err != nil {
+	if err := wire.WriteFrame(w, wire.TypeAccept, wire.Accept{Protocol: wire.ProtocolVersion, Tasks: len(tasks), Heartbeat: heartbeat}); err != nil {
 		return
 	}
 	if f, ok := w.(http.Flusher); ok {
@@ -93,7 +89,7 @@ func assertReroutedMatchesLocal(t *testing.T, reg *scenario.Registry, faulty str
 	}
 	good := startAgents(t, reg, 1)
 	path := filepath.Join(dir, "dist.blob")
-	out, err := Coordinate(context.Background(), detSpec(), faultOptions(reg, []string{faulty, good[0]}, path))
+	out, err := Coordinate(context.Background(), detSpec(), coordOptions(reg, []string{faulty, good[0]}, path))
 	if err != nil {
 		t.Fatalf("coordinate: %v", err)
 	}
@@ -118,7 +114,7 @@ func TestCoordinateReroutesKilledAgent(t *testing.T) {
 	reg := detRegistry(t)
 	killed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		assign := readAssignment(t, r)
-		acceptAssignment(t, reg, w, assign)
+		acceptAssignment(t, reg, w, assign, fakeHeartbeat)
 		panic(http.ErrAbortHandler) // drop the connection mid-stream
 	}))
 	t.Cleanup(killed.Close)
@@ -135,7 +131,7 @@ func TestCoordinateReroutesSlowAgent(t *testing.T) {
 	t.Cleanup(func() { close(release) })
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		assign := readAssignment(t, r)
-		acceptAssignment(t, reg, w, assign)
+		acceptAssignment(t, reg, w, assign, fakeHeartbeat)
 		select { // silence: no events, no snapshots, no results
 		case <-release:
 		case <-r.Context().Done():
@@ -181,7 +177,7 @@ func (w corruptingWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
 // the corrupting agent without its samples.
 func TestCoordinateReroutesCorruptSamples(t *testing.T) {
 	reg := detRegistry(t)
-	agent := NewAgent(AgentOptions{Registry: reg, ToolVersion: "test", Now: frozenNow}).Handler()
+	agent := NewAgent(AgentOptions{Registry: reg, Now: frozenNow}).Handler()
 	corrupt := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		agent.ServeHTTP(corruptingWriter{w}, r)
 	}))
@@ -208,7 +204,7 @@ func TestAgentReportsUnencodableResult(t *testing.T) {
 	}
 	spec := scenario.Spec{Name: "huge", Entries: []scenario.Entry{{Workload: "huge-label"}},
 		Seed: 1, Scale: 1, Workers: 1, DatagenWorkers: 1, Parallel: 1, Reps: 1}
-	opts := faultOptions(reg, startAgents(t, reg, 1), "")
+	opts := coordOptions(reg, startAgents(t, reg, 1), "")
 	out, err := Coordinate(context.Background(), spec, opts)
 	if err == nil || out == nil || len(out.Degraded) != 1 {
 		t.Fatalf("unencodable result: err=%.300v, want one degraded shard", err)
@@ -225,7 +221,7 @@ func TestAgentReportsUnencodableResult(t *testing.T) {
 // silently dropping tasks.
 func TestCoordinateLostShardDegrades(t *testing.T) {
 	reg := detRegistry(t)
-	realAgent := NewAgent(AgentOptions{Registry: reg, ToolVersion: "test", Now: frozenNow}).Handler()
+	realAgent := NewAgent(AgentOptions{Registry: reg, Now: frozenNow}).Handler()
 	// Healthy for every shard except index 1, which always aborts — so
 	// retries (all landing back on this one agent) cannot save it.
 	selective := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -252,9 +248,8 @@ func TestCoordinateLostShardDegrades(t *testing.T) {
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "degraded.blob")
-	opts := faultOptions(reg, []string{selective.URL}, path)
+	opts := coordOptions(reg, []string{selective.URL}, path)
 	opts.Shards = 2
-	opts.Retries = 1
 	out, err := Coordinate(context.Background(), detSpec(), opts)
 	if err == nil {
 		t.Fatal("degraded run reported success")
@@ -262,7 +257,7 @@ func TestCoordinateLostShardDegrades(t *testing.T) {
 	if out == nil {
 		t.Fatalf("degraded run returned no outcome: %v", err)
 	}
-	if len(out.Degraded) != 1 || !strings.Contains(out.Degraded[0], "shard 1/2 lost after 2 attempt(s)") {
+	if len(out.Degraded) != 1 || !strings.Contains(out.Degraded[0], "shard 1/2 lost after 3 attempt(s)") {
 		t.Fatalf("degraded markers = %v", out.Degraded)
 	}
 	// Shard 1 of 2 owns global tasks 1 and 3 of the five.
@@ -296,10 +291,12 @@ func TestCoordinateLostShardDegrades(t *testing.T) {
 // a tick is always due as the shard finishes; a heartbeat that outlived its
 // handler wrote to a response the server had taken back and crashed the
 // agent (seen under the repo benchmark's cluster_loopback at -seconds 1).
+// At 20 µs the coordinator abandons the agent after 300 µs of silence, so
+// the runs also hold that heartbeats keep flowing while results encode.
 func TestAgentHeartbeatEndsWithTheShard(t *testing.T) {
 	reg := detRegistry(t)
 	srv := httptest.NewServer(NewAgent(AgentOptions{
-		Registry: reg, ToolVersion: "test", Now: frozenNow, Heartbeat: 20 * time.Microsecond,
+		Registry: reg, Now: frozenNow, Heartbeat: 20 * time.Microsecond,
 	}).Handler())
 	defer srv.Close()
 	spec := detSpec()
@@ -310,6 +307,182 @@ func TestAgentHeartbeatEndsWithTheShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// tricklingWriter delivers a shard's first result frame in 16-byte pieces,
+// each followed by a 5 ms pause, so the frame takes far longer than the
+// coordinator's silence bound to arrive while its bytes never stop; size is
+// that frame's length.
+type tricklingWriter struct {
+	http.ResponseWriter
+	size *atomic.Int64
+}
+
+func (w tricklingWriter) Write(p []byte) (int, error) {
+	if f, _, err := wire.DecodeFrame(p); err != nil || f.Type != wire.TypeResult || !w.size.CompareAndSwap(0, int64(len(p))) {
+		return w.ResponseWriter.Write(p)
+	}
+	for off := 0; off < len(p); off += 16 {
+		if _, err := w.ResponseWriter.Write(p[off:min(off+16, len(p))]); err != nil {
+			return off, err
+		}
+		w.Flush()
+		time.Sleep(5 * time.Millisecond)
+	}
+	return len(p), nil
+}
+
+func (w tricklingWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestSlowResultFrameIsNotSilence: the coordinator's silence bound counts
+// only the time it waits for the agent's bytes, so a result frame whose
+// transfer takes longer than silentPeriods of the agent's heartbeat, but
+// whose bytes keep coming, completes the shard on the first attempt.
+func TestSlowResultFrameIsNotSilence(t *testing.T) {
+	reg := detRegistry(t)
+	agent := NewAgent(AgentOptions{Registry: reg, Now: frozenNow, Heartbeat: fakeHeartbeat}).Handler()
+	var size atomic.Int64
+	var attempts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		attempts.Add(1)
+		agent.ServeHTTP(tricklingWriter{w, &size}, r)
+	}))
+	t.Cleanup(srv.Close)
+	out, err := Coordinate(context.Background(), detSpec(), coordOptions(reg, []string{srv.URL}, ""))
+	if err != nil {
+		t.Fatalf("coordinate: %v", err)
+	}
+	if len(out.Degraded) != 0 || attempts.Load() != 1 {
+		t.Fatalf("%d attempt(s), degraded: %v", attempts.Load(), out.Degraded)
+	}
+	pieces := (size.Load() + 15) / 16
+	if took, bound := time.Duration(pieces)*5*time.Millisecond, silentPeriods*fakeHeartbeat; took <= bound {
+		t.Fatalf("the trickled frame took at least %v, not above the %v silence bound", took, bound)
+	}
+}
+
+// blockingBody's encoding waits for release, after signalling entered.
+type blockingBody struct{ entered, release chan struct{} }
+
+func (b blockingBody) MarshalJSON() ([]byte, error) {
+	close(b.entered)
+	<-b.release
+	return []byte("{}"), nil
+}
+
+// TestHeartbeatWritesWhileAFrameEncodes: an agent encodes a frame before it
+// takes the stream, so a heartbeat is not held up by a large result's
+// encoding, which at a short heartbeat could outlast the coordinator's
+// silence bound.
+func TestHeartbeatWritesWhileAFrameEncodes(t *testing.T) {
+	rec := httptest.NewRecorder()
+	fw := &frameWriter{w: rec, f: rec}
+	body := blockingBody{entered: make(chan struct{}), release: make(chan struct{})}
+	result := make(chan error, 1)
+	go func() { result <- fw.write(wire.TypeResult, body) }()
+	<-body.entered
+	snapshot := make(chan error, 1)
+	go func() { snapshot <- fw.write(wire.TypeSnapshot, nil) }()
+	select {
+	case err := <-snapshot:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(body.release)
+		t.Fatal("the heartbeat waited for another frame's encoding")
+	}
+	close(body.release)
+	if err := <-result; err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := wire.DecodeFrame(rec.Body.Bytes())
+	if err != nil || f.Type != wire.TypeSnapshot {
+		t.Fatalf("first frame %q (%v), want the snapshot", f.Type, err)
+	}
+}
+
+// quietWorkload's one repetition waits d of wall time, so its stream
+// carries nothing but the agent's heartbeat until it ends.
+type quietWorkload struct {
+	detWorkload
+	d time.Duration
+}
+
+func (w quietWorkload) Run(ctx context.Context, _ workloads.Params, _ *metrics.Collector) error {
+	select {
+	case <-time.After(w.d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestCoordinatorFollowsTheAgentHeartbeat: the coordinator abandons an
+// attempt after silentPeriods of the heartbeat its agent announces. An agent
+// at a 300 ms heartbeat whose one repetition runs 400 ms without an event
+// completes; an agent that announces 10 ms and falls silent is abandoned
+// and rerouted within a second; and an agent that announces no period is
+// refused.
+func TestCoordinatorFollowsTheAgentHeartbeat(t *testing.T) {
+	t.Run("quiet-repetition-completes", func(t *testing.T) {
+		reg := scenario.NewRegistry()
+		w := quietWorkload{detWorkload{name: "quiet", cat: workloads.Offline}, 400 * time.Millisecond}
+		if err := reg.RegisterWorkload(w); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(NewAgent(AgentOptions{Registry: reg, Now: frozenNow, Heartbeat: 300 * time.Millisecond}).Handler())
+		t.Cleanup(srv.Close)
+		spec := scenario.Spec{Name: "quiet", Entries: []scenario.Entry{{Workload: w.name}},
+			Seed: 1, Scale: 1, Workers: 1, DatagenWorkers: 1, Parallel: 1, Reps: 1}
+		out, err := Coordinate(context.Background(), spec, coordOptions(reg, []string{srv.URL}, ""))
+		if err != nil {
+			t.Fatalf("coordinate: %v", err)
+		}
+		if len(out.Degraded) != 0 {
+			t.Fatalf("degraded: %v", out.Degraded)
+		}
+	})
+	t.Run("silent-agent-rerouted", func(t *testing.T) {
+		reg := detRegistry(t)
+		release := make(chan struct{})
+		t.Cleanup(func() { close(release) })
+		silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			acceptAssignment(t, reg, w, readAssignment(t, r), fakeHeartbeat)
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		}))
+		t.Cleanup(silent.Close)
+		agents := []string{silent.URL, startAgents(t, reg, 1)[0]}
+		start := time.Now()
+		out, err := Coordinate(context.Background(), detSpec(), coordOptions(reg, agents, ""))
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatalf("coordinate: %v", err)
+		}
+		if len(out.Degraded) != 0 {
+			t.Fatalf("degraded: %v", out.Degraded)
+		}
+		if elapsed > time.Second {
+			t.Fatalf("a silent agent announcing %v was abandoned and rerouted in %v, want within 1s", fakeHeartbeat, elapsed)
+		}
+	})
+	t.Run("no-heartbeat-refused", func(t *testing.T) {
+		reg := detRegistry(t)
+		mute := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			acceptAssignment(t, reg, w, readAssignment(t, r), 0)
+		}))
+		t.Cleanup(mute.Close)
+		out, err := Coordinate(context.Background(), detSpec(), coordOptions(reg, []string{mute.URL}, ""))
+		if err == nil || out == nil || len(out.Degraded) != 1 {
+			t.Fatalf("agent without a heartbeat: err=%v, want one degraded shard", err)
+		}
+		if note := out.Degraded[0]; !strings.Contains(note, "agent announced a heartbeat of 0s") {
+			t.Fatalf("degraded note does not name the heartbeat: %s", note)
+		}
+	})
 }
 
 // unwinding calls started on entry, then waits for its context's cancel,
@@ -340,7 +513,7 @@ func TestAgentShardWaitsForItsWorkload(t *testing.T) {
 	if err := reg.RegisterWorkload(w); err != nil {
 		t.Fatal(err)
 	}
-	agent := NewAgent(AgentOptions{Registry: reg, ToolVersion: "test", Now: frozenNow}).Handler()
+	agent := NewAgent(AgentOptions{Registry: reg, Now: frozenNow}).Handler()
 	handled := make(chan bool, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		agent.ServeHTTP(w, r)
@@ -369,16 +542,8 @@ func TestAgentShardWaitsForItsWorkload(t *testing.T) {
 func TestAgentRejectsBadHandshake(t *testing.T) {
 	reg := detRegistry(t)
 	urls := startAgents(t, reg, 1)
-	n := detSpec().Normalized()
-	rawSpec, err := json.Marshal(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest, err := scenario.SpecDigest(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: digest}
+	good, rawSpec := handshake(t, detSpec())
+	digest := good.SpecDigest
 	cases := []struct {
 		name          string
 		hello         wire.Hello
@@ -390,10 +555,12 @@ func TestAgentRejectsBadHandshake(t *testing.T) {
 		// expected median/best copies in result frames, protocol 2 stamped
 		// the placement into the spec it sent (which this agent's strict parse
 		// would reject anyway — the version check says why first), and
-		// protocol 3 read samples as JSON pairs, not a runstore blob.
-		{"protocol-1", wire.Hello{Protocol: 1, SpecDigest: digest}, 0, 1, "protocol version 1 unsupported (agent speaks 4)"},
-		{"protocol-2", wire.Hello{Protocol: 2, SpecDigest: digest}, 0, 1, "protocol version 2 unsupported (agent speaks 4)"},
-		{"protocol-3", wire.Hello{Protocol: 3, SpecDigest: digest}, 0, 1, "protocol version 3 unsupported (agent speaks 4)"},
+		// protocol 3 read samples as JSON pairs, not a runstore blob, and
+		// protocol 4 expected no heartbeat period in the accept frame.
+		{"protocol-1", wire.Hello{Protocol: 1, SpecDigest: digest}, 0, 1, "protocol version 1 unsupported (agent speaks 5)"},
+		{"protocol-2", wire.Hello{Protocol: 2, SpecDigest: digest}, 0, 1, "protocol version 2 unsupported (agent speaks 5)"},
+		{"protocol-3", wire.Hello{Protocol: 3, SpecDigest: digest}, 0, 1, "protocol version 3 unsupported (agent speaks 5)"},
+		{"protocol-4", wire.Hello{Protocol: 4, SpecDigest: digest}, 0, 1, "protocol version 4 unsupported (agent speaks 5)"},
 		{"digest-mismatch", wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: "deadbeef"}, 0, 1, "spec digest mismatch"},
 		{"shard-at-shards", good, 2, 2, "shard 2/2 out of range"},
 		{"negative-shard", good, -1, 2, "shard -1/2 out of range"},
@@ -401,22 +568,11 @@ func TestAgentRejectsBadHandshake(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var body bytes.Buffer
-			if err := wire.WriteFrame(&body, wire.TypeHello, tc.hello); err != nil {
-				t.Fatal(err)
+			frames := shardFrames(t, urls[0], tc.hello, wire.Assign{Spec: rawSpec, Shard: tc.shard, Shards: tc.shards})
+			if len(frames) != 1 {
+				t.Fatalf("%d frame(s), want one error frame", len(frames))
 			}
-			if err := wire.WriteFrame(&body, wire.TypeAssign, wire.Assign{Spec: rawSpec, Shard: tc.shard, Shards: tc.shards}); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.Post(urls[0]+ShardPath, "application/x-bdbench-frames", &body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			f, err := wire.ReadFrame(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
+			f := frames[0]
 			if f.Type != wire.TypeError {
 				t.Fatalf("frame type %s, want error", f.Type)
 			}
@@ -428,5 +584,50 @@ func TestAgentRejectsBadHandshake(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", we.Message, tc.want)
 			}
 		})
+	}
+}
+
+// handshake returns the hello a coordinator sends for spec, and the
+// normalized spec an assignment carries.
+func handshake(t *testing.T, spec scenario.Spec) (wire.Hello, json.RawMessage) {
+	t.Helper()
+	n := spec.Normalized()
+	rawSpec, err := json.Marshal(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := scenario.SpecDigest(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.Hello{Protocol: wire.ProtocolVersion, SpecDigest: digest}, rawSpec
+}
+
+// shardFrames posts one hello and assign frame pair straight to an agent and
+// returns every frame of its response.
+func shardFrames(t *testing.T, url string, hello wire.Hello, assign wire.Assign) []wire.Frame {
+	t.Helper()
+	var body bytes.Buffer
+	if err := wire.WriteFrame(&body, wire.TypeHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(&body, wire.TypeAssign, assign); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+ShardPath, "application/x-bdbench-frames", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var frames []wire.Frame
+	for {
+		f, err := wire.ReadFrame(resp.Body)
+		if errors.Is(err, io.EOF) {
+			return frames
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
 	}
 }

@@ -3,13 +3,13 @@
 // coordinator's request body carries a handshake (Hello: protocol version +
 // spec digest) and a shard assignment (Assign: the normalized spec, which
 // shard of how many to execute, and the engine knobs that live outside the
-// spec); the agent's response streams Accept,
-// then engine Events interleaved with periodic Snapshot heartbeats, then
-// one Result frame per shard-local task. A result is its measured
-// repetitions — each sample crosses the wire once, in the runstore blob
-// encoding the artifact stores — and the coordinator re-derives median,
-// best and throughput from them with the engine's own rule
-// (engine.Summarize), exactly as a local run does.
+// spec); the agent's response streams Accept (which announces the agent's
+// heartbeat period), then engine Events interleaved with periodic empty
+// snapshot frames, then one Result frame per shard-local task. A result is
+// its measured repetitions — each sample crosses the wire once, in the
+// runstore blob encoding the artifact stores — and the coordinator
+// re-derives median, best and throughput from them with the engine's own
+// rule (engine.Summarize), exactly as a local run does.
 //
 // Framing is deliberately defensive: a four-byte big-endian length, capped
 // at MaxFrameSize, prefixes every JSON envelope, and ReadFrame/DecodeFrame
@@ -38,7 +38,7 @@ import (
 // ProtocolVersion is the wire protocol version. A Hello carrying any other
 // value is rejected at handshake — framing or semantics changes bump it, so
 // a stale agent fails loudly instead of mis-executing a shard.
-const ProtocolVersion = 4
+const ProtocolVersion = 5
 
 // MaxFrameSize caps one frame's JSON body (64 MiB). A length prefix above
 // it is treated as corruption: the reader fails instead of allocating
@@ -56,8 +56,8 @@ const (
 	TypeAccept = "accept"
 	// TypeEvent streams one engine progress event (agent → coordinator).
 	TypeEvent = "event"
-	// TypeSnapshot is the periodic progress heartbeat (agent → coordinator);
-	// its arrival, not its content, is what keeps the liveness watchdog fed.
+	// TypeSnapshot is the periodic heartbeat (agent → coordinator), a frame
+	// with no body: its arrival is what keeps the liveness watchdog fed.
 	TypeSnapshot = "snapshot"
 	// TypeResult carries one finished shard-local task (agent → coordinator).
 	TypeResult = "result"
@@ -71,16 +71,13 @@ type Frame struct {
 	Body json.RawMessage `json:"body,omitempty"`
 }
 
-// Hello is the coordinator's handshake: who speaks, which protocol, and —
-// via the digest of the normalized spec — which run this is. The agent
-// recomputes the digest from the assignment it receives and refuses on
-// mismatch, so a corrupted or mismatched spec can never execute.
+// Hello is the coordinator's handshake: which protocol, and — via the
+// digest of the normalized spec — which run this is. The agent recomputes
+// the digest from the assignment it receives and refuses on mismatch, so a
+// corrupted or mismatched spec can never execute.
 type Hello struct {
-	Protocol    int    `json:"protocol"`
-	Tool        string `json:"tool,omitempty"`
-	ToolVersion string `json:"toolVersion,omitempty"`
-	SpecDigest  string `json:"specDigest"`
-	Seed        uint64 `json:"seed,omitempty"`
+	Protocol   int    `json:"protocol"`
+	SpecDigest string `json:"specDigest"`
 }
 
 // Assign is the shard assignment: the normalized spec as strict JSON — the
@@ -98,14 +95,15 @@ type Assign struct {
 	SampleCap int `json:"sampleCap,omitempty"`
 }
 
-// Accept is the agent's acknowledgment: its protocol and tool version, and
-// how many shard-local tasks the assignment resolved to. The coordinator
-// cross-checks Tasks against its own partitioning — a registry drift
-// between binaries surfaces here, before any workload runs.
+// Accept is the agent's acknowledgment: its protocol, how many shard-local
+// tasks the assignment resolved to, and its heartbeat period. The
+// coordinator cross-checks Tasks against its own partitioning — a registry
+// drift between binaries surfaces here, before any workload runs — and
+// derives its silence bound from Heartbeat, which must be positive.
 type Accept struct {
-	Protocol    int    `json:"protocol"`
-	ToolVersion string `json:"toolVersion,omitempty"`
-	Tasks       int    `json:"tasks"`
+	Protocol  int           `json:"protocol"`
+	Tasks     int           `json:"tasks"`
+	Heartbeat time.Duration `json:"heartbeatNs"`
 }
 
 // Event is one engine progress event in transit; Task is shard-local (the
@@ -151,15 +149,6 @@ func (e Event) ToEvent() engine.Event {
 		out.Err = errors.New(e.Err)
 	}
 	return out
-}
-
-// Snapshot is the periodic progress heartbeat: shard-local tasks finished
-// so far out of the shard's total. ElapsedNs is the agent's wall time since
-// the shard started — progress telemetry only, never part of the artifact.
-type Snapshot struct {
-	Done      int   `json:"done"`
-	Tasks     int   `json:"tasks"`
-	ElapsedNs int64 `json:"elapsedNs,omitempty"`
 }
 
 // Rep is one measured repetition in transit. Its Result travels as JSON

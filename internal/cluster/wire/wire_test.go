@@ -19,8 +19,8 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	hello := Hello{Protocol: ProtocolVersion, Tool: "bdbench", ToolVersion: "test", SpecDigest: "abc", Seed: 42}
-	accept := Accept{Protocol: ProtocolVersion, ToolVersion: "test", Tasks: 3}
+	hello := Hello{Protocol: ProtocolVersion, SpecDigest: "abc"}
+	accept := Accept{Protocol: ProtocolVersion, Tasks: 3, Heartbeat: time.Second}
 	if err := WriteFrame(&buf, TypeHello, hello); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestReadFrameCorrupt(t *testing.T) {
 }
 
 func TestDecodeFrameConsumesExactly(t *testing.T) {
-	a, err := EncodeFrame(TypeSnapshot, Snapshot{Done: 1, Tasks: 2})
+	a, err := EncodeFrame(TypeSnapshot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, raw := range corruptFrames(f) {
 		f.Add(raw)
 	}
-	// A protocol-4 result frame: repetitions, each with its sample section
+	// A result frame: repetitions, each with its sample section
 	// as a runstore blob; and the same frame with that section corrupt.
 	result, err := EncodeFrame(TypeResult, FromTaskResult(0,
 		engine.Summarize("det-a", "offline analytics", []engine.Rep{{Result: sampledResult("det-a", 100, 1, 2)}}, nil)))

@@ -17,9 +17,9 @@ var benchSink uint64
 // clock (so time-source cost is excluded), a resident 256-record window, and a
 // key-value substrate holding the whole key space so put overwrites instead
 // of growing the map. step runs one operation exactly as Run does — phase
-// dispatch, weighted draw, clocking, the op body, the observation appended
-// to a buffer with room for n — and returns how many the buffer holds.
-func dispatchFixture(tb testing.TB, n int, ops ...OpWeight) (step func() int) {
+// dispatch, weighted draw, clocking, the op body, the observation recorded
+// through the op's OpRef, each of which has recorded once already.
+func dispatchFixture(tb testing.TB, ops ...OpWeight) (step func()) {
 	w, err := Compile(Pattern{Name: "bench", Ops: ops, OpsPerScale: 1})
 	if err != nil {
 		tb.Fatal(err)
@@ -39,17 +39,20 @@ func dispatchFixture(tb testing.TB, n int, ops ...OpWeight) (step func() int) {
 		octx.Store[k] = records[k%256]
 	}
 	ph := &cw.phases[0]
-	buf := make([]obs, 0, n)
-	return func() int {
+	refs := make([]metrics.OpRef, len(ph.ops))
+	for j, op := range ph.ops {
+		refs[j] = c.Op(ph.name + "/" + op.Name)
+		refs[j].Observe(0)
+	}
+	return func() {
 		j := 0
 		if ph.alias != nil {
 			j = ph.alias.Sample(g)
 		}
 		start := c.Now()
 		fp := ph.ops[j].Apply(octx)
-		buf = append(buf, obs{op: int32(j), dur: c.Now().Sub(start)})
+		refs[j].Observe(c.Now().Sub(start))
 		benchSink ^= fp
-		return len(buf)
 	}
 }
 
@@ -57,16 +60,12 @@ func dispatchFixture(tb testing.TB, n int, ops ...OpWeight) (step func() int) {
 // dispatchFixture) over a filter/aggregate/scan mix. For looking;
 // TestComposedOpsZeroAlloc holds its allocs/op column at 0.
 func BenchmarkComposedDispatch(b *testing.B) {
-	step := dispatchFixture(b, b.N,
+	step := dispatchFixture(b,
 		OpWeight{Op: "filter"}, OpWeight{Op: "aggregate", Weight: 2}, OpWeight{Op: "scan"})
 	b.ReportAllocs()
 	b.ResetTimer()
-	buffered := 0
 	for i := 0; i < b.N; i++ {
-		buffered = step()
-	}
-	if buffered != b.N {
-		b.Fatal("observation buffer lost entries")
+		step()
 	}
 }
 
@@ -80,8 +79,8 @@ func TestComposedOpsZeroAlloc(t *testing.T) {
 	check := func(name string, ops ...OpWeight) {
 		t.Run(name, func(t *testing.T) {
 			// AllocsPerRun calls step once to warm up, then runs times.
-			step := dispatchFixture(t, runs+1, ops...)
-			allocs := testing.AllocsPerRun(runs, func() { step() })
+			step := dispatchFixture(t, ops...)
+			allocs := testing.AllocsPerRun(runs, step)
 			if raceflag.Enabled {
 				t.Skipf("allocation counts not asserted under -race (measured %.1f)", allocs)
 			}

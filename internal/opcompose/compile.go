@@ -91,22 +91,6 @@ func (w *composed) Domain() string { return "operation patterns" }
 // executor.
 func (w *composed) StackTypes() []stacks.Type { return []stacks.Type{stacks.Type("abstract")} }
 
-// obs is one buffered observation: which (phase, op) cell it belongs to
-// and the measured duration. Observations are buffered per chunk and
-// replayed in plan order after the parallel stream completes, so the
-// sample capture order — and with it the artifact bytes — is deterministic
-// at any worker count.
-type obs struct {
-	phase, op int32
-	dur       time.Duration
-}
-
-// chunkResult is one chunk's buffered observations and its fingerprint.
-type chunkResult struct {
-	obs []obs
-	fp  uint64
-}
-
 // fnvOffset and fnvPrime fold chunk fingerprints into the pattern digest.
 const (
 	fnvOffset = 1469598103934665603
@@ -115,8 +99,9 @@ const (
 
 // Run implements workloads.Workload: generate the corpus through the
 // chunked datagen pipeline, execute the operation stream chunk-parallel,
-// replay the buffered observations in plan order, and record the
-// deterministic pattern digest.
+// recording each operation as it runs, and record the deterministic
+// pattern digest. Capture order does not reach the artifact: runstore
+// sorts a series' samples by (offset, value).
 func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.Collector) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -159,14 +144,13 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 	// chunk RNGs from (seed, chunk index), so give the stream its own root.
 	opSeed := stats.NewRNG(params.Seed).Split("opcompose/"+w.p.Name, 0).Seed()
 	plan := datagen.PlanChunks(total, chunkOps)
-	results := make([]chunkResult, len(plan))
+	fps := make([]uint64, len(plan))
 	err = datagen.Parallel(opSeed, len(plan), params.Workers, func(i int, g *stats.RNG) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		ch := plan[i]
-		res := &results[i]
-		*res = chunkResult{obs: make([]obs, 0, ch.Len()), fp: fnvOffset}
+		fp := uint64(fnvOffset)
 		octx := &OpContext{RNG: g, Records: records, Store: make(map[uint64]string, 64)}
 		pi := phaseAt(bounds, ch.Start)
 		var timer *time.Timer // the chunk's pacing timer, made at its first wall-clock sleep
@@ -196,28 +180,24 @@ func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.
 					start = due
 				}
 			}
-			fp := ph.ops[j].Apply(octx)
-			res.obs = append(res.obs, obs{phase: int32(pi), op: int32(j), dur: c.Now().Sub(start)})
-			res.fp = (res.fp ^ fp) * fnvPrime
+			out := ph.ops[j].Apply(octx)
+			refs[pi][j].Observe(c.Now().Sub(start))
+			fp = (fp ^ out) * fnvPrime
 		}
+		fps[i] = fp
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("opcompose: %w", err)
 	}
 
-	// Replay in plan order: chunk k's observations always land before
-	// chunk k+1's, no matter which workers executed them.
+	// Fold the chunk fingerprints in plan order, no matter which workers
+	// executed the chunks.
 	var digest uint64 = fnvOffset
-	var done int64
-	for _, r := range results {
-		for _, o := range r.obs {
-			refs[o.phase][o.op].Observe(o.dur)
-		}
-		done += int64(len(r.obs))
-		digest = (digest ^ r.fp) * fnvPrime
+	for _, fp := range fps {
+		digest = (digest ^ fp) * fnvPrime
 	}
-	c.CounterRef("ops").Add(done)
+	c.CounterRef("ops").Add(total)
 	c.CounterRef("records").Add(int64(len(records)))
 	// The digest is the cross-run equivalence witness: same (pattern,
 	// seed, scale) must yield the same value at any worker count, on any

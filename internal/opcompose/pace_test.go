@@ -103,3 +103,37 @@ func TestPacedPhaseUnderAFrozenClock(t *testing.T) {
 		}
 	}
 }
+
+// TestPacedSamplesCarryTheirOwnTimes: a phase paced at 100 ops/s over 40
+// operations spreads them over 390 ms, and so do their captured samples'
+// offsets. Observations replayed after the stream had finished were all
+// stamped within microseconds of its end.
+func TestPacedSamplesCarryTheirOwnTimes(t *testing.T) {
+	w, err := Compile(Pattern{Name: "paced-samples", Ops: []OpWeight{{Op: "scan"}}, OpsPerScale: 40,
+		Phases: []Phase{{Name: "slow", Rate: 100}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := metrics.NewCollector(w.Name())
+	c.EnableSampling(0)
+	if err := w.Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2, DatagenWorkers: 1}, c); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range c.Snapshot().Samples {
+		if s.Op != "slow/scan" {
+			continue
+		}
+		if len(s.Samples) != 40 {
+			t.Fatalf("%d slow/scan samples, want 40", len(s.Samples))
+		}
+		lo, hi := s.Samples[0].Offset, s.Samples[0].Offset
+		for _, x := range s.Samples {
+			lo, hi = min(lo, x.Offset), max(hi, x.Offset)
+		}
+		if span, want := time.Duration(hi-lo), time.Duration(0.8*0.39*float64(time.Second)); span < want {
+			t.Fatalf("slow/scan sample offsets span %v, want at least %v", span, want)
+		}
+		return
+	}
+	t.Fatal("no slow/scan samples captured")
+}
