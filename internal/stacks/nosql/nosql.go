@@ -60,11 +60,19 @@ func (r Row) Get(name string) string {
 	return ""
 }
 
-// with returns a new Row: r with the given fields merged over it. Replacing
-// values is one allocation; a name r does not have grows the copy.
-func (r Row) with(fields Record) Row {
-	out := Row{slices.Clone(r.fields)}
-	for name, value := range fields {
+// with returns a new Row: r with the given fields merged over it, cut from
+// fields. The names r lacks are counted first, so the cut is exactly as long
+// as the merged row and stays capped (len == cap).
+func (r Row) with(rec Record, fields *slab[Field]) Row {
+	added := 0
+	for name := range rec {
+		if _, ok := r.find(name); !ok {
+			added++
+		}
+	}
+	out := Row{fields.cut(len(r.fields) + added)[:len(r.fields)]}
+	copy(out.fields, r.fields)
+	for name, value := range rec {
 		i, ok := out.find(name)
 		if !ok {
 			out.fields = slices.Insert(out.fields, i, Field{Name: name})
@@ -136,7 +144,7 @@ type Store struct {
 // Insert, Update and ReadModifyWrite install a new Row in the key's node, so
 // Read and Scan hand the stored Row out under the read lock without copying
 // it, and it may be held past the unlock. TestStoredRecordsAreNeverMutated
-// watches it. Insert and ReadModifyWrite cut the new Row from the
+// watches it. Insert, Update and ReadModifyWrite cut the new Row from the
 // partition's field slab under the write lock; a cut is capped, so no Row
 // reaches into the next one's fields.
 type partition struct {
@@ -231,7 +239,7 @@ func (s *Store) Update(key string, fields Record) error {
 	if node == nil {
 		return ErrNotFound
 	}
-	node.val = node.val.with(fields)
+	node.val = node.val.with(fields, &p.fields)
 	return nil
 }
 

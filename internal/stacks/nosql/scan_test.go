@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/bdbench/bdbench/internal/raceflag"
 	"github.com/bdbench/bdbench/internal/stats"
@@ -320,53 +321,73 @@ func TestSkipListDeleteReleasesTheNode(t *testing.T) {
 }
 
 // TestPointOperationAllocations prices the point operations on a
-// YCSB-shaped store: a read hands out the stored row, an update of existing
-// fields builds one new row, and an insert and a read-modify-write cut theirs
-// from the partition's slabs, so a thousand of them cost a few allocations.
+// YCSB-shaped store: a read hands out the stored row, and an insert, an
+// update (of existing fields or one that adds a field) and a
+// read-modify-write cut their new row from the partition's slabs, so a
+// thousand of them cost a few allocations.
 func TestPointOperationAllocations(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts not asserted under -race")
 	}
 	s := ycsbShapedStore()
 	fields := Record{"field0": "new", "field7": "new"}
+	added := Record{"field0": "new", "extra": "added"}
 	rec := Record{}
 	for f := 0; f < 10; f++ {
 		rec[fmt.Sprintf("field%d", f)] = "value"
 	}
-	// AllocsPerRun calls its function once more than it counts.
-	keys := make([]string, 1001)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("user%06d", 2000+i)
+	// Each case runs ops times unmeasured, then ops times measured, so the
+	// price reads to a thousandth; call i of the 2*ops gets stored[i] or
+	// fresh[i].
+	const ops = 1000
+	stored := make([]string, 2*ops)
+	fresh := make([]string, 2*ops)
+	for i := range stored {
+		stored[i] = fmt.Sprintf("user%06d", i)
+		fresh[i] = fmt.Sprintf("user%06d", 2000+i)
 	}
-	inserted := 0
 	for _, tc := range []struct {
 		name string
-		op   func()
+		op   func(i int)
 		max  float64
 	}{
-		{"Read", func() { _, _ = s.Read("user000700", nil) }, 0},
-		{"Read of a missing key", func() { _, _ = s.Read("absent", nil) }, 0},
-		{"Read of two fields", func() { _, _ = s.Read("user000700", []string{"field3", "field4"}) }, 1},
-		{"Update of existing fields", func() { _ = s.Update("user000700", fields) }, 1},
-		{"ReadModifyWrite", func() {
+		{"Read", func(int) { _, _ = s.Read("user000700", nil) }, 0},
+		{"Read of a missing key", func(int) { _, _ = s.Read("absent", nil) }, 0},
+		{"Read of two fields", func(int) { _, _ = s.Read("user000700", []string{"field3", "field4"}) }, 1},
+		{"Update of existing fields", func(int) { _ = s.Update("user000700", fields) }, 0.05},
+		{"Update that adds a field", func(i int) { _ = s.Update(stored[i], added) }, 0.05},
+		{"ReadModifyWrite", func(int) {
 			_ = s.ReadModifyWrite("user000700", func(r Record) Record { r["field0"] = "rmw"; return r })
-		}, 1},
-		{"Insert", func() { s.Insert(keys[inserted], rec); inserted++ }, 0.05},
+		}, 0.05},
+		{"Insert", func(i int) { s.Insert(fresh[i], rec) }, 0.05},
 	} {
-		if got := testing.AllocsPerRun(len(keys)-1, tc.op); got > tc.max {
+		call := 0
+		got := testing.AllocsPerRun(1, func() {
+			for range ops {
+				tc.op(call)
+				call++
+			}
+		}) / ops
+		if got > tc.max {
 			t.Errorf("%s: %.3f allocations, want at most %g", tc.name, got, tc.max)
 		}
 	}
-	if s.Size() != 2000+len(keys) {
-		t.Fatalf("%d records after the inserts, want %d", s.Size(), 2000+len(keys))
+	if s.Size() != 2000+len(fresh) {
+		t.Fatalf("%d records after the inserts, want %d", s.Size(), 2000+len(fresh))
+	}
+	for _, key := range stored {
+		if row, _ := s.Read(key, nil); row.Get("extra") != "added" || len(row.fields) != 11 {
+			t.Fatalf("%s: the update did not add its field: %v", key, row.fields)
+		}
 	}
 }
 
 // TestSlabRowsAreCapped: rows cut from a partition's field slab end where
 // their fields end (cap == len), so nothing appended to one reaches its
 // neighbour, and the rows Read and Scan handed out read byte for byte the
-// same after 2 000 more inserts and read-modify-writes into the same
-// partitions.
+// same after 2 000 more inserts, read-modify-writes and updates that add a
+// field into the same partitions. Among them is the row cut right after
+// another in the same chunk, held while an update grows the one before it.
 func TestSlabRowsAreCapped(t *testing.T) {
 	s := ycsbShapedStore()
 	type held struct {
@@ -392,16 +413,45 @@ func TestSlabRowsAreCapped(t *testing.T) {
 	for _, kv := range s.Scan("user000500", 100) {
 		hold(kv.Key, kv.Rec)
 	}
+	// The first key whose row the slab cut right after another's.
+	end := func(r Row) unsafe.Pointer {
+		return unsafe.Add(unsafe.Pointer(unsafe.SliceData(r.fields)), len(r.fields)*int(unsafe.Sizeof(Field{})))
+	}
+	before := map[*partition]string{}
+	grown := ""
+	for i := 0; i < 2000 && grown == ""; i++ {
+		key := fmt.Sprintf("user%06d", i)
+		p := s.part(key)
+		if prev, ok := before[p]; ok && end(p.list.find(prev).val) == unsafe.Pointer(&p.list.find(key).val.fields[0]) {
+			grown = prev
+			hold(key, p.list.find(key).val)
+		}
+		before[p] = key
+	}
+	if grown == "" {
+		t.Fatal("no two rows are neighbours in a chunk")
+	}
+	if err := s.Update(grown, Record{"field0": "grown", "grown": "added"}); err != nil {
+		t.Fatal(err)
+	}
+	if row, _ := s.Read(grown, nil); len(row.fields) != 11 || row.Get("grown") != "added" {
+		t.Fatalf("%s: the update did not grow the row: %v", grown, row.fields)
+	}
 	g := stats.NewRNG(5)
 	for i := 0; i < 2000; i++ {
-		if i%2 == 0 {
+		key := fmt.Sprintf("user%06d", g.IntN(2000))
+		var err error
+		switch i % 3 {
+		case 0:
 			s.Insert(fmt.Sprintf("user%06d", 2000+i), Record{"field0": fmt.Sprint(i), "field1": "inserted"})
-			continue
+		case 1:
+			err = s.ReadModifyWrite(key, func(r Record) Record {
+				r["field0"], r["extra"] = fmt.Sprint(i), "rmw"
+				return r
+			})
+		case 2:
+			err = s.Update(key, Record{"field1": fmt.Sprint(i), fmt.Sprintf("added%d", i%7): "update"})
 		}
-		err := s.ReadModifyWrite(fmt.Sprintf("user%06d", g.IntN(2000)), func(r Record) Record {
-			r["field0"], r["extra"] = fmt.Sprint(i), "rmw"
-			return r
-		})
 		if err != nil {
 			t.Fatal(err)
 		}

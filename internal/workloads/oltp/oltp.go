@@ -230,12 +230,38 @@ type coreRun struct {
 	errCount     int64
 }
 
-// client is the private state of one closed-loop client.
+// client is the private state of one closed-loop client. Its writes draw
+// their values, and an insert its key, onto the client's own arena: a
+// strings.Builder cut into pages of arenaPage bytes, where a string the
+// builder has handed out is never written again (as in Load), so a write
+// costs no allocation of its own.
 type client struct {
 	g       *stats.RNG
 	chooser stats.IntSampler
 	refs    [numOps]metrics.OpRef
 	rec     nosql.Record // what an insert fills; Store.Insert copies it
+	arena   strings.Builder
+}
+
+// arenaPage is the size of a client arena's page: 81 update values or 8
+// inserts.
+const arenaPage = 8 << 10
+
+// room readies the arena for n more bytes: when the page has no room for
+// them, a new page.
+func (cl *client) room(n int) {
+	if cl.arena.Cap()-cl.arena.Len() < n {
+		cl.arena.Reset()
+		cl.arena.Grow(max(n, arenaPage))
+	}
+}
+
+// value draws a field value onto the arena, the draws RandomWord makes.
+func (cl *client) value() string {
+	cl.room(fieldLen)
+	start := cl.arena.Len()
+	cl.g.WriteWord(&cl.arena, fieldLen, fieldLen)
+	return cl.arena.String()[start:]
 }
 
 // chooser builds the key sampler for the workload's distribution. The
@@ -292,21 +318,22 @@ func (w CoreWorkload) doOne(store *nosql.Store, run *coreRun, cl *client) {
 	case opRead:
 		_, err = store.Read(string(k[:]), nil)
 	case opUpdate:
-		err = store.Update(string(k[:]), nosql.Record{"field0": g.RandomWord(fieldLen, fieldLen)})
+		err = store.Update(string(k[:]), nosql.Record{"field0": cl.value()})
 	case opInsert:
-		var values strings.Builder
-		values.Grow(fieldCount * fieldLen)
-		fillRecord(cl.rec, g, &values)
+		cl.room(len(k) + fieldCount*fieldLen)
+		fillRecord(cl.rec, g, &cl.arena)
 		run.insertMu.Lock()
 		next := key(atomic.LoadInt64(&run.insertCursor))
-		store.Insert(string(next[:]), cl.rec)
+		cl.arena.Write(next[:])
+		all := cl.arena.String()
+		store.Insert(all[len(all)-len(next):], cl.rec)
 		atomic.AddInt64(&run.insertCursor, 1)
 		run.insertMu.Unlock()
 	case opScan:
 		store.Scan(string(k[:]), 1+g.IntN(maxScanLen))
 	case opRMW:
 		err = store.ReadModifyWrite(string(k[:]), func(rec nosql.Record) nosql.Record {
-			rec["field0"] = g.RandomWord(fieldLen, fieldLen)
+			rec["field0"] = cl.value()
 			return rec
 		})
 	}

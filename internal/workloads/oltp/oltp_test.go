@@ -188,6 +188,21 @@ func TestLoadAllocations(t *testing.T) {
 	}
 }
 
+// servingClient returns the first client Run starts for w at seed, choosing
+// among run's loaded records and recording into a shard of c.
+func servingClient(w CoreWorkload, run *coreRun, seed uint64, c *metrics.Collector) *client {
+	cl := &client{
+		g:       stats.NewRNG(seed).Split("client", 0),
+		chooser: w.chooser(&run.insertCursor, run.insertCursor),
+		rec:     make(nosql.Record, fieldCount),
+	}
+	shard := c.Shard()
+	for op, name := range opNames {
+		cl.refs[op] = shard.Op(name)
+	}
+	return cl
+}
+
 // TestReadLoopAllocatesNothing: a YCSB-C client — draw an id, write its key,
 // read it, record the latency — allocates nothing per operation.
 func TestReadLoopAllocatesNothing(t *testing.T) {
@@ -196,16 +211,95 @@ func TestReadLoopAllocatesNothing(t *testing.T) {
 	c := metrics.NewCollector("ycsb-C")
 	store.Instrument(c)
 	run := &coreRun{insertCursor: 1000}
-	cl := client{g: stats.NewRNG(3), chooser: WorkloadC.chooser(&run.insertCursor, 1000)}
-	for op, name := range opNames {
-		cl.refs[op] = c.Shard().Op(name)
-	}
-	allocs := testing.AllocsPerRun(2000, func() { WorkloadC.doOne(store, run, &cl) })
+	cl := servingClient(WorkloadC, run, 3, c)
+	allocs := testing.AllocsPerRun(2000, func() { WorkloadC.doOne(store, run, cl) })
 	if allocs != 0 && !raceflag.Enabled {
 		t.Errorf("a YCSB-C operation allocates %.2f times, want 0", allocs)
 	}
 	if run.errCount != 0 {
 		t.Fatalf("%d reads failed", run.errCount)
+	}
+}
+
+// allocsPerOp is the average allocation count of op over n calls, after n
+// calls unmeasured; unlike testing.AllocsPerRun's average it keeps the
+// fraction.
+func allocsPerOp(n int, op func()) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for range n {
+			op()
+		}
+	}) / float64(n)
+}
+
+// TestWriteLoopsAllocatePerPage: a client's updates, inserts and
+// read-modify-writes draw their values and keys onto its arena, and the
+// store cuts the rows from its slabs, so ycsb-A, -D and -F allocate per page,
+// not per write: at most one allocation in twenty operations.
+func TestWriteLoopsAllocatePerPage(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts not asserted under -race")
+	}
+	for _, w := range []CoreWorkload{WorkloadA, WorkloadD, WorkloadF} {
+		store := nosql.Open(4, 1)
+		w.Load(store, stats.NewRNG(2), 1000)
+		c := metrics.NewCollector(w.Name())
+		store.Instrument(c)
+		run := &coreRun{insertCursor: 1000}
+		cl := servingClient(w, run, 3, c)
+		allocs := allocsPerOp(2000, func() { w.doOne(store, run, cl) })
+		if allocs > 0.05 {
+			t.Errorf("a %s operation allocates %.3f times, want at most 0.05", w.Name(), allocs)
+		}
+		if run.errCount != 0 {
+			t.Fatalf("%s: %d operations failed", w.Name(), run.errCount)
+		}
+	}
+}
+
+// TestServePinned: what one client's serving phase leaves in the store —
+// every key, field name and value, in scan order, after 2 000 operations of
+// ycsb-A, -D or -F over 500 loaded records — is what it was when each update
+// and read-modify-write drew a RandomWord of its own and each insert a
+// builder and a key of its own, at any partition count. An update and a
+// read-modify-write of field0 make the same draws, so ycsb-A and -F leave the
+// same store.
+func TestServePinned(t *testing.T) {
+	for _, tc := range []struct {
+		w    CoreWorkload
+		seed uint64
+		want string
+	}{
+		{WorkloadA, 7, "9a8a55d3c15550178c383a309c5124193900d65aaa006b712e9357a692fc1051"},
+		{WorkloadA, 2014, "1f380008da896b01c3c3abc700812e7cbe44e980b623a625a119abfc90686a77"},
+		{WorkloadD, 7, "37a7897b42339740fecbdef75a120971b3d1214056e4487767ff4b12a0861b1a"},
+		{WorkloadD, 2014, "eddf1d0ce9d0979946ff28c2ef336fb49fadcfccd6dda3a02f808fc612e3f16d"},
+		{WorkloadF, 7, "9a8a55d3c15550178c383a309c5124193900d65aaa006b712e9357a692fc1051"},
+		{WorkloadF, 2014, "1f380008da896b01c3c3abc700812e7cbe44e980b623a625a119abfc90686a77"},
+	} {
+		for _, parts := range []int{1, 4} {
+			store := nosql.Open(parts, tc.seed)
+			tc.w.Load(store, stats.NewRNG(tc.seed), 500)
+			run := &coreRun{insertCursor: 500}
+			cl := servingClient(tc.w, run, tc.seed, metrics.NewCollector(tc.w.Name()))
+			for op := 0; op < 2000; op++ {
+				tc.w.doOne(store, run, cl)
+			}
+			if run.errCount != 0 {
+				t.Fatalf("%s, seed %d: %d operations failed", tc.w.Name(), tc.seed, run.errCount)
+			}
+			h := sha256.New()
+			for _, kv := range store.Scan("", store.Size()) {
+				fmt.Fprintf(h, "%s\x00", kv.Key)
+				for _, name := range fieldNames {
+					fmt.Fprintf(h, "%s\x00%s\x00", name, kv.Rec.Get(name))
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Errorf("%s, seed %d, %d partitions: %d records, digest %s, want %s",
+					tc.w.Name(), tc.seed, parts, store.Size(), got, tc.want)
+			}
+		}
 	}
 }
 
