@@ -44,16 +44,16 @@ loc:
 
 # surface prints the functions nothing runs, for looking (nothing is gated on
 # it): every binary is built with coverage over the whole module, driven
-# through the repo benchmark, the bdbench subcommands, cmd/datagen and the
-# examples, and what is left at 0.0% outside benchmark/, cmd/, examples/ is
-# listed. What may stay on the list is in TestInternalNamesHaveCallers'
-# callerless table and docs/PERFORMANCE.md.
+# through the repo benchmark, the bdbench subcommands and the examples, and
+# what is left at 0.0% outside benchmark/, cmd/, examples/ is listed. What
+# may stay on the list is in TestInternalNamesHaveCallers' callerless table
+# and docs/PERFORMANCE.md.
 surface:
 	@set -e; t=$$(mktemp -d); trap 'rm -rf "$$t"' EXIT; mkdir "$$t/bin" "$$t/cov"; \
-	for p in cmd/bdbench cmd/datagen benchmark examples/*; do \
+	for p in cmd/bdbench benchmark examples/*; do \
 		$(GO) build -cover -coverpkg=./... -o "$$t/bin/$${p##*/}" "./$$p"; \
 	done; \
-	export GOCOVERDIR="$$t/cov"; b="$$t/bin/bdbench"; d="$$t/bin/datagen"; \
+	export GOCOVERDIR="$$t/cov"; b="$$t/bin/bdbench"; \
 	run() { "$$@" >/dev/null 2>"$$t/err" || { echo "surface: $$* failed:" >&2; cat "$$t/err" >&2; exit 1; }; }; \
 	run "$$t/bin/benchmark" -seconds 1; \
 	for c in table1 table2 "figure1 -suite YCSB" figure2 figure3 figure4 suites workloads "workloads -ops" \
@@ -70,11 +70,6 @@ surface:
 		"run -suite YCSB -validate" \
 		"run -suite LinkBench -reps 2 -warmup 1 -timeout 30s -profile cpu -profile-dir $$t"; do \
 		run $$b $$c; \
-	done; \
-	for a in "-kind text" "-kind table" "-kind graph -size 8" "-kind stream" "-kind weblog" "-kind resume" \
-		"-kind text -model markov" "-kind text -model random" "-kind table -format jsonl" \
-		"-kind stream -rate 1000 -updates 0.3"; do \
-		run $$d -size 200 $$a; \
 	done; \
 	for e in examples/*; do run "$$t/bin/$${e##*/}"; done; \
 	unset GOCOVERDIR; \

@@ -9,8 +9,8 @@
 // module builds that framework end to end, plus every substrate it needs:
 //
 //   - internal/datagen/...   4V data generators (LDA text, profiled tables,
-//     Kronecker/BA graphs, rate-controlled streams, web logs, resumes,
-//     media) and the §5.1 veracity metrics;
+//     Kronecker/BA graphs, rate-controlled streams, web logs) and the §5.1
+//     veracity metrics;
 //   - internal/testgen       abstract operations, workload patterns,
 //     prescriptions and stack binders (Figure 4);
 //   - internal/stacks/...    five simulated software stacks: MapReduce,
@@ -61,4 +61,4 @@
 package bdbench
 
 // Version is the release version of the bdbench module.
-const Version = "1.25.0"
+const Version = "1.26.0"

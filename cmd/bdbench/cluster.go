@@ -18,14 +18,13 @@ import (
 func cmdAgent(args []string) error {
 	fs := newFlagSet("agent")
 	listen := fs.String("listen", "127.0.0.1:9031", "address to serve shard dispatches on")
-	heartbeat := fs.Duration("heartbeat", 0, "heartbeat period; a coordinator abandons a shard after 15 silent periods (0 = default 1s)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	fmt.Fprintf(stderr, "agent: serving shards on %s (bdbench %s); interrupt to stop\n", *listen, bdbench.Version)
-	return bdbench.ServeAgent(ctx, *listen, bdbench.AgentOptions{Heartbeat: *heartbeat})
+	return bdbench.ServeAgent(ctx, *listen, bdbench.AgentOptions{})
 }
 
 // cmdCoordinate runs a scenario with its Execution step distributed across

@@ -109,8 +109,8 @@ commands:
                   any run — its "latency under load" table, a row per rate,
                   is the throughput-vs-latency curve
   agent           serve scenario shards over HTTP for a coordinator
-                  (-listen addr, -heartbeat period); stateless, stop with
-                  an interrupt (in-flight shards get a bounded drain)
+                  (-listen addr); stateless, stop with an interrupt
+                  (in-flight shards get a bounded drain)
   coordinate      run a scenario with its Execution step distributed across
                   agents (-agents url,url,...); takes the run selection,
                   engine and artifact flags plus -shards; a shard is retried

@@ -1,7 +1,7 @@
 // Package datagen is the public facade over bdbench's 4V data-generation
 // substrate: rate measurement and the chunked-build utilities here, plus one
 // subpackage per source family (textgen, tablegen, graphgen, streamgen,
-// weblog, resume, media) and the §5.1 veracity metrics (veracity).
+// weblog) and the §5.1 veracity metrics (veracity).
 //
 // Every type is an alias of its internal counterpart, so values
 // interoperate directly with the bdbench public API and across facades.

@@ -5,14 +5,8 @@ package weblog
 
 import "github.com/bdbench/bdbench/internal/datagen/weblog"
 
-// Record is one parsed log line.
+// Record is one access-log entry.
 type Record = weblog.Record
 
 // Generator derives click logs from an orders table.
 type Generator = weblog.Generator
-
-// Parse parses one formatted log line.
-func Parse(line string) (Record, error) { return weblog.Parse(line) }
-
-// FormatAll renders records as log text.
-func FormatAll(records []Record) string { return weblog.FormatAll(records) }

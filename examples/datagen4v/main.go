@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/datagen"
-	"github.com/bdbench/bdbench/datagen/media"
-	"github.com/bdbench/bdbench/datagen/resume"
 	"github.com/bdbench/bdbench/datagen/streamgen"
 	"github.com/bdbench/bdbench/datagen/tablegen"
 	"github.com/bdbench/bdbench/datagen/textgen"
@@ -59,7 +57,7 @@ func main() {
 	rate := streamgen.MeasureProcessingSpeed(events, func(streamgen.Event) {})
 	fmt.Printf("  processing speed: %.0f events/s sustained\n", rate)
 
-	// ---- Variety: every supported source kind.
+	// ---- Variety: text, table and the web log derived from the table.
 	fmt.Println("\nVARIETY — data sources:")
 	corpus := textgen.ReferenceCorpus(3, 50, 40)
 	fmt.Printf("  text:    %d documents (unstructured)\n", len(corpus))
@@ -70,14 +68,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  weblog:  %d lines (semi-structured, derived from tables)\n", len(logs))
-	resumes := resume.Generator{}.Generate(datagen.NewRNG(5), 100)
-	fmt.Printf("  resume:  %d records (semi-structured)\n", len(resumes))
-	blobs := media.Library(datagen.NewRNG(6), 20, 30)
-	totalBytes := 0
-	for _, b := range blobs {
-		totalBytes += len(b)
-	}
-	fmt.Printf("  video:   %d blobs, %d bytes (unstructured binary)\n", len(blobs), totalBytes)
 
 	// ---- Veracity: measured divergence per generator family.
 	fmt.Println("\nVERACITY — measured KL divergence from the real corpus:")

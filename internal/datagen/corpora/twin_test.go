@@ -17,7 +17,7 @@ import (
 
 // structuredTwin renders each corpus the long way: its generator's
 // structured API at the corpus seed and scale, printed line by line with fmt
-// and the types' own String/Format methods.
+// and the types' own String/AppendFormat methods.
 var structuredTwin = map[string]func(t *testing.T, seed uint64, scale int) string{
 	"text": func(_ *testing.T, seed uint64, scale int) string {
 		var sb strings.Builder
@@ -52,7 +52,7 @@ var structuredTwin = map[string]func(t *testing.T, seed uint64, scale int) strin
 		}
 		var sb strings.Builder
 		for _, r := range recs {
-			sb.WriteString(r.Format() + "\n")
+			sb.WriteString(string(r.AppendFormat(nil)) + "\n")
 		}
 		return sb.String()
 	},

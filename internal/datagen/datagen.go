@@ -6,8 +6,8 @@
 // here: every paced operation sleeps with metrics.Collector.SleepUntil.
 //
 // Subpackages implement the concrete generators per data source: textgen,
-// tablegen, graphgen, streamgen, weblog, resume and media, with veracity
-// metrics in the veracity subpackage and serialization in formats.
+// tablegen, graphgen, streamgen and weblog, with veracity metrics in the
+// veracity subpackage and CSV serialization in formats.
 package datagen
 
 import (

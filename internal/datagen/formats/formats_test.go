@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/data"
-	"github.com/bdbench/bdbench/internal/datagen/graphgen"
 	"github.com/bdbench/bdbench/internal/datagen/tablegen"
-	"github.com/bdbench/bdbench/internal/stats"
 )
 
 func sampleTable(t *testing.T) *data.Table {
@@ -51,115 +49,46 @@ func tablesEqual(t *testing.T, a, b *data.Table) {
 	}
 }
 
-func TestRoundTripAllFormats(t *testing.T) {
+func TestRoundTripSampleTable(t *testing.T) {
 	tab := sampleTable(t)
-	for _, f := range []Format{CSV, TSV, JSONL} {
-		var buf bytes.Buffer
-		if err := WriteTable(&buf, tab, f); err != nil {
-			t.Fatalf("%s write: %v", f, err)
-		}
-		got, err := ReadTable(&buf, tab.Schema, f)
-		if err != nil {
-			t.Fatalf("%s read: %v", f, err)
-		}
-		tablesEqual(t, tab, got)
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, tab); err != nil {
+		t.Fatal(err)
 	}
+	got, err := ReadTable(&buf, tab.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesEqual(t, tab, got)
 }
 
 func TestRoundTripGeneratedTable(t *testing.T) {
 	tab := tablegen.ReferenceTable(1, 500)
-	for _, f := range []Format{CSV, TSV, JSONL} {
-		var buf bytes.Buffer
-		if err := WriteTable(&buf, tab, f); err != nil {
-			t.Fatalf("%s write: %v", f, err)
-		}
-		got, err := ReadTable(&buf, tab.Schema, f)
-		if err != nil {
-			t.Fatalf("%s read: %v", f, err)
-		}
-		if got.NumRows() != 500 {
-			t.Fatalf("%s: rows %d", f, got.NumRows())
-		}
-		// Floats survive exactly thanks to %g round-trip formatting.
-		tablesEqual(t, tab, got)
-	}
-}
-
-func TestUnknownFormat(t *testing.T) {
-	tab := sampleTable(t)
 	var buf bytes.Buffer
-	if err := WriteTable(&buf, tab, Format("xml")); err == nil {
-		t.Fatal("unknown write format accepted")
+	if err := WriteTable(&buf, tab); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadTable(&buf, tab.Schema, Format("xml")); err == nil {
-		t.Fatal("unknown read format accepted")
+	got, err := ReadTable(&buf, tab.Schema)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got.NumRows() != 500 {
+		t.Fatalf("rows %d", got.NumRows())
+	}
+	// Floats survive exactly thanks to %g round-trip formatting.
+	tablesEqual(t, tab, got)
 }
 
 func TestReadSeparatedHeaderMismatch(t *testing.T) {
 	schema := data.Schema{Name: "s", Cols: []data.Column{{Name: "a", Kind: data.KindInt}}}
-	if _, err := ReadTable(strings.NewReader("b\n1\n"), schema, CSV); err == nil {
+	if _, err := ReadTable(strings.NewReader("b\n1\n"), schema); err == nil {
 		t.Fatal("wrong header accepted")
 	}
 }
 
 func TestReadSeparatedBadValue(t *testing.T) {
 	schema := data.Schema{Name: "s", Cols: []data.Column{{Name: "a", Kind: data.KindInt}}}
-	if _, err := ReadTable(strings.NewReader("a\nnotanint\n"), schema, CSV); err == nil {
+	if _, err := ReadTable(strings.NewReader("a\nnotanint\n"), schema); err == nil {
 		t.Fatal("bad int accepted")
-	}
-}
-
-func TestReadJSONLBadTypes(t *testing.T) {
-	schema := data.Schema{Name: "s", Cols: []data.Column{{Name: "a", Kind: data.KindInt}}}
-	if _, err := ReadTable(strings.NewReader(`{"a":"str"}`), schema, JSONL); err == nil {
-		t.Fatal("string where int expected accepted")
-	}
-	if _, err := ReadTable(strings.NewReader(`{bad json`), schema, JSONL); err == nil {
-		t.Fatal("bad json accepted")
-	}
-	// Missing field decodes as null.
-	tab, err := ReadTable(strings.NewReader(`{}`), schema, JSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tab.Rows[0][0].IsNull() {
-		t.Fatal("missing field should be null")
-	}
-}
-
-func TestEdgeListRoundTrip(t *testing.T) {
-	g := graphgen.DefaultRMAT.Generate(stats.NewRNG(1), 8)
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != g.N || len(got.Edges) != len(g.Edges) {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d", got.N, len(got.Edges), g.N, len(g.Edges))
-	}
-	for i := range g.Edges {
-		if g.Edges[i] != got.Edges[i] {
-			t.Fatalf("edge %d differs", i)
-		}
-	}
-}
-
-func TestEdgeListInfersN(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0\t5\n3\t2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N != 6 {
-		t.Fatalf("inferred N = %d, want 6", g.N)
-	}
-}
-
-func TestEdgeListBadLine(t *testing.T) {
-	if _, err := ReadEdgeList(strings.NewReader("nonsense\n")); err == nil {
-		t.Fatal("bad edge line accepted")
 	}
 }

@@ -48,17 +48,6 @@ func (l *LDA) GenerateParallel(seed uint64, docs, meanLen, workers int) (Corpus,
 	return fillCorpus(seed, docs, workers, func(g *stats.RNG, dst Corpus) { l.fill(g, dst, meanLen) })
 }
 
-// GenerateParallel samples a corpus from the chain across a bounded worker
-// pool. The transition tables and the alias sampler cache are frozen at
-// Train time and read-only here, so chunks generate concurrently without
-// locking; output is chunk-deterministic at any worker count.
-func (m *Markov) GenerateParallel(seed uint64, docs, meanLen, workers int) (Corpus, error) {
-	if !m.trained {
-		return nil, errNotTrainedMarkov
-	}
-	return fillCorpus(seed, docs, workers, func(g *stats.RNG, dst Corpus) { m.fill(g, dst, meanLen) })
-}
-
 // GenerateCorpusParallel emits docs reference documents across a bounded
 // worker pool; the hidden model is immutable, so chunks share it safely.
 // Output is chunk-deterministic at any worker count.

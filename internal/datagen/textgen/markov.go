@@ -7,8 +7,7 @@ import (
 	"github.com/bdbench/bdbench/internal/stats"
 )
 
-// errNotTrainedMarkov is returned by Generate and GenerateParallel before
-// Train.
+// errNotTrainedMarkov is returned by Generate before Train.
 var errNotTrainedMarkov = errors.New("textgen: Markov model is not trained")
 
 // Markov is an order-k word-level Markov chain text model: a middle point on
@@ -24,8 +23,7 @@ type Markov struct {
 
 	// aliasCache holds one alias sampler per state. It is built eagerly at
 	// the end of Train — the transition tables are frozen then — and
-	// read-only afterwards, so concurrent chunk generation
-	// (GenerateParallel) samples without any locking.
+	// read-only afterwards.
 	aliasCache map[string]aliasEntry
 }
 
@@ -120,15 +118,9 @@ func (m *Markov) Generate(g *stats.RNG, docs, meanLen int) (Corpus, error) {
 		return nil, errNotTrainedMarkov
 	}
 	out := make(Corpus, docs)
-	m.fill(g, out, meanLen)
-	return out, nil
-}
-
-// fill samples one document into each slot of dst; m is trained.
-func (m *Markov) fill(g *stats.RNG, dst Corpus, meanLen int) {
 	lenDist := stats.Poisson{Lambda: float64(meanLen)}
 	startEntry := m.sampler(startState, m.starts)
-	for d := range dst {
+	for d := range out {
 		n := int(lenDist.Sample(g))
 		if n < m.Order {
 			n = m.Order
@@ -150,6 +142,7 @@ func (m *Markov) fill(g *stats.RNG, dst Corpus, meanLen int) {
 		if len(doc) > n {
 			doc = doc[:n]
 		}
-		dst[d] = doc
+		out[d] = doc
 	}
+	return out, nil
 }

@@ -31,15 +31,9 @@ type Record struct {
 // timeLayout is the combined log format's timestamp.
 const timeLayout = "02/Jan/2006:15:04:05 -0700"
 
-// Format renders the record as an Apache combined log line.
-func (r Record) Format() string {
-	var buf [256]byte
-	return string(r.AppendFormat(buf[:0]))
-}
-
 // AppendFormat appends the record's Apache combined log line, without a
 // newline, to dst and returns the extended slice. It is the one definition
-// of the line: Format and the "weblog" corpus both write it.
+// of the line the "weblog" corpus writes.
 func (r Record) AppendFormat(dst []byte) []byte {
 	dst = append(append(append(append(dst, r.IP...), " - "...), r.User...), " ["...)
 	dst = append(r.Time.AppendFormat(dst, timeLayout), `] "`...)
@@ -49,8 +43,8 @@ func (r Record) AppendFormat(dst []byte) []byte {
 	return append(append(append(append(dst, r.Referer...), `" "`...), r.Agent...), '"')
 }
 
-// Parse parses a combined log line produced by Format. It returns an error
-// for malformed lines.
+// Parse parses a combined log line produced by AppendFormat. It returns an
+// error for malformed lines.
 func Parse(line string) (Record, error) {
 	var r Record
 	// IP - user [time] "METHOD path HTTP/1.1" status bytes "ref" "agent"
@@ -215,13 +209,4 @@ func (gen Generator) sessions(g *stats.RNG, src source, n int, at time.Time, emi
 func (gen Generator) fill(g *stats.RNG, src source, at time.Time, dst []Record) {
 	i := 0
 	gen.sessions(g, src, len(dst), at, func(r Record) { dst[i], i = r, i+1 })
-}
-
-// FormatAll renders records as a newline-joined log file body.
-func FormatAll(records []Record) string {
-	lines := make([]string, len(records))
-	for i, r := range records {
-		lines[i] = r.Format()
-	}
-	return strings.Join(lines, "\n")
 }

@@ -27,21 +27,19 @@ const modulePath = "github.com/bdbench/bdbench"
 // and that stay anyway, each with the reason: an error or diagnostic path (a
 // String method only a fmt verb calls is here with the text that prints it),
 // a documented extension point, a reader kept as its writer's round-trip
-// oracle, or a name an open ROADMAP item calls for.
+// oracle, a generator kept as a corpus's structured twin, or a name an open
+// ROADMAP item calls for.
 var callerless = map[string]string{
-	"internal/raceflag.Enabled":             "read by tests only: alloc assertions skip under -race",
-	"internal/lint.CheckFiles":              "the analysistest harness loads testdata packages through it",
-	"internal/stats.Histogram.Total":        "read by the binning tests: the count that includes out-of-range observations",
-	"internal/data.Kind.String":             "diagnostic: the error texts of Schema.Validate and tablegen.BuildSpec print a column kind through %v",
-	"internal/scenario.Spec.String":         "diagnostic: Spec.Validate's negative-settings error texts print the normalized spec through %s",
-	"internal/opcompose.Register":           "extension point: bdbench.RegisterOperation adds a pattern operation through it",
-	"internal/datagen/formats.ReadEdgeList": "round-trip oracle for WriteEdgeList: proves the writers' output parses back",
-	"internal/datagen/formats.ReadTable":    "round-trip oracle for WriteTable: proves CSV, TSV and JSONL parse back to the same cells",
-	"internal/datagen/weblog.Parse":         "round-trip oracle for Record.Format: proves a generated access-log line parses back to its record",
-	"internal/datagen/resume.ParseJSONL":    "round-trip oracle for MarshalJSONL: proves the resume corpus parses back",
-	"internal/datagen/media.ParseHeader":    "round-trip oracle for GenerateVideo: proves the container header parses back",
-	"internal/datagen/media.Frame":          "round-trip oracle for GenerateVideo: proves every frame can be cut back out of the blob",
-	"internal/datagen/veracity.Stream":      "ROADMAP item 4 applies it to the load generator's own realised inter-arrival stream",
+	"internal/raceflag.Enabled":                            "read by tests only: alloc assertions skip under -race",
+	"internal/lint.CheckFiles":                             "the analysistest harness loads testdata packages through it",
+	"internal/stats.Histogram.Total":                       "read by the binning tests: the count that includes out-of-range observations",
+	"internal/data.Kind.String":                            "diagnostic: the error texts of Schema.Validate and tablegen.BuildSpec print a column kind through %v",
+	"internal/scenario.Spec.String":                        "diagnostic: Spec.Validate's negative-settings error texts print the normalized spec through %s",
+	"internal/opcompose.Register":                          "extension point: bdbench.RegisterOperation adds a pattern operation through it",
+	"internal/datagen/formats.ReadTable":                   "round-trip oracle for WriteTable: proves the CSV parses back to the same cells",
+	"internal/datagen/weblog.Parse":                        "round-trip oracle for Record.AppendFormat: proves a generated access-log line parses back to its record",
+	"internal/datagen/textgen.RandomText.GenerateParallel": "structured twin of the \"text\" corpus: TestCorpusIsItsStructuredTwin compares the corpus bytes against it",
+	"internal/datagen/veracity.Stream":                     "ROADMAP item 4 applies it to the load generator's own realised inter-arrival stream",
 }
 
 // ifaceMethods are the method names the standard library calls through an

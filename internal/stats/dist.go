@@ -22,20 +22,6 @@ type Uniform struct {
 // Sample implements Distribution.
 func (u Uniform) Sample(g *RNG) float64 { return u.Min + g.Float64()*(u.Max-u.Min) }
 
-// Pareto is the Pareto (power-law) distribution with scale Xm and shape Alpha.
-type Pareto struct {
-	Xm, Alpha float64
-}
-
-// Sample implements Distribution.
-func (p Pareto) Sample(g *RNG) float64 {
-	u := g.Float64()
-	for u == 0 {
-		u = g.Float64()
-	}
-	return p.Xm / math.Pow(u, 1/p.Alpha)
-}
-
 // Poisson is the Poisson distribution with mean Lambda. Sampling uses
 // Knuth's product method for small lambda and a normal approximation with
 // continuity correction for large lambda.

@@ -1,7 +1,7 @@
 // Package stats provides the statistical foundation of bdbench: seeded and
 // splittable random number generation, the probability distributions used by
-// the data generators (uniform, gaussian, zipfian, exponential, pareto,
-// poisson, categorical), histogram types for both value and latency data, and
+// the data generators (uniform, gaussian, zipfian, exponential, poisson,
+// categorical), histogram types for both value and latency data, and
 // the divergence measures (KL, JS, KS, EMD, ...) that back the
 // data-veracity metrics proposed in §5.1 of "On Big Data Benchmarking".
 //
@@ -75,9 +75,6 @@ func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
 // ExpFloat64 returns an exponential variate with rate 1.
 func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }

@@ -45,7 +45,7 @@ func Architecture() []Layer {
 				"datagen/tablegen (profiles, MUDD-style, PDGF-style)",
 				"datagen/graphgen (RMAT/Kronecker, Barabási–Albert)",
 				"datagen/streamgen (rate, arrival, update-mix control)",
-				"datagen/weblog, datagen/resume, datagen/media (semi/unstructured)",
+				"datagen/weblog (semi-structured web logs derived from tables)",
 				"datagen/veracity (KL/JS/KS/EMD veracity metrics)",
 				"testgen (operations, patterns, prescriptions)",
 				"metrics (user-perceivable + architecture metrics, energy, cost)",
@@ -56,7 +56,7 @@ func Architecture() []Layer {
 			Role: "system configuration, format conversion, result analysis",
 			Components: []string{
 				"stacks/mapreduce, stacks/dbms, stacks/streaming, stacks/graphengine, internal/stacks/nosql",
-				"internal/datagen/formats (CSV/TSV/JSONL table and edge-list writers)",
+				"internal/datagen/formats (CSV table writer)",
 				"report (analyzer and reporter)",
 			},
 		},
@@ -169,7 +169,7 @@ func TableDataGenProcess(seed uint64, rows int64, workers int) (*DataGenOutcome,
 
 	t3 := time.Now()
 	var sb strings.Builder
-	if err := formats.WriteTable(&sb, syn, formats.CSV); err != nil {
+	if err := formats.WriteTable(&sb, syn); err != nil {
 		return nil, err
 	}
 	out.FormatBytes = sb.Len()

@@ -27,10 +27,6 @@ func TestGenerateCallersPinned(t *testing.T) {
 	if err := lda.Train(ref, 10, stats.NewRNG(12)); err != nil {
 		t.Fatal(err)
 	}
-	markov := textgen.NewMarkov(2)
-	if err := markov.Train(ref); err != nil {
-		t.Fatal(err)
-	}
 	orders := tablegen.ReferenceTable(3, 500)
 	table := tablegen.ReferenceSpec(5)
 	table.ChunkSize = 300
@@ -57,10 +53,6 @@ func TestGenerateCallersPinned(t *testing.T) {
 		}},
 		{"textgen/lda", "0592491bce53e9f3", func(w io.Writer, workers int) {
 			c, err := lda.GenerateParallel(7, 600, 20, workers)
-			corpus(w, c, err)
-		}},
-		{"textgen/markov", "a53e2faed7e4a19b", func(w io.Writer, workers int) {
-			c, err := markov.GenerateParallel(7, 600, 20, workers)
 			corpus(w, c, err)
 		}},
 		{"textgen/reference", "8aaa16c77833cb06", func(w io.Writer, workers int) {
@@ -98,7 +90,7 @@ func TestGenerateCallersPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, r := range recs {
-				fmt.Fprintln(w, r.Format())
+				fmt.Fprintln(w, string(r.AppendFormat(nil)))
 			}
 		}},
 		{"commerce/labeledDocs", "c82784a1f15cc85e", func(w io.Writer, workers int) {
