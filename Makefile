@@ -64,7 +64,7 @@ surface:
 		"show $$t/a.blob" "show -format json -meta $$t/a.blob" \
 		"compare $$t/a.blob $$t/a.blob" "compare -format markdown $$t/b.blob $$t/b.blob" \
 		"datagen -workload weblog -out $$t/w.blob" "datagen -workload graph -format json" \
-		"loadcurve -workload grep -rates 20,40 -duration 500ms" \
+		"loadcurve -workload grep -rates 20,40 -duration 500ms -arrival ramp" \
 		"run -suite HiBench -rate 20 -arrival bursty -duration 500ms" \
 		"run -suite GridMix -rate 20 -trace weblog -duration 500ms" \
 		"run -suite YCSB -validate" \

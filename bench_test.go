@@ -295,7 +295,7 @@ func BenchmarkPavloComparison(b *testing.B) {
 	b.Run("dbms", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := metrics.NewCollector("dbms")
-			if err := (relational.LoadSelectAggregateJoin{}).Run(context.Background(), workloads.Params{Seed: 7, Scale: 1, Workers: 4}, c); err != nil {
+			if err := relational.LoadSelectAggregateJoin.Run(context.Background(), workloads.Params{Seed: 7, Scale: 1, Workers: 4}, c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -303,7 +303,7 @@ func BenchmarkPavloComparison(b *testing.B) {
 	b.Run("mapreduce", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c := metrics.NewCollector("mr")
-			if err := (relational.MapReduceEquivalents{}).Run(context.Background(), workloads.Params{Seed: 7, Scale: 1, Workers: 4}, c); err != nil {
+			if err := relational.MapReduceEquivalents.Run(context.Background(), workloads.Params{Seed: 7, Scale: 1, Workers: 4}, c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -320,8 +320,8 @@ func BenchmarkWorkloadCategories(b *testing.B) {
 		w    workloads.Workload
 	}{
 		{"online-ycsbC", oltp.WorkloadC},
-		{"offline-kmeans", social.KMeans{}},
-		{"realtime-windowed", streamwl.WindowedCount{}},
+		{"offline-kmeans", social.KMeans},
+		{"realtime-windowed", streamwl.WindowedCount},
 	}
 	for _, rep := range reps {
 		b.Run(rep.name, func(b *testing.B) {

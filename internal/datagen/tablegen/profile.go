@@ -110,7 +110,7 @@ func (c ProfiledNumericColumn) Kind() data.Kind {
 }
 
 // Gen implements ColumnGen.
-func (c ProfiledNumericColumn) Gen(g *stats.RNG, _ int64) data.Value {
+func (c ProfiledNumericColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value {
 	v := c.Profile.Sample(g)
 	if c.AsInt {
 		return data.Int(int64(math.Round(v)))
@@ -136,7 +136,7 @@ func NewProfiledCategoryColumn(p *CategoryProfile) *ProfiledCategoryColumn {
 func (c *ProfiledCategoryColumn) Kind() data.Kind { return data.KindString }
 
 // Gen implements ColumnGen.
-func (c *ProfiledCategoryColumn) Gen(g *stats.RNG, _ int64) data.Value {
+func (c *ProfiledCategoryColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value {
 	return data.String_(c.Profile.Values[c.alias.Sample(g)])
 }
 
@@ -158,7 +158,7 @@ func (c MomentMatchedColumn) Kind() data.Kind {
 }
 
 // Gen implements ColumnGen.
-func (c MomentMatchedColumn) Gen(g *stats.RNG, _ int64) data.Value {
+func (c MomentMatchedColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value {
 	v := c.Mean + c.Std*g.NormFloat64()
 	if c.AsInt {
 		return data.Int(int64(math.Round(v)))

@@ -21,12 +21,14 @@ import (
 )
 
 // ColumnGen produces the values of one column. Implementations must be
-// stateless with respect to the RNG: the same (g, row) yields the same value.
+// stateless with respect to the RNG: the same (g, row, prefix) yields the
+// same value.
 type ColumnGen interface {
 	// Kind returns the data kind this generator emits.
 	Kind() data.Kind
-	// Gen produces the value for the given absolute row number.
-	Gen(g *stats.RNG, row int64) data.Value
+	// Gen produces the value for the given absolute row number; prefix is
+	// the row's columns to its left, already generated.
+	Gen(g *stats.RNG, row int64, prefix data.Row) data.Value
 }
 
 // IntColumn samples int64 values from a real-valued distribution (rounded).
@@ -38,7 +40,7 @@ type IntColumn struct {
 func (c IntColumn) Kind() data.Kind { return data.KindInt }
 
 // Gen implements ColumnGen.
-func (c IntColumn) Gen(g *stats.RNG, _ int64) data.Value {
+func (c IntColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value {
 	return data.Int(int64(c.Dist.Sample(g)))
 }
 
@@ -51,7 +53,7 @@ type FloatColumn struct {
 func (c FloatColumn) Kind() data.Kind { return data.KindFloat }
 
 // Gen implements ColumnGen.
-func (c FloatColumn) Gen(g *stats.RNG, _ int64) data.Value {
+func (c FloatColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value {
 	return data.Float(c.Dist.Sample(g))
 }
 
@@ -64,7 +66,7 @@ type SeqColumn struct {
 func (c SeqColumn) Kind() data.Kind { return data.KindInt }
 
 // Gen implements ColumnGen.
-func (c SeqColumn) Gen(_ *stats.RNG, row int64) data.Value {
+func (c SeqColumn) Gen(_ *stats.RNG, row int64, _ data.Row) data.Value {
 	return data.Int(c.Start + row)
 }
 
@@ -77,7 +79,7 @@ type StringColumn struct {
 func (c StringColumn) Kind() data.Kind { return data.KindString }
 
 // Gen implements ColumnGen.
-func (c StringColumn) Gen(g *stats.RNG, _ int64) data.Value {
+func (c StringColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value {
 	return data.String_(g.RandomWord(c.MinLen, c.MaxLen))
 }
 
@@ -92,7 +94,7 @@ type CategoryColumn struct {
 func (c CategoryColumn) Kind() data.Kind { return data.KindString }
 
 // Gen implements ColumnGen.
-func (c CategoryColumn) Gen(g *stats.RNG, _ int64) data.Value {
+func (c CategoryColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value {
 	if len(c.Categories) == 0 {
 		return data.Null()
 	}
@@ -114,7 +116,7 @@ type BoolColumn struct {
 func (c BoolColumn) Kind() data.Kind { return data.KindBool }
 
 // Gen implements ColumnGen.
-func (c BoolColumn) Gen(g *stats.RNG, _ int64) data.Value { return data.Bool(g.Bool(c.P)) }
+func (c BoolColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value { return data.Bool(g.Bool(c.P)) }
 
 // FKColumn emits foreign keys into a table of Count rows, skewed by Sampler
 // (uniform when nil).
@@ -127,7 +129,7 @@ type FKColumn struct {
 func (c FKColumn) Kind() data.Kind { return data.KindInt }
 
 // Gen implements ColumnGen.
-func (c FKColumn) Gen(g *stats.RNG, _ int64) data.Value {
+func (c FKColumn) Gen(g *stats.RNG, _ int64, _ data.Row) data.Value {
 	if c.Sampler != nil {
 		return data.Int(c.Sampler.Next(g) % c.Count)
 	}
@@ -145,10 +147,9 @@ type Derived struct {
 // Kind implements ColumnGen.
 func (c Derived) Kind() data.Kind { return c.KindOf }
 
-// Gen implements ColumnGen; it is never called directly for Derived —
-// TableSpec special-cases it to pass the row prefix.
-func (c Derived) Gen(g *stats.RNG, row int64) data.Value {
-	return c.Fn(g, row, nil)
+// Gen implements ColumnGen.
+func (c Derived) Gen(g *stats.RNG, row int64, prefix data.Row) data.Value {
+	return c.Fn(g, row, prefix)
 }
 
 // ColumnSpec binds a name to a generator.
@@ -189,11 +190,7 @@ func (s TableSpec) chunkSize() int64 {
 // sequence of draws behind a generated table and the "table" corpus.
 func (s TableSpec) fillRow(g *stats.RNG, row int64, out data.Row) data.Row {
 	for i, c := range s.Columns {
-		if d, ok := c.Gen.(Derived); ok {
-			out[i] = d.Fn(g, row, out[:i])
-			continue
-		}
-		out[i] = c.Gen.Gen(g, row)
+		out[i] = c.Gen.Gen(g, row, out[:i])
 	}
 	return out
 }

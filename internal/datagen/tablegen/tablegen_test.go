@@ -105,6 +105,20 @@ func TestDerivedColumnSeesPrefix(t *testing.T) {
 	}
 }
 
+// TestDerivedGenSeesPrefix: Derived's prefix reaches it through the
+// ColumnGen interface itself, not through a special case in the table loop.
+func TestDerivedGenSeesPrefix(t *testing.T) {
+	var gen ColumnGen = Derived{
+		KindOf: data.KindInt,
+		Fn: func(_ *stats.RNG, row int64, prefix data.Row) data.Value {
+			return data.Int(prefix[0].Int() + row)
+		},
+	}
+	if v := gen.Gen(stats.NewRNG(1), 3, data.Row{data.Int(40)}); v.Int() != 43 {
+		t.Fatalf("derived column through ColumnGen: got %v, want 43", v)
+	}
+}
+
 func TestFKColumnRange(t *testing.T) {
 	spec := TableSpec{
 		Name:    "fk",
@@ -121,7 +135,7 @@ func TestFKColumnRange(t *testing.T) {
 
 func TestCategoryColumnEmpty(t *testing.T) {
 	g := stats.NewRNG(1)
-	v := CategoryColumn{}.Gen(g, 0)
+	v := CategoryColumn{}.Gen(g, 0, nil)
 	if !v.IsNull() {
 		t.Fatal("empty category list should emit null")
 	}
@@ -223,7 +237,7 @@ func TestLearnCategoryProfile(t *testing.T) {
 	g := stats.NewRNG(23)
 	xs := 0
 	for i := 0; i < 10000; i++ {
-		if gen.Gen(g, 0).Str() == "x" {
+		if gen.Gen(g, 0, nil).Str() == "x" {
 			xs++
 		}
 	}

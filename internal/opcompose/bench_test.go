@@ -20,12 +20,11 @@ var benchSink uint64
 // dispatch, weighted draw, clocking, the op body, the observation recorded
 // through the op's OpRef, each of which has recorded once already.
 func dispatchFixture(tb testing.TB, ops ...OpWeight) (step func()) {
-	w, err := Compile(Pattern{Name: "bench", Ops: ops, OpsPerScale: 1})
+	cw, err := compile(Pattern{Name: "bench", Ops: ops, OpsPerScale: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cw := w.(*composed)
-	c := metrics.NewCollector(cw.Name())
+	c := metrics.NewCollector(cw.p.Name)
 	base := time.Unix(1000, 0)
 	c.SetClock(func() time.Time { return base })
 	g := stats.NewRNG(42)
@@ -69,23 +68,28 @@ func BenchmarkComposedDispatch(b *testing.B) {
 	}
 }
 
-// TestComposedOpsZeroAlloc: the composed dispatch loop allocates nothing per
-// operation — over the weighted draw across the builtin mix, and over each
-// builtin's body alone so a failure names the op. join is left out: its
-// probe-side key set is a map built per call, which is the operation's own
-// work rather than harness garbage (3 allocs/op).
+// TestComposedOpsZeroAlloc: the composed dispatch loop allocates exactly
+// nothing per operation — over the weighted draw across the builtin mix, and
+// over each builtin's body alone so a failure names the op. join is left
+// out: its probe-side key set is a map built per call, which is the
+// operation's own work rather than harness garbage (3 allocs/op).
 func TestComposedOpsZeroAlloc(t *testing.T) {
 	const runs = 1000
 	check := func(name string, ops ...OpWeight) {
 		t.Run(name, func(t *testing.T) {
-			// AllocsPerRun calls step once to warm up, then runs times.
+			// AllocsPerRun runs the loop once to warm up, then measures it
+			// once, so a fraction of an allocation per operation shows.
 			step := dispatchFixture(t, ops...)
-			allocs := testing.AllocsPerRun(runs, step)
+			allocs := testing.AllocsPerRun(1, func() {
+				for range runs {
+					step()
+				}
+			}) / runs
 			if raceflag.Enabled {
-				t.Skipf("allocation counts not asserted under -race (measured %.1f)", allocs)
+				t.Skipf("allocation counts not asserted under -race (measured %.4f)", allocs)
 			}
 			if allocs != 0 {
-				t.Errorf("%.1f allocs/op in the composed dispatch loop, want 0", allocs)
+				t.Errorf("%.4f allocs/op in the composed dispatch loop, want 0", allocs)
 			}
 		})
 	}

@@ -29,6 +29,18 @@ const chunkOps = 512
 // partitions into chunks whose results are byte-identical at any
 // Workers/DatagenWorkers setting.
 func Compile(p Pattern) (workloads.Workload, error) {
+	w, err := compile(p)
+	if err != nil {
+		return nil, err
+	}
+	// Composed workloads run on the abstract substrate, like prescription
+	// workloads on the reference executor.
+	return workloads.New(w.p.Name, workloads.Category(w.p.Category), "operation patterns",
+		w.run, stacks.Type("abstract")), nil
+}
+
+// compile validates the pattern and resolves its phases.
+func compile(p Pattern) (*composed, error) {
 	n := p.Normalized()
 	if err := n.Validate(); err != nil {
 		return nil, err
@@ -71,25 +83,12 @@ type execPhase struct {
 	rate  float64
 }
 
-// composed is a compiled pattern. It satisfies workloads.Workload.
+// composed is a compiled pattern; its run is the body of the workload
+// Compile returns.
 type composed struct {
 	p      Pattern
 	phases []execPhase
 }
-
-// Name implements workloads.Workload.
-func (w *composed) Name() string { return w.p.Name }
-
-// Category implements workloads.Workload.
-func (w *composed) Category() workloads.Category { return workloads.Category(w.p.Category) }
-
-// Domain implements workloads.Workload.
-func (w *composed) Domain() string { return "operation patterns" }
-
-// StackTypes implements workloads.Workload; composed workloads run on the
-// abstract substrate, like prescription workloads on the reference
-// executor.
-func (w *composed) StackTypes() []stacks.Type { return []stacks.Type{stacks.Type("abstract")} }
 
 // fnvOffset and fnvPrime fold chunk fingerprints into the pattern digest.
 const (
@@ -97,16 +96,11 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// Run implements workloads.Workload: generate the corpus through the
-// chunked datagen pipeline, execute the operation stream chunk-parallel,
-// recording each operation as it runs, and record the deterministic
-// pattern digest. Capture order does not reach the artifact: runstore
-// sorts a series' samples by (offset, value).
-func (w *composed) Run(ctx context.Context, params workloads.Params, c *metrics.Collector) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	params = params.WithDefaults()
+// run generates the corpus through the chunked datagen pipeline, executes
+// the operation stream chunk-parallel, recording each operation as it runs,
+// and records the deterministic pattern digest. Capture order does not
+// reach the artifact: runstore sorts a series' samples by (offset, value).
+func (w *composed) run(ctx context.Context, params workloads.Params, c *metrics.Collector) error {
 	cg, ok := datagen.Lookup(w.p.Corpus)
 	if !ok {
 		return fmt.Errorf("opcompose: corpus %q is not registered", w.p.Corpus)

@@ -67,6 +67,23 @@ func TestBuiltinsStopCleanlyOnCancel(t *testing.T) {
 	}
 }
 
+// TestBuiltinsFailFastOnADoneContext: every built-in, called with an
+// already-cancelled context and zero Params, fails with context.Canceled
+// before it generates, loads or records anything.
+func TestBuiltinsFailFastOnADoneContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range Default().Workloads() {
+		c := metrics.NewCollector(w.Name())
+		if err := w.Run(ctx, workloads.Params{}, c); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", w.Name(), err)
+		}
+		if ops := c.Snapshot().Ops; len(ops) != 0 {
+			t.Errorf("%s: a cancelled call recorded %d ops, the first %q", w.Name(), len(ops), ops[0].Op)
+		}
+	}
+}
+
 // TestMicroStopOnceInputIsBuilt: the four micro built-ins and six others
 // check the context again between building their input and running their
 // stack, so a cancel at their second check stops them cleanly too.

@@ -43,14 +43,14 @@ func All() []Suite {
 					Category: workloads.Offline,
 					Examples: []string{"Sort", "WordCount", "TeraSort", "PageRank", "K-means", "Bayes classification"},
 					Runners: []workloads.Workload{
-						micro.Sort{}, micro.WordCount{}, micro.TeraSort{},
-						search.PageRank{}, social.KMeans{}, commerce.NaiveBayes{},
+						micro.Sort, micro.WordCount, micro.TeraSort,
+						search.PageRank, social.KMeans, commerce.NaiveBayes,
 					},
 				},
 				{
 					Category: workloads.Realtime,
 					Examples: []string{"Nutch Indexing"},
-					Runners:  []workloads.Workload{search.InvertedIndex{}},
+					Runners:  []workloads.Workload{search.InvertedIndex},
 				},
 			},
 			SoftwareStacks: []string{"Hadoop", "Hive"},
@@ -65,7 +65,7 @@ func All() []Suite {
 				{
 					Category: workloads.Online,
 					Examples: []string{"Sort", "sampling a large dataset"},
-					Runners:  []workloads.Workload{micro.Sort{}, micro.Grep{}},
+					Runners:  []workloads.Workload{micro.Sort, micro.Grep},
 				},
 			},
 			SoftwareStacks: []string{"Hadoop"},
@@ -80,7 +80,7 @@ func All() []Suite {
 				{
 					Category: workloads.Online,
 					Examples: []string{"12 data queries"},
-					Runners:  []workloads.Workload{relational.MapReduceEquivalents{}},
+					Runners:  []workloads.Workload{relational.MapReduceEquivalents},
 				},
 			},
 			SoftwareStacks: []string{"Hadoop"},
@@ -116,9 +116,9 @@ func All() []Suite {
 					Category: workloads.Online,
 					Examples: []string{"Data loading", "select", "aggregate", "join", "count URL links"},
 					Runners: []workloads.Workload{
-						relational.LoadSelectAggregateJoin{},
-						relational.MapReduceEquivalents{},
-						relational.URLCount{},
+						relational.LoadSelectAggregateJoin,
+						relational.MapReduceEquivalents,
+						relational.URLCount,
 					},
 				},
 			},
@@ -135,7 +135,7 @@ func All() []Suite {
 				{
 					Category: workloads.Online,
 					Examples: []string{"Data loading", "queries", "maintenance"},
-					Runners:  []workloads.Workload{relational.LoadSelectAggregateJoin{}},
+					Runners:  []workloads.Workload{relational.LoadSelectAggregateJoin},
 				},
 			},
 			SoftwareStacks: []string{"DBMS"},
@@ -156,12 +156,12 @@ func All() []Suite {
 				{
 					Category: workloads.Online,
 					Examples: []string{"Database operations (select, create and drop tables)"},
-					Runners:  []workloads.Workload{relational.LoadSelectAggregateJoin{}},
+					Runners:  []workloads.Workload{relational.LoadSelectAggregateJoin},
 				},
 				{
 					Category: workloads.Offline,
 					Examples: []string{"K-means", "classification"},
-					Runners:  []workloads.Workload{social.KMeans{}, commerce.NaiveBayes{}},
+					Runners:  []workloads.Workload{social.KMeans, commerce.NaiveBayes},
 				},
 			},
 			SoftwareStacks: []string{"DBMS", "Hadoop"},
@@ -179,7 +179,7 @@ func All() []Suite {
 				{
 					Category: workloads.Online,
 					Examples: []string{"select", "insert", "update", "delete", "association range queries", "count queries"},
-					Runners:  []workloads.Workload{oltp.LinkBenchOps{}},
+					Runners:  []workloads.Workload{oltp.LinkBenchOps},
 				},
 			},
 			SoftwareStacks: []string{"DBMS (MySQL)"},
@@ -205,7 +205,7 @@ func All() []Suite {
 				{
 					Category: workloads.Offline,
 					Examples: []string{"Text classification", "WordCount"},
-					Runners:  []workloads.Workload{commerce.NaiveBayes{}, micro.WordCount{}},
+					Runners:  []workloads.Workload{commerce.NaiveBayes, micro.WordCount},
 				},
 			},
 			SoftwareStacks: []string{"NoSQL systems", "Hadoop", "GraphLab"},
@@ -233,16 +233,16 @@ func All() []Suite {
 					Category: workloads.Offline,
 					Examples: []string{"Sort", "Grep", "WordCount", "index", "PageRank", "K-means", "connected components", "collaborative filtering", "Naive Bayes"},
 					Runners: []workloads.Workload{
-						micro.Sort{}, micro.Grep{}, micro.WordCount{},
-						search.InvertedIndex{}, search.PageRank{},
-						social.KMeans{}, social.ConnectedComponents{},
-						commerce.CollaborativeFiltering{}, commerce.NaiveBayes{},
+						micro.Sort, micro.Grep, micro.WordCount,
+						search.InvertedIndex, search.PageRank,
+						social.KMeans, social.ConnectedComponents,
+						commerce.CollaborativeFiltering, commerce.NaiveBayes,
 					},
 				},
 				{
 					Category: workloads.Realtime,
 					Examples: []string{"Relational query (select, aggregate, join)"},
-					Runners:  []workloads.Workload{relational.LoadSelectAggregateJoin{}},
+					Runners:  []workloads.Workload{relational.LoadSelectAggregateJoin},
 				},
 			},
 			SoftwareStacks: []string{"NoSQL systems", "DBMS", "real-time analytics", "offline analytics"},
@@ -269,22 +269,22 @@ func All() []Suite {
 				{
 					Category: workloads.Online,
 					Examples: []string{"YCSB A-F", "LinkBench operations"},
-					Runners:  []workloads.Workload{oltp.WorkloadA, oltp.LinkBenchOps{}},
+					Runners:  []workloads.Workload{oltp.WorkloadA, oltp.LinkBenchOps},
 				},
 				{
 					Category: workloads.Offline,
 					Examples: []string{"micro benchmarks", "search", "social", "e-commerce"},
 					Runners: []workloads.Workload{
-						micro.TeraSort{}, search.PageRank{},
-						social.ConnectedComponents{}, commerce.CollaborativeFiltering{},
+						micro.TeraSort, search.PageRank,
+						social.ConnectedComponents, commerce.CollaborativeFiltering,
 					},
 				},
 				{
 					Category: workloads.Realtime,
 					Examples: []string{"relational queries", "windowed streaming"},
 					Runners: []workloads.Workload{
-						relational.LoadSelectAggregateJoin{},
-						streamwl.WindowedCount{}, streamwl.RollingAggregate{},
+						relational.LoadSelectAggregateJoin,
+						streamwl.WindowedCount, streamwl.RollingAggregate,
 					},
 				},
 			},

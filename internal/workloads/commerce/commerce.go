@@ -57,26 +57,10 @@ func GenerateRatings(g *stats.RNG, users, items, perUser int) []Rating {
 
 // CollaborativeFiltering computes item-item cosine similarities and
 // verifies that same-group items are more similar than cross-group items.
-type CollaborativeFiltering struct{}
+var CollaborativeFiltering = workloads.New("collaborative-filtering", workloads.Offline, "e-commerce",
+	collaborativeFiltering, stacks.TypeMapReduce)
 
-// Name implements workloads.Workload.
-func (CollaborativeFiltering) Name() string { return "collaborative-filtering" }
-
-// Category implements workloads.Workload.
-func (CollaborativeFiltering) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (CollaborativeFiltering) Domain() string { return "e-commerce" }
-
-// StackTypes implements workloads.Workload.
-func (CollaborativeFiltering) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
-
-// Run implements workloads.Workload.
-func (CollaborativeFiltering) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func collaborativeFiltering(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	g := stats.NewRNG(p.Seed)
 	users := p.Scale * 500
 	const items = 80
@@ -143,19 +127,7 @@ func (CollaborativeFiltering) Run(ctx context.Context, p workloads.Params, c *me
 
 // NaiveBayes trains a multinomial classifier on topic-labeled documents
 // (word counts via MapReduce) and verifies test accuracy well above chance.
-type NaiveBayes struct{}
-
-// Name implements workloads.Workload.
-func (NaiveBayes) Name() string { return "naive-bayes" }
-
-// Category implements workloads.Workload.
-func (NaiveBayes) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (NaiveBayes) Domain() string { return "e-commerce" }
-
-// StackTypes implements workloads.Workload.
-func (NaiveBayes) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
+var NaiveBayes = workloads.New("naive-bayes", workloads.Offline, "e-commerce", naiveBayes, stacks.TypeMapReduce)
 
 // labeledDocs emits documents drawn from a single hidden topic each, so the
 // topic is a ground-truth class label. Generation is chunked: the corpus
@@ -183,13 +155,8 @@ func labeledDocs(seed uint64, n, meanLen, workers int) ([]textgen.Document, []in
 	return docs, labels, model.Topics
 }
 
-// Run implements workloads.Workload.
-func (NaiveBayes) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
+func naiveBayes(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	n := p.Scale * 1000
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	t0gen := c.Now()
 	docs, labels, k := labeledDocs(p.Seed, n, 40, p.DatagenWorkers)
 	c.RecordDatagen(c.Now().Sub(t0gen), int64(n))

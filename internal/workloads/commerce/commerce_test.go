@@ -15,7 +15,7 @@ import (
 
 func TestCollaborativeFiltering(t *testing.T) {
 	c := metrics.NewCollector("cf")
-	if err := (CollaborativeFiltering{}).Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2}, c); err != nil {
+	if err := CollaborativeFiltering.Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["records"] == 0 {
@@ -25,7 +25,7 @@ func TestCollaborativeFiltering(t *testing.T) {
 
 func TestNaiveBayesAccuracy(t *testing.T) {
 	c := metrics.NewCollector("nb")
-	if err := (NaiveBayes{}).Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
+	if err := NaiveBayes.Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["accuracy_pct"] < 80 {
@@ -65,7 +65,7 @@ func TestLabeledDocsAreSingleTopic(t *testing.T) {
 }
 
 func TestMetadata(t *testing.T) {
-	for _, w := range []workloads.Workload{CollaborativeFiltering{}, NaiveBayes{}} {
+	for _, w := range []workloads.Workload{CollaborativeFiltering, NaiveBayes} {
 		if w.Domain() != "e-commerce" || w.Category() != workloads.Offline {
 			t.Fatalf("%T metadata wrong", w)
 		}

@@ -83,26 +83,9 @@ func arenaInput(p workloads.Params, c *metrics.Collector, record func(g *stats.R
 
 // WordCount counts word occurrences with a combiner — the paper's canonical
 // text micro-benchmark.
-type WordCount struct{}
+var WordCount = workloads.New("wordcount", workloads.Offline, "micro", wordCount, stacks.TypeMapReduce)
 
-// Name implements workloads.Workload.
-func (WordCount) Name() string { return "wordcount" }
-
-// Category implements workloads.Workload.
-func (WordCount) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (WordCount) Domain() string { return "micro" }
-
-// StackTypes implements workloads.Workload.
-func (WordCount) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
-
-// Run implements workloads.Workload.
-func (WordCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func wordCount(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	input := textInput(p, 10, c)
 	if err := ctx.Err(); err != nil {
 		return err
@@ -151,29 +134,12 @@ func sumReducer(key string, values []string, emit func(k, v string)) {
 }
 
 // Grep filters lines matching a fixed pattern (map-only job).
-type Grep struct{}
+var Grep = workloads.New("grep", workloads.Offline, "micro", grep, stacks.TypeMapReduce)
 
 // grepPattern is the substring Grep keeps lines for.
 const grepPattern = "data"
 
-// Name implements workloads.Workload.
-func (Grep) Name() string { return "grep" }
-
-// Category implements workloads.Workload.
-func (Grep) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (Grep) Domain() string { return "micro" }
-
-// StackTypes implements workloads.Workload.
-func (Grep) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
-
-// Run implements workloads.Workload.
-func (Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func grep(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	input := textInput(p, 10, c)
 	if err := ctx.Err(); err != nil {
 		return err
@@ -205,26 +171,9 @@ func (Grep) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 
 // Sort orders records by key with the default hash partitioner: each
 // partition is sorted (Hadoop's per-reducer order).
-type Sort struct{}
+var Sort = workloads.New("sort", workloads.Offline, "micro", sortByKey, stacks.TypeMapReduce)
 
-// Name implements workloads.Workload.
-func (Sort) Name() string { return "sort" }
-
-// Category implements workloads.Workload.
-func (Sort) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (Sort) Domain() string { return "micro" }
-
-// StackTypes implements workloads.Workload.
-func (Sort) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
-
-// Run implements workloads.Workload.
-func (Sort) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func sortByKey(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	input := keyInput(p, c)
 	if err := ctx.Err(); err != nil {
 		return err
@@ -251,26 +200,9 @@ func (Sort) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 
 // TeraSort is the total-order sort: sampled split points feed a range
 // partitioner so the concatenated output is globally sorted.
-type TeraSort struct{}
+var TeraSort = workloads.New("terasort", workloads.Offline, "micro", teraSort, stacks.TypeMapReduce)
 
-// Name implements workloads.Workload.
-func (TeraSort) Name() string { return "terasort" }
-
-// Category implements workloads.Workload.
-func (TeraSort) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (TeraSort) Domain() string { return "micro" }
-
-// StackTypes implements workloads.Workload.
-func (TeraSort) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
-
-// Run implements workloads.Workload.
-func (TeraSort) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func teraSort(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	input := keyInput(p, c)
 	if err := ctx.Err(); err != nil {
 		return err

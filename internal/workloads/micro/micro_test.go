@@ -22,7 +22,7 @@ func runWorkload(t *testing.T, w workloads.Workload) *metrics.Collector {
 }
 
 func TestWordCount(t *testing.T) {
-	c := runWorkload(t, WordCount{})
+	c := runWorkload(t, WordCount)
 	if c.Snapshot().Counters["records"] != 1000 {
 		t.Fatalf("records %d", c.Snapshot().Counters["records"])
 	}
@@ -32,7 +32,7 @@ func TestWordCount(t *testing.T) {
 }
 
 func TestGrep(t *testing.T) {
-	c := runWorkload(t, Grep{})
+	c := runWorkload(t, Grep)
 	if c.Snapshot().Counters["matches"] == 0 {
 		t.Fatal("grep found no matches (pattern 'data' is in the dictionary)")
 	}
@@ -46,15 +46,15 @@ func TestGrep(t *testing.T) {
 }
 
 func TestSort(t *testing.T) {
-	runWorkload(t, Sort{})
+	runWorkload(t, Sort)
 }
 
 func TestTeraSort(t *testing.T) {
-	runWorkload(t, TeraSort{})
+	runWorkload(t, TeraSort)
 }
 
 func TestMetadata(t *testing.T) {
-	for _, w := range []workloads.Workload{WordCount{}, Grep{}, Sort{}, TeraSort{}} {
+	for _, w := range []workloads.Workload{WordCount, Grep, Sort, TeraSort} {
 		if w.Name() == "" || w.Domain() != "micro" || w.Category() != workloads.Offline {
 			t.Fatalf("%T metadata wrong", w)
 		}

@@ -18,23 +18,10 @@ import (
 // selects, inserts, updates, deletes, association range queries and count
 // queries — "simple operations ... and association range queries and count
 // queries" per the paper's Table 2.
-type LinkBenchOps struct{}
+var LinkBenchOps = workloads.New("linkbench-ops", workloads.Online, "social graph serving",
+	linkBenchOps, stacks.TypeDBMS)
 
-// Name implements workloads.Workload.
-func (LinkBenchOps) Name() string { return "linkbench-ops" }
-
-// Category implements workloads.Workload.
-func (LinkBenchOps) Category() workloads.Category { return workloads.Online }
-
-// Domain implements workloads.Workload.
-func (LinkBenchOps) Domain() string { return "social graph serving" }
-
-// StackTypes implements workloads.Workload.
-func (LinkBenchOps) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeDBMS} }
-
-// Run implements workloads.Workload.
-func (LinkBenchOps) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
+func linkBenchOps(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	g := stats.NewRNG(p.Seed)
 	graph := graphgen.BarabasiAlbert{M: 4}.Generate(g, 8+p.Scale)
 

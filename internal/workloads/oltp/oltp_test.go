@@ -328,7 +328,7 @@ func TestThroughputRecorded(t *testing.T) {
 
 func TestLinkBenchOpsDirect(t *testing.T) {
 	c := metrics.NewCollector("linkbench")
-	if err := (LinkBenchOps{}).Run(context.Background(), workloads.Params{Seed: 3, Scale: 1, Workers: 2}, c); err != nil {
+	if err := LinkBenchOps.Run(context.Background(), workloads.Params{Seed: 3, Scale: 1, Workers: 2}, c); err != nil {
 		t.Fatal(err)
 	}
 	c.SetElapsed(1)

@@ -77,26 +77,10 @@ func groundTruth(orders, customers *data.Table) (selected int, revenue map[strin
 
 // LoadSelectAggregateJoin runs the Pavlo task sequence on the DBMS and
 // verifies each stage's result cardinality and values.
-type LoadSelectAggregateJoin struct{}
+var LoadSelectAggregateJoin = workloads.New("pavlo-dbms", workloads.Realtime, "relational queries",
+	loadSelectAggregateJoin, stacks.TypeDBMS)
 
-// Name implements workloads.Workload.
-func (LoadSelectAggregateJoin) Name() string { return "pavlo-dbms" }
-
-// Category implements workloads.Workload.
-func (LoadSelectAggregateJoin) Category() workloads.Category { return workloads.Realtime }
-
-// Domain implements workloads.Workload.
-func (LoadSelectAggregateJoin) Domain() string { return "relational queries" }
-
-// StackTypes implements workloads.Workload.
-func (LoadSelectAggregateJoin) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeDBMS} }
-
-// Run implements workloads.Workload.
-func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func loadSelectAggregateJoin(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	orders := ordersRows(p, c)
 	customers := customersTable(p, c)
 	wantSel, _, wantJoin := groundTruth(orders, customers)
@@ -168,26 +152,10 @@ func (LoadSelectAggregateJoin) Run(ctx context.Context, p workloads.Params, c *m
 // MapReduceEquivalents runs the same selection/aggregation/join tasks as
 // MapReduce jobs over the CSV-ish encoding of the same table, reproducing
 // the other side of the Pavlo comparison.
-type MapReduceEquivalents struct{}
+var MapReduceEquivalents = workloads.New("pavlo-mapreduce", workloads.Offline, "relational queries",
+	mapReduceEquivalents, stacks.TypeMapReduce)
 
-// Name implements workloads.Workload.
-func (MapReduceEquivalents) Name() string { return "pavlo-mapreduce" }
-
-// Category implements workloads.Workload.
-func (MapReduceEquivalents) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (MapReduceEquivalents) Domain() string { return "relational queries" }
-
-// StackTypes implements workloads.Workload.
-func (MapReduceEquivalents) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
-
-// Run implements workloads.Workload.
-func (MapReduceEquivalents) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func mapReduceEquivalents(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	orders := ordersRows(p, c)
 	customers := customersTable(p, c)
 	wantSel, revenue, wantJoin := groundTruth(orders, customers)
@@ -357,28 +325,10 @@ func encode(n int, record func(rec []byte, i int) ([]byte, int)) []mapreduce.KV 
 
 // URLCount is the Pavlo benchmark's "count URL links" task over generated
 // web logs: hits per product page, on the DBMS after a format conversion.
-type URLCount struct{}
+var URLCount = workloads.New("url-count", workloads.Realtime, "relational queries",
+	urlCount, stacks.TypeDBMS, stacks.TypeMapReduce)
 
-// Name implements workloads.Workload.
-func (URLCount) Name() string { return "url-count" }
-
-// Category implements workloads.Workload.
-func (URLCount) Category() workloads.Category { return workloads.Realtime }
-
-// Domain implements workloads.Workload.
-func (URLCount) Domain() string { return "relational queries" }
-
-// StackTypes implements workloads.Workload.
-func (URLCount) StackTypes() []stacks.Type {
-	return []stacks.Type{stacks.TypeDBMS, stacks.TypeMapReduce}
-}
-
-// Run implements workloads.Workload.
-func (URLCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func urlCount(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	orders := ordersRows(p, c)
 	t0gen := c.Now()
 	logs, err := weblog.Generator{}.FromTableParallel(p.Seed+2, orders, p.Scale*5000, p.DatagenWorkers)

@@ -15,7 +15,7 @@ import (
 
 func TestPavloDBMS(t *testing.T) {
 	c := metrics.NewCollector("pavlo-dbms")
-	if err := (LoadSelectAggregateJoin{}).Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2}, c); err != nil {
+	if err := LoadSelectAggregateJoin.Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2}, c); err != nil {
 		t.Fatal(err)
 	}
 	c.SetElapsed(1)
@@ -33,7 +33,7 @@ func TestPavloDBMS(t *testing.T) {
 
 func TestPavloMapReduce(t *testing.T) {
 	c := metrics.NewCollector("pavlo-mr")
-	if err := (MapReduceEquivalents{}).Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 4}, c); err != nil {
+	if err := MapReduceEquivalents.Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -44,18 +44,18 @@ func TestDBMSAndMapReduceAgreeOnSelection(t *testing.T) {
 	// means they agree with each other.
 	seed := uint64(77)
 	c1 := metrics.NewCollector("a")
-	if err := (LoadSelectAggregateJoin{}).Run(context.Background(), workloads.Params{Seed: seed, Scale: 1, Workers: 2}, c1); err != nil {
+	if err := LoadSelectAggregateJoin.Run(context.Background(), workloads.Params{Seed: seed, Scale: 1, Workers: 2}, c1); err != nil {
 		t.Fatal(err)
 	}
 	c2 := metrics.NewCollector("b")
-	if err := (MapReduceEquivalents{}).Run(context.Background(), workloads.Params{Seed: seed, Scale: 1, Workers: 2}, c2); err != nil {
+	if err := MapReduceEquivalents.Run(context.Background(), workloads.Params{Seed: seed, Scale: 1, Workers: 2}, c2); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestURLCount(t *testing.T) {
 	c := metrics.NewCollector("url-count")
-	if err := (URLCount{}).Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
+	if err := URLCount.Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["records"] == 0 {
@@ -64,13 +64,13 @@ func TestURLCount(t *testing.T) {
 }
 
 func TestMetadata(t *testing.T) {
-	if (LoadSelectAggregateJoin{}).Domain() != "relational queries" {
+	if LoadSelectAggregateJoin.Domain() != "relational queries" {
 		t.Fatal("domain wrong")
 	}
-	if (LoadSelectAggregateJoin{}).Category() != workloads.Realtime {
+	if LoadSelectAggregateJoin.Category() != workloads.Realtime {
 		t.Fatal("interactive queries should be real-time analytics")
 	}
-	if len((URLCount{}).StackTypes()) != 2 {
+	if len(URLCount.StackTypes()) != 2 {
 		t.Fatal("url-count runs on both stacks")
 	}
 }

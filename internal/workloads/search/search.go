@@ -26,26 +26,10 @@ import (
 
 // InvertedIndex builds word -> sorted doc-id postings with MapReduce, then
 // verifies lookups against a direct scan.
-type InvertedIndex struct{}
+var InvertedIndex = workloads.New("inverted-index", workloads.Realtime, "search engine",
+	invertedIndex, stacks.TypeMapReduce)
 
-// Name implements workloads.Workload.
-func (InvertedIndex) Name() string { return "inverted-index" }
-
-// Category implements workloads.Workload.
-func (InvertedIndex) Category() workloads.Category { return workloads.Realtime }
-
-// Domain implements workloads.Workload.
-func (InvertedIndex) Domain() string { return "search engine" }
-
-// StackTypes implements workloads.Workload.
-func (InvertedIndex) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
-
-// Run implements workloads.Workload.
-func (InvertedIndex) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func invertedIndex(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	t0gen := c.Now()
 	docs := textgen.ReferenceCorpusParallel(p.Seed, p.Scale*1000, 40, p.DatagenWorkers)
 	c.RecordDatagen(c.Now().Sub(t0gen), int64(len(docs)))
@@ -118,26 +102,9 @@ func (InvertedIndex) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 
 // PageRank ranks an RMAT web graph on the BSP engine and checks rank-mass
 // conservation and hub dominance.
-type PageRank struct{}
+var PageRank = workloads.New("pagerank", workloads.Offline, "search engine", pageRank, stacks.TypeGraph)
 
-// Name implements workloads.Workload.
-func (PageRank) Name() string { return "pagerank" }
-
-// Category implements workloads.Workload.
-func (PageRank) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (PageRank) Domain() string { return "search engine" }
-
-// StackTypes implements workloads.Workload.
-func (PageRank) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeGraph} }
-
-// Run implements workloads.Workload.
-func (PageRank) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func pageRank(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	scale := 8 + p.Scale // 2^(8+scale) vertices
 	t0gen := c.Now()
 	g := graphgen.DefaultRMAT.GenerateParallel(p.Seed, scale, p.DatagenWorkers)

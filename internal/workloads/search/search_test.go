@@ -13,7 +13,7 @@ import (
 
 func TestInvertedIndex(t *testing.T) {
 	c := metrics.NewCollector("ii")
-	if err := (InvertedIndex{}).Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 4}, c); err != nil {
+	if err := InvertedIndex.Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["terms"] == 0 {
@@ -23,7 +23,7 @@ func TestInvertedIndex(t *testing.T) {
 
 func TestPageRank(t *testing.T) {
 	c := metrics.NewCollector("pr")
-	if err := (PageRank{}).Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
+	if err := PageRank.Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["messages"] == 0 || c.Snapshot().Counters["supersteps"] == 0 {
@@ -54,13 +54,13 @@ func TestPageRankHubCheck(t *testing.T) {
 }
 
 func TestMetadata(t *testing.T) {
-	if (InvertedIndex{}).Domain() != "search engine" || (PageRank{}).Domain() != "search engine" {
+	if InvertedIndex.Domain() != "search engine" || PageRank.Domain() != "search engine" {
 		t.Fatal("domain wrong")
 	}
-	if (InvertedIndex{}).Category() != workloads.Realtime {
+	if InvertedIndex.Category() != workloads.Realtime {
 		t.Fatal("indexing should be the real-time analytics row (Nutch indexing in HiBench)")
 	}
-	if (PageRank{}).Category() != workloads.Offline {
+	if PageRank.Category() != workloads.Offline {
 		t.Fatal("pagerank should be offline analytics")
 	}
 }

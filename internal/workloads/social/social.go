@@ -66,23 +66,9 @@ func GenerateClusters(g *stats.RNG, n, k int) ([]Point, []Point) {
 // KMeans clusters points with Lloyd's algorithm, each iteration a
 // MapReduce job: map assigns points to the nearest centroid, reduce
 // averages each cluster.
-type KMeans struct{}
+var KMeans = workloads.New("kmeans", workloads.Offline, "social network", kMeans, stacks.TypeMapReduce)
 
-// Name implements workloads.Workload.
-func (KMeans) Name() string { return "kmeans" }
-
-// Category implements workloads.Workload.
-func (KMeans) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (KMeans) Domain() string { return "social network" }
-
-// StackTypes implements workloads.Workload.
-func (KMeans) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeMapReduce} }
-
-// Run implements workloads.Workload.
-func (KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
+func kMeans(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	const (
 		k     = 4 // clusters
 		iters = 8 // Lloyd iterations
@@ -191,27 +177,11 @@ func (KMeans) Run(ctx context.Context, p workloads.Params, c *metrics.Collector)
 
 // ConnectedComponents labels a Barabási–Albert social graph on the BSP
 // engine and verifies against union-find.
-type ConnectedComponents struct{}
+var ConnectedComponents = workloads.New("connected-components", workloads.Offline, "social network",
+	connectedComponents, stacks.TypeGraph)
 
-// Name implements workloads.Workload.
-func (ConnectedComponents) Name() string { return "connected-components" }
-
-// Category implements workloads.Workload.
-func (ConnectedComponents) Category() workloads.Category { return workloads.Offline }
-
-// Domain implements workloads.Workload.
-func (ConnectedComponents) Domain() string { return "social network" }
-
-// StackTypes implements workloads.Workload.
-func (ConnectedComponents) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeGraph} }
-
-// Run implements workloads.Workload.
-func (ConnectedComponents) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
+func connectedComponents(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	scale := 8 + p.Scale
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	// Preferential attachment is inherently sequential (every edge depends
 	// on all previous degrees), so the BA graph stays on the single-RNG
 	// path; its cost is still accounted to the datagen family.

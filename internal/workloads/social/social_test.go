@@ -11,7 +11,7 @@ import (
 
 func TestKMeansRecoversCenters(t *testing.T) {
 	c := metrics.NewCollector("kmeans")
-	if err := (KMeans{}).Run(context.Background(), workloads.Params{Seed: 3, Scale: 1, Workers: 4}, c); err != nil {
+	if err := KMeans.Run(context.Background(), workloads.Params{Seed: 3, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["iterations"] != 8 {
@@ -25,7 +25,7 @@ func TestKMeansRobustAcrossSeeds(t *testing.T) {
 	// 123 and 155 of this sweep.
 	for seed := uint64(0); seed <= 200; seed++ {
 		c := metrics.NewCollector("kmeans")
-		if err := (KMeans{}).Run(context.Background(), workloads.Params{Seed: seed, Scale: 1, Workers: 4}, c); err != nil {
+		if err := KMeans.Run(context.Background(), workloads.Params{Seed: seed, Scale: 1, Workers: 4}, c); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -33,7 +33,7 @@ func TestKMeansRobustAcrossSeeds(t *testing.T) {
 
 func TestConnectedComponents(t *testing.T) {
 	c := metrics.NewCollector("cc")
-	if err := (ConnectedComponents{}).Run(context.Background(), workloads.Params{Seed: 5, Scale: 1, Workers: 4}, c); err != nil {
+	if err := ConnectedComponents.Run(context.Background(), workloads.Params{Seed: 5, Scale: 1, Workers: 4}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["components"] < 1 {
@@ -78,7 +78,7 @@ func TestPointCodec(t *testing.T) {
 }
 
 func TestMetadata(t *testing.T) {
-	if (KMeans{}).Domain() != "social network" || (ConnectedComponents{}).Domain() != "social network" {
+	if KMeans.Domain() != "social network" || ConnectedComponents.Domain() != "social network" {
 		t.Fatal("domain wrong")
 	}
 }

@@ -20,27 +20,11 @@ import (
 )
 
 // WindowedCount counts events per key in tumbling event-time windows.
-type WindowedCount struct{}
+var WindowedCount = workloads.New("windowed-count", workloads.Realtime, "streaming",
+	windowedCount, stacks.TypeStreaming)
 
-// Name implements workloads.Workload.
-func (WindowedCount) Name() string { return "windowed-count" }
-
-// Category implements workloads.Workload.
-func (WindowedCount) Category() workloads.Category { return workloads.Realtime }
-
-// Domain implements workloads.Workload.
-func (WindowedCount) Domain() string { return "streaming" }
-
-// StackTypes implements workloads.Workload.
-func (WindowedCount) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeStreaming} }
-
-// Run implements workloads.Workload.
-func (WindowedCount) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
+func windowedCount(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	n := int64(p.Scale) * 20000
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	gen := streamgen.Generator{
 		EventsPerSec: 50000,
 		Arrival:      streamgen.ArrivalPoisson,
@@ -81,27 +65,11 @@ func (WindowedCount) Run(ctx context.Context, p workloads.Params, c *metrics.Col
 }
 
 // RollingAggregate maintains sliding-window sums with overlapping windows.
-type RollingAggregate struct{}
+var RollingAggregate = workloads.New("rolling-aggregate", workloads.Realtime, "streaming",
+	rollingAggregate, stacks.TypeStreaming)
 
-// Name implements workloads.Workload.
-func (RollingAggregate) Name() string { return "rolling-aggregate" }
-
-// Category implements workloads.Workload.
-func (RollingAggregate) Category() workloads.Category { return workloads.Realtime }
-
-// Domain implements workloads.Workload.
-func (RollingAggregate) Domain() string { return "streaming" }
-
-// StackTypes implements workloads.Workload.
-func (RollingAggregate) StackTypes() []stacks.Type { return []stacks.Type{stacks.TypeStreaming} }
-
-// Run implements workloads.Workload.
-func (RollingAggregate) Run(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	p = p.WithDefaults()
+func rollingAggregate(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	n := int64(p.Scale) * 20000
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	gen := streamgen.Generator{
 		EventsPerSec: 50000,
 		KeySpace:     20,

@@ -10,7 +10,7 @@ import (
 
 func TestWindowedCount(t *testing.T) {
 	c := metrics.NewCollector("wc")
-	if err := (WindowedCount{}).Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2}, c); err != nil {
+	if err := WindowedCount.Run(context.Background(), workloads.Params{Seed: 1, Scale: 1, Workers: 2}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["windows_emitted"] == 0 {
@@ -23,7 +23,7 @@ func TestWindowedCount(t *testing.T) {
 
 func TestRollingAggregate(t *testing.T) {
 	c := metrics.NewCollector("ra")
-	if err := (RollingAggregate{}).Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 2}, c); err != nil {
+	if err := RollingAggregate.Run(context.Background(), workloads.Params{Seed: 2, Scale: 1, Workers: 2}, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Snapshot().Counters["emissions"] == 0 {
@@ -32,7 +32,7 @@ func TestRollingAggregate(t *testing.T) {
 }
 
 func TestMetadata(t *testing.T) {
-	for _, w := range []workloads.Workload{WindowedCount{}, RollingAggregate{}} {
+	for _, w := range []workloads.Workload{WindowedCount, RollingAggregate} {
 		if w.Category() != workloads.Realtime || w.Domain() != "streaming" {
 			t.Fatalf("%T metadata wrong", w)
 		}

@@ -5,6 +5,13 @@
 // (micro, search engine, social network, e-commerce, OLTP, relational
 // queries, streaming) and runs on one or more software-stack types.
 //
+// A built-in workload is a value, not a type, declared once as its Table 2
+// row: New takes its name, category, domain, body and stacks. The Workload
+// New returns owns the entry contract, so no body repeats it: Params
+// defaults are filled in, and a done context fails the call before the
+// body runs. Only the YCSB core workloads (oltp.CoreWorkload) keep a type
+// of their own, because their fields are the workload's knobs.
+//
 // Concrete workloads live in subpackages: micro, search, social, commerce,
 // oltp, relational and streamwl.
 package workloads
@@ -75,4 +82,34 @@ type Workload interface {
 	Domain() string
 	StackTypes() []stacks.Type
 	Run(ctx context.Context, p Params, c *metrics.Collector) error
+}
+
+// New returns the workload named name, of the given category, domain and
+// stack types, whose body is run. Its Run returns ctx.Err() at once on a
+// done context, and otherwise calls run with p's defaults filled in. The
+// result is a pointer, so two workloads compare with == by identity.
+func New(name string, category Category, domain string,
+	run func(ctx context.Context, p Params, c *metrics.Collector) error, stackTypes ...stacks.Type) Workload {
+	return &builtin{name: name, category: category, domain: domain, stackTypes: stackTypes, run: run}
+}
+
+// builtin is a workload declared by New.
+type builtin struct {
+	name       string
+	category   Category
+	domain     string
+	stackTypes []stacks.Type
+	run        func(ctx context.Context, p Params, c *metrics.Collector) error
+}
+
+func (w *builtin) Name() string              { return w.name }
+func (w *builtin) Category() Category        { return w.category }
+func (w *builtin) Domain() string            { return w.domain }
+func (w *builtin) StackTypes() []stacks.Type { return w.stackTypes }
+
+func (w *builtin) Run(ctx context.Context, p Params, c *metrics.Collector) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return w.run(ctx, p.WithDefaults(), c)
 }
