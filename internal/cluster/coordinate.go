@@ -50,14 +50,10 @@ type Options struct {
 	// len(Agents), clamped to the task count). Shards beyond len(Agents)
 	// share agents round-robin.
 	Shards int
-	// Client is the HTTP client for agent dispatch (a fresh client when
-	// nil). An attempt is bounded by the heartbeat watchdog, not the client.
-	Client *http.Client
 
 	// The scenario pass-throughs (see scenario.Options).
 	Registry       *scenario.Registry
 	OnEvent        func(engine.Event)
-	ProbeData      bool
 	RunOutput      string
 	SampleCapacity int
 	ToolVersion    string
@@ -82,14 +78,10 @@ func Coordinate(ctx context.Context, spec scenario.Spec, opts Options) (*scenari
 	if len(opts.Agents) == 0 {
 		return nil, errors.New("cluster: coordinate: no agents")
 	}
-	c := &coordinator{opts: opts, client: opts.Client}
-	if c.client == nil {
-		c.client = &http.Client{}
-	}
+	c := &coordinator{opts: opts, client: &http.Client{}}
 	return scenario.Run(ctx, spec, scenario.Options{
 		Registry:       opts.Registry,
 		OnEvent:        opts.OnEvent,
-		ProbeData:      opts.ProbeData,
 		RunOutput:      opts.RunOutput,
 		SampleCapacity: opts.SampleCapacity,
 		ToolVersion:    opts.ToolVersion,
@@ -99,7 +91,9 @@ func Coordinate(ctx context.Context, spec scenario.Spec, opts Options) (*scenari
 }
 
 type coordinator struct {
-	opts   Options
+	opts Options
+	// client dispatches shards to agents. An attempt is bounded by the
+	// heartbeat watchdog, not the client.
 	client *http.Client
 	// emitMu serializes event forwarding across shard readers, matching the
 	// engine's contract that OnEvent needs no locking of its own.

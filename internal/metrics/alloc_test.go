@@ -10,20 +10,40 @@ import (
 	"github.com/bdbench/bdbench/internal/raceflag"
 )
 
-// assertZeroAllocs runs f through testing.AllocsPerRun and requires a zero
-// steady-state allocation count. Under -race the hot path still executes
-// (so the race step covers it) but the exact count is not asserted — the
-// detector's own bookkeeping shows up in the measurement.
+// zeroAllocCalls is how many calls of f assertZeroAllocs measures as one
+// run.
+const zeroAllocCalls = 1000
+
+// assertZeroAllocs holds the exact zero-allocation contract: zeroAllocCalls
+// calls of f, measured as one testing.AllocsPerRun run, allocate nothing.
+// AllocsPerRun's own average over many runs truncates, so it reads 0 for
+// an allocation on all but one of them; one run of many calls keeps the
+// fraction. AllocsPerRun's warm-up pass makes the same calls first, so it
+// installs every histogram page and capture segment the measured calls
+// reach, provided f observes the same latency ranges on every call and its
+// capture buffer has room for both passes. Under -race the hot path still
+// executes (so the race step covers it) but the count is not asserted —
+// the detector's own bookkeeping shows up in the measurement.
 func assertZeroAllocs(t *testing.T, what string, f func()) {
 	t.Helper()
-	allocs := testing.AllocsPerRun(1000, f)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range zeroAllocCalls {
+			f()
+		}
+	}) / zeroAllocCalls
 	if raceflag.Enabled {
-		t.Skipf("%s: allocation counts not asserted under -race (measured %.1f)", what, allocs)
+		t.Skipf("%s: allocation counts not asserted under -race (measured %.4f)", what, allocs)
 	}
 	if allocs != 0 {
-		t.Errorf("%s: %.1f allocs/op in steady state, want 0", what, allocs)
+		t.Errorf("%s: %.4f allocs/op in steady state, want 0", what, allocs)
 	}
 }
+
+// sinceStart is a start time ObserveSince measures from in a zero-allocation
+// loop: 1.5 s back, the elapsed time stays inside the power of two
+// [2³⁰, 2³¹) ns — one histogram page — for the next 0.6 s. From a start of
+// now it would cross into a new page at every doubling of the loop's age.
+func sinceStart() time.Time { return time.Now().Add(-1500 * time.Millisecond) }
 
 // TestShardObserveLatencyZeroAlloc: once an operation label exists,
 // minting its handle again and observing through it must not allocate — the
@@ -52,7 +72,7 @@ func TestOpRefZeroAlloc(t *testing.T) {
 	op := s.Op("op")
 	op.Observe(time.Millisecond) // first use installs the histogram
 	ctr := s.CounterRef("records")
-	start := time.Now()
+	start := sinceStart()
 	assertZeroAllocs(t, "OpRef/CounterRef", func() {
 		op.Observe(time.Microsecond)
 		op.ObserveSince(start)
@@ -61,17 +81,22 @@ func TestOpRefZeroAlloc(t *testing.T) {
 }
 
 // TestOpRefSampledZeroAlloc: the record path must stay allocation-free with
-// raw sample capture enabled — the buffer is allocated by the cell's first
-// observation, so steady-state recording is two atomic stores on top of the
-// histogram adds: always-on capture without becoming the GC pressure the
-// benchmark is measuring.
+// raw sample capture enabled between the buffer's growth steps — two
+// atomic stores on top of the histogram adds: always-on capture without
+// becoming the GC pressure the benchmark is measuring. The cell is filled to
+// the start of segment 7, whose 8 192 slots take the three measurements'
+// 6 000 samples; TestSampleBufGrowthSteps bounds what the growth steps cost.
 func TestOpRefSampledZeroAlloc(t *testing.T) {
 	c := NewCollector("wl")
 	c.EnableSampling(1 << 16)
 	op := c.Op("op")
 	op.Observe(time.Millisecond) // first use installs histogram and buffer
+	const k = 7
+	for i := uint64(0); i < segmentStart(k); i++ {
+		op.Observe(time.Microsecond) // the last one installs segment k
+	}
 	ctr := c.CounterRef("records")
-	start := time.Now()
+	start := sinceStart()
 	assertZeroAllocs(t, "OpRef.Observe (sampling on)", func() {
 		op.Observe(time.Microsecond)
 		ctr.Add(1)
@@ -82,6 +107,9 @@ func TestOpRefSampledZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, "Collector.Op + Observe (sampling on)", func() {
 		c.Op("op").Observe(time.Microsecond)
 	})
+	if _, segments := slotsAllocated(bufOf(op)); segments != k+1 {
+		t.Fatalf("the measured calls crossed into segment %d", segments-1)
+	}
 }
 
 // TestOpRefSampledZeroAllocAfterOverflow: a full buffer drops new samples on
@@ -158,7 +186,7 @@ func TestOpRefSampledZeroAllocBetweenGrowthSteps(t *testing.T) {
 	c := NewCollector("wl")
 	c.EnableSampling(0)
 	op := c.Op("op")
-	const k = 5 // segment 5 holds 2048 slots; AllocsPerRun makes 1001 calls
+	const k = 5 // segment 5 holds 2048 slots; assertZeroAllocs makes 2000 calls
 	for i := uint64(0); i <= segmentStart(k); i++ {
 		op.Observe(time.Microsecond) // the last one installs segment k
 	}

@@ -3,10 +3,10 @@ package testgen
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -28,34 +28,38 @@ type Config struct {
 	Prescription string
 	// Recipe, when non-nil, is used instead of looking Prescription up.
 	Recipe *Prescription
-	// Stack picks the executor: "reference", "dbms", "nosql" or
-	// "mapreduce".
+	// Stack picks the executor, one of Stacks(); empty is the reference
+	// executor.
 	Stack string
 }
 
 // Bind validates the config and returns a Workload that executes the
-// prescription on the chosen stack. Params.Scale multiplies the
-// prescription's input size; Params.Workers drives the stack's
-// parallelism; outputs are deterministic in Params.Seed.
+// prescription on the chosen stack: it generates the prescription's data
+// at the requested scale, executes every step on the stack, and records the
+// outcome into the collector. Params.Scale multiplies the prescription's
+// input size; Params.Workers drives the stack's parallelism; zero fields
+// take Params' defaults, as for every built-in. Outputs are deterministic
+// in Params.Seed.
 func Bind(cfg Config) (workloads.Workload, error) {
-	var p Prescription
+	var recipe Prescription
 	if cfg.Recipe != nil {
-		p = *cfg.Recipe
+		recipe = *cfg.Recipe
 	} else {
 		var err error
-		if p, err = Find(cfg.Prescription); err != nil {
+		if recipe, err = Find(cfg.Prescription); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.Stack == "" {
-		cfg.Stack = "reference"
+		cfg.Stack = reference
 	}
-	newExec, ok := executors[cfg.Stack]
-	if !ok {
+	i := slices.IndexFunc(stackTable, func(s stackEntry) bool { return s.name == cfg.Stack })
+	if i < 0 {
 		return nil, fmt.Errorf("testgen: unknown stack %q (have: %s)", cfg.Stack, strings.Join(Stacks(), ", "))
 	}
+	stack := stackTable[i]
 	if cfg.Name == "" {
-		cfg.Name = p.Name + "@" + cfg.Stack
+		cfg.Name = recipe.Name + "@" + stack.name
 	}
 	if cfg.Category == "" {
 		cfg.Category = workloads.Online
@@ -63,49 +67,21 @@ func Bind(cfg Config) (workloads.Workload, error) {
 	if cfg.Domain == "" {
 		cfg.Domain = "abstract operations"
 	}
-	return &boundTest{cfg: cfg, p: p, stackType: newExec(1).StackType()}, nil
-}
-
-// boundTest is Figure 4's prescribed test: one prescription on one stack.
-// cfg holds the config with its defaults filled in.
-type boundTest struct {
-	cfg       Config
-	p         Prescription
-	stackType stacks.Type
-}
-
-// Name implements workloads.Workload.
-func (w *boundTest) Name() string { return w.cfg.Name }
-
-// Category implements workloads.Workload.
-func (w *boundTest) Category() workloads.Category { return w.cfg.Category }
-
-// Domain implements workloads.Workload.
-func (w *boundTest) Domain() string { return w.cfg.Domain }
-
-// StackTypes implements workloads.Workload.
-func (w *boundTest) StackTypes() []stacks.Type { return []stacks.Type{w.stackType} }
-
-// Run implements workloads.Workload: generate the prescription's data at
-// the requested scale, execute every step on the stack, and record the
-// outcome into the collector.
-func (w *boundTest) Run(ctx context.Context, params workloads.Params, c *metrics.Collector) error {
-	p := w.p
-	if params.Scale > 1 {
+	run := func(ctx context.Context, params workloads.Params, c *metrics.Collector) error {
+		p := recipe
 		p.Data.Size *= params.Scale
-		if p.Data.SecondSize > 0 {
-			p.Data.SecondSize *= params.Scale
+		p.Data.SecondSize *= params.Scale
+		if params.Seed != 0 {
+			p.Data.Seed = params.Seed
 		}
+		t0 := c.Now()
+		out, err := RunOn(ctx, stack.exec(params.Workers), p, c)
+		if err != nil {
+			return fmt.Errorf("testgen: prescription %s on %s: %w", p.Name, stack.name, err)
+		}
+		c.Op("prescription").Observe(c.Now().Sub(t0))
+		c.CounterRef("records").Add(int64(len(out)))
+		return nil
 	}
-	if params.Seed != 0 {
-		p.Data.Seed = params.Seed
-	}
-	t0 := c.Now()
-	out, err := RunOn(ctx, executors[w.cfg.Stack](params.Workers), p, c)
-	if err != nil {
-		return fmt.Errorf("testgen: prescription %s on %s: %w", p.Name, w.cfg.Stack, err)
-	}
-	c.Op("prescription").Observe(c.Now().Sub(t0))
-	c.CounterRef("records").Add(int64(len(out)))
-	return nil
+	return workloads.New(cfg.Name, cfg.Category, cfg.Domain, run, stack.typ), nil
 }

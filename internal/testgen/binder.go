@@ -10,7 +10,6 @@ import (
 	"github.com/bdbench/bdbench/internal/data"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/stacks/dbms"
 	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/stacks/nosql"
@@ -22,8 +21,6 @@ import (
 // where a stack has no native equivalent, as real benchmark kits do).
 // Executors are single-use: Load, then Exec steps, then Result.
 type Executor interface {
-	Name() string
-	StackType() stacks.Type
 	Load(main, second Dataset) error
 	Exec(step Step) error
 	Result() (Dataset, error)
@@ -105,7 +102,7 @@ func RunOn(ctx context.Context, exec Executor, p Prescription, c *metrics.Collec
 			}
 			t := stepRefs[i].StartTimer()
 			if err := exec.Exec(step); err != nil {
-				return fmt.Errorf("testgen: step %q on %s: %w", step.Op, exec.Name(), err)
+				return fmt.Errorf("testgen: step %q: %w", step.Op, err)
 			}
 			stepRefs[i].ObserveSince(t)
 			opsRef.Add(1)
@@ -157,12 +154,6 @@ type ReferenceExecutor struct {
 	cur, second Dataset
 }
 
-// Name implements Executor.
-func (e *ReferenceExecutor) Name() string { return "reference" }
-
-// StackType implements Executor.
-func (e *ReferenceExecutor) StackType() stacks.Type { return "abstract" }
-
 // Load implements Executor.
 func (e *ReferenceExecutor) Load(main, second Dataset) error {
 	e.cur = append(Dataset(nil), main...)
@@ -205,12 +196,6 @@ type DBMSExecutor struct {
 
 // NewDBMSExecutor returns a fresh executor.
 func NewDBMSExecutor() *DBMSExecutor { return &DBMSExecutor{db: dbms.Open()} }
-
-// Name implements Executor.
-func (e *DBMSExecutor) Name() string { return "dbms" }
-
-// StackType implements Executor.
-func (e *DBMSExecutor) StackType() stacks.Type { return stacks.TypeDBMS }
 
 var kvSchema = data.Schema{Name: "t", Cols: []data.Column{
 	{Name: "k", Kind: data.KindString},
@@ -366,16 +351,10 @@ type NoSQLExecutor struct {
 	collapsed Dataset
 }
 
-// NewNoSQLExecutor returns a fresh executor with the given partitioning.
-func NewNoSQLExecutor(partitions int, seed uint64) *NoSQLExecutor {
-	return &NoSQLExecutor{store: nosql.Open(partitions, seed)}
+// NewNoSQLExecutor returns a fresh executor over a four-partition store.
+func NewNoSQLExecutor() *NoSQLExecutor {
+	return &NoSQLExecutor{store: nosql.Open(4, 1)}
 }
-
-// Name implements Executor.
-func (e *NoSQLExecutor) Name() string { return "nosql" }
-
-// StackType implements Executor.
-func (e *NoSQLExecutor) StackType() stacks.Type { return stacks.TypeNoSQL }
 
 // Load implements Executor.
 func (e *NoSQLExecutor) Load(main, second Dataset) error {
@@ -488,12 +467,6 @@ type MapReduceExecutor struct {
 func NewMapReduceExecutor(workers int) *MapReduceExecutor {
 	return &MapReduceExecutor{eng: mapreduce.New(workers)}
 }
-
-// Name implements Executor.
-func (e *MapReduceExecutor) Name() string { return "mapreduce" }
-
-// StackType implements Executor.
-func (e *MapReduceExecutor) StackType() stacks.Type { return stacks.TypeMapReduce }
 
 // Load implements Executor.
 func (e *MapReduceExecutor) Load(main, second Dataset) error {
@@ -644,7 +617,7 @@ func (e *MapReduceExecutor) Exec(step Step) error {
 			},
 		}
 	default:
-		return fmt.Errorf("mapreduce executor: unsupported operation %q", step.Op)
+		return fmt.Errorf("unsupported operation %q", step.Op)
 	}
 	out, _, err := e.eng.Run(job, input)
 	if err != nil {

@@ -3,10 +3,10 @@ package testgen
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -23,22 +23,34 @@ type StepTrace struct {
 	Duration time.Duration
 }
 
-// executors binds each stack name to its executor, including the abstract
-// reference executor; workers is the stack's parallelism where it has one.
-var executors = map[string]func(workers int) Executor{
-	"reference": func(int) Executor { return &ReferenceExecutor{} },
-	"dbms":      func(int) Executor { return NewDBMSExecutor() },
-	"nosql":     func(int) Executor { return NewNoSQLExecutor(4, 1) },
-	"mapreduce": func(workers int) Executor { return NewMapReduceExecutor(workers) },
+// reference names the stack of the abstract reference executor, the
+// functional-view oracle every other stack is checked against.
+const reference = "reference"
+
+// stackEntry is one stack a prescription can be bound to: its name, its
+// stack type, and its executor, where workers is the stack's parallelism
+// if it has one.
+type stackEntry struct {
+	name string
+	typ  stacks.Type
+	exec func(workers int) Executor
+}
+
+// stackTable lists every stack a prescription can be bound to, sorted by
+// name.
+var stackTable = []stackEntry{
+	{"dbms", stacks.TypeDBMS, func(int) Executor { return NewDBMSExecutor() }},
+	{"mapreduce", stacks.TypeMapReduce, func(workers int) Executor { return NewMapReduceExecutor(workers) }},
+	{"nosql", stacks.TypeNoSQL, func(int) Executor { return NewNoSQLExecutor() }},
+	{reference, "abstract", func(int) Executor { return &ReferenceExecutor{} }},
 }
 
 // Stacks lists the stacks a prescription can be bound to, sorted.
 func Stacks() []string {
-	out := make([]string, 0, len(executors))
-	for name := range executors {
-		out = append(out, name)
+	out := make([]string, len(stackTable))
+	for i, s := range stackTable {
+		out[i] = s.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -102,20 +114,19 @@ func Generate(data DataSpec, steps []Step, kind PatternKind, stop StopCondition,
 // functional view: each must produce the same normalized dataset as the
 // reference executor. It returns the per-stack results keyed by stack name.
 func VerifyPortability(ctx context.Context, p Prescription, workers int) (map[string]Dataset, error) {
-	stacks := Stacks()
-	results := make(map[string]Dataset, len(stacks))
-	for _, stack := range stacks {
-		out, err := RunOn(ctx, executors[stack](workers), p, metrics.NewCollector(stack))
+	results := make(map[string]Dataset, len(stackTable))
+	for _, s := range stackTable {
+		out, err := RunOn(ctx, s.exec(workers), p, metrics.NewCollector(s.name))
 		if err != nil {
-			return nil, fmt.Errorf("testgen: %s: %w", stack, err)
+			return nil, fmt.Errorf("testgen: %s: %w", s.name, err)
 		}
-		results[stack] = out
+		results[s.name] = out
 	}
-	ref := results["reference"]
-	for _, stack := range stacks {
-		if r := results[stack]; !r.Equal(ref) {
+	ref := results[reference]
+	for _, s := range stackTable {
+		if r := results[s.name]; !r.Equal(ref) {
 			return results, fmt.Errorf("testgen: functional view violated: %s disagrees with reference (%d vs %d records)",
-				stack, len(r), len(ref))
+				s.name, len(r), len(ref))
 		}
 	}
 	return results, nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -381,7 +383,7 @@ func TestDBMSExecutorPointOps(t *testing.T) {
 }
 
 func TestNoSQLExecutorCollapsedState(t *testing.T) {
-	e := NewNoSQLExecutor(4, 1)
+	e := NewNoSQLExecutor()
 	// Duplicate keys after a join force the collapsed client-side path.
 	if err := e.Load(Dataset{{"k", "a"}}, nil); err != nil {
 		t.Fatal(err)
@@ -417,15 +419,25 @@ func TestMapReduceExecutorUnsupportedOp(t *testing.T) {
 // TestBindFunctionalView: binding is deterministic and the functional view
 // does not depend on the stack — every built-in prescription, bound to
 // every stack and run twice at the same seed and scale, yields one record
-// count.
+// count. Each bound workload declares its table row's stack type and the
+// documented Category and Domain defaults.
 func TestBindFunctionalView(t *testing.T) {
+	if !slices.IsSorted(Stacks()) {
+		t.Fatalf("Stacks() = %v, want sorted", Stacks())
+	}
 	for _, name := range Names() {
 		want := int64(-1)
-		for _, stack := range Stacks() {
+		for i, stack := range Stacks() {
 			for rep := 0; rep < 2; rep++ {
 				w, err := Bind(Config{Prescription: name, Stack: stack})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if got := w.StackTypes(); !slices.Equal(got, []stacks.Type{stackTable[i].typ}) {
+					t.Fatalf("%s: StackTypes() = %v, want [%s]", w.Name(), got, stackTable[i].typ)
+				}
+				if w.Category() != workloads.Online || w.Domain() != "abstract operations" {
+					t.Fatalf("%s: category %q, domain %q; want the defaults", w.Name(), w.Category(), w.Domain())
 				}
 				c := metrics.NewCollector(w.Name())
 				if err := w.Run(context.Background(), workloads.Params{Seed: 7, Scale: 2, Workers: 2}, c); err != nil {
@@ -474,10 +486,11 @@ func TestBoundTestStopsWhenCancelled(t *testing.T) {
 	}
 
 	before := runtime.NumGoroutine()
-	// Err answers nil twice — RunOn's entry check and the check before
-	// step 1 — so the cancellation lands between step 1 and step 2.
+	// Err answers nil three times — the workload's entry check, RunOn's
+	// and the check before step 1 — so the cancellation lands between
+	// step 1 and step 2.
 	ctx := &cancelAfter{Context: context.Background()}
-	ctx.n.Store(2)
+	ctx.n.Store(3)
 	c := metrics.NewCollector(w.Name())
 	err = w.Run(ctx, workloads.Params{}, c)
 	if !errors.Is(err, context.Canceled) {
