@@ -1,6 +1,8 @@
 package weblog
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -97,5 +99,21 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(line); err == nil {
 			t.Fatalf("malformed line accepted: %q", line)
 		}
+	}
+}
+
+// TestSourcePinned holds the strings newSource renders for every orders row
+// to the digest they had when each was formatted on its own.
+func TestSourcePinned(t *testing.T) {
+	src, err := newSource(tablegen.ReferenceTableParallel(2014, 6000, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, r := range src {
+		fmt.Fprintf(h, "%s\x00%s\x00%s\n", r.ip, r.user, r.path)
+	}
+	if got, want := h.Sum64(), uint64(0x0a3c76a8e99b50cb); len(src) != 6000 || got != want {
+		t.Fatalf("source moved: %d rows, digest %#x, want %#x", len(src), got, want)
 	}
 }

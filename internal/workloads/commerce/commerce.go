@@ -155,19 +155,14 @@ func labeledDocs(seed uint64, n, meanLen, workers int) ([]textgen.Document, []in
 	return docs, labels, model.Topics
 }
 
-func naiveBayes(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
-	n := p.Scale * 1000
-	t0gen := c.Now()
-	docs, labels, k := labeledDocs(p.Seed, n, 40, p.DatagenWorkers)
-	c.RecordDatagen(c.Now().Sub(t0gen), int64(n))
-	split := n * 4 / 5
-
-	// ---- Training: per-class word counts as one MapReduce job.
-	input := make([]mapreduce.KV, split)
-	for i := 0; i < split; i++ {
-		input[i] = mapreduce.KV{Key: strconv.Itoa(labels[i]), Value: strings.Join(docs[i], " ")}
+// trainCounts runs the nb-train job on eng over the labelled documents: per
+// class, the count of every word ("label\x1fword") and of its documents
+// ("label\x1f\x00docs"). Labels are below k.
+func trainCounts(eng *mapreduce.Engine, docs []textgen.Document, labels []int, k int) ([]mapreduce.KV, error) {
+	input := make([]mapreduce.KV, len(docs))
+	for i, d := range docs {
+		input[i] = mapreduce.KV{Key: strconv.Itoa(labels[i]), Value: strings.Join(d, " ")}
 	}
-	eng := mapreduce.New(p.Workers).Instrument(c)
 	job := mapreduce.Job{
 		Name: "nb-train",
 		Map: func(label, text string, emit func(k, v string)) {
@@ -180,8 +175,20 @@ func naiveBayes(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 			emit(key, strconv.Itoa(len(values)))
 		},
 	}
-	t0 := c.Now()
 	out, _, err := eng.Run(job, input)
+	return out, err
+}
+
+func naiveBayes(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+	n := p.Scale * 1000
+	t0gen := c.Now()
+	docs, labels, k := labeledDocs(p.Seed, n, 40, p.DatagenWorkers)
+	c.RecordDatagen(c.Now().Sub(t0gen), int64(n))
+	split := n * 4 / 5
+
+	// ---- Training: per-class word counts as one MapReduce job.
+	t0 := c.Now()
+	out, err := trainCounts(mapreduce.New(p.Workers).Instrument(c), docs[:split], labels[:split], k)
 	if err != nil {
 		return err
 	}

@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/metrics"
+	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/stats"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
@@ -88,5 +90,23 @@ func TestLabeledDocsPinned(t *testing.T) {
 				t.Errorf("seed %d at %d workers: corpus digest %s, want %s", seed, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestTrainCountsPinned holds nb-train's output over batch_mix's corpus
+// (seed 2014, Scale 2) to the digest it had when every key was concatenated
+// per emitted word: same keys, same counts, same order.
+func TestTrainCountsPinned(t *testing.T) {
+	docs, labels, k := labeledDocs(2014, 2000, 40, 2)
+	out, err := trainCounts(mapreduce.New(2), docs[:1600], labels[:1600], k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, kv := range out {
+		fmt.Fprintf(h, "%s\x00%s\n", kv.Key, kv.Value)
+	}
+	if got, want := h.Sum64(), uint64(0x2a05ae1e798da649); len(out) == 0 || got != want {
+		t.Fatalf("train output moved: %d records, digest %#x, want %#x", len(out), got, want)
 	}
 }

@@ -328,6 +328,36 @@ func encode(n int, record func(rec []byte, i int) ([]byte, int)) []mapreduce.KV 
 var URLCount = workloads.New("url-count", workloads.Realtime, "relational queries",
 	urlCount, stacks.TypeDBMS, stacks.TypeMapReduce)
 
+// hitsTable converts web log records to the DBMS table "hits" (path, status).
+func hitsTable(logs []weblog.Record) *data.Table {
+	t := data.NewTable(data.Schema{Name: "hits", Cols: []data.Column{
+		{Name: "path", Kind: data.KindString},
+		{Name: "status", Kind: data.KindInt},
+	}})
+	for _, r := range logs {
+		t.Rows = append(t.Rows, data.Row{data.String_(r.Path), data.Int(int64(r.Status))})
+	}
+	return t
+}
+
+// topPathsQuery is url-count's DBMS side: the ten paths with the most
+// successful hits.
+const topPathsQuery = "SELECT path, count(*) AS hits FROM hits WHERE status = 200 GROUP BY path ORDER BY hits DESC LIMIT 10"
+
+// urlCountJob is url-count's MapReduce side over urlInput: successful hits
+// per path.
+var urlCountJob = mapreduce.Job{
+	Name: "mr-url-count",
+	Map: func(k, v string, emit func(k, v string)) {
+		if path, status, _ := strings.Cut(v, " "); status == "200" {
+			emit(path, "1")
+		}
+	},
+	Reduce: func(path string, ones []string, emit func(k, v string)) {
+		emit(path, strconv.Itoa(len(ones)))
+	},
+}
+
 func urlCount(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	orders := ordersRows(p, c)
 	t0gen := c.Now()
@@ -338,21 +368,12 @@ func urlCount(ctx context.Context, p workloads.Params, c *metrics.Collector) err
 	c.RecordDatagen(c.Now().Sub(t0gen), int64(len(logs)))
 
 	// DBMS side: convert logs to a table, GROUP BY path.
-	logTable := data.NewTable(data.Schema{Name: "hits", Cols: []data.Column{
-		{Name: "path", Kind: data.KindString},
-		{Name: "status", Kind: data.KindInt},
-	}})
-	for _, r := range logs {
-		if err := logTable.Append(data.Row{data.String_(r.Path), data.Int(int64(r.Status))}); err != nil {
-			return err
-		}
-	}
 	db := dbms.Open().Instrument(c)
-	if err := db.Load(logTable); err != nil {
+	if err := db.Load(hitsTable(logs)); err != nil {
 		return err
 	}
 	t0 := c.Now()
-	agg, err := db.Query("SELECT path, count(*) AS hits FROM hits WHERE status = 200 GROUP BY path ORDER BY hits DESC LIMIT 10")
+	agg, err := db.Query(topPathsQuery)
 	if err != nil {
 		return err
 	}
@@ -368,17 +389,7 @@ func urlCount(ctx context.Context, p workloads.Params, c *metrics.Collector) err
 	input := urlInput(logs)
 	eng := mapreduce.New(p.Workers).Instrument(c)
 	t1 := c.Now()
-	counts, _, err := eng.Run(mapreduce.Job{
-		Name: "mr-url-count",
-		Map: func(k, v string, emit func(k, v string)) {
-			if path, status, _ := strings.Cut(v, " "); status == "200" {
-				emit(path, "1")
-			}
-		},
-		Reduce: func(path string, ones []string, emit func(k, v string)) {
-			emit(path, strconv.Itoa(len(ones)))
-		},
-	}, input)
+	counts, _, err := eng.Run(urlCountJob, input)
 	if err != nil {
 		return err
 	}

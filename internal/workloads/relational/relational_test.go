@@ -2,6 +2,7 @@ package relational
 
 import (
 	"context"
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/bdbench/bdbench/internal/datagen/weblog"
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/raceflag"
+	"github.com/bdbench/bdbench/internal/stacks/dbms"
 	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
@@ -121,5 +123,43 @@ func TestEncodersPinned(t *testing.T) {
 					small, tc.n, large, 8*tc.n, perInput)
 			}
 		})
+	}
+}
+
+// TestURLCountsPinned holds url-count's two answers over batch_mix's logs
+// (seed 2014, Scale 3) to the digests they had when every hits row was a
+// slice of its own: the DBMS top ten and the MapReduce count of every path.
+func TestURLCountsPinned(t *testing.T) {
+	p := workloads.Params{Seed: 2014, Scale: 3, DatagenWorkers: 2}.WithDefaults()
+	c := metrics.NewCollector("url-count")
+	logs, err := weblog.Generator{}.FromTableParallel(p.Seed+2, ordersRows(p, c), 15000, p.DatagenWorkers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := dbms.Open()
+	if err := db.Load(hitsTable(logs)); err != nil {
+		t.Fatal(err)
+	}
+	top, err := db.Query(topPathsQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, _, err := mapreduce.New(2).Run(urlCountJob, urlInput(logs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, row := range top.Rows {
+		fmt.Fprintln(h, row[0].Str(), row[1].Int())
+	}
+	if got, want := h.Sum64(), uint64(0xcd5e206fdcf63a99); top.NumRows() != 10 || got != want {
+		t.Errorf("DBMS top ten moved: %d rows, digest %#x, want %#x", top.NumRows(), got, want)
+	}
+	h.Reset()
+	for _, kv := range counts {
+		fmt.Fprintf(h, "%s\x00%s\n", kv.Key, kv.Value)
+	}
+	if got, want := h.Sum64(), uint64(0x8f1d42378f218404); got != want {
+		t.Errorf("MapReduce counts moved: %d paths, digest %#x, want %#x", len(counts), got, want)
 	}
 }

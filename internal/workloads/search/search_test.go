@@ -2,12 +2,16 @@ package search
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/datagen/graphgen"
+	"github.com/bdbench/bdbench/internal/datagen/textgen"
 	"github.com/bdbench/bdbench/internal/metrics"
 	"github.com/bdbench/bdbench/internal/stacks/graphengine"
+	"github.com/bdbench/bdbench/internal/stacks/mapreduce"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
 
@@ -62,5 +66,22 @@ func TestMetadata(t *testing.T) {
 	}
 	if PageRank.Category() != workloads.Offline {
 		t.Fatal("pagerank should be offline analytics")
+	}
+}
+
+// TestPostingsPinned holds the index over batch_mix's corpus (seed 2014,
+// Scale 2) to the digest it had when the mapper deduplicated each document's
+// words through a map of its own: same words, same postings, same order.
+func TestPostingsPinned(t *testing.T) {
+	out, err := postings(mapreduce.New(2), textgen.ReferenceCorpusParallel(2014, 2000, 40, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, kv := range out {
+		fmt.Fprintf(h, "%s\x00%s\n", kv.Key, kv.Value)
+	}
+	if got, want := h.Sum64(), uint64(0x819e844925abb42c); len(out) == 0 || got != want {
+		t.Fatalf("postings moved: %d words, digest %#x, want %#x", len(out), got, want)
 	}
 }
