@@ -73,6 +73,27 @@ func Generate[T any](seed uint64, plan []Chunk, workers int, fill func(g *stats.
 	return out, nil
 }
 
+// Slab cuts variable-length items, a chunk's documents say, from shared
+// arrays, so the items cost a few allocations rather than one each. A cut
+// that does not fit in what is left starts a new array of Size elements, or
+// of the cut's length if that is larger: size a chunk's slab to what its
+// items are expected to need, with room to spare. A cut is capped (len ==
+// cap), so appending to one copies it rather than overwrite the next.
+type Slab[T any] struct {
+	Size int
+	free []T
+}
+
+// Cut returns n zero values of T.
+func (s *Slab[T]) Cut(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, s.Size))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
 // Chunked is a corpus generator family that plans its output as independent
 // chunks: Plan decides the chunk boundaries for a scale, AppendChunk renders
 // one chunk from an RNG the driver derives from the corpus seed and the chunk

@@ -1,6 +1,9 @@
 package textgen
 
-import "github.com/bdbench/bdbench/internal/stats"
+import (
+	"github.com/bdbench/bdbench/internal/datagen"
+	"github.com/bdbench/bdbench/internal/stats"
+)
 
 // This file provides the "real data set" of Figure 3 step 1. bdbench cannot
 // ship real web crawls, so the reference corpus is produced by a *hidden*
@@ -106,18 +109,22 @@ func (m *ReferenceModel) GenerateCorpus(g *stats.RNG, docs, meanLen int) Corpus 
 	return out
 }
 
-// fill draws one document into each slot of dst.
+// fill draws one document into each slot of dst. The documents are cut
+// from one slab, and each document's topic mixture is drawn into one reused
+// buffer and table, so dst costs a few allocations, not several per document.
 func (m *ReferenceModel) fill(g *stats.RNG, dst Corpus, meanLen int) {
 	lenDist := stats.Poisson{Lambda: float64(meanLen)}
+	alpha, theta := make([]float64, m.Topics), make([]float64, m.Topics)
+	for i := range alpha {
+		alpha[i] = m.ThetaAlpha
+	}
+	var thetaAlias stats.Alias
+	words := datagen.Slab[string]{Size: len(dst)*meanLen*9/8 + 16}
 	for d := range dst {
-		theta := stats.SymmetricDirichletSample(g, m.ThetaAlpha, m.Topics)
-		thetaAlias := stats.NewAlias(theta)
-		n := int(lenDist.Sample(g))
-		if n < 1 {
-			n = 1
-		}
-		doc := make(Document, n)
-		for i := 0; i < n; i++ {
+		stats.DirichletSample(g, alpha, theta)
+		thetaAlias.Build(theta)
+		doc := words.Cut(max(int(lenDist.Sample(g)), 1))
+		for i := range doc {
 			doc[i] = m.TopicWord(g, thetaAlias.Sample(g))
 		}
 		dst[d] = doc

@@ -127,7 +127,8 @@ func (gen Generator) FromTable(g *stats.RNG, orders *data.Table, n int) ([]Recor
 // drawing a record allocates nothing.
 type source []struct{ ip, user, path string }
 
-// newSource validates the orders table and renders its rows' strings.
+// newSource validates the orders table and renders its rows' strings, all
+// cut from one arena: a pass to size it, a pass to fill it.
 func newSource(orders *data.Table) (source, error) {
 	custIdx := orders.Schema.ColIndex("customer_id")
 	prodIdx := orders.Schema.ColIndex("product_id")
@@ -137,14 +138,36 @@ func newSource(orders *data.Table) (source, error) {
 	if orders.NumRows() == 0 {
 		return nil, fmt.Errorf("weblog: empty orders table")
 	}
+	var buf [80]byte
+	size := 0
+	for _, row := range orders.Rows {
+		rendered, _, _ := appendSourceRow(buf[:0], row[custIdx].Int(), row[prodIdx].Int())
+		size += len(rendered)
+	}
+	var b strings.Builder
+	b.Grow(size)
 	src := make(source, orders.NumRows())
 	for i, row := range orders.Rows {
-		cust := row[custIdx].Int()
-		src[i].ip = fmt.Sprintf("10.%d.%d.%d", (cust>>16)&255, (cust>>8)&255, cust&255)
-		src[i].user = fmt.Sprintf("u%d", cust)
-		src[i].path = fmt.Sprintf("/product/%d", row[prodIdx].Int())
+		off := b.Len()
+		rendered, ip, user := appendSourceRow(buf[:0], row[custIdx].Int(), row[prodIdx].Int())
+		b.Write(rendered)
+		s := b.String()[off:]
+		src[i].ip, src[i].user, src[i].path = s[:ip], s[ip:user], s[user:]
 	}
 	return src, nil
+}
+
+// appendSourceRow appends an orders row's IP ("10.a.b.c" from its customer),
+// user name ("u" and the customer) and product page ("/product/" and the
+// product) to dst, and returns it with where the user name and the page begin.
+func appendSourceRow(dst []byte, cust, prod int64) (out []byte, user, path int) {
+	dst = strconv.AppendInt(append(dst, "10."...), (cust>>16)&255, 10)
+	dst = strconv.AppendInt(append(dst, '.'), (cust>>8)&255, 10)
+	dst = strconv.AppendInt(append(dst, '.'), cust&255, 10)
+	user = len(dst)
+	dst = strconv.AppendInt(append(dst, 'u'), cust, 10)
+	path = len(dst)
+	return strconv.AppendInt(append(dst, "/product/"...), prod, 10), user, path
 }
 
 func (gen Generator) start() time.Time {

@@ -6,9 +6,11 @@ import "fmt"
 // distribution. Construction is O(n); each sample is O(1). bdbench uses it
 // for word sampling from LDA topic-word distributions and for categorical
 // table columns, where n can reach hundreds of thousands of categories.
+// The zero Alias is ready for Build.
 type Alias struct {
 	prob  []float64
 	alias []int32
+	work  []int32 // Build's two worklists, small from the front, large from the back
 	n     int
 }
 
@@ -16,6 +18,16 @@ type Alias struct {
 // not be normalized. It panics if weights is empty or sums to zero, which
 // always indicates a programming error in a generator model.
 func NewAlias(weights []float64) *Alias {
+	a := new(Alias)
+	a.Build(weights)
+	return a
+}
+
+// Build makes a the sampler NewAlias(weights) returns, reusing a's storage:
+// rebuilding over no more weights than a has held allocates nothing, so one
+// Alias can serve a generator's every draw of a fresh distribution. It panics
+// as NewAlias does.
+func (a *Alias) Build(weights []float64) {
 	n := len(weights)
 	if n == 0 {
 		panic("stats: NewAlias with no weights")
@@ -30,42 +42,45 @@ func NewAlias(weights []float64) *Alias {
 	if total == 0 {
 		panic("stats: NewAlias weights sum to zero")
 	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int32, n), n: n}
-	// Scaled probabilities; mean 1.
-	scaled := make([]float64, n)
+	if cap(a.prob) < n {
+		a.prob, a.alias, a.work = make([]float64, n), make([]int32, n), make([]int32, n)
+	}
+	a.n = n
+	// prob holds the scaled probabilities (mean 1) until each is settled;
+	// an index sits on at most one worklist, so the two share work.
+	prob, alias, work := a.prob[:n], a.alias[:n], a.work[:n]
+	small, large := 0, n
 	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-	}
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
-	for i, p := range scaled {
-		if p < 1 {
-			small = append(small, int32(i))
+		prob[i] = w * float64(n) / total
+		if prob[i] < 1 {
+			work[small] = int32(i)
+			small++
 		} else {
-			large = append(large, int32(i))
+			large--
+			work[large] = int32(i)
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] = scaled[l] + scaled[s] - 1
-		if scaled[l] < 1 {
-			small = append(small, l)
+	for small > 0 && large < n {
+		small--
+		s := work[small]
+		l := work[large]
+		large++
+		alias[s] = l
+		prob[l] = prob[l] + prob[s] - 1
+		if prob[l] < 1 {
+			work[small] = l
+			small++
 		} else {
-			large = append(large, l)
+			large--
+			work[large] = l
 		}
 	}
-	for _, i := range large {
-		a.prob[i] = 1
+	for _, i := range work[large:] {
+		prob[i] = 1
 	}
-	for _, i := range small {
-		a.prob[i] = 1 // numerical residue; treat as certain
+	for _, i := range work[:small] {
+		prob[i] = 1 // numerical residue; treat as certain
 	}
-	return a
 }
 
 // Sample draws a category index in [0, n).

@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"github.com/bdbench/bdbench/internal/raceflag"
 )
 
 func TestAliasMatchesWeights(t *testing.T) {
@@ -92,5 +95,48 @@ func TestQuickAliasInRange(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAliasBuildIsNewAlias: one Alias rebuilt over a run of distributions of
+// varying length is, each time, the table NewAlias builds: the same
+// probabilities and, wherever a probability is short of 1, the same alias.
+func TestAliasBuildIsNewAlias(t *testing.T) {
+	g := NewRNG(9)
+	var reused Alias
+	for round := 0; round < 200; round++ {
+		weights := make([]float64, 1+g.IntN(40))
+		for i := range weights {
+			if !g.Bool(0.2) {
+				weights[i] = g.Float64() * 10
+			}
+		}
+		weights[g.IntN(len(weights))] = 1
+		reused.Build(weights)
+		fresh := NewAlias(weights)
+		if reused.n != fresh.n || !slices.Equal(reused.prob[:reused.n], fresh.prob) {
+			t.Fatalf("round %d: rebuilt probabilities %v, NewAlias %v", round, reused.prob[:reused.n], fresh.prob)
+		}
+		for i, p := range fresh.prob {
+			if p < 1 && reused.alias[i] != fresh.alias[i] {
+				t.Fatalf("round %d: alias[%d] = %d rebuilt, %d from NewAlias", round, i, reused.alias[i], fresh.alias[i])
+			}
+		}
+	}
+}
+
+// TestAliasBuildAllocatesNothing: 1 000 rebuilds of one Alias over a
+// distribution no longer than it has held, measured as one run, allocate
+// exactly nothing.
+func TestAliasBuildAllocatesNothing(t *testing.T) {
+	weights := []float64{0.1, 0.4, 0.2, 0.3}
+	var a Alias
+	a.Build([]float64{1, 1, 1, 1, 1, 1})
+	i := 0
+	if allocs := allocsOver(1000, func() {
+		a.Build(weights[:1+i%len(weights)])
+		i++
+	}); allocs != 0 && !raceflag.Enabled {
+		t.Fatalf("1000 rebuilds allocated %v times, want 0", allocs)
 	}
 }

@@ -123,9 +123,8 @@ func TestZipfDrawsDoNotAllocate(t *testing.T) {
 	for _, s := range []IntSampler{
 		Zipf{Count: 1000, S: 1.1}, ScrambledZipf{Count: 1000, S: 1.1}, Latest{Max: &max, S: 1.1},
 	} {
-		allocs := testing.AllocsPerRun(1000, func() { s.Next(g) })
-		if allocs != 0 && !raceflag.Enabled {
-			t.Errorf("%T: %.1f allocs per draw, want 0", s, allocs)
+		if allocs := allocsOver(1000, func() { s.Next(g) }); allocs != 0 && !raceflag.Enabled {
+			t.Errorf("%T: %v allocations in 1000 draws, want 0", s, allocs)
 		}
 	}
 }

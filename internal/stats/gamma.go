@@ -37,33 +37,21 @@ func GammaSample(g *RNG, shape float64) float64 {
 	}
 }
 
-// DirichletSample draws a probability vector from Dirichlet(alpha) by
-// normalizing independent Gamma variates.
-func DirichletSample(g *RNG, alpha []float64) []float64 {
-	out := make([]float64, len(alpha))
+// DirichletSample draws a probability vector from Dirichlet(alpha) into
+// dst, as long as alpha, by normalizing independent Gamma variates. It
+// allocates nothing, so a generator drawing a mixture per document can reuse
+// one buffer.
+func DirichletSample(g *RNG, alpha, dst []float64) {
 	total := 0.0
 	for i, a := range alpha {
-		out[i] = GammaSample(g, a)
-		total += out[i]
+		dst[i] = GammaSample(g, a)
+		total += dst[i]
 	}
-	if total == 0 {
-		for i := range out {
-			out[i] = 1 / float64(len(out))
+	for i := range alpha {
+		if total == 0 {
+			dst[i] = 1 / float64(len(alpha))
+		} else {
+			dst[i] /= total
 		}
-		return out
 	}
-	for i := range out {
-		out[i] /= total
-	}
-	return out
-}
-
-// SymmetricDirichletSample draws from Dirichlet(alpha, ..., alpha) with k
-// components.
-func SymmetricDirichletSample(g *RNG, alpha float64, k int) []float64 {
-	a := make([]float64, k)
-	for i := range a {
-		a[i] = alpha
-	}
-	return DirichletSample(g, a)
 }

@@ -32,7 +32,8 @@ func TestGammaNonPositiveShape(t *testing.T) {
 
 func TestDirichletSumsToOne(t *testing.T) {
 	g := NewRNG(52)
-	v := DirichletSample(g, []float64{1, 2, 3, 4})
+	v := make([]float64, 4)
+	DirichletSample(g, []float64{1, 2, 3, 4}, v)
 	sum := 0.0
 	for _, x := range v {
 		if x < 0 {
@@ -49,8 +50,9 @@ func TestDirichletMeanMatchesAlpha(t *testing.T) {
 	g := NewRNG(53)
 	alpha := []float64{2, 6}
 	var s0, s1 Summary
+	v := make([]float64, len(alpha))
 	for i := 0; i < 50000; i++ {
-		v := DirichletSample(g, alpha)
+		DirichletSample(g, alpha, v)
 		s0.Observe(v[0])
 		s1.Observe(v[1])
 	}
@@ -68,8 +70,9 @@ func TestSymmetricDirichletConcentration(t *testing.T) {
 	sparseMax := 0.0
 	denseMax := 1.0
 	for i := 0; i < 100; i++ {
-		sp := SymmetricDirichletSample(g, 0.01, 10)
-		dn := SymmetricDirichletSample(g, 100, 10)
+		sp, dn := make([]float64, 10), make([]float64, 10)
+		DirichletSample(g, symmetric(0.01, 10), sp)
+		DirichletSample(g, symmetric(100, 10), dn)
 		for _, v := range sp {
 			if v > sparseMax {
 				sparseMax = v
@@ -91,7 +94,8 @@ func TestQuickDirichletValid(t *testing.T) {
 	f := func(seed uint64, k uint8) bool {
 		g := NewRNG(seed)
 		n := int(k%8) + 2
-		v := SymmetricDirichletSample(g, 0.5, n)
+		v := make([]float64, n)
+		DirichletSample(g, symmetric(0.5, n), v)
 		sum := 0.0
 		for _, x := range v {
 			if x < 0 || math.IsNaN(x) {
@@ -104,4 +108,13 @@ func TestQuickDirichletValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// symmetric returns k copies of alpha: a symmetric Dirichlet's parameters.
+func symmetric(alpha float64, k int) []float64 {
+	a := make([]float64, k)
+	for i := range a {
+		a[i] = alpha
+	}
+	return a
 }

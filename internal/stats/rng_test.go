@@ -9,6 +9,17 @@ import (
 	"github.com/bdbench/bdbench/internal/raceflag"
 )
 
+// allocsOver returns the allocations of n calls of f measured as one run, a
+// count AllocsPerRun(n, f) would divide by n and truncate: exact, so one
+// allocation in n calls fails a test that wants none.
+func allocsOver(n int, f func()) float64 {
+	return testing.AllocsPerRun(1, func() {
+		for range n {
+			f()
+		}
+	})
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(42)
 	b := NewRNG(42)
@@ -91,8 +102,8 @@ func TestRandomWordSequencePinned(t *testing.T) {
 		t.Fatalf("draw after the words = %d, want 597682", next)
 	}
 	for _, n := range []int{8, 100} {
-		if allocs := testing.AllocsPerRun(200, func() { g.RandomWord(n, n) }); allocs != 1 && !raceflag.Enabled {
-			t.Fatalf("RandomWord(%d, %d) allocates %v times, want 1", n, n, allocs)
+		if allocs := allocsOver(200, func() { g.RandomWord(n, n) }); allocs != 200 && !raceflag.Enabled {
+			t.Fatalf("200 RandomWord(%d, %d) allocate %v times, want 200", n, n, allocs)
 		}
 	}
 }
@@ -116,15 +127,15 @@ func TestWriteWordIsRandomWord(t *testing.T) {
 		}
 	}
 	g := NewRNG(7)
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := allocsOver(100, func() {
 		var b strings.Builder
 		b.Grow(1000)
 		for i := 0; i < 10; i++ {
 			g.WriteWord(&b, 100, 100)
 		}
 	})
-	if allocs != 1 && !raceflag.Enabled {
-		t.Fatalf("ten words into a grown builder: %v allocations, want 1 (the Grow)", allocs)
+	if allocs != 100 && !raceflag.Enabled {
+		t.Fatalf("ten words into a grown builder, 100 times: %v allocations, want 100 (the Grows)", allocs)
 	}
 }
 
@@ -149,14 +160,14 @@ func TestAppendWordIsWriteWord(t *testing.T) {
 	}
 	g := NewRNG(7)
 	buf := make([]byte, 0, 1000)
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := allocsOver(100, func() {
 		dst := buf[:0]
 		for i := 0; i < 10; i++ {
 			dst = g.AppendWord(dst, 100, 100)
 		}
 	})
 	if allocs != 0 && !raceflag.Enabled {
-		t.Fatalf("ten words into a slice with room: %v allocations, want 0", allocs)
+		t.Fatalf("ten words into a slice with room, 100 times: %v allocations, want 0", allocs)
 	}
 }
 
@@ -180,8 +191,8 @@ func TestFNV64MatchesHashFNV(t *testing.T) {
 		}
 	}
 	long := strings.Repeat("k", 100)
-	if allocs := testing.AllocsPerRun(100, func() { FNV64(long) }); allocs != 0 && !raceflag.Enabled {
-		t.Fatalf("FNV64 of a 100-byte key allocates %v times", allocs)
+	if allocs := allocsOver(100, func() { FNV64(long) }); allocs != 0 && !raceflag.Enabled {
+		t.Fatalf("100 FNV64 of a 100-byte key allocate %v times, want 0", allocs)
 	}
 }
 

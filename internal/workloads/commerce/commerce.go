@@ -29,15 +29,17 @@ type Rating struct {
 
 // GenerateRatings builds a synthetic rating matrix with planted structure:
 // users belong to taste groups, each group concentrated on a slice of the
-// item catalog, so items within a slice end up similar.
+// item catalog, so items within a slice end up similar. The ratings are
+// allocated once, and one set of rated items serves every user.
 func GenerateRatings(g *stats.RNG, users, items, perUser int) []Rating {
 	groups := 4
-	var out []Rating
+	out := make([]Rating, 0, users*perUser)
+	seen := make([]bool, items)
 	for u := 0; u < users; u++ {
 		group := u % groups
 		lo := group * items / groups
 		hi := (group + 1) * items / groups
-		seen := map[int]bool{}
+		first := len(out)
 		for r := 0; r < perUser; r++ {
 			var item int
 			if g.Bool(0.85) {
@@ -50,6 +52,9 @@ func GenerateRatings(g *stats.RNG, users, items, perUser int) []Rating {
 			}
 			seen[item] = true
 			out = append(out, Rating{User: u, Item: item, Score: 1 + float64(g.IntN(5))})
+		}
+		for _, r := range out[first:] {
+			seen[r.Item] = false
 		}
 	}
 	return out
@@ -132,16 +137,18 @@ var NaiveBayes = workloads.New("naive-bayes", workloads.Offline, "e-commerce", n
 // labeledDocs emits documents drawn from a single hidden topic each, so the
 // topic is a ground-truth class label. Generation is chunked: the corpus
 // depends only on (seed, n, meanLen), never on the worker count. A chunk
-// writes its labels into its own range of labels, as its documents into dst.
+// writes its labels into its own range of labels, as its documents into dst,
+// cutting them from one slab.
 func labeledDocs(seed uint64, n, meanLen, workers int) ([]textgen.Document, []int, int) {
 	model := textgen.NewReferenceModel()
 	labels := make([]int, n)
 	docs, err := datagen.Generate(seed, datagen.PlanChunks(int64(n), 256), workers,
 		func(g *stats.RNG, ch datagen.Chunk, dst []textgen.Document) error {
+			words := datagen.Slab[string]{Size: len(dst)*(20+meanLen/2)*9/8 + 16}
 			for i := range dst {
 				topic := g.IntN(model.Topics)
 				labels[ch.Start+int64(i)] = topic
-				dst[i] = make(textgen.Document, 20+g.IntN(meanLen))
+				dst[i] = words.Cut(20 + g.IntN(meanLen))
 				for j := range dst[i] {
 					dst[i][j] = model.TopicWord(g, topic)
 				}
@@ -157,26 +164,61 @@ func labeledDocs(seed uint64, n, meanLen, workers int) ([]textgen.Document, []in
 
 // trainCounts runs the nb-train job on eng over the labelled documents: per
 // class, the count of every word ("label\x1fword") and of its documents
-// ("label\x1f\x00docs"). Labels are below k.
+// ("label\x1f\x00docs"). Labels are below k. The input is cut from one arena
+// and the keys from one table built per job, so the job allocates per chunk
+// of records, not per document or per word.
 func trainCounts(eng *mapreduce.Engine, docs []textgen.Document, labels []int, k int) ([]mapreduce.KV, error) {
-	input := make([]mapreduce.KV, len(docs))
-	for i, d := range docs {
-		input[i] = mapreduce.KV{Key: strconv.Itoa(labels[i]), Value: strings.Join(d, " ")}
-	}
+	col, keys := trainKeys(docs, k)
 	job := mapreduce.Job{
 		Name: "nb-train",
 		Map: func(label, text string, emit func(k, v string)) {
-			for _, w := range strings.Fields(text) {
-				emit(label+"\x1f"+w, "1")
-			}
-			emit(label+"\x1f\x00docs", "1")
+			l, _ := strconv.Atoi(label)
+			row := keys[l]
+			mapreduce.Words(text, func(w string) { emit(row[col[w]], "1") })
+			emit(row[len(row)-1], "1")
 		},
 		Reduce: func(key string, values []string, emit func(k, v string)) {
 			emit(key, strconv.Itoa(len(values)))
 		},
 	}
-	out, _, err := eng.Run(job, input)
+	out, _, err := eng.Run(job, mapreduce.TextInput(docs, func(i int) int { return labels[i] }))
 	return out, err
+}
+
+// trainKeys returns nb-train's key table, cut from one string: for each label
+// l below k, keys[l][col[w]] is l+"\x1f"+w for every word w of docs, and
+// keys[l]'s last entry is l+"\x1f\x00docs".
+func trainKeys(docs []textgen.Document, k int) (col map[string]int, keys [][]string) {
+	col = map[string]int{}
+	var words []string
+	for _, d := range docs {
+		for _, w := range d {
+			if _, ok := col[w]; !ok {
+				col[w] = len(words)
+				words = append(words, w)
+			}
+		}
+	}
+	words = append(words, "\x00docs")
+	size := len(words) * (len(strconv.Itoa(k)) + 1) // no label is longer than k's
+	for _, w := range words {
+		size += len(w)
+	}
+	var b strings.Builder
+	b.Grow(k * size)
+	keys = make([][]string, k)
+	for l := range keys {
+		label := strconv.Itoa(l)
+		keys[l] = make([]string, len(words))
+		for c, w := range words {
+			off := b.Len()
+			b.WriteString(label)
+			b.WriteByte('\x1f')
+			b.WriteString(w)
+			keys[l][c] = b.String()[off:]
+		}
+	}
+	return col, keys
 }
 
 func naiveBayes(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
@@ -202,25 +244,25 @@ func naiveBayes(ctx context.Context, p workloads.Params, c *metrics.Collector) e
 		wordCounts[i] = make(map[string]float64)
 	}
 	for _, kv := range out {
-		parts := strings.SplitN(kv.Key, "\x1f", 2)
-		if len(parts) != 2 {
+		labelText, word, ok := strings.Cut(kv.Key, "\x1f")
+		if !ok {
 			return fmt.Errorf("naive-bayes: bad train key %q", kv.Key)
 		}
-		label, err := strconv.Atoi(parts[0])
+		label, err := strconv.Atoi(labelText)
 		if err != nil || label < 0 || label >= k {
-			return fmt.Errorf("naive-bayes: bad label %q", parts[0])
+			return fmt.Errorf("naive-bayes: bad label %q", labelText)
 		}
 		count, err := strconv.ParseFloat(kv.Value, 64)
 		if err != nil {
 			return err
 		}
-		if parts[1] == "\x00docs" {
+		if word == "\x00docs" {
 			classDocs[label] = count
 			continue
 		}
-		wordCounts[label][parts[1]] = count
+		wordCounts[label][word] = count
 		classTotals[label] += count
-		vocab[parts[1]] = true
+		vocab[word] = true
 	}
 
 	// ---- Classification of the held-out 20%.

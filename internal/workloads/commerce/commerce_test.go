@@ -110,3 +110,15 @@ func TestTrainCountsPinned(t *testing.T) {
 		t.Fatalf("train output moved: %d records, digest %#x, want %#x", len(out), got, want)
 	}
 }
+
+// TestGenerateRatingsPinned holds batch_mix's rating matrix (seed 2014, Scale
+// 5) to the digest it had when every user kept a map of the items it rated.
+func TestGenerateRatingsPinned(t *testing.T) {
+	h := fnv.New64a()
+	for _, r := range GenerateRatings(stats.NewRNG(2014), 2500, 80, 12) {
+		fmt.Fprintln(h, r.User, r.Item, r.Score)
+	}
+	if got, want := h.Sum64(), uint64(0x8d03af69fbfcac59); got != want {
+		t.Fatalf("ratings moved: digest %#x, want %#x", got, want)
+	}
+}

@@ -94,9 +94,7 @@ func wordCount(ctx context.Context, p workloads.Params, c *metrics.Collector) er
 	job := mapreduce.Job{
 		Name: "wordcount",
 		Map: func(_, value string, emit func(k, v string)) {
-			for _, w := range strings.Fields(value) {
-				emit(w, "1")
-			}
+			mapreduce.Words(value, func(w string) { emit(w, "1") })
 		},
 		Reduce: sumReducer,
 	}

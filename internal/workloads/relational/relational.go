@@ -329,13 +329,18 @@ var URLCount = workloads.New("url-count", workloads.Realtime, "relational querie
 	urlCount, stacks.TypeDBMS, stacks.TypeMapReduce)
 
 // hitsTable converts web log records to the DBMS table "hits" (path, status).
+// Every row is a window of one slab of values.
 func hitsTable(logs []weblog.Record) *data.Table {
 	t := data.NewTable(data.Schema{Name: "hits", Cols: []data.Column{
 		{Name: "path", Kind: data.KindString},
 		{Name: "status", Kind: data.KindInt},
 	}})
-	for _, r := range logs {
-		t.Rows = append(t.Rows, data.Row{data.String_(r.Path), data.Int(int64(r.Status))})
+	t.Rows = make([]data.Row, len(logs))
+	slab := make([]data.Value, 2*len(logs))
+	for i, r := range logs {
+		row := slab[2*i : 2*i+2 : 2*i+2]
+		row[0], row[1] = data.String_(r.Path), data.Int(int64(r.Status))
+		t.Rows[i] = row
 	}
 	return t
 }

@@ -31,22 +31,21 @@ var InvertedIndex = workloads.New("inverted-index", workloads.Realtime, "search 
 
 // postings runs the inverted-index job on eng over docs: for every word, the
 // ascending IDs (indexes into docs) of the documents holding it, joined by
-// commas.
+// commas. The input is cut from one arena, and a mapper finds a document's
+// distinct words in a list on its stack, so the map phase allocates per chunk
+// of records, not per document or per word.
 func postings(eng *mapreduce.Engine, docs textgen.Corpus) ([]mapreduce.KV, error) {
-	input := make([]mapreduce.KV, len(docs))
-	for i, d := range docs {
-		input[i] = mapreduce.KV{Key: strconv.Itoa(i), Value: strings.Join(d, " ")}
-	}
 	job := mapreduce.Job{
 		Name: "inverted-index",
 		Map: func(docID, text string, emit func(k, v string)) {
-			seen := map[string]bool{}
-			for _, w := range strings.Fields(text) {
-				if !seen[w] {
+			// A document with more distinct words has the list grown on the heap.
+			seen := make([]string, 0, 64)
+			mapreduce.Words(text, func(w string) {
+				if !slices.Contains(seen, w) {
 					emit(w, docID)
-					seen[w] = true
+					seen = append(seen, w)
 				}
-			}
+			})
 		},
 		Reduce: func(word string, docIDs []string, emit func(k, v string)) {
 			ids := append([]string(nil), docIDs...)
@@ -58,7 +57,7 @@ func postings(eng *mapreduce.Engine, docs textgen.Corpus) ([]mapreduce.KV, error
 			emit(word, strings.Join(ids, ","))
 		},
 	}
-	out, _, err := eng.Run(job, input)
+	out, _, err := eng.Run(job, mapreduce.TextInput(docs, func(i int) int { return i }))
 	return out, err
 }
 
@@ -87,22 +86,32 @@ func invertedIndex(ctx context.Context, p workloads.Params, c *metrics.Collector
 	for probe := 0; probe < 5; probe++ {
 		doc := docs[g.IntN(len(docs))]
 		word := doc[g.IntN(len(doc))]
-		postings, ok := index[word]
+		list, ok := index[word]
 		if !ok {
 			return fmt.Errorf("inverted-index: word %q missing from index", word)
 		}
-		var want []string
-		for i, d := range docs {
-			for _, w := range d {
-				if w == word {
-					want = append(want, strconv.Itoa(i))
-					break
-				}
-			}
+		if err := checkPostings(docs, word, list); err != nil {
+			return err
 		}
-		if got := strings.Split(postings, ","); len(got) != len(want) {
-			return fmt.Errorf("inverted-index: %q has %d postings, want %d", word, len(got), len(want))
+	}
+	return nil
+}
+
+// checkPostings reports whether list, a postings list as postings joins it,
+// names exactly the documents of docs that hold word, in ascending order.
+func checkPostings(docs textgen.Corpus, word, list string) error {
+	for i, d := range docs {
+		if !slices.Contains(d, word) {
+			continue
 		}
+		id, rest, _ := strings.Cut(list, ",")
+		if got, err := strconv.Atoi(id); err != nil || got != i {
+			return fmt.Errorf("inverted-index: %q's postings read %q where document %d holds it", word, id, i)
+		}
+		list = rest
+	}
+	if list != "" {
+		return fmt.Errorf("inverted-index: %q's postings name documents that do not hold it: %q", word, list)
 	}
 	return nil
 }

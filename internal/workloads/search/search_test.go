@@ -85,3 +85,18 @@ func TestPostingsPinned(t *testing.T) {
 		t.Fatalf("postings moved: %d words, digest %#x, want %#x", len(out), got, want)
 	}
 }
+
+// TestCheckPostingsComparesIDs: the probe check accepts the true list and
+// rejects one naming the wrong documents in the right number, one short, and
+// one with a document too many.
+func TestCheckPostingsComparesIDs(t *testing.T) {
+	docs := textgen.Corpus{{"a", "b"}, {"b"}, {"a"}, {"c", "a"}}
+	if err := checkPostings(docs, "a", "0,2,3"); err != nil {
+		t.Fatalf("true postings rejected: %v", err)
+	}
+	for _, list := range []string{"0,1,3", "1,2,3", "0,2", "0,2,3,4", "", "0,,2,3"} {
+		if err := checkPostings(docs, "a", list); err == nil {
+			t.Errorf("postings %q for \"a\" accepted, want 0,2,3", list)
+		}
+	}
+}
