@@ -1,6 +1,7 @@
 package tablegen
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -321,5 +322,35 @@ func TestQuickGenerateRowCount(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildSpecRowsPinned holds the rows a learned spec generates at each
+// veracity level to digests; every float is written in its shortest
+// round-trip form, so a moved last bit moves the digest.
+func TestBuildSpecRowsPinned(t *testing.T) {
+	real := ReferenceTable(31, 3000)
+	want := map[VeracityLevel]uint64{
+		VeracityNone:    0xd5414e33a87437b6,
+		VeracityPartial: 0xc5a5168d6b8a3b77,
+		VeracityFull:    0x1b4560bbcff53d70,
+	}
+	for _, level := range []VeracityLevel{VeracityNone, VeracityPartial, VeracityFull} {
+		spec, err := BuildSpec(real, level, nil, 32, 99)
+		if err != nil {
+			t.Fatalf("%s: %v", level, err)
+		}
+		h := fnv.New64a()
+		var buf []byte
+		for _, row := range spec.Generate(1000).Rows {
+			buf = buf[:0]
+			for _, v := range row {
+				buf = append(v.AppendText(buf), 0)
+			}
+			h.Write(append(buf, '\n'))
+		}
+		if got := h.Sum64(); got != want[level] {
+			t.Errorf("%s: rows moved: digest %#x, want %#x", level, got, want[level])
+		}
 	}
 }

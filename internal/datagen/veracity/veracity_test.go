@@ -1,6 +1,9 @@
 package veracity
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"github.com/bdbench/bdbench/internal/data"
@@ -179,5 +182,28 @@ func TestClassifyDegenerateCalibration(t *testing.T) {
 func TestReportScoreEmpty(t *testing.T) {
 	if (Report{}).Score() != 0 {
 		t.Fatal("empty report score should be 0")
+	}
+}
+
+// TestTableScoresPinned holds the exact bits of every metric Table reports for
+// the rows tablegen's learned specs generate at each veracity level.
+func TestTableScoresPinned(t *testing.T) {
+	raw := tablegen.ReferenceTable(31, 3000)
+	h := fnv.New64a()
+	for _, level := range []tablegen.VeracityLevel{tablegen.VeracityNone, tablegen.VeracityPartial, tablegen.VeracityFull} {
+		spec, err := tablegen.BuildSpec(raw, level, nil, 32, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Table(raw, spec.Generate(1000), 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range r.Metrics {
+			fmt.Fprintf(h, "%s\x00%s\x00%x\n", level, m.Name, math.Float64bits(m.Value))
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x838521f9c35e4e74); got != want {
+		t.Fatalf("table scores moved: digest %#x, want %#x", got, want)
 	}
 }

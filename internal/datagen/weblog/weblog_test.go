@@ -117,3 +117,21 @@ func TestSourcePinned(t *testing.T) {
 		t.Fatalf("source moved: %d rows, digest %#x, want %#x", len(src), got, want)
 	}
 }
+
+// TestFromTablePinned holds the serial generator's log lines to a digest; the
+// corpus digests cover only the parallel path.
+func TestFromTablePinned(t *testing.T) {
+	recs, err := Generator{}.FromTable(stats.NewRNG(4), tablegen.ReferenceTable(3, 3000), 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var line []byte
+	for _, r := range recs {
+		line = append(r.AppendFormat(line[:0]), '\n')
+		h.Write(line)
+	}
+	if got, want := h.Sum64(), uint64(0xc3e3523f9b24cec5); len(recs) != 5000 || got != want {
+		t.Fatalf("records moved: %d records, digest %#x, want %#x", len(recs), got, want)
+	}
+}

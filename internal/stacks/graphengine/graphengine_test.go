@@ -1,6 +1,8 @@
 package graphengine
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -185,5 +187,26 @@ func TestUndirectedDoublesEdges(t *testing.T) {
 	u := Undirected(g)
 	if len(u.Edges) != 2*len(g.Edges) {
 		t.Fatalf("edges %d, want %d", len(u.Edges), 2*len(g.Edges))
+	}
+}
+
+// TestPageRankPinned holds PageRank's ranks on an RMAT graph, bit for bit, to
+// one digest at one worker and at four. A damping of 0.85 folded with 1 as an
+// untyped constant rounds 1−d differently from float64 arithmetic, and moves
+// the last bits of every rank.
+func TestPageRankPinned(t *testing.T) {
+	g := graphgen.DefaultRMAT.GenerateParallel(2014, 10, 2)
+	for _, workers := range []int{1, 4} {
+		res, err := New(workers).Run(g, PageRank{}, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for _, v := range res.Values {
+			fmt.Fprintln(h, math.Float64bits(v))
+		}
+		if got, want := h.Sum64(), uint64(0x931155cb00fb4d04); got != want {
+			t.Errorf("workers %d: ranks moved: %d vertices, digest %#x, want %#x", workers, len(res.Values), got, want)
+		}
 	}
 }

@@ -2,6 +2,9 @@ package suites
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -164,6 +167,19 @@ func TestDeriveTable1MatchesPaper(t *testing.T) {
 	out := FormatTable1(rows)
 	if !strings.Contains(out, "BigDataBench") || !strings.Contains(out, "Considered") {
 		t.Fatal("formatted table incomplete")
+	}
+	// The veracity evidence behind every cell, bit for bit: the text, table,
+	// stream and graph probes' scores with their calibration points.
+	h := fnv.New64a()
+	for _, r := range rows {
+		for _, e := range r.VeracityEvidence {
+			s := e.Scores
+			fmt.Fprintf(h, "%s\x00%s\x00%x %x %x %s\n", r.Benchmark, e.Source,
+				math.Float64bits(s.Score), math.Float64bits(s.NoiseFloor), math.Float64bits(s.Baseline), s.Level)
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xffa56eda96444bb1); got != want {
+		t.Fatalf("veracity evidence moved: digest %#x, want %#x", got, want)
 	}
 }
 

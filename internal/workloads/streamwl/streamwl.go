@@ -24,6 +24,12 @@ var WindowedCount = workloads.New("windowed-count", workloads.Realtime, "streami
 	windowedCount, stacks.TypeStreaming)
 
 func windowedCount(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+	_, err := countWindows(ctx, p, c)
+	return err
+}
+
+// countWindows runs windowed-count and returns what its pipeline emitted.
+func countWindows(ctx context.Context, p workloads.Params, c *metrics.Collector) ([]streaming.Msg, error) {
 	n := int64(p.Scale) * 20000
 	gen := streamgen.Generator{
 		EventsPerSec: 50000,
@@ -40,7 +46,7 @@ func windowedCount(ctx context.Context, p workloads.Params, c *metrics.Collector
 	slices.SortStableFunc(events, func(a, b streamgen.Event) int { return cmp.Compare(a.Offset, b.Offset) })
 	c.RecordDatagen(c.Now().Sub(t0gen), n)
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	eng := streaming.New(1024).Instrument(c)
 	t0 := c.Now()
@@ -54,14 +60,14 @@ func windowedCount(ctx context.Context, p workloads.Params, c *metrics.Collector
 		total += m.Value
 	}
 	if int64(total) != n {
-		return fmt.Errorf("windowed-count: window totals %v != events %d", total, n)
+		return nil, fmt.Errorf("windowed-count: window totals %v != events %d", total, n)
 	}
 	// Processing speed must exceed the virtual arrival rate for the
 	// pipeline to be sustainable; record the ratio as a counter (x1000).
 	span := events[len(events)-1].Offset.Seconds()
 	arrivalRate := float64(n) / span
 	c.CounterRef("sustainable_x1000").Add(int64(res.Rate / arrivalRate * 1000))
-	return nil
+	return res.Out, nil
 }
 
 // RollingAggregate maintains sliding-window sums with overlapping windows.
@@ -69,6 +75,12 @@ var RollingAggregate = workloads.New("rolling-aggregate", workloads.Realtime, "s
 	rollingAggregate, stacks.TypeStreaming)
 
 func rollingAggregate(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
+	_, err := rollWindows(ctx, p, c)
+	return err
+}
+
+// rollWindows runs rolling-aggregate and returns what its pipeline emitted.
+func rollWindows(ctx context.Context, p workloads.Params, c *metrics.Collector) ([]streaming.Msg, error) {
 	n := int64(p.Scale) * 20000
 	gen := streamgen.Generator{
 		EventsPerSec: 50000,
@@ -78,7 +90,7 @@ func rollingAggregate(ctx context.Context, p workloads.Params, c *metrics.Collec
 	events := gen.GenerateParallel(p.Seed, n, p.DatagenWorkers)
 	c.RecordDatagen(c.Now().Sub(t0gen), n)
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	eng := streaming.New(1024).Instrument(c)
 	t0 := c.Now()
@@ -93,7 +105,7 @@ func rollingAggregate(ctx context.Context, p workloads.Params, c *metrics.Collec
 	c.CounterRef("records").Add(n)
 	c.CounterRef("emissions").Add(int64(len(res.Out)))
 	if len(res.Out) == 0 {
-		return fmt.Errorf("rolling-aggregate: no emissions")
+		return nil, fmt.Errorf("rolling-aggregate: no emissions")
 	}
 	// Overlap factor 4: summed emissions approach 4x the weighted input.
 	var total float64
@@ -102,7 +114,7 @@ func rollingAggregate(ctx context.Context, p workloads.Params, c *metrics.Collec
 	}
 	weighted := float64(n) * 2
 	if total < weighted || total > 4.2*weighted {
-		return fmt.Errorf("rolling-aggregate: total %v outside [1x, 4.2x] of weighted input %v", total, weighted)
+		return nil, fmt.Errorf("rolling-aggregate: total %v outside [1x, 4.2x] of weighted input %v", total, weighted)
 	}
-	return nil
+	return res.Out, nil
 }
