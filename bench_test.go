@@ -235,7 +235,7 @@ func BenchmarkVeracityMetrics(b *testing.B) {
 	})
 	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := veracity.Table(rawTab, synTab, 32); err != nil {
+			if _, err := veracity.Table(rawTab, synTab); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -468,9 +468,13 @@ func TestRecorderDesignsZeroAlloc(t *testing.T) {
 	} {
 		record := mint()
 		record(time.Microsecond) // first use installs the labels
-		allocs := testing.AllocsPerRun(1000, func() { record(time.Microsecond) })
+		allocs := testing.AllocsPerRun(1, func() {
+			for range 1000 {
+				record(time.Microsecond)
+			}
+		})
 		if allocs != 0 {
-			t.Errorf("%s: %.1f allocs/op in steady state, want 0", name, allocs)
+			t.Errorf("%s: %.0f allocations over 1 000 records in steady state, want 0", name, allocs)
 		}
 	}
 }
@@ -567,7 +571,7 @@ func BenchmarkNoSQLOps(b *testing.B) {
 func BenchmarkStreamingWindow(b *testing.B) {
 	gen := streamgen.Generator{EventsPerSec: 100000, KeySpace: 100}
 	events := gen.Generate(stats.NewRNG(3), 50000)
-	eng := streaming.New(1024)
+	eng := streaming.New()
 	for i := 0; i < b.N; i++ {
 		res := eng.Run(events, streaming.TumblingWindow{Size: 100_000_000})
 		if res.In != 50000 {
@@ -593,7 +597,7 @@ func BenchmarkGraphPageRank(b *testing.B) {
 func BenchmarkLDATraining(b *testing.B) {
 	corpus := textgen.ReferenceCorpus(5, 150, 60)
 	for i := 0; i < b.N; i++ {
-		lda := textgen.NewLDA(4, 0, 0)
+		lda := textgen.NewLDA()
 		if err := lda.Train(corpus, 20, stats.NewRNG(6)); err != nil {
 			b.Fatal(err)
 		}

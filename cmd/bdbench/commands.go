@@ -115,8 +115,8 @@ func (sf *scenarioFlags) options() []bdbench.Option {
 }
 
 // profileFlags is the shared -profile/-profile-dir pair offered by every
-// command that does real work (run, loadcurve, datagen). The profile
-// brackets the whole command.
+// command that does real work (run, loadcurve, datagen); each brackets its
+// work with profiled.
 type profileFlags struct {
 	spec *string
 	dir  *string
@@ -124,34 +124,29 @@ type profileFlags struct {
 
 func addProfileFlags(fs *flag.FlagSet) *profileFlags {
 	return &profileFlags{
-		spec: fs.String("profile", "", "write profiles, comma-separated: "+strings.Join(bdbench.ProfileModes(), "|")),
+		spec: fs.String("profile", "", "write profiles, comma-separated: "+strings.Join(profiling.Modes(), "|")),
 		dir:  fs.String("profile-dir", ".", "directory for profile output (cpu.pprof, mem.pprof, allocs.pprof, trace.out)"),
 	}
 }
 
-// start begins the profiling session, or returns a nil (no-op) session
-// when -profile was not given. Callers must Stop the session when the
-// command's work is done — that is when the heap profiles are written.
-func (pf *profileFlags) start() (*profiling.Session, error) {
+// profiled runs a command's work between the start and the stop of the
+// profilers pf asks for; the heap profiles are written when work returns.
+// An unknown mode fails before work starts, and a profile that cannot be
+// written is the command's error only when work succeeded.
+func profiled[T any](pf *profileFlags, work func() (T, error)) (out T, err error) {
 	modes, err := profiling.Parse(*pf.spec)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	return profiling.Start(*pf.dir, modes)
-}
-
-// option translates the flags into the public bdbench.WithProfile option
-// (see runOptions.local). Returns nil options when -profile was not given.
-func (pf *profileFlags) option() ([]bdbench.Option, error) {
-	modes, err := profiling.Parse(*pf.spec)
-	if err != nil || len(modes) == 0 {
-		return nil, err
+	prof, err := profiling.Start(*pf.dir, modes)
+	if err != nil {
+		return out, err
 	}
-	names := make([]string, len(modes))
-	for i, m := range modes {
-		names[i] = string(m)
+	out, err = work()
+	if perr := prof.Stop(); perr != nil && err == nil {
+		err = perr
 	}
-	return []bdbench.Option{bdbench.WithProfile(*pf.dir, names...)}, nil
+	return out, err
 }
 
 // printEvent renders one engine progress event; the engine serializes
@@ -336,11 +331,8 @@ type runOptions struct {
 
 // local translates the flags into the options of an in-process bdbench.Run
 // (`run`, `loadcurve`), so the CLI exercises exactly what an API caller gets.
-func (ro runOptions) local(pf *profileFlags) ([]bdbench.Option, error) {
-	opts, err := pf.option()
-	if err != nil {
-		return nil, err
-	}
+func (ro runOptions) local() []bdbench.Option {
+	var opts []bdbench.Option
 	if ro.progress {
 		opts = append(opts, bdbench.WithEvents(printEvent))
 	}
@@ -350,7 +342,7 @@ func (ro runOptions) local(pf *profileFlags) ([]bdbench.Option, error) {
 	if ro.samples > 0 {
 		opts = append(opts, bdbench.WithSamples(ro.samples))
 	}
-	return opts, nil
+	return opts
 }
 
 // report prints a finished run the way every scenario-running command does:
@@ -426,11 +418,9 @@ func cmdRun(args []string) error {
 	fs := newFlagSet("run")
 	pf := addProfileFlags(fs)
 	return runScenario(fs, args, func(sc bdbench.Scenario, ro runOptions) (*bdbench.Outcome, error) {
-		opts, err := ro.local(pf)
-		if err != nil {
-			return nil, err
-		}
-		return bdbench.Run(context.Background(), sc, opts...)
+		return profiled(pf, func() (*bdbench.Outcome, error) {
+			return bdbench.Run(context.Background(), sc, ro.local()...)
+		})
 	})
 }
 
@@ -482,11 +472,9 @@ func cmdLoadcurve(args []string) error {
 		sc.Entries = append(sc.Entries, bdbench.Entry{Workload: *workload, Rate: rate})
 	}
 	ro := runOptions{out: *out, progress: *progress}
-	opts, err := ro.local(pf)
-	if err != nil {
-		return err
-	}
-	outcome, runErr := bdbench.Run(context.Background(), sc, opts...)
+	outcome, runErr := profiled(pf, func() (*bdbench.Outcome, error) {
+		return bdbench.Run(context.Background(), sc, ro.local()...)
+	})
 	return ro.report(fs.Name(), reporter, outcome, runErr)
 }
 

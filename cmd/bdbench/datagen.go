@@ -29,18 +29,13 @@ func cmdDatagen(args []string) error {
 	if *format != "text" && *format != "json" {
 		return fmt.Errorf("datagen: unknown format %q (want text or json)", *format)
 	}
-	prof, err := pf.start()
-	if err != nil {
-		return err
-	}
-	stat, err := bdbench.DataGen(*workload, bdbench.DataGenOptions{
-		Scale:   *scale,
-		Workers: *workers,
-		Seed:    *seed,
+	stat, err := profiled(pf, func() (bdbench.DataGenStat, error) {
+		return bdbench.DataGen(*workload, bdbench.DataGenOptions{
+			Scale:   *scale,
+			Workers: *workers,
+			Seed:    *seed,
+		})
 	})
-	if perr := prof.Stop(); perr != nil && err == nil {
-		err = perr
-	}
 	if err != nil {
 		return err
 	}

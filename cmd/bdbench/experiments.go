@@ -97,11 +97,11 @@ func expVelocityAlgorithmKnob(scale int, _ *scenarioFlags) error {
 func expVeracityVsSampleSize(scale int, _ *scenarioFlags) error {
 	fmt.Fprintln(stdout, "E9 — veracity metric vs sample size (table data)")
 	raw := tablegen.ReferenceTable(3, int64(4000*scale))
-	full, err := tablegen.BuildSpec(raw, tablegen.VeracityFull, nil, 32, 4)
+	full, err := tablegen.BuildSpec(raw, tablegen.VeracityFull, 4)
 	if err != nil {
 		return err
 	}
-	none, err := tablegen.BuildSpec(raw, tablegen.VeracityNone, nil, 32, 5)
+	none, err := tablegen.BuildSpec(raw, tablegen.VeracityNone, 5)
 	if err != nil {
 		return err
 	}
@@ -110,11 +110,11 @@ func expVeracityVsSampleSize(scale int, _ *scenarioFlags) error {
 	for _, n := range []int64{250, 1000, 4000} {
 		synFull := full.Generate(n * int64(scale))
 		synNone := none.Generate(n * int64(scale))
-		rf, err := veracity.Table(raw, synFull, 32)
+		rf, err := veracity.Table(raw, synFull)
 		if err != nil {
 			return err
 		}
-		rn, err := veracity.Table(raw, synNone, 32)
+		rn, err := veracity.Table(raw, synNone)
 		if err != nil {
 			return err
 		}

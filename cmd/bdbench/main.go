@@ -146,7 +146,7 @@ run selection:
                     (default 65536: a ceiling, not memory reserved; extra
                     observations count as dropped)
 
-engine knobs (run, figure1, experiments — shared):
+engine knobs (run, coordinate, figure1, experiments — shared):
   -scale N          workload input scale
   -seed N           workload seed
   -workers N        concurrent workloads in the engine pool (0 = one per CPU)
@@ -169,8 +169,8 @@ open-loop load (run, figure1, experiments; loadcurve has its own flags):
   -duration D       scheduling window per workload, e.g. 10s
 
 profiling (run, loadcurve, datagen):
-  -profile M        write Go profiles around the whole command; M is a
-                    comma-separated subset of cpu, mem, allocs, trace
+  -profile M        write Go profiles around all of the command's work; M
+                    is a comma-separated subset of cpu, mem, allocs, trace
   -profile-dir D    where the files land (cpu.pprof, mem.pprof,
                     allocs.pprof, trace.out; default "."); inspect with
                     "go tool pprof" or "go tool trace"

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -292,5 +293,36 @@ func TestFigure4IsStable(t *testing.T) {
 	}
 	if want := []string{"dbms", "mapreduce", "nosql", "reference"}; !reflect.DeepEqual(stacks, want) {
 		t.Fatalf("stack lines %v, want %v\n%s", stacks, want, first)
+	}
+}
+
+// TestRunWithProfile: run and loadcurve each bracket their work with every
+// profiler, writing the four advertised files into -profile-dir, and an
+// unknown mode exits 1 before any workload starts.
+func TestRunWithProfile(t *testing.T) {
+	const modes = "cpu,mem,allocs,trace"
+	for _, args := range [][]string{
+		{"run", "-suite", "GridMix", "-profile", modes},
+		{"loadcurve", "-workload", "grep", "-rates", "20", "-duration", "200ms", "-profile", modes},
+	} {
+		dir := filepath.Join(t.TempDir(), "prof")
+		var out, errw bytes.Buffer
+		if code := run(append(args, "-profile-dir", dir), &out, &errw); code != 0 {
+			t.Fatalf("%s: exit %d\n%s", args[0], code, errw.String())
+		}
+		for _, name := range []string{"cpu.pprof", "mem.pprof", "allocs.pprof", "trace.out"} {
+			if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+				t.Errorf("%s: %s: %v (want a non-empty file)", args[0], name, err)
+			}
+		}
+	}
+	for _, cmd := range []string{"run", "loadcurve"} {
+		var out, errw bytes.Buffer
+		if code := run([]string{cmd, "-progress", "-profile", "heap"}, &out, &errw); code != 1 {
+			t.Fatalf("%s -profile heap: exit %d, want 1", cmd, code)
+		}
+		if !strings.Contains(errw.String(), `unknown mode "heap"`) || strings.Contains(errw.String(), "engine:") || out.Len() != 0 {
+			t.Fatalf("%s -profile heap: stdout %q stderr %q", cmd, out.String(), errw.String())
+		}
 	}
 }

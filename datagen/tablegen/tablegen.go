@@ -34,6 +34,6 @@ func ReferenceTable(seed uint64, rows int64) *Table { return tablegen.ReferenceT
 
 // BuildSpec learns a generation spec from a real table at the given
 // veracity level.
-func BuildSpec(real *Table, level VeracityLevel, realistic map[string]bool, bins int, seed uint64) (TableSpec, error) {
-	return tablegen.BuildSpec(real, level, realistic, bins, seed)
+func BuildSpec(real *Table, level VeracityLevel, seed uint64) (TableSpec, error) {
+	return tablegen.BuildSpec(real, level, seed)
 }

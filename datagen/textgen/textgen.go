@@ -14,8 +14,8 @@ type Corpus = textgen.Corpus
 // Vocabulary indexes a corpus's distinct words.
 type Vocabulary = textgen.Vocabulary
 
-// RandomText generates data-independent random text (HiBench-style); set
-// Sampler to draw words from a learned distribution instead.
+// RandomText generates data-independent random text (HiBench-style) from
+// its Dictionary, uniformly unless Sampler draws from a learned distribution.
 type RandomText = textgen.RandomText
 
 // LDA is a trainable topic model: Train on a real corpus, Generate
@@ -34,9 +34,8 @@ func ReferenceCorpus(seed uint64, docs, meanLen int) Corpus {
 // BuildVocabulary indexes the corpus's words.
 func BuildVocabulary(c Corpus) *Vocabulary { return textgen.BuildVocabulary(c) }
 
-// NewLDA returns an untrained LDA model with k topics; zero alpha/beta use
-// defaults.
-func NewLDA(k int, alpha, beta float64) *LDA { return textgen.NewLDA(k, alpha, beta) }
+// NewLDA returns an untrained four-topic LDA model.
+func NewLDA() *LDA { return textgen.NewLDA() }
 
 // NewMarkov returns an untrained order-N chain model.
 func NewMarkov(order int) *Markov { return textgen.NewMarkov(order) }

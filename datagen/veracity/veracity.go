@@ -30,7 +30,7 @@ const (
 func Text(raw, syn textgen.Corpus) (Report, error) { return veracity.Text(raw, syn) }
 
 // Table scores a synthetic table against the raw one, column by column.
-func Table(raw, syn *data.Table, bins int) (Report, error) { return veracity.Table(raw, syn, bins) }
+func Table(raw, syn *data.Table) (Report, error) { return veracity.Table(raw, syn) }
 
 // Stream scores a synthetic event stream against the raw one.
 func Stream(raw, syn []streamgen.Event) (Report, error) { return veracity.Stream(raw, syn) }

@@ -63,7 +63,7 @@ func main() {
 	fmt.Printf("  text:    %d documents (unstructured)\n", len(corpus))
 	orders := tablegen.ReferenceTable(3, 500)
 	fmt.Printf("  table:   %d rows x %d cols (structured)\n", orders.NumRows(), len(orders.Schema.Cols))
-	logs, err := weblog.Generator{}.FromTable(datagen.NewRNG(4), orders, 200)
+	logs, err := weblog.FromTable(datagen.NewRNG(4), orders, 200)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  markov chain:                     %.4f\n", score(mk))
-	lda := textgen.NewLDA(4, 0, 0)
+	lda := textgen.NewLDA()
 	if err := lda.Train(raw, 30, datagen.NewRNG(10)); err != nil {
 		log.Fatal(err)
 	}

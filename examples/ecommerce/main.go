@@ -24,7 +24,7 @@ func main() {
 	orders := tablegen.ReferenceTable(7, 20000)
 
 	// 2. Semi-structured data derived from it: the click log.
-	logs, err := weblog.Generator{}.FromTable(datagen.NewRNG(8), orders, 5000)
+	logs, err := weblog.FromTable(datagen.NewRNG(8), orders, 5000)
 	if err != nil {
 		log.Fatal(err)
 	}

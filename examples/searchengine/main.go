@@ -26,7 +26,7 @@ func main() {
 
 	// 1. Text data: learn from the "real" corpus, then synthesize pages.
 	raw := textgen.ReferenceCorpus(1, 200, 60)
-	lda := textgen.NewLDA(4, 0, 0)
+	lda := textgen.NewLDA()
 	if err := lda.Train(raw, 25, datagen.NewRNG(2)); err != nil {
 		log.Fatal(err)
 	}

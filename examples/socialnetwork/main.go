@@ -63,7 +63,7 @@ func main() {
 		KeyChooser:   datagen.Zipf{Count: g.N, S: 1.2},
 	}
 	events := gen.Generate(datagen.NewRNG(13), 40000)
-	eng := streaming.New(512)
+	eng := streaming.New()
 	sOut := eng.Run(events, streaming.TumblingWindow{Size: 500 * time.Millisecond})
 	fmt.Printf("activity stream: %d events -> %d windowed per-user counts at %.0f ev/s\n",
 		len(events), len(sOut.Out), sOut.Rate)

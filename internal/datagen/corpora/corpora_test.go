@@ -103,11 +103,11 @@ func TestGeneratorParallelVariantsMatchSequentialChunking(t *testing.T) {
 	})
 	t.Run("weblog", func(t *testing.T) {
 		orders := referenceOrders()
-		a, err := weblog.Generator{}.FromTableParallel(5, orders, 4000, 1)
+		a, err := weblog.FromTableParallel(5, orders, 4000, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := weblog.Generator{}.FromTableParallel(5, orders, 4000, 16)
+		b, err := weblog.FromTableParallel(5, orders, 4000, 16)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ var structuredTwin = map[string]func(t *testing.T, seed uint64, scale int) strin
 		return sb.String()
 	},
 	"weblog": func(t *testing.T, seed uint64, scale int) string {
-		recs, err := weblog.Generator{}.FromTableParallel(seed, referenceOrders(), scale*5000, 3)
+		recs, err := weblog.FromTableParallel(seed, referenceOrders(), scale*5000, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func (gen Generator) GenerateParallel(seed uint64, n int64, workers int) []Event
 func (gen Generator) fill(g *stats.RNG, c datagen.Chunk, dst []Event) {
 	var key [24]byte
 	var b strings.Builder
-	b.Grow(len(dst) * (len(appendKey(key[:0], gen.keySpace()-1)) + gen.valueLen()))
+	b.Grow(len(dst) * (len(appendKey(key[:0], gen.keySpace()-1)) + valueLen))
 	ev := gen.chunkStart(c)
 	for i := range dst {
 		seq := c.Start + int64(i)

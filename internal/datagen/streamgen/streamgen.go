@@ -84,22 +84,16 @@ type Generator struct {
 	KeySpace int64
 	// KeyChooser skews key popularity (default uniform).
 	KeyChooser stats.IntSampler
-	// ValueLen is the payload length in bytes (default 64).
-	ValueLen int
 }
+
+// valueLen is an event's payload length in bytes.
+const valueLen = 64
 
 func (gen Generator) keySpace() int64 {
 	if gen.KeySpace <= 0 {
 		return 100000
 	}
 	return gen.KeySpace
-}
-
-func (gen Generator) valueLen() int {
-	if gen.ValueLen <= 0 {
-		return 64
-	}
-	return gen.ValueLen
 }
 
 func (gen Generator) rate() float64 {
@@ -145,7 +139,7 @@ func (gen Generator) draw(g *stats.RNG, ev drawn) drawn {
 	} else {
 		ev.key = g.Int64N(gen.keySpace())
 	}
-	ev.value = g.AppendWord(ev.value[:0], gen.valueLen(), gen.valueLen())
+	ev.value = g.AppendWord(ev.value[:0], valueLen, valueLen)
 	return ev
 }
 

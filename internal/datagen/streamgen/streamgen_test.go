@@ -11,7 +11,7 @@ import (
 )
 
 func TestGenerateShape(t *testing.T) {
-	gen := Generator{EventsPerSec: 1000, KeySpace: 50, ValueLen: 8}
+	gen := Generator{EventsPerSec: 1000, KeySpace: 50}
 	events := gen.Generate(stats.NewRNG(1), 500)
 	if len(events) != 500 {
 		t.Fatalf("events %d, want 500", len(events))
@@ -25,7 +25,7 @@ func TestGenerateShape(t *testing.T) {
 			t.Fatalf("offsets must strictly increase: %v after %v", ev.Offset, last)
 		}
 		last = ev.Offset
-		if len(ev.Value) != 8 {
+		if len(ev.Value) != 64 {
 			t.Fatalf("value len %d", len(ev.Value))
 		}
 		if ev.Key == "" {

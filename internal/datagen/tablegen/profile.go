@@ -24,10 +24,13 @@ type NumericProfile struct {
 	alias *stats.Alias // lazily built bin sampler
 }
 
-// LearnNumeric fits a histogram model with the given bin count to a numeric
-// column (ints and floats; nulls skipped). It returns an error if the column
-// has no non-null numeric values.
-func LearnNumeric(col []data.Value, bins int) (*NumericProfile, error) {
+// profileBins is the bin count of a learned numeric histogram.
+const profileBins = 32
+
+// LearnNumeric fits a histogram model of profileBins bins to a numeric column
+// (ints and floats; nulls skipped). It returns an error if the column has no
+// non-null numeric values.
+func LearnNumeric(col []data.Value) (*NumericProfile, error) {
 	var sum stats.Summary
 	for _, v := range col {
 		if v.IsNull() {
@@ -45,7 +48,7 @@ func LearnNumeric(col []data.Value, bins int) (*NumericProfile, error) {
 	if hi <= lo {
 		hi = lo + 1
 	}
-	h := stats.NewHistogram(lo, hi+1e-9, bins)
+	h := stats.NewHistogram(lo, hi+1e-9, profileBins)
 	for _, v := range col {
 		if v.IsNull() {
 			continue
@@ -183,21 +186,16 @@ const (
 //   - VeracityNone: fixed-range uniform/random generators that ignore the
 //     real data entirely;
 //   - VeracityPartial (MUDD): moment-matched Gaussians for numeric columns
-//     and uniform choice over observed categories, except columns listed in
-//     realistic, which get full learned profiles ("a small portion of
-//     crucial data sets using more realistic distributions");
+//     and uniform choice over observed categories;
 //   - VeracityFull (BDGS): learned profiles for every column.
-func BuildSpec(real *data.Table, level VeracityLevel, realistic map[string]bool, bins int, seed uint64) (TableSpec, error) {
-	if bins <= 0 {
-		bins = 32
-	}
+func BuildSpec(real *data.Table, level VeracityLevel, seed uint64) (TableSpec, error) {
 	spec := TableSpec{Name: real.Schema.Name + "_syn", Seed: seed}
 	for _, col := range real.Schema.Cols {
 		vals, err := real.Col(col.Name)
 		if err != nil {
 			return TableSpec{}, err
 		}
-		gen, err := columnGenFor(col, vals, level, realistic[col.Name], bins)
+		gen, err := columnGenFor(col, vals, level)
 		if err != nil {
 			return TableSpec{}, fmt.Errorf("tablegen: column %q: %w", col.Name, err)
 		}
@@ -206,12 +204,12 @@ func BuildSpec(real *data.Table, level VeracityLevel, realistic map[string]bool,
 	return spec, nil
 }
 
-func columnGenFor(col data.Column, vals []data.Value, level VeracityLevel, realistic bool, bins int) (ColumnGen, error) {
+func columnGenFor(col data.Column, vals []data.Value, level VeracityLevel) (ColumnGen, error) {
 	switch col.Kind {
 	case data.KindInt, data.KindFloat:
 		asInt := col.Kind == data.KindInt
-		if level == VeracityFull || (level == VeracityPartial && realistic) {
-			p, err := LearnNumeric(vals, bins)
+		if level == VeracityFull {
+			p, err := LearnNumeric(vals)
 			if err != nil {
 				return nil, err
 			}
@@ -232,7 +230,7 @@ func columnGenFor(col data.Column, vals []data.Value, level VeracityLevel, reali
 		}
 		return FloatColumn{Dist: stats.Uniform{Min: 0, Max: 1e6}}, nil
 	case data.KindString:
-		if level == VeracityFull || (level == VeracityPartial && realistic) {
+		if level == VeracityFull {
 			p, err := LearnCategory(vals)
 			if err != nil {
 				return nil, err

@@ -3,9 +3,9 @@
 //
 //   - "un-considered": synthetic distributions with fixed ranges that ignore
 //     any real data (YCSB/GridMix style) — see standard column generators;
-//   - "partially considered": MUDD-style generation (TPC-DS) where most
-//     columns use traditional synthetic distributions moment-matched to the
-//     real data and a small portion use realistic learned distributions;
+//   - "partially considered": MUDD-style generation (TPC-DS): numeric
+//     columns draw from Gaussians moment-matched to the real data, and
+//     categorical ones keep the real domain with uniform weights;
 //   - "considered": fully profile-driven generation (BigDataBench/BDGS
 //     style) where every column samples from a model learned from the real
 //     table.

@@ -187,7 +187,7 @@ func TestLearnNumericProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := LearnNumeric(col, 32)
+	p, err := LearnNumeric(col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +205,14 @@ func TestLearnNumericProfile(t *testing.T) {
 }
 
 func TestLearnNumericErrors(t *testing.T) {
-	if _, err := LearnNumeric([]data.Value{data.String_("x")}, 8); err == nil {
+	if _, err := LearnNumeric([]data.Value{data.String_("x")}); err == nil {
 		t.Fatal("non-numeric column accepted")
 	}
-	if _, err := LearnNumeric(nil, 8); err == nil {
+	if _, err := LearnNumeric(nil); err == nil {
 		t.Fatal("empty column accepted")
 	}
 	// Constant column must not panic (degenerate range).
-	p, err := LearnNumeric([]data.Value{data.Int(5), data.Int(5)}, 8)
+	p, err := LearnNumeric([]data.Value{data.Int(5), data.Int(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestLearnCategoryErrors(t *testing.T) {
 func TestBuildSpecVeracityLevels(t *testing.T) {
 	real := ReferenceTable(31, 3000)
 	for _, level := range []VeracityLevel{VeracityNone, VeracityPartial, VeracityFull} {
-		spec, err := BuildSpec(real, level, map[string]bool{"price": true}, 32, 99)
+		spec, err := BuildSpec(real, level, 99)
 		if err != nil {
 			t.Fatalf("%s: %v", level, err)
 		}
@@ -281,7 +281,7 @@ func TestVeracityLevelsOrderedByDivergence(t *testing.T) {
 		realFT.Observe(v.Str())
 	}
 	tv := func(level VeracityLevel) float64 {
-		spec, err := BuildSpec(real, level, nil, 32, 55)
+		spec, err := BuildSpec(real, level, 55)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestVeracityLevelsOrderedByDivergence(t *testing.T) {
 func TestBuildSpecUnsupportedKind(t *testing.T) {
 	tab := data.NewTable(data.Schema{Name: "weird", Cols: []data.Column{{Name: "n", Kind: data.KindNull}}})
 	tab.Rows = append(tab.Rows, data.Row{data.Null()})
-	if _, err := BuildSpec(tab, VeracityFull, nil, 8, 1); err == nil {
+	if _, err := BuildSpec(tab, VeracityFull, 1); err == nil {
 		t.Fatal("null-kind column accepted")
 	}
 }
@@ -336,7 +336,7 @@ func TestBuildSpecRowsPinned(t *testing.T) {
 		VeracityFull:    0x1b4560bbcff53d70,
 	}
 	for _, level := range []VeracityLevel{VeracityNone, VeracityPartial, VeracityFull} {
-		spec, err := BuildSpec(real, level, nil, 32, 99)
+		spec, err := BuildSpec(real, level, 99)
 		if err != nil {
 			t.Fatalf("%s: %v", level, err)
 		}

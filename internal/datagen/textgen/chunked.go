@@ -67,15 +67,15 @@ func ReferenceCorpusParallel(seed uint64, docs, meanLen, workers int) Corpus {
 }
 
 // The "text" corpus is corpusDocsPerScale documents per scale unit of
-// corpusMeanLen mean words each, in dictionary mode over the built-in themed
+// corpusMeanLen mean words each, sampled uniformly from the built-in themed
 // word list.
 const (
 	corpusDocsPerScale = 1000
 	corpusMeanLen      = 12
 )
 
-// CorpusGen adapts dictionary-mode random text to the datagen.Chunked
-// corpus contract: documents rendered one per line.
+// CorpusGen adapts random text over the built-in dictionary to the
+// datagen.Chunked corpus contract: documents rendered one per line.
 type CorpusGen struct{}
 
 // Name implements datagen.Chunked.

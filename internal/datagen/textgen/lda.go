@@ -11,12 +11,8 @@ import (
 // preserving text model (§3.2): learn the dictionary, train α/β-smoothed
 // topic distributions on the real data, then sample synthetic documents.
 type LDA struct {
-	K     int     // number of topics
-	Alpha float64 // document-topic Dirichlet prior
-	Beta  float64 // topic-word Dirichlet prior
-
 	vocab *Vocabulary
-	phi   [][]float64 // learned topic-word distributions [K][V]
+	phi   [][]float64 // learned topic-word distributions [LDATopics][V]
 	// docTopics holds the estimated topic mixture of each training
 	// document; Generate resamples from these so the synthetic corpus
 	// reproduces the corpus-level topic mixture, not just a symmetric
@@ -26,20 +22,20 @@ type LDA struct {
 	trained   bool
 }
 
-// NewLDA constructs an untrained model. K must be >= 2; alpha and beta
-// default to 50/K and 0.01 if non-positive, the standard heuristics.
-func NewLDA(k int, alpha, beta float64) *LDA {
-	if k < 2 {
-		k = 2
-	}
-	if alpha <= 0 {
-		alpha = 50 / float64(k)
-	}
-	if beta <= 0 {
-		beta = 0.01
-	}
-	return &LDA{K: k, Alpha: alpha, Beta: beta}
-}
+// LDATopics is the number of topics an LDA model learns.
+const LDATopics = 4
+
+// The Dirichlet priors, by the standard heuristics: α = 50/LDATopics for
+// the document-topic mixtures, β = 0.01 for the topic-word distributions.
+// Every expression they enter combines them with a run-time value, so each
+// rounds as float64 arithmetic.
+const (
+	ldaAlpha = 50.0 / LDATopics
+	ldaBeta  = 0.01
+)
+
+// NewLDA constructs an untrained model.
+func NewLDA() *LDA { return &LDA{} }
 
 // ErrNotTrained is returned by Generate when Train has not been called.
 var ErrNotTrained = errors.New("textgen: LDA model is not trained")
@@ -58,7 +54,7 @@ func (l *LDA) Train(corpus Corpus, iters int, g *stats.RNG) error {
 	l.vocab = BuildVocabulary(corpus)
 	docs := l.vocab.Encode(corpus)
 	v := l.vocab.Size()
-	k := l.K
+	k := LDATopics
 
 	// Count matrices of the collapsed sampler.
 	ndk := make([][]int, len(docs)) // doc -> topic counts
@@ -81,7 +77,7 @@ func (l *LDA) Train(corpus Corpus, iters int, g *stats.RNG) error {
 	}
 
 	probs := make([]float64, k)
-	vBeta := float64(v) * l.Beta
+	vBeta := float64(v) * ldaBeta
 	for it := 0; it < iters; it++ {
 		for d, doc := range docs {
 			for i, w := range doc {
@@ -92,8 +88,8 @@ func (l *LDA) Train(corpus Corpus, iters int, g *stats.RNG) error {
 
 				total := 0.0
 				for t := 0; t < k; t++ {
-					p := (float64(ndk[d][t]) + l.Alpha) *
-						(float64(nkw[t][w]) + l.Beta) /
+					p := (float64(ndk[d][t]) + ldaAlpha) *
+						(float64(nkw[t][w]) + ldaBeta) /
 						(float64(nk[t]) + vBeta)
 					probs[t] = p
 					total += p
@@ -119,16 +115,16 @@ func (l *LDA) Train(corpus Corpus, iters int, g *stats.RNG) error {
 		row := make([]float64, v)
 		den := float64(nk[t]) + vBeta
 		for w := 0; w < v; w++ {
-			row[w] = (float64(nkw[t][w]) + l.Beta) / den
+			row[w] = (float64(nkw[t][w]) + ldaBeta) / den
 		}
 		l.phi[t] = row
 	}
 	l.docTopics = make([][]float64, len(docs))
 	for d := range docs {
 		row := make([]float64, k)
-		den := float64(len(docs[d])) + float64(k)*l.Alpha
+		den := float64(len(docs[d])) + float64(k)*ldaAlpha
 		for t := 0; t < k; t++ {
-			row[t] = (float64(ndk[d][t]) + l.Alpha) / den
+			row[t] = (float64(ndk[d][t]) + ldaAlpha) / den
 		}
 		l.docTopics[d] = row
 	}

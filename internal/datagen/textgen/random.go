@@ -10,15 +10,13 @@ import (
 // and PigMix: synthetic words drawn independently of any real data set
 // ("the synthetic data sets are either randomly generated using the programs
 // in the Hadoop distribution or created using some statistic distributions").
-// Two modes are provided: fully random letter strings, and dictionary
-// sampling with a configurable distribution.
+// Each word is sampled from Dictionary, uniformly unless Sampler sets another
+// distribution over its indexes.
 type RandomText struct {
-	// Dictionary, when non-empty, is sampled instead of random letters.
+	// Dictionary is the word list sampled; it must not be empty.
 	Dictionary []string
 	// Sampler chooses dictionary indexes; defaults to uniform.
 	Sampler stats.IntSampler
-	// MinWordLen/MaxWordLen bound random-letter words (defaults 3..10).
-	MinWordLen, MaxWordLen int
 }
 
 // Generate emits docs documents with lengths drawn from Poisson(meanLen).
@@ -35,16 +33,13 @@ func (r RandomText) fill(g *stats.RNG, dst Corpus, meanLen int) {
 	}
 }
 
-// withDefaults fills in the word-length bounds and a dictionary's uniform
-// sampler.
+// withDefaults fills in the dictionary's uniform sampler. An empty
+// Dictionary is the caller's mistake, and panics.
 func (r RandomText) withDefaults() RandomText {
-	if r.MinWordLen <= 0 {
-		r.MinWordLen = 3
+	if len(r.Dictionary) == 0 {
+		panic("textgen: RandomText.Dictionary is empty")
 	}
-	if r.MaxWordLen < r.MinWordLen {
-		r.MaxWordLen = r.MinWordLen + 7
-	}
-	if r.Sampler == nil && len(r.Dictionary) > 0 {
+	if r.Sampler == nil {
 		r.Sampler = stats.UniformInt{Count: int64(len(r.Dictionary))}
 	}
 	return r
@@ -57,17 +52,13 @@ func (r RandomText) doc(g *stats.RNG, meanLen int, words Document) Document {
 	n := max(int(stats.Poisson{Lambda: float64(meanLen)}.Sample(g)), 1)
 	words = slices.Grow(words, n)
 	for range n {
-		if r.Sampler != nil {
-			words = append(words, r.Dictionary[int(r.Sampler.Next(g))%len(r.Dictionary)])
-		} else {
-			words = append(words, g.RandomWord(r.MinWordLen, r.MaxWordLen))
-		}
+		words = append(words, r.Dictionary[int(r.Sampler.Next(g))%len(r.Dictionary)])
 	}
 	return words
 }
 
 // DefaultDictionary returns a flat copy of the built-in themed word list,
-// handy for dictionary-mode random text. It is one allocation.
+// the dictionary random text samples. It is one allocation.
 func DefaultDictionary() []string {
 	return slices.Concat(baseWords...)
 }

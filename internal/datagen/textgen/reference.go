@@ -59,7 +59,7 @@ type ReferenceModel struct {
 // NewReferenceModel constructs the hidden model with one topic per theme in
 // baseWords. Each topic concentrates 85% of its mass on its own theme words
 // (zipf-tilted) and spreads 15% over the rest of the vocabulary, giving
-// realistic heavy-tailed word frequencies.
+// natural-language-like heavy-tailed word frequencies.
 func NewReferenceModel() *ReferenceModel {
 	vocab := NewVocabulary()
 	for _, group := range baseWords {

@@ -1,6 +1,7 @@
 package textgen
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -95,7 +96,7 @@ func TestReferenceCorpusShape(t *testing.T) {
 
 func TestLDATrainAndGenerate(t *testing.T) {
 	ref := ReferenceCorpus(11, 120, 60)
-	l := NewLDA(4, 0, 0)
+	l := NewLDA()
 	if _, err := l.Generate(stats.NewRNG(1), 1, 10); err != ErrNotTrained {
 		t.Fatalf("Generate before Train: err = %v, want ErrNotTrained", err)
 	}
@@ -126,7 +127,7 @@ func TestLDAImprovesOverRandomText(t *testing.T) {
 	ref := ReferenceCorpus(21, 150, 60)
 	vocab := BuildVocabulary(ref)
 
-	l := NewLDA(4, 0, 0)
+	l := NewLDA()
 	if err := l.Train(ref, 40, stats.NewRNG(22)); err != nil {
 		t.Fatal(err)
 	}
@@ -153,19 +154,9 @@ func TestLDAImprovesOverRandomText(t *testing.T) {
 }
 
 func TestLDAEmptyCorpus(t *testing.T) {
-	l := NewLDA(3, 0, 0)
+	l := NewLDA()
 	if err := l.Train(nil, 10, stats.NewRNG(1)); err == nil {
 		t.Fatal("training on empty corpus should error")
-	}
-}
-
-func TestLDADefaults(t *testing.T) {
-	l := NewLDA(1, -1, -1)
-	if l.K != 2 {
-		t.Fatalf("K clamped to %d, want 2", l.K)
-	}
-	if l.Alpha <= 0 || l.Beta <= 0 {
-		t.Fatal("defaults not applied")
 	}
 }
 
@@ -238,10 +229,6 @@ func TestMarkovErrors(t *testing.T) {
 
 func TestRandomTextModes(t *testing.T) {
 	g := stats.NewRNG(51)
-	letters := RandomText{}.Generate(g, 10, 20)
-	if len(letters) != 10 {
-		t.Fatalf("docs %d, want 10", len(letters))
-	}
 	dict := []string{"one", "two", "three"}
 	fromDict := RandomText{Dictionary: dict}.Generate(g, 10, 20)
 	for _, d := range fromDict {
@@ -299,8 +286,13 @@ func TestDefaultDictionaryIsOneAllocation(t *testing.T) {
 	if got := DefaultDictionary(); !slices.Equal(got, want) {
 		t.Fatalf("DefaultDictionary() = %q, want %q", got, want)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { DefaultDictionary() }); allocs > 1 && !raceflag.Enabled {
-		t.Errorf("DefaultDictionary: %.0f allocations, want 1", allocs)
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 10 {
+			DefaultDictionary()
+		}
+	})
+	if allocs != 10 && !raceflag.Enabled {
+		t.Errorf("10 DefaultDictionary calls: %.0f allocations, want 10", allocs)
 	}
 }
 
@@ -320,4 +312,13 @@ func TestQuickReferenceDocsNonEmpty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestRandomTextEmptyDictionaryPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Dictionary") {
+			t.Fatalf("recovered %v, want a panic naming Dictionary", r)
+		}
+	}()
+	RandomText{}.Generate(stats.NewRNG(1), 1, 5)
 }

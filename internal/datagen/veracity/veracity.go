@@ -94,14 +94,15 @@ func bigramDivergence(raw, syn textgen.Corpus) (float64, error) {
 	return stats.JSDivergence(p, q)
 }
 
+// histogramBins is the bin count of the histograms numeric columns are
+// compared over.
+const histogramBins = 32
+
 // Table compares two tables column by column. Numeric columns use the
 // 1-D earth mover's distance over aligned histograms (normalized by bin
 // count); string columns use total variation over category frequencies.
 // The primary metric is the mean column divergence.
-func Table(raw, syn *data.Table, bins int) (Report, error) {
-	if bins <= 0 {
-		bins = 32
-	}
+func Table(raw, syn *data.Table) (Report, error) {
 	var metrics []Metric
 	total, n := 0.0, 0
 	for _, col := range raw.Schema.Cols {
@@ -116,7 +117,7 @@ func Table(raw, syn *data.Table, bins int) (Report, error) {
 		var d float64
 		switch col.Kind {
 		case data.KindInt, data.KindFloat:
-			d, err = numericDivergence(rawVals, synVals, bins)
+			d, err = numericDivergence(rawVals, synVals)
 		case data.KindString:
 			d, err = categoryDivergence(rawVals, synVals)
 		case data.KindBool:
@@ -139,13 +140,13 @@ func Table(raw, syn *data.Table, bins int) (Report, error) {
 	return out, nil
 }
 
-func numericDivergence(raw, syn []data.Value, bins int) (float64, error) {
+func numericDivergence(raw, syn []data.Value) (float64, error) {
 	lo, hi := rangeOf(raw)
 	if hi <= lo {
 		hi = lo + 1
 	}
-	hr := stats.NewHistogram(lo, hi, bins)
-	hs := stats.NewHistogram(lo, hi, bins)
+	hr := stats.NewHistogram(lo, hi, histogramBins)
+	hs := stats.NewHistogram(lo, hi, histogramBins)
 	for _, v := range raw {
 		if !v.IsNull() {
 			hr.Observe(v.Float())

@@ -22,7 +22,7 @@ func TestTextOrdering(t *testing.T) {
 	resample := textgen.ReferenceCorpus(2, 150, 60)
 	vocab := textgen.BuildVocabulary(raw)
 
-	lda := textgen.NewLDA(4, 0, 0)
+	lda := textgen.NewLDA()
 	if err := lda.Train(raw, 30, stats.NewRNG(3)); err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +74,14 @@ func TestTableOrdering(t *testing.T) {
 	resample := tablegen.ReferenceTable(12, 4000)
 
 	level := func(l tablegen.VeracityLevel, seed uint64) *data.Table {
-		spec, err := tablegen.BuildSpec(raw, l, nil, 32, seed)
+		spec, err := tablegen.BuildSpec(raw, l, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return spec.Generate(4000)
 	}
 	score := func(syn *data.Table) float64 {
-		r, err := Table(raw, syn, 32)
+		r, err := Table(raw, syn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +106,11 @@ func TestTableOrdering(t *testing.T) {
 func TestTableErrors(t *testing.T) {
 	raw := tablegen.ReferenceTable(21, 100)
 	other := data.NewTable(data.Schema{Name: "o", Cols: []data.Column{{Name: "zzz", Kind: data.KindInt}}})
-	if _, err := Table(raw, other, 16); err == nil {
+	if _, err := Table(raw, other); err == nil {
 		t.Fatal("mismatched schema accepted")
 	}
 	empty := data.NewTable(data.Schema{Name: "e"})
-	if _, err := Table(empty, empty, 16); err == nil {
+	if _, err := Table(empty, empty); err == nil {
 		t.Fatal("no comparable columns accepted")
 	}
 }
@@ -191,11 +191,11 @@ func TestTableScoresPinned(t *testing.T) {
 	raw := tablegen.ReferenceTable(31, 3000)
 	h := fnv.New64a()
 	for _, level := range []tablegen.VeracityLevel{tablegen.VeracityNone, tablegen.VeracityPartial, tablegen.VeracityFull} {
-		spec, err := tablegen.BuildSpec(raw, level, nil, 32, 99)
+		spec, err := tablegen.BuildSpec(raw, level, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Table(raw, spec.Generate(1000), 32)
+		r, err := Table(raw, spec.Generate(1000))
 		if err != nil {
 			t.Fatal(err)
 		}

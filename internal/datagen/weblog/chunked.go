@@ -13,7 +13,7 @@ import (
 const chunkRecords = 2048
 
 // nominalGap is the expected inter-record spacing (the mean of the 0–5s
-// uniform gap); chunk time bases are placed at Start*nominalGap so the log
+// uniform gap); chunk time bases are placed at c.Start*nominalGap so the log
 // timeline advances consistently at any worker count.
 const nominalGap = 2500 * time.Millisecond
 
@@ -21,28 +21,28 @@ const nominalGap = 2500 * time.Millisecond
 // bounded worker pool. Each chunk starts a fresh session at a nominal time
 // base derived from its record range, with its RNG derived from (seed,
 // chunk index) — so the log is identical at any worker count.
-func (gen Generator) FromTableParallel(seed uint64, orders *data.Table, n, workers int) ([]Record, error) {
+func FromTableParallel(seed uint64, orders *data.Table, n, workers int) ([]Record, error) {
 	src, err := newSource(orders)
 	if err != nil {
 		return nil, err
 	}
 	return datagen.Generate(seed, datagen.PlanChunks(int64(n), chunkRecords), workers,
 		func(g *stats.RNG, c datagen.Chunk, dst []Record) error {
-			gen.fill(g, src, gen.chunkStart(c), dst)
+			fill(g, src, chunkStart(c), dst)
 			return nil
 		})
 }
 
-// chunkStart is a chunk's nominal time base, Start*nominalGap after the log's
-// start.
-func (gen Generator) chunkStart(c datagen.Chunk) time.Time {
-	return gen.start().Add(time.Duration(c.Start) * nominalGap)
+// chunkStart is a chunk's nominal time base, c.Start*nominalGap after the
+// log's start.
+func chunkStart(c datagen.Chunk) time.Time {
+	return start.Add(time.Duration(c.Start) * nominalGap)
 }
 
 // corpusRecordsPerScale is the "weblog" corpus's record count per scale unit.
 const corpusRecordsPerScale = 5000
 
-// LogCorpus adapts the web-log generator (at its defaults) to the
+// LogCorpus adapts the web-log generator to the
 // datagen.Chunked corpus contract: Apache combined-log lines derived from an
 // orders table. Build it with NewLogCorpus.
 type LogCorpus struct {
@@ -72,7 +72,6 @@ func (lc LogCorpus) AppendChunk(dst []byte, g *stats.RNG, _ int, c datagen.Chunk
 	if err != nil {
 		return dst, err
 	}
-	var gen Generator
-	gen.sessions(g, src, int(c.Len()), gen.chunkStart(c), func(r Record) { dst = append(r.AppendFormat(dst), '\n') })
+	sessions(g, src, int(c.Len()), chunkStart(c), func(r Record) { dst = append(r.AppendFormat(dst), '\n') })
 	return dst, nil
 }

@@ -90,17 +90,15 @@ func Parse(line string) (Record, error) {
 	return r, nil
 }
 
-// Generator derives click-stream sessions from an orders table: each
-// session belongs to a customer drawn from the table's customer column and
-// browses product pages drawn from its product column, so skews carry over.
-type Generator struct {
-	// SessionLen is the mean pages per session (default 8).
-	SessionLen float64
-	// ErrorRate is the fraction of 4xx/5xx responses (default 0.02).
-	ErrorRate float64
-	// Start is the virtual time of the first request.
-	Start time.Time
-}
+// A click session averages sessionLen pages, and errorRate of the responses
+// are 4xx/5xx.
+const (
+	sessionLen = 8
+	errorRate  = 0.02
+)
+
+// start is the virtual time of a log's first request.
+var start = time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
 
 var agents = []string{
 	"Mozilla/5.0 (X11; Linux x86_64)",
@@ -110,15 +108,17 @@ var agents = []string{
 	"bdbench-crawler/1.0",
 }
 
-// FromTable generates n log records from the orders table (expects
-// customer_id and product_id columns, as in tablegen.ReferenceTable).
-func (gen Generator) FromTable(g *stats.RNG, orders *data.Table, n int) ([]Record, error) {
+// FromTable derives n click-stream log records from an orders table (expects
+// customer_id and product_id columns, as in tablegen.ReferenceTable): each
+// session belongs to a customer drawn from the table's customer column and
+// browses product pages drawn from its product column, so skews carry over.
+func FromTable(g *stats.RNG, orders *data.Table, n int) ([]Record, error) {
 	src, err := newSource(orders)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Record, n)
-	gen.fill(g, src, gen.start(), out)
+	fill(g, src, start, out)
 	return out, nil
 }
 
@@ -170,25 +170,10 @@ func appendSourceRow(dst []byte, cust, prod int64) (out []byte, user, path int) 
 	return strconv.AppendInt(append(dst, "/product/"...), prod, 10), user, path
 }
 
-func (gen Generator) start() time.Time {
-	if gen.Start.IsZero() {
-		return time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	}
-	return gen.Start
-}
-
 // sessions draws n click-session records starting at the virtual time at
 // and hands each to emit. It is the one sequence of draws behind FromTable,
 // FromTableParallel and the "weblog" corpus.
-func (gen Generator) sessions(g *stats.RNG, src source, n int, at time.Time, emit func(Record)) {
-	sessionLen := gen.SessionLen
-	if sessionLen <= 0 {
-		sessionLen = 8
-	}
-	errRate := gen.ErrorRate
-	if errRate <= 0 {
-		errRate = 0.02
-	}
+func sessions(g *stats.RNG, src source, n int, at time.Time, emit func(Record)) {
 	for n > 0 {
 		// Pick a random order row; its customer anchors the session.
 		row := src[g.IntN(len(src))]
@@ -196,7 +181,7 @@ func (gen Generator) sessions(g *stats.RNG, src source, n int, at time.Time, emi
 		for p := 0; p < pages && n > 0; p, n = p+1, n-1 {
 			path := src[g.IntN(len(src))].path
 			status := 200
-			if g.Bool(errRate) {
+			if g.Bool(errorRate) {
 				if g.Bool(0.5) {
 					status = 404
 				} else {
@@ -229,7 +214,7 @@ func (gen Generator) sessions(g *stats.RNG, src source, n int, at time.Time, emi
 }
 
 // fill draws len(dst) records by sessions into dst.
-func (gen Generator) fill(g *stats.RNG, src source, at time.Time, dst []Record) {
+func fill(g *stats.RNG, src source, at time.Time, dst []Record) {
 	i := 0
-	gen.sessions(g, src, len(dst), at, func(r Record) { dst[i], i = r, i+1 })
+	sessions(g, src, len(dst), at, func(r Record) { dst[i], i = r, i+1 })
 }

@@ -81,7 +81,7 @@ func TraceFromLog(source string, raw []byte) (Trace, error) {
 
 // replayJitter is the jitter fraction Replay applies: each arrival moves by
 // up to ±10% of the mean gap, so two replays of the same trace with
-// different seeds are realistic variations of each other rather than
+// different seeds are plausible variations of each other rather than
 // identical copies.
 const replayJitter = 0.1
 

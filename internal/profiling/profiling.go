@@ -1,7 +1,7 @@
 // Package profiling turns on Go's standard profilers around a benchmark
 // run and writes the results as pprof/trace files. It exists so that every
-// bdbench entry point — run, loadcurve, datagen, or the public API —
-// offers the same switch for answering "where does the time (or the
+// bdbench command that does real work — run, loadcurve, datagen — offers
+// the same -profile switch for answering "where does the time (or the
 // garbage) go?", with no dependencies beyond runtime/pprof and
 // runtime/trace. The zero-allocation work in the metrics and loadgen hot
 // paths was driven by exactly these profiles; keeping the hooks in the

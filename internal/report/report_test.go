@@ -73,8 +73,13 @@ func TestTableMatchesFmtPadding(t *testing.T) {
 			if got, want := Table(tc.headers, tc.rows), viaFmt(tc.headers, tc.rows); got != want {
 				t.Fatalf("Table:\n%q\nfmt:\n%q", got, want)
 			}
-			if allocs := testing.AllocsPerRun(100, func() { Table(tc.headers, tc.rows) }); allocs > 2 {
-				t.Errorf("Table: %.0f allocs, want at most 2 (the widths and the output)", allocs)
+			allocs := testing.AllocsPerRun(1, func() {
+				for range 100 {
+					Table(tc.headers, tc.rows)
+				}
+			})
+			if allocs != 2*100 {
+				t.Errorf("100 tables: %.0f allocs, want 200 (the widths and the output of each)", allocs)
 			}
 		})
 	}

@@ -10,7 +10,6 @@ import (
 	"github.com/bdbench/bdbench/internal/engine"
 	"github.com/bdbench/bdbench/internal/loadgen"
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/profiling"
 	"github.com/bdbench/bdbench/internal/suites"
 	"github.com/bdbench/bdbench/internal/workloads"
 )
@@ -148,11 +147,6 @@ type Options struct {
 	// probes over every distinct suite in the selection (the full Figure 1
 	// process). Without it the step only records the generators in play.
 	ProbeData bool
-	// Profile lists the profilers to run around the five steps (see
-	// internal/profiling); empty means none. ProfileDir is where the
-	// pprof/trace files land ("." when empty).
-	Profile    []profiling.Mode
-	ProfileDir string
 	// RunOutput, when set, makes the run a durable artifact: raw per-op
 	// latency capture is enabled on the engine, and the finished outcome —
 	// including every captured stream — is encoded as a runstore blob at
@@ -187,24 +181,7 @@ type Options struct {
 // summarized in the returned error. A cancelled context aborts before the
 // potentially expensive probes, and makes in-flight workload runs fail fast
 // with the context's error.
-//
-// When Options.Profile is set, the requested profilers bracket the whole
-// five-step process and their files land in Options.ProfileDir; a profile
-// write failure surfaces as the run's error only when the run itself
-// succeeded.
 func Run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
-	prof, err := profiling.Start(opts.ProfileDir, opts.Profile)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	out, runErr := run(ctx, spec, opts)
-	if err := prof.Stop(); err != nil && runErr == nil {
-		runErr = fmt.Errorf("scenario: %w", err)
-	}
-	return out, runErr
-}
-
-func run(ctx context.Context, spec Spec, opts Options) (*Outcome, error) {
 	reg := opts.Registry
 	if reg == nil {
 		reg = Default()

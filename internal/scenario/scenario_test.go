@@ -3,8 +3,6 @@ package scenario
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +10,6 @@ import (
 
 	"github.com/bdbench/bdbench/internal/engine"
 	"github.com/bdbench/bdbench/internal/metrics"
-	"github.com/bdbench/bdbench/internal/profiling"
 	"github.com/bdbench/bdbench/internal/stacks"
 	"github.com/bdbench/bdbench/internal/suites"
 	"github.com/bdbench/bdbench/internal/testgen"
@@ -476,40 +473,5 @@ func TestPrescriptionWorkload(t *testing.T) {
 	}
 	if rec := out.Results[0].Result.Counters["records"]; rec <= 0 {
 		t.Fatalf("prescription produced %d records", rec)
-	}
-}
-
-// TestRunWithProfile runs a scenario with every profiler enabled and
-// checks the advertised files land in the requested directory — the
-// plumbing behind bdbench.WithProfile and the CLI's -profile flag.
-func TestRunWithProfile(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "prof")
-	out, err := Run(context.Background(), Spec{Entries: []Entry{{Suite: "S1"}}}, Options{
-		Registry:   testRegistry(t),
-		Profile:    []profiling.Mode{profiling.ModeCPU, profiling.ModeMem, profiling.ModeAllocs, profiling.ModeTrace},
-		ProfileDir: dir,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if out == nil || len(out.Results) == 0 {
-		t.Fatalf("outcome %+v", out)
-	}
-	for _, name := range []string{"cpu.pprof", "mem.pprof", "allocs.pprof", "trace.out"} {
-		fi, err := os.Stat(filepath.Join(dir, name))
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if fi.Size() == 0 {
-			t.Errorf("%s: empty profile", name)
-		}
-	}
-	// An unknown mode fails before any workload executes.
-	if _, err := Run(context.Background(), Spec{Entries: []Entry{{Suite: "S1"}}}, Options{
-		Registry: testRegistry(t),
-		Profile:  []profiling.Mode{"heap"},
-	}); err == nil {
-		t.Fatal("unknown profile mode accepted")
 	}
 }

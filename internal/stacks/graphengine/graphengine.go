@@ -290,24 +290,17 @@ func (wk *worker) growInbox(total int) {
 }
 
 // PageRank is the canonical web-graph program: value converges to the
-// stationary visit probability with the given damping.
-type PageRank struct {
-	Damping float64 // default 0.85
-}
+// stationary visit probability with damping 0.85.
+type PageRank struct{}
 
 // Init implements Program.
 func (p PageRank) Init(v *Vertex) { v.Value = 1 }
 
-func (p PageRank) damping() float64 {
-	if p.Damping <= 0 || p.Damping >= 1 {
-		return 0.85
-	}
-	return p.Damping
-}
-
 // Compute implements Program.
 func (p PageRank) Compute(v *Vertex, msgs []float64, ctx *Context) {
-	d := p.damping()
+	// A variable, not a constant: 1-d must round as float64 arithmetic
+	// does, not be folded exactly at compile time.
+	d := 0.85
 	if ctx.Superstep() > 0 {
 		sum := 0.0
 		for _, m := range msgs {

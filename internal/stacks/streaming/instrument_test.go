@@ -15,7 +15,7 @@ func TestInstrumentRecordsStageWalls(t *testing.T) {
 	gen := streamgen.Generator{EventsPerSec: 100000, KeySpace: 10}
 	events := gen.Generate(stats.NewRNG(2), 2000)
 	c := metrics.NewCollector("stream")
-	eng := New(64).Instrument(c)
+	eng := New().Instrument(c)
 	res := eng.Run(events,
 		MapStage{Label: "id", Fn: func(m Msg) Msg { return m }},
 		TumblingWindow{Size: 100 * time.Millisecond},

@@ -182,14 +182,9 @@ type Engine struct {
 	rec    *metrics.Collector
 }
 
-// New returns an engine whose inter-stage channels buffer the given number
-// of messages (clamped to >= 1): the backpressure knob.
-func New(buffer int) *Engine {
-	if buffer < 1 {
-		buffer = 1
-	}
-	return &Engine{buffer: buffer}
-}
+// New returns an engine whose inter-stage channels buffer 1024 messages
+// each: the bound at which a slow stage backs up the ones before it.
+func New() *Engine { return &Engine{buffer: 1024} }
 
 // Instrument attaches a collector (nil detaches) and returns the engine.
 // Each pipeline stage goroutine records its wall time (source open to sink

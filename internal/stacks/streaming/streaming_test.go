@@ -17,7 +17,7 @@ func eventsAt(keys []string, times []time.Duration) []streamgen.Event {
 }
 
 func TestMapStage(t *testing.T) {
-	e := New(16)
+	e := New()
 	events := eventsAt(
 		[]string{"a", "b", "a", "c"},
 		[]time.Duration{1, 2, 3, 4},
@@ -39,7 +39,7 @@ func TestMapStage(t *testing.T) {
 }
 
 func TestTumblingWindowCounts(t *testing.T) {
-	e := New(16)
+	e := New()
 	// Window size 10: [0,10) has a,a,b; [10,20) has b; [20,30) has c.
 	events := eventsAt(
 		[]string{"a", "a", "b", "b", "c"},
@@ -62,7 +62,7 @@ func TestTumblingWindowCounts(t *testing.T) {
 }
 
 func TestTumblingWindowSum(t *testing.T) {
-	e := New(4)
+	e := New()
 	events := eventsAt([]string{"k", "k"}, []time.Duration{1, 2})
 	res := e.Run(events,
 		MapStage{Label: "v5", Fn: func(m Msg) Msg { m.Value = 5; return m }},
@@ -74,7 +74,7 @@ func TestTumblingWindowSum(t *testing.T) {
 }
 
 func TestTumblingWindowSkipsEmptyWindows(t *testing.T) {
-	e := New(4)
+	e := New()
 	// Events in window 0 and window 5; windows 1-4 are empty and must not
 	// emit.
 	events := eventsAt([]string{"k", "k"}, []time.Duration{1, 51})
@@ -85,7 +85,7 @@ func TestTumblingWindowSkipsEmptyWindows(t *testing.T) {
 }
 
 func TestSlidingWindowOverlap(t *testing.T) {
-	e := New(16)
+	e := New()
 	// Size 20, slide 10. Events at t=5 (k) and t=15 (k).
 	// Slide boundary 10: window covers (last 20) -> k:1.
 	// Stream-end flush at boundary 20: window covers [0,20) -> k:2,
@@ -104,7 +104,7 @@ func TestSlidingWindowOverlap(t *testing.T) {
 func TestPipelineWithGeneratedStream(t *testing.T) {
 	gen := streamgen.Generator{EventsPerSec: 10000, KeySpace: 20}
 	events := gen.Generate(stats.NewRNG(1), 5000)
-	e := New(256)
+	e := New()
 	res := e.Run(events, TumblingWindow{Size: 100 * time.Millisecond})
 	if res.Rate <= 0 {
 		t.Fatal("no rate measured")
@@ -123,7 +123,7 @@ func TestBackpressureSmallBuffer(t *testing.T) {
 	// A buffer of 1 forces lock-step handoff but must not deadlock.
 	gen := streamgen.Generator{EventsPerSec: 0, KeySpace: 5}
 	events := gen.Generate(stats.NewRNG(2), 1000)
-	e := New(1)
+	e := &Engine{buffer: 1}
 	res := e.Run(events,
 		MapStage{Label: "id", Fn: func(m Msg) Msg { return m }},
 		TumblingWindow{Size: time.Second},
@@ -138,7 +138,7 @@ func TestBackpressureSmallBuffer(t *testing.T) {
 }
 
 func TestWindowDefaults(t *testing.T) {
-	e := New(0) // clamps buffer to 1
+	e := New()
 	events := eventsAt([]string{"k"}, []time.Duration{time.Millisecond})
 	res := e.Run(events, TumblingWindow{}) // size defaults to 1s
 	if len(res.Out) != 1 {

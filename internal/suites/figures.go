@@ -114,11 +114,11 @@ func TextDataGenProcess(seed uint64, docs int, workers int) (*DataGenOutcome, er
 
 	// Step 2: fit the data model.
 	t1 := time.Now()
-	lda := textgen.NewLDA(4, 0, 0)
+	lda := textgen.NewLDA()
 	if err := lda.Train(raw, 25, stats.NewRNG(seed+1)); err != nil {
 		return nil, err
 	}
-	record(2, "build data model", fmt.Sprintf("LDA k=%d vocab=%d", lda.K, lda.Vocabulary().Size()), t1)
+	record(2, "build data model", fmt.Sprintf("LDA k=%d vocab=%d", textgen.LDATopics, lda.Vocabulary().Size()), t1)
 
 	// Step 3: control volume (and velocity via the chunked worker pool).
 	t2 := time.Now()
@@ -156,7 +156,7 @@ func TableDataGenProcess(seed uint64, rows int64, workers int) (*DataGenOutcome,
 	record(1, "select real data", fmt.Sprintf("%d rows x %d cols", raw.NumRows(), len(raw.Schema.Cols)), t0)
 
 	t1 := time.Now()
-	spec, err := tablegen.BuildSpec(raw, tablegen.VeracityFull, nil, 32, seed+1)
+	spec, err := tablegen.BuildSpec(raw, tablegen.VeracityFull, seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func TableDataGenProcess(seed uint64, rows int64, workers int) (*DataGenOutcome,
 	out.FormatBytes = sb.Len()
 	record(4, "format conversion", fmt.Sprintf("CSV, %d bytes", sb.Len()), t3)
 
-	rep, err := veracity.Table(raw, syn, 32)
+	rep, err := veracity.Table(raw, syn)
 	if err != nil {
 		return nil, err
 	}

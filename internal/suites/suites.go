@@ -203,7 +203,7 @@ func MeasureTextVeracity(app TextApproach, seed uint64) (VeracityScores, error) 
 			Sampler:    stats.NewCategorical(weights),
 		}.Generate(stats.NewRNG(seed+3), docs, meanLen)
 	case TextLDA:
-		lda := textgen.NewLDA(4, 0, 0)
+		lda := textgen.NewLDA()
 		if err := lda.Train(raw, 30, stats.NewRNG(seed+3)); err != nil {
 			return VeracityScores{}, err
 		}
@@ -246,16 +246,16 @@ func MeasureTableVeracity(app TableApproach, seed uint64) (VeracityScores, error
 	case TableProfiled:
 		level = tablegen.VeracityFull
 	}
-	baseSpec, err := tablegen.BuildSpec(raw, tablegen.VeracityNone, nil, 32, seed+2)
+	baseSpec, err := tablegen.BuildSpec(raw, tablegen.VeracityNone, seed+2)
 	if err != nil {
 		return VeracityScores{}, err
 	}
-	candSpec, err := tablegen.BuildSpec(raw, level, nil, 32, seed+3)
+	candSpec, err := tablegen.BuildSpec(raw, level, seed+3)
 	if err != nil {
 		return VeracityScores{}, err
 	}
 	divergence := func(t *data.Table) (float64, error) {
-		r, err := veracity.Table(raw, t, 32)
+		r, err := veracity.Table(raw, t)
 		if err != nil {
 			return 0, err
 		}

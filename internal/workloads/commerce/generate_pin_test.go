@@ -23,7 +23,7 @@ import (
 // labeledDocs is unexported; the generators it imports are all leaves.
 func TestGenerateCallersPinned(t *testing.T) {
 	ref := textgen.ReferenceCorpus(11, 120, 60)
-	lda := textgen.NewLDA(4, 0, 0)
+	lda := textgen.NewLDA()
 	if err := lda.Train(ref, 10, stats.NewRNG(12)); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestGenerateCallersPinned(t *testing.T) {
 			}
 		}},
 		{"weblog", "a5320b0b26e63ddb", func(w io.Writer, workers int) {
-			recs, err := weblog.Generator{}.FromTableParallel(7, orders, 5000, workers)
+			recs, err := weblog.FromTableParallel(7, orders, 5000, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

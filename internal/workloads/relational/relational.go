@@ -366,7 +366,7 @@ var urlCountJob = mapreduce.Job{
 func urlCount(ctx context.Context, p workloads.Params, c *metrics.Collector) error {
 	orders := ordersRows(p, c)
 	t0gen := c.Now()
-	logs, err := weblog.Generator{}.FromTableParallel(p.Seed+2, orders, p.Scale*5000, p.DatagenWorkers)
+	logs, err := weblog.FromTableParallel(p.Seed+2, orders, p.Scale*5000, p.DatagenWorkers)
 	if err != nil {
 		return err
 	}

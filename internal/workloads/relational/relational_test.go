@@ -85,7 +85,7 @@ func TestEncodersPinned(t *testing.T) {
 	p := workloads.Params{Seed: 2014, Scale: 1, DatagenWorkers: 2}.WithDefaults()
 	c := metrics.NewCollector("encode")
 	orders, customers := ordersRows(p, c), customersTable(p, c)
-	logs, err := weblog.Generator{}.FromTableParallel(p.Seed+2, orders, 5000, p.DatagenWorkers)
+	logs, err := weblog.FromTableParallel(p.Seed+2, orders, 5000, p.DatagenWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestEncodersPinned(t *testing.T) {
 func TestURLCountsPinned(t *testing.T) {
 	p := workloads.Params{Seed: 2014, Scale: 3, DatagenWorkers: 2}.WithDefaults()
 	c := metrics.NewCollector("url-count")
-	logs, err := weblog.Generator{}.FromTableParallel(p.Seed+2, ordersRows(p, c), 15000, p.DatagenWorkers)
+	logs, err := weblog.FromTableParallel(p.Seed+2, ordersRows(p, c), 15000, p.DatagenWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}

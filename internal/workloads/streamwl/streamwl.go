@@ -48,7 +48,7 @@ func countWindows(ctx context.Context, p workloads.Params, c *metrics.Collector)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eng := streaming.New(1024).Instrument(c)
+	eng := streaming.New().Instrument(c)
 	t0 := c.Now()
 	res := eng.Run(events, streaming.TumblingWindow{Size: 100 * time.Millisecond})
 	c.Op("pipeline").Observe(c.Now().Sub(t0))
@@ -92,7 +92,7 @@ func rollWindows(ctx context.Context, p workloads.Params, c *metrics.Collector) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	eng := streaming.New(1024).Instrument(c)
+	eng := streaming.New().Instrument(c)
 	t0 := c.Now()
 	res := eng.Run(events,
 		streaming.MapStage{Label: "weight", Fn: func(m streaming.Msg) streaming.Msg {

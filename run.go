@@ -3,7 +3,6 @@ package bdbench
 import (
 	"context"
 
-	"github.com/bdbench/bdbench/internal/profiling"
 	"github.com/bdbench/bdbench/internal/scenario"
 )
 
@@ -55,26 +54,6 @@ func WithEvents(fn func(Event)) Option {
 func WithDataProbes() Option {
 	return func(o *scenario.Options) { o.ProbeData = true }
 }
-
-// WithProfile runs the requested profilers around the whole five-step
-// process and writes standard pprof/trace files into dir (created if
-// missing; "" means the current directory). Modes are any of
-// ProfileModes(): "cpu" (on-CPU samples, cpu.pprof), "mem" (retained heap
-// after a forced GC, mem.pprof), "allocs" (cumulative allocation sites,
-// allocs.pprof) and "trace" (execution trace, trace.out). Load the results
-// with `go tool pprof` or `go tool trace`. Unknown modes fail Run before
-// any workload executes.
-func WithProfile(dir string, modes ...string) Option {
-	return func(o *scenario.Options) {
-		o.ProfileDir = dir
-		for _, m := range modes {
-			o.Profile = append(o.Profile, profiling.Mode(m))
-		}
-	}
-}
-
-// ProfileModes returns the supported WithProfile mode names.
-func ProfileModes() []string { return profiling.Modes() }
 
 // Run executes the scenario's five-step benchmarking process on the
 // concurrent execution engine and returns the analyzed outcome.

@@ -28,5 +28,5 @@ type Result = streaming.Result
 // Engine executes stage pipelines over event streams.
 type Engine = streaming.Engine
 
-// New returns an engine with the given channel buffering.
-func New(buffer int) *Engine { return streaming.New(buffer) }
+// New returns an engine whose inter-stage channels buffer 1024 messages.
+func New() *Engine { return streaming.New() }
