@@ -56,9 +56,6 @@ const (
 // per operation and named counters, merged into a Result snapshot.
 type Collector = metrics.Collector
 
-// NewCollector returns a collector for one workload run.
-func NewCollector(name string) *Collector { return metrics.NewCollector(name) }
-
 // Result is one workload run's measurement snapshot.
 type Result = metrics.Result
 
@@ -126,24 +123,9 @@ type OpWeight = opcompose.OpWeight
 // share of the operation stream, and optional pacing rate.
 type PatternPhase = opcompose.Phase
 
-// Operation is one named operation of the pattern vocabulary. Apply
-// executes it once against the per-chunk context and returns a
-// deterministic fingerprint that folds into the composed workload's
-// pattern digest.
-type Operation = opcompose.Operation
-
-// OpContext is the deterministic execution context an Operation runs in.
-type OpContext = opcompose.OpContext
-
-// RegisterOperation adds a custom operation to the pattern vocabulary.
-// The built-in primitives (Operations' canonical prefix) cannot be
-// replaced: a pattern naming them must mean the same thing everywhere.
-func RegisterOperation(op Operation) error { return opcompose.Register(op) }
-
 // Operations returns every operation name usable in a Pattern: the
 // primitive vocabulary ("filter", "aggregate", "join", "scan",
-// "transform", "put", "get") in canonical order, then registered
-// extensions sorted.
+// "transform", "put", "get") in canonical order.
 func Operations() []string { return opcompose.Operations() }
 
 // DataGenStat reports one standalone data-generation run: corpus shape,
@@ -151,11 +133,6 @@ func Operations() []string { return opcompose.Operations() }
 // Equal digests across worker counts are the determinism contract made
 // visible.
 type DataGenStat = datagen.Stat
-
-// ChunkedGenerator is a corpus generator family that plans its output as
-// independent chunks; implement and register it with RegisterDataGenerator
-// to add custom corpora to DataGen and the CLI.
-type ChunkedGenerator = datagen.Chunked
 
 // DataGenOptions configures a DataGen run. Zero values mean scale 1, seed
 // 0, one worker per CPU.
@@ -186,12 +163,9 @@ func DataGen(name string, o DataGenOptions) (DataGenStat, error) {
 // DataGenerators returns the registered corpus generator names, sorted.
 func DataGenerators() []string { return datagen.Generators() }
 
-// RegisterDataGenerator adds a custom corpus generator family under its
-// Name, replacing any previous registration.
-func RegisterDataGenerator(cg ChunkedGenerator) { datagen.Register(cg) }
-
 // Suite is one emulated benchmark effort: data generator capabilities plus
-// a workload inventory. Register custom suites with RegisterSuite.
+// a workload inventory. Register custom suites with a Registry's
+// RegisterSuite.
 type Suite = suites.Suite
 
 // WorkloadRow is one suite inventory row: a category with its example

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	bdbench "github.com/bdbench/bdbench"
+	"github.com/bdbench/bdbench/internal/testgen"
 )
 
 // TestCustomWorkloadThroughPublicAPI is the external-caller path end to
@@ -72,8 +73,12 @@ func TestLoadThroughPublicAPI(t *testing.T) {
 	if st.Dispatched == 0 || st.Latency.Count == 0 {
 		t.Fatalf("no operations measured: %+v", st)
 	}
+	text, err := bdbench.ReporterFor("text")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := bdbench.NewTextReporter().Report(&buf, out); err != nil {
+	if err := text.Report(&buf, out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "latency under load") {
@@ -149,7 +154,7 @@ func TestReporterForUnknownFormat(t *testing.T) {
 }
 
 func TestPrescriptionWorkloadPublic(t *testing.T) {
-	names := bdbench.Prescriptions()
+	names := testgen.Names()
 	if len(names) == 0 {
 		t.Fatal("no prescriptions listed")
 	}

@@ -34,12 +34,12 @@
 //   - internal/scenario      the composition layer: registry, declarative
 //     scenario specs, the five-step runner and the reporter contract.
 //
-// This package is the public API over those substrates. The registry
-// (Register, RegisterSuite, DefaultRegistry) makes workloads and suites
-// addressable by name — the default registry is seeded from the built-in
-// suites' rows, and custom Workloads (including ones built from
-// abstract-test prescriptions via NewPrescriptionWorkload) join it through
-// Register. A Scenario is a
+// This package is the public API over those substrates. A Registry
+// (DefaultRegistry, NewRegistry) makes workloads and suites addressable by
+// name — the default registry is seeded from the built-in suites' rows, and
+// custom Workloads (including ones built from abstract-test prescriptions
+// via NewPrescriptionWorkload) join one through RegisterWorkload and reach
+// a run through WithRegistry. A Scenario is a
 // validated, JSON-round-trippable spec that composes workloads across any
 // suites with per-entry overrides; Run executes it on the concurrent
 // engine with functional options (WithEvents, WithRegistry,
@@ -49,7 +49,7 @@
 // Reporters export the outcome as text, markdown or JSON.
 // The datagen/... and stacks/... directories re-export the data
 // generators and simulated stacks for direct use. Corpus generation is
-// chunked and parallel (DataGen, DataGenerators, RegisterDataGenerator):
+// chunked and parallel (DataGen, DataGenerators):
 // chunk RNGs derive from (seed, chunk index), so output bytes are
 // identical at any worker count and data-preparation wall time is
 // reported as a first-class metric (Result.DataPrep).
@@ -61,4 +61,4 @@
 package bdbench
 
 // Version is the release version of the bdbench module.
-const Version = "1.28.0"
+const Version = "1.29.0"

@@ -1,5 +1,5 @@
 // Package datagen is the public facade over bdbench's 4V data-generation
-// substrate: rate measurement and the chunked-build utilities here, plus one
+// substrate: the seeded RNG and rate measurement here, plus one
 // subpackage per source family (textgen, tablegen, graphgen, streamgen,
 // weblog) and the §5.1 veracity metrics (veracity).
 //
@@ -31,33 +31,3 @@ type RateProbe = datagen.RateProbe
 
 // NewRateProbe returns a probe counting from now.
 func NewRateProbe() *RateProbe { return datagen.NewRateProbe() }
-
-// Chunk is one independent unit of a chunked generation plan.
-type Chunk = datagen.Chunk
-
-// Chunked is a named corpus generator family that plans its output as
-// independent chunks; register custom families with Register.
-type Chunked = datagen.Chunked
-
-// Stat reports one Build's shape, timing and corpus digest.
-type Stat = datagen.Stat
-
-// PlanChunks splits total items into consecutive chunks of at most size
-// items (a default size when size <= 0).
-func PlanChunks(total, size int64) []Chunk { return datagen.PlanChunks(total, size) }
-
-// Build runs a Chunked generator's full plan on a bounded worker pool and
-// returns the assembled corpus with its Stat; bytes and digest depend only
-// on (generator, seed, scale), never on the worker count.
-func Build(cg Chunked, seed uint64, scale, workers int) ([]byte, Stat, error) {
-	return datagen.Build(cg, seed, scale, workers)
-}
-
-// Register adds a corpus generator family under its Name.
-func Register(cg Chunked) { datagen.Register(cg) }
-
-// Lookup returns the named corpus generator family.
-func Lookup(name string) (Chunked, bool) { return datagen.Lookup(name) }
-
-// Generators returns the registered corpus generator names, sorted.
-func Generators() []string { return datagen.Generators() }

@@ -1,6 +1,6 @@
 // Package textgen is the public facade over bdbench's text generation:
-// reference corpora, random and frequency-matched text, Markov chains and
-// the LDA topic model (BigDataBench-style veracity-preserving synthesis).
+// reference corpora, random and frequency-matched text, and the LDA topic
+// model (BigDataBench-style veracity-preserving synthesis).
 package textgen
 
 import "github.com/bdbench/bdbench/internal/datagen/textgen"
@@ -22,9 +22,6 @@ type RandomText = textgen.RandomText
 // synthetic documents preserving its topic structure.
 type LDA = textgen.LDA
 
-// Markov is an order-N word chain model.
-type Markov = textgen.Markov
-
 // ReferenceCorpus generates the deterministic stand-in for a real text
 // corpus used across examples and probes.
 func ReferenceCorpus(seed uint64, docs, meanLen int) Corpus {
@@ -36,6 +33,3 @@ func BuildVocabulary(c Corpus) *Vocabulary { return textgen.BuildVocabulary(c) }
 
 // NewLDA returns an untrained four-topic LDA model.
 func NewLDA() *LDA { return textgen.NewLDA() }
-
-// NewMarkov returns an untrained order-N chain model.
-func NewMarkov(order int) *Markov { return textgen.NewMarkov(order) }

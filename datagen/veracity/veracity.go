@@ -5,7 +5,6 @@ package veracity
 
 import (
 	"github.com/bdbench/bdbench/internal/data"
-	"github.com/bdbench/bdbench/internal/datagen/streamgen"
 	"github.com/bdbench/bdbench/internal/datagen/textgen"
 	"github.com/bdbench/bdbench/internal/datagen/veracity"
 )
@@ -31,6 +30,3 @@ func Text(raw, syn textgen.Corpus) (Report, error) { return veracity.Text(raw, s
 
 // Table scores a synthetic table against the raw one, column by column.
 func Table(raw, syn *data.Table) (Report, error) { return veracity.Table(raw, syn) }
-
-// Stream scores a synthetic event stream against the raw one.
-func Stream(raw, syn []streamgen.Event) (Report, error) { return veracity.Stream(raw, syn) }

@@ -50,8 +50,8 @@ func TestDataGenUnknownName(t *testing.T) {
 	}
 }
 
-// constCorpus is a minimal custom generator registered through the public
-// API.
+// constCorpus is a minimal custom generator, registered in the corpus
+// registry DataGen resolves names from.
 type constCorpus struct{}
 
 func (constCorpus) Name() string { return "test-const" }
@@ -63,7 +63,7 @@ func (constCorpus) AppendChunk(dst []byte, g *stats.RNG, _ int, c datagen.Chunk)
 }
 
 func TestRegisterDataGeneratorExtendsRegistry(t *testing.T) {
-	bdbench.RegisterDataGenerator(constCorpus{})
+	datagen.Register(constCorpus{})
 	stat, err := bdbench.DataGen("test-const", bdbench.DataGenOptions{Scale: 2, Workers: 3})
 	if err != nil {
 		t.Fatal(err)

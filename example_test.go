@@ -44,7 +44,7 @@ func (evenCount) Run(ctx context.Context, p bdbench.Params, c *bdbench.Collector
 func ExampleRun() {
 	// Register: the custom workload joins the default registry next to the
 	// built-in inventory.
-	if err := bdbench.Register(evenCount{}); err != nil {
+	if err := bdbench.DefaultRegistry().RegisterWorkload(evenCount{}); err != nil {
 		fmt.Println("register:", err)
 		return
 	}

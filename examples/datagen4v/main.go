@@ -1,8 +1,7 @@
 // The datagen4v example demonstrates the 4V properties of bdbench's data
 // generators one axis at a time via the public datagen facades: volume
 // scaling, velocity control (rate, update frequency and processing speed),
-// variety of data sources, and measured veracity across the three
-// generator families.
+// variety of data sources, and measured veracity of random and LDA text.
 //
 //	go run ./examples/datagen4v
 package main
@@ -82,15 +81,6 @@ func main() {
 	}
 	random := textgen.RandomText{Dictionary: vocab.Words()}.Generate(datagen.NewRNG(8), 150, 60)
 	fmt.Printf("  random text (HiBench-style):      %.4f\n", score(random))
-	markov := textgen.NewMarkov(1)
-	if err := markov.Train(raw); err != nil {
-		log.Fatal(err)
-	}
-	mk, err := markov.Generate(datagen.NewRNG(9), 150, 60)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  markov chain:                     %.4f\n", score(mk))
 	lda := textgen.NewLDA()
 	if err := lda.Train(raw, 30, datagen.NewRNG(10)); err != nil {
 		log.Fatal(err)

@@ -160,73 +160,6 @@ func TestLDAEmptyCorpus(t *testing.T) {
 	}
 }
 
-func TestMarkovTrainGenerate(t *testing.T) {
-	ref := ReferenceCorpus(41, 100, 50)
-	m := NewMarkov(2)
-	if err := m.Train(ref); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.transitions) == 0 {
-		t.Fatal("no states learned")
-	}
-	syn, err := m.Generate(stats.NewRNG(42), 30, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(syn) != 30 {
-		t.Fatalf("generated %d docs, want 30", len(syn))
-	}
-	// Generated text must reuse training vocabulary only.
-	vocab := BuildVocabulary(ref)
-	for _, d := range syn {
-		for _, w := range d {
-			if vocab.ID(w) < 0 {
-				t.Fatalf("markov emitted unseen word %q", w)
-			}
-		}
-	}
-}
-
-func TestMarkovPreservesBigrams(t *testing.T) {
-	// A deterministic corpus where "alpha" is always followed by "beta".
-	doc := Document{}
-	for i := 0; i < 50; i++ {
-		doc = append(doc, "alpha", "beta", "gamma")
-	}
-	m := NewMarkov(1)
-	if err := m.Train(Corpus{doc}); err != nil {
-		t.Fatal(err)
-	}
-	syn, err := m.Generate(stats.NewRNG(43), 5, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range syn {
-		for i := 0; i+1 < len(d); i++ {
-			if d[i] == "alpha" && d[i+1] != "beta" {
-				t.Fatalf("bigram violated: alpha followed by %q", d[i+1])
-			}
-		}
-	}
-}
-
-func TestMarkovErrors(t *testing.T) {
-	m := NewMarkov(0) // clamps to 1
-	if m.Order != 1 {
-		t.Fatalf("order %d, want 1", m.Order)
-	}
-	if err := m.Train(nil); err == nil {
-		t.Fatal("empty corpus accepted")
-	}
-	if _, err := m.Generate(stats.NewRNG(1), 1, 5); err == nil {
-		t.Fatal("untrained Generate accepted")
-	}
-	tooShort := NewMarkov(5)
-	if err := tooShort.Train(Corpus{{"a", "b"}}); err == nil {
-		t.Fatal("corpus shorter than order accepted")
-	}
-}
-
 func TestRandomTextModes(t *testing.T) {
 	g := stats.NewRNG(51)
 	dict := []string{"one", "two", "three"}

@@ -7,9 +7,9 @@
 // generates synthetic text data using the trained LDA model." — and then
 // produces synthetic documents at a requested volume and velocity.
 //
-// Three model families are provided, mirroring the veracity spectrum of
-// Table 1: RandomText (veracity un-considered, HiBench-style), Markov
-// (partially considered), and LDA (considered, BigDataBench-style).
+// Two model families are provided, the ends of the veracity spectrum of
+// Table 1: RandomText (veracity un-considered, HiBench-style) and LDA
+// (considered, BigDataBench-style).
 package textgen
 
 import "strings"

@@ -35,11 +35,10 @@ var callerless = map[string]string{
 	"internal/stats.Histogram.Total":                       "read by the binning tests: the count that includes out-of-range observations",
 	"internal/data.Kind.String":                            "diagnostic: the error texts of Schema.Validate and tablegen.BuildSpec print a column kind through %v",
 	"internal/scenario.Spec.String":                        "diagnostic: Spec.Validate's negative-settings error texts print the normalized spec through %s",
-	"internal/opcompose.Register":                          "extension point: bdbench.RegisterOperation adds a pattern operation through it",
 	"internal/datagen/formats.ReadTable":                   "round-trip oracle for WriteTable: proves the CSV parses back to the same cells",
 	"internal/datagen/weblog.Parse":                        "round-trip oracle for Record.AppendFormat: proves a generated access-log line parses back to its record",
 	"internal/datagen/textgen.RandomText.GenerateParallel": "structured twin of the \"text\" corpus: TestCorpusIsItsStructuredTwin compares the corpus bytes against it",
-	"internal/datagen/veracity.Stream":                     "ROADMAP item 4 applies it to the load generator's own realised inter-arrival stream",
+	"internal/datagen/veracity.Stream":                     "ROADMAP item 11 gives it its first caller: the arrival property test holds a generated Poisson stream's realised gaps, seam gaps included, to its KS test",
 }
 
 // ifaceMethods are the method names the standard library calls through an

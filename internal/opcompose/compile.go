@@ -21,8 +21,8 @@ import (
 // count.
 const chunkOps = 512
 
-// Compile validates the pattern against the operation and corpus
-// registries and returns the synthetic workload it declares. The workload
+// Compile validates the pattern against the operation vocabulary and the
+// corpus registry and returns the synthetic workload it declares. The workload
 // is indistinguishable from a built-in to everything downstream: it runs
 // on the engine, records through pre-resolved OpRefs under "phase/op"
 // labels, regenerates its corpus from the seed, and its operation stream

@@ -33,8 +33,7 @@ const (
 // OpWeight is one operation of a mix with its relative weight. A zero
 // weight normalizes to 1, so a plain list of ops is a uniform mix.
 type OpWeight struct {
-	// Op names a primitive operation (see Operations) or an operation
-	// registered through Register.
+	// Op names a primitive operation (see Operations).
 	Op string `json:"op"`
 	// Weight is the operation's relative draw weight (default 1).
 	Weight float64 `json:"weight,omitempty"`
@@ -152,8 +151,8 @@ func (p Pattern) Normalized() Pattern {
 // phase fractions cover the stream.
 const fractionTolerance = 1e-9
 
-// Validate checks the normalized pattern's shape without touching the
-// operation or corpus registries (Compile does both): positive sizes,
+// Validate checks the normalized pattern's shape without resolving its
+// operations or its corpus (Compile does both): positive sizes,
 // non-negative weights and rates, at least one operation per phase, and
 // phase fractions that cover the stream exactly.
 func (p Pattern) Validate() error {

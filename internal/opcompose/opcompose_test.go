@@ -46,41 +46,6 @@ func TestOperationsVocabulary(t *testing.T) {
 	}
 }
 
-// TestRegisterOperation: extensions register and become usable in
-// patterns; invalid and builtin-shadowing registrations are rejected.
-func TestRegisterOperation(t *testing.T) {
-	if err := Register(Operation{Name: "", Apply: func(*OpContext) uint64 { return 0 }}); err == nil {
-		t.Fatal("registered an operation with no name")
-	}
-	if err := Register(Operation{Name: "noop"}); err == nil {
-		t.Fatal("registered an operation with no Apply")
-	}
-	if err := Register(Operation{Name: "scan", Apply: func(*OpContext) uint64 { return 0 }}); err == nil {
-		t.Fatal("replaced the builtin scan primitive")
-	}
-	if err := Register(Operation{Name: "test-custom", Apply: func(ctx *OpContext) uint64 {
-		return uint64(len(ctx.Records))
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := Lookup("test-custom"); !ok {
-		t.Fatal("registered operation does not resolve")
-	}
-	found := false
-	for _, name := range Operations() {
-		if name == "test-custom" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Operations() = %v does not list test-custom", Operations())
-	}
-	p := Pattern{Name: "custom", Ops: []OpWeight{{Op: "test-custom"}}, OpsPerScale: 64}
-	if _, err := Compile(p); err != nil {
-		t.Fatalf("pattern over a registered operation failed to compile: %v", err)
-	}
-}
-
 // TestPatternNormalized pins the defaulting rules: corpus, ops-per-scale,
 // phase names, inherited mixes, unit weights and remainder fractions.
 func TestPatternNormalized(t *testing.T) {

@@ -1,10 +1,7 @@
 package opcompose
 
 import (
-	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"github.com/bdbench/bdbench/internal/stats"
 )
@@ -34,7 +31,7 @@ type OpContext struct {
 	Store map[uint64]string
 }
 
-// Operation is one registered primitive: Apply executes it once against
+// Operation is one primitive of the pattern vocabulary: Apply executes it once against
 // the context and returns a fingerprint — a value derived only from the
 // context's deterministic state, folded into the composed workload's
 // pattern digest so cross-worker and cross-machine runs can prove they
@@ -59,12 +56,8 @@ var primitives = []Operation{
 	{Name: "get", Apply: opGet},             // read one key from the key-value substrate
 }
 
-var (
-	opsMu    sync.RWMutex
-	opsExtra = map[string]Operation{}
-)
-
-func primitive(name string) (Operation, bool) {
+// Lookup resolves an operation name against the primitive vocabulary.
+func Lookup(name string) (Operation, bool) {
 	for _, op := range primitives {
 		if op.Name == name {
 			return op, true
@@ -73,53 +66,13 @@ func primitive(name string) (Operation, bool) {
 	return Operation{}, false
 }
 
-// Register adds an operation to the pattern vocabulary under op.Name,
-// replacing any previous registration of that name (mirroring
-// datagen.Register). The primitives cannot be replaced — patterns relying
-// on them must mean the same thing everywhere.
-func Register(op Operation) error {
-	if op.Name == "" {
-		return fmt.Errorf("opcompose: Register: operation has no name")
-	}
-	if op.Apply == nil {
-		return fmt.Errorf("opcompose: Register: operation %q has no Apply", op.Name)
-	}
-	if _, ok := primitive(op.Name); ok {
-		return fmt.Errorf("opcompose: Register: %q is a builtin primitive and cannot be replaced", op.Name)
-	}
-	opsMu.Lock()
-	defer opsMu.Unlock()
-	opsExtra[op.Name] = op
-	return nil
-}
-
-// Lookup resolves an operation by name: primitives first, then registered
-// extensions.
-func Lookup(name string) (Operation, bool) {
-	if op, ok := primitive(name); ok {
-		return op, true
-	}
-	opsMu.RLock()
-	defer opsMu.RUnlock()
-	op, ok := opsExtra[name]
-	return op, ok
-}
-
-// Operations returns every available operation name: the primitives in
-// canonical order, then registered extensions sorted.
+// Operations returns the primitive names in canonical order.
 func Operations() []string {
 	out := make([]string, 0, len(primitives))
 	for _, op := range primitives {
 		out = append(out, op.Name)
 	}
-	opsMu.RLock()
-	extra := make([]string, 0, len(opsExtra))
-	for name := range opsExtra {
-		extra = append(extra, name)
-	}
-	opsMu.RUnlock()
-	sort.Strings(extra)
-	return append(out, extra...)
+	return out
 }
 
 // window picks a seeded window start over the records; n is the effective

@@ -38,14 +38,14 @@ func TestPacedPhaseStopsAtTheDeadline(t *testing.T) {
 // service time alone.
 func TestPacedLatencyRunsFromTheIntendedTime(t *testing.T) {
 	var service []time.Duration
-	if err := Register(Operation{Name: "test-slow", Apply: func(*OpContext) uint64 {
+	saved := primitives
+	t.Cleanup(func() { primitives = saved })
+	primitives = append(saved[:len(saved):len(saved)], Operation{Name: "test-slow", Apply: func(*OpContext) uint64 {
 		t0 := time.Now()
 		time.Sleep(2 * time.Millisecond)
 		service = append(service, time.Since(t0))
 		return 0
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	w, err := Compile(Pattern{Name: "paced-slow", Ops: []OpWeight{{Op: "test-slow"}}, OpsPerScale: 100,
 		Phases: []Phase{{Name: "paced", Rate: 1000}}})
 	if err != nil {

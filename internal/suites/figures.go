@@ -41,7 +41,7 @@ func Architecture() []Layer {
 			Name: "Function Layer",
 			Role: "data generators, test generator, metrics",
 			Components: []string{
-				"datagen/textgen (LDA, Markov, random text)",
+				"datagen/textgen (LDA, random text)",
 				"datagen/tablegen (profiles, MUDD-style, PDGF-style)",
 				"datagen/graphgen (RMAT/Kronecker, Barabási–Albert)",
 				"datagen/streamgen (rate, arrival, update-mix control)",

@@ -39,6 +39,7 @@ func TestAllocationsFollowChunks(t *testing.T) {
 		t.Run(tc.w.Name(), func(t *testing.T) {
 			allocs := func(scale int) float64 {
 				p := workloads.Params{Seed: 2014, Scale: scale, Workers: 2, DatagenWorkers: 2}
+				// Truncation hides under one allocation a run; a per-record one adds tc.s·tc.perScale between the volumes.
 				return testing.AllocsPerRun(3, func() {
 					if err := tc.w.Run(context.Background(), p, metrics.NewCollector(tc.w.Name())); err != nil {
 						t.Fatal(err)

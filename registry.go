@@ -19,15 +19,6 @@ func NewRegistry() *Registry { return scenario.NewRegistry() }
 // workload their rows name.
 func DefaultRegistry() *Registry { return scenario.Default() }
 
-// Register adds a custom workload to the default registry; scenarios can
-// then select it by name. Duplicate names are errors.
-func Register(w Workload) error { return scenario.Default().RegisterWorkload(w) }
-
-// RegisterSuite adds a custom suite to the default registry; scenarios can
-// then select from its inventory by suite name. Duplicate names are
-// errors.
-func RegisterSuite(s Suite) error { return scenario.Default().RegisterSuite(s) }
-
 // PrescriptionConfig configures NewPrescriptionWorkload.
 type PrescriptionConfig = testgen.Config
 
@@ -38,11 +29,8 @@ type Prescription = testgen.Prescription
 // NewPrescriptionWorkload builds a custom Workload from a testgen
 // prescription bound to one stack ("reference", "dbms", "nosql",
 // "mapreduce") — the paper's test-generation layer as an extension point:
-// build, Register, then select it from a Scenario like any other workload.
+// build, RegisterWorkload on a Registry, then select it from a Scenario like
+// any other workload.
 func NewPrescriptionWorkload(cfg PrescriptionConfig) (Workload, error) {
 	return testgen.Bind(cfg)
 }
-
-// Prescriptions lists the names in the built-in prescription repository,
-// usable as PrescriptionConfig.Prescription values.
-func Prescriptions() []string { return testgen.Names() }

@@ -10,13 +10,6 @@ import (
 // aligned text, markdown and JSON.
 type Reporter = scenario.Reporter
 
-// NewTextReporter renders results as aligned-text tables with a
-// per-category summary.
-func NewTextReporter() Reporter { return report.TextReporter{} }
-
-// NewMarkdownReporter renders results as GitHub-flavored markdown.
-func NewMarkdownReporter() Reporter { return report.MarkdownReporter{} }
-
 // NewJSONReporter exports the full outcome as indented JSON.
 func NewJSONReporter() Reporter { return report.JSONReporter{} }
 
